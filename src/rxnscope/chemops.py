@@ -26,7 +26,7 @@ from .molgraph import (
     connected_components,
     subgraph,
 )
-from .smiles import VALENCES, parse_smiles
+from .smiles import _ORDER_VALUE, VALENCES, parse_smiles
 
 HALOGENS = ("F", "Cl", "Br", "I")
 
@@ -358,8 +358,7 @@ def _implicit_h_count(g: MolecularGraph, idx: int) -> int:
         return atom.explicit_h
     if atom.kind != "element" or atom.text not in VALENCES:
         return 0
-    order_value = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
-    used = math.ceil(sum(order_value[b.order] for _, b in g.adjacency()[idx]))
+    used = math.ceil(sum(_ORDER_VALUE[b.order] for _, b in g.adjacency()[idx]))
     allowed = sorted(v + atom.charge for v in VALENCES[atom.text])
     for v in allowed:
         if v >= used:
@@ -493,19 +492,18 @@ def perceive_stereo(g: MolecularGraph) -> tuple[MolecularGraph, list[str]]:
         atoms[center] = new_atom
 
     bonds = list(g.bonds)
-    bond_pos = {frozenset((b.a, b.b)): i for i, b in enumerate(bonds)}
 
     def _flip(d: str) -> str:
         return "down" if d == "up" else "up"
 
     def away_value(end: int, mate: int) -> Optional[str]:
-        b = bonds[bond_pos[frozenset((end, mate))]]
+        b = bonds[g.bond_index(end, mate)]
         if b.direction is None:
             return None
         return b.direction if b.a == end else _flip(b.direction)
 
     def set_away(end: int, mate: int, away: str) -> None:
-        i = bond_pos[frozenset((end, mate))]
+        i = g.bond_index(end, mate)
         b = bonds[i]
         bonds[i] = replace(b, direction=away if b.a == end else _flip(away))
 

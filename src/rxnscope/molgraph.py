@@ -5,12 +5,18 @@ of a drawing can contain real elements, R-group placeholders ("[R1]", "[Ar]"),
 shorthand abbreviations ("Ts", "OMe") and opaque wildcards.  The graph layer
 enforces structural sanity only; valence rules live in :mod:`rxnscope.smiles`
 so that partially-specified drawings remain representable.
+
+A graph is the one owner of its neighbour lists: :meth:`MolecularGraph.adjacency`
+and the pair index behind :meth:`MolecularGraph.bond_between` are computed
+once per graph instance, on first use, and are read-only (tuples and a
+private dict).  A graph made by ``dataclasses.replace`` builds its own.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 ATOM_KINDS = ("element", "placeholder", "abbreviation", "wildcard")
@@ -134,6 +140,10 @@ class Bond:
         raise GraphError(f"atom {idx} not on bond {self.a}-{self.b}")
 
 
+def _pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i <= j else (j, i)
+
+
 @dataclass(frozen=True)
 class MolecularGraph:
     """Immutable molecular graph with optional label, role and provenance."""
@@ -153,21 +163,38 @@ class MolecularGraph:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def adjacency(self) -> dict[int, list[tuple[int, Bond]]]:
-        adj: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(len(self.atoms))}
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
+        n = len(self.atoms)
+        adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
         for bond in self.bonds:
+            if not (0 <= bond.a < n and 0 <= bond.b < n):
+                raise GraphError(f"bond {bond.a}-{bond.b} has an endpoint out of range")
             adj[bond.a].append((bond.b, bond))
             adj[bond.b].append((bond.a, bond))
-        return adj
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def _bond_positions(self) -> dict[tuple[int, int], int]:
+        positions: dict[tuple[int, int], int] = {}
+        for pos, bond in enumerate(self.bonds):
+            positions.setdefault(_pair(bond.a, bond.b), pos)
+        return positions
+
+    def adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
+        """Per atom, its ``(mate, bond)`` pairs in bond order; shared and read-only."""
+        return self._adjacency
 
     def neighbors(self, idx: int) -> list[int]:
-        return [other for other, _ in self.adjacency()[idx]]
+        return [other for other, _ in self._adjacency[idx]]
+
+    def bond_index(self, i: int, j: int) -> Optional[int]:
+        """Position in ``bonds`` of the first bond joining ``i`` and ``j``."""
+        return self._bond_positions.get(_pair(i, j))
 
     def bond_between(self, i: int, j: int) -> Optional[Bond]:
-        for bond in self.bonds:
-            if {bond.a, bond.b} == {i, j}:
-                return bond
-        return None
+        pos = self._bond_positions.get(_pair(i, j))
+        return None if pos is None else self.bonds[pos]
 
     def heavy_atom_count(self) -> int:
         return sum(1 for atom in self.atoms if atom.is_heavy)
@@ -194,7 +221,6 @@ def validate_graph(g: MolecularGraph) -> list[Violation]:
     """Collect structural violations; an empty list means the graph is sound."""
     violations: list[Violation] = []
     n = len(g.atoms)
-    seen: dict[frozenset[int], int] = {}
     for bidx, bond in enumerate(g.bonds):
         if not (0 <= bond.a < n) or not (0 <= bond.b < n):
             violations.append(
@@ -204,13 +230,9 @@ def validate_graph(g: MolecularGraph) -> list[Violation]:
         if bond.a == bond.b:
             violations.append(Violation("self-loop", f"atom {bond.a} bonded to itself", bond=bidx))
             continue
-        key = frozenset((bond.a, bond.b))
-        if key in seen:
-            violations.append(
-                Violation("duplicate-bond", f"same pair as bond {seen[key]}", bond=bidx)
-            )
-        else:
-            seen[key] = bidx
+        first = g.bond_index(bond.a, bond.b)
+        if first != bidx:
+            violations.append(Violation("duplicate-bond", f"same pair as bond {first}", bond=bidx))
     for aidx, atom in enumerate(g.atoms):
         if atom.explicit_h is not None and atom.explicit_h < 0:
             violations.append(Violation("negative-h", f"explicit_h={atom.explicit_h}", atom=aidx))
@@ -460,24 +482,36 @@ def graph_to_json(g: MolecularGraph) -> dict:
     return {"atoms": atoms, "bonds": bonds, "label": g.label, "role": g.role}
 
 
+def _json_int(value: object, name: str, optional: bool = False) -> Optional[int]:
+    """``value`` if it is an integer (not a bool), else :class:`GraphError`."""
+    if (value is None and optional) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise GraphError(f"{name} must be an integer, got {value!r}")
+
+
 def graph_from_json(data: Mapping) -> MolecularGraph:
     try:
         raw_atoms = data["atoms"]
         raw_bonds = data.get("bonds", [])
     except (TypeError, KeyError) as exc:
         raise GraphError(f"graph JSON missing required key: {exc}") from exc
+    if not isinstance(raw_atoms, (list, tuple)) or not isinstance(raw_bonds, (list, tuple)):
+        raise GraphError("graph JSON atoms and bonds must be lists")
     atoms = []
     for i, entry in enumerate(raw_atoms):
         try:
             coords = None
             if "x" in entry and "y" in entry:
                 coords = (float(entry["x"]), float(entry["y"]))
+            symbol = entry["symbol"]
+            if not isinstance(symbol, str):
+                raise GraphError(f"symbol must be a string, got {symbol!r}")
             atoms.append(
                 atom_token_from_symbol(
-                    entry["symbol"],
-                    charge=int(entry.get("charge", 0)),
-                    explicit_h=entry.get("h"),
-                    isotope=entry.get("isotope"),
+                    symbol,
+                    charge=_json_int(entry.get("charge", 0), "charge"),
+                    explicit_h=_json_int(entry.get("h"), "h", optional=True),
+                    isotope=_json_int(entry.get("isotope"), "isotope", optional=True),
                     coords=coords,
                 )
             )
@@ -488,8 +522,8 @@ def graph_from_json(data: Mapping) -> MolecularGraph:
         try:
             bonds.append(
                 Bond(
-                    a=int(entry["a"]),
-                    b=int(entry["b"]),
+                    a=_json_int(entry["a"], "a"),
+                    b=_json_int(entry["b"], "b"),
                     order=entry.get("order", "single"),
                     wedge=entry.get("wedge", "none"),
                     direction=entry.get("dir"),

@@ -82,6 +82,7 @@ class _Parser:
         self.pos = 0
         self.atoms: list[_AtomRec] = []
         self.bonds: list[Bond] = []
+        self.bond_pairs: set[tuple[int, int]] = set()
         self.ring_open: dict[int, tuple[int, Optional[str], Optional[str], int]] = {}
 
     def error(self, message: str, offset: Optional[int] = None) -> SmilesParseError:
@@ -174,8 +175,10 @@ class _Parser:
     ) -> None:
         if a == b:
             raise self.error("ring bond to the same atom", offset)
-        if any({bond.a, bond.b} == {a, b} for bond in self.bonds):
+        pair = (a, b) if a < b else (b, a)
+        if pair in self.bond_pairs:
             raise self.error("duplicate bond", offset)
+        self.bond_pairs.add(pair)
         if order is None:
             both_aromatic = self.atoms[a].token.aromatic and self.atoms[b].token.aromatic
             order = "aromatic" if both_aromatic else "single"
@@ -310,49 +313,40 @@ class _Parser:
         return self.atoms, self.bonds
 
 
-def _perceive_aromaticity(
-    atoms: list[AtomToken], bonds: list[Bond]
-) -> tuple[list[AtomToken], list[Bond]]:
+def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     """Upgrade qualifying Kekulé 6-rings to aromatic form.
 
     A ring qualifies when all six atoms are C/N/O/S elements and the ring
     bonds alternate single/double (or are already all aromatic).  All rings
     are judged against the original bond orders, then upgraded at once.
     """
-    n = len(atoms)
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for bidx, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, bidx))
-        adj[bond.b].append((bond.a, bidx))
-
+    adj = g.adjacency()
     rings: dict[frozenset[int], list[int]] = {}
 
-    def extend(path: list[int], path_bonds: list[int]) -> None:
+    def extend(path: list[int]) -> None:
         last = path[-1]
         if len(path) == 6:
-            for mate, bidx in adj[last]:
-                if mate == path[0]:
-                    key = frozenset(path)
-                    if key not in rings:
-                        rings[key] = path_bonds + [bidx]
+            key = frozenset(path)
+            if key not in rings and path[0] in (mate for mate, _ in adj[last]):
+                rings[key] = [g.bond_index(path[k], path[(k + 1) % 6]) for k in range(6)]
             return
-        for mate, bidx in adj[last]:
+        for mate, _ in adj[last]:
             if mate in path or mate < path[0]:
                 continue
-            extend(path + [mate], path_bonds + [bidx])
+            extend(path + [mate])
 
-    for start in range(n):
-        extend([start], [])
+    for start in range(len(g.atoms)):
+        extend([start])
 
     upgrade_atoms: set[int] = set()
     upgrade_bonds: set[int] = set()
     for members, walk_bonds in rings.items():
         if not all(
-            atoms[i].kind == "element" and atoms[i].text in ("C", "N", "O", "S")
+            g.atoms[i].kind == "element" and g.atoms[i].text in ("C", "N", "O", "S")
             for i in members
         ):
             continue
-        orders = [bonds[b].order for b in walk_bonds]
+        orders = [g.bonds[b].order for b in walk_bonds]
         if all(o == "aromatic" for o in orders):
             qualified = True
         else:
@@ -363,27 +357,27 @@ def _perceive_aromaticity(
             upgrade_atoms.update(members)
             upgrade_bonds.update(walk_bonds)
 
-    if upgrade_atoms:
-        atoms = [
-            replace(a, aromatic=True) if i in upgrade_atoms and a.kind == "element" else a
-            for i, a in enumerate(atoms)
-        ]
-        bonds = [
-            replace(b, order="aromatic", direction=None) if i in upgrade_bonds else b
-            for i, b in enumerate(bonds)
-        ]
-    return atoms, bonds
+    if not upgrade_atoms:
+        return g
+    atoms = [
+        replace(a, aromatic=True) if i in upgrade_atoms and a.kind == "element" else a
+        for i, a in enumerate(g.atoms)
+    ]
+    bonds = [
+        replace(b, order="aromatic", direction=None) if i in upgrade_bonds else b
+        for i, b in enumerate(g.bonds)
+    ]
+    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def _check_aromatic_rings(atoms: list[AtomToken], bonds: list[Bond]) -> None:
-    flagged = {i for i, a in enumerate(atoms) if a.aromatic}
+def _check_aromatic_rings(g: MolecularGraph) -> None:
+    flagged = {i for i, a in enumerate(g.atoms) if a.aromatic}
     if not flagged:
         return
-    degree: dict[int, set[int]] = {i: set() for i in flagged}
-    for bond in bonds:
-        if bond.order == "aromatic" and bond.a in flagged and bond.b in flagged:
-            degree[bond.a].add(bond.b)
-            degree[bond.b].add(bond.a)
+    adj = g.adjacency()
+    degree = {
+        i: {m for m, b in adj[i] if b.order == "aromatic" and m in flagged} for i in flagged
+    }
     # Iteratively strip leaves; whatever survives lies on an aromatic cycle.
     changed = True
     alive = set(flagged)
@@ -401,30 +395,23 @@ def _check_aromatic_rings(atoms: list[AtomToken], bonds: list[Bond]) -> None:
         )
 
 
-def _check_direction_consistency(atoms: list[AtomToken], bonds: list[Bond]) -> None:
-    adj: dict[int, list[Bond]] = {i: [] for i in range(len(atoms))}
-    for bond in bonds:
-        adj[bond.a].append(bond)
-        adj[bond.b].append(bond)
-    for bond in bonds:
+def _check_direction_consistency(g: MolecularGraph) -> None:
+    adj = g.adjacency()
+    for bond in g.bonds:
         if bond.order != "double":
             continue
         for end in (bond.a, bond.b):
-            away: set[str] = set()
             marked = [
-                b for b in adj[end] if b.direction is not None and b.order == "single"
+                b for _, b in adj[end] if b.direction is not None and b.order == "single"
             ]
-            for b in marked:
-                # Away orientation: direction read from the double-bond end
-                # outwards.  Two marks on the same end must disagree.
-                if b.a == end:
-                    away.add(b.direction)
-                else:
-                    away.add("down" if b.direction == "up" else "up")
+            # Away orientation: direction read from the double-bond end
+            # outwards.  Two marks on the same end must disagree.
+            away = {
+                b.direction if b.a == end else ("down" if b.direction == "up" else "up")
+                for b in marked
+            }
             if len(marked) == 2 and len(away) == 1:
-                raise SmilesParseError(
-                    f"conflicting direction marks at atom {end}", 0
-                )
+                raise SmilesParseError(f"conflicting direction marks at atom {end}", 0)
 
 
 def parse_smiles(
@@ -443,13 +430,13 @@ def parse_smiles(
         raise SmilesParseError("empty SMILES string", 0)
     parser = _Parser(stripped)
     recs, bonds = parser.parse()
-    atoms = [rec.token for rec in recs]
-    atoms, bonds = _perceive_aromaticity(atoms, bonds)
-    _check_aromatic_rings(atoms, bonds)
-    _check_direction_consistency(atoms, bonds)
+    g = MolecularGraph(atoms=tuple(rec.token for rec in recs), bonds=tuple(bonds))
+    g = _perceive_aromaticity(g)
+    _check_aromatic_rings(g)
+    _check_direction_consistency(g)
     # Resolve chiral neighbor orders from appearance slots.
     final_atoms: list[AtomToken] = []
-    for idx, (atom, rec) in enumerate(zip(atoms, recs)):
+    for atom, rec in zip(g.atoms, recs):
         if atom.chiral is not None:
             slots = tuple(s for s in rec.slots if not isinstance(s, tuple))
             if len(slots) < 3:
@@ -457,9 +444,7 @@ def parse_smiles(
             else:
                 atom = replace(atom, chiral_order=slots)
         final_atoms.append(atom)
-    return MolecularGraph(
-        atoms=tuple(final_atoms), bonds=tuple(bonds), label=label, role=role
-    )
+    return replace(g, atoms=tuple(final_atoms), label=label, role=role)
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +454,13 @@ def parse_smiles(
 
 def _specified_double_bonds(g: MolecularGraph) -> set[int]:
     """Indices of double bonds with a direction mark on both ends."""
-    adj: dict[int, list[Bond]] = {i: [] for i in range(len(g.atoms))}
-    for bond in g.bonds:
-        adj[bond.a].append(bond)
-        adj[bond.b].append(bond)
+    adj = g.adjacency()
     specified = set()
     for bidx, bond in enumerate(g.bonds):
         if bond.order != "double":
             continue
         if all(
-            any(b.direction is not None for b in adj[end] if b.order == "single")
+            any(b.direction is not None for _, b in adj[end] if b.order == "single")
             for end in (bond.a, bond.b)
         ):
             specified.add(bidx)
@@ -582,12 +564,7 @@ def write_smiles(
     if not g.atoms:
         raise ValueError("cannot write an empty graph")
     order = ranks if ranks is not None else list(range(len(g.atoms)))
-    adj: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(len(g.atoms))}
-    for bond in g.bonds:
-        adj[bond.a].append((bond.b, bond))
-        adj[bond.b].append((bond.a, bond))
-    for i in adj:
-        adj[i].sort(key=lambda pair: order[pair[0]])
+    adj = [sorted(mates, key=lambda pair: order[pair[0]]) for mates in g.adjacency()]
     emit_dirs = _emittable_directions(g) if isomeric else set()
 
     visited: set[int] = set()
@@ -609,8 +586,9 @@ def write_smiles(
     # component in deterministic traversal order.
     components = connected_components(g)
     components.sort(key=lambda comp: min(order[i] for i in comp))
-    tree_children: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(len(g.atoms))}
+    tree_children: list[list[tuple[int, Bond]]] = [[] for _ in g.atoms]
     ring_bonds: list[Bond] = []
+    ring_pairs: set[frozenset[int]] = set()
     roots: list[int] = []
     for comp in components:
         root = min(comp, key=lambda i: order[i])
@@ -634,9 +612,8 @@ def write_smiles(
                     key = frozenset((cur, mate))
                     if parent.get(cur) == mate or parent.get(mate) == cur:
                         continue
-                    if any(frozenset((b.a, b.b)) == key for b in ring_bonds):
-                        continue
-                    if {bond.a, bond.b} == key:
+                    if key not in ring_pairs:
+                        ring_pairs.add(key)
                         ring_bonds.append(bond)
             if not advanced:
                 stack.pop()
@@ -703,10 +680,7 @@ _ORDER_RANK = {"single": 0, "double": 1, "triple": 2, "aromatic": 3}
 
 def _initial_keys(g: MolecularGraph) -> list[tuple]:
     keys = []
-    degree = [0] * len(g.atoms)
-    for bond in g.bonds:
-        degree[bond.a] += 1
-        degree[bond.b] += 1
+    adj = g.adjacency()
     for i, atom in enumerate(g.atoms):
         keys.append(
             (
@@ -715,7 +689,7 @@ def _initial_keys(g: MolecularGraph) -> list[tuple]:
                 atom.charge,
                 atom.isotope or 0,
                 int(atom.aromatic),
-                degree[i],
+                len(adj[i]),
                 -1 if atom.explicit_h is None else atom.explicit_h,
             )
         )
@@ -781,10 +755,7 @@ def _assign_directions(g: MolecularGraph, ranks: list[int]) -> MolecularGraph:
     cleared and reassigned so the first reference bond of each specified
     double bond points "up".  Unspecified geometry gets no marks.
     """
-    adj: dict[int, list[int]] = {i: [] for i in range(len(g.atoms))}
-    for bidx, bond in enumerate(g.bonds):
-        adj[bond.a].append(bidx)
-        adj[bond.b].append(bidx)
+    adj = g.adjacency()
 
     def away(bond: Bond, end: int) -> str:
         return bond.direction if bond.a == end else ("down" if bond.direction == "up" else "up")
@@ -799,23 +770,17 @@ def _assign_directions(g: MolecularGraph, ranks: list[int]) -> MolecularGraph:
         aways = {}
         usable = True
         for end in (end1, end2):
-            marked = [
-                i
-                for i in adj[end]
-                if g.bonds[i].order == "single" and g.bonds[i].direction is not None
+            single_mates = [
+                (mate, g.bond_index(end, mate)) for mate, b in adj[end] if b.order == "single"
             ]
+            marked = [i for _, i in single_mates if g.bonds[i].direction is not None]
             if not marked:
                 usable = False
                 break
             probe = marked[0]
             probe_away = away(g.bonds[probe], end)
             # Canonical reference: lowest-ranked single-bond neighbor.
-            single_mates = [
-                (g.bonds[i].other(end), i)
-                for i in adj[end]
-                if g.bonds[i].order == "single"
-            ]
-            ref_mate, ref_bidx = min(single_mates, key=lambda p: ranks[p[0]])
+            _, ref_bidx = min(single_mates, key=lambda p: ranks[p[0]])
             ref_away = probe_away
             if ref_bidx != probe:
                 # Substituents on the same end sit on opposite sides.

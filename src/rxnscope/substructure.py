@@ -78,13 +78,10 @@ def find_matches(
     if not pattern.atoms:
         raise GraphError("empty pattern")
     n = len(pattern.atoms)
-    # Pattern bonds from atom i to already-placed atoms j < i.
-    back_edges: list[list[Bond]] = [[] for _ in range(n)]
-    for bond in pattern.bonds:
-        hi, lo = max(bond.a, bond.b), min(bond.a, bond.b)
-        back_edges[hi].append(bond)
     target_adj = target.adjacency()
     pattern_adj = pattern.adjacency()
+    # Pattern bonds from atom i to already-placed atoms j < i.
+    back_edges = [[b for mate, b in pattern_adj[p] if mate < p] for p in range(n)]
 
     results: list[dict[int, int]] = []
     assigned: list[int] = []
@@ -189,8 +186,9 @@ def scaffold_align(
             covered.update(atoms)
         return len(covered), _placeholder_aromatic_score(template, variant, m)
 
-    best = max(score(m) for m in matches)
-    contenders = [m for m in matches if score(m) == best]
+    scores = [score(m) for m in matches]
+    best = max(scores)
+    contenders = [m for m, s in zip(matches, scores) if s == best]
     placeholder_images = {tuple(m[p] for p in placeholders) for m in contenders}
     if len(placeholder_images) > 1:
         # Scaffold automorphisms (a flipped tosyl ring, swapped sulfonyl

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +99,62 @@ class TestValidateGraph:
     def test_out_of_range_endpoint(self):
         g = MolecularGraph(atoms=(carbon(),), bonds=(Bond(a=0, b=4),))
         assert [v.rule for v in validate_graph(g)] == ["dangling-bond"]
+
+
+def _scan_bond(g: MolecularGraph, i: int, j: int):
+    return next((b for b in g.bonds if {b.a, b.b} == {i, j}), None)
+
+
+def _assert_matches_bond_scan(g: MolecularGraph) -> None:
+    adj = g.adjacency()
+    assert len(adj) == len(g.atoms)
+    for i in range(len(g.atoms)):
+        expected = [(b.other(i), b) for b in g.bonds if i in (b.a, b.b)]
+        assert list(adj[i]) == expected
+        assert g.neighbors(i) == [mate for mate, _ in expected]
+        for j in range(len(g.atoms)):
+            first = _scan_bond(g, i, j)
+            assert g.bond_between(i, j) is first
+            pos = g.bond_index(i, j)
+            assert (None if pos is None else g.bonds[pos]) is first
+
+
+random_graphs = st.builds(
+    lambda seed: random_molecular_graph(random.Random(seed)), st.integers(0, 2**32 - 1)
+)
+
+
+class TestIndexedAdjacency:
+    @given(random_graphs, st.booleans())
+    def test_agrees_with_bond_scan_first_bond_wins(self, g, duplicate):
+        if duplicate:
+            first = g.bonds[len(g.bonds) // 2]
+            g = replace(g, bonds=g.bonds + (Bond(a=first.b, b=first.a, order="triple"),))
+        _assert_matches_bond_scan(g)
+
+    @given(random_graphs)
+    def test_shared_adjacency_is_read_only(self, g):
+        adj = g.adjacency()
+        assert g.adjacency() is adj
+        with pytest.raises(TypeError):
+            adj[0] = ()
+        with pytest.raises(AttributeError):
+            adj[0].append((0, g.bonds[0]))
+        g.neighbors(0).clear()
+        assert g.adjacency() == adj and adj[0]
+
+    @given(random_graphs)
+    def test_replaced_graph_answers_from_its_own_bonds(self, g):
+        _assert_matches_bond_scan(g)
+        dropped = g.bonds[0]
+        h = replace(g, bonds=g.bonds[1:])
+        assert h.bond_between(dropped.a, dropped.b) is None
+        _assert_matches_bond_scan(h)
+
+    def test_out_of_range_endpoint_is_a_graph_error(self):
+        g = MolecularGraph(atoms=(carbon(),), bonds=(Bond(a=0, b=-1),))
+        with pytest.raises(GraphError):
+            g.adjacency()
 
 
 class TestComponents:
@@ -216,6 +273,22 @@ class TestJsonCodec:
         for _ in range(25):
             g = random_molecular_graph(rng)
             assert graph_from_json(graph_to_json(g)) == g
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"atoms": 5},
+            {"atoms": [{"symbol": "C", "h": "2"}]},
+            {"atoms": [{"symbol": "C", "isotope": "13"}]},
+            {"atoms": [{"symbol": "C", "charge": 1.5}]},
+            {"atoms": [{"symbol": 6}]},
+            {"atoms": [{"symbol": "C"}, {"symbol": "C"}], "bonds": [{"a": 0, "b": 1.7}]},
+            {"atoms": [{"symbol": "C"}, {"symbol": "C"}], "bonds": [{"a": True, "b": 0}]},
+        ],
+    )
+    def test_mistyped_fields_raise_graph_error(self, data):
+        with pytest.raises(GraphError):
+            graph_from_json(data)
 
     def test_placeholder_and_coords_survive(self):
         g = MolecularGraph(
