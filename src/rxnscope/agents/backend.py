@@ -13,10 +13,12 @@ import os
 import urllib.request
 from typing import Any, Optional
 
+from ..molgraph import RxnscopeError
+
 DEFAULT_TEMPERATURE = 0.1
 
 
-class BackendError(RuntimeError):
+class BackendError(RxnscopeError, RuntimeError):
     pass
 
 

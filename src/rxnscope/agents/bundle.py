@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from ..molgraph import RxnscopeError
+
 MODALITIES = frozenset(
     {
         "reaction_template_image",
@@ -23,7 +25,7 @@ _TABLE_LIKE = frozenset(
 )
 
 
-class DescriptorError(ValueError):
+class DescriptorError(RxnscopeError, ValueError):
     pass
 
 
@@ -61,19 +63,36 @@ class Bundle:
         desc_path = root / "descriptor.json"
         if not desc_path.is_file():
             raise DescriptorError(f"no descriptor.json in {root}")
-        with open(desc_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        descriptor = InputDescriptor(
-            modalities=frozenset(raw.get("modalities", [])), bundle_path=root
-        )
+        raw = _load_json(desc_path)
+        modalities = raw.get("modalities", []) if isinstance(raw, dict) else None
+        if not isinstance(modalities, list) or not all(
+            isinstance(m, str) for m in modalities
+        ):
+            raise DescriptorError(
+                f"{desc_path} must be an object whose modalities are a list of strings"
+            )
+        descriptor = InputDescriptor(modalities=frozenset(modalities), bundle_path=root)
         return cls(root, descriptor)
 
     def has(self, name: str) -> bool:
         return (self.root / name).is_file()
 
     def read_json(self, name: str) -> Any:
-        with open(self.root / name, encoding="utf-8") as fh:
-            return json.load(fh)
+        return _load_json(self.root / name)
 
     def read_text(self, name: str) -> str:
-        return (self.root / name).read_text(encoding="utf-8")
+        return _read_text(self.root / name)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json(path: Path) -> Any:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DescriptorError(f"{path} is not valid JSON: {exc}") from None

@@ -2,9 +2,11 @@
 
 Each agent kind is a step function that calls its tools through the run
 context and leaves results in memory. After every attempt the observer
-checks the output; failures trigger a backend-reviewed retry, and steps
-whose inputs come from a failed step are skipped (degraded) rather than
-crashing the run.
+checks the output; a failed check or a failing tool triggers a
+backend-reviewed retry of the whole step. That step loop is the only
+retry layer: a tool is called once per step attempt, so a permanently
+failing tool is called ``retry_budget`` times. Steps whose inputs come
+from a failed step are skipped (degraded) rather than crashing the run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from ..molgraph import graph_from_json, graph_to_json
+from ..molgraph import RxnscopeError, graph_from_json, graph_to_json, main_component
 from ..reaction import (
     MoleculeEntry,
     ReactionRecord,
@@ -27,7 +29,6 @@ from ..reaction import (
 from ..rgroup import ReactionTemplate, substitute_placeholders
 from ..smiles import SmilesParseError, parse_smiles
 from ..chemops import FormulaError, parse_condensed_formula
-from ..molgraph import main_component
 from .backend import ScriptedBackend
 from .bundle import Bundle, InputDescriptor
 from .memory import MISSING, Memory
@@ -35,7 +36,7 @@ from .planner import Plan, review_plan
 from .tools import RunContext, ToolError, ToolInvocation, ToolRegistry, default_registry
 
 
-class ExecutionError(RuntimeError):
+class ExecutionError(RxnscopeError, RuntimeError):
     def __init__(self, message: str, trace: tuple):
         self.trace = trace
         super().__init__(message)
@@ -77,44 +78,27 @@ class _Run:
         bundle: Optional[Bundle],
         registry: ToolRegistry,
         backend,
-        budget: int,
     ):
         self.ctx = RunContext(bundle=bundle)
         self.registry = registry
         self.backend = backend
-        self.budget = budget
         self.memory = Memory()
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
+        self.attempt = 1
 
     def invoke(self, tool: str, request: dict) -> dict:
-        last_error = "no attempts made"
-        for attempt in range(1, self.budget + 1):
-            try:
-                response = self.registry.invoke(tool, self.ctx, request)
-            except ToolError as exc:
-                last_error = str(exc)
-                self.trace.append(
-                    {
-                        "type": "tool",
-                        "step": self.current_step,
-                        **ToolInvocation(
-                            tool, request, None, "error", attempt, last_error
-                        ).to_json(),
-                    }
-                )
-                continue
-            self.trace.append(
-                {
-                    "type": "tool",
-                    "step": self.current_step,
-                    **ToolInvocation(tool, request, response, "ok", attempt).to_json(),
-                }
-            )
-            return response
-        raise _StepFailure(
-            f"tool {tool!r} failed after {self.budget} attempts: {last_error}"
-        )
+        """Call ``tool`` once; a ``ToolError`` fails the current step attempt."""
+        try:
+            response = self.registry.invoke(tool, self.ctx, request)
+        except ToolError as exc:
+            self._record(ToolInvocation(tool, request, None, "error", self.attempt, str(exc)))
+            raise _StepFailure(f"tool {tool!r} failed: {exc}") from None
+        self._record(ToolInvocation(tool, request, response, "ok", self.attempt))
+        return response
+
+    def _record(self, call: ToolInvocation) -> None:
+        self.trace.append({"type": "tool", "step": self.current_step, **call.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +421,28 @@ STEP_FUNCS: dict[str, Callable[[_Run], dict]] = {
 
 
 def observe_step(kind: str, output: dict, expectations: Optional[dict] = None) -> tuple[bool, list[str]]:
-    """Check a step's output; returns (passed, reasons)."""
+    """Check a step's output; returns (passed, reasons).
+
+    Each distinct text is parsed once, whether it appears under ``smiles``,
+    ``reconstructed`` or both.
+    """
     expectations = expectations or {}
-    reasons: list[str] = []
-    for smi in output.get("smiles", []):
-        try:
-            parse_smiles(smi)
-        except SmilesParseError as exc:
-            reasons.append(f"unparseable SMILES {smi!r}: {exc}")
+    parsed: dict[Any, Any] = {}  # text -> graph, or its SmilesParseError
+
+    def parse(smi) -> Any:
+        key = smi if isinstance(smi, str) else id(smi)  # a list payload is unhashable
+        if key not in parsed:
+            try:
+                parsed[key] = parse_smiles(smi)
+            except SmilesParseError as exc:
+                parsed[key] = exc
+        return parsed[key]
+
+    reasons = [
+        f"unparseable SMILES {smi!r}: {g}"
+        for smi in output.get("smiles", [])
+        if isinstance(g := parse(smi), SmilesParseError)
+    ]
     if kind == "molecular_recognition":
         expected = expectations.get("box_count", output.get("box_count"))
         got = output.get("molecule_count")
@@ -452,11 +450,9 @@ def observe_step(kind: str, output: dict, expectations: Optional[dict] = None) -
             reasons.append(f"{got} molecules for {expected} detected regions")
     if kind in ("structure_rgroup", "text_rgroup"):
         for smi in output.get("reconstructed", []):
-            try:
-                if parse_smiles(smi).placeholder_indices():
-                    reasons.append(f"placeholder residue in reconstruction {smi!r}")
-            except SmilesParseError:
-                pass  # already reported above
+            g = parse(smi)
+            if not isinstance(g, SmilesParseError) and g.placeholder_indices():
+                reasons.append(f"placeholder residue in reconstruction {smi!r}")
     if kind == "data_structure":
         reasons.extend(output.get("record_problems", []))
     return (not reasons, reasons)
@@ -484,7 +480,7 @@ def execute_plan(
         if descriptor.bundle_path is not None
         else None
     )
-    run = _Run(bundle, registry, backend, retry_budget)
+    run = _Run(bundle, registry, backend)
     handler = _TraceLogHandler(run.trace)
     pkg_logger = logging.getLogger("rxnscope")
     pkg_logger.addHandler(handler)
@@ -502,24 +498,12 @@ def execute_plan(
             run.current_step = step.agent
             passed = False
             for attempt in range(1, retry_budget + 1):
+                run.attempt = attempt
                 run.memory.begin_step(step.agent)
                 try:
-                    output = fn(run)
+                    ok, reasons = observe_step(step.agent, fn(run))
                 except _StepFailure as exc:
-                    run.trace.append(
-                        {
-                            "type": "observer",
-                            "step": step.agent,
-                            "attempt": attempt,
-                            "passed": False,
-                            "reasons": [str(exc)],
-                        }
-                    )
-                    backend.respond(
-                        "review", {"agent": step.agent, "reasons": [str(exc)]}
-                    )
-                    continue
-                ok, reasons = observe_step(step.agent, output)
+                    ok, reasons = False, [str(exc)]
                 run.trace.append(
                     {
                         "type": "observer",
@@ -558,15 +542,8 @@ def execute_plan(
     template: Optional[ReactionTemplate] = None
     if template_data is not MISSING:
         try:
-            template = ReactionTemplate(
-                reactant_templates=tuple(
-                    parse_smiles(s) for s in template_data["reactants"]
-                ),
-                product_templates=tuple(
-                    parse_smiles(s) for s in template_data["products"]
-                ),
-            )
-        except (SmilesParseError, ValueError):
+            template = ReactionTemplate.from_smiles(template_data)
+        except RxnscopeError:
             template = None
 
     return ExtractionResult(

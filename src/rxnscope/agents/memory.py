@@ -1,4 +1,4 @@
-"""Three-tier run memory: step scratch, append-only archive, live digest."""
+"""Run memory: an append-only archive of puts and a live digest of the latest values."""
 
 from __future__ import annotations
 
@@ -27,17 +27,12 @@ MISSING = _Missing()
 
 class Memory:
     def __init__(self) -> None:
-        self.short_term: dict[str, Any] = {}
         self._long_term: list[dict[str, Any]] = []
         self._dynamic: dict[str, Any] = {}
         self._current_step: str = ""
 
     def begin_step(self, step: str) -> None:
-        self.short_term = {}
         self._current_step = step
-
-    def note(self, key: str, value: Any) -> None:
-        self.short_term[key] = value
 
     def put(self, key: str, value: Any) -> None:
         self._long_term.append(
@@ -46,12 +41,7 @@ class Memory:
         self._dynamic[key] = value
 
     def get(self, key: str) -> Any:
-        if key in self._dynamic:
-            return self._dynamic[key]
-        for entry in reversed(self._long_term):
-            if entry["key"] == key:
-                return entry["value"]
-        return MISSING
+        return self._dynamic.get(key, MISSING)
 
     def digest(self) -> dict[str, Any]:
         return dict(self._dynamic)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..molgraph import RxnscopeError
 from .bundle import InputDescriptor
 
 
-class PlanningError(ValueError):
+class PlanningError(RxnscopeError, ValueError):
     pass
 
 

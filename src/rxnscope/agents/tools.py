@@ -13,9 +13,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from ..chemops import AbbreviationTable, AliasRegistry
-from ..molgraph import graph_from_json
+from ..molgraph import RxnscopeError, graph_from_json
 from ..reaction import (
     ConditionLexicon,
+    TableParseError,
     classify_condition,
     condition_from_json,
     condition_to_json,
@@ -23,15 +24,14 @@ from ..reaction import (
 )
 from ..rgroup import ReactionTemplate, expand_abbreviations, extract_rgroup_fragments, reconstruct_reactants
 from ..smiles import parse_smiles, write_smiles
-from ..substructure import MatchError
 from .bundle import Bundle
 
 
-class ToolError(RuntimeError):
+class ToolError(RxnscopeError, RuntimeError):
     pass
 
 
-class DetectionError(ValueError):
+class DetectionError(RxnscopeError, ValueError):
     def __init__(self, offset: int, message: str):
         self.offset = offset
         super().__init__(f"token {offset}: {message}")
@@ -183,7 +183,7 @@ def _tool_table_parser(ctx: RunContext, request: dict) -> dict:
         text = bundle.read_text("table.txt")
     try:
         rows = parse_rgroup_table(text)
-    except ValueError as exc:
+    except TableParseError as exc:
         raise ToolError(str(exc)) from None
     return {
         "rows": [
@@ -194,13 +194,9 @@ def _tool_table_parser(ctx: RunContext, request: dict) -> dict:
 
 
 def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
-    spec = request["template"]
     try:
-        template = ReactionTemplate(
-            reactant_templates=tuple(parse_smiles(s) for s in spec["reactants"]),
-            product_templates=tuple(parse_smiles(s) for s in spec["products"]),
-        )
-    except (KeyError, ValueError) as exc:
+        template = ReactionTemplate.from_smiles(request.get("template"))
+    except RxnscopeError as exc:
         raise ToolError(f"bad template payload: {exc}") from None
     product_template = template.product_templates[0]
     variant_reactions: list[dict] = []
@@ -211,7 +207,7 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
             graph = parse_smiles(variant["smiles"])
             bindings = extract_rgroup_fragments(product_template, graph)
             reactants = reconstruct_reactants(template, bindings, ctx.table, ctx.aliases)
-        except (MatchError, ValueError):
+        except RxnscopeError:
             skipped.append(label if label is not None else variant.get("smiles", "?"))
             continue
         variant_reactions.append(

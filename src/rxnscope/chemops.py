@@ -23,6 +23,7 @@ from .molgraph import (
     Bond,
     GraphError,
     MolecularGraph,
+    RxnscopeError,
     connected_components,
     subgraph,
 )
@@ -31,11 +32,11 @@ from .smiles import _ORDER_VALUE, VALENCES, parse_smiles
 HALOGENS = ("F", "Cl", "Br", "I")
 
 
-class FormulaError(ValueError):
+class FormulaError(RxnscopeError, ValueError):
     """Raised when a token cannot be read as a condensed formula."""
 
 
-class StereoPerceptionError(ValueError):
+class StereoPerceptionError(RxnscopeError, ValueError):
     """Raised when depiction stereo input is unusable (e.g. missing coords)."""
 
 

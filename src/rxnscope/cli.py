@@ -1,66 +1,30 @@
 """Command-line entry points. Everything on stdout is JSON.
 
-Domain failures (bad SMILES, unparsable tables, missing bundle files)
-print ``{"error": ...}`` and exit 1; argparse handles usage errors with
-exit 2.
+Domain failures (an ``RxnscopeError``: bad SMILES, unparsable tables,
+broken bundles) and ``OSError`` (missing files) print ``{"error": ...}``
+and exit 1; argparse handles usage errors with exit 2. Any other
+exception is a bug and is not caught.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from .agents import (
-    BackendError,
-    Bundle,
-    DescriptorError,
-    ExecutionError,
-    PlanningError,
-    RemoteBackend,
-    ScriptedBackend,
-    execute_plan,
-    plan_extraction,
-)
-from .chemops import FormulaError, StereoPerceptionError
-from .metrics import FingerprintError, evaluate
-from .molgraph import GraphError, main_component
-from .reaction import (
-    CodecError,
-    TableParseError,
-    classify_condition,
-    condition_to_json,
-    decode_records,
-    parse_rgroup_table,
-)
+from .agents import Bundle, RemoteBackend, ScriptedBackend, execute_plan, plan_extraction
+from .metrics import evaluate
+from .molgraph import RxnscopeError, main_component
+from .reaction import classify_condition, condition_to_json, decode_records, parse_rgroup_table
 from .rgroup import (
-    MissingBindingError,
     ReactionTemplate,
     extract_rgroup_fragments,
     reconstruct_reactants,
     substitute_placeholders,
 )
-from .smiles import SmilesParseError, canonicalize, is_valid, parse_smiles, write_smiles
-from .substructure import MatchError
-
-_DOMAIN_ERRORS = (
-    SmilesParseError,
-    GraphError,
-    FormulaError,
-    StereoPerceptionError,
-    MatchError,
-    MissingBindingError,
-    TableParseError,
-    CodecError,
-    FingerprintError,
-    DescriptorError,
-    PlanningError,
-    ExecutionError,
-    BackendError,
-    ValueError,
-    OSError,
-)
+from .smiles import canonicalize, is_valid, parse_smiles, write_smiles
 
 
 def _emit(payload) -> None:
@@ -86,7 +50,7 @@ def _parse_assignment(pairs: list[str]) -> dict[str, str]:
             if not part:
                 continue
             if "=" not in part:
-                raise ValueError(f"assignment {part!r} is not LABEL=GROUP")
+                raise RxnscopeError(f"assignment {part!r} is not LABEL=GROUP")
             label, _, value = part.partition("=")
             assignment[label.strip()] = value.strip()
     return assignment
@@ -102,12 +66,11 @@ def _cmd_substitute(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    with open(args.template, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    template = ReactionTemplate(
-        reactant_templates=tuple(parse_smiles(s) for s in spec["reactants"]),
-        product_templates=tuple(parse_smiles(s) for s in spec["products"]),
-    )
+    try:
+        spec = json.loads(_read_text(args.template))
+    except json.JSONDecodeError as exc:
+        raise RxnscopeError(f"{args.template} is not valid JSON: {exc}") from None
+    template = ReactionTemplate.from_smiles(spec)
     variant = parse_smiles(args.variant)
     bindings = extract_rgroup_fragments(template.product_templates[0], variant)
     reactants = reconstruct_reactants(template, bindings)
@@ -123,14 +86,18 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _read_source(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str | None) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin for None or "-"."""
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RxnscopeError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
 
 
 def _cmd_table(args) -> int:
-    text = _read_source(args.input)
+    text = _read_text(args.input)
     rows = parse_rgroup_table(text)
     _emit(
         {
@@ -169,8 +136,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pred, _ = decode_records(Path(args.pred).read_text(encoding="utf-8"))
-    gold, _ = decode_records(Path(args.gold).read_text(encoding="utf-8"))
+    pred, _ = decode_records(_read_text(args.pred))
+    gold, _ = decode_records(_read_text(args.gold))
     _emit(evaluate(pred, gold))
     return 0
 
@@ -234,13 +201,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except _DOMAIN_ERRORS as exc:
-        _emit({"error": f"{type(exc).__name__}: {exc}"})
+        try:
+            code = args.fn(args)
+        except (RxnscopeError, OSError) as exc:
+            if isinstance(exc, BrokenPipeError):
+                raise
+            _emit({"error": f"{type(exc).__name__}: {exc}"})
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``rxnscope ... | head``). Python flushes
+        # stdout again at exit; point it at devnull so that flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .molgraph import MolecularGraph
+from .molgraph import MolecularGraph, RxnscopeError
 from .reaction import ReactionRecord
 from .smiles import SmilesParseError, canonicalize, is_valid, parse_smiles
 
@@ -23,7 +23,7 @@ _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
 
 
-class FingerprintError(ValueError):
+class FingerprintError(RxnscopeError, ValueError):
     pass
 
 

@@ -51,7 +51,15 @@ ELEMENTS = frozenset(
 AROMATIC_SYMBOLS = frozenset(("b", "c", "n", "o", "p", "s", "se", "as", "te"))
 
 
-class GraphError(ValueError):
+class RxnscopeError(Exception):
+    """Base of every domain error: bad input, not a bug in the program.
+
+    Each subclass also keeps a stdlib base (``ValueError`` or
+    ``RuntimeError``), so callers that catch that base still work.
+    """
+
+
+class GraphError(RxnscopeError, ValueError):
     """Raised for structurally unusable graphs or fragment requests."""
 
 

@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .molgraph import is_placeholder_label
+from .molgraph import RxnscopeError, is_placeholder_label
 from .smiles import SmilesParseError, parse_smiles
 
 log = logging.getLogger(__name__)
@@ -18,13 +18,13 @@ log = logging.getLogger(__name__)
 ROLES = ("reagent", "solvent", "temperature", "time", "yield", "add_info")
 
 
-class CodecError(ValueError):
+class CodecError(RxnscopeError, ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
 
 
-class TableParseError(ValueError):
+class TableParseError(RxnscopeError, ValueError):
     pass
 
 
@@ -100,7 +100,7 @@ class RGroupTableRow:
 
     def __post_init__(self) -> None:
         if self.entry < 1:
-            raise ValueError(f"table entry must be >= 1, got {self.entry}")
+            raise TableParseError(f"table entry must be >= 1, got {self.entry}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def _molecule_from_json(obj, path: str) -> MoleculeEntry:
     smiles = _require(obj, "smiles", path)
     try:
         return MoleculeEntry(smiles=smiles, label=obj.get("label"))
-    except (SmilesParseError, ValueError) as exc:
+    except SmilesParseError as exc:
         raise CodecError(f"{path}.smiles", str(exc)) from None
 
 
@@ -353,7 +353,7 @@ def condition_from_json(obj, path: str) -> ConditionItem:
         return ConditionItem(
             role=role, text=text, smiles=obj.get("smiles"), label=obj.get("label")
         )
-    except (SmilesParseError, ValueError) as exc:
+    except ValueError as exc:
         raise CodecError(path, str(exc)) from None
 
 

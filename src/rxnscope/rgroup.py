@@ -20,7 +20,7 @@ from .molgraph import (
     main_component,
     validate_graph,
 )
-from .smiles import write_smiles, canonical_graph_smiles
+from .smiles import canonical_graph_smiles, parse_smiles, write_smiles
 from .substructure import scaffold_align
 
 log = logging.getLogger(__name__)
@@ -42,6 +42,19 @@ class ReactionTemplate:
     def __post_init__(self) -> None:
         if not self.reactant_templates or not self.product_templates:
             raise GraphError("a reaction template needs reactants and products")
+
+    @classmethod
+    def from_smiles(cls, spec) -> "ReactionTemplate":
+        """Parse a ``{"reactants": [...], "products": [...]}`` spec of SMILES."""
+        if not isinstance(spec, dict):
+            raise GraphError("a reaction template spec must be a JSON object")
+        sides = []
+        for key in ("reactants", "products"):
+            texts = spec.get(key)
+            if not isinstance(texts, list):
+                raise GraphError(f"template spec needs a list of SMILES under {key!r}")
+            sides.append(tuple(parse_smiles(s) for s in texts))
+        return cls(*sides)
 
     @property
     def placeholder_labels(self) -> frozenset[str]:

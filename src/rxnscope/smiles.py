@@ -20,7 +20,9 @@ from .molgraph import (
     ELEMENTS,
     AtomToken,
     Bond,
+    GraphError,
     MolecularGraph,
+    RxnscopeError,
     connected_components,
     is_placeholder_label,
     permutation_parity,
@@ -58,7 +60,7 @@ _BRACKET_RE = re.compile(
 )
 
 
-class SmilesParseError(ValueError):
+class SmilesParseError(RxnscopeError, ValueError):
     """Parse failure with the byte offset of the offending character."""
 
     def __init__(self, message: str, offset: int):
@@ -562,7 +564,7 @@ def write_smiles(
     atom index order is used.
     """
     if not g.atoms:
-        raise ValueError("cannot write an empty graph")
+        raise GraphError("cannot write an empty graph")
     order = ranks if ranks is not None else list(range(len(g.atoms)))
     adj = [sorted(mates, key=lambda pair: order[pair[0]]) for mates in g.adjacency()]
     emit_dirs = _emittable_directions(g) if isomeric else set()

@@ -11,12 +11,12 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from .molgraph import AtomToken, Bond, GraphError, MolecularGraph
+from .molgraph import AtomToken, Bond, GraphError, MolecularGraph, RxnscopeError
 
 log = logging.getLogger(__name__)
 
 
-class MatchError(ValueError):
+class MatchError(RxnscopeError, ValueError):
     """Raised when an alignment that must exist cannot be found."""
 
 

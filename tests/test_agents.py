@@ -69,13 +69,6 @@ class TestMemory:
         assert "b" not in snap
         assert m.digest() == {"a": 1, "b": 2}
 
-    def test_short_term_resets_per_step(self):
-        m = Memory()
-        m.begin_step("one")
-        m.note("x", 1)
-        m.begin_step("two")
-        assert m.get("x") is MISSING
-
 
 class TestInputDescriptor:
     def test_known_modalities(self):
@@ -270,6 +263,14 @@ class TestObserveStep:
         )
         assert not ok
 
+    def test_unhashable_smiles_payload_is_a_reason(self):
+        ok, reasons = observe_step(
+            "molecular_recognition",
+            {"smiles": [["C"]], "molecule_count": 1, "box_count": 1},
+        )
+        assert not ok
+        assert any("not a string" in r for r in reasons)
+
     def test_placeholder_residue_fails_reconstruction(self):
         ok, reasons = observe_step(
             "structure_rgroup", {"smiles": [], "reconstructed": ["[R]CC"]}
@@ -379,6 +380,24 @@ class TestExecutor:
         assert ocr_entries[1]["status"] == "ok"
         assert ocr_entries[1]["attempt"] == 2
         assert len(result.records) == 7
+
+    def test_failing_tool_called_once_per_step_attempt(self, fig2_setup):
+        d, plan = fig2_setup
+        registry = default_registry()
+        calls = {"n": 0}
+
+        def broken(ctx, request):
+            calls["n"] += 1
+            raise ToolError("detector offline")
+
+        registry.register("mol_detector", broken)
+        result = execute_plan(plan, d, registry=registry, retry_budget=3)
+        assert calls["n"] == 3
+        errors = [
+            t for t in result.trace if t.get("type") == "tool" and t["tool"] == "mol_detector"
+        ]
+        assert [t["attempt"] for t in errors] == [1, 2, 3]
+        assert all(t["status"] == "error" for t in errors)
 
     def test_first_step_hard_failure_raises_with_trace(self, fig2_setup):
         d, plan = fig2_setup

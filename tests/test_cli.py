@@ -204,3 +204,103 @@ class TestEvaluate:
         code, out = run(capsys, "evaluate", "--pred", str(bad), "--gold", str(golden))
         assert code == 1
         assert "conditions[0].role" in out["error"]
+
+
+def _write(path, content) -> str:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def _reconstruct(spec):
+    return lambda tmp, fig2: [
+        "reconstruct", "--template", _write(tmp / "t.json", spec), "--variant", "CCO",
+    ]
+
+
+def _descriptor(raw):
+    def argv(tmp, fig2):
+        _write(tmp / "bundle" / "descriptor.json", raw)
+        return ["extract", "--bundle", str(tmp / "bundle")]
+
+    return argv
+
+
+def _table(content):
+    return lambda tmp, fig2: ["table", "--input", _write(tmp / "table.txt", content)]
+
+
+def _empty_graph_bundle(tmp, fig2):
+    clone = tmp / "bundle"
+    clone.mkdir()
+    for path in fig2.iterdir():
+        (clone / path.name).write_bytes(path.read_bytes())
+    _write(clone / "molecules.json", [{"graph": {"atoms": [], "bonds": []}}])
+    return ["extract", "--bundle", str(clone)]
+
+
+HOSTILE = {
+    "reconstruct-empty-object": (_reconstruct({}), "GraphError"),
+    "reconstruct-list": (_reconstruct([]), "GraphError"),
+    "reconstruct-string-side": (_reconstruct({"reactants": "C", "products": ["C"]}), "GraphError"),
+    "reconstruct-not-json": (_reconstruct("{"), "RxnscopeError"),
+    "descriptor-list": (_descriptor([]), "DescriptorError"),
+    "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
+    "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
+    "bundle-empty-graph": (_empty_graph_bundle, "GraphError"),
+    "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
+    "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
+    "evaluate-not-utf8": (
+        lambda tmp, fig2: [
+            "evaluate", "--pred", _write(tmp / "p.json", b"\xff"),
+            "--gold", str(fig2 / "golden.json"),
+        ],
+        "RxnscopeError",
+    ),
+    "assign-without-equals": (
+        lambda tmp, fig2: ["substitute", "--template", "[R1]C", "--assign", "R1:Ph"],
+        "RxnscopeError",
+    ),
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_domain_error_exit_1(self, case, capsys, tmp_path, fig2_bundle):
+        make_argv, error_type = HOSTILE[case]
+        code, out = run(capsys, *make_argv(tmp_path, fig2_bundle))
+        assert code == 1
+        assert out["error"].startswith(f"{error_type}: ")
+
+    def test_plain_value_error_is_not_caught(self, capsys, monkeypatch):
+        def bug(smiles):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr("rxnscope.cli.canonicalize", bug)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["canonicalize", "CCO"])
+
+    def test_closed_stdout_exits_without_traceback(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rxnscope.cli", "canonicalize", "CCO"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -303,3 +303,24 @@ class TestJsonCodec:
         back = graph_from_json(graph_to_json(g))
         assert back == g
         assert back.atoms[0].coords == (0.5, -1.0)
+
+
+class TestErrorFamily:
+    def test_every_error_class_derives_from_rxnscope_error(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import rxnscope
+        from rxnscope import RxnscopeError
+
+        found = []
+        for info in pkgutil.walk_packages(rxnscope.__path__, "rxnscope."):
+            module = importlib.import_module(info.name)
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ == module.__name__ and name.endswith("Error"):
+                    found.append(cls)
+                    assert issubclass(cls, RxnscopeError), cls
+        # The walk reaches both the chemistry modules and the agents package.
+        names = {cls.__name__ for cls in found}
+        assert {"GraphError", "SmilesParseError", "ToolError", "DescriptorError"} <= names
