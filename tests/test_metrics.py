@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -42,6 +44,35 @@ class TestFingerprint:
     def test_placeholder_rejected(self):
         with pytest.raises(FingerprintError):
             fingerprint(parse_smiles("[R1]C"))
+
+    @pytest.mark.parametrize(
+        "smiles, positions",
+        [
+            ("C", [594]),
+            ("CCO", [335, 594, 748, 798, 923]),
+            ("c1ccccc1", [15, 167, 597, 813, 1029, 1687]),
+        ],
+    )
+    def test_pinned_bits(self, smiles, positions):
+        assert fingerprint(parse_smiles(smiles)) == bits(*positions)
+
+    def test_pinned_corpus_digest(self, fig2_bundle):
+        # Any change to the path hashing shows here: the digest covers the
+        # bits of every placeholder-free corpus and fig2 golden molecule.
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        fig2 = [
+            e["smiles"]
+            for r in golden["reactions"]
+            for e in r["reactants"] + r["products"]
+        ]
+        rows = []
+        for s in list(MOLECULES) + fig2:
+            g = parse_smiles(s)
+            if not g.placeholder_indices():
+                rows.append([s, fingerprint(g).bits])
+        assert len(rows) == 72
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "f4d8b9fbb667b8325e6fbbc0700323e7665bfbff32fa51510f2dd950c54bb872"
 
     @given(st.sampled_from(MOLECULES), st.integers(0, 2**32 - 1))
     def test_renumbering_invariance(self, s, seed):
