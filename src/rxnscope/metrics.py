@@ -48,8 +48,8 @@ class MatchCounts:
             raise ValueError("correct exceeds predicted or gold count")
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
+def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a over ``data``, continuing from state ``h``."""
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _U64
@@ -64,9 +64,13 @@ def _atom_descriptor(g: MolecularGraph, idx: int) -> str:
 def fingerprint(g: MolecularGraph) -> Fingerprint:
     """Hash every simple linear path of 0..7 bonds into a 2048-bit set.
 
-    Each path contributes one bit derived from the lexicographically
-    smaller of its two traversal directions, which makes the fingerprint
-    independent of atom numbering.
+    A path's text joins its atom descriptors and bond orders with ".".
+    Each path contributes one bit, the FNV-1a hash of the lexicographically
+    smaller of its two traversal texts, which makes the fingerprint
+    independent of atom numbering. The walk carries the hash of the text
+    so far and extends it by each new bond and atom; a path with bonds is
+    walked from both ends, and only the walk whose text is the smaller one
+    sets the bit, so each path is hashed once.
     """
     for atom in g.atoms:
         if atom.kind == "placeholder":
@@ -74,31 +78,33 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
                 f"cannot fingerprint a graph with placeholder {atom.text!r}"
             )
     adj = g.adjacency()
+    descriptors = [_atom_descriptor(g, i) for i in range(len(g.atoms))]
+    # Per atom: (mate, text appended going forward, its bytes, text
+    # prepended to the reverse traversal).
+    steps = []
+    for i in range(len(g.atoms)):
+        out = []
+        for mate, bond in adj[i]:
+            ahead = f".{bond.order}.{descriptors[mate]}"
+            out.append((mate, ahead, ahead.encode(), f"{descriptors[mate]}.{bond.order}."))
+        steps.append(out)
     bits = 0
+    path: list[int] = []
 
-    def emit(path_atoms: list[int], path_bonds: list[str]) -> int:
-        forward: list[str] = []
-        for i, a in enumerate(path_atoms):
-            if i:
-                forward.append(path_bonds[i - 1])
-            forward.append(_atom_descriptor(g, a))
-        text = ".".join(forward)
-        back = ".".join(reversed(forward))
-        return _fnv1a(min(text, back).encode())
-
-    def walk(path_atoms: list[int], path_bonds: list[str]) -> None:
+    def walk(cur: int, text: str, back: str, h: int) -> None:
         nonlocal bits
-        bits |= 1 << (emit(path_atoms, path_bonds) % FP_WIDTH)
-        if len(path_bonds) == MAX_PATH_BONDS:
+        if text <= back:
+            bits |= 1 << (h % FP_WIDTH)
+        if len(path) == MAX_PATH_BONDS:
             return
-        cur = path_atoms[-1]
-        for mate, bond in adj[cur]:
-            if mate in path_atoms:
-                continue
-            walk(path_atoms + [mate], path_bonds + [bond.order])
+        path.append(cur)
+        for mate, ahead, ahead_bytes, behind in steps[cur]:
+            if mate not in path:
+                walk(mate, text + ahead, behind + back, _fnv1a(ahead_bytes, h))
+        path.pop()
 
-    for start in range(len(g.atoms)):
-        walk([start], [])
+    for start, text in enumerate(descriptors):
+        walk(start, text, text, _fnv1a(text.encode()))
     return Fingerprint(bits=bits)
 
 
