@@ -8,6 +8,7 @@ construction matters only for self-consistency.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -118,29 +119,76 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reaction matching
+# What one scoring call knows about each molecule
 # ---------------------------------------------------------------------------
 
 
-def _safe_canonical(smiles: str) -> str:
-    try:
-        return canonicalize(smiles)
-    except SmilesParseError:
-        return f"<unparseable {smiles}>"
+class _Molecules:
+    """Per-call memo over distinct SMILES texts.
+
+    Each text is parsed, canonicalized, fingerprinted and checked for
+    validity at most once, through the public functions and only when
+    asked. A failure is kept and raised again on every later request.
+    One instance lives for one scoring call, so nothing accumulates
+    across calls.
+    """
+
+    def __init__(self) -> None:
+        self._graphs: dict = {}
+        self._canonical: dict = {}
+        self._fingerprints: dict = {}
+        self._valid: dict[str, bool] = {}
+
+    @staticmethod
+    def _lookup(table: dict, smiles: str, compute):
+        if smiles not in table:
+            try:
+                table[smiles] = compute(smiles)
+            except (SmilesParseError, FingerprintError) as exc:
+                table[smiles] = exc
+        value = table[smiles]
+        if isinstance(value, RxnscopeError):
+            raise value
+        return value
+
+    def graph(self, smiles: str) -> MolecularGraph:
+        return self._lookup(self._graphs, smiles, parse_smiles)
+
+    def canonical(self, smiles: str) -> str:
+        return self._lookup(self._canonical, smiles, canonicalize)
+
+    def fingerprint(self, smiles: str) -> Fingerprint:
+        return self._lookup(
+            self._fingerprints, smiles, lambda s: fingerprint(self.graph(s))
+        )
+
+    def valid(self, smiles: str) -> bool:
+        if smiles not in self._valid:
+            self._valid[smiles] = is_valid(smiles)
+        return self._valid[smiles]
+
+
+# ---------------------------------------------------------------------------
+# Reaction matching
+# ---------------------------------------------------------------------------
 
 
 def _normalized_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _reaction_key(record: ReactionRecord, mode: str, strict: bool):
+def _reaction_key(
+    record: ReactionRecord, mode: str, strict: bool, molecules: _Molecules
+):
     def canon(entries):
         out = []
         for e in entries:
-            if strict:
-                out.append(canonicalize(e.smiles))
-            else:
-                out.append(_safe_canonical(e.smiles))
+            try:
+                out.append(molecules.canonical(e.smiles))
+            except SmilesParseError:
+                if strict:
+                    raise
+                out.append(f"<unparseable {e.smiles}>")
         return tuple(sorted(out))
 
     key = (canon(record.reactants), canon(record.products))
@@ -152,23 +200,30 @@ def _reaction_key(record: ReactionRecord, mode: str, strict: bool):
     return key
 
 
-def _max_bipartite(edges: list[list[int]], n_right: int) -> dict[int, int]:
-    """Kuhn's augmenting-path matching; returns left index -> right index."""
-    match_right: list[Optional[int]] = [None] * n_right
-
-    def try_augment(left: int, visited: set[int]) -> bool:
-        for right in edges[left]:
-            if right in visited:
-                continue
-            visited.add(right)
-            if match_right[right] is None or try_augment(match_right[right], visited):
-                match_right[right] = left
-                return True
-        return False
-
-    for left in range(len(edges)):
-        try_augment(left, set())
-    return {left: right for right, left in enumerate(match_right) if left is not None}
+def _match(
+    pred: Sequence[ReactionRecord],
+    gold: Sequence[ReactionRecord],
+    mode: str,
+    molecules: _Molecules,
+) -> tuple[MatchCounts, list[tuple[int, int]]]:
+    if mode not in ("soft", "hard"):
+        raise ValueError(f"unknown match mode {mode!r}")
+    # Only equal keys can pair, so a maximum matching pairs min(#pred,
+    # #gold) records per key; each prediction takes the first unpaired
+    # gold record with its key.
+    unpaired: dict[tuple, deque[int]] = {}
+    for j, record in enumerate(gold):
+        key = _reaction_key(record, mode, True, molecules)
+        unpaired.setdefault(key, deque()).append(j)
+    pairing = []
+    for i, record in enumerate(pred):
+        golds = unpaired.get(_reaction_key(record, mode, False, molecules))
+        if golds:
+            pairing.append((i, golds.popleft()))
+    counts = MatchCounts(
+        correct=len(pairing), predicted=len(pred), gold=len(gold), mode=mode
+    )
+    return counts, pairing
 
 
 def match_reactions(
@@ -179,21 +234,10 @@ def match_reactions(
     """One-to-one pairing of equal reactions; soft ignores conditions.
 
     Gold SMILES must parse (raises otherwise); unparseable predictions
-    simply never match anything.
+    simply never match anything. Among records with equal keys, the
+    pairing follows index order.
     """
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"unknown match mode {mode!r}")
-    gold_keys = [_reaction_key(r, mode, strict=True) for r in gold]
-    pred_keys = [_reaction_key(r, mode, strict=False) for r in pred]
-    edges = [
-        [j for j, gk in enumerate(gold_keys) if pk == gk] for pk in pred_keys
-    ]
-    pairing_map = _max_bipartite(edges, len(gold))
-    pairing = sorted(pairing_map.items())
-    counts = MatchCounts(
-        correct=len(pairing), predicted=len(pred), gold=len(gold), mode=mode
-    )
-    return counts, pairing
+    return _match(pred, gold, mode, _Molecules())
 
 
 def prf(
@@ -223,24 +267,16 @@ def prf(
 # ---------------------------------------------------------------------------
 
 
-def _fingerprint_or_none(smiles: str) -> Optional[Fingerprint]:
-    try:
-        return fingerprint(parse_smiles(smiles))
-    except (SmilesParseError, FingerprintError):
-        return None
-
-
-def similarity_report(
-    pred_smiles: Sequence[str], gold_smiles: Sequence[str]
+def _similarity(
+    pred_smiles: Sequence[str], gold_smiles: Sequence[str], molecules: _Molecules
 ) -> tuple[float, float]:
-    """Greedy gold-to-prediction pairing; returns (avg Tanimoto, Tani@1.0).
-
-    Each gold molecule takes the most similar unused prediction; gold
-    left without a partner scores 0. Tani@1.0 counts pairs whose
-    fingerprints are identical.
-    """
-    gold_fps = [fingerprint(parse_smiles(s)) for s in gold_smiles]
-    pred_fps = [_fingerprint_or_none(s) for s in pred_smiles]
+    gold_fps = [molecules.fingerprint(s) for s in gold_smiles]
+    pred_fps: list[Optional[Fingerprint]] = []
+    for s in pred_smiles:
+        try:
+            pred_fps.append(molecules.fingerprint(s))
+        except (SmilesParseError, FingerprintError):
+            pred_fps.append(None)
     if not gold_fps:
         return 0.0, 0.0
     used: set[int] = set()
@@ -266,6 +302,18 @@ def similarity_report(
     return total / n, exact / n
 
 
+def similarity_report(
+    pred_smiles: Sequence[str], gold_smiles: Sequence[str]
+) -> tuple[float, float]:
+    """Greedy gold-to-prediction pairing; returns (avg Tanimoto, Tani@1.0).
+
+    Each gold molecule takes the most similar unused prediction; gold
+    left without a partner scores 0. Tani@1.0 counts pairs whose
+    fingerprints are identical.
+    """
+    return _similarity(pred_smiles, gold_smiles, _Molecules())
+
+
 # ---------------------------------------------------------------------------
 # Validity and the full report
 # ---------------------------------------------------------------------------
@@ -279,12 +327,14 @@ def _record_smiles(records: Sequence[ReactionRecord]) -> list[str]:
     return out
 
 
-def valid_rate(
-    pred: Sequence[ReactionRecord], gold: Sequence[ReactionRecord]
+def _valid_rate(
+    pred: Sequence[ReactionRecord],
+    gold: Sequence[ReactionRecord],
+    molecules: _Molecules,
 ) -> tuple[float, float, float]:
     pred_smiles = _record_smiles(pred)
     gold_smiles = _record_smiles(gold)
-    n_valid = sum(1 for s in pred_smiles if is_valid(s))
+    n_valid = sum(1 for s in pred_smiles if molecules.valid(s))
     precision = n_valid / len(pred_smiles) if pred_smiles else 0.0
     if gold_smiles:
         recall = min(1.0, n_valid / len(gold_smiles))
@@ -298,9 +348,15 @@ def valid_rate(
     return precision, recall, f1
 
 
-def _placeholder_free(smiles: str) -> bool:
+def valid_rate(
+    pred: Sequence[ReactionRecord], gold: Sequence[ReactionRecord]
+) -> tuple[float, float, float]:
+    return _valid_rate(pred, gold, _Molecules())
+
+
+def _placeholder_free(smiles: str, molecules: _Molecules) -> bool:
     try:
-        return not parse_smiles(smiles).placeholder_indices()
+        return not molecules.graph(smiles).placeholder_indices()
     except SmilesParseError:
         return True  # unparseable predictions stay in, scoring 0
 
@@ -312,11 +368,14 @@ def evaluate(
 
     Placeholder-bearing template molecules are excluded from the
     similarity section (fingerprints are undefined for them) but still
-    participate in reaction matching.
+    participate in reaction matching. All sections share one memo, so
+    each distinct SMILES text is canonicalized, fingerprinted and checked
+    once per call.
     """
+    molecules = _Molecules()
     report: dict = {}
     for mode in ("soft", "hard"):
-        counts, _ = match_reactions(pred, gold, mode)
+        counts, _ = _match(pred, gold, mode, molecules)
         p, r, f1 = prf(counts)
         report[mode] = {
             "precision": p,
@@ -326,11 +385,15 @@ def evaluate(
             "predicted": counts.predicted,
             "gold": counts.gold,
         }
-    pred_molecules = [s for s in _record_smiles(pred) if _placeholder_free(s)]
-    gold_molecules = [s for s in _record_smiles(gold) if _placeholder_free(s)]
-    avg_tani, tani_at_1 = similarity_report(pred_molecules, gold_molecules)
+    pred_molecules = [
+        s for s in _record_smiles(pred) if _placeholder_free(s, molecules)
+    ]
+    gold_molecules = [
+        s for s in _record_smiles(gold) if _placeholder_free(s, molecules)
+    ]
+    avg_tani, tani_at_1 = _similarity(pred_molecules, gold_molecules, molecules)
     report["avg_tanimoto"] = avg_tani
     report["tani_at_1"] = tani_at_1
-    vp, vr, vf = valid_rate(pred, gold)
+    vp, vr, vf = _valid_rate(pred, gold, molecules)
     report["valid_rate"] = {"precision": vp, "recall": vr, "f1": vf}
     return report

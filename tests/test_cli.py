@@ -188,6 +188,21 @@ class TestEvaluate:
         assert out["hard"]["f1"] == 1.0
         assert out["avg_tanimoto"] == 1.0
 
+    def test_self_comparison_output_is_pinned(self, capsys, fig2_bundle):
+        golden = str(fig2_bundle / "golden.json")
+        assert main(["evaluate", "--pred", golden, "--gold", golden]) == 0
+        perfect = {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+        counts = {"correct": 7, "predicted": 7, "gold": 7}
+        share = 0.9047619047619048  # 19 of 21 molecule entries are valid
+        expected = {
+            "soft": {**perfect, **counts},
+            "hard": {**perfect, **counts},
+            "avg_tanimoto": 1.0,
+            "tani_at_1": 1.0,
+            "valid_rate": {"precision": share, "recall": share, "f1": share},
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     def test_bad_role_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "pred.json"
         bad.write_text(json.dumps({
@@ -259,6 +274,14 @@ HOSTILE = {
             "--gold", str(fig2 / "golden.json"),
         ],
         "RxnscopeError",
+    ),
+    "evaluate-non-list-reactants": (
+        lambda tmp, fig2: [
+            "evaluate",
+            "--pred", _write(tmp / "p.json", {"reactions": [{"reaction_id": "1", "reactants": 5}]}),
+            "--gold", str(fig2 / "golden.json"),
+        ],
+        "CodecError",
     ),
     "assign-without-equals": (
         lambda tmp, fig2: ["substitute", "--template", "[R1]C", "--assign", "R1:Ph"],

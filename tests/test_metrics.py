@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,12 @@ from rxnscope.metrics import (
     valid_rate,
 )
 from rxnscope.molgraph import subgraph
-from rxnscope.reaction import MoleculeEntry, ReactionRecord, ConditionItem
+from rxnscope.reaction import (
+    ConditionItem,
+    MoleculeEntry,
+    ReactionRecord,
+    decode_records,
+)
 from rxnscope.smiles import parse_smiles
 
 from corpus import MOLECULES
@@ -187,6 +194,15 @@ class TestMatchReactions:
         counts, _ = match_reactions([a], [b], mode="hard")
         assert counts.correct == 1
 
+    def test_many_duplicates_pair_in_index_order(self):
+        many = [GOLD[0]] * 1500
+        start = time.perf_counter()
+        counts, pairing = match_reactions(many, many)
+        elapsed = time.perf_counter() - start
+        assert counts.correct == 1500
+        assert pairing == [(i, i) for i in range(1500)]
+        assert elapsed < 1.0
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             match_reactions(GOLD, GOLD, mode="fuzzy")
@@ -245,3 +261,61 @@ def test_evaluate_self_comparison():
     assert report["avg_tanimoto"] == 1.0
     assert report["tani_at_1"] == 1.0
     assert report["valid_rate"]["f1"] == 1.0
+
+
+def _standalone_report(pred, gold):
+    """The evaluate report assembled from the public scorers, each alone."""
+    report = {}
+    for mode in ("soft", "hard"):
+        counts, _ = match_reactions(pred, gold, mode)
+        p, r, f1 = prf(counts)
+        report[mode] = {
+            "precision": p,
+            "recall": r,
+            "f1": f1,
+            "correct": counts.correct,
+            "predicted": counts.predicted,
+            "gold": counts.gold,
+        }
+
+    def molecules(records):
+        texts = [e.smiles for rec in records for e in rec.reactants + rec.products]
+        return [s for s in texts if not parse_smiles(s).placeholder_indices()]
+
+    avg, at1 = similarity_report(molecules(pred), molecules(gold))
+    report["avg_tanimoto"] = avg
+    report["tani_at_1"] = at1
+    vp, vr, vf = valid_rate(pred, gold)
+    report["valid_rate"] = {"precision": vp, "recall": vr, "f1": vf}
+    return report
+
+
+def _perturbed(golden: dict) -> dict:
+    doc = copy.deepcopy(golden)
+    reactions = doc["reactions"]
+    time_item = next(c for c in reactions[3]["conditions"] if c["role"] == "time")
+    time_item["text"] += " (sealed tube)"  # soft hit, hard miss
+    product = reactions[4]["products"][0]
+    product["smiles"] = "C" + product["smiles"]  # one more carbon on R
+    ketone = reactions[5]["reactants"][0]
+    ketone["smiles"] = ketone["smiles"].replace("C(=O)", "C(=O)(C)(C)", 1)  # bad valence
+    del reactions[2]
+    return doc
+
+
+class TestEvaluateSharedMemo:
+    @pytest.mark.parametrize(
+        "perturb, soft_correct, hard_correct",
+        [(False, 7, 7), (True, 4, 3)],
+    )
+    def test_matches_standalone_scorers(
+        self, fig2_bundle, perturb, soft_correct, hard_correct
+    ):
+        text = (fig2_bundle / "golden.json").read_text()
+        gold, _ = decode_records(text)
+        pred_doc = _perturbed(json.loads(text)) if perturb else json.loads(text)
+        pred, _ = decode_records(json.dumps(pred_doc))
+        report = evaluate(pred, gold)
+        assert report == _standalone_report(pred, gold)
+        assert report["soft"]["correct"] == soft_correct
+        assert report["hard"]["correct"] == hard_correct
