@@ -755,8 +755,11 @@ def _assign_directions(g: MolecularGraph, ranks: list[int]) -> MolecularGraph:
 
     Geometry facts are read off the existing marks; all marks are then
     cleared and reassigned so the first reference bond of each specified
-    double bond points "up".  Unspecified geometry gets no marks.
+    double bond points "up".  Unspecified geometry gets no marks, so a
+    graph without marks comes back unchanged.
     """
+    if all(b.direction is None for b in g.bonds):
+        return g
     adj = g.adjacency()
 
     def away(bond: Bond, end: int) -> str:

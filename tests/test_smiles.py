@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from rxnscope.molgraph import subgraph
 from rxnscope.smiles import (
     SmilesParseError,
+    _assign_directions,
     canonical_graph_smiles,
     canonicalize,
     is_valid,
@@ -158,6 +159,12 @@ class TestStereoForms:
     def test_unmarked_double_bond_stays_unmarked(self):
         assert "/" not in canonicalize("CC=CC")
         assert "\\" not in canonicalize("CC=CC")
+
+    def test_direction_free_graph_comes_back_unchanged(self):
+        g = parse_smiles("CC=CC")
+        assert _assign_directions(g, list(range(len(g.atoms)))) is g
+        marked = parse_smiles("C/C=C/C")
+        assert _assign_directions(marked, list(range(len(marked.atoms)))) is not marked
 
 
 class TestIsValid:
