@@ -357,23 +357,30 @@ def condition_from_json(obj, path: str) -> ConditionItem:
         raise CodecError(path, str(exc)) from None
 
 
+def _list_field(obj: dict, key: str, path: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise CodecError(f"{path}.{key}", "must be a list")
+    return value
+
+
 def record_from_json(obj, path: str = "reaction") -> ReactionRecord:
     if not isinstance(obj, dict):
         raise CodecError(path, "expected an object")
     rid = _require(obj, "reaction_id", path)
     reactants = tuple(
         _molecule_from_json(e, f"{path}.reactants[{i}]")
-        for i, e in enumerate(obj.get("reactants", []))
+        for i, e in enumerate(_list_field(obj, "reactants", path))
     )
     conditions = tuple(
         condition_from_json(c, f"{path}.conditions[{i}]")
-        for i, c in enumerate(obj.get("conditions", []))
+        for i, c in enumerate(_list_field(obj, "conditions", path))
     )
     products = tuple(
         _molecule_from_json(e, f"{path}.products[{i}]")
-        for i, e in enumerate(obj.get("products", []))
+        for i, e in enumerate(_list_field(obj, "products", path))
     )
-    info = tuple(str(x) for x in obj.get("additional_info", []))
+    info = tuple(str(x) for x in _list_field(obj, "additional_info", path))
     return ReactionRecord(
         reaction_id=str(rid),
         reactants=reactants,

@@ -279,3 +279,13 @@ class TestCodec:
         text = encode_records([rec, rec])
         with pytest.raises(CodecError):
             decode_records(text)
+
+    @pytest.mark.parametrize(
+        "field", ["reactants", "products", "conditions", "additional_info"]
+    )
+    @pytest.mark.parametrize("value", [5, None, "CCO", {"smiles": "CCO"}])
+    def test_non_list_field_names_path(self, field, value):
+        obj = {"reaction_id": "1_1", field: value}
+        with pytest.raises(CodecError) as err:
+            decode_records(json.dumps({"reactions": [obj]}))
+        assert str(err.value) == f"reactions[0].{field}: must be a list"
