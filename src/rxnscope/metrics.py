@@ -2,8 +2,11 @@
 
 Reaction equality is decided on canonical SMILES multisets, so atom
 renumbering between systems never costs a match. The fingerprint is a
-hashed-linear-path scheme; all comparisons are internal, so the exact
-construction matters only for self-consistency.
+hashed-linear-path scheme that hashes each path once, from its canonical
+direction; all comparisons are internal, so the exact construction
+matters only for self-consistency, and a golden test pins its bits.
+``evaluate`` shares one memo across its sections, so each distinct SMILES
+text is parsed, canonicalized, fingerprinted and checked once per call.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class _Molecules:
         self._graphs: dict = {}
         self._canonical: dict = {}
         self._fingerprints: dict = {}
-        self._valid: dict[str, bool] = {}
+        self._valid: dict = {}
 
     @staticmethod
     def _lookup(table: dict, smiles: str, compute):
@@ -163,9 +166,7 @@ class _Molecules:
         )
 
     def valid(self, smiles: str) -> bool:
-        if smiles not in self._valid:
-            self._valid[smiles] = is_valid(smiles)
-        return self._valid[smiles]
+        return self._lookup(self._valid, smiles, is_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +369,7 @@ def evaluate(
 
     Placeholder-bearing template molecules are excluded from the
     similarity section (fingerprints are undefined for them) but still
-    participate in reaction matching. All sections share one memo, so
-    each distinct SMILES text is canonicalized, fingerprinted and checked
-    once per call.
+    participate in reaction matching.
     """
     molecules = _Molecules()
     report: dict = {}
