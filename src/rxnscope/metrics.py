@@ -72,9 +72,9 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
     Each path contributes one bit, the FNV-1a hash of the lexicographically
     smaller of its two traversal texts, which makes the fingerprint
     independent of atom numbering. The walk carries the hash of the text
-    so far and extends it by each new bond and atom, hashing each distinct
-    text once per call; a path with bonds is walked from both ends, and
-    only the walk whose text is the smaller one sets the bit.
+    so far and extends it by each new bond and atom, so each path is
+    hashed once; a path with bonds is walked from both ends, and only the
+    walk whose text is the smaller one sets the bit.
     """
     for atom in g.atoms:
         if atom.kind == "placeholder":
@@ -94,7 +94,6 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
         steps.append(out)
     bits = 0
     path: list[int] = []
-    hashes: dict[str, int] = {}  # forward text -> its FNV-1a state
 
     def walk(cur: int, text: str, back: str, h: int) -> None:
         nonlocal bits
@@ -105,11 +104,7 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
         path.append(cur)
         for mate, ahead, ahead_bytes, behind in steps[cur]:
             if mate not in path:
-                longer = text + ahead
-                h_longer = hashes.get(longer)
-                if h_longer is None:
-                    h_longer = hashes[longer] = _fnv1a(ahead_bytes, h)
-                walk(mate, longer, behind + back, h_longer)
+                walk(mate, text + ahead, behind + back, _fnv1a(ahead_bytes, h))
         path.pop()
 
     for start, text in enumerate(descriptors):
