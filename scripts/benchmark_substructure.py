@@ -2,9 +2,13 @@
 """Benchmark the substructure matcher against brute-force enumeration.
 
 Generates random molecular graphs and patterns at several target sizes,
-checks that the matcher and the permutation-based oracle agree, and
-reports per-size timing. Brute force is factorial in target size, so the
-oracle column is only populated up to --oracle-max atoms.
+checks that the matcher returns exactly the oracle's matches in the
+oracle's lexicographic order, and reports per-size timing. Brute force is
+factorial in target size, so the oracle column is only populated up to
+--oracle-max atoms. Exits 1 if any list differs, so it can serve as a
+check:
+
+    python3 scripts/benchmark_substructure.py --trials 50
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import brute_force_matches, random_molecular_graph, random_pattern
 
@@ -31,6 +36,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
+    failed = False
     print(f"{'atoms':>6} {'matcher (ms)':>14} {'oracle (ms)':>13} {'mismatches':>11}")
     for size in args.sizes:
         cases = [
@@ -49,11 +55,11 @@ def main(argv=None) -> int:
             oracle_ms = 1000 * (time.perf_counter() - start)
             key = lambda m: tuple(m[i] for i in range(len(m)))
             mismatches = sum(
-                sorted(got, key=key) != sorted(want, key=key)
-                for got, want in zip(results, reference)
+                got != sorted(want, key=key) for got, want in zip(results, reference)
             )
+            failed = failed or mismatches > 0
         print(f"{size:>6} {matcher_ms:>14.1f} {oracle_ms:>13.1f} {mismatches:>11}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

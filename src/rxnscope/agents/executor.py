@@ -27,7 +27,7 @@ from ..reaction import (
     validate_record,
 )
 from ..rgroup import ReactionTemplate, substitute_placeholders
-from ..smiles import SmilesParseError, parse_smiles
+from ..smiles import SmilesParseError, parse_scope, parse_smiles
 from ..chemops import FormulaError, parse_condensed_formula
 from .backend import ScriptedBackend
 from .bundle import Bundle, InputDescriptor
@@ -423,20 +423,17 @@ STEP_FUNCS: dict[str, Callable[[_Run], dict]] = {
 def observe_step(kind: str, output: dict, expectations: Optional[dict] = None) -> tuple[bool, list[str]]:
     """Check a step's output; returns (passed, reasons).
 
-    Each distinct text is parsed once, whether it appears under ``smiles``,
-    ``reconstructed`` or both.
+    Texts are parsed through ``parse_smiles``, so inside ``execute_plan``'s
+    parse scope a text the step already parsed, or that appears under both
+    ``smiles`` and ``reconstructed``, is not parsed again.
     """
     expectations = expectations or {}
-    parsed: dict[Any, Any] = {}  # text -> graph, or its SmilesParseError
 
     def parse(smi) -> Any:
-        key = smi if isinstance(smi, str) else id(smi)  # a list payload is unhashable
-        if key not in parsed:
-            try:
-                parsed[key] = parse_smiles(smi)
-            except SmilesParseError as exc:
-                parsed[key] = exc
-        return parsed[key]
+        try:
+            return parse_smiles(smi)
+        except SmilesParseError as exc:
+            return exc
 
     reasons = [
         f"unparseable SMILES {smi!r}: {g}"
@@ -465,7 +462,11 @@ def execute_plan(
     backend=None,
     retry_budget: int = 2,
 ) -> ExtractionResult:
-    """Run an approved plan over the descriptor's bundle."""
+    """Run an approved plan over the descriptor's bundle.
+
+    The whole run is one parse scope: a SMILES text that parses is parsed
+    once, however many steps, checks and tools read it again.
+    """
     registry = registry if registry is not None else default_registry()
     backend = backend if backend is not None else ScriptedBackend()
     issues = review_plan(plan, descriptor)
@@ -475,83 +476,84 @@ def execute_plan(
             + "; ".join(f"{i.kind}: {i.detail}" for i in issues),
             trace=(),
         )
-    bundle = (
-        Bundle(descriptor.bundle_path, descriptor)
-        if descriptor.bundle_path is not None
-        else None
-    )
-    run = _Run(bundle, registry, backend)
-    handler = _TraceLogHandler(run.trace)
-    pkg_logger = logging.getLogger("rxnscope")
-    pkg_logger.addHandler(handler)
-    try:
-        failed_outputs: set[str] = set()
-        for index, step in enumerate(plan.steps):
-            missing = [i for i in step.inputs if i in failed_outputs]
-            if missing:
-                run.trace.append(
-                    {"type": "degraded", "step": step.agent, "missing": missing}
-                )
-                failed_outputs.update(step.outputs)
-                continue
-            fn = STEP_FUNCS[step.agent]
-            run.current_step = step.agent
-            passed = False
-            for attempt in range(1, retry_budget + 1):
-                run.attempt = attempt
-                run.memory.begin_step(step.agent)
-                try:
-                    ok, reasons = observe_step(step.agent, fn(run))
-                except _StepFailure as exc:
-                    ok, reasons = False, [str(exc)]
-                run.trace.append(
-                    {
-                        "type": "observer",
-                        "step": step.agent,
-                        "attempt": attempt,
-                        "passed": ok,
-                        "reasons": reasons,
-                    }
-                )
-                if ok:
-                    passed = True
-                    break
-                backend.respond("review", {"agent": step.agent, "reasons": reasons})
-            if not passed:
-                if index == 0:
-                    raise ExecutionError(
-                        f"first step {step.agent!r} failed past the retry budget",
-                        tuple(run.trace),
-                    )
-                run.trace.append({"type": "step_failed", "step": step.agent})
-                failed_outputs.update(step.outputs)
-    finally:
-        pkg_logger.removeHandler(handler)
-
-    m = run.memory
-    records = m.get("records")
-    records = tuple(records) if records is not MISSING else ()
-    document = m.get("document")
-    document = document if document is not MISSING else ""
-    annotations = m.get("text_annotations")
-    annotations = tuple(annotations) if annotations is not MISSING else ()
-    molecules = m.get("molecules")
-    molecules = tuple(molecules) if molecules is not MISSING else ()
-
-    template_data = m.get("template")
-    template: Optional[ReactionTemplate] = None
-    if template_data is not MISSING:
+    with parse_scope():
+        bundle = (
+            Bundle(descriptor.bundle_path, descriptor)
+            if descriptor.bundle_path is not None
+            else None
+        )
+        run = _Run(bundle, registry, backend)
+        handler = _TraceLogHandler(run.trace)
+        pkg_logger = logging.getLogger("rxnscope")
+        pkg_logger.addHandler(handler)
         try:
-            template = ReactionTemplate.from_smiles(template_data)
-        except RxnscopeError:
-            template = None
+            failed_outputs: set[str] = set()
+            for index, step in enumerate(plan.steps):
+                missing = [i for i in step.inputs if i in failed_outputs]
+                if missing:
+                    run.trace.append(
+                        {"type": "degraded", "step": step.agent, "missing": missing}
+                    )
+                    failed_outputs.update(step.outputs)
+                    continue
+                fn = STEP_FUNCS[step.agent]
+                run.current_step = step.agent
+                passed = False
+                for attempt in range(1, retry_budget + 1):
+                    run.attempt = attempt
+                    run.memory.begin_step(step.agent)
+                    try:
+                        ok, reasons = observe_step(step.agent, fn(run))
+                    except _StepFailure as exc:
+                        ok, reasons = False, [str(exc)]
+                    run.trace.append(
+                        {
+                            "type": "observer",
+                            "step": step.agent,
+                            "attempt": attempt,
+                            "passed": ok,
+                            "reasons": reasons,
+                        }
+                    )
+                    if ok:
+                        passed = True
+                        break
+                    backend.respond("review", {"agent": step.agent, "reasons": reasons})
+                if not passed:
+                    if index == 0:
+                        raise ExecutionError(
+                            f"first step {step.agent!r} failed past the retry budget",
+                            tuple(run.trace),
+                        )
+                    run.trace.append({"type": "step_failed", "step": step.agent})
+                    failed_outputs.update(step.outputs)
+        finally:
+            pkg_logger.removeHandler(handler)
 
-    return ExtractionResult(
-        template=template,
-        records=records,
-        text_annotations=annotations,
-        trace=tuple(run.trace),
-        document=document,
-        molecules=molecules,
-        digest=m.digest(),
-    )
+        m = run.memory
+        records = m.get("records")
+        records = tuple(records) if records is not MISSING else ()
+        document = m.get("document")
+        document = document if document is not MISSING else ""
+        annotations = m.get("text_annotations")
+        annotations = tuple(annotations) if annotations is not MISSING else ()
+        molecules = m.get("molecules")
+        molecules = tuple(molecules) if molecules is not MISSING else ()
+
+        template_data = m.get("template")
+        template: Optional[ReactionTemplate] = None
+        if template_data is not MISSING:
+            try:
+                template = ReactionTemplate.from_smiles(template_data)
+            except RxnscopeError:
+                template = None
+
+        return ExtractionResult(
+            template=template,
+            records=records,
+            text_annotations=annotations,
+            trace=tuple(run.trace),
+            document=document,
+            molecules=molecules,
+            digest=m.digest(),
+        )

@@ -1,10 +1,11 @@
 """Tool registry: fixture-backed recognition stubs plus real converters.
 
 Recognition tools (detector, image parsers, OCR, NER) read their answers
-from bundle sidecar files; conversion tools (graph-to-SMILES, reactant
-reconstruction, table parsing, condition interpretation) run the real
-implementations from the chemistry modules. Both sides speak the same
-JSON request/response protocol.
+from bundle sidecar files; the image parsers reject a mistyped
+``molecules.json`` or ``template.json`` with ``ToolError``. Conversion
+tools (graph-to-SMILES, reactant reconstruction, table parsing, condition
+interpretation) run the real implementations from the chemistry modules.
+Both sides speak the same JSON request/response protocol.
 """
 
 from __future__ import annotations
@@ -124,20 +125,73 @@ def _tool_mol_detector(ctx: RunContext, request: dict) -> dict:
         raise ToolError(str(exc)) from None
 
 
+def _require(ok: bool, where: str, expected: str) -> None:
+    """Reject a mistyped sidecar field before a step indexes into it."""
+    if not ok:
+        raise ToolError(f"{where}: expected {expected}")
+
+
+def _read_molecules(bundle: Bundle) -> list:
+    molecules = bundle.read_json("molecules.json")
+    _require(isinstance(molecules, list), "molecules.json", "a list")
+    for i, entry in enumerate(molecules):
+        where = f"molecules.json[{i}]"
+        _require(isinstance(entry, dict), where, "an object")
+        _require(
+            "graph" in entry or isinstance(entry.get("smiles"), str),
+            where,
+            'a "graph" or a string "smiles"',
+        )
+        label = entry.get("label")
+        _require(label is None or isinstance(label, str), f"{where}.label", "a string or null")
+        annotations = entry.get("annotations", [])
+        _require(
+            isinstance(annotations, list) and all(isinstance(a, str) for a in annotations),
+            f"{where}.annotations",
+            "a list of strings",
+        )
+    return molecules
+
+
+def _read_template(bundle: Bundle) -> dict:
+    template = bundle.read_json("template.json")
+    _require(isinstance(template, dict), "template.json", "an object")
+    for key in ("reactant_templates", "product_templates"):
+        _require(isinstance(template.get(key, []), list), f"template.json {key}", "a list")
+    for key in ("reactant_labels", "product_labels"):
+        labels = template.get(key, [])
+        _require(
+            isinstance(labels, list) and all(v is None or isinstance(v, str) for v in labels),
+            f"template.json {key}",
+            "a list of strings or nulls",
+        )
+    formulas = template.get("rgroup_formulas", {})
+    _require(
+        isinstance(formulas, dict) and all(isinstance(v, str) for v in formulas.values()),
+        "template.json rgroup_formulas",
+        "an object of strings",
+    )
+    _require(
+        isinstance(template.get("condition_text", ""), str),
+        "template.json condition_text",
+        "a string",
+    )
+    return template
+
+
 def _tool_image2graph(ctx: RunContext, request: dict) -> dict:
-    return {"molecules": ctx.require_bundle().read_json("molecules.json")}
+    return {"molecules": _read_molecules(ctx.require_bundle())}
 
 
 def _tool_rxn_img_parser(ctx: RunContext, request: dict) -> dict:
-    return ctx.require_bundle().read_json("template.json")
+    return _read_template(ctx.require_bundle())
 
 
 def _tool_ocr(ctx: RunContext, request: dict) -> dict:
     bundle = ctx.require_bundle()
     source = request.get("source", "description")
     if source == "conditions":
-        template = bundle.read_json("template.json")
-        return {"text": template.get("condition_text", "")}
+        return {"text": _read_template(bundle).get("condition_text", "")}
     if source == "description":
         text = bundle.read_text("text.txt").strip() if bundle.has("text.txt") else ""
         return {"text": text}

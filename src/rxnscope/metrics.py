@@ -5,8 +5,9 @@ renumbering between systems never costs a match. The fingerprint is a
 hashed-linear-path scheme that hashes each path once, from its canonical
 direction; all comparisons are internal, so the exact construction
 matters only for self-consistency, and a golden test pins its bits.
-``evaluate`` shares one memo across its sections, so each distinct SMILES
-text is parsed, canonicalized, fingerprinted and checked once per call.
+``evaluate`` shares one memo across its sections and runs in a parse
+scope, so each distinct SMILES text is parsed, canonicalized,
+fingerprinted and checked once per call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 from .molgraph import MolecularGraph, RxnscopeError
 from .reaction import ReactionRecord
-from .smiles import SmilesParseError, canonicalize, is_valid, parse_smiles
+from .smiles import SmilesParseError, canonicalize, is_valid, parse_scope, parse_smiles
 
 FP_WIDTH = 2048
 MAX_PATH_BONDS = 7
@@ -129,15 +130,17 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 class _Molecules:
     """Per-call memo over distinct SMILES texts.
 
-    Each text is parsed, canonicalized, fingerprinted and checked for
-    validity at most once, through the public functions and only when
-    asked. A failure is kept and raised again on every later request.
-    One instance lives for one scoring call, so nothing accumulates
-    across calls.
+    Each text is canonicalized, fingerprinted and checked for validity at
+    most once, through the public functions and only when asked. A
+    failure is kept and raised again on every later request. Parsed
+    graphs are not kept here: inside ``evaluate``'s parse scope
+    ``parse_smiles`` returns the graph it already built for a text,
+    including the parses inside ``canonicalize`` and ``is_valid``. One
+    instance lives for one scoring call, so nothing accumulates across
+    calls.
     """
 
     def __init__(self) -> None:
-        self._graphs: dict = {}
         self._canonical: dict = {}
         self._fingerprints: dict = {}
         self._valid: dict = {}
@@ -156,15 +159,12 @@ class _Molecules:
             raise value.with_traceback(None)
         return value
 
-    def graph(self, smiles: str) -> MolecularGraph:
-        return self._lookup(self._graphs, smiles, parse_smiles)
-
     def canonical(self, smiles: str) -> str:
         return self._lookup(self._canonical, smiles, canonicalize)
 
     def fingerprint(self, smiles: str) -> Fingerprint:
         return self._lookup(
-            self._fingerprints, smiles, lambda s: fingerprint(self.graph(s))
+            self._fingerprints, smiles, lambda s: fingerprint(parse_smiles(s))
         )
 
     def valid(self, smiles: str) -> bool:
@@ -357,9 +357,9 @@ def valid_rate(
     return _valid_rate(pred, gold, _Molecules())
 
 
-def _placeholder_free(smiles: str, molecules: _Molecules) -> bool:
+def _placeholder_free(smiles: str) -> bool:
     try:
-        return not molecules.graph(smiles).placeholder_indices()
+        return not parse_smiles(smiles).placeholder_indices()
     except SmilesParseError:
         return True  # unparseable predictions stay in, scoring 0
 
@@ -371,30 +371,28 @@ def evaluate(
 
     Placeholder-bearing template molecules are excluded from the
     similarity section (fingerprints are undefined for them) but still
-    participate in reaction matching.
+    participate in reaction matching. The call is one parse scope, so
+    each SMILES text that parses is parsed once.
     """
-    molecules = _Molecules()
-    report: dict = {}
-    for mode in ("soft", "hard"):
-        counts, _ = _match(pred, gold, mode, molecules)
-        p, r, f1 = prf(counts)
-        report[mode] = {
-            "precision": p,
-            "recall": r,
-            "f1": f1,
-            "correct": counts.correct,
-            "predicted": counts.predicted,
-            "gold": counts.gold,
-        }
-    pred_molecules = [
-        s for s in _record_smiles(pred) if _placeholder_free(s, molecules)
-    ]
-    gold_molecules = [
-        s for s in _record_smiles(gold) if _placeholder_free(s, molecules)
-    ]
-    avg_tani, tani_at_1 = _similarity(pred_molecules, gold_molecules, molecules)
-    report["avg_tanimoto"] = avg_tani
-    report["tani_at_1"] = tani_at_1
-    vp, vr, vf = _valid_rate(pred, gold, molecules)
-    report["valid_rate"] = {"precision": vp, "recall": vr, "f1": vf}
-    return report
+    with parse_scope():
+        molecules = _Molecules()
+        report: dict = {}
+        for mode in ("soft", "hard"):
+            counts, _ = _match(pred, gold, mode, molecules)
+            p, r, f1 = prf(counts)
+            report[mode] = {
+                "precision": p,
+                "recall": r,
+                "f1": f1,
+                "correct": counts.correct,
+                "predicted": counts.predicted,
+                "gold": counts.gold,
+            }
+        pred_molecules = [s for s in _record_smiles(pred) if _placeholder_free(s)]
+        gold_molecules = [s for s in _record_smiles(gold) if _placeholder_free(s)]
+        avg_tani, tani_at_1 = _similarity(pred_molecules, gold_molecules, molecules)
+        report["avg_tanimoto"] = avg_tani
+        report["tani_at_1"] = tani_at_1
+        vp, vr, vf = _valid_rate(pred, gold, molecules)
+        report["valid_rate"] = {"precision": vp, "recall": vr, "f1": vf}
+        return report

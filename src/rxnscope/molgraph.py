@@ -10,6 +10,8 @@ A graph is the one owner of its neighbour lists: :meth:`MolecularGraph.adjacency
 and the pair index behind :meth:`MolecularGraph.bond_between` are computed
 once per graph instance, on first use, and are read-only (tuples and a
 private dict).  A graph made by ``dataclasses.replace`` builds its own.
+``provenance`` is a read-only copy of the mapping given, so one graph can
+be shared by every caller that parsed the same text.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 ATOM_KINDS = ("element", "placeholder", "abbreviation", "wildcard")
@@ -154,7 +157,11 @@ def _pair(i: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class MolecularGraph:
-    """Immutable molecular graph with optional label, role and provenance."""
+    """Immutable molecular graph with optional label, role and provenance.
+
+    ``provenance`` is stored as a read-only view of a copy of the mapping
+    passed in; assigning to one of its keys raises ``TypeError``.
+    """
 
     atoms: tuple[AtomToken, ...] = ()
     bonds: tuple[Bond, ...] = ()
@@ -167,6 +174,7 @@ class MolecularGraph:
             raise GraphError(f"unknown role {self.role!r}")
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "bonds", tuple(self.bonds))
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .molgraph import (
     AROMATIC_SYMBOLS,
@@ -416,6 +418,29 @@ def _check_direction_consistency(g: MolecularGraph) -> None:
                 raise SmilesParseError(f"conflicting direction marks at atom {end}", 0)
 
 
+# Graphs parsed inside the current parse scope, keyed by exact input text;
+# None outside a scope.
+_scope_graphs: ContextVar[Optional[dict[str, MolecularGraph]]] = ContextVar(
+    "rxnscope_scope_graphs", default=None
+)
+
+
+@contextmanager
+def parse_scope() -> Iterator[None]:
+    """Within the block, :func:`parse_smiles` parses each distinct text once.
+
+    The memo lives exactly as long as the block and belongs to the current
+    context (thread or task); a nested scope starts empty and the outer one
+    resumes when it ends. ``execute_plan`` and ``evaluate`` each run inside
+    one, because a pipeline re-reads the SMILES texts it wrote.
+    """
+    token = _scope_graphs.set({})
+    try:
+        yield
+    finally:
+        _scope_graphs.reset(token)
+
+
 def parse_smiles(
     text: str, label: Optional[str] = None, role: str = "unknown"
 ) -> MolecularGraph:
@@ -424,9 +449,26 @@ def parse_smiles(
     Unknown bracket tokens become placeholder or abbreviation atoms rather
     than failing; genuine syntax errors raise :class:`SmilesParseError`
     carrying the byte offset.
+
+    Inside a :func:`parse_scope`, a text parsed before returns the same
+    graph object (graphs are immutable); a failure is not kept, so it is
+    raised afresh each time. A call with a ``label`` or ``role`` gets a
+    copy carrying them, and the kept graph stays label-less.
     """
     if not isinstance(text, str):
         raise SmilesParseError("input is not a string", 0)
+    memo = _scope_graphs.get()
+    g = memo.get(text) if memo is not None else None
+    if g is None:
+        g = _parse(text)
+        if memo is not None:
+            memo[text] = g
+    if label is None and role == "unknown":
+        return g
+    return replace(g, label=label, role=role)
+
+
+def _parse(text: str) -> MolecularGraph:
     stripped = text.strip()
     if not stripped:
         raise SmilesParseError("empty SMILES string", 0)
@@ -446,7 +488,7 @@ def parse_smiles(
             else:
                 atom = replace(atom, chiral_order=slots)
         final_atoms.append(atom)
-    return replace(g, atoms=tuple(final_atoms), label=label, role=role)
+    return replace(g, atoms=tuple(final_atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Subgraph matching and template/variant scaffold alignment.
 
-The matcher is a plain backtracking search over pattern atoms in index
-order, which makes the result order lexicographic by mapped target tuple
-and therefore reproducible. Placeholder atoms in the pattern match any
+The matcher is a backtracking search over pattern atoms in index order.
+As in VF2 (Cordella et al., 2004), a pattern atom bonded to an atom
+already mapped takes its candidates from the sorted neighbours of that
+atom's image rather than from the whole target; an atom with no earlier
+neighbour tries every target atom. Candidates are tried in ascending
+order, so the result order is lexicographic by mapped target tuple and
+therefore reproducible. Placeholder atoms in the pattern match any
 single target atom; bonds touching them are order-lenient.
 """
 
@@ -72,16 +76,27 @@ def find_matches(
     """All injective pattern-to-target mappings preserving atoms and bonds.
 
     Results are ordered by the tuple (mapping[0], mapping[1], ...) and
-    truncated at ``limit`` when given. Extra target bonds between mapped
-    atoms are allowed; only pattern bonds constrain the search.
+    truncated at ``limit`` when given; a ``limit`` of 0 or less gives no
+    results. Extra target bonds between mapped atoms are allowed; only
+    pattern bonds constrain the search. Pattern atoms are placed in index
+    order; one with an earlier pattern neighbour is tried only on the
+    target neighbours of that neighbour's image, in ascending order, which
+    prunes the search without changing the result order.
     """
     if not pattern.atoms:
         raise GraphError("empty pattern")
+    if limit is not None and limit <= 0:
+        return []
     n = len(pattern.atoms)
     target_adj = target.adjacency()
     pattern_adj = pattern.adjacency()
     # Pattern bonds from atom i to already-placed atoms j < i.
     back_edges = [[b for mate, b in pattern_adj[p] if mate < p] for p in range(n)]
+    # The image of p must be bonded to the image of any earlier neighbour,
+    # so the first one's sorted target neighbours hold every candidate.
+    anchors = [back[0].other(p) if back else None for p, back in enumerate(back_edges)]
+    target_mates = [sorted({mate for mate, _ in row}) for row in target_adj]
+    every_atom = range(len(target.atoms))
 
     results: list[dict[int, int]] = []
     assigned: list[int] = []
@@ -103,7 +118,9 @@ def find_matches(
         if p == n:
             results.append({i: assigned[i] for i in range(n)})
             return limit is not None and len(results) >= limit
-        for t in range(len(target.atoms)):
+        anchor = anchors[p]
+        candidates = every_atom if anchor is None else target_mates[assigned[anchor]]
+        for t in candidates:
             if t in used:
                 continue
             if feasible(p, t):

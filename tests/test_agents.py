@@ -26,6 +26,7 @@ from rxnscope.agents.tools import (
     default_registry,
 )
 from rxnscope.reaction import decode_records
+from rxnscope.smiles import parse_smiles
 
 BACKEND = ScriptedBackend()
 
@@ -410,6 +411,35 @@ class TestExecutor:
         with pytest.raises(ExecutionError) as err:
             execute_plan(plan, d, registry=registry)
         assert any(t.get("status") == "error" for t in err.value.trace)
+
+    def test_run_is_one_parse_scope_closed_on_return(self, fig2_setup):
+        d, plan = fig2_setup
+        registry = default_registry()
+        shared = []
+
+        def ner(ctx, request):
+            shared.append(parse_smiles("CCO") is parse_smiles("CCO"))
+            return {"entities": []}
+
+        registry.register("ner", ner)
+        execute_plan(plan, d, registry=registry)
+        assert shared == [True]
+        assert parse_smiles("CCO") is not parse_smiles("CCO")
+
+    def test_parse_scope_closed_when_the_run_raises(self, fig2_setup):
+        d, plan = fig2_setup
+        registry = default_registry()
+        shared = []
+
+        def broken(ctx, request):
+            shared.append(parse_smiles("CCO") is parse_smiles("CCO"))
+            raise ToolError("camera unplugged")
+
+        registry.register("rxn_img_parser", broken)
+        with pytest.raises(ExecutionError):
+            execute_plan(plan, d, registry=registry)
+        assert shared and all(shared)
+        assert parse_smiles("CCO") is not parse_smiles("CCO")
 
     def test_later_step_failure_degrades_dependents(self, fig2_setup):
         d, plan = fig2_setup

@@ -248,13 +248,18 @@ def _table(content):
     return lambda tmp, fig2: ["table", "--input", _write(tmp / "table.txt", content)]
 
 
-def _empty_graph_bundle(tmp, fig2):
-    clone = tmp / "bundle"
-    clone.mkdir()
-    for path in fig2.iterdir():
-        (clone / path.name).write_bytes(path.read_bytes())
-    _write(clone / "molecules.json", [{"graph": {"atoms": [], "bonds": []}}])
-    return ["extract", "--bundle", str(clone)]
+def _fig2_with(sidecar, edit):
+    """Extract from a copy of fig2 whose ``sidecar`` JSON is ``edit(original)``."""
+
+    def argv(tmp, fig2):
+        clone = tmp / "bundle"
+        clone.mkdir()
+        for path in fig2.iterdir():
+            (clone / path.name).write_bytes(path.read_bytes())
+        _write(clone / sidecar, edit(json.loads((fig2 / sidecar).read_text())))
+        return ["extract", "--bundle", str(clone)]
+
+    return argv
 
 
 HOSTILE = {
@@ -265,7 +270,23 @@ HOSTILE = {
     "descriptor-list": (_descriptor([]), "DescriptorError"),
     "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
     "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
-    "bundle-empty-graph": (_empty_graph_bundle, "GraphError"),
+    "bundle-empty-graph": (
+        _fig2_with("molecules.json", lambda m: [{"graph": {"atoms": [], "bonds": []}}]),
+        "GraphError",
+    ),
+    # Mistyped template.json fields fail step 0, which ends the run.
+    "template-null-reactants": (
+        _fig2_with("template.json", lambda t: {**t, "reactant_templates": None}),
+        "ExecutionError",
+    ),
+    "template-list-formulas": (
+        _fig2_with("template.json", lambda t: {**t, "rgroup_formulas": ["Ar2"]}),
+        "ExecutionError",
+    ),
+    "template-integer-condition-text": (
+        _fig2_with("template.json", lambda t: {**t, "condition_text": 7}),
+        "ExecutionError",
+    ),
     "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
     "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
     "evaluate-not-utf8": (
@@ -290,6 +311,16 @@ HOSTILE = {
 }
 
 
+# Mistyped molecules.json entries fail molecular recognition, a later step:
+# the run degrades and still writes a document.
+HOSTILE_MOLECULES = {
+    "molecules-non-object-entry": _fig2_with("molecules.json", lambda m: [5] + m[1:]),
+    "molecules-string-annotations": _fig2_with(
+        "molecules.json", lambda m: [{**m[0], "annotations": "71%"}] + m[1:]
+    ),
+}
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_domain_error_exit_1(self, case, capsys, tmp_path, fig2_bundle):
@@ -297,6 +328,17 @@ class TestHostileInput:
         code, out = run(capsys, *make_argv(tmp_path, fig2_bundle))
         assert code == 1
         assert out["error"].startswith(f"{error_type}: ")
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MOLECULES))
+    def test_mistyped_molecules_fail_recognition(self, case, capsys, tmp_path, fig2_bundle):
+        trace_path = tmp_path / "trace.json"
+        argv = HOSTILE_MOLECULES[case](tmp_path, fig2_bundle) + [
+            "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
+        ]
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        trace = json.loads(trace_path.read_text())
+        assert {"type": "step_failed", "step": "molecular_recognition"} in trace
 
     def test_plain_value_error_is_not_caught(self, capsys, monkeypatch):
         def bug(smiles):

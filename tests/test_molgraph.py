@@ -213,6 +213,15 @@ class TestSubgraph:
         with pytest.raises(GraphError):
             fragment_attachment(subgraph(g, [0, 1]))
 
+    def test_provenance_is_a_read_only_copy(self):
+        sub = subgraph(parse_smiles("CCCC"), [0, 1])
+        with pytest.raises(TypeError):
+            sub.provenance["index_map"] = (3,)
+        source = {"attachment": 0}
+        g = MolecularGraph(provenance=source)
+        source["attachment"] = 1
+        assert g.provenance["attachment"] == 0
+
 
 class TestParity:
     def test_identity_even(self):

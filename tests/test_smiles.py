@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from rxnscope import smiles
+from rxnscope.metrics import evaluate
 from rxnscope.molgraph import subgraph
 from rxnscope.smiles import (
     SmilesParseError,
@@ -11,11 +13,47 @@ from rxnscope.smiles import (
     canonical_graph_smiles,
     canonicalize,
     is_valid,
+    parse_scope,
     parse_smiles,
     write_smiles,
 )
 
 from corpus import MOLECULES
+
+
+class TestParseScope:
+    def test_repeat_returns_the_kept_graph_equal_to_a_fresh_parse(self):
+        with parse_scope():
+            kept = [parse_smiles(s) for s in MOLECULES]
+            assert all(parse_smiles(s) is g for s, g in zip(MOLECULES, kept))
+        assert kept == [parse_smiles(s) for s in MOLECULES]
+
+    def test_each_text_parsed_once_and_failures_not_kept(self, monkeypatch):
+        parsed = []
+        real = smiles._parse
+        monkeypatch.setattr(smiles, "_parse", lambda text: parsed.append(text) or real(text))
+        with parse_scope():
+            for _ in range(2):
+                parse_smiles("CCO")
+                with pytest.raises(SmilesParseError):
+                    parse_smiles("C(")
+        assert parsed == ["CCO", "C(", "C("]
+
+    def test_label_and_role_do_not_leak_into_the_memo(self):
+        with parse_scope():
+            named = parse_smiles("CCO", label="3a", role="product")
+            plain = parse_smiles("CCO")
+            assert (named.label, named.role) == ("3a", "product")
+            assert (plain.label, plain.role) == (None, "unknown")
+            assert named.atoms == plain.atoms
+            assert parse_smiles("CCO") is plain
+
+    def test_no_memo_outside_a_scope(self):
+        assert parse_smiles("CCO") is not parse_smiles("CCO")
+        with parse_scope():
+            pass
+        evaluate([], [])
+        assert parse_smiles("CCO") is not parse_smiles("CCO")
 
 
 class TestParse:

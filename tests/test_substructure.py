@@ -1,8 +1,10 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from rxnscope.molgraph import AtomToken, GraphError, MolecularGraph, subgraph
+from rxnscope.molgraph import AtomToken, Bond, GraphError, MolecularGraph, subgraph
 from rxnscope.smiles import canonical_graph_smiles, parse_smiles
 from rxnscope.substructure import (
     MatchError,
@@ -18,6 +20,24 @@ from oracles import brute_force_matches, random_molecular_graph, random_pattern
 
 def sort_key(mapping: dict[int, int]):
     return tuple(mapping[i] for i in range(len(mapping)))
+
+
+def renumbered(g: MolecularGraph, order: list[int]) -> MolecularGraph:
+    """The same molecule with atom ``order[k]`` moved to index ``k``."""
+    new = {old: k for k, old in enumerate(order)}
+    return MolecularGraph(
+        atoms=tuple(g.atoms[old] for old in order),
+        bonds=tuple(Bond(a=new[b.a], b=new[b.b], order=b.order) for b in g.bonds),
+    )
+
+
+def disjoint_union(g: MolecularGraph, h: MolecularGraph) -> MolecularGraph:
+    shift = len(g.atoms)
+    return MolecularGraph(
+        atoms=g.atoms + h.atoms,
+        bonds=g.bonds
+        + tuple(Bond(a=b.a + shift, b=b.b + shift, order=b.order) for b in h.bonds),
+    )
 
 
 class TestCompatibility:
@@ -77,6 +97,8 @@ class TestFindMatches:
         keys = [sort_key(m) for m in all_matches]
         assert keys == sorted(keys)
         assert find_matches(g, g, limit=5) == all_matches[:5]
+        assert find_matches(g, g, limit=0) == []
+        assert find_matches(g, g, limit=-1) == []
 
     def test_no_match_is_empty(self):
         assert find_matches(parse_smiles("N"), parse_smiles("CCO")) == []
@@ -101,6 +123,24 @@ class TestFindMatches:
             got = sorted(find_matches(pattern, target), key=sort_key)
             want = sorted(brute_force_matches(pattern, target), key=sort_key)
             assert got == want
+
+    def test_order_equals_brute_force_on_any_atom_order(self):
+        # Shuffled and two-component patterns place atoms with no earlier
+        # neighbour mid-search; the list itself, unsorted, must come out in
+        # lexicographic order, and every limit must cut a prefix of it.
+        rng = random.Random(23)
+        for case in range(240):
+            target = random_molecular_graph(rng, 8)
+            pattern = random_pattern(rng, 4)
+            if case % 2:
+                pattern = disjoint_union(pattern, random_pattern(rng, 2))
+            order = list(range(len(pattern.atoms)))
+            rng.shuffle(order)
+            pattern = renumbered(pattern, order)
+            want = sorted(brute_force_matches(pattern, target), key=sort_key)
+            assert find_matches(pattern, target) == want
+            for limit in (1, 2, 3):
+                assert find_matches(pattern, target, limit=limit) == want[:limit]
 
 
 class TestScaffoldAlign:
@@ -189,3 +229,11 @@ def test_align_is_deterministic():
     variant = parse_smiles("CCc1ccccc1OC")
     runs = [scaffold_align(template, variant) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_benchmark_script_agrees_with_oracle(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "benchmark_substructure.py"
+    spec = importlib.util.spec_from_file_location("benchmark_substructure", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--trials", "5", "--sizes", "6", "8"]) == 0
