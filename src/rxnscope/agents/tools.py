@@ -223,9 +223,12 @@ def _tool_graph2smiles(ctx: RunContext, request: dict) -> dict:
         g = graph_from_json(request["graph"])
     except (KeyError, ValueError) as exc:
         raise ToolError(f"bad graph payload: {exc}") from None
-    if request.get("expand", True):
-        g = expand_abbreviations(g, ctx.table, ctx.aliases)
-    return {"smiles": write_smiles(g)}
+    try:
+        if request.get("expand", True):
+            g = expand_abbreviations(g, ctx.table, ctx.aliases)
+        return {"smiles": write_smiles(g)}
+    except RxnscopeError as exc:
+        raise ToolError(f"cannot write graph: {exc}") from None
 
 
 def _tool_table_parser(ctx: RunContext, request: dict) -> dict:

@@ -24,6 +24,7 @@ from .molgraph import (
     GraphError,
     MolecularGraph,
     RxnscopeError,
+    chain_cis_trans,
     connected_components,
     subgraph,
 )
@@ -468,18 +469,12 @@ def perceive_stereo(g: MolecularGraph) -> tuple[MolecularGraph, list[str]]:
         if not 3 <= len(mates) <= 4:
             warnings.append(f"wedge at atom {center} with {len(mates)} neighbors ignored")
             continue
-        order = list(mates)
-        has_h_slot = False
-        if len(mates) == 3 and _implicit_h_count(g, center) == 1:
-            order.append(-1)
-            has_h_slot = True
-        if len(mates) == 3 and not has_h_slot:
-            # Three neighbors and no hydrogen: treat the lone pair like the
-            # missing vertex but keep the slot list at three entries.
-            pass
+        # Three neighbors and no H: the lone pair stands in, order keeps three slots.
+        has_h_slot = len(mates) == 3 and _implicit_h_count(g, center) == 1
+        order = tuple(mates + [-1] if has_h_slot else mates)
         tags = set()
         for wedge_bond in wedge_bonds:
-            tags.add(_tag_from_wedge(g, center, wedge_bond, tuple(order)))
+            tags.add(_tag_from_wedge(g, center, wedge_bond, order))
         tags.discard(None)
         if len(tags) > 1:
             warnings.append(f"conflicting wedges at atom {center}; left untagged")
@@ -487,33 +482,15 @@ def perceive_stereo(g: MolecularGraph) -> tuple[MolecularGraph, list[str]]:
         if not tags:
             continue
         tag = tags.pop()
-        new_atom = replace(atom, chiral=tag, chiral_order=tuple(order))
+        new_atom = replace(atom, chiral=tag, chiral_order=order)
         if has_h_slot and atom.explicit_h is None:
             new_atom = replace(new_atom, explicit_h=1)
         atoms[center] = new_atom
 
-    bonds = list(g.bonds)
-
-    def _flip(d: str) -> str:
-        return "down" if d == "up" else "up"
-
-    def away_value(end: int, mate: int) -> Optional[str]:
-        b = bonds[g.bond_index(end, mate)]
-        if b.direction is None:
-            return None
-        return b.direction if b.a == end else _flip(b.direction)
-
-    def set_away(end: int, mate: int, away: str) -> None:
-        i = g.bond_index(end, mate)
-        b = bonds[i]
-        bonds[i] = replace(b, direction=away if b.a == end else _flip(away))
-
-    # Collect geometry facts first, then assign marks component-by-component:
-    # a conjugated chain shares reference bonds between double bonds, so a
-    # fact whose reference already carries a mark must extend that mark
-    # rather than start a fresh arbitrary one.
-    facts: list[tuple[tuple[int, int], tuple[int, int], bool]] = []
-    for bond in bonds:
+    # Collect geometry facts first, then chain them: a conjugated chain
+    # shares reference bonds between double bonds.
+    facts = []
+    for bond in g.bonds:
         if bond.order != "double":
             continue
         if any(atoms[e].coords is None for e in (bond.a, bond.b)):
@@ -542,35 +519,12 @@ def perceive_stereo(g: MolecularGraph) -> tuple[MolecularGraph, list[str]]:
         if abs(side_a) < 1e-9 or abs(side_b) < 1e-9:
             continue
         same_side = (side_a > 0) == (side_b > 0)
-        facts.append(((bond.a, refs[bond.a]), (bond.b, refs[bond.b]), same_side))
+        ref_a = g.bond_index(bond.a, refs[bond.a])
+        ref_b = g.bond_index(bond.b, refs[bond.b])
+        facts.append((bond.a, ref_a, bond.b, ref_b, same_side))
 
-    pending = list(range(len(facts)))
-    while pending:
-        pick = next(
-            (
-                i
-                for i in pending
-                if away_value(*facts[i][0]) is not None
-                or away_value(*facts[i][1]) is not None
-            ),
-            pending[0],
-        )
-        pending.remove(pick)
-        ref_a, ref_b, same_side = facts[pick]
-        base = away_value(*ref_a)
-        if base is None:
-            existing_b = away_value(*ref_b)
-            base = existing_b if same_side else _flip(existing_b) if existing_b else None
-        if base is None:
-            base = "up"
-        needed_b = base if same_side else _flip(base)
-        current_b = away_value(*ref_b)
-        if current_b is not None and current_b != needed_b:
-            warnings.append(
-                f"inconsistent double-bond geometry around atoms {ref_b[0]}-{ref_b[1]}"
-            )
-            continue
-        set_away(*ref_a, base)
-        set_away(*ref_b, needed_b)
-
+    bonds = list(g.bonds)
+    for _, _, end, ref, _ in chain_cis_trans(bonds, facts):
+        mate = bonds[ref].other(end)
+        warnings.append(f"inconsistent double-bond geometry around atoms {end}-{mate}")
     return replace(g, atoms=tuple(atoms), bonds=tuple(bonds)), warnings

@@ -12,6 +12,11 @@ once per graph instance, on first use, and are read-only (tuples and a
 private dict).  A graph made by ``dataclasses.replace`` builds its own.
 ``provenance`` is a read-only copy of the mapping given, so one graph can
 be shared by every caller that parsed the same text.
+
+Stereo bookkeeping is written once, here: :meth:`Bond.away` and
+:meth:`Bond.with_away` orient cis/trans marks, :func:`chain_cis_trans`
+turns double-bond geometry facts into marks, and :func:`renumber_chiral`
+carries a chiral neighbour order through any atom renumbering.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 ATOM_KINDS = ("element", "placeholder", "abbreviation", "wildcard")
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
@@ -119,6 +124,11 @@ class AtomToken:
         return self.kind != "element" or self.text != "H"
 
 
+def flip(mark: str) -> str:
+    """The opposite cis/trans mark."""
+    return "down" if mark == "up" else "up"
+
+
 @dataclass(frozen=True)
 class Bond:
     """Edge between two atom indices.
@@ -149,6 +159,48 @@ class Bond:
         if idx == self.b:
             return self.a
         raise GraphError(f"atom {idx} not on bond {self.a}-{self.b}")
+
+    def away(self, end: int) -> Optional[str]:
+        """The direction mark read from ``end`` outwards, or None if unmarked."""
+        if self.direction is None or end == self.a:
+            return self.direction
+        return flip(self.direction)
+
+    def with_away(self, end: int, mark: str) -> "Bond":
+        """This bond marked so that it reads ``mark`` from ``end`` outwards."""
+        return replace(self, direction=mark if end == self.a else flip(mark))
+
+
+def chain_cis_trans(bonds: list[Bond], facts: Iterable[tuple]) -> list[tuple]:
+    """Mark ``bonds`` in place so that each double-bond geometry fact holds.
+
+    A fact ``(end1, ref1, end2, ref2, same_side)`` says whether the single
+    bonds ``bonds[ref1]`` at ``end1`` and ``bonds[ref2]`` at ``end2`` of one
+    double bond sit on the same side of it.  A reference bond may be shared
+    between conjugated double bonds, so facts chain from one anchor: a fact
+    whose reference is already marked is always consumed before a fresh
+    "up" anchor is opened, otherwise two anchors could meet mid-chain with
+    incompatible marks.  Facts that contradict the marks already set are
+    dropped and returned, in the order met.
+    """
+    dropped = []
+    pending = list(facts)
+    while pending:
+        anchored = (f for f in pending if bonds[f[1]].away(f[0]) or bonds[f[3]].away(f[2]))
+        fact = next(anchored, pending[0])
+        pending.remove(fact)
+        end1, ref1, end2, ref2, same_side = fact
+        away1 = bonds[ref1].away(end1)
+        away2 = bonds[ref2].away(end2)
+        if away1 is None:
+            away1 = "up" if away2 is None else away2 if same_side else flip(away2)
+            bonds[ref1] = bonds[ref1].with_away(end1, away1)
+        needed = away1 if same_side else flip(away1)
+        if away2 is None:
+            bonds[ref2] = bonds[ref2].with_away(end2, needed)
+        elif away2 != needed:
+            dropped.append(fact)
+    return dropped
 
 
 def _pair(i: int, j: int) -> tuple[int, int]:
@@ -283,21 +335,9 @@ def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> Molecula
     """Induced subgraph over ``indices``; records old indices in provenance."""
     index_list = sorted(set(indices))
     index_map = {old: new for new, old in enumerate(index_list)}
-    atoms = []
-    for old in index_list:
-        atom = g.atoms[old]
-        if atom.chiral_order is not None:
-            # A chiral tag whose reference atoms were cut away is meaningless.
-            if any(ref >= 0 and ref not in index_map for ref in atom.chiral_order):
-                atom = replace(atom, chiral=None, chiral_order=None)
-            else:
-                atom = replace(
-                    atom,
-                    chiral_order=tuple(
-                        index_map[ref] if ref >= 0 else -1 for ref in atom.chiral_order
-                    ),
-                )
-        atoms.append(atom)
+    atoms = [g.atoms[old] for old in index_list]
+    # Only atoms that carry a chiral order pay for the renumbering call.
+    atoms = [a if a.chiral_order is None else renumber_chiral(a, index_map.get) for a in atoms]
     bonds = [
         replace(bond, a=index_map[bond.a], b=index_map[bond.b])
         for bond in g.bonds
@@ -310,6 +350,20 @@ def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> Molecula
     }
     fields.update(overrides)
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds), **fields)
+
+
+def renumber_chiral(atom: AtomToken, new_index: Callable[[int], Optional[int]]) -> AtomToken:
+    """``atom`` with its chiral neighbour order renumbered by ``new_index``.
+
+    The implicit-H slot (-1) stays.  A reference mapped to None was cut
+    away, which leaves the tag meaningless, so the atom loses it.
+    """
+    if atom.chiral_order is None:
+        return atom
+    order = tuple(-1 if ref < 0 else new_index(ref) for ref in atom.chiral_order)
+    if None in order:
+        return replace(atom, chiral=None, chiral_order=None)
+    return replace(atom, chiral_order=order)
 
 
 def main_component(g: MolecularGraph) -> MolecularGraph:

@@ -18,6 +18,7 @@ from .molgraph import (
     fragment_attachment,
     induced_fragment,
     main_component,
+    renumber_chiral,
     validate_graph,
 )
 from .smiles import canonical_graph_smiles, parse_smiles, write_smiles
@@ -82,27 +83,18 @@ def splice_fragment(g: MolecularGraph, at: int, fragment: Fragment) -> Molecular
     offset = len(g.atoms) - 1
     attachment = offset + fragment.attachment
 
-    atoms = []
-    for i, atom in enumerate(g.atoms):
-        if i == at:
-            continue
-        if atom.chiral_order is not None:
-            atom = replace(
-                atom,
-                chiral_order=tuple(
-                    attachment if ref == at else (shift(ref) if ref >= 0 else -1)
-                    for ref in atom.chiral_order
-                ),
-            )
-        atoms.append(atom)
+    def rewire(ref: int) -> int:
+        return attachment if ref == at else shift(ref)
+
+    # Only atoms that carry a chiral order pay for the renumbering call.
+    atoms = [
+        atom if atom.chiral_order is None else renumber_chiral(atom, rewire)
+        for i, atom in enumerate(g.atoms)
+        if i != at
+    ]
     for atom in fragment.graph.atoms:
         if atom.chiral_order is not None:
-            atom = replace(
-                atom,
-                chiral_order=tuple(
-                    ref + offset if ref >= 0 else -1 for ref in atom.chiral_order
-                ),
-            )
+            atom = renumber_chiral(atom, lambda ref: ref + offset)
         atoms.append(replace(atom, coords=None))
 
     bonds = []

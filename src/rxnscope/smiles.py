@@ -25,9 +25,12 @@ from .molgraph import (
     GraphError,
     MolecularGraph,
     RxnscopeError,
+    chain_cis_trans,
     connected_components,
+    flip,
     is_placeholder_label,
     permutation_parity,
+    renumber_chiral,
     subgraph,
 )
 
@@ -197,9 +200,7 @@ class _Parser:
         final_order = order if order is not None else p_order
         # Direction marks are stored oriented a->b (opener->closer).  A mark
         # written at the closing digit reads closer->opener, so flip it.
-        closing_dir = None
-        if direction is not None:
-            closing_dir = "down" if direction == "up" else "up"
+        closing_dir = None if direction is None else flip(direction)
         if closing_dir is not None and p_dir is not None and closing_dir != p_dir:
             raise self.error(f"ring {number} closed with conflicting direction", offset)
         final_dir = p_dir if p_dir is not None else closing_dir
@@ -408,13 +409,8 @@ def _check_direction_consistency(g: MolecularGraph) -> None:
             marked = [
                 b for _, b in adj[end] if b.direction is not None and b.order == "single"
             ]
-            # Away orientation: direction read from the double-bond end
-            # outwards.  Two marks on the same end must disagree.
-            away = {
-                b.direction if b.a == end else ("down" if b.direction == "up" else "up")
-                for b in marked
-            }
-            if len(marked) == 2 and len(away) == 1:
+            # Read outwards from the double-bond end, two marks must disagree.
+            if len(marked) == 2 and len({b.away(end) for b in marked}) == 1:
                 raise SmilesParseError(f"conflicting direction marks at atom {end}", 0)
 
 
@@ -590,8 +586,7 @@ def _bond_text(
     if bond.order == "aromatic":
         return "" if both_aromatic else ":"
     if isomeric and bond.direction is not None and (bond.a, bond.b) in emit_dirs:
-        up_from_src = (bond.direction == "up") == (src == bond.a)
-        return "/" if up_from_src else "\\"
+        return "/" if bond.away(src) == "up" else "\\"
     if both_aromatic:
         return "-"
     return ""
@@ -803,89 +798,31 @@ def _assign_directions(g: MolecularGraph, ranks: list[int]) -> MolecularGraph:
     if all(b.direction is None for b in g.bonds):
         return g
     adj = g.adjacency()
-
-    def away(bond: Bond, end: int) -> str:
-        return bond.direction if bond.a == end else ("down" if bond.direction == "up" else "up")
-
     facts = []
     for bidx in sorted(_specified_double_bonds(g), key=lambda i: min(
         ranks[g.bonds[i].a], ranks[g.bonds[i].b]
     )):
         bond = g.bonds[bidx]
         end1, end2 = sorted((bond.a, bond.b), key=lambda e: ranks[e])
-        refs = {}
-        aways = {}
-        usable = True
+        refs = []
+        aways = []
         for end in (end1, end2):
             single_mates = [
                 (mate, g.bond_index(end, mate)) for mate, b in adj[end] if b.order == "single"
             ]
-            marked = [i for _, i in single_mates if g.bonds[i].direction is not None]
-            if not marked:
-                usable = False
-                break
-            probe = marked[0]
-            probe_away = away(g.bonds[probe], end)
+            probe = next(i for _, i in single_mates if g.bonds[i].direction is not None)
             # Canonical reference: lowest-ranked single-bond neighbor.
-            _, ref_bidx = min(single_mates, key=lambda p: ranks[p[0]])
-            ref_away = probe_away
-            if ref_bidx != probe:
-                # Substituents on the same end sit on opposite sides.
-                ref_away = "down" if probe_away == "up" else "up"
-            refs[end] = ref_bidx
-            aways[end] = ref_away
-        if not usable:
-            continue
-        same_side = aways[end1] == aways[end2]
-        facts.append((end1, end2, refs[end1], refs[end2], same_side))
+            _, ref = min(single_mates, key=lambda p: ranks[p[0]])
+            refs.append(ref)
+            # Substituents on the same end sit on opposite sides.
+            probe_away = g.bonds[probe].away(end)
+            aways.append(probe_away if ref == probe else flip(probe_away))
+        facts.append((end1, refs[0], end2, refs[1], aways[0] == aways[1]))
 
     new_bonds = [replace(b, direction=None) for b in g.bonds]
-
-    def flip(value: str) -> str:
-        return "down" if value == "up" else "up"
-
-    def away_of(bidx: int, end: int) -> Optional[str]:
-        d = new_bonds[bidx].direction
-        if d is None:
-            return None
-        return d if new_bonds[bidx].a == end else flip(d)
-
-    def set_away(bidx: int, end: int, value: str) -> None:
-        bond = new_bonds[bidx]
-        new_bonds[bidx] = replace(
-            bond, direction=value if bond.a == end else flip(value)
-        )
-
-    # A reference bond may be shared between conjugated double bonds, so
-    # facts must chain from one anchor: always consume a fact whose ref
-    # is already assigned before opening a fresh anchor, otherwise two
-    # anchors can meet mid-chain with incompatible marks.
-    pending = list(facts)
-    while pending:
-        pick = next(
-            (
-                f
-                for f in pending
-                if away_of(f[2], f[0]) is not None or away_of(f[3], f[1]) is not None
-            ),
-            pending[0],
-        )
-        pending.remove(pick)
-        end1, end2, ref1, ref2, same_side = pick
-        a1 = away_of(ref1, end1)
-        a2 = away_of(ref2, end2)
-        if a1 is None and a2 is None:
-            a1 = "up"
-            set_away(ref1, end1, a1)
-            set_away(ref2, end2, a1 if same_side else flip(a1))
-        elif a2 is None:
-            set_away(ref2, end2, a1 if same_side else flip(a1))
-        elif a1 is None:
-            set_away(ref1, end1, a2 if same_side else flip(a2))
-        elif a2 != (a1 if same_side else flip(a1)):
-            # Contradictory cumulated constraints (e.g. odd rings of
-            # conjugation): drop this fact.
-            continue
+    # A fact that contradicts the marks already set (odd rings of
+    # conjugation) is left out.
+    chain_cis_trans(new_bonds, facts)
     return replace(g, bonds=tuple(new_bonds))
 
 
@@ -923,22 +860,12 @@ def _fold_explicit_hydrogens(g: MolecularGraph) -> MolecularGraph:
                 atom = replace(atom, explicit_h=atom.explicit_h + len(folded_here))
             elif atom.chiral is not None:
                 atom = replace(atom, explicit_h=len(folded_here))
-        if atom.chiral_order is not None:
-            new_order = []
-            for ref in atom.chiral_order:
-                if ref in fold and fold[ref] == old:
-                    new_order.append(-1)
-                elif ref >= 0:
-                    if ref not in index_map:
-                        new_order = None
-                        break
-                    new_order.append(index_map[ref])
-                else:
-                    new_order.append(-1)
-            if new_order is None or len([x for x in new_order if x == -1]) > 1:
-                atom = replace(atom, chiral=None, chiral_order=None)
-            else:
-                atom = replace(atom, chiral_order=tuple(new_order))
+        # A hydrogen folded into this atom becomes its implicit-H slot.
+        atom = renumber_chiral(
+            atom, lambda ref: -1 if fold.get(ref) == old else index_map.get(ref)
+        )
+        if atom.chiral_order is not None and atom.chiral_order.count(-1) > 1:
+            atom = replace(atom, chiral=None, chiral_order=None)
         atoms.append(atom)
     bonds = [
         replace(b, a=index_map[b.a], b=index_map[b.b])

@@ -169,3 +169,64 @@ def flip_wedges(g: MolecularGraph) -> MolecularGraph:
         for b in g.bonds
     )
     return MolecularGraph(atoms=g.atoms, bonds=bonds)
+
+
+def random_polyene_drawing(rng: random.Random) -> MolecularGraph:
+    """Acyclic 2D chain with scattered double bonds and side branches, bonds
+    listed in random order; every atom has coordinates, and every other
+    drawing carries a few preset cis/trans marks."""
+    n = rng.randint(4, 10)
+    coords = [(i + rng.uniform(-0.2, 0.2), rng.uniform(-1.0, 1.0)) for i in range(n)]
+    bonds = []
+    last_double = False
+    for i in range(1, n):
+        last_double = not last_double and rng.random() < 0.8
+        bonds.append((i - 1, i, "double" if last_double else "single"))
+    for i in range(n):
+        if rng.random() < 0.3:
+            x, y = coords[i]
+            coords.append((x + rng.uniform(-1.0, 1.0), y + rng.uniform(-1.5, 1.5)))
+            bonds.append((i, len(coords) - 1, "single"))
+    atoms = tuple(AtomToken(kind="element", text="C", coords=c) for c in coords)
+    mark_rate = rng.choice([0.0, 0.2])
+    rng.shuffle(bonds)
+    drawn = []
+    for a, b, order in bonds:
+        direction = None
+        if order == "single" and rng.random() < mark_rate:
+            direction = rng.choice(["up", "down"])
+        if rng.random() < 0.5:
+            a, b = b, a
+        drawn.append(Bond(a=a, b=b, order=order, direction=direction))
+    return MolecularGraph(atoms=atoms, bonds=tuple(drawn))
+
+
+def double_bond_geometry(g: MolecularGraph) -> list[tuple[int, int, int, int, bool]]:
+    """``(end1, ref1, end2, ref2, same_side)`` per double bond of an acyclic
+    drawing whose ends both have a single-bonded reference neighbour (the
+    lowest-numbered one) off the double-bond line."""
+    facts = []
+    for bond in g.bonds:
+        if bond.order != "double":
+            continue
+        refs = []
+        for end in (bond.a, bond.b):
+            mates = sorted(
+                b.b if b.a == end else b.a
+                for b in g.bonds
+                if end in (b.a, b.b) and b.order == "single"
+            )
+            if not mates:
+                break
+            refs.append(mates[0])
+        if len(refs) < 2:
+            continue
+        tail = np.array(g.atoms[bond.a].coords)
+        line = np.array(g.atoms[bond.b].coords) - tail
+        sides = [
+            np.linalg.det(np.array([line, np.array(g.atoms[r].coords) - tail])) for r in refs
+        ]
+        if min(abs(s) for s in sides) < 1e-9:
+            continue
+        facts.append((bond.a, refs[0], bond.b, refs[1], bool((sides[0] > 0) == (sides[1] > 0))))
+    return facts

@@ -18,9 +18,11 @@ from rxnscope.rgroup import substitute_placeholders
 from rxnscope.smiles import canonicalize, parse_smiles, write_smiles
 
 from oracles import (
+    double_bond_geometry,
     flip_wedges,
     mirror_drawing,
     numpy_wedge_tag,
+    random_polyene_drawing,
     random_wedge_drawing,
 )
 
@@ -122,6 +124,23 @@ def drawing_trans_butene() -> MolecularGraph:
     return MolecularGraph(atoms=atoms, bonds=bonds)
 
 
+def drawing_hexadiene(c5=(5.0, 0.5)) -> MolecularGraph:
+    # Zig-zag hexa-2,4-diene, C0..C5; c5 moves the last methyl.
+    coords = [(0.0, 0.0), (1.0, 0.5), (2.0, 0.0), (3.0, 0.5), (4.0, 0.0), c5]
+    atoms = tuple(AtomToken(kind="element", text="C", coords=c) for c in coords)
+    orders = ["single", "double", "single", "double", "single"]
+    bonds = tuple(Bond(a=i, b=i + 1, order=o) for i, o in enumerate(orders))
+    return MolecularGraph(atoms=atoms, bonds=bonds)
+
+
+def mark_from(g: MolecularGraph, end: int, mate: int):
+    """Direction mark of bond end-mate read from ``end`` outwards."""
+    bond = next(b for b in g.bonds if {b.a, b.b} == {end, mate})
+    if bond.direction is None or bond.a == end:
+        return bond.direction
+    return {"up": "down", "down": "up"}[bond.direction]
+
+
 class TestPerceiveStereo:
     def test_no_wedges_no_tags(self):
         g = drawing_trans_butene()
@@ -147,6 +166,33 @@ class TestPerceiveStereo:
         atoms[3] = replace(atoms[3], coords=(2.2, -0.9))
         out, _ = perceive_stereo(MolecularGraph(atoms=tuple(atoms), bonds=g.bonds))
         assert canonicalize(write_smiles(out, isomeric=True)) == canonicalize("C/C=C\\C")
+
+    def test_conjugated_diene_chains_marks(self):
+        out, warns = perceive_stereo(drawing_hexadiene())
+        assert warns == []
+        assert canonicalize(write_smiles(out)) == canonicalize("C/C=C/C=C/C")
+        out, _ = perceive_stereo(drawing_hexadiene(c5=(4.5, -1.0)))
+        assert canonicalize(write_smiles(out)) == canonicalize("C/C=C/C=C\\C")
+
+    def test_preset_marks_that_contradict_the_drawing_warn(self):
+        g = drawing_trans_butene()
+        up, double, down = g.bonds
+        bonds = (replace(up, direction="up"), double, replace(down, direction="down"))
+        out, warns = perceive_stereo(MolecularGraph(atoms=g.atoms, bonds=bonds))
+        assert warns == ["inconsistent double-bond geometry around atoms 2-3"]
+        assert write_smiles(out) == "C/C=C\\C"
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_polyene_marks_hold_or_warn(self, seed):
+        g = random_polyene_drawing(random.Random(seed))
+        out, warns = perceive_stereo(g)
+        if all(b.direction is None for b in g.bonds):
+            # Facts chain along each conjugated path, so none can conflict.
+            assert warns == []
+        for end1, ref1, end2, ref2, same_side in double_bond_geometry(g):
+            away1, away2 = mark_from(out, end1, ref1), mark_from(out, end2, ref2)
+            if away1 is None or away2 is None or (away1 == away2) != same_side:
+                assert f"inconsistent double-bond geometry around atoms {end2}-{ref2}" in warns
 
     def test_agrees_with_numpy_oracle(self):
         rng = random.Random(31)

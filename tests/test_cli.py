@@ -270,10 +270,6 @@ HOSTILE = {
     "descriptor-list": (_descriptor([]), "DescriptorError"),
     "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
     "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
-    "bundle-empty-graph": (
-        _fig2_with("molecules.json", lambda m: [{"graph": {"atoms": [], "bonds": []}}]),
-        "GraphError",
-    ),
     # Mistyped template.json fields fail step 0, which ends the run.
     "template-null-reactants": (
         _fig2_with("template.json", lambda t: {**t, "reactant_templates": None}),
@@ -339,6 +335,29 @@ class TestHostileInput:
         assert code == 0
         trace = json.loads(trace_path.read_text())
         assert {"type": "step_failed", "step": "molecular_recognition"} in trace
+
+    def test_empty_graph_fails_one_step(self, capsys, tmp_path, fig2_bundle):
+        # An unwritable molecule graph fails recognition; the run goes on.
+        doc_path, trace_path = tmp_path / "doc.json", tmp_path / "trace.json"
+        argv = _fig2_with(
+            "molecules.json", lambda m: [{"graph": {"atoms": [], "bonds": []}}]
+        )(tmp_path, fig2_bundle)
+        code, _ = run(capsys, *argv, "--out", str(doc_path), "--trace", str(trace_path))
+        assert code == 0
+        trace = json.loads(trace_path.read_text())
+        verdicts = [
+            (e["attempt"], e["passed"])
+            for e in trace
+            if e["type"] == "observer" and e["step"] == "molecular_recognition"
+        ]
+        assert verdicts == [(1, False), (2, False)]
+        assert {"type": "step_failed", "step": "molecular_recognition"} in trace
+        assert [e for e in trace if e["type"] == "degraded"] == [
+            {"type": "degraded", "step": "structure_rgroup", "missing": ["molecules"]},
+            {"type": "degraded", "step": "condition_interpretation", "missing": ["molecules"]},
+        ]
+        doc = json.loads(doc_path.read_text())
+        assert [r["reaction_id"] for r in doc["reactions"]] == ["0_1"]
 
     def test_plain_value_error_is_not_caught(self, capsys, monkeypatch):
         def bug(smiles):

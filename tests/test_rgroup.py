@@ -69,6 +69,13 @@ class TestSubstitute:
         out = substitute_placeholders(g, {"R1": TABLE.get("Et")})
         assert graph_smiles(out) == canonicalize("CCO")
 
+    def test_chiral_centre_keeps_its_sense(self):
+        # The spliced-in carbon takes the placeholder's slot in the chiral order.
+        g = parse_smiles("F[C@H](Cl)[R1]")
+        out = graph_smiles(substitute_placeholders(g, {"R1": "Me"}))
+        assert out == canonicalize("F[C@H](Cl)C")
+        assert out != canonicalize("F[C@@H](Cl)C")
+
     def test_multiple_occurrences_all_replaced(self):
         g = parse_smiles("[R1]C(=O)[R1]")
         out = substitute_placeholders(g, {"R1": "Me"})

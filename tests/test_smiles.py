@@ -177,9 +177,14 @@ class TestStereoForms:
         assert canonicalize("N[C@@H](C)O") != canonicalize("N[C@H](C)O")
 
     def test_chiral_rewrites_converge(self):
-        assert canonicalize("N[C@@H](C)O") == canonicalize("O[C@@H](N)C") or canonicalize(
-            "N[C@@H](C)O"
-        ) == canonicalize("O[C@H](N)C")
+        assert canonicalize("N[C@@H](C)O") == canonicalize("O[C@@H](N)C")
+        assert canonicalize("N[C@@H](C)O") != canonicalize("O[C@H](N)C")
+
+    def test_folded_hydrogen_takes_the_h_slot(self):
+        # An explicit [H] atom becomes the implicit-H slot where it stood.
+        assert canonicalize("[H][C@](F)(Cl)Br") == canonicalize("[C@H](F)(Cl)Br")
+        assert canonicalize("F[C@]([H])(Cl)Br") == canonicalize("[C@@H](F)(Cl)Br")
+        assert canonicalize("F[C@]([H])(Cl)Br") != canonicalize("[C@H](F)(Cl)Br")
 
     def test_cis_trans_distinct(self):
         assert canonicalize("C/C=C/C") != canonicalize("C/C=C\\C")
