@@ -501,7 +501,6 @@ def execute_plan(
                 passed = False
                 for attempt in range(1, retry_budget + 1):
                     run.attempt = attempt
-                    run.memory.begin_step(step.agent)
                     try:
                         ok, reasons = observe_step(step.agent, fn(run))
                     except _StepFailure as exc:

@@ -1,4 +1,4 @@
-"""Run memory: an append-only archive of puts and a live digest of the latest values."""
+"""Run memory: the latest value put under each key, and a digest of them."""
 
 from __future__ import annotations
 
@@ -27,17 +27,9 @@ MISSING = _Missing()
 
 class Memory:
     def __init__(self) -> None:
-        self._long_term: list[dict[str, Any]] = []
         self._dynamic: dict[str, Any] = {}
-        self._current_step: str = ""
-
-    def begin_step(self, step: str) -> None:
-        self._current_step = step
 
     def put(self, key: str, value: Any) -> None:
-        self._long_term.append(
-            {"step": self._current_step, "key": key, "value": value}
-        )
         self._dynamic[key] = value
 
     def get(self, key: str) -> Any:
@@ -45,10 +37,3 @@ class Memory:
 
     def digest(self) -> dict[str, Any]:
         return dict(self._dynamic)
-
-    @property
-    def long_term(self) -> tuple[dict[str, Any], ...]:
-        return tuple(self._long_term)
-
-    def __len__(self) -> int:
-        return len(self._long_term)

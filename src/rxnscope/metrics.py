@@ -5,9 +5,10 @@ renumbering between systems never costs a match. The fingerprint is a
 hashed-linear-path scheme that hashes each path once, from its canonical
 direction; all comparisons are internal, so the exact construction
 matters only for self-consistency, and a golden test pins its bits.
-``evaluate`` shares one memo across its sections and runs in a parse
-scope, so each distinct SMILES text is parsed, canonicalized,
-fingerprinted and checked once per call.
+Record molecules arrive parsed (``MoleculeEntry.graph``), so scoring
+records parses nothing; ``evaluate`` shares one memo across its sections,
+so each distinct SMILES text is canonicalized, fingerprinted and checked
+once per call. Only ``similarity_report``, which takes texts, parses.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .molgraph import MolecularGraph, RxnscopeError
-from .reaction import ReactionRecord
-from .smiles import SmilesParseError, canonicalize, is_valid, parse_scope, parse_smiles
+from .reaction import MoleculeEntry, ReactionRecord
+from .smiles import SmilesParseError, canonicalize, is_valid, parse_smiles
 
 FP_WIDTH = 2048
 MAX_PATH_BONDS = 7
@@ -128,47 +129,31 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 
 
 class _Molecules:
-    """Per-call memo over distinct SMILES texts.
+    """Per-call memo of what scoring computes from record molecules.
 
-    Each text is canonicalized, fingerprinted and checked for validity at
-    most once, through the public functions and only when asked. A
-    failure is kept and raised again on every later request. Parsed
-    graphs are not kept here: inside ``evaluate``'s parse scope
-    ``parse_smiles`` returns the graph it already built for a text,
-    including the parses inside ``canonicalize`` and ``is_valid``. One
-    instance lives for one scoring call, so nothing accumulates across
-    calls.
+    One dict keyed by (kind, SMILES text) holds each entry's canonical
+    form, fingerprint and validity, computed from ``entry.graph`` at most
+    once and only when asked. One instance lives for one scoring call, so
+    nothing accumulates across calls.
     """
 
     def __init__(self) -> None:
-        self._canonical: dict = {}
-        self._fingerprints: dict = {}
-        self._valid: dict = {}
+        self._memo: dict[tuple[str, str], object] = {}
 
-    @staticmethod
-    def _lookup(table: dict, smiles: str, compute):
-        if smiles not in table:
-            try:
-                table[smiles] = compute(smiles)
-            except (SmilesParseError, FingerprintError) as exc:
-                table[smiles] = exc
-        value = table[smiles]
-        if isinstance(value, RxnscopeError):
-            # A fresh traceback: raising the kept exception as it is would
-            # chain every earlier raise's frames onto it.
-            raise value.with_traceback(None)
-        return value
+    def _get(self, kind: str, entry: MoleculeEntry, compute):
+        key = (kind, entry.smiles)
+        if key not in self._memo:
+            self._memo[key] = compute(entry.graph)
+        return self._memo[key]
 
-    def canonical(self, smiles: str) -> str:
-        return self._lookup(self._canonical, smiles, canonicalize)
+    def canonical(self, entry: MoleculeEntry) -> str:
+        return self._get("canonical", entry, canonicalize)
 
-    def fingerprint(self, smiles: str) -> Fingerprint:
-        return self._lookup(
-            self._fingerprints, smiles, lambda s: fingerprint(parse_smiles(s))
-        )
+    def fingerprint(self, entry: MoleculeEntry) -> Fingerprint:
+        return self._get("fingerprint", entry, fingerprint)
 
-    def valid(self, smiles: str) -> bool:
-        return self._lookup(self._valid, smiles, is_valid)
+    def valid(self, entry: MoleculeEntry) -> bool:
+        return self._get("valid", entry, is_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +165,9 @@ def _normalized_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _reaction_key(
-    record: ReactionRecord, mode: str, strict: bool, molecules: _Molecules
-):
+def _reaction_key(record: ReactionRecord, mode: str, molecules: _Molecules):
     def canon(entries):
-        out = []
-        for e in entries:
-            try:
-                out.append(molecules.canonical(e.smiles))
-            except SmilesParseError:
-                if strict:
-                    raise
-                out.append(f"<unparseable {e.smiles}>")
-        return tuple(sorted(out))
+        return tuple(sorted(molecules.canonical(e) for e in entries))
 
     key = (canon(record.reactants), canon(record.products))
     if mode == "hard":
@@ -216,11 +191,11 @@ def _match(
     # gold record with its key.
     unpaired: dict[tuple, deque[int]] = {}
     for j, record in enumerate(gold):
-        key = _reaction_key(record, mode, True, molecules)
+        key = _reaction_key(record, mode, molecules)
         unpaired.setdefault(key, deque()).append(j)
     pairing = []
     for i, record in enumerate(pred):
-        golds = unpaired.get(_reaction_key(record, mode, False, molecules))
+        golds = unpaired.get(_reaction_key(record, mode, molecules))
         if golds:
             pairing.append((i, golds.popleft()))
     counts = MatchCounts(
@@ -236,9 +211,8 @@ def match_reactions(
 ) -> tuple[MatchCounts, list[tuple[int, int]]]:
     """One-to-one pairing of equal reactions; soft ignores conditions.
 
-    Gold SMILES must parse (raises otherwise); unparseable predictions
-    simply never match anything. Among records with equal keys, the
-    pairing follows index order.
+    Records are keyed by the canonical forms of their molecules. Among
+    records with equal keys, the pairing follows index order.
     """
     return _match(pred, gold, mode, _Molecules())
 
@@ -271,15 +245,9 @@ def prf(
 
 
 def _similarity(
-    pred_smiles: Sequence[str], gold_smiles: Sequence[str], molecules: _Molecules
+    pred_fps: Sequence[Optional[Fingerprint]], gold_fps: Sequence[Fingerprint]
 ) -> tuple[float, float]:
-    gold_fps = [molecules.fingerprint(s) for s in gold_smiles]
-    pred_fps: list[Optional[Fingerprint]] = []
-    for s in pred_smiles:
-        try:
-            pred_fps.append(molecules.fingerprint(s))
-        except (SmilesParseError, FingerprintError):
-            pred_fps.append(None)
+    """Greedy pairing over fingerprints; a None prediction takes no gold."""
     if not gold_fps:
         return 0.0, 0.0
     used: set[int] = set()
@@ -312,9 +280,17 @@ def similarity_report(
 
     Each gold molecule takes the most similar unused prediction; gold
     left without a partner scores 0. Tani@1.0 counts pairs whose
-    fingerprints are identical.
+    fingerprints are identical. A gold text that does not parse or holds
+    a placeholder raises; such a prediction counts as no prediction.
     """
-    return _similarity(pred_smiles, gold_smiles, _Molecules())
+    gold_fps = [fingerprint(parse_smiles(s)) for s in gold_smiles]
+    pred_fps: list[Optional[Fingerprint]] = []
+    for s in pred_smiles:
+        try:
+            pred_fps.append(fingerprint(parse_smiles(s)))
+        except (SmilesParseError, FingerprintError):
+            pred_fps.append(None)
+    return _similarity(pred_fps, gold_fps)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +298,8 @@ def similarity_report(
 # ---------------------------------------------------------------------------
 
 
-def _record_smiles(records: Sequence[ReactionRecord]) -> list[str]:
-    out: list[str] = []
-    for r in records:
-        for e in r.reactants + r.products:
-            out.append(e.smiles)
-    return out
+def _record_molecules(records: Sequence[ReactionRecord]) -> list[MoleculeEntry]:
+    return [e for r in records for e in r.reactants + r.products]
 
 
 def _valid_rate(
@@ -335,12 +307,12 @@ def _valid_rate(
     gold: Sequence[ReactionRecord],
     molecules: _Molecules,
 ) -> tuple[float, float, float]:
-    pred_smiles = _record_smiles(pred)
-    gold_smiles = _record_smiles(gold)
-    n_valid = sum(1 for s in pred_smiles if molecules.valid(s))
-    precision = n_valid / len(pred_smiles) if pred_smiles else 0.0
-    if gold_smiles:
-        recall = min(1.0, n_valid / len(gold_smiles))
+    pred_entries = _record_molecules(pred)
+    n_gold = len(_record_molecules(gold))
+    n_valid = sum(1 for e in pred_entries if molecules.valid(e))
+    precision = n_valid / len(pred_entries) if pred_entries else 0.0
+    if n_gold:
+        recall = min(1.0, n_valid / n_gold)
     else:
         recall = 1.0 if n_valid else 0.0
     f1 = (
@@ -357,13 +329,6 @@ def valid_rate(
     return _valid_rate(pred, gold, _Molecules())
 
 
-def _placeholder_free(smiles: str) -> bool:
-    try:
-        return not parse_smiles(smiles).placeholder_indices()
-    except SmilesParseError:
-        return True  # unparseable predictions stay in, scoring 0
-
-
 def evaluate(
     pred: Sequence[ReactionRecord], gold: Sequence[ReactionRecord]
 ) -> dict:
@@ -371,28 +336,33 @@ def evaluate(
 
     Placeholder-bearing template molecules are excluded from the
     similarity section (fingerprints are undefined for them) but still
-    participate in reaction matching. The call is one parse scope, so
-    each SMILES text that parses is parsed once.
+    participate in reaction matching. Every section reads the graphs the
+    records hold, so the call parses nothing.
     """
-    with parse_scope():
-        molecules = _Molecules()
-        report: dict = {}
-        for mode in ("soft", "hard"):
-            counts, _ = _match(pred, gold, mode, molecules)
-            p, r, f1 = prf(counts)
-            report[mode] = {
-                "precision": p,
-                "recall": r,
-                "f1": f1,
-                "correct": counts.correct,
-                "predicted": counts.predicted,
-                "gold": counts.gold,
-            }
-        pred_molecules = [s for s in _record_smiles(pred) if _placeholder_free(s)]
-        gold_molecules = [s for s in _record_smiles(gold) if _placeholder_free(s)]
-        avg_tani, tani_at_1 = _similarity(pred_molecules, gold_molecules, molecules)
-        report["avg_tanimoto"] = avg_tani
-        report["tani_at_1"] = tani_at_1
-        vp, vr, vf = _valid_rate(pred, gold, molecules)
-        report["valid_rate"] = {"precision": vp, "recall": vr, "f1": vf}
-        return report
+    molecules = _Molecules()
+    report: dict = {}
+    for mode in ("soft", "hard"):
+        counts, _ = _match(pred, gold, mode, molecules)
+        p, r, f1 = prf(counts)
+        report[mode] = {
+            "precision": p,
+            "recall": r,
+            "f1": f1,
+            "correct": counts.correct,
+            "predicted": counts.predicted,
+            "gold": counts.gold,
+        }
+
+    def fingerprints(records):
+        return [
+            molecules.fingerprint(e)
+            for e in _record_molecules(records)
+            if not e.graph.placeholder_indices()
+        ]
+
+    avg_tani, tani_at_1 = _similarity(fingerprints(pred), fingerprints(gold))
+    report["avg_tanimoto"] = avg_tani
+    report["tani_at_1"] = tani_at_1
+    vp, vr, vf = _valid_rate(pred, gold, molecules)
+    report["valid_rate"] = {"precision": vp, "recall": vr, "f1": vf}
+    return report

@@ -10,8 +10,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .molgraph import RxnscopeError, is_placeholder_label
-from .smiles import SmilesParseError, parse_smiles
+from .molgraph import MolecularGraph, RxnscopeError, is_placeholder_label
+from .smiles import SmilesParseError, parse_scope, parse_smiles
 
 log = logging.getLogger(__name__)
 
@@ -49,11 +49,18 @@ class ConditionItem:
 
 @dataclass(frozen=True)
 class MoleculeEntry:
+    """A record molecule: its SMILES text, label and the graph parsed from it.
+
+    ``graph`` is parsed once, when the entry is made, and stays out of
+    equality, hashing and repr, which the text already decides.
+    """
+
     smiles: str
     label: Optional[str] = None
+    graph: MolecularGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parse_smiles(self.smiles)
+        object.__setattr__(self, "graph", parse_smiles(self.smiles))
 
 
 @dataclass(frozen=True)
@@ -65,19 +72,10 @@ class ReactionRecord:
     additional_info: tuple[str, ...] = ()
 
     def is_template_record(self) -> bool:
-        entries = self.reactants + self.products
-        return any("[" in e.smiles and _contains_placeholder(e.smiles) for e in entries)
+        return any(e.graph.placeholder_indices() for e in self.reactants + self.products)
 
     def product_labels(self) -> list[str]:
         return [e.label for e in self.products if e.label is not None]
-
-
-def _contains_placeholder(smiles: str) -> bool:
-    try:
-        g = parse_smiles(smiles)
-    except SmilesParseError:
-        return False
-    return bool(g.placeholder_indices())
 
 
 def validate_record(record: ReactionRecord) -> list[str]:
@@ -391,6 +389,11 @@ def record_from_json(obj, path: str = "reaction") -> ReactionRecord:
 
 
 def decode_records(text: str) -> tuple[list[ReactionRecord], str]:
+    """Records and text description of a record document.
+
+    The records are built in one parse scope, so a molecule text repeated
+    in the document is parsed once.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -400,9 +403,10 @@ def decode_records(text: str) -> tuple[list[ReactionRecord], str]:
     raw = doc.get("reactions", [])
     if not isinstance(raw, list):
         raise CodecError("reactions", "must be a list")
-    records = [
-        record_from_json(obj, f"reactions[{i}]") for i, obj in enumerate(raw)
-    ]
+    with parse_scope():
+        records = [
+            record_from_json(obj, f"reactions[{i}]") for i, obj in enumerate(raw)
+        ]
     seen_ids: set[str] = set()
     for i, r in enumerate(records):
         if r.reaction_id in seen_ids:

@@ -21,7 +21,7 @@ from .molgraph import (
     renumber_chiral,
     validate_graph,
 )
-from .smiles import canonical_graph_smiles, parse_smiles, write_smiles
+from .smiles import canonicalize, parse_smiles, write_smiles
 from .substructure import scaffold_align
 
 log = logging.getLogger(__name__)
@@ -191,9 +191,7 @@ def extract_rgroup_fragments(
         frag_graph = induced_fragment(product_variant, root_atoms, mapping[p])
         fragment = Fragment(graph=frag_graph, attachment=fragment_attachment(frag_graph))
         if label in bindings:
-            old = canonical_graph_smiles(bindings[label].graph)
-            new = canonical_graph_smiles(fragment.graph)
-            if old != new:
+            if canonicalize(bindings[label].graph) != canonicalize(fragment.graph):
                 log.warning(
                     "placeholder %s extracted twice with different fragments; keeping first",
                     label,

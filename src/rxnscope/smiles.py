@@ -15,7 +15,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import replace
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .molgraph import (
     AROMATIC_SYMBOLS,
@@ -74,10 +74,11 @@ class SmilesParseError(RxnscopeError, ValueError):
 
 
 class _AtomRec:
-    __slots__ = ("token", "slots")
+    __slots__ = ("token", "offset", "slots")
 
-    def __init__(self, token: AtomToken):
+    def __init__(self, token: AtomToken, offset: int):
         self.token = token
+        self.offset = offset  # where the atom's text starts
         # Neighbor slots in order of appearance; entries are atom indices,
         # -1 for the in-bracket H, or ("ring", n) until the ring closes.
         self.slots: list = []
@@ -237,7 +238,7 @@ class _Parser:
                 token = self._organic_atom()
             if token is not None:
                 idx = len(self.atoms)
-                rec = _AtomRec(token)
+                rec = _AtomRec(token, offset)
                 self.atoms.append(rec)
                 if prev is not None:
                     order, direction = take_pending()
@@ -375,7 +376,7 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def _check_aromatic_rings(g: MolecularGraph) -> None:
+def _check_aromatic_rings(g: MolecularGraph, recs: list[_AtomRec]) -> None:
     flagged = {i for i, a in enumerate(g.atoms) if a.aromatic}
     if not flagged:
         return
@@ -395,12 +396,13 @@ def _check_aromatic_rings(g: MolecularGraph) -> None:
                 changed = True
     dead = flagged - alive
     if dead:
+        atom = min(dead)
         raise SmilesParseError(
-            f"aromatic atom {min(dead)} is not part of an aromatic ring", 0
+            f"aromatic atom {atom} is not part of an aromatic ring", recs[atom].offset
         )
 
 
-def _check_direction_consistency(g: MolecularGraph) -> None:
+def _check_direction_consistency(g: MolecularGraph, recs: list[_AtomRec]) -> None:
     adj = g.adjacency()
     for bond in g.bonds:
         if bond.order != "double":
@@ -411,7 +413,9 @@ def _check_direction_consistency(g: MolecularGraph) -> None:
             ]
             # Read outwards from the double-bond end, two marks must disagree.
             if len(marked) == 2 and len({b.away(end) for b in marked}) == 1:
-                raise SmilesParseError(f"conflicting direction marks at atom {end}", 0)
+                raise SmilesParseError(
+                    f"conflicting direction marks at atom {end}", recs[end].offset
+                )
 
 
 # Graphs parsed inside the current parse scope, keyed by exact input text;
@@ -427,8 +431,9 @@ def parse_scope() -> Iterator[None]:
 
     The memo lives exactly as long as the block and belongs to the current
     context (thread or task); a nested scope starts empty and the outer one
-    resumes when it ends. ``execute_plan`` and ``evaluate`` each run inside
-    one, because a pipeline re-reads the SMILES texts it wrote.
+    resumes when it ends. ``execute_plan`` runs inside one, because a
+    pipeline re-reads the SMILES texts it wrote, and so does
+    ``decode_records``, because a document repeats molecule texts.
     """
     token = _scope_graphs.set({})
     try:
@@ -472,8 +477,8 @@ def _parse(text: str) -> MolecularGraph:
     recs, bonds = parser.parse()
     g = MolecularGraph(atoms=tuple(rec.token for rec in recs), bonds=tuple(bonds))
     g = _perceive_aromaticity(g)
-    _check_aromatic_rings(g)
-    _check_direction_consistency(g)
+    _check_aromatic_rings(g, recs)
+    _check_direction_consistency(g, recs)
     # Resolve chiral neighbor orders from appearance slots.
     final_atoms: list[AtomToken] = []
     for atom, rec in zip(g.atoms, recs):
@@ -875,14 +880,16 @@ def _fold_explicit_hydrogens(g: MolecularGraph) -> MolecularGraph:
     return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def canonicalize(s: str) -> str:
+def canonicalize(s: Union[str, MolecularGraph]) -> str:
     """Canonical SMILES form: deterministic, renumbering-invariant, idempotent.
 
-    Explicit hydrogens are folded into neighbor H counts, qualifying Kekulé
-    rings become aromatic, and components are sorted, so equal molecules map
-    to equal strings regardless of input atom order or ring-digit choices.
+    ``s`` is a SMILES text, which is parsed first, or a graph as
+    :func:`parse_smiles` builds it. Explicit hydrogens are folded into
+    neighbor H counts, qualifying Kekulé rings become aromatic (in the
+    parse), and components are sorted, so equal molecules map to equal
+    strings regardless of input atom order or ring-digit choices.
     """
-    g = parse_smiles(s)
+    g = s if isinstance(s, MolecularGraph) else parse_smiles(s)
     g = _fold_explicit_hydrogens(g)
     budget = [4096]
     pieces = []
@@ -890,11 +897,6 @@ def canonicalize(s: str) -> str:
         sub = subgraph(g, comp, label=None, role="unknown", provenance={})
         pieces.append(_canonical_component(sub, budget))
     return ".".join(sorted(pieces))
-
-
-def canonical_graph_smiles(g: MolecularGraph) -> str:
-    """Canonical form of a graph (write + canonicalize)."""
-    return canonicalize(write_smiles(g, isomeric=True))
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +923,13 @@ def _implied_valence_units(g: MolecularGraph, idx: int) -> float:
     return sum(_ORDER_VALUE[b.order] for _, b in adj)
 
 
-def is_valid(s: str) -> bool:
-    """True when ``s`` parses, has no placeholder atoms, and valences check out."""
+def is_valid(s: Union[str, MolecularGraph]) -> bool:
+    """True when ``s`` parses, has no placeholder atoms, and valences check out.
+
+    ``s`` is a SMILES text or an already parsed graph.
+    """
     try:
-        g = parse_smiles(s)
+        g = s if isinstance(s, MolecularGraph) else parse_smiles(s)
     except SmilesParseError:
         return False
     for idx, atom in enumerate(g.atoms):

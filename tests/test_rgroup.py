@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -95,6 +96,22 @@ class TestExtract:
         bindings = extract_rgroup_fragments(template, parse_smiles("CC(=O)C"))
         assert set(bindings) == {"R1"}
         assert graph_smiles(bindings["R1"].graph) == canonicalize("C")
+
+    def _extract_logged(self, caplog, variant: str) -> tuple[dict, list[str]]:
+        template = parse_smiles("[R]C(=O)OC[R]")
+        with caplog.at_level(logging.WARNING, logger="rxnscope.rgroup"):
+            bindings = extract_rgroup_fragments(template, parse_smiles(variant))
+        written = {label: write_smiles(f.graph) for label, f in bindings.items()}
+        warnings = [r.getMessage() for r in caplog.records if "extracted twice" in r.getMessage()]
+        return written, warnings
+
+    def test_repeated_label_equal_fragments_no_warning(self, caplog):
+        assert self._extract_logged(caplog, "CC(=O)OCC") == ({"R": "C"}, [])
+
+    def test_repeated_label_different_fragments_keeps_first_and_warns(self, caplog):
+        written, warnings = self._extract_logged(caplog, "c1ccccc1C(=O)OCC1CCCCC1")
+        assert written == {"R": "c1ccccc1"}
+        assert len(warnings) == 1
 
 
 class TestReconstruct:

@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 
 from rxnscope import smiles
 from rxnscope.metrics import evaluate
-from rxnscope.molgraph import subgraph
 from rxnscope.smiles import (
     SmilesParseError,
     _assign_directions,
-    canonical_graph_smiles,
     canonicalize,
     is_valid,
     parse_scope,
@@ -19,6 +17,7 @@ from rxnscope.smiles import (
 )
 
 from corpus import MOLECULES
+from oracles import renumbered
 
 
 class TestParseScope:
@@ -109,6 +108,19 @@ class TestParse:
             parse_smiles("CCXC")
         assert "offset 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad,offset",
+        [
+            ("CC(c)C", 3),  # aromatic atom 2 lies on no aromatic ring
+            ("F/C=C(/F)/F", 4),  # conflicting direction marks at atom 2
+        ],
+    )
+    def test_post_parse_check_reports_atom_offset(self, bad, offset):
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles(bad)
+        assert err.value.offset == offset
+        assert f"(offset {offset})" in str(err.value)
+
 
 class TestWrite:
     def test_round_trip_benzene(self):
@@ -145,8 +157,8 @@ class TestCanonicalize:
         for shift in range(6):
             for flip in (1, -1):
                 order = [ring[(shift + flip * i) % 6] for i in range(6)]
-                forms.add(canonical_graph_smiles(subgraph(g, range(6), provenance={})))
-                forms.add(canonicalize(write_smiles(subgraph(g, order))))
+                forms.add(canonicalize(renumbered(g, order)))
+                forms.add(canonicalize(write_smiles(renumbered(g, order))))
         assert len(forms) == 1
 
     def test_ring_digit_choice_irrelevant(self):
@@ -166,7 +178,9 @@ class TestCanonicalize:
         g = parse_smiles(s)
         perm = list(range(len(g.atoms)))
         random.Random(seed).shuffle(perm)
-        assert canonicalize(write_smiles(subgraph(g, perm), isomeric=True)) == canonicalize(s)
+        c = canonicalize(s)
+        assert canonicalize(write_smiles(renumbered(g, perm), isomeric=True)) == c
+        assert canonicalize(renumbered(g, perm)) == c
 
     def test_components_sorted(self):
         assert canonicalize("O.C") == canonicalize("C.O")
@@ -242,6 +256,10 @@ class TestIsValid:
     def test_monotone_under_canonicalization(self):
         for s in MOLECULES:
             assert is_valid(s) == is_valid(canonicalize(s)), s
+
+    def test_graph_input_matches_text(self):
+        for s in MOLECULES:
+            assert is_valid(parse_smiles(s)) == is_valid(s), s
 
 
 def test_automorphism_count_does_not_blow_up():

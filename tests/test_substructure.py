@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from rxnscope.molgraph import AtomToken, Bond, GraphError, MolecularGraph, subgraph
-from rxnscope.smiles import canonical_graph_smiles, parse_smiles
+from rxnscope.smiles import parse_smiles
 from rxnscope.substructure import (
     MatchError,
     atoms_compatible,
