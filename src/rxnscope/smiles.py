@@ -85,9 +85,9 @@ class _AtomRec:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, start: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = start
         self.atoms: list[_AtomRec] = []
         self.bonds: list[Bond] = []
         self.bond_pairs: set[tuple[int, int]] = set()
@@ -470,10 +470,13 @@ def parse_smiles(
 
 
 def _parse(text: str) -> MolecularGraph:
-    stripped = text.strip()
-    if not stripped:
+    # Surrounding blanks are skipped, not cut off, so that error offsets
+    # count from the start of ``text``.
+    stripped = text.rstrip()
+    start = len(stripped) - len(stripped.lstrip())
+    if start == len(stripped):
         raise SmilesParseError("empty SMILES string", 0)
-    parser = _Parser(stripped)
+    parser = _Parser(stripped, start)
     recs, bonds = parser.parse()
     g = MolecularGraph(atoms=tuple(rec.token for rec in recs), bonds=tuple(bonds))
     g = _perceive_aromaticity(g)
@@ -598,12 +601,16 @@ def _bond_text(
 
 
 def write_smiles(
-    g: MolecularGraph, isomeric: bool = True, ranks: Optional[list[int]] = None
+    g: MolecularGraph,
+    isomeric: bool = True,
+    ranks: Optional[list[int]] = None,
+    emitted: Optional[list[int]] = None,
 ) -> str:
     """Serialize a graph to SMILES; the output re-parses isomorphic to ``g``.
 
     ``ranks`` fixes traversal order (used by the canonicalizer); without it,
-    atom index order is used.
+    atom index order is used. A list passed as ``emitted`` receives the atom
+    indices in the order their atoms are written.
     """
     if not g.atoms:
         raise GraphError("cannot write an empty graph")
@@ -612,19 +619,7 @@ def write_smiles(
     emit_dirs = _emittable_directions(g) if isomeric else set()
 
     visited: set[int] = set()
-    ring_numbers: dict[frozenset[int], int] = {}
-    ring_partner_at: dict[int, list[tuple[int, int, Bond]]] = {}
-    free_digits: list[int] = []
-    next_digit = 1
-
-    def alloc_digit() -> int:
-        nonlocal next_digit
-        if free_digits:
-            free_digits.sort()
-            return free_digits.pop(0)
-        digit = next_digit
-        next_digit += 1
-        return digit
+    ring_partner_at: dict[int, list[tuple[int, Bond]]] = {}
 
     # First pass: find spanning-tree structure and ring-closure bonds per
     # component in deterministic traversal order.
@@ -663,55 +658,73 @@ def write_smiles(
                 stack.pop()
 
     for bond in ring_bonds:
-        ring_partner_at.setdefault(bond.a, []).append((bond.b, 0, bond))
-        ring_partner_at.setdefault(bond.b, []).append((bond.a, 0, bond))
+        ring_partner_at.setdefault(bond.a, []).append((bond.b, bond))
+        ring_partner_at.setdefault(bond.b, []).append((bond.a, bond))
 
-    # Second pass: emit text.
+    # Second pass: emit text, depth first from each root. The stack holds
+    # atoms still to write, as (atom, atom it is reached from), and the
+    # literal text that goes between them.
     open_digits: dict[frozenset[int], int] = {}
-
-    def emit(cur: int, from_atom: Optional[int], via: Optional[Bond]) -> str:
-        closures = sorted(
-            ring_partner_at.get(cur, []), key=lambda item: order[item[0]]
-        )
-        out_slots: list[int] = []
-        if from_atom is not None:
-            out_slots.append(from_atom)
-        atom = g.atoms[cur]
-        if atom.kind == "element" and atom.explicit_h == 1:
-            out_slots.append(-1)
-        closure_parts: list[str] = []
-        for mate, _, bond in closures:
-            key = frozenset((cur, mate))
-            if key in open_digits:
-                digit = open_digits.pop(key)
-                free_digits.append(digit)
-            else:
-                digit = alloc_digit()
-                open_digits[key] = digit
-            mark = _bond_text(g, bond, cur, emit_dirs, isomeric)
-            closure_parts.append(mark + (str(digit) if digit < 10 else f"%{digit:02d}"))
-            out_slots.append(mate)
-        children = tree_children[cur]
-        for mate, bond in children:
-            out_slots.append(mate)
-        tag = None
-        if isomeric and atom.chiral is not None and atom.chiral_order is not None:
-            if sorted(out_slots) == sorted(atom.chiral_order):
-                parity = permutation_parity(atom.chiral_order, out_slots)
-                tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
-        parts = [_atom_text(atom, tag)]
-        parts.extend(closure_parts)
-        for i, (mate, bond) in enumerate(children):
-            bond_str = _bond_text(g, bond, cur, emit_dirs, isomeric)
-            child_text = bond_str + emit(mate, cur, bond)
-            if i < len(children) - 1:
-                parts.append(f"({child_text})")
-            else:
-                parts.append(child_text)
-        return "".join(parts)
-
-    pieces = [emit(root, None, None) for root in roots]
-    return ".".join(pieces)
+    free_digits: list[int] = []
+    next_digit = 1
+    out: list[str] = []
+    for root in roots:
+        if out:
+            out.append(".")
+        stack: list = [(root, None)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            cur, from_atom = item
+            if emitted is not None:
+                emitted.append(cur)
+            closures = sorted(ring_partner_at.get(cur, []), key=lambda c: order[c[0]])
+            out_slots: list[int] = []
+            if from_atom is not None:
+                out_slots.append(from_atom)
+            atom = g.atoms[cur]
+            if atom.kind == "element" and atom.explicit_h == 1:
+                out_slots.append(-1)
+            closure_parts: list[str] = []
+            for mate, bond in closures:
+                key = frozenset((cur, mate))
+                if key in open_digits:
+                    digit = open_digits.pop(key)
+                    free_digits.append(digit)
+                else:
+                    # The lowest digit free again, else a new one.
+                    digit = min(free_digits, default=next_digit)
+                    if free_digits:
+                        free_digits.remove(digit)
+                    else:
+                        next_digit += 1
+                    open_digits[key] = digit
+                mark = _bond_text(g, bond, cur, emit_dirs, isomeric)
+                closure_parts.append(mark + (str(digit) if digit < 10 else f"%{digit:02d}"))
+                out_slots.append(mate)
+            children = tree_children[cur]
+            for mate, bond in children:
+                out_slots.append(mate)
+            tag = None
+            if isomeric and atom.chiral is not None and atom.chiral_order is not None:
+                if sorted(out_slots) == sorted(atom.chiral_order):
+                    parity = permutation_parity(atom.chiral_order, out_slots)
+                    tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
+            out.append(_atom_text(atom, tag))
+            out.extend(closure_parts)
+            # Every child but the last goes in a branch; pushed in reverse
+            # so the first child is written first.
+            last = len(children) - 1
+            for i in range(last, -1, -1):
+                mate, bond = children[i]
+                bond_str = _bond_text(g, bond, cur, emit_dirs, isomeric)
+                if i == last:
+                    stack += [(mate, cur), bond_str]
+                else:
+                    stack += [")", (mate, cur), "(" + bond_str]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +753,79 @@ def _initial_keys(g: MolecularGraph) -> list[tuple]:
     return keys
 
 
-def _refine(g: MolecularGraph, seed: list) -> list[int]:
-    adj = g.adjacency()
-    keys = list(seed)
-    ranks = _dense_ranks(keys)
-    while True:
-        new_keys = [
-            (
-                ranks[i],
-                tuple(sorted((_ORDER_RANK[b.order], ranks[m]) for m, b in adj[i])),
-            )
-            for i in range(len(g.atoms))
-        ]
-        new_ranks = _dense_ranks(new_keys)
-        if new_ranks == ranks:
-            return ranks
-        ranks = new_ranks
+def _refine(g: MolecularGraph, seed: list, moved: Optional[list[int]] = None) -> list[int]:
+    """Dense ranks of the stable refinement of the ranks ``seed`` gives.
+
+    Each round splits every tied cell by its members' sorted neighbour
+    (bond order, rank) pairs, read off the ranks of the round before, and
+    ranks the parts in that order. A cell's rank is the place of its first
+    atom in rank order, so one part of a split cell keeps the cell and its
+    atoms keep their rank; the other parts' atoms move to new cells. Only
+    atoms next to a moved atom can tell apart from the rest of their cell
+    in the next round, so a round reads the pairs of those atoms and of
+    one other atom per cell, which makes a chain refine in linear time.
+    When ``seed`` ranks a stable ranking except that the atoms ``moved``
+    left their cells, the first round reads only their neighbours.
+    """
+    n = len(g.atoms)
+    # A pair is keyed as ``order * n + rank``, which sorts as the pair does.
+    mates = [[(_ORDER_RANK[b.order] * n, m) for m, b in row] for row in g.adjacency()]
+    cell_of = _dense_ranks(seed)
+    members: list[set[int]] = [set() for _ in range(max(cell_of) + 1)]
+    for i, c in enumerate(cell_of):
+        members[c].add(i)
+    place, at = [], 0
+    for cell in members:
+        place.append(at)
+        at += len(cell)
+
+    def key(i: int) -> tuple[int, ...]:
+        return tuple(sorted([base + place[cell_of[m]] for base, m in mates[i]]))
+
+    def next_to(atoms: list[int]) -> dict[int, set[int]]:
+        """Cell -> its atoms whose pairs may differ from the rest's."""
+        hits: dict[int, set[int]] = {}
+        for i in atoms:
+            for _, m in mates[i]:
+                hits.setdefault(cell_of[m], set()).add(m)
+        return hits
+
+    if moved is None:
+        hits = {c: set(cell) for c, cell in enumerate(members) if len(cell) > 1}
+    else:
+        hits = next_to(moved)
+    while hits:
+        splits = []
+        for c, hit in hits.items():
+            cell = members[c]
+            if len(cell) < 2:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for i in hit:
+                parts.setdefault(key(i), []).append(i)
+            rest = next((i for i in cell if i not in hit), None)
+            kept = key(rest) if rest is not None else max(parts, key=lambda k: len(parts[k]))
+            if len(parts) > 1 or kept not in parts:
+                splits.append((c, parts, kept))
+        moved = []
+        for c, parts, kept in splits:
+            cell = members[c]
+            sizes = {k: len(atoms) for k, atoms in parts.items() if k != kept}
+            sizes[kept] = len(cell) - sum(sizes.values())
+            at = place[c]
+            for k in sorted(sizes):
+                if k == kept:
+                    place[c] = at
+                else:
+                    place.append(at)
+                    members.append(set(parts[k]))
+                    cell -= members[-1]
+                    for i in parts[k]:
+                        cell_of[i] = len(members) - 1
+                    moved += parts[k]
+                at += sizes[k]
+        hits = next_to(moved)
+    return _dense_ranks([place[c] for c in cell_of])
 
 
 def _dense_ranks(keys: list) -> list[int]:
@@ -766,30 +836,112 @@ def _dense_ranks(keys: list) -> list[int]:
 
 def _canonical_component(g: MolecularGraph, budget: list[int]) -> str:
     ranks = _refine(g, _initial_keys(g))
-    return _canonical_search(g, ranks, budget)
+    return _CanonicalSearch(g, budget).smallest(ranks, [])
 
 
-def _canonical_search(g: MolecularGraph, ranks: list[int], budget: list[int]) -> str:
-    n = len(g.atoms)
-    cells: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        cells.setdefault(r, []).append(i)
-    tied = sorted((r for r, members in cells.items() if len(members) > 1))
-    if not tied:
-        final = _assign_directions(g, ranks)
-        return write_smiles(final, isomeric=True, ranks=ranks)
-    members = cells[tied[0]]
-    candidates = members if budget[0] > 0 else members[:1]
-    best: Optional[str] = None
-    for promoted in candidates:
-        budget[0] -= 1
-        seed = [(r, 0 if i == promoted else 1) for i, r in enumerate(ranks)]
-        sub_ranks = _refine(g, seed)
-        result = _canonical_search(g, sub_ranks, budget)
-        if best is None or result < best:
-            best = result
-    assert best is not None
-    return best
+class _CanonicalSearch:
+    """The smallest string any leaf of the individualize-and-refine tree writes.
+
+    Each node individualizes, in turn, every atom of its first tied cell;
+    each leaf (no ties left) writes the graph in its rank order. A leaf
+    that writes the first leaf's string gives an automorphism: the map
+    between the two leaves by position in that string, kept if it also
+    keeps atom keys and bond orders. Subtrees that an automorphism maps
+    onto explored ones write the same strings, so they are skipped:
+
+    - a candidate in the orbit of an explored sibling, under the
+      automorphisms found so far that fix the node's individualized atoms;
+    - the rest of a branch, once an automorphism that fixes the path it
+      shares with the first leaf maps the first leaf's branch onto it.
+
+    ``budget`` counts explored nodes; once it runs out, each node explores
+    only its first candidate.
+    """
+
+    def __init__(self, g: MolecularGraph, budget: list[int]):
+        self.g = g
+        self.budget = budget
+        self.keys = _initial_keys(g)
+        self.first: Optional[tuple[str, list[int], list[int]]] = None  # text, emitted, path
+        self.autos: list[list[int]] = []
+        self.unwind_to: Optional[int] = None  # depth a given-up branch returns to
+
+    def leaf(self, ranks: list[int], path: list[int]) -> str:
+        emitted: list[int] = []
+        final = _assign_directions(self.g, ranks)
+        text = write_smiles(final, isomeric=True, ranks=ranks, emitted=emitted)
+        if self.first is None:
+            self.first = (text, emitted, path)
+            return text
+        first_text, first_emitted, first_path = self.first
+        if text != first_text:
+            return text
+        perm = [0] * len(emitted)
+        for x, y in zip(first_emitted, emitted):
+            perm[x] = y
+        if not _preserves_keys_and_bonds(self.g, self.keys, perm):
+            return text
+        self.autos.append(perm)
+        k = 0
+        while first_path[k] == path[k]:
+            k += 1
+        if all(perm[p] == p for p in path[:k]) and perm[first_path[k]] == path[k]:
+            self.unwind_to = k
+        return text
+
+    def smallest(self, ranks: list[int], path: list[int]) -> str:
+        cells: dict[int, list[int]] = {}
+        for i, r in enumerate(ranks):
+            cells.setdefault(r, []).append(i)
+        tied = [r for r, members in cells.items() if len(members) > 1]
+        if not tied:
+            return self.leaf(ranks, path)
+        members = cells[min(tied)]
+        candidates = members if self.budget[0] > 0 else members[:1]
+        # Orbits of the found automorphisms that fix ``path``, as a
+        # union-find forest over the atoms, grown as automorphisms arrive.
+        orbit = list(range(len(ranks)))
+        used = 0
+
+        def root(x: int) -> int:
+            while orbit[x] != x:
+                orbit[x] = x = orbit[orbit[x]]
+            return x
+
+        explored: list[int] = []
+        best: Optional[str] = None
+        for promoted in candidates:
+            if explored:
+                for perm in self.autos[used:]:
+                    if all(perm[p] == p for p in path):
+                        for x, y in enumerate(perm):
+                            orbit[root(x)] = root(y)
+                used = len(self.autos)
+                if any(root(promoted) == root(done) for done in explored):
+                    continue
+            self.budget[0] -= 1
+            seed = [(r, 0 if i == promoted else 1) for i, r in enumerate(ranks)]
+            result = self.smallest(_refine(self.g, seed, [promoted]), path + [promoted])
+            if self.unwind_to is not None:
+                if self.unwind_to < len(path):
+                    return result
+                self.unwind_to = None
+            explored.append(promoted)
+            if best is None or result < best:
+                best = result
+        assert best is not None
+        return best
+
+
+def _preserves_keys_and_bonds(g: MolecularGraph, keys: list[tuple], perm: list[int]) -> bool:
+    """True when the atom map ``perm`` keeps every atom key and bond order."""
+    if any(keys[perm[x]] != keys[x] for x in range(len(perm))):
+        return False
+    for bond in g.bonds:
+        image = g.bond_between(perm[bond.a], perm[bond.b])
+        if image is None or image.order != bond.order:
+            return False
+    return True
 
 
 def _assign_directions(g: MolecularGraph, ranks: list[int]) -> MolecularGraph:
@@ -888,6 +1040,12 @@ def canonicalize(s: Union[str, MolecularGraph]) -> str:
     neighbor H counts, qualifying Kekulé rings become aromatic (in the
     parse), and components are sorted, so equal molecules map to equal
     strings regardless of input atom order or ring-digit choices.
+
+    Each component is written as the smallest string over all leaves of
+    its canonical search. Branches that automorphisms map onto explored
+    ones are pruned, which leaves that minimum unchanged: a molecule whose
+    ties are all symmetries, such as tetra-tert-butylmethane, writes a
+    dozen leaves rather than tens of thousands.
     """
     g = s if isinstance(s, MolecularGraph) else parse_smiles(s)
     g = _fold_explicit_hydrogens(g)

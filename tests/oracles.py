@@ -11,7 +11,15 @@ import random
 
 import numpy as np
 
-from rxnscope.molgraph import AtomToken, Bond, MolecularGraph, renumber_chiral
+from rxnscope import smiles
+from rxnscope.molgraph import (
+    AtomToken,
+    Bond,
+    MolecularGraph,
+    connected_components,
+    renumber_chiral,
+    subgraph,
+)
 
 
 # --- exhaustive subgraph matching -----------------------------------------
@@ -52,6 +60,56 @@ def brute_force_matches(
         if ok:
             out.append({p: t for p, t in enumerate(combo)})
     return out
+
+
+# --- exhaustive canonical search ------------------------------------------
+
+def _dense(keys: list) -> list[int]:
+    lookup = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [lookup[k] for k in keys]
+
+
+def fixpoint_ranks(g: MolecularGraph, seed: list) -> list[int]:
+    """Re-rank every atom by (rank, sorted neighbour (order, rank) pairs)
+    until no cell splits."""
+    adj = g.adjacency()
+    ranks = _dense(seed)
+    while True:
+        keys = [
+            (ranks[i], tuple(sorted((smiles._ORDER_RANK[b.order], ranks[m]) for m, b in adj[i])))
+            for i in range(len(g.atoms))
+        ]
+        new_ranks = _dense(keys)
+        if new_ranks == ranks:
+            return ranks
+        ranks = new_ranks
+
+
+def _smallest_leaf(g: MolecularGraph, ranks: list[int]) -> str:
+    """The smallest string over every leaf of the individualize-and-refine
+    tree below ``ranks``: no pruning, no budget."""
+    cells: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        cells.setdefault(r, []).append(i)
+    tied = [r for r, members in cells.items() if len(members) > 1]
+    if not tied:
+        return smiles.write_smiles(smiles._assign_directions(g, ranks), ranks=ranks)
+    return min(
+        _smallest_leaf(g, fixpoint_ranks(g, [(r, 0 if i == v else 1) for i, r in enumerate(ranks)]))
+        for v in cells[min(tied)]
+    )
+
+
+def exhaustive_canonical(s: str | MolecularGraph) -> str:
+    """``canonicalize`` by the exhaustive search: the smallest string any
+    leaf writes, per component, components sorted."""
+    g = s if isinstance(s, MolecularGraph) else smiles.parse_smiles(s)
+    g = smiles._fold_explicit_hydrogens(g)
+    pieces = []
+    for comp in connected_components(g):
+        sub = subgraph(g, comp, label=None, role="unknown", provenance={})
+        pieces.append(_smallest_leaf(sub, fixpoint_ranks(sub, smiles._initial_keys(sub))))
+    return ".".join(sorted(pieces))
 
 
 # --- wedge perception via numpy --------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -17,7 +19,22 @@ from rxnscope.smiles import (
 )
 
 from corpus import MOLECULES
-from oracles import renumbered
+from oracles import exhaustive_canonical, fixpoint_ranks, random_molecular_graph, renumbered
+
+# Symmetric and stereo molecules: ties the canonical search must break.
+STRESS = {
+    "B27 (fig2 catalyst)": "OC(c1cc(C(F)(F)F)cc(C(F)(F)F)c1)(c1cc(C(F)(F)F)cc(C(F)(F)F)c1)[C@@H]1CCCN1C",
+    "tetra-tert-butylmethane": "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+    "1,3,5-tri-tert-butylbenzene": "CC(C)(C)c1cc(C(C)(C)C)cc(C(C)(C)C)c1",
+    "3,5-bis-CF3-phenyl product": (
+        "CC[C@]1(c2cc(C(F)(F)F)cc(C(F)(F)F)c2)O[C@H](c2ccccc2Cl)N(S(=O)(=O)c2ccc(C)cc2)C1=O"
+    ),
+    "cis-inositol": "O[C@H]1[C@@H](O)[C@@H](O)[C@@H](O)[C@@H](O)[C@H]1O",
+    "scyllo-inositol": "O[C@H]1[C@H](O)[C@@H](O)[C@H](O)[C@@H](O)[C@@H]1O",
+    "inositol, mixed A": "O[C@H]1[C@H](O)[C@H](O)[C@H](O)[C@@H](O)[C@@H]1O",
+    "inositol, mixed B": "O[C@H]1[C@H](O)[C@H](O)[C@@H](O)[C@H](O)[C@H]1O",
+    "F/C=C/C=C/F": "F/C=C/C=C/F",
+}
 
 
 class TestParseScope:
@@ -108,6 +125,12 @@ class TestParse:
             parse_smiles("CCXC")
         assert "offset 2" in str(err.value)
 
+    def test_offset_counts_leading_blanks(self):
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles("  CCXC")
+        assert err.value.offset == 4
+        assert "(offset 4)" in str(err.value)
+
     @pytest.mark.parametrize(
         "bad,offset",
         [
@@ -143,6 +166,21 @@ class TestWrite:
         g = parse_smiles("N[C@@H](C)O")
         assert "@" not in write_smiles(g, isomeric=False)
         assert "@" in write_smiles(g, isomeric=True)
+
+
+class TestLongChains:
+    """Writing and canonicalizing take no recursion per atom."""
+
+    def test_write_2000_atom_chain(self):
+        chain = "C" * 2000
+        out = write_smiles(parse_smiles(chain))
+        assert isinstance(out, str) and out == chain
+        branched = "C(O)" * 1000 + "C"
+        assert write_smiles(parse_smiles(branched)) == branched
+
+    def test_canonicalize_2000_atom_chain(self):
+        out = canonicalize("C" * 2000)
+        assert isinstance(out, str) and out == "C" * 2000
 
 
 class TestCanonicalize:
@@ -260,6 +298,82 @@ class TestIsValid:
     def test_graph_input_matches_text(self):
         for s in MOLECULES:
             assert is_valid(parse_smiles(s)) == is_valid(s), s
+
+
+# The exhaustive search takes seconds on B27, which two tests check.
+exhaustive_text = lru_cache(maxsize=None)(exhaustive_canonical)
+
+
+class TestOrbitPruning:
+    """The pruned search returns what the exhaustive search returns."""
+
+    def test_matches_exhaustive_search_on_fig2(self, fig2_bundle):
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        texts = {
+            e["smiles"]
+            for r in golden["reactions"]
+            for e in r["reactants"] + r["products"] + r["conditions"]
+            if e.get("smiles")
+        }
+        assert len(texts) == 18
+        for s in sorted(texts):
+            assert canonicalize(s) == exhaustive_text(s), s
+
+    def test_refinement_matches_the_fixpoint_reference(self):
+        graphs = [parse_smiles(s) for s in MOLECULES + list(STRESS.values()) + ["C" * 60]]
+        graphs += [random_molecular_graph(random.Random(seed), 16) for seed in range(150)]
+        for g in graphs:
+            ranks = fixpoint_ranks(g, smiles._initial_keys(g))
+            assert smiles._refine(g, smiles._initial_keys(g)) == ranks
+            for v in range(len(g.atoms)):
+                seed = [(r, 0 if i == v else 1) for i, r in enumerate(ranks)]
+                assert smiles._refine(g, seed, [v]) == fixpoint_ranks(g, seed)
+
+    def test_matches_exhaustive_search_on_random_graphs(self):
+        for seed in range(200):
+            g = random_molecular_graph(random.Random(seed), 12)
+            assert canonicalize(g) == exhaustive_canonical(g), seed
+
+    def test_matches_exhaustive_search_on_corpus(self):
+        rng = random.Random(8)
+        for s in MOLECULES + [STRESS[name] for name in STRESS if "inositol" in name]:
+            g = parse_smiles(s)
+            assert canonicalize(g) == exhaustive_canonical(g), s
+            for _ in range(4):
+                perm = list(range(len(g.atoms)))
+                rng.shuffle(perm)
+                h = renumbered(g, perm)
+                assert canonicalize(h) == exhaustive_canonical(h), (s, perm)
+
+    @pytest.mark.parametrize("name", sorted(STRESS))
+    def test_matches_exhaustive_search_on_stress_set(self, name):
+        assert canonicalize(STRESS[name]) == exhaustive_text(STRESS[name])
+
+    @pytest.mark.parametrize("name", sorted(STRESS))
+    def test_permutation_invariance(self, name):
+        g = parse_smiles(STRESS[name])
+        forms = set()
+        rng = random.Random(name)
+        for _ in range(6):
+            perm = list(range(len(g.atoms)))
+            rng.shuffle(perm)
+            forms.add(canonicalize(renumbered(g, perm)))
+        assert forms == {canonicalize(g)}
+
+    @pytest.mark.parametrize("name", ["B27 (fig2 catalyst)", "tetra-tert-butylmethane"])
+    def test_few_leaves_on_symmetric_molecules(self, name, monkeypatch):
+        # The exhaustive search writes 10,368 leaves for B27 and 31,104 for
+        # tetra-tert-butylmethane.
+        leaves = []
+        write = smiles.write_smiles
+
+        def counting(*args, **kwargs):
+            leaves.append(1)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(smiles, "write_smiles", counting)
+        canonicalize(STRESS[name])
+        assert 0 < len(leaves) <= 64
 
 
 def test_automorphism_count_does_not_blow_up():
