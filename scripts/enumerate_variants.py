@@ -17,6 +17,8 @@ import json
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from rxnscope.chemops import AbbreviationTable
 from rxnscope.reaction import parse_rgroup_table
 from rxnscope.rgroup import substitute_placeholders

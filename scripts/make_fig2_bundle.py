@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rxnscope.agents import Bundle, ScriptedBackend, execute_plan, plan_extraction
 from rxnscope.molgraph import graph_to_json

@@ -4,7 +4,8 @@ Three concerns live here: the shorthand table that maps drawing tokens like
 "Ts" or "OMe" to attachable fragments, a condensed-formula reader for tokens
 the table does not list ("2-ClC6H4", "SO2Me"), and wedge/coordinate stereo
 perception that turns 2D depictions into chiral tags and double-bond
-geometry.
+geometry.  Fragments, and how they are cut and grafted, belong to
+:mod:`rxnscope.molgraph`; hydrogen counts come from :mod:`rxnscope.smiles`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
@@ -21,14 +22,15 @@ from .molgraph import (
     ELEMENTS,
     AtomToken,
     Bond,
+    Fragment,
     GraphError,
     MolecularGraph,
     RxnscopeError,
     chain_cis_trans,
     connected_components,
-    subgraph,
+    ring_bonds,
 )
-from .smiles import _ORDER_VALUE, VALENCES, parse_smiles
+from .smiles import VALENCES, implicit_h_count, parse_smiles
 
 HALOGENS = ("F", "Cl", "Br", "I")
 
@@ -39,18 +41,6 @@ class FormulaError(RxnscopeError, ValueError):
 
 class StereoPerceptionError(RxnscopeError, ValueError):
     """Raised when depiction stereo input is unusable (e.g. missing coords)."""
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A connected graph plus the atom index where it attaches."""
-
-    graph: MolecularGraph
-    attachment: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.attachment < len(self.graph.atoms)):
-            raise GraphError(f"attachment index {self.attachment} out of range")
 
 
 def _fragment_from_marked_smiles(token: str, smiles_text: str) -> Fragment:
@@ -68,12 +58,10 @@ def _fragment_from_marked_smiles(token: str, smiles_text: str) -> Fragment:
     mates = g.neighbors(marker)
     if len(mates) != 1:
         raise GraphError(f"abbreviation {token!r}: marker must have one neighbor")
-    keep = [i for i in range(len(g.atoms)) if i != marker]
-    frag_graph = subgraph(g, keep, label=None, role="unknown")
-    order = list(frag_graph.provenance["index_map"])
-    if len(connected_components(frag_graph)) != 1:
+    fragment = Fragment.cut(g, (i for i in range(len(g.atoms)) if i != marker), mates[0])
+    if len(connected_components(fragment.graph)) != 1:
         raise GraphError(f"abbreviation {token!r} expands to a disconnected fragment")
-    return Fragment(graph=frag_graph, attachment=order.index(mates[0]))
+    return fragment
 
 
 class AbbreviationTable:
@@ -179,20 +167,10 @@ def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[F
             group = _group_fragment(m.group("grp"), table)
         except FormulaError:
             continue
-        atoms: list[AtomToken] = [
-            AtomToken(kind="element", text="C", aromatic=True) for _ in range(6)
-        ]
-        bonds: list[Bond] = [
-            Bond(a=i, b=(i + 1) % 6, order="aromatic") for i in range(6)
-        ]
+        atoms = [AtomToken(kind="element", text="C", aromatic=True) for _ in range(6)]
+        bonds = [Bond(a=i, b=(i + 1) % 6, order="aromatic") for i in range(6)]
         for k in locants:
-            ring_pos = k - 1
-            offset = len(atoms)
-            for atom in group.graph.atoms:
-                atoms.append(replace(atom, coords=None))
-            for bond in group.graph.bonds:
-                bonds.append(replace(bond, a=bond.a + offset, b=bond.b + offset))
-            bonds.append(Bond(a=ring_pos, b=group.attachment + offset, order="single"))
+            bonds.append(Bond(a=k - 1, b=group.graft_onto(atoms, bonds)))
         return Fragment(graph=MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)), attachment=0)
     return None
 
@@ -211,15 +189,6 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
     def add_atom(symbol: str) -> int:
         atoms.append(AtomToken(kind="element", text=symbol))
         return len(atoms) - 1
-
-    def attach_fragment(frag: Fragment, parent: int) -> int:
-        offset = len(atoms)
-        for atom in frag.graph.atoms:
-            atoms.append(replace(atom, coords=None))
-        for bond in frag.graph.bonds:
-            bonds.append(replace(bond, a=bond.a + offset, b=bond.b + offset))
-        bonds.append(Bond(a=parent, b=frag.attachment + offset, order="single"))
-        return frag.attachment + offset
 
     pos = 0
     backbone: Optional[int] = None
@@ -259,7 +228,7 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
                 raise FormulaError(f"{text!r} starts with a parenthesized group")
             frag = _group_fragment(inner, table)
             for _ in range(count):
-                attach_fragment(frag, backbone)
+                bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds)))
             continue
         if m.group("group"):
             token = m.group("group")
@@ -267,11 +236,10 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
             if backbone is None:
                 raise FormulaError(f"{text!r} starts with a chain shorthand")
             frag = _group_fragment(token, table)
-            last = None
             for _ in range(count):
-                last = attach_fragment(frag, backbone)
-            if count == 1 and last is not None:
-                backbone = last
+                bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds)))
+            if count == 1:
+                backbone = bonds[-1].b
             continue
         symbol = m.group("elem")
         count = read_count()
@@ -354,20 +322,6 @@ def expand_abbreviation(
 # ---------------------------------------------------------------------------
 
 
-def _implicit_h_count(g: MolecularGraph, idx: int) -> int:
-    atom = g.atoms[idx]
-    if atom.explicit_h is not None:
-        return atom.explicit_h
-    if atom.kind != "element" or atom.text not in VALENCES:
-        return 0
-    used = math.ceil(sum(_ORDER_VALUE[b.order] for _, b in g.adjacency()[idx]))
-    allowed = sorted(v + atom.charge for v in VALENCES[atom.text])
-    for v in allowed:
-        if v >= used:
-            return v - used
-    return 0
-
-
 def _det3(m: list[list[float]]) -> float:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -418,24 +372,6 @@ def _tag_from_wedge(
     return "@" if volume < 0 else "@@"
 
 
-def _bond_in_ring(g: MolecularGraph, bond: Bond) -> bool:
-    adj = g.adjacency()
-    target = {bond.a, bond.b}
-    seen = {bond.a}
-    stack = [bond.a]
-    while stack:
-        cur = stack.pop()
-        for mate, b in adj[cur]:
-            if {b.a, b.b} == target:
-                continue
-            if mate == bond.b:
-                return True
-            if mate not in seen:
-                seen.add(mate)
-                stack.append(mate)
-    return False
-
-
 def _cross_side(
     tail: tuple[float, float], head: tuple[float, float], point: tuple[float, float]
 ) -> float:
@@ -470,7 +406,7 @@ def perceive_stereo(g: MolecularGraph) -> tuple[MolecularGraph, list[str]]:
             warnings.append(f"wedge at atom {center} with {len(mates)} neighbors ignored")
             continue
         # Three neighbors and no H: the lone pair stands in, order keeps three slots.
-        has_h_slot = len(mates) == 3 and _implicit_h_count(g, center) == 1
+        has_h_slot = len(mates) == 3 and implicit_h_count(g, center) == 1
         order = tuple(mates + [-1] if has_h_slot else mates)
         tags = set()
         for wedge_bond in wedge_bonds:
@@ -490,12 +426,11 @@ def perceive_stereo(g: MolecularGraph) -> tuple[MolecularGraph, list[str]]:
     # Collect geometry facts first, then chain them: a conjugated chain
     # shares reference bonds between double bonds.
     facts = []
-    for bond in g.bonds:
-        if bond.order != "double":
+    ring = ring_bonds(g)
+    for pos, bond in enumerate(g.bonds):
+        if bond.order != "double" or pos in ring:
             continue
         if any(atoms[e].coords is None for e in (bond.a, bond.b)):
-            continue
-        if _bond_in_ring(g, bond):
             continue
         refs: dict[int, int] = {}
         ok = True

@@ -17,6 +17,11 @@ Stereo bookkeeping is written once, here: :meth:`Bond.away` and
 :meth:`Bond.with_away` orient cis/trans marks, :func:`chain_cis_trans`
 turns double-bond geometry facts into marks, and :func:`renumber_chiral`
 carries a chiral neighbour order through any atom renumbering.
+
+So is fragment surgery: a :class:`Fragment` (a graph plus its attachment
+atom) has one :meth:`~Fragment.cut` and one :meth:`~Fragment.graft_onto`,
+used by the abbreviation table, the formula reader and the splice.  Ring
+membership is :func:`ring_bonds`.
 """
 
 from __future__ import annotations
@@ -331,6 +336,45 @@ def connected_components(g: MolecularGraph) -> list[list[int]]:
     return components
 
 
+def ring_bonds(g: MolecularGraph, keep: Callable[[Bond], bool] = lambda bond: True) -> set[int]:
+    """Positions in ``g.bonds`` of the kept bonds that lie on a cycle of kept bonds.
+
+    Linear time: one depth-first search finds the bridges (Tarjan, 1974)
+    and every other kept bond lies on a cycle.  Bonds joining the same
+    pair count as one bond.
+    """
+    adj = [[mate for mate, bond in row if keep(bond)] for row in g.adjacency()]
+    disc: dict[int, int] = {}  # atom -> discovery time
+    low: dict[int, int] = {}  # atom -> earliest discovery time reachable below it
+    bridges: set[tuple[int, int]] = set()
+    for root, row in enumerate(adj):
+        if not row or root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, -1, iter(row))]
+        while stack:
+            cur, parent, mates = stack[-1]
+            for mate in mates:
+                if mate == parent:
+                    continue
+                if mate not in disc:
+                    disc[mate] = low[mate] = len(disc)
+                    stack.append((mate, cur, iter(adj[mate])))
+                    break
+                low[cur] = min(low[cur], disc[mate])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[cur])
+                    if low[cur] > disc[parent]:
+                        bridges.add(_pair(parent, cur))
+    return {
+        pos
+        for pos, bond in enumerate(g.bonds)
+        if keep(bond) and _pair(bond.a, bond.b) not in bridges
+    }
+
+
 def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> MolecularGraph:
     """Induced subgraph over ``indices``; records old indices in provenance."""
     index_list = sorted(set(indices))
@@ -384,28 +428,43 @@ def main_component(g: MolecularGraph) -> MolecularGraph:
     return subgraph(g, best)
 
 
-def induced_fragment(g: MolecularGraph, root_atoms: Iterable[int], attachment: int) -> MolecularGraph:
-    """Induced subgraph over ``root_atoms`` with ``attachment`` recorded.
+@dataclass(frozen=True)
+class Fragment:
+    """A connected graph plus the atom index where it attaches.
 
-    The attachment atom index is re-expressed in the fragment's own
-    numbering and stored under provenance key ``attachment``.
+    Every move of a substituent between graphs is one :meth:`cut` out of a
+    graph and one :meth:`graft_onto` the atom and bond lists of another.
     """
-    roots = sorted(set(root_atoms))
-    if attachment not in roots:
-        raise GraphError(f"attachment atom {attachment} not among fragment atoms")
-    frag = subgraph(g, roots, label=None, role="unknown")
-    order = list(frag.provenance["index_map"])
-    new_attachment = order.index(attachment)
-    provenance = dict(frag.provenance)
-    provenance["attachment"] = new_attachment
-    return replace(frag, provenance=provenance)
 
+    graph: MolecularGraph
+    attachment: int
 
-def fragment_attachment(frag: MolecularGraph) -> int:
-    att = frag.provenance.get("attachment")
-    if att is None:
-        raise GraphError("fragment has no recorded attachment atom")
-    return int(att)
+    def __post_init__(self) -> None:
+        if not (0 <= self.attachment < len(self.graph.atoms)):
+            raise GraphError(f"attachment index {self.attachment} out of range")
+
+    @classmethod
+    def cut(cls, g: MolecularGraph, atoms: Iterable[int], attachment: int) -> "Fragment":
+        """The induced subgraph of ``g`` over ``atoms``, attached at ``attachment``."""
+        graph = subgraph(g, atoms, label=None, role="unknown")
+        kept = graph.provenance["index_map"]
+        if attachment not in kept:
+            raise GraphError(f"attachment atom {attachment} not among fragment atoms")
+        return cls(graph, kept.index(attachment))
+
+    def graft_onto(self, atoms: list[AtomToken], bonds: list[Bond]) -> int:
+        """Append this fragment to ``atoms`` and ``bonds``; return where it attaches.
+
+        The copies drop their coordinates, which belong to another drawing,
+        and keep their chiral orders, renumbered to the new positions.
+        """
+        offset = len(atoms)
+        for atom in self.graph.atoms:
+            if atom.chiral_order is not None:
+                atom = renumber_chiral(atom, lambda ref: ref + offset)
+            atoms.append(atom if atom.coords is None else replace(atom, coords=None))
+        bonds.extend(replace(b, a=b.a + offset, b=b.b + offset) for b in self.graph.bonds)
+        return offset + self.attachment
 
 
 def permutation_parity(src: Iterable[int], dst: Iterable[int]) -> int:

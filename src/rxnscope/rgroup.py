@@ -11,12 +11,12 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
-from .chemops import AbbreviationTable, AliasRegistry, Fragment, expand_abbreviation
+from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
 from .molgraph import (
+    Bond,
+    Fragment,
     GraphError,
     MolecularGraph,
-    fragment_attachment,
-    induced_fragment,
     main_component,
     renumber_chiral,
     validate_graph,
@@ -66,73 +66,46 @@ class ReactionTemplate:
         return frozenset(labels)
 
 
-def splice_fragment(g: MolecularGraph, at: int, fragment: Fragment) -> MolecularGraph:
-    """Replace atom ``at`` with ``fragment``, rewiring its bonds.
+def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> MolecularGraph:
+    """Replace each atom ``at`` of ``g`` with ``fragments[at]``, in one pass.
 
-    Every bond that touched the removed atom is redirected onto the
-    fragment's attachment atom; wedge and direction marks on those bonds
-    are dropped, since the depiction geometry they encode no longer
-    applies to the new substituent.
+    Kept atoms keep their order and the fragments follow, highest replaced
+    index first.  A bond that touched a replaced atom now ends at that
+    fragment's attachment, written (other end, attachment) with the lower
+    replaced atom as "attachment" when both ends were replaced; it loses
+    its wedge and direction marks, whose geometry belonged to the replaced
+    atom.  Nothing to replace returns ``g`` itself.
     """
-    if not 0 <= at < len(g.atoms):
-        raise GraphError(f"splice index {at} out of range")
-
-    def shift(idx: int) -> int:
-        return idx if idx < at else idx - 1
-
-    offset = len(g.atoms) - 1
-    attachment = offset + fragment.attachment
-
-    def rewire(ref: int) -> int:
-        return attachment if ref == at else shift(ref)
-
-    # Only atoms that carry a chiral order pay for the renumbering call.
-    atoms = [
-        atom if atom.chiral_order is None else renumber_chiral(atom, rewire)
-        for i, atom in enumerate(g.atoms)
-        if i != at
-    ]
-    for atom in fragment.graph.atoms:
+    if not fragments:
+        return g
+    if any(not 0 <= at < len(g.atoms) for at in fragments):
+        raise GraphError(f"splice index out of range in {sorted(fragments)}")
+    kept = [i for i in range(len(g.atoms)) if i not in fragments]
+    new_index = {old: new for new, old in enumerate(kept)}
+    atoms = [g.atoms[i] for i in kept]
+    grafted: list[Bond] = []
+    for at in sorted(fragments, reverse=True):
+        new_index[at] = fragments[at].graft_onto(atoms, grafted)
+    for pos, atom in enumerate(atoms[: len(kept)]):
         if atom.chiral_order is not None:
-            atom = renumber_chiral(atom, lambda ref: ref + offset)
-        atoms.append(replace(atom, coords=None))
+            atoms[pos] = renumber_chiral(atom, new_index.get)
 
     bonds = []
-    seen_pairs: set[frozenset[int]] = set()
-
-    def push(bond) -> None:
-        key = frozenset((bond.a, bond.b))
-        if key in seen_pairs:
-            raise GraphError(
-                f"splice at atom {at} would create a duplicate bond {bond.a}-{bond.b}"
-            )
-        seen_pairs.add(key)
-        bonds.append(bond)
-
     for bond in g.bonds:
-        if at in (bond.a, bond.b):
-            other = shift(bond.other(at))
-            push(
-                replace(
-                    bond, a=other, b=attachment, wedge="none", direction=None
-                )
-            )
+        if bond.a not in new_index or bond.b not in new_index:
+            raise GraphError(f"bond {bond.a}-{bond.b} has an endpoint out of range")
+        ends = [end for end in (bond.a, bond.b) if end in fragments]
+        if ends:
+            b = min(ends)
+            a = bond.other(b)
+            bond = replace(bond, a=new_index[a], b=new_index[b], wedge="none", direction=None)
         else:
-            push(replace(bond, a=shift(bond.a), b=shift(bond.b)))
-    for bond in fragment.graph.bonds:
-        push(replace(bond, a=bond.a + offset, b=bond.b + offset))
-
+            bond = replace(bond, a=new_index[bond.a], b=new_index[bond.b])
+        bonds.append(bond)
+    bonds += grafted
+    if len({frozenset((b.a, b.b)) for b in bonds}) != len(bonds):
+        raise GraphError("splice would create a duplicate bond")
     return replace(g, atoms=tuple(atoms), bonds=tuple(bonds), provenance={})
-
-
-def _resolve_binding(
-    value: Binding,
-    table: Optional[AbbreviationTable],
-    registry: Optional[AliasRegistry],
-) -> Fragment:
-    if isinstance(value, Fragment):
-        return value
-    return expand_abbreviation(value, table, registry)
 
 
 def substitute_placeholders(
@@ -145,17 +118,18 @@ def substitute_placeholders(
 
     Placeholders whose label has no binding stay in place. Bindings may
     be ready-made fragments or abbreviation tokens; token expansion never
-    fails (unknown tokens become aliased wildcards).
+    fails (unknown tokens become aliased wildcards).  Tokens expand from
+    the highest atom index down, which fixes the order of alias numbers.
     """
-    target_indices = [
-        i
-        for i in g.placeholder_indices()
-        if g.atoms[i].label in assignment
-    ]
-    out = g
-    for at in sorted(target_indices, reverse=True):
-        fragment = _resolve_binding(assignment[g.atoms[at].label], table, registry)
-        out = splice_fragment(out, at, fragment)
+    fragments = {}
+    for at in reversed(g.placeholder_indices()):
+        label = g.atoms[at].label
+        if label in assignment:
+            value = assignment[label]
+            if not isinstance(value, Fragment):
+                value = expand_abbreviation(value, table, registry)
+            fragments[at] = value
+    out = splice_fragment(g, fragments)
     violations = validate_graph(out)
     if violations:
         raise GraphError(f"substitution produced an invalid graph: {violations[0]}")
@@ -168,12 +142,9 @@ def expand_abbreviations(
     registry: Optional[AliasRegistry] = None,
 ) -> MolecularGraph:
     """Replace every abbreviation atom with its expanded fragment."""
-    targets = [i for i, atom in enumerate(g.atoms) if atom.kind == "abbreviation"]
-    out = g
-    for at in sorted(targets, reverse=True):
-        fragment = expand_abbreviation(g.atoms[at].text, table, registry)
-        out = splice_fragment(out, at, fragment)
-    return out
+    targets = reversed([i for i, atom in enumerate(g.atoms) if atom.kind == "abbreviation"])
+    fragments = {at: expand_abbreviation(g.atoms[at].text, table, registry) for at in targets}
+    return splice_fragment(g, fragments)
 
 
 def extract_rgroup_fragments(
@@ -188,8 +159,7 @@ def extract_rgroup_fragments(
     bindings: dict[str, Fragment] = {}
     for p, root_atoms in roots.items():
         label = product_template.atoms[p].label
-        frag_graph = induced_fragment(product_variant, root_atoms, mapping[p])
-        fragment = Fragment(graph=frag_graph, attachment=fragment_attachment(frag_graph))
+        fragment = Fragment.cut(product_variant, root_atoms, mapping[p])
         if label in bindings:
             if canonicalize(bindings[label].graph) != canonicalize(fragment.graph):
                 log.warning(

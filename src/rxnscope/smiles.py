@@ -31,6 +31,7 @@ from .molgraph import (
     is_placeholder_label,
     permutation_parity,
     renumber_chiral,
+    ring_bonds,
     subgraph,
 )
 
@@ -380,21 +381,12 @@ def _check_aromatic_rings(g: MolecularGraph, recs: list[_AtomRec]) -> None:
     flagged = {i for i, a in enumerate(g.atoms) if a.aromatic}
     if not flagged:
         return
-    adj = g.adjacency()
-    degree = {
-        i: {m for m, b in adj[i] if b.order == "aromatic" and m in flagged} for i in flagged
-    }
-    # Iteratively strip leaves; whatever survives lies on an aromatic cycle.
-    changed = True
-    alive = set(flagged)
-    while changed:
-        changed = False
-        for i in list(alive):
-            mates = degree[i] & alive
-            if len(mates) < 2:
-                alive.discard(i)
-                changed = True
-    dead = flagged - alive
+    # An aromatic atom needs an aromatic bond on a cycle of aromatic bonds;
+    # a chain of them between two rings does not qualify.
+    cycle = ring_bonds(
+        g, lambda b: b.order == "aromatic" and b.a in flagged and b.b in flagged
+    )
+    dead = flagged - {end for pos in cycle for end in (g.bonds[pos].a, g.bonds[pos].b)}
     if dead:
         atom = min(dead)
         raise SmilesParseError(
@@ -1062,23 +1054,45 @@ def canonicalize(s: Union[str, MolecularGraph]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _implied_valence_units(g: MolecularGraph, idx: int) -> float:
+def _valence(g: MolecularGraph, idx: int) -> tuple[int, list[int]]:
+    """Bond valence of atom ``idx`` and its allowed valences, ascending.
+
+    An aromatic atom counts each aromatic bond once plus the pi electron it
+    gives its ring: one for carbon and pyridine-type N/P, none for
+    pyrrole-type N, furan O or thiophene S.  Charge shifts the allowed
+    valences; atoms outside :data:`VALENCES` have none.
+    """
     atom = g.atoms[idx]
+    if atom.kind != "element" or atom.text not in VALENCES:
+        return 0, []
     adj = g.adjacency()[idx]
-    if atom.aromatic:
-        aromatic_bonds = sum(1 for _, b in adj if b.order == "aromatic")
-        other = sum(_ORDER_VALUE[b.order] for _, b in adj if b.order != "aromatic")
-        pi = 0
-        if atom.text == "C":
-            pi = 1
-        elif atom.text in ("N", "P"):
-            # Pyridine-type N contributes a pi electron; pyrrole-type does not.
-            if (atom.explicit_h in (None, 0)) and len(adj) == 2 and atom.charge == 0:
-                pi = 1
-            elif atom.charge == 1 and (atom.explicit_h or len(adj) == 3):
-                pi = 1
-        return aromatic_bonds + other + pi
-    return sum(_ORDER_VALUE[b.order] for _, b in adj)
+    allowed = sorted(v + atom.charge for v in VALENCES[atom.text] if v + atom.charge >= 0)
+    if not atom.aromatic:
+        return math.ceil(sum(_ORDER_VALUE[b.order] for _, b in adj)), allowed
+    used = sum(1 if b.order == "aromatic" else _ORDER_VALUE[b.order] for _, b in adj)
+    if atom.text == "C":
+        used += 1
+    elif atom.text in ("N", "P"):
+        # Pyridine-type N contributes a pi electron; pyrrole-type does not.
+        if (atom.explicit_h in (None, 0)) and len(adj) == 2 and atom.charge == 0:
+            used += 1
+        elif atom.charge == 1 and (atom.explicit_h or len(adj) == 3):
+            used += 1
+    return math.ceil(used), allowed
+
+
+def implicit_h_count(g: MolecularGraph, idx: int) -> Optional[int]:
+    """Hydrogens on atom ``idx`` beyond its drawn bonds.
+
+    A bracket count is taken as written; otherwise the fewest that bring
+    the bond valence up to an allowed valence.  None when none does, or
+    the atom has no valence model (placeholders, unlisted elements).
+    """
+    atom = g.atoms[idx]
+    if atom.explicit_h is not None:
+        return atom.explicit_h
+    used, allowed = _valence(g, idx)
+    return next((v - used for v in allowed if v >= used), None)
 
 
 def is_valid(s: Union[str, MolecularGraph]) -> bool:
@@ -1091,19 +1105,10 @@ def is_valid(s: Union[str, MolecularGraph]) -> bool:
     except SmilesParseError:
         return False
     for idx, atom in enumerate(g.atoms):
-        if atom.kind != "element":
-            return False
-        if atom.text not in VALENCES:
-            return False
-        allowed = sorted(v + atom.charge for v in VALENCES[atom.text])
-        allowed = [v for v in allowed if v >= 0]
-        if not allowed:
-            return False
-        used = math.ceil(_implied_valence_units(g, idx))
-        if atom.explicit_h is not None:
-            if used + atom.explicit_h not in allowed:
+        used, allowed = _valence(g, idx)
+        if atom.explicit_h is None:
+            if not allowed or used > allowed[-1]:
                 return False
-        else:
-            if used > max(allowed):
-                return False
+        elif used + atom.explicit_h not in allowed:
+            return False
     return True

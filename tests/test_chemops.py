@@ -106,6 +106,20 @@ class TestCondensedFormula:
         got = plug("[Ar]C", Ar="3,5-(CF3)2C6H3")
         assert got == canonicalize("Cc1cc(C(F)(F)F)cc(C(F)(F)F)c1")
 
+    @pytest.mark.parametrize(
+        "formula,expected",
+        [
+            ("4-FooC6H4", "c1ccc(cc1)C[C@H](F)Cl"),
+            ("CH2(Foo)", "[CH2]C[C@H](F)Cl"),
+            ("N(Foo)2", "N(C[C@H](F)Cl)C[C@H](F)Cl"),
+        ],
+    )
+    def test_table_group_keeps_its_chiral_tag(self, formula, expected):
+        frag = parse_condensed_formula(formula, AbbreviationTable({"Foo": "*C[C@H](F)Cl"}))
+        got = canonicalize(write_smiles(frag.graph, isomeric=True))
+        assert got == canonicalize(expected)
+        assert got != canonicalize(expected.replace("@", "@@"))
+
     @pytest.mark.parametrize("bad", ["XYZ", "nPr", "", "C6", "9-BrC6H4"])
     def test_rejects_non_formula(self, bad):
         with pytest.raises(FormulaError):

@@ -7,17 +7,17 @@ from hypothesis import given, strategies as st
 from rxnscope.molgraph import (
     AtomToken,
     Bond,
+    Fragment,
     GraphError,
     MolecularGraph,
     connected_components,
-    fragment_attachment,
     graph_from_json,
     graph_to_json,
-    induced_fragment,
     is_placeholder_label,
     main_component,
     normalize_chiral_orders,
     permutation_parity,
+    ring_bonds,
     subgraph,
     validate_graph,
 )
@@ -76,6 +76,39 @@ class TestBond:
         assert b.other(7) == 3
         with pytest.raises(GraphError):
             b.other(5)
+
+
+def _on_cycle_by_deletion(g: MolecularGraph, pos: int) -> bool:
+    """Oracle: a bond lies on a cycle iff its ends stay connected without it."""
+    bond = g.bonds[pos]
+    rest = [b for i, b in enumerate(g.bonds) if i != pos and {b.a, b.b} != {bond.a, bond.b}]
+    pruned = MolecularGraph(atoms=g.atoms, bonds=rest)
+    return any(bond.a in comp and bond.b in comp for comp in connected_components(pruned))
+
+
+class TestRingBonds:
+    def test_bridge_between_rings_is_not_a_ring_bond(self):
+        g = parse_smiles("C1CC1CCC1CC1")
+        ring = ring_bonds(g)
+        assert {tuple(sorted((g.bonds[p].a, g.bonds[p].b))) for p in ring} == {
+            (0, 1), (1, 2), (0, 2), (5, 6), (6, 7), (5, 7)
+        }
+
+    def test_keep_restricts_the_cycles(self):
+        g = parse_smiles("C1=CCC1")
+        assert ring_bonds(g, lambda b: b.order == "single") == set()
+        assert len(ring_bonds(g)) == 4
+
+    def test_agrees_with_deletion_oracle(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = random_molecular_graph(rng, max_atoms=12)
+            expected = {p for p in range(len(g.bonds)) if _on_cycle_by_deletion(g, p)}
+            assert ring_bonds(g) == expected
+
+    def test_long_chain_needs_no_recursion(self):
+        g = parse_smiles("C" * 5000 + "1CCC1")
+        assert len(ring_bonds(g)) == 4
 
 
 class TestValidateGraph:
@@ -203,15 +236,33 @@ class TestSubgraph:
 
     def test_fragment_attachment_round_trip(self):
         g = parse_smiles("CCc1ccccc1")
-        frag = induced_fragment(g, [0, 1], 1)
-        assert fragment_attachment(frag) == list(frag.provenance["index_map"]).index(1)
-        with pytest.raises(GraphError):
-            induced_fragment(g, [0, 1], 5)
+        frag = Fragment.cut(g, [1, 0], 1)
+        assert frag.attachment == list(frag.graph.provenance["index_map"]).index(1)
+        phenyl = Fragment.cut(g, range(2, 8), 2)
+        assert (phenyl.attachment, write_smiles(phenyl.graph)) == (0, "c1ccccc1")
+        # Grafting the phenyl back onto the ethyl rebuilds the molecule.
+        atoms, bonds = list(frag.graph.atoms), list(frag.graph.bonds)
+        bonds.append(Bond(a=frag.attachment, b=phenyl.graft_onto(atoms, bonds)))
+        assert canonicalize(MolecularGraph(atoms=atoms, bonds=bonds)) == canonicalize(g)
 
     def test_attachment_missing(self):
         g = parse_smiles("CC")
         with pytest.raises(GraphError):
-            fragment_attachment(subgraph(g, [0, 1]))
+            Fragment.cut(g, [0, 1], 5)
+        with pytest.raises(GraphError):
+            Fragment(g, 2)
+
+    def test_graft_renumbers_chiral_orders_and_drops_coords(self):
+        g = parse_smiles("C[C@H](F)Cl")
+        g = replace(g, atoms=tuple(replace(a, coords=(1.0, 2.0)) for a in g.atoms))
+        fragment = Fragment(g, 0)
+        atoms, bonds = [carbon(), carbon()], [Bond(a=0, b=1)]
+        assert fragment.graft_onto(atoms, bonds) == 2
+        assert atoms[3].chiral_order == tuple(
+            -1 if ref < 0 else ref + 2 for ref in g.atoms[1].chiral_order
+        )
+        assert all(atom.coords is None for atom in atoms)
+        assert [(b.a, b.b) for b in bonds[1:]] == [(2, 3), (3, 4), (3, 5)]
 
     def test_provenance_is_a_read_only_copy(self):
         sub = subgraph(parse_smiles("CCCC"), [0, 1])

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import logging
 import random
 
 import pytest
 
-from rxnscope.chemops import AbbreviationTable
-from rxnscope.molgraph import GraphError, main_component, subgraph
+from rxnscope.chemops import AbbreviationTable, AliasRegistry
+from rxnscope.molgraph import GraphError, graph_to_json, main_component, subgraph
 from rxnscope.rgroup import (
     MissingBindingError,
     ReactionTemplate,
@@ -37,12 +39,12 @@ class TestSplice:
     def test_fragment_replaces_atom(self):
         g = parse_smiles("[R1]CO")
         frag = TABLE.get("Me")
-        out = splice_fragment(g, 0, frag)
+        out = splice_fragment(g, {0: frag})
         assert graph_smiles(out) == canonicalize("CCO")
 
     def test_redirected_bond_drops_depiction_marks(self):
         g = parse_smiles("[R1]/C=C/C")
-        out = splice_fragment(g, 0, TABLE.get("Et"))
+        out = splice_fragment(g, {0: TABLE.get("Et")})
         # The spliced-in bond cannot keep a direction mark: the geometry
         # claim belonged to the placeholder drawing, not the fragment.
         new_ends = {i for i, a in enumerate(out.atoms)}
@@ -51,6 +53,24 @@ class TestSplice:
         ]
         assert redirected == []
         assert canonicalize(write_smiles(out, isomeric=False)) == canonicalize("CCC=CC")
+
+    def test_nothing_to_splice_returns_the_graph_itself(self):
+        g = parse_smiles("[R1]CO")
+        assert splice_fragment(g, {}) is g
+
+    def test_bond_between_spliced_atoms_joins_their_attachments(self):
+        g = parse_smiles("[R1][R2]O")
+        out = splice_fragment(g, {0: TABLE.get("Ph"), 1: TABLE.get("Et")})
+        assert graph_smiles(out) == canonicalize("CC(O)c1ccccc1")
+        # Kept atoms first, then fragments from the highest replaced index:
+        # O, Et (for atom 1), Ph (for atom 0); the joining bond reads
+        # from the higher index's attachment to the lower one's.
+        assert [a.text for a in out.atoms[:3]] == ["O", "C", "C"]
+        assert (out.bonds[0].a, out.bonds[0].b) == (1, 3)
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(GraphError):
+            splice_fragment(parse_smiles("CC"), {2: TABLE.get("Me")})
 
 
 class TestSubstitute:
@@ -81,6 +101,40 @@ class TestSubstitute:
         g = parse_smiles("[R1]C(=O)[R1]")
         out = substitute_placeholders(g, {"R1": "Me"})
         assert graph_smiles(out) == canonicalize("CC(C)=O")
+
+
+# Seeded substitutions whose graph JSON and written SMILES are pinned by
+# one digest: every SCAFFOLD, ring and adjacent placeholders, stereo
+# marks, ready-made fragments and unknown tokens (aliased wildcards).
+DIGEST_SCAFFOLDS = SCAFFOLDS + [
+    "[R1]1CC[R2]C1",
+    "[R2]1CC[R1]C1",
+    "[R1][R2]C(=O)O",
+    "C[R1][R2][R3]C",
+    "F[C@H]([R1])[R2]",
+    "[R1]/C=C/C[R2]",
+]
+DIGEST_POOL = POOL + ["Foo", "2-ClC6H4", "SO2Me", TABLE.get("Ts")]
+
+
+def substitution_digest() -> str:
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for scaffold in DIGEST_SCAFFOLDS:
+        g = parse_smiles(scaffold)
+        labels = sorted({g.atoms[i].label for i in g.placeholder_indices()})
+        for _ in range(15):
+            assignment = {label: rng.choice(DIGEST_POOL) for label in labels}
+            out = substitute_placeholders(g, assignment, TABLE, AliasRegistry())
+            digest.update(json.dumps(graph_to_json(out), sort_keys=True).encode())
+            digest.update(write_smiles(out, isomeric=True).encode())
+    return digest.hexdigest()
+
+
+def test_substitution_digest_is_pinned():
+    assert substitution_digest() == (
+        "143863bc644408a28e7487c82f71d0608d174f1797693f1dea9f03af43453295"
+    )
 
 
 class TestExtract:

@@ -12,6 +12,7 @@ from rxnscope.smiles import (
     SmilesParseError,
     _assign_directions,
     canonicalize,
+    implicit_h_count,
     is_valid,
     parse_scope,
     parse_smiles,
@@ -135,6 +136,7 @@ class TestParse:
         "bad,offset",
         [
             ("CC(c)C", 3),  # aromatic atom 2 lies on no aromatic ring
+            ("c1ccccc1ccc1ccccc1", 8),  # atoms 6-7 join two rings, lie on neither
             ("F/C=C(/F)/F", 4),  # conflicting direction marks at atom 2
         ],
     )
@@ -273,6 +275,9 @@ class TestIsValid:
             "[O-]C(C)=O",
             "[NH4+]",
             "O=P(O)(O)O",
+            "c1ccccc1c1ccccc1",
+            "c1ccc2ccccc2c1",
+            "c1ccc2c(c1)ccc1ccccc12",
         ],
     )
     def test_accepts(self, good):
@@ -286,6 +291,7 @@ class TestIsValid:
             "O(C)(C)C",  # trivalent oxygen
             "C1CC",  # parse failure
             "F(C)C",
+            "c1ccccc1ccc1ccccc1",  # aromatic chain between two rings
         ],
     )
     def test_rejects(self, bad):
@@ -298,6 +304,20 @@ class TestIsValid:
     def test_graph_input_matches_text(self):
         for s in MOLECULES:
             assert is_valid(parse_smiles(s)) == is_valid(s), s
+
+    @pytest.mark.parametrize(
+        "text,symbol", [("c1ccsc1", "S"), ("Cn1cccc1", "N"), ("c1ccoc1", "O")]
+    )
+    def test_heteroatom_lending_its_lone_pair_carries_no_h(self, text, symbol):
+        # Its two ring bonds and the lone pair in the pi system fill its valence.
+        g = parse_smiles(text)
+        idx = next(i for i, a in enumerate(g.atoms) if a.text == symbol and a.aromatic)
+        assert implicit_h_count(g, idx) == 0
+
+    def test_implicit_h_count(self):
+        g = parse_smiles("CC(=O)N[CH2]c1ccccc1")
+        assert [implicit_h_count(g, i) for i in range(6)] == [3, 0, 0, 1, 2, 0]
+        assert implicit_h_count(parse_smiles("[R1]C"), 0) is None
 
 
 # The exhaustive search takes seconds on B27, which two tests check.
