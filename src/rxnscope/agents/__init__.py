@@ -3,13 +3,11 @@
 from .backend import BackendError, RemoteBackend, ScriptedBackend
 from .bundle import Bundle, DescriptorError, InputDescriptor, MODALITIES
 from .executor import ExecutionError, ExtractionResult, execute_plan, observe_step
-from .memory import MISSING, Memory
 from .planner import Issue, Plan, PlanStep, PlanningError, plan_extraction, review_plan
 from .tools import (
     DetectionError,
     RunContext,
     ToolError,
-    ToolInvocation,
     ToolRegistry,
     decode_detection_sequence,
     default_registry,
@@ -24,9 +22,7 @@ __all__ = [
     "ExtractionResult",
     "InputDescriptor",
     "Issue",
-    "MISSING",
     "MODALITIES",
-    "Memory",
     "Plan",
     "PlanStep",
     "PlanningError",
@@ -34,7 +30,6 @@ __all__ = [
     "RunContext",
     "ScriptedBackend",
     "ToolError",
-    "ToolInvocation",
     "ToolRegistry",
     "decode_detection_sequence",
     "default_registry",

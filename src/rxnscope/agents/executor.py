@@ -1,12 +1,13 @@
 """Stepwise plan execution: tools, observation, retry, assembly.
 
 Each agent kind is a step function that calls its tools through the run
-context and leaves results in memory. After every attempt the observer
-checks the output; a failed check or a failing tool triggers a
-backend-reviewed retry of the whole step. That step loop is the only
-retry layer: a tool is called once per step attempt, so a permanently
-failing tool is called ``retry_budget`` times. Steps whose inputs come
-from a failed step are skipped (degraded) rather than crashing the run.
+and stores its results in the run's memory, a dict keyed by the output
+names the planner declares. After every attempt the observer checks the
+output; a failed check or a failing tool triggers a backend-reviewed
+retry of the whole step. That step loop is the only retry layer: a tool
+is called once per step attempt, so a permanently failing tool is called
+``retry_budget`` times. Steps whose inputs come from a failed step are
+skipped (degraded) rather than crashing the run.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from ..reaction import (
     record_to_json,
     validate_record,
 )
-from ..rgroup import ReactionTemplate, substitute_placeholders
+from ..rgroup import substitute_placeholders
 from ..smiles import SmilesParseError, parse_scope, parse_smiles
 from ..chemops import FormulaError, parse_condensed_formula
 from .backend import ScriptedBackend
 from .bundle import Bundle, InputDescriptor
-from .memory import MISSING, Memory
 from .planner import Plan, review_plan
-from .tools import RunContext, ToolError, ToolInvocation, ToolRegistry, default_registry
+from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
 
 class ExecutionError(RxnscopeError, RuntimeError):
@@ -48,12 +48,10 @@ class _StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    template: Optional[ReactionTemplate]
     records: tuple[ReactionRecord, ...]
     text_annotations: tuple[str, ...]
     trace: tuple[dict, ...]
     document: str
-    molecules: tuple[dict, ...] = ()
     digest: dict = field(default_factory=dict)
 
 
@@ -82,23 +80,23 @@ class _Run:
         self.ctx = RunContext(bundle=bundle)
         self.registry = registry
         self.backend = backend
-        self.memory = Memory()
+        self.memory: dict[str, Any] = {}
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
         self.attempt = 1
 
     def invoke(self, tool: str, request: dict) -> dict:
-        """Call ``tool`` once; a ``ToolError`` fails the current step attempt."""
+        """Call ``tool`` once and trace it; a ``ToolError`` fails the step attempt."""
+        entry = {"type": "tool", "step": self.current_step, "tool": tool, "request": request}
         try:
             response = self.registry.invoke(tool, self.ctx, request)
         except ToolError as exc:
-            self._record(ToolInvocation(tool, request, None, "error", self.attempt, str(exc)))
+            entry.update(response=None, status="error", attempt=self.attempt, error=str(exc))
+            self.trace.append(entry)
             raise _StepFailure(f"tool {tool!r} failed: {exc}") from None
-        self._record(ToolInvocation(tool, request, response, "ok", self.attempt))
+        entry.update(response=response, status="ok", attempt=self.attempt)
+        self.trace.append(entry)
         return response
-
-    def _record(self, call: ToolInvocation) -> None:
-        self.trace.append({"type": "tool", "step": self.current_step, **call.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,11 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
         "reactant_labels": list(resp.get("reactant_labels", [])),
         "product_labels": list(resp.get("product_labels", [])),
     }
-    run.memory.put("template", template)
-    run.memory.put("condition_text", resp.get("condition_text", ""))
-    run.memory.put("rgroup_formulas", formulas)
+    run.memory.update(
+        template=template,
+        condition_text=resp.get("condition_text", ""),
+        rgroup_formulas=formulas,
+    )
     return {"smiles": reactants + products}
 
 
@@ -152,8 +152,7 @@ def _step_molecular_recognition(run: _Run) -> dict:
             }
         )
         emitted.append(smi)
-    run.memory.put("boxes", boxes)
-    run.memory.put("molecules", molecules)
+    run.memory.update(boxes=boxes, molecules=molecules)
     return {
         "smiles": emitted,
         "molecule_count": len(molecules),
@@ -162,10 +161,9 @@ def _step_molecular_recognition(run: _Run) -> dict:
 
 
 def _step_structure_rgroup(run: _Run) -> dict:
-    template = run.memory.get("template")
-    molecules = run.memory.get("molecules")
-    if template is MISSING or molecules is MISSING:
+    if "template" not in run.memory or "molecules" not in run.memory:
         raise _StepFailure("structure_rgroup needs a template and recognized molecules")
+    template, molecules = run.memory["template"], run.memory["molecules"]
     variants = []
     for m in molecules:
         try:
@@ -186,18 +184,18 @@ def _step_structure_rgroup(run: _Run) -> dict:
         },
     )
     variant_reactions = resp["variant_reactions"]
-    run.memory.put("variant_reactions", variant_reactions)
-    run.memory.put(
-        "assignments", {vr["label"]: vr["bindings"] for vr in variant_reactions}
+    run.memory.update(
+        variant_reactions=variant_reactions,
+        assignments={vr["label"]: vr["bindings"] for vr in variant_reactions},
     )
     reconstructed = [s for vr in variant_reactions for s in vr["reactants"]]
     return {"smiles": list(reconstructed), "reconstructed": reconstructed}
 
 
 def _step_text_rgroup(run: _Run) -> dict:
-    template = run.memory.get("template")
-    if template is MISSING:
+    if "template" not in run.memory:
         raise _StepFailure("text_rgroup needs a parsed template")
+    template = run.memory["template"]
     rows = run.invoke("table_parser", {})["rows"]
     vocabulary = run.ctx.table.tokens()
     reactant_graphs = [parse_smiles(s) for s in template["reactants"]]
@@ -258,39 +256,38 @@ def _step_text_rgroup(run: _Run) -> dict:
                     items.append({"role": role, "text": str(metadata[key])})
             if items:
                 variant_conditions[label] = items
-    run.memory.put("variant_reactions", variant_reactions)
-    run.memory.put("assignments", assignments)
-    run.memory.put("variant_conditions", variant_conditions)
+    run.memory.update(
+        variant_reactions=variant_reactions,
+        assignments=assignments,
+        variant_conditions=variant_conditions,
+    )
     return {"smiles": emitted, "reconstructed": emitted}
 
 
 def _step_condition_interpretation(run: _Run) -> dict:
     text = run.invoke("ocr", {"source": "conditions"})["text"]
-    molecules = run.memory.get("molecules")
     variant_annotations: dict[str, list[str]] = {}
     molecule_smiles: dict[str, str] = {}
-    if molecules is not MISSING:
-        for m in molecules:
-            label = m.get("label")
-            if not label:
-                continue
-            if m.get("annotations"):
-                variant_annotations[label] = list(m["annotations"])
-            try:
-                if not parse_smiles(m["smiles"]).placeholder_indices():
-                    molecule_smiles[label] = m["smiles"]
-            except SmilesParseError:
-                pass
+    for m in run.memory.get("molecules", []):
+        label = m.get("label")
+        if not label:
+            continue
+        if m.get("annotations"):
+            variant_annotations[label] = list(m["annotations"])
+        try:
+            if not parse_smiles(m["smiles"]).placeholder_indices():
+                molecule_smiles[label] = m["smiles"]
+        except SmilesParseError:
+            pass
     request: dict = {
         "text": text,
         "variant_annotations": variant_annotations,
         "molecule_smiles": molecule_smiles,
     }
-    direct = run.memory.get("variant_conditions")
-    if direct is not MISSING:
-        request["direct_items"] = direct
+    if "variant_conditions" in run.memory:
+        request["direct_items"] = run.memory["variant_conditions"]
     resp = run.invoke("condition_interpreter", request)
-    run.memory.put("conditions", resp)
+    run.memory["conditions"] = resp
     emitted = [item["smiles"] for item in resp.get("shared", []) if "smiles" in item]
     for items in resp.get("per_variant", {}).values():
         emitted.extend(item["smiles"] for item in items if "smiles" in item)
@@ -301,25 +298,19 @@ def _step_text_extraction(run: _Run) -> dict:
     text = run.invoke("ocr", {"source": "description"})["text"]
     entities = run.invoke("ner", {})["entities"]
     annotations = run.invoke("rxn_extractor", {})["annotations"]
-    run.memory.put("text_description", text)
-    run.memory.put("entities", entities)
-    run.memory.put("text_annotations", [str(a) for a in annotations])
+    run.memory.update(
+        text_description=text,
+        entities=entities,
+        text_annotations=[str(a) for a in annotations],
+    )
     return {"smiles": []}
 
 
 def _step_data_structure(run: _Run) -> dict:
     m = run.memory
-    template = m.get("template")
-    conditions = m.get("conditions")
-    if conditions is MISSING:
-        conditions = {"shared": [], "per_variant": {}}
-    variant_reactions = m.get("variant_reactions")
-    if variant_reactions is MISSING:
-        variant_reactions = []
-    text_description = m.get("text_description")
-    if text_description is MISSING:
-        text_description = ""
-    molecules = m.get("molecules")
+    template = m.get("template", {})
+    conditions = m.get("conditions", {"shared": [], "per_variant": {}})
+    variant_reactions = m.get("variant_reactions", [])
 
     shared_items = [
         condition_from_json(d, f"conditions.shared[{i}]")
@@ -334,7 +325,7 @@ def _step_data_structure(run: _Run) -> dict:
     }
 
     records: list[ReactionRecord] = []
-    if template is not MISSING and template.get("products"):
+    if template.get("products"):
         r_labels = template.get("reactant_labels", [])
         p_labels = template.get("product_labels", [])
         reactants = tuple(
@@ -384,7 +375,7 @@ def _step_data_structure(run: _Run) -> dict:
                 info.extend(info_map.get(label, []))
             records.append(replace(rec, additional_info=tuple(info)))
         if residues:
-            m.put("condition_residues", [condition_to_json(it) for it in residues])
+            m["condition_residues"] = [condition_to_json(it) for it in residues]
 
     problems: list[str] = []
     for rec in records:
@@ -392,20 +383,19 @@ def _step_data_structure(run: _Run) -> dict:
             problems.append(f"{rec.reaction_id}: {issue}")
 
     document: dict = {
-        "Text description": text_description,
+        "Text description": m.get("text_description", ""),
         "reactions": [record_to_json(r) for r in records],
     }
-    if not records and molecules is not MISSING:
+    if not records and "molecules" in m:
         entries = []
-        for mol in molecules:
+        for mol in m["molecules"]:
             entry = {"smiles": mol["smiles"]}
             if mol.get("label"):
                 entry["label"] = mol["label"]
             entries.append(entry)
         document["molecules"] = entries
     doc_json = json.dumps(document, indent=2, ensure_ascii=False)
-    m.put("records", records)
-    m.put("document", doc_json)
+    m.update(records=records, document=doc_json)
     return {"smiles": [], "record_problems": problems}
 
 
@@ -420,14 +410,13 @@ STEP_FUNCS: dict[str, Callable[[_Run], dict]] = {
 }
 
 
-def observe_step(kind: str, output: dict, expectations: Optional[dict] = None) -> tuple[bool, list[str]]:
+def observe_step(kind: str, output: dict) -> tuple[bool, list[str]]:
     """Check a step's output; returns (passed, reasons).
 
     Texts are parsed through ``parse_smiles``, so inside ``execute_plan``'s
     parse scope a text the step already parsed, or that appears under both
     ``smiles`` and ``reconstructed``, is not parsed again.
     """
-    expectations = expectations or {}
 
     def parse(smi) -> Any:
         try:
@@ -441,7 +430,7 @@ def observe_step(kind: str, output: dict, expectations: Optional[dict] = None) -
         if isinstance(g := parse(smi), SmilesParseError)
     ]
     if kind == "molecular_recognition":
-        expected = expectations.get("box_count", output.get("box_count"))
+        expected = output.get("box_count")
         got = output.get("molecule_count")
         if expected is not None and got != expected:
             reasons.append(f"{got} molecules for {expected} detected regions")
@@ -530,29 +519,10 @@ def execute_plan(
             pkg_logger.removeHandler(handler)
 
         m = run.memory
-        records = m.get("records")
-        records = tuple(records) if records is not MISSING else ()
-        document = m.get("document")
-        document = document if document is not MISSING else ""
-        annotations = m.get("text_annotations")
-        annotations = tuple(annotations) if annotations is not MISSING else ()
-        molecules = m.get("molecules")
-        molecules = tuple(molecules) if molecules is not MISSING else ()
-
-        template_data = m.get("template")
-        template: Optional[ReactionTemplate] = None
-        if template_data is not MISSING:
-            try:
-                template = ReactionTemplate.from_smiles(template_data)
-            except RxnscopeError:
-                template = None
-
         return ExtractionResult(
-            template=template,
-            records=records,
-            text_annotations=annotations,
+            records=tuple(m.get("records", ())),
+            text_annotations=tuple(m.get("text_annotations", ())),
             trace=tuple(run.trace),
-            document=document,
-            molecules=molecules,
-            digest=m.digest(),
+            document=m.get("document", ""),
+            digest=dict(m),
         )

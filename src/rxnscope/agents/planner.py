@@ -36,75 +36,43 @@ class Issue:
     detail: str
 
 
-AGENT_KINDS = (
-    "reaction_template_parsing",
-    "molecular_recognition",
-    "structure_rgroup",
-    "text_rgroup",
-    "condition_interpretation",
-    "text_extraction",
-    "data_structure",
-)
-
-# Which agent must appear for each input modality to be consumed.
-MODALITY_CONSUMER = {
-    "reaction_template_image": "reaction_template_parsing",
-    "structure_table": "structure_rgroup",
-    "text_table": "text_rgroup",
-    "text_description": "text_extraction",
-    "molecule_image_only": "molecular_recognition",
-    "plain_text_only": "text_extraction",
+# Each agent kind's inputs and outputs. A ``bundle:`` input is read from
+# the bundle; every other input is an earlier step's output.
+AGENT_IO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "reaction_template_parsing": (
+        ("bundle:template_image",),
+        ("template", "condition_text", "rgroup_formulas"),
+    ),
+    "molecular_recognition": (("bundle:page_image",), ("molecules", "boxes")),
+    "structure_rgroup": (("template", "molecules"), ("assignments", "variant_reactions")),
+    "text_rgroup": (
+        ("template", "bundle:table_text"),
+        ("assignments", "variant_reactions", "variant_conditions"),
+    ),
+    "condition_interpretation": (("condition_text",), ("conditions",)),
+    "text_extraction": (("bundle:text",), ("text_description", "text_annotations")),
+    "data_structure": ((), ("document",)),
 }
 
+AGENT_KINDS = tuple(AGENT_IO)
 
-def bundle_inputs(descriptor: InputDescriptor) -> set[str]:
-    """Data the bundle itself provides, keyed by modality."""
-    available: set[str] = set()
-    m = descriptor.modalities
-    if "reaction_template_image" in m:
-        available.add("bundle:template_image")
-    if "structure_table" in m or "molecule_image_only" in m:
-        available.add("bundle:page_image")
-    if "text_table" in m:
-        available.add("bundle:table_text")
-    if "text_description" in m or "plain_text_only" in m:
-        available.add("bundle:text")
-    return available
+# Each modality's bundle input, and the agent that must appear to consume it.
+MODALITY_IO = {
+    "reaction_template_image": ("bundle:template_image", "reaction_template_parsing"),
+    "structure_table": ("bundle:page_image", "structure_rgroup"),
+    "text_table": ("bundle:table_text", "text_rgroup"),
+    "text_description": ("bundle:text", "text_extraction"),
+    "molecule_image_only": ("bundle:page_image", "molecular_recognition"),
+    "plain_text_only": ("bundle:text", "text_extraction"),
+}
 
 
 def build_steps(kinds: list[str]) -> tuple[PlanStep, ...]:
     steps: list[PlanStep] = []
     for kind in kinds:
-        if kind == "reaction_template_parsing":
-            inputs: tuple[str, ...] = ("bundle:template_image",)
-            outputs: tuple[str, ...] = (
-                "template",
-                "condition_text",
-                "rgroup_formulas",
-            )
-        elif kind == "molecular_recognition":
-            inputs = ("bundle:page_image",)
-            outputs = ("molecules", "boxes")
-        elif kind == "structure_rgroup":
-            inputs = ("template", "molecules")
-            outputs = ("assignments", "variant_reactions")
-        elif kind == "text_rgroup":
-            inputs = ("template", "bundle:table_text")
-            outputs = ("assignments", "variant_reactions", "variant_conditions")
-        elif kind == "condition_interpretation":
-            inputs = ("condition_text",)
-            if "molecular_recognition" in kinds:
-                inputs = ("condition_text", "molecules")
-            outputs = ("conditions",)
-        elif kind == "text_extraction":
-            inputs = ("bundle:text",)
-            outputs = ("text_description", "text_annotations")
-        elif kind == "data_structure":
-            inputs = ()
-            outputs = ("document",)
-        else:
-            inputs = ()
-            outputs = ()
+        inputs, outputs = AGENT_IO.get(kind, ((), ()))
+        if kind == "condition_interpretation" and "molecular_recognition" in kinds:
+            inputs += ("molecules",)
         steps.append(PlanStep(agent=kind, inputs=inputs, outputs=outputs))
     return tuple(steps)
 
@@ -138,7 +106,7 @@ def review_plan(plan: Plan, descriptor: InputDescriptor) -> list[Issue]:
             issues.append(Issue("inconsistency", f"unknown agent kind {step.agent!r}"))
 
     for modality in sorted(descriptor.modalities):
-        consumer = MODALITY_CONSUMER[modality]
+        _, consumer = MODALITY_IO[modality]
         if consumer not in kinds:
             issues.append(
                 Issue(
@@ -159,7 +127,7 @@ def review_plan(plan: Plan, descriptor: InputDescriptor) -> list[Issue]:
             issues.append(Issue("redundancy", f"agent {kind!r} appears twice"))
         seen.add(kind)
 
-    available = bundle_inputs(descriptor)
+    available = {MODALITY_IO[m][0] for m in descriptor.modalities}
     for step in plan.steps:
         for needed in step.inputs:
             if needed not in available:

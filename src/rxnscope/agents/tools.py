@@ -1,17 +1,17 @@
 """Tool registry: fixture-backed recognition stubs plus real converters.
 
 Recognition tools (detector, image parsers, OCR, NER) read their answers
-from bundle sidecar files; the image parsers reject a mistyped
-``molecules.json`` or ``template.json`` with ``ToolError``. Conversion
-tools (graph-to-SMILES, reactant reconstruction, table parsing, condition
-interpretation) run the real implementations from the chemistry modules.
-Both sides speak the same JSON request/response protocol.
+from bundle sidecar files and reject a mistyped ``boxes.json``,
+``molecules.json``, ``template.json`` or ``rxn.json`` with ``ToolError``.
+Conversion tools (graph-to-SMILES, reactant reconstruction, table parsing,
+condition interpretation) run the real implementations from the chemistry
+modules. Both sides speak the same JSON request/response protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..chemops import AbbreviationTable, AliasRegistry
 from ..molgraph import RxnscopeError, graph_from_json
@@ -39,28 +39,6 @@ class DetectionError(RxnscopeError, ValueError):
 
 
 @dataclass
-class ToolInvocation:
-    tool: str
-    request: Any
-    response: Any
-    status: str
-    attempt: int
-    error: Optional[str] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "tool": self.tool,
-            "request": self.request,
-            "response": self.response,
-            "status": self.status,
-            "attempt": self.attempt,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
-@dataclass
 class RunContext:
     bundle: Optional[Bundle]
     table: AbbreviationTable = field(default_factory=AbbreviationTable.default)
@@ -82,9 +60,6 @@ class ToolRegistry:
 
     def register(self, name: str, fn: ToolFn) -> None:
         self._tools[name] = fn
-
-    def names(self) -> list[str]:
-        return sorted(self._tools)
 
     def invoke(self, name: str, ctx: RunContext, request: dict) -> dict:
         fn = self._tools.get(name)
@@ -119,6 +94,7 @@ def decode_detection_sequence(tokens: list) -> list[dict]:
 
 def _tool_mol_detector(ctx: RunContext, request: dict) -> dict:
     tokens = ctx.require_bundle().read_json("boxes.json")
+    _require(isinstance(tokens, list), "boxes.json", "a list")
     try:
         return {"boxes": decode_detection_sequence(tokens)}
     except DetectionError as exc:
@@ -157,7 +133,12 @@ def _read_template(bundle: Bundle) -> dict:
     template = bundle.read_json("template.json")
     _require(isinstance(template, dict), "template.json", "an object")
     for key in ("reactant_templates", "product_templates"):
-        _require(isinstance(template.get(key, []), list), f"template.json {key}", "a list")
+        graphs = template.get(key, [])
+        _require(
+            isinstance(graphs, list) and all(isinstance(g, dict) for g in graphs),
+            f"template.json {key}",
+            "a list of graph objects",
+        )
     for key in ("reactant_labels", "product_labels"):
         labels = template.get(key, [])
         _require(
@@ -210,7 +191,10 @@ def _tool_ner(ctx: RunContext, request: dict) -> dict:
 def _tool_rxn_extractor(ctx: RunContext, request: dict) -> dict:
     bundle = ctx.require_bundle()
     raw = bundle.read_json("rxn.json") if bundle.has("rxn.json") else {}
-    return {"annotations": raw.get("annotations", [])}
+    _require(isinstance(raw, dict), "rxn.json", "an object")
+    annotations = raw.get("annotations", [])
+    _require(isinstance(annotations, list), "rxn.json annotations", "a list")
+    return {"annotations": annotations}
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +208,7 @@ def _tool_graph2smiles(ctx: RunContext, request: dict) -> dict:
     except (KeyError, ValueError) as exc:
         raise ToolError(f"bad graph payload: {exc}") from None
     try:
-        if request.get("expand", True):
-            g = expand_abbreviations(g, ctx.table, ctx.aliases)
-        return {"smiles": write_smiles(g)}
+        return {"smiles": write_smiles(expand_abbreviations(g, ctx.table, ctx.aliases))}
     except RxnscopeError as exc:
         raise ToolError(f"cannot write graph: {exc}") from None
 

@@ -182,13 +182,25 @@ _LINEAR_TOKEN = re.compile(
 
 
 def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
+    """Read a chain left to right; each atom hangs off the backbone atom.
+
+    Chain shorthands before the first element atom ("MeO", "Me2NCH2") are
+    its substituents, and the formula then attaches where the backbone
+    ends, as a group written towards its attachment point is read.
+    """
     atoms: list[AtomToken] = []
     bonds: list[Bond] = []
     explicit_h: dict[int, int] = {}
+    leading: list[tuple[str, int]] = []
 
     def add_atom(symbol: str) -> int:
         atoms.append(AtomToken(kind="element", text=symbol))
         return len(atoms) - 1
+
+    def graft(token: str, count: int) -> None:
+        frag = _group_fragment(token, table)
+        for _ in range(count):
+            bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds)))
 
     pos = 0
     backbone: Optional[int] = None
@@ -226,18 +238,15 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
             count = read_count()
             if backbone is None:
                 raise FormulaError(f"{text!r} starts with a parenthesized group")
-            frag = _group_fragment(inner, table)
-            for _ in range(count):
-                bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds)))
+            graft(inner, count)
             continue
         if m.group("group"):
             token = m.group("group")
             count = read_count()
             if backbone is None:
-                raise FormulaError(f"{text!r} starts with a chain shorthand")
-            frag = _group_fragment(token, table)
-            for _ in range(count):
-                bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds)))
+                leading.append((token, count))
+                continue
+            graft(token, count)
             if count == 1:
                 backbone = bonds[-1].b
             continue
@@ -252,6 +261,8 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
             if count != 1:
                 raise FormulaError(f"{text!r}: leading atom cannot carry a count")
             backbone = add_atom(symbol)
+            for token, n in leading:
+                graft(token, n)
             continue
         parent_symbol = atoms[backbone].text
         order = "double" if symbol == "O" and parent_symbol in ("N", "S") else "single"
@@ -263,13 +274,14 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
             backbone = new_idx
 
     if not atoms:
-        raise FormulaError(f"empty condensed formula {text!r}")
+        raise FormulaError(f"condensed formula {text!r} has no element atom")
     final_atoms = [
         replace(atom, explicit_h=explicit_h[i]) if i in explicit_h else atom
         for i, atom in enumerate(atoms)
     ]
     return Fragment(
-        graph=MolecularGraph(atoms=tuple(final_atoms), bonds=tuple(bonds)), attachment=0
+        graph=MolecularGraph(atoms=tuple(final_atoms), bonds=tuple(bonds)),
+        attachment=backbone if leading else 0,
     )
 
 
@@ -279,7 +291,8 @@ def parse_condensed_formula(
     """Read a condensed group formula into an attachable fragment.
 
     Handles substituted-phenyl patterns ("4-BrC6H4", "3,5-(CF3)2C6H3"),
-    plain phenyl ("C6H5") and linear chains ("CF3", "NO2", "SO2Me", "OMe").
+    plain phenyl ("C6H5") and linear chains ("CF3", "NO2", "SO2Me", "OMe",
+    "MeO").
     Raises :class:`FormulaError` for anything else.
     """
     token = text.strip()

@@ -434,9 +434,7 @@ def parse_scope() -> Iterator[None]:
         _scope_graphs.reset(token)
 
 
-def parse_smiles(
-    text: str, label: Optional[str] = None, role: str = "unknown"
-) -> MolecularGraph:
+def parse_smiles(text: str) -> MolecularGraph:
     """Parse a SMILES string into a :class:`MolecularGraph`.
 
     Unknown bracket tokens become placeholder or abbreviation atoms rather
@@ -445,8 +443,7 @@ def parse_smiles(
 
     Inside a :func:`parse_scope`, a text parsed before returns the same
     graph object (graphs are immutable); a failure is not kept, so it is
-    raised afresh each time. A call with a ``label`` or ``role`` gets a
-    copy carrying them, and the kept graph stays label-less.
+    raised afresh each time.
     """
     if not isinstance(text, str):
         raise SmilesParseError("input is not a string", 0)
@@ -456,9 +453,7 @@ def parse_smiles(
         g = _parse(text)
         if memo is not None:
             memo[text] = g
-    if label is None and role == "unknown":
-        return g
-    return replace(g, label=label, role=role)
+    return g
 
 
 def _parse(text: str) -> MolecularGraph:

@@ -1,18 +1,20 @@
+import hashlib
 import json
 
 import pytest
 
 from rxnscope.agents import InputDescriptor, DescriptorError
-from rxnscope.agents.backend import ScriptedBackend, edit_distance
+from rxnscope.agents.backend import PLAN_TABLE, ScriptedBackend, edit_distance
 from rxnscope.agents.bundle import MODALITIES, Bundle
 from rxnscope.agents.executor import (
+    STEP_FUNCS,
     ExecutionError,
     execute_plan,
     observe_step,
 )
-from rxnscope.agents.memory import MISSING, Memory
 from rxnscope.agents.planner import (
     AGENT_KINDS,
+    MODALITY_IO,
     Plan,
     PlanningError,
     build_steps,
@@ -45,24 +47,18 @@ def descriptor(*modalities: str, path=None) -> InputDescriptor:
     return InputDescriptor(modalities=frozenset(modalities), bundle_path=path)
 
 
-class TestMemory:
-    def test_put_then_get(self):
-        m = Memory()
-        m.put("k", 1)
-        assert m.get("k") == 1
-        m.put("k", 2)
-        assert m.get("k") == 2
+class TestAgentKinds:
+    """The executor, the backend and the planner name the same agent kinds."""
 
-    def test_absent_key_is_marker_not_error(self):
-        assert Memory().get("nope") is MISSING
+    def test_step_funcs_are_the_agent_kinds(self):
+        assert tuple(STEP_FUNCS) == AGENT_KINDS
 
-    def test_digest_snapshot(self):
-        m = Memory()
-        m.put("a", 1)
-        snap = m.digest()
-        m.put("b", 2)
-        assert "b" not in snap
-        assert m.digest() == {"a": 1, "b": 2}
+    def test_plan_table_uses_known_kinds(self):
+        for modalities, steps in PLAN_TABLE.items():
+            assert set(steps) <= set(AGENT_KINDS), sorted(modalities)
+
+    def test_every_modality_has_a_planner_row(self):
+        assert set(MODALITY_IO) == MODALITIES
 
 
 class TestInputDescriptor:
@@ -114,7 +110,7 @@ class TestDetectionCodec:
 
 class TestRegistry:
     def test_default_tools(self):
-        names = set(default_registry().names())
+        names = set(default_registry()._tools)
         for agent, tools in AGENT_TOOLS.items():
             assert tools <= names, agent
 
@@ -304,6 +300,15 @@ class TestExecutor:
         b = execute_plan(plan, d)
         assert a.document == b.document
         assert a.trace == b.trace
+
+    def test_fig2_trace_is_pinned(self, fig2_setup):
+        # Serialized as ``rxnscope extract --trace`` writes it.
+        d, plan = fig2_setup
+        result = execute_plan(plan, d)
+        written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
+            "bac883b0db01a3bdf0f6f73c974387d644fc457953f3b5808a2ceac0e9a00de6"
+        )
 
     def test_tools_match_their_step(self, fig2_setup):
         d, plan = fig2_setup

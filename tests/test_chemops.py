@@ -120,7 +120,20 @@ class TestCondensedFormula:
         assert got == canonicalize(expected)
         assert got != canonicalize(expected.replace("@", "@@"))
 
-    @pytest.mark.parametrize("bad", ["XYZ", "nPr", "", "C6", "9-BrC6H4"])
+    @pytest.mark.parametrize(
+        "leading,trailing",
+        [
+            ("4-MeOC6H4", "4-OMeC6H4"),
+            ("Me2N", "NMe2"),
+            ("MeOCH2", "CH2OMe"),
+            ("Et2NSO2", "SO2NEt2"),
+        ],
+    )
+    def test_leading_chain_shorthands_are_substituents(self, leading, trailing):
+        # A group written towards its attachment reads as the same group.
+        assert plug("[R]C(C)=O", R=leading) == plug("[R]C(C)=O", R=trailing)
+
+    @pytest.mark.parametrize("bad", ["XYZ", "nPr", "", "C6", "9-BrC6H4", "Me2"])
     def test_rejects_non_formula(self, bad):
         with pytest.raises(FormulaError):
             parse_condensed_formula(bad)

@@ -283,6 +283,10 @@ HOSTILE = {
         _fig2_with("template.json", lambda t: {**t, "condition_text": 7}),
         "ExecutionError",
     ),
+    "template-integer-graph": (
+        _fig2_with("template.json", lambda t: {**t, "reactant_templates": [5]}),
+        "ExecutionError",
+    ),
     "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
     "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
     "evaluate-not-utf8": (
@@ -307,12 +311,23 @@ HOSTILE = {
 }
 
 
-# Mistyped molecules.json entries fail molecular recognition, a later step:
-# the run degrades and still writes a document.
+# A mistyped sidecar read by a later step fails that step: the run
+# degrades and still writes a document.
 HOSTILE_MOLECULES = {
-    "molecules-non-object-entry": _fig2_with("molecules.json", lambda m: [5] + m[1:]),
-    "molecules-string-annotations": _fig2_with(
-        "molecules.json", lambda m: [{**m[0], "annotations": "71%"}] + m[1:]
+    "molecules-non-object-entry": (
+        _fig2_with("molecules.json", lambda m: [5] + m[1:]),
+        "molecular_recognition",
+    ),
+    "molecules-string-annotations": (
+        _fig2_with("molecules.json", lambda m: [{**m[0], "annotations": "71%"}] + m[1:]),
+        "molecular_recognition",
+    ),
+    "boxes-integer": (_fig2_with("boxes.json", lambda b: 5), "molecular_recognition"),
+    "rxn-list": (_fig2_with("rxn.json", lambda r: []), "text_extraction"),
+    "rxn-string": (_fig2_with("rxn.json", lambda r: json.dumps("x")), "text_extraction"),
+    "rxn-integer-annotations": (
+        _fig2_with("rxn.json", lambda r: {"annotations": 5}),
+        "text_extraction",
     ),
 }
 
@@ -327,14 +342,15 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_MOLECULES))
     def test_mistyped_molecules_fail_recognition(self, case, capsys, tmp_path, fig2_bundle):
+        make_argv, step = HOSTILE_MOLECULES[case]
         trace_path = tmp_path / "trace.json"
-        argv = HOSTILE_MOLECULES[case](tmp_path, fig2_bundle) + [
+        argv = make_argv(tmp_path, fig2_bundle) + [
             "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
         ]
         code, _ = run(capsys, *argv)
         assert code == 0
         trace = json.loads(trace_path.read_text())
-        assert {"type": "step_failed", "step": "molecular_recognition"} in trace
+        assert {"type": "step_failed", "step": step} in trace
 
     def test_empty_graph_fails_one_step(self, capsys, tmp_path, fig2_bundle):
         # An unwritable molecule graph fails recognition; the run goes on.

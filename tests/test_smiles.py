@@ -56,15 +56,6 @@ class TestParseScope:
                     parse_smiles("C(")
         assert parsed == ["CCO", "C(", "C("]
 
-    def test_label_and_role_do_not_leak_into_the_memo(self):
-        with parse_scope():
-            named = parse_smiles("CCO", label="3a", role="product")
-            plain = parse_smiles("CCO")
-            assert (named.label, named.role) == ("3a", "product")
-            assert (plain.label, plain.role) == (None, "unknown")
-            assert named.atoms == plain.atoms
-            assert parse_smiles("CCO") is plain
-
     def test_no_memo_outside_a_scope(self):
         assert parse_smiles("CCO") is not parse_smiles("CCO")
         with parse_scope():
