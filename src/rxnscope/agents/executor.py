@@ -17,7 +17,13 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from ..molgraph import RxnscopeError, graph_from_json, graph_to_json, main_component
+from ..molgraph import (
+    GraphError,
+    RxnscopeError,
+    graph_from_json,
+    graph_to_json,
+    main_component,
+)
 from ..reaction import (
     MoleculeEntry,
     ReactionRecord,
@@ -31,7 +37,7 @@ from ..rgroup import substitute_placeholders
 from ..smiles import SmilesParseError, parse_scope, parse_smiles
 from ..chemops import FormulaError, parse_condensed_formula
 from .backend import ScriptedBackend
-from .bundle import Bundle, InputDescriptor
+from .bundle import Bundle, DescriptorError, InputDescriptor
 from .planner import Plan, review_plan
 from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
@@ -86,11 +92,15 @@ class _Run:
         self.attempt = 1
 
     def invoke(self, tool: str, request: dict) -> dict:
-        """Call ``tool`` once and trace it; a ``ToolError`` fails the step attempt."""
+        """Call ``tool`` once and trace it.
+
+        A ``ToolError``, or a ``DescriptorError`` from a sidecar that is
+        not UTF-8 JSON, fails the step attempt.
+        """
         entry = {"type": "tool", "step": self.current_step, "tool": tool, "request": request}
         try:
             response = self.registry.invoke(tool, self.ctx, request)
-        except ToolError as exc:
+        except (ToolError, DescriptorError) as exc:
             entry.update(response=None, status="error", attempt=self.attempt, error=str(exc))
             self.trace.append(entry)
             raise _StepFailure(f"tool {tool!r} failed: {exc}") from None
@@ -110,8 +120,11 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
 
     def to_smiles(graph_payloads: list) -> list[str]:
         out = []
-        for payload in graph_payloads:
-            g = graph_from_json(payload)
+        for i, payload in enumerate(graph_payloads):
+            try:
+                g = graph_from_json(payload)
+            except GraphError as exc:
+                raise _StepFailure(f"template graph {i}: {exc}") from None
             if formulas:
                 g = substitute_placeholders(g, formulas, run.ctx.table, run.ctx.aliases)
             smi = run.invoke("graph2smiles", {"graph": graph_to_json(g)})["smiles"]

@@ -9,12 +9,24 @@ Record molecules arrive parsed (``MoleculeEntry.graph``), so scoring
 records parses nothing; ``evaluate`` shares one memo across its sections,
 so each distinct SMILES text is canonicalized, fingerprinted and checked
 once per call. Only ``similarity_report``, which takes texts, parses.
+
+The path hash is FNV-1a, extended by one step text at a time through a
+table instead of a loop over the step's bytes. Split the state as
+``h = H + l`` with ``l = h & 0xFF``. XOR with a byte changes only the low
+8 bits, and a multiple of 256 times the prime is still a multiple of
+256, so the XORs only ever act on the part grown from ``l``: for a text
+``s`` of ``k`` bytes, ``fnv1a(s, H + l) == H * P**k + fnv1a(s, l)`` mod
+2**64. Hence ``fnv1a(s, h) == (h * P**k + C_s[h & 0xFF]) mod 2**64``
+with ``C_s[l] = fnv1a(s, l) - l * P**k``. ``_step_table`` builds
+``(P**k, C_s)`` once per distinct text, in a cache of fixed size that
+holds pure functions of bytes and no molecule data.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .molgraph import MolecularGraph, RxnscopeError
@@ -27,6 +39,9 @@ MAX_PATH_BONDS = 7
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
+# Distinct step texts whose tables are kept; each table is 256 ints
+# (about 11 KB), so the cache holds at most about 1.4 MB.
+_STEP_TABLES = 128
 
 
 class FingerprintError(RxnscopeError, ValueError):
@@ -55,11 +70,19 @@ class MatchCounts:
 
 
 def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
-    """FNV-1a over ``data``, continuing from state ``h``."""
+    """FNV-1a over ``data``, continuing from state ``h``, byte by byte."""
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _U64
     return h
+
+
+@lru_cache(maxsize=_STEP_TABLES)
+def _step_table(data: bytes) -> tuple[int, tuple[int, ...]]:
+    """``(mult, C)`` with ``_fnv1a(data, h) == (h * mult + C[h & 0xFF]) & _U64``
+    for every 64-bit ``h`` (see the module docstring)."""
+    mult = pow(_FNV_PRIME, len(data), 1 << 64)
+    return mult, tuple((_fnv1a(data, low) - low * mult) & _U64 for low in range(256))
 
 
 def _atom_descriptor(g: MolecularGraph, idx: int) -> str:
@@ -76,7 +99,11 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
     independent of atom numbering. The walk carries the hash of the text
     so far and extends it by each new bond and atom, so each path is
     hashed once; a path with bonds is walked from both ends, and only the
-    walk whose text is the smaller one sets the bit.
+    walk whose text is the smaller one sets the bit. Each extension is one
+    multiply, one add and one mask through the step text's table: this
+    equals FNV-1a over the step's bytes because XOR touches only the low
+    8 bits of the state, and those bits of a product depend only on the
+    low 8 bits of its factors.
     """
     for atom in g.atoms:
         if atom.kind == "placeholder":
@@ -85,14 +112,15 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
             )
     adj = g.adjacency()
     descriptors = [_atom_descriptor(g, i) for i in range(len(g.atoms))]
-    # Per atom: (mate, text appended going forward, its bytes, text
-    # prepended to the reverse traversal).
+    # Per atom: (mate, text appended going forward, its step table's
+    # multiplier and constants, text prepended to the reverse traversal).
     steps = []
     for i in range(len(g.atoms)):
         out = []
         for mate, bond in adj[i]:
             ahead = f".{bond.order}.{descriptors[mate]}"
-            out.append((mate, ahead, ahead.encode(), f"{descriptors[mate]}.{bond.order}."))
+            mult, table = _step_table(ahead.encode())
+            out.append((mate, ahead, mult, table, f"{descriptors[mate]}.{bond.order}."))
         steps.append(out)
     bits = 0
     path: list[int] = []
@@ -104,13 +132,14 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
         if len(path) == MAX_PATH_BONDS:
             return
         path.append(cur)
-        for mate, ahead, ahead_bytes, behind in steps[cur]:
+        for mate, ahead, mult, table, behind in steps[cur]:
             if mate not in path:
-                walk(mate, text + ahead, behind + back, _fnv1a(ahead_bytes, h))
+                walk(mate, text + ahead, behind + back, (h * mult + table[h & 0xFF]) & _U64)
         path.pop()
 
     for start, text in enumerate(descriptors):
-        walk(start, text, text, _fnv1a(text.encode()))
+        mult, table = _step_table(text.encode())
+        walk(start, text, text, (_FNV_OFFSET * mult + table[_FNV_OFFSET & 0xFF]) & _U64)
     return Fingerprint(bits=bits)
 
 

@@ -16,6 +16,7 @@ from rxnscope.molgraph import (
     AtomToken,
     Bond,
     MolecularGraph,
+    atom_token_from_symbol,
     connected_components,
     renumber_chiral,
     subgraph,
@@ -112,6 +113,54 @@ def exhaustive_canonical(s: str | MolecularGraph) -> str:
     return ".".join(sorted(pieces))
 
 
+# --- brute-force path fingerprint -----------------------------------------
+
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+
+
+def fnv1a(data: bytes, h: int = FNV_OFFSET) -> int:
+    """64-bit FNV-1a, one byte at a time."""
+    for byte in data:
+        h = ((h ^ byte) * FNV_PRIME) % 2**64
+    return h
+
+
+def reference_fingerprint(g: MolecularGraph, width: int = 2048, max_bonds: int = 7) -> int:
+    """The fingerprint bits from every simple path of 0..``max_bonds`` bonds.
+
+    Each path is found by brute force from each of its ends; both full
+    texts are built, and the smaller one, hashed from the FNV offset, sets
+    one bit.
+    """
+    def descriptor(i: int) -> str:
+        atom = g.atoms[i]
+        return f"{atom.text}|{atom.charge}|{int(atom.aromatic)}"
+
+    def text(path: list[int]) -> str:
+        parts = [descriptor(path[0])]
+        for a, b in zip(path, path[1:]):
+            parts += [g.bond_between(a, b).order, descriptor(b)]
+        return ".".join(parts)
+
+    neighbours = {i: set() for i in range(len(g.atoms))}
+    for bond in g.bonds:
+        neighbours[bond.a].add(bond.b)
+        neighbours[bond.b].add(bond.a)
+    paths = []
+    stack = [[i] for i in range(len(g.atoms))]
+    while stack:
+        path = stack.pop()
+        paths.append(path)
+        if len(path) <= max_bonds:
+            stack.extend(path + [m] for m in neighbours[path[-1]] if m not in path)
+    bits = 0
+    for path in paths:
+        smaller = min(text(path), text(path[::-1]))
+        bits |= 1 << (fnv1a(smaller.encode()) % width)
+    return bits
+
+
 # --- wedge perception via numpy --------------------------------------------
 
 def numpy_wedge_tag(g: MolecularGraph, center: int) -> str | None:
@@ -177,6 +226,46 @@ def random_molecular_graph(rng: random.Random, max_atoms: int = 10) -> Molecular
         if key not in have:
             have.add(key)
             bonds.append(Bond(a=min(i, j), b=max(i, j), order="single"))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
+
+
+# Atoms for fingerprint fuzzing: plain, aromatic, charged and bracket atoms,
+# plus the non-element kinds a fingerprint accepts, some with non-ASCII text:
+# a step table indexed by the low 7 bits alone agrees with FNV-1a on ASCII
+# text, so only non-ASCII bytes check bit 7 of the index.
+_FP_ATOM_SYMBOLS = ["C", "C", "N", "O", "S", "Cl", "Br", "P", "c", "c", "n", "o", "s", "*", "Ts", "Ph′", "µ-Cl"]
+_FP_BRACKET_ATOMS = ["[13CH3-]", "[NH4+]", "[O-]", "[N+]", "[Fe+2]", "[2H]", "[S+]", "[Cl+9]", "[C-12]"]
+_FP_BOND_ORDERS = ["single", "single", "double", "triple", "aromatic"]
+
+
+def random_fingerprint_graph(rng: random.Random, max_atoms: int = 14) -> MolecularGraph:
+    """Random graph of up to two components with charged, aromatic and
+    bracket atoms and every bond order; fingerprints need no valences."""
+    n = rng.randint(1, max_atoms)
+    atoms = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.25:
+            atoms.append(smiles.parse_smiles(rng.choice(_FP_BRACKET_ATOMS)).atoms[0])
+        elif roll < 0.4:
+            symbol = rng.choice(["C", "N", "O", "c", "n"])
+            atoms.append(atom_token_from_symbol(symbol, charge=rng.randint(-3, 3)))
+        else:
+            atoms.append(atom_token_from_symbol(rng.choice(_FP_ATOM_SYMBOLS)))
+    split = rng.randint(1, n) if rng.random() < 0.2 else n
+    bonds = []
+    have = set()
+    for i in range(1, n):
+        if i == split:
+            continue
+        j = rng.randrange(split if i > split else 0, i)
+        have.add(frozenset((i, j)))
+        bonds.append(Bond(a=j, b=i, order=rng.choice(_FP_BOND_ORDERS)))
+    for _ in range(rng.randint(0, 3) if n > 2 else 0):
+        i, j = sorted(rng.sample(range(n), 2))
+        if frozenset((i, j)) not in have:
+            have.add(frozenset((i, j)))
+            bonds.append(Bond(a=i, b=j, order=rng.choice(_FP_BOND_ORDERS)))
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 

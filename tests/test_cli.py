@@ -287,6 +287,10 @@ HOSTILE = {
         _fig2_with("template.json", lambda t: {**t, "reactant_templates": [5]}),
         "ExecutionError",
     ),
+    "template-mistyped-graph-object": (
+        _fig2_with("template.json", lambda t: {**t, "reactant_templates": [{"atoms": 5}]}),
+        "ExecutionError",
+    ),
     "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
     "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
     "evaluate-not-utf8": (
@@ -329,6 +333,9 @@ HOSTILE_MOLECULES = {
         _fig2_with("rxn.json", lambda r: {"annotations": 5}),
         "text_extraction",
     ),
+    # A sidecar that is not JSON, or not UTF-8, fails its step the same way.
+    "rxn-not-json": (_fig2_with("rxn.json", lambda r: "{"), "text_extraction"),
+    "boxes-not-json": (_fig2_with("boxes.json", lambda b: b"\xff["), "molecular_recognition"),
 }
 
 
@@ -351,6 +358,20 @@ class TestHostileInput:
         assert code == 0
         trace = json.loads(trace_path.read_text())
         assert {"type": "step_failed", "step": step} in trace
+
+    def test_unreadable_sidecar_traced_like_tool_error(self, capsys, tmp_path, fig2_bundle):
+        trace_path = tmp_path / "trace.json"
+        argv = _fig2_with("rxn.json", lambda r: "{")(tmp_path, fig2_bundle)
+        code, _ = run(capsys, *argv, "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path))
+        assert code == 0
+        calls = [
+            e for e in json.loads(trace_path.read_text())
+            if e["type"] == "tool" and e["tool"] == "rxn_extractor"
+        ]
+        assert [(e["attempt"], e["status"], e["response"]) for e in calls] == [
+            (1, "error", None), (2, "error", None),
+        ]
+        assert all("rxn.json is not valid JSON" in e["error"] for e in calls)
 
     def test_empty_graph_fails_one_step(self, capsys, tmp_path, fig2_bundle):
         # An unwritable molecule graph fails recognition; the run goes on.

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from rxnscope import smiles
+from rxnscope import metrics, smiles
 from rxnscope.metrics import (
     FingerprintError,
     Fingerprint,
@@ -29,7 +29,7 @@ from rxnscope.reaction import (
 from rxnscope.smiles import parse_smiles
 
 from corpus import MOLECULES
-from oracles import renumbered
+from oracles import random_fingerprint_graph, reference_fingerprint, renumbered
 
 
 def bits(*positions: int) -> Fingerprint:
@@ -90,6 +90,56 @@ class TestFingerprint:
         perm = list(range(len(g.atoms)))
         random.Random(seed).shuffle(perm)
         assert fingerprint(renumbered(g, perm)) == fingerprint(g)
+
+
+# Scope products and ketones on the fig2 scaffold with the symmetric groups
+# (tBu, 4-CF3-phenyl, 3,5-bis-CF3-phenyl), written out as SMILES.
+SYMMETRIC_SCOPE = [
+    "CC(C)(C)[C@]1(c2ccccc2)O[C@H](c2ccccc2Cl)N(S(=O)(=O)c2ccc(C)cc2)C1=O",
+    "C[C@]1(c2ccc(C(F)(F)F)cc2)O[C@H](c2ccccc2Cl)N(S(=O)(=O)c2ccc(C)cc2)C1=O",
+    "CC[C@]1(c2cc(C(F)(F)F)cc(C(F)(F)F)c2)O[C@H](c2ccccc2Cl)N(S(=O)(=O)c2ccc(C)cc2)C1=O",
+    "CC(C)(C)[C@]1(c2cc(C(F)(F)F)cc(C(F)(F)F)c2)O[C@H](c2ccccc2Cl)N(S(=O)(=O)c2ccc(C)cc2)C1=O",
+    "CC(C)(C)C(=O)c2ccc(C(F)(F)F)cc2",
+    "CCCC(=O)c2cc(C(F)(F)F)cc(C(F)(F)F)c2",
+]
+
+
+class TestStepTables:
+    """The table step is FNV-1a, so the bits equal the brute-force oracle's."""
+
+    def test_corpus_and_fig2_match_oracle(self, fig2_bundle):
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        fig2 = [e["smiles"] for r in golden["reactions"] for e in r["reactants"] + r["products"]]
+        checked = 0
+        for s in list(MOLECULES) + fig2 + SYMMETRIC_SCOPE:
+            g = parse_smiles(s)
+            if g.placeholder_indices():
+                continue
+            assert fingerprint(g).bits == reference_fingerprint(g), s
+            checked += 1
+        assert checked == 78
+
+    def test_random_graphs_match_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            g = random_fingerprint_graph(rng)
+            assert fingerprint(g).bits == reference_fingerprint(g)
+
+    @given(st.binary(max_size=64), st.integers(0, 2**64 - 1))
+    def test_table_step_is_fnv1a(self, data, h):
+        mult, table = metrics._step_table(data)
+        assert (h * mult + table[h & 0xFF]) & (2**64 - 1) == metrics._fnv1a(data, h)
+
+    def test_cache_stays_bounded(self):
+        # 144 atoms with distinct (element, charge): more distinct step
+        # texts than the cache keeps, so tables are evicted mid-molecule.
+        atoms = [f"[{el}{q:+d}]" for el in "CNOSPB" for q in range(-12, 13) if q]
+        g = parse_smiles("".join(atoms))
+        assert len({(a.text, a.charge) for a in g.atoms}) > metrics._STEP_TABLES
+        assert fingerprint(g).bits == reference_fingerprint(g)
+        info = metrics._step_table.cache_info()
+        assert info.maxsize == metrics._STEP_TABLES
+        assert info.currsize <= metrics._STEP_TABLES
 
 
 class TestTanimoto:

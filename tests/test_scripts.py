@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run from a checkout, with no install."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -48,3 +49,45 @@ def test_enumerate_variants_splices_each_row(tmp_path):
         (1, canonicalize("CCC(=O)C#Cc1ccccc1"), {"yield": "81%"}),
         (2, canonicalize("COCC(=O)C#Cc1ccc(Br)cc1"), {}),
     ]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(pair, rate, rss, failed=0):
+    return {
+        "pair": pair,
+        "correct": failed == 0,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {
+            "records_per_s": {"value": rate, "unit": "1/s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+
+
+def test_bench_pairs_summary_of_canned_lines():
+    summarize = _bench_pairs().summarize
+    parent = [_result(1, 50.0, 28.0), _result(2, 52.0, 28.5), _result(3, 51.0, 28.0),
+              _result(4, 49.0, 28.25, failed=1)]
+    change = [_result(1, 75.0, 28.5), _result(2, 51.0, 28.5), _result(3, 74.0, 27.5),
+              _result(4, 76.0, 28.0)]
+    block = summarize(parent, change, {"records_per_s": "higher", "peak_rss_mb": "lower"})
+    side = block["summary"]["parent"]
+    assert side["records_per_s"] == {
+        "median": 50.5, "min": 49.0, "q1": 49.75, "q3": 51.25, "unit": "1/s",
+    }
+    assert (side["runs"], side["failed_ops"], side["attempted_ops"]) == (4, 1, 400)
+    assert block["summary"]["change"]["records_per_s"]["median"] == 74.5
+    assert block["records_per_s_ratio_of_medians"] == round(74.5 / 50.5, 3)
+    # Pair 2 is a loss on rate; equal RSS (pair 2) is not a win.
+    assert block["change_pair_wins"] == {
+        "records_per_s": {"wins": 3, "pairs": 4},
+        "peak_rss_mb": {"wins": 2, "pairs": 4},
+    }
+    assert block["runs"] == {"parent": parent, "change": change}
