@@ -1,4 +1,9 @@
-"""Input descriptors and the on-disk fixture bundle."""
+"""Input descriptors and the on-disk fixture bundle.
+
+A bundle is a directory of sidecar files standing in for the perception
+tools. ``SIDECARS`` states each file's shape and what an absent file reads
+as, and ``Bundle.read`` is the one reader that checks them.
+"""
 
 from __future__ import annotations
 
@@ -50,49 +55,98 @@ class InputDescriptor:
             raise DescriptorError("plain_text_only must be the sole modality")
 
 
-class Bundle:
-    """Directory of pre-extracted tool outputs driving an offline run."""
+# Each sidecar's shape and the text an absent file reads as (None: the
+# file is required); a missing key reads as the default its reader gives.
+# A shape is a type (str, int, dict, list) or None (JSON null), matched by
+# type, or a tuple of them, matching any one. ``[s]`` is a list whose items
+# match ``s``. ``{key: s, ...}`` is an object whose listed keys, where
+# present, match their shapes; ``{str: s}`` is an object whose every value
+# matches ``s``. A graph is a plain ``dict``: its shape belongs to
+# ``molgraph.graph_from_json``.
+SIDECARS: dict[str, tuple[Any, Optional[str]]] = {
+    "descriptor.json": ({"modalities": [str]}, None),
+    "template.json": (
+        {
+            "reactant_templates": [dict],
+            "product_templates": [dict],
+            "reactant_labels": [(str, None)],
+            "product_labels": [(str, None)],
+            "rgroup_formulas": {str: str},
+            "condition_text": str,
+        },
+        None,
+    ),
+    "molecules.json": (
+        [{"graph": dict, "smiles": str, "label": (str, None), "annotations": [str]}],
+        None,
+    ),
+    "boxes.json": ([(int, str)], None),
+    "ner.json": ([{"text": str, "type": str}], "[]"),
+    "rxn.json": ({"annotations": [str]}, '{"annotations": []}'),
+    "text.txt": (str, ""),
+    "table.txt": (str, None),
+}
 
-    def __init__(self, root: Path, descriptor: InputDescriptor):
+_KIND_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list", None: "null"}
+
+
+def check_shape(value: Any, shape: Any, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first place where ``value`` leaves ``shape``."""
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise error(f"{where}: expected a list")
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], f"{where}[{i}]", error)
+    elif isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise error(f"{where}: expected an object")
+        if str in shape:
+            fields = [(key, item, shape[str]) for key, item in value.items()]
+        else:
+            fields = [(key, value[key], sub) for key, sub in shape.items() if key in value]
+        for key, item, sub in fields:
+            check_shape(item, sub, f"{where}.{key}", error)
+    else:
+        kinds = shape if isinstance(shape, tuple) else (shape,)
+        if not any(value is None if k is None else isinstance(value, k) for k in kinds):
+            raise error(f"{where}: expected " + " or ".join(_KIND_NAMES[k] for k in kinds))
+
+
+class Bundle:
+    """Directory of sidecar files standing in for the perception tools."""
+
+    def __init__(self, root: Path, descriptor: Optional[InputDescriptor]):
         self.root = Path(root)
         self.descriptor = descriptor
 
     @classmethod
     def load(cls, path: str | Path) -> "Bundle":
         root = Path(path)
-        desc_path = root / "descriptor.json"
-        if not desc_path.is_file():
-            raise DescriptorError(f"no descriptor.json in {root}")
-        raw = _load_json(desc_path)
-        modalities = raw.get("modalities", []) if isinstance(raw, dict) else None
-        if not isinstance(modalities, list) or not all(
-            isinstance(m, str) for m in modalities
-        ):
-            raise DescriptorError(
-                f"{desc_path} must be an object whose modalities are a list of strings"
-            )
-        descriptor = InputDescriptor(modalities=frozenset(modalities), bundle_path=root)
-        return cls(root, descriptor)
+        modalities = cls(root, None).read("descriptor.json").get("modalities", [])
+        return cls(root, InputDescriptor(frozenset(modalities), bundle_path=root))
 
-    def has(self, name: str) -> bool:
-        return (self.root / name).is_file()
+    def read(self, name: str) -> Any:
+        """Sidecar ``name`` as ``SIDECARS`` states it: JSON decoded, text as is.
 
-    def read_json(self, name: str) -> Any:
-        return _load_json(self.root / name)
-
-    def read_text(self, name: str) -> str:
-        return _read_text(self.root / name)
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DescriptorError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def _load_json(path: Path) -> Any:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DescriptorError(f"{path} is not valid JSON: {exc}") from None
+        Raises ``DescriptorError`` naming the file when it is required and
+        absent, unreadable, not UTF-8, not JSON or not of its shape.
+        """
+        shape, absent = SIDECARS[name]
+        try:
+            text = (self.root / name).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            if absent is None:
+                raise DescriptorError(f"{name} is missing") from None
+            text = absent
+        except UnicodeDecodeError as exc:
+            raise DescriptorError(f"{name} is not UTF-8 text: {exc}") from None
+        except OSError as exc:
+            raise DescriptorError(f"{name} cannot be read: {exc.strerror}") from None
+        value = text
+        if name.endswith(".json"):
+            try:
+                value = json.loads(text)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise DescriptorError(f"{name} is not valid JSON: {exc}") from None
+        check_shape(value, shape, name, DescriptorError)
+        return value

@@ -42,6 +42,9 @@ from .planner import Plan, review_plan
 from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
 
+log = logging.getLogger(__name__)
+
+
 class ExecutionError(RxnscopeError, RuntimeError):
     def __init__(self, message: str, trace: tuple):
         self.trace = trace
@@ -94,8 +97,8 @@ class _Run:
     def invoke(self, tool: str, request: dict) -> dict:
         """Call ``tool`` once and trace it.
 
-        A ``ToolError``, or a ``DescriptorError`` from a sidecar that is
-        not UTF-8 JSON, fails the step attempt.
+        A ``ToolError``, or a ``DescriptorError`` from a faulty sidecar,
+        fails the step attempt.
         """
         entry = {"type": "tool", "step": self.current_step, "tool": tool, "request": request}
         try:
@@ -133,6 +136,12 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
 
     reactants = to_smiles(resp.get("reactant_templates", []))
     products = to_smiles(resp.get("product_templates", []))
+    for label, formula in sorted(formulas.items()):
+        if formula in run.ctx.aliases.items():
+            log.warning(
+                "template formula %s = %r is no known token or formula; it became a wildcard",
+                label, formula,
+            )
     template = {
         "reactants": reactants,
         "products": products,
@@ -310,11 +319,11 @@ def _step_condition_interpretation(run: _Run) -> dict:
 def _step_text_extraction(run: _Run) -> dict:
     text = run.invoke("ocr", {"source": "description"})["text"]
     entities = run.invoke("ner", {})["entities"]
-    annotations = run.invoke("rxn_extractor", {})["annotations"]
+    annotations = run.invoke("rxn_extractor", {}).get("annotations", [])
     run.memory.update(
         text_description=text,
         entities=entities,
-        text_annotations=[str(a) for a in annotations],
+        text_annotations=list(annotations),
     )
     return {"smiles": []}
 

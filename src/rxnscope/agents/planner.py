@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..molgraph import RxnscopeError
-from .bundle import InputDescriptor
+from .bundle import InputDescriptor, check_shape
 
 
 class PlanningError(RxnscopeError, ValueError):
@@ -67,6 +67,10 @@ MODALITY_IO = {
 }
 
 
+# The planner's answer, in ``bundle.check_shape`` terms.
+PLANNER_ANSWER = {"action": str, "steps": [str], "message": str}
+
+
 def build_steps(kinds: list[str]) -> tuple[PlanStep, ...]:
     steps: list[PlanStep] = []
     for kind in kinds:
@@ -82,6 +86,7 @@ def plan_extraction(descriptor: InputDescriptor, backend) -> Plan:
     response = backend.respond(
         "planner", {"modalities": sorted(descriptor.modalities)}
     )
+    check_shape(response, PLANNER_ANSWER, "planner answer", PlanningError)
     if response.get("action") == "error":
         raise PlanningError(response.get("message", "planner refused"))
     if response.get("action") != "plan" or "steps" not in response:

@@ -1,11 +1,12 @@
 """Tool registry: fixture-backed recognition stubs plus real converters.
 
-Recognition tools (detector, image parsers, OCR, NER) read their answers
-from bundle sidecar files and reject a mistyped ``boxes.json``,
-``molecules.json``, ``template.json`` or ``rxn.json`` with ``ToolError``.
-Conversion tools (graph-to-SMILES, reactant reconstruction, table parsing,
-condition interpretation) run the real implementations from the chemistry
-modules. Both sides speak the same JSON request/response protocol.
+Recognition tools (detector, image parsers, OCR, NER) answer with bundle
+sidecar files as ``Bundle.read`` returns them, so each file's shape is
+checked once, against ``bundle.SIDECARS``; a faulty sidecar raises
+``DescriptorError``, which fails the step that read it. Conversion tools
+(graph-to-SMILES, reactant reconstruction, table parsing, condition
+interpretation) run the real implementations from the chemistry modules.
+Both sides speak the same JSON request/response protocol.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..reaction import (
     condition_from_json,
     condition_to_json,
     parse_rgroup_table,
+    table_row_to_json,
 )
 from ..rgroup import ReactionTemplate, expand_abbreviations, extract_rgroup_fragments, reconstruct_reactants
 from ..smiles import parse_smiles, write_smiles
@@ -93,108 +95,40 @@ def decode_detection_sequence(tokens: list) -> list[dict]:
 
 
 def _tool_mol_detector(ctx: RunContext, request: dict) -> dict:
-    tokens = ctx.require_bundle().read_json("boxes.json")
-    _require(isinstance(tokens, list), "boxes.json", "a list")
     try:
-        return {"boxes": decode_detection_sequence(tokens)}
+        return {"boxes": decode_detection_sequence(ctx.require_bundle().read("boxes.json"))}
     except DetectionError as exc:
-        raise ToolError(str(exc)) from None
-
-
-def _require(ok: bool, where: str, expected: str) -> None:
-    """Reject a mistyped sidecar field before a step indexes into it."""
-    if not ok:
-        raise ToolError(f"{where}: expected {expected}")
-
-
-def _read_molecules(bundle: Bundle) -> list:
-    molecules = bundle.read_json("molecules.json")
-    _require(isinstance(molecules, list), "molecules.json", "a list")
-    for i, entry in enumerate(molecules):
-        where = f"molecules.json[{i}]"
-        _require(isinstance(entry, dict), where, "an object")
-        _require(
-            "graph" in entry or isinstance(entry.get("smiles"), str),
-            where,
-            'a "graph" or a string "smiles"',
-        )
-        label = entry.get("label")
-        _require(label is None or isinstance(label, str), f"{where}.label", "a string or null")
-        annotations = entry.get("annotations", [])
-        _require(
-            isinstance(annotations, list) and all(isinstance(a, str) for a in annotations),
-            f"{where}.annotations",
-            "a list of strings",
-        )
-    return molecules
-
-
-def _read_template(bundle: Bundle) -> dict:
-    template = bundle.read_json("template.json")
-    _require(isinstance(template, dict), "template.json", "an object")
-    for key in ("reactant_templates", "product_templates"):
-        graphs = template.get(key, [])
-        _require(
-            isinstance(graphs, list) and all(isinstance(g, dict) for g in graphs),
-            f"template.json {key}",
-            "a list of graph objects",
-        )
-    for key in ("reactant_labels", "product_labels"):
-        labels = template.get(key, [])
-        _require(
-            isinstance(labels, list) and all(v is None or isinstance(v, str) for v in labels),
-            f"template.json {key}",
-            "a list of strings or nulls",
-        )
-    formulas = template.get("rgroup_formulas", {})
-    _require(
-        isinstance(formulas, dict) and all(isinstance(v, str) for v in formulas.values()),
-        "template.json rgroup_formulas",
-        "an object of strings",
-    )
-    _require(
-        isinstance(template.get("condition_text", ""), str),
-        "template.json condition_text",
-        "a string",
-    )
-    return template
+        raise ToolError(f"boxes.json: {exc}") from None
 
 
 def _tool_image2graph(ctx: RunContext, request: dict) -> dict:
-    return {"molecules": _read_molecules(ctx.require_bundle())}
+    molecules = ctx.require_bundle().read("molecules.json")
+    for i, entry in enumerate(molecules):
+        if "graph" not in entry and "smiles" not in entry:
+            raise ToolError(f'molecules.json[{i}]: expected a "graph" or a "smiles"')
+    return {"molecules": molecules}
 
 
 def _tool_rxn_img_parser(ctx: RunContext, request: dict) -> dict:
-    return _read_template(ctx.require_bundle())
+    return ctx.require_bundle().read("template.json")
 
 
 def _tool_ocr(ctx: RunContext, request: dict) -> dict:
     bundle = ctx.require_bundle()
     source = request.get("source", "description")
     if source == "conditions":
-        return {"text": _read_template(bundle).get("condition_text", "")}
+        return {"text": bundle.read("template.json").get("condition_text", "")}
     if source == "description":
-        text = bundle.read_text("text.txt").strip() if bundle.has("text.txt") else ""
-        return {"text": text}
-    if source == "table":
-        text = bundle.read_text("table.txt") if bundle.has("table.txt") else ""
-        return {"text": text}
+        return {"text": bundle.read("text.txt").strip()}
     raise ToolError(f"unknown ocr source {source!r}")
 
 
 def _tool_ner(ctx: RunContext, request: dict) -> dict:
-    bundle = ctx.require_bundle()
-    entities = bundle.read_json("ner.json") if bundle.has("ner.json") else []
-    return {"entities": entities}
+    return {"entities": ctx.require_bundle().read("ner.json")}
 
 
 def _tool_rxn_extractor(ctx: RunContext, request: dict) -> dict:
-    bundle = ctx.require_bundle()
-    raw = bundle.read_json("rxn.json") if bundle.has("rxn.json") else {}
-    _require(isinstance(raw, dict), "rxn.json", "an object")
-    annotations = raw.get("annotations", [])
-    _require(isinstance(annotations, list), "rxn.json annotations", "a list")
-    return {"annotations": annotations}
+    return ctx.require_bundle().read("rxn.json")
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +148,11 @@ def _tool_graph2smiles(ctx: RunContext, request: dict) -> dict:
 
 
 def _tool_table_parser(ctx: RunContext, request: dict) -> dict:
-    text = request.get("text")
-    if text is None:
-        bundle = ctx.require_bundle()
-        if not bundle.has("table.txt"):
-            raise ToolError("bundle has no table.txt")
-        text = bundle.read_text("table.txt")
     try:
-        rows = parse_rgroup_table(text)
+        rows = parse_rgroup_table(ctx.require_bundle().read("table.txt"))
     except TableParseError as exc:
-        raise ToolError(str(exc)) from None
-    return {
-        "rows": [
-            {"entry": r.entry, "values": dict(r.values), "metadata": dict(r.metadata)}
-            for r in rows
-        ]
-    }
+        raise ToolError(f"table.txt: {exc}") from None
+    return {"rows": [table_row_to_json(r) for r in rows]}
 
 
 def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:

@@ -17,7 +17,13 @@ from pathlib import Path
 from .agents import Bundle, RemoteBackend, ScriptedBackend, execute_plan, plan_extraction
 from .metrics import evaluate
 from .molgraph import RxnscopeError, main_component
-from .reaction import classify_condition, condition_to_json, decode_records, parse_rgroup_table
+from .reaction import (
+    classify_condition,
+    condition_to_json,
+    decode_records,
+    parse_rgroup_table,
+    table_row_to_json,
+)
 from .rgroup import (
     ReactionTemplate,
     extract_rgroup_fragments,
@@ -97,16 +103,8 @@ def _read_text(path: str | None) -> str:
 
 
 def _cmd_table(args) -> int:
-    text = _read_text(args.input)
-    rows = parse_rgroup_table(text)
-    _emit(
-        {
-            "rows": [
-                {"entry": r.entry, "values": dict(r.values), "metadata": dict(r.metadata)}
-                for r in rows
-            ]
-        }
-    )
+    rows = parse_rgroup_table(_read_text(args.input))
+    _emit({"rows": [table_row_to_json(r) for r in rows]})
     return 0
 
 

@@ -269,9 +269,6 @@ class MolecularGraph:
         pos = self._bond_positions.get(_pair(i, j))
         return None if pos is None else self.bonds[pos]
 
-    def heavy_atom_count(self) -> int:
-        return sum(1 for atom in self.atoms if atom.is_heavy)
-
     def placeholder_indices(self) -> list[int]:
         return [i for i, atom in enumerate(self.atoms) if atom.kind == "placeholder"]
 

@@ -283,6 +283,10 @@ def parse_rgroup_table(text: str) -> list[RGroupTableRow]:
     return rows
 
 
+
+def table_row_to_json(row: RGroupTableRow) -> dict:
+    return {"entry": row.entry, "values": dict(row.values), "metadata": dict(row.metadata)}
+
 # ---------------------------------------------------------------------------
 # Record JSON codec
 # ---------------------------------------------------------------------------

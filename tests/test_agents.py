@@ -81,9 +81,40 @@ class TestInputDescriptor:
     def test_bundle_load_round_trip(self, fig2_bundle):
         bundle = Bundle.load(fig2_bundle)
         assert "reaction_template_image" in bundle.descriptor.modalities
-        assert bundle.has("template.json")
-        assert bundle.read_text("text.txt").strip()
+        assert bundle.read("template.json")["product_templates"]
+        assert bundle.read("text.txt").strip()
 
+
+class TestBundleRead:
+    """``Bundle.read`` is total: a faulty sidecar is a ``DescriptorError``."""
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("ner.json", None, "ner.json cannot be read"),  # a directory
+            ("rxn.json", "[" * 100_000, "rxn.json is not valid JSON"),
+            ("ner.json", "null", "ner.json: expected a list"),
+            ("ner.json", "{}", "ner.json: expected a list"),
+            ("template.json", '{"rgroup_formulas": {"Ar2": 5}}', "template.json.rgroup_formulas.Ar2"),
+            ("molecules.json", '[{"label": 3}]', "molecules.json[0].label: expected a string or null"),
+        ],
+    )
+    def test_faulty_sidecar(self, tmp_path, name, content, message):
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(content)
+        with pytest.raises(DescriptorError) as err:
+            Bundle(tmp_path, None).read(name)
+        assert str(err.value).startswith(message)
+
+    def test_absent_optional_sidecar_reads_as_its_default(self, tmp_path):
+        bundle = Bundle(tmp_path, None)
+        assert bundle.read("ner.json") == []
+        assert bundle.read("rxn.json") == {"annotations": []}
+        assert bundle.read("text.txt") == ""
+        with pytest.raises(DescriptorError, match="table.txt is missing"):
+            bundle.read("table.txt")
 
 class TestDetectionCodec:
     def test_single_box(self):
@@ -235,6 +266,50 @@ class TestPlanner:
         )
 
 
+
+class _Answering:
+    """A backend whose planner answers with ``answer``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def respond(self, role, context, tool_result=None):
+        return self.answer
+
+
+# Malformed planner answers end in PlanningError, never a TypeError or
+# AttributeError.
+HOSTILE_PLANNER_ANSWERS = {
+    "none": (None, "planner answer: expected an object"),
+    "bare-string": ("plan", "planner answer: expected an object"),
+    "list": ([1], "planner answer: expected an object"),
+    "integer-steps": ({"action": "plan", "steps": 5}, "planner answer.steps: expected a list"),
+    "nested-steps": (
+        {"action": "plan", "steps": [["x"]]},
+        "planner answer.steps[0]: expected a string",
+    ),
+    "integer-action": ({"action": 1}, "planner answer.action: expected a string"),
+    "integer-message": (
+        {"action": "error", "message": 5},
+        "planner answer.message: expected a string",
+    ),
+    "no-steps": ({"action": "plan"}, "unusable planner response"),
+}
+
+
+class TestPlannerAnswers:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PLANNER_ANSWERS))
+    def test_malformed_answer_is_planning_error(self, case):
+        answer, message = HOSTILE_PLANNER_ANSWERS[case]
+        with pytest.raises(PlanningError) as err:
+            plan_extraction(descriptor("plain_text_only"), _Answering(answer))
+        assert str(err.value).startswith(message)
+
+    def test_well_formed_answer_is_planned(self):
+        answer = {"action": "plan", "steps": ["text_extraction", "data_structure"], "message": ""}
+        plan = plan_extraction(descriptor("plain_text_only"), _Answering(answer))
+        assert [s.agent for s in plan.steps] == answer["steps"]
+
 class TestObserveStep:
     def test_smiles_must_parse(self):
         ok, reasons = observe_step("molecular_recognition", {
@@ -357,6 +432,29 @@ class TestExecutor:
         assert len(result.records) == 7
         doc = json.loads(result.document)
         assert doc["Text description"] == ""
+
+    def test_wildcard_template_formula_is_logged(self, fig2_bundle, tmp_path):
+        # A template formula that is neither a table token nor a condensed
+        # formula becomes an alias wildcard, and the trace says so.
+        clone = tmp_path / "bundle"
+        clone.mkdir()
+        for name in fig2_bundle.iterdir():
+            (clone / name.name).write_bytes(name.read_bytes())
+        template = json.loads((fig2_bundle / "template.json").read_text())
+        template["rgroup_formulas"] = {"Ar2": "(((("}
+        (clone / "template.json").write_text(json.dumps(template))
+        bundle = Bundle.load(clone)
+        result = execute_plan(plan_extraction(bundle.descriptor, BACKEND), bundle.descriptor)
+        logs = [e for e in result.trace if e.get("type") == "log"]
+        assert logs == [
+            {
+                "type": "log",
+                "level": "WARNING",
+                "message": "template formula Ar2 = '((((' is no known token or formula;"
+                " it became a wildcard",
+            }
+        ]
+        assert "[100*]" in result.digest["template"]["products"][0]
 
     def test_flaky_tool_retries_then_succeeds(self, fig2_setup):
         d, plan = fig2_setup

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rxnscope.agents.bundle import SIDECARS
 from rxnscope.cli import main
 from rxnscope.smiles import canonicalize
 
@@ -339,6 +340,77 @@ HOSTILE_MOLECULES = {
 }
 
 
+# The hostile-sidecar sweep: every file in ``SIDECARS`` is made absent,
+# not UTF-8, not JSON, of the wrong top-level type, or of the wrong type
+# at its first nested leaf, in a copy of fig2 that also holds a table.
+# ``descriptor.json`` is read by ``Bundle.load``; every other file by the
+# step named here.
+SIDECAR_READERS = {
+    "descriptor.json": None,
+    "template.json": "reaction_template_parsing",
+    "molecules.json": "molecular_recognition",
+    "boxes.json": "molecular_recognition",
+    "ner.json": "text_extraction",
+    "rxn.json": "text_extraction",
+    "text.txt": "text_extraction",
+    "table.txt": "text_rgroup",
+}
+SWEEP_TABLE = "entry\tR\tAr\ttime\tproduct\tyield\n1\tMe\tPh\t12 h\t3a\t71%\n"
+TEXT_TABLE = {"modalities": ["reaction_template_image", "text_table", "text_description"]}
+
+
+def _nested_fault(shape):
+    """A value of ``shape`` down to its first leaf, which is a float."""
+    if isinstance(shape, list):
+        return [_nested_fault(shape[0])]
+    if isinstance(shape, dict):
+        key, sub = next(iter(shape.items()))
+        return {"k" if key is str else key: _nested_fault(sub)}
+    return 0.5
+
+
+def _sidecar_faults(name, shape):
+    faults = {"absent": None, "not-utf8": b"\xff"}
+    if name.endswith(".json"):
+        faults.update(
+            {"not-json": "{", "top-level-type": "0.5", "nested-type": json.dumps(_nested_fault(shape))}
+        )
+    return faults
+
+
+SIDECAR_SWEEP = {
+    f"{name}-{fault}": (name, content)
+    for name, (shape, absent) in SIDECARS.items()
+    for fault, content in _sidecar_faults(name, shape).items()
+    if content is not None or absent is None
+}
+OPTIONAL_SIDECARS = sorted(name for name, (_, absent) in SIDECARS.items() if absent is not None)
+
+
+def _sweep_copy(name, content):
+    """Extract from a fig2 copy plus a table whose ``name`` holds ``content``.
+
+    The copy is a text-table bundle when ``name`` is the table, so that a
+    step reads it; ``content`` None removes the file.
+    """
+
+    def argv(tmp, fig2):
+        clone = tmp / "bundle"
+        clone.mkdir()
+        for path in fig2.iterdir():
+            (clone / path.name).write_bytes(path.read_bytes())
+        _write(clone / "table.txt", SWEEP_TABLE)
+        if name == "table.txt":
+            _write(clone / "descriptor.json", TEXT_TABLE)
+        if content is None:
+            (clone / name).unlink()
+        else:
+            _write(clone / name, content)
+        return ["extract", "--bundle", str(clone)]
+
+    return argv
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_domain_error_exit_1(self, case, capsys, tmp_path, fig2_bundle):
@@ -358,6 +430,56 @@ class TestHostileInput:
         assert code == 0
         trace = json.loads(trace_path.read_text())
         assert {"type": "step_failed", "step": step} in trace
+
+    def test_sweep_covers_every_sidecar(self):
+        assert set(SIDECAR_READERS) == set(SIDECARS)
+        assert OPTIONAL_SIDECARS == ["ner.json", "rxn.json", "text.txt"]
+
+    @pytest.mark.parametrize("name", ["ner.json", "table.txt"])
+    def test_sweep_bundles_run_clean(self, name, capsys, tmp_path, fig2_bundle):
+        # Unfaulted, the fig2 copy and its text-table variant pass every step.
+        content = SWEEP_TABLE if name == "table.txt" else (fig2_bundle / name).read_bytes()
+        trace_path = tmp_path / "trace.json"
+        argv = _sweep_copy(name, content)(tmp_path, fig2_bundle)
+        code, _ = run(capsys, *argv, "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path))
+        assert code == 0
+        trace = json.loads(trace_path.read_text())
+        verdicts = {e["step"]: e["passed"] for e in trace if e["type"] == "observer"}
+        assert SIDECAR_READERS[name] in verdicts
+        assert all(verdicts.values())
+
+    @pytest.mark.parametrize("case", sorted(SIDECAR_SWEEP))
+    def test_faulty_sidecar_fails_its_reader(self, case, capsys, tmp_path, fig2_bundle):
+        name, content = SIDECAR_SWEEP[case]
+        trace_path = tmp_path / "trace.json"
+        argv = _sweep_copy(name, content)(tmp_path, fig2_bundle)
+        code, out = run(capsys, *argv, "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path))
+        step = SIDECAR_READERS[name]
+        if step is None:
+            assert code == 1
+            assert out["error"].startswith(f"DescriptorError: {name}")
+        elif step == "reaction_template_parsing":
+            # Step 0 fails, which ends the run.
+            assert code == 1
+            assert out["error"].startswith("ExecutionError: ")
+        else:
+            assert code == 0
+            trace = json.loads(trace_path.read_text())
+            assert [e["step"] for e in trace if e["type"] == "step_failed"] == [step]
+            errors = [e["error"] for e in trace if e["type"] == "tool" and e["status"] == "error"]
+            assert errors and all(e.startswith(name) for e in errors), errors
+
+    @pytest.mark.parametrize("name", OPTIONAL_SIDECARS)
+    def test_absent_optional_sidecar_keeps_output(self, name, capsys, tmp_path, fig2_bundle):
+        doc_path, trace_path = tmp_path / "doc.json", tmp_path / "trace.json"
+        argv = _sweep_copy(name, None)(tmp_path, fig2_bundle)
+        code, _ = run(capsys, *argv, "--out", str(doc_path), "--trace", str(trace_path))
+        assert code == 0
+        assert all(e["passed"] for e in json.loads(trace_path.read_text()) if e["type"] == "observer")
+        expected = json.loads((fig2_bundle / "golden.json").read_text())
+        if name == "text.txt":
+            expected["Text description"] = ""
+        assert json.loads(doc_path.read_text()) == expected
 
     def test_unreadable_sidecar_traced_like_tool_error(self, capsys, tmp_path, fig2_bundle):
         trace_path = tmp_path / "trace.json"
