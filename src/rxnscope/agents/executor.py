@@ -161,9 +161,12 @@ def _step_molecular_recognition(run: _Run) -> dict:
     raw = run.invoke("image2graph", {"expected": len(boxes)})["molecules"]
     molecules: list[dict] = []
     emitted: list[str] = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
         if "graph" in entry:
-            smi = run.invoke("graph2smiles", {"graph": entry["graph"]})["smiles"]
+            try:
+                smi = run.invoke("graph2smiles", {"graph": entry["graph"]})["smiles"]
+            except _StepFailure as exc:
+                raise _StepFailure(f"molecules.json[{i}].graph: {exc}") from None
         else:
             smi = entry["smiles"]
         molecules.append(

@@ -14,7 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-from .agents import Bundle, RemoteBackend, ScriptedBackend, execute_plan, plan_extraction
+from .agents import (
+    Bundle,
+    ExecutionError,
+    RemoteBackend,
+    ScriptedBackend,
+    execute_plan,
+    plan_extraction,
+)
 from .metrics import evaluate
 from .molgraph import RxnscopeError, main_component
 from .reaction import (
@@ -115,16 +122,25 @@ def _cmd_conditions(args) -> int:
     return 0
 
 
+def _write_trace(path: str, trace: tuple) -> None:
+    Path(path).write_text(
+        json.dumps(list(trace), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+
+
 def _cmd_extract(args) -> int:
     bundle = Bundle.load(args.bundle)
     backend = RemoteBackend() if args.backend == "remote" else ScriptedBackend()
     plan = plan_extraction(bundle.descriptor, backend)
-    result = execute_plan(plan, bundle.descriptor, backend=backend)
+    try:
+        result = execute_plan(plan, bundle.descriptor, backend=backend)
+    except ExecutionError as exc:
+        # The trace of a failed run says which tool failed and why.
+        if args.trace:
+            _write_trace(args.trace, exc.trace)
+        raise
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        _write_trace(args.trace, result.trace)
     if args.out:
         Path(args.out).write_text(result.document + "\n", encoding="utf-8")
         _emit({"written": args.out, "records": len(result.records)})

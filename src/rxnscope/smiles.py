@@ -10,6 +10,7 @@ canonical-to-canonical rather than against strings from other toolkits.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from contextlib import contextmanager
@@ -34,6 +35,8 @@ from .molgraph import (
     ring_bonds,
     subgraph,
 )
+
+log = logging.getLogger(__name__)
 
 ORGANIC_SUBSET = frozenset(("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"))
 ORGANIC_AROMATIC = frozenset(("b", "c", "n", "o", "p", "s"))
@@ -326,6 +329,9 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     A ring qualifies when all six atoms are C/N/O/S elements and the ring
     bonds alternate single/double (or are already all aromatic).  All rings
     are judged against the original bond orders, then upgraded at once.
+    Only atoms and bonds not yet in aromatic form are replaced, and ``g``
+    itself comes back when there are none, as for every ring the writer
+    emits.
     """
     adj = g.adjacency()
     rings: dict[frozenset[int], list[int]] = {}
@@ -361,15 +367,15 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
                 {orders[i], orders[(i + 1) % 6]} == {"single", "double"} for i in range(6)
             )
         if qualified:
-            upgrade_atoms.update(members)
-            upgrade_bonds.update(walk_bonds)
+            upgrade_atoms.update(i for i in members if not g.atoms[i].aromatic)
+            upgrade_bonds.update(
+                b for b in walk_bonds
+                if g.bonds[b].order != "aromatic" or g.bonds[b].direction is not None
+            )
 
-    if not upgrade_atoms:
+    if not upgrade_atoms and not upgrade_bonds:
         return g
-    atoms = [
-        replace(a, aromatic=True) if i in upgrade_atoms and a.kind == "element" else a
-        for i, a in enumerate(g.atoms)
-    ]
+    atoms = [replace(a, aromatic=True) if i in upgrade_atoms else a for i, a in enumerate(g.atoms)]
     bonds = [
         replace(b, order="aromatic", direction=None) if i in upgrade_bonds else b
         for i, b in enumerate(g.bonds)
@@ -469,6 +475,8 @@ def _parse(text: str) -> MolecularGraph:
     g = _perceive_aromaticity(g)
     _check_aromatic_rings(g, recs)
     _check_direction_consistency(g, recs)
+    if all(atom.chiral is None for atom in g.atoms):
+        return g
     # Resolve chiral neighbor orders from appearance slots.
     final_atoms: list[AtomToken] = []
     for atom, rec in zip(g.atoms, recs):
@@ -718,6 +726,11 @@ def write_smiles(
 # Canonicalization
 # ---------------------------------------------------------------------------
 
+# Nodes one canonicalize call may explore. Past it, each node explores
+# only its first candidate, so the form may depend on atom order; the
+# call then logs a warning.
+CANONICAL_NODE_BUDGET = 4096
+
 _KIND_RANK = {"element": 0, "placeholder": 1, "abbreviation": 2, "wildcard": 3}
 _ORDER_RANK = {"single": 0, "double": 1, "triple": 2, "aromatic": 3}
 
@@ -740,7 +753,17 @@ def _initial_keys(g: MolecularGraph) -> list[tuple]:
     return keys
 
 
-def _refine(g: MolecularGraph, seed: list, moved: Optional[list[int]] = None) -> list[int]:
+def _mate_pairs(g: MolecularGraph) -> list[list[tuple[int, int]]]:
+    """Per atom, its neighbours as ``(order * n, mate)`` pairs.
+
+    With ``n`` atoms, ``order * n + rank`` of the mate sorts as the
+    (bond order, rank) pair does.
+    """
+    n = len(g.atoms)
+    return [[(_ORDER_RANK[b.order] * n, m) for m, b in row] for row in g.adjacency()]
+
+
+def _refine(mates: list, seed: list, moved: Optional[list[int]] = None) -> list[int]:
     """Dense ranks of the stable refinement of the ranks ``seed`` gives.
 
     Each round splits every tied cell by its members' sorted neighbour
@@ -753,10 +776,8 @@ def _refine(g: MolecularGraph, seed: list, moved: Optional[list[int]] = None) ->
     one other atom per cell, which makes a chain refine in linear time.
     When ``seed`` ranks a stable ranking except that the atoms ``moved``
     left their cells, the first round reads only their neighbours.
+    ``mates`` is the graph's :func:`_mate_pairs`.
     """
-    n = len(g.atoms)
-    # A pair is keyed as ``order * n + rank``, which sorts as the pair does.
-    mates = [[(_ORDER_RANK[b.order] * n, m) for m, b in row] for row in g.adjacency()]
     cell_of = _dense_ranks(seed)
     members: list[set[int]] = [set() for _ in range(max(cell_of) + 1)]
     for i, c in enumerate(cell_of):
@@ -821,9 +842,33 @@ def _dense_ranks(keys: list) -> list[int]:
     return [lookup[k] for k in keys]
 
 
-def _canonical_component(g: MolecularGraph, budget: list[int]) -> str:
-    ranks = _refine(g, _initial_keys(g))
-    return _CanonicalSearch(g, budget).smallest(ranks, [])
+def _twin_classes(g: MolecularGraph, keys: list[tuple]) -> list[int]:
+    """Per atom, the first atom of its false-twin class (itself when alone).
+
+    False twins are equal atoms with the same ``(neighbour, bond order)``
+    pairs, which leaves no bond between them, so swapping two of them maps
+    the graph onto itself and fixes every other atom. ``keys`` read a
+    missing isotope or H count as 0 or -1, which the writer tells apart,
+    so both are compared as given. An atom whose swap could move a stereo
+    mark has no twin: one with a chiral tag, next to one, or on a
+    direction-marked bond.
+    """
+    adj = g.adjacency()
+    alone: set[int] = set()
+    for i, atom in enumerate(g.atoms):
+        if atom.chiral is not None:
+            alone.add(i)
+            alone.update(m for m, _ in adj[i])
+    for bond in g.bonds:
+        if bond.direction is not None:
+            alone.update((bond.a, bond.b))
+    first: dict[tuple, int] = {}
+    twin = []
+    for i, atom in enumerate(g.atoms):
+        pairs = tuple(sorted((m, b.order) for m, b in adj[i]))
+        key = (keys[i], atom.isotope, atom.explicit_h, pairs)
+        twin.append(i if i in alone else first.setdefault(key, i))
+    return twin
 
 
 class _CanonicalSearch:
@@ -836,19 +881,26 @@ class _CanonicalSearch:
     keeps atom keys and bond orders. Subtrees that an automorphism maps
     onto explored ones write the same strings, so they are skipped:
 
+    - a candidate that is a false twin (:func:`_twin_classes`) of an
+      explored sibling: swapping the two fixes every other atom;
     - a candidate in the orbit of an explored sibling, under the
       automorphisms found so far that fix the node's individualized atoms;
     - the rest of a branch, once an automorphism that fixes the path it
       shares with the first leaf maps the first leaf's branch onto it.
 
-    ``budget`` counts explored nodes; once it runs out, each node explores
-    only its first candidate.
+    Twins make a chain of n gem-dimethyl carbons a path of about n nodes
+    rather than n²/2. The atom keys, the refinement's neighbour pairs and
+    the twin classes are built once per search. ``budget`` counts
+    explored nodes; once it runs out, each node explores only its first
+    candidate.
     """
 
     def __init__(self, g: MolecularGraph, budget: list[int]):
         self.g = g
         self.budget = budget
         self.keys = _initial_keys(g)
+        self.mates = _mate_pairs(g)
+        self.twin = _twin_classes(g, self.keys)
         self.first: Optional[tuple[str, list[int], list[int]]] = None  # text, emitted, path
         self.autos: list[list[int]] = []
         self.unwind_to: Optional[int] = None  # depth a given-up branch returns to
@@ -886,8 +938,12 @@ class _CanonicalSearch:
         members = cells[min(tied)]
         candidates = members if self.budget[0] > 0 else members[:1]
         # Orbits of the found automorphisms that fix ``path``, as a
-        # union-find forest over the atoms, grown as automorphisms arrive.
+        # union-find forest over the atoms, grown as automorphisms arrive;
+        # it starts with each twin class of the cell joined.
         orbit = list(range(len(ranks)))
+        lead: dict[int, int] = {}
+        for i in members:
+            orbit[i] = lead.setdefault(self.twin[i], i)
         used = 0
 
         def root(x: int) -> int:
@@ -908,7 +964,7 @@ class _CanonicalSearch:
                     continue
             self.budget[0] -= 1
             seed = [(r, 0 if i == promoted else 1) for i, r in enumerate(ranks)]
-            result = self.smallest(_refine(self.g, seed, [promoted]), path + [promoted])
+            result = self.smallest(_refine(self.mates, seed, [promoted]), path + [promoted])
             if self.unwind_to is not None:
                 if self.unwind_to < len(path):
                     return result
@@ -1030,18 +1086,28 @@ def canonicalize(s: Union[str, MolecularGraph]) -> str:
 
     Each component is written as the smallest string over all leaves of
     its canonical search. Branches that automorphisms map onto explored
-    ones are pruned, which leaves that minimum unchanged: a molecule whose
-    ties are all symmetries, such as tetra-tert-butylmethane, writes a
-    dozen leaves rather than tens of thousands.
+    ones are pruned, which leaves that minimum unchanged: false twins,
+    such as the methyls of a tert-butyl or the oxygens of a sulfonyl, are
+    individualized once per class, and a molecule whose ties are all
+    symmetries, such as tetra-tert-butylmethane, writes four leaves
+    rather than tens of thousands. A call whose search runs past
+    :data:`CANONICAL_NODE_BUDGET` nodes logs a warning.
     """
     g = s if isinstance(s, MolecularGraph) else parse_smiles(s)
     g = _fold_explicit_hydrogens(g)
-    budget = [4096]
+    budget = [CANONICAL_NODE_BUDGET]
     pieces = []
     for comp in connected_components(g):
         sub = subgraph(g, comp, label=None, role="unknown", provenance={})
-        pieces.append(_canonical_component(sub, budget))
-    return ".".join(sorted(pieces))
+        search = _CanonicalSearch(sub, budget)
+        pieces.append(search.smallest(_refine(search.mates, search.keys), []))
+    text = ".".join(sorted(pieces))
+    if budget[0] < 0:
+        log.warning(
+            "canonical search of %s ran past its %d-node budget; the form may depend on atom order",
+            text, CANONICAL_NODE_BUDGET,
+        )
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,10 @@ HOSTILE_MOLECULES = {
         _fig2_with("molecules.json", lambda m: [{**m[0], "annotations": "71%"}] + m[1:]),
         "molecular_recognition",
     ),
+    "molecules-mistyped-graph-object": (
+        _fig2_with("molecules.json", lambda m: [{**m[0], "graph": {"atoms": 5}}] + m[1:]),
+        "molecular_recognition",
+    ),
     "boxes-integer": (_fig2_with("boxes.json", lambda b: 5), "molecular_recognition"),
     "rxn-list": (_fig2_with("rxn.json", lambda r: []), "text_extraction"),
     "rxn-string": (_fig2_with("rxn.json", lambda r: json.dumps("x")), "text_extraction"),
@@ -430,6 +434,31 @@ class TestHostileInput:
         assert code == 0
         trace = json.loads(trace_path.read_text())
         assert {"type": "step_failed", "step": step} in trace
+
+    def test_faulty_molecule_graph_is_named(self, capsys, tmp_path, fig2_bundle):
+        make_argv, _ = HOSTILE_MOLECULES["molecules-mistyped-graph-object"]
+        trace_path = tmp_path / "trace.json"
+        argv = make_argv(tmp_path, fig2_bundle) + [
+            "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
+        ]
+        assert run(capsys, *argv)[0] == 0
+        reasons = [
+            reason
+            for e in json.loads(trace_path.read_text())
+            if e["type"] == "observer" and not e["passed"]
+            for reason in e["reasons"]
+        ]
+        assert reasons and all(r.startswith("molecules.json[0].graph: ") for r in reasons)
+
+    def test_failed_run_writes_its_trace(self, capsys, tmp_path, fig2_bundle):
+        trace_path = tmp_path / "trace.json"
+        argv = _fig2_with("template.json", lambda t: "{")(tmp_path, fig2_bundle)
+        code, out = run(capsys, *argv, "--trace", str(trace_path))
+        assert code == 1
+        assert out["error"].startswith("ExecutionError: ")
+        trace = json.loads(trace_path.read_text())
+        errors = [e["error"] for e in trace if e["type"] == "tool" and e["status"] == "error"]
+        assert errors and all(e.startswith("template.json") for e in errors)
 
     def test_sweep_covers_every_sidecar(self):
         assert set(SIDECAR_READERS) == set(SIDECARS)

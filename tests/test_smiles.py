@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 import random
 from functools import lru_cache
 from itertools import permutations
@@ -76,6 +78,14 @@ class TestParse:
         assert len(g.atoms) == 7
         assert sum(a.aromatic for a in g.atoms) == 6
         assert sum(b.order == "aromatic" for b in g.bonds) == 6
+
+    def test_aromatic_input_comes_back_as_is(self):
+        for s in ("Cc1ccccc1", "c1ccc2ccccc2c1", "O=C(c1ccncc1)c1ccccc1", "C1:C:C:C:C:C1"):
+            g = parse_smiles(s)
+            assert smiles._perceive_aromaticity(g) is g, s
+        kekule = parse_smiles("CC1=CC=CC=C1")
+        assert smiles._perceive_aromaticity(kekule) is kekule
+        assert kekule == parse_smiles("Cc1ccccc1")
 
     def test_branches_and_orders(self):
         g = parse_smiles("CC(=O)C#N")
@@ -311,6 +321,22 @@ class TestIsValid:
         assert implicit_h_count(parse_smiles("[R1]C"), 0) is None
 
 
+# False twins: atoms with the same neighbours that the canonical search
+# individualizes once per class. The tagged centres and the marked
+# double-bond end keep theirs apart.
+TWINS = {
+    "gem-dimethyl": "CCC(C)(C)CO",
+    "CF3": "OC(=O)c1ccc(C(F)(F)F)cc1",
+    "SO2": "CS(=O)(=O)N1CCCC1",
+    "NMe2": "CN(C)c1ccc(C=O)cc1",
+    "tBu": "CC(C)(C)OC(=O)NCC(C)(C)C",
+    "twins on a tagged CH": "[C@H](C)(C)F",
+    "twins on a tagged quaternary centre": "C[C@](C)(F)Cl",
+    "twins on a marked double-bond end": "F/C=C(/C)C",
+    "twins beside a marked double bond": "CC(C)/C=C/C(C)C",
+    "isotope 0 is no twin of none": "[CH3]C([0CH3])O",
+}
+
 # The exhaustive search takes seconds on B27, which two tests check.
 exhaustive_text = lru_cache(maxsize=None)(exhaustive_canonical)
 
@@ -335,10 +361,11 @@ class TestOrbitPruning:
         graphs += [random_molecular_graph(random.Random(seed), 16) for seed in range(150)]
         for g in graphs:
             ranks = fixpoint_ranks(g, smiles._initial_keys(g))
-            assert smiles._refine(g, smiles._initial_keys(g)) == ranks
+            mates = smiles._mate_pairs(g)
+            assert smiles._refine(mates, smiles._initial_keys(g)) == ranks
             for v in range(len(g.atoms)):
                 seed = [(r, 0 if i == v else 1) for i, r in enumerate(ranks)]
-                assert smiles._refine(g, seed, [v]) == fixpoint_ranks(g, seed)
+                assert smiles._refine(mates, seed, [v]) == fixpoint_ranks(g, seed)
 
     def test_matches_exhaustive_search_on_random_graphs(self):
         for seed in range(200):
@@ -384,7 +411,67 @@ class TestOrbitPruning:
 
         monkeypatch.setattr(smiles, "write_smiles", counting)
         canonicalize(STRESS[name])
-        assert 0 < len(leaves) <= 64
+        assert 0 < len(leaves) <= 4
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_twin_classes_match_exhaustive_search(self, name):
+        g = parse_smiles(TWINS[name])
+        rng = random.Random(name)
+        assert canonicalize(g) == exhaustive_canonical(g)
+        for _ in range(8):
+            perm = list(range(len(g.atoms)))
+            rng.shuffle(perm)
+            h = renumbered(g, perm)
+            assert canonicalize(h) == exhaustive_canonical(h), perm
+
+    def test_twins_near_stereo_marks_stay_apart(self):
+        twin = smiles._twin_classes
+        for s in ("[C@H](C)(C)F", "C[C@](C)(F)Cl", "F/C=C(/C)C"):
+            g = parse_smiles(s)
+            assert twin(g, smiles._initial_keys(g)) == list(range(len(g.atoms))), s
+        g = parse_smiles("CC(C)/C=C/F")
+        assert twin(g, smiles._initial_keys(g))[:3] == [0, 1, 0]
+
+    @pytest.mark.parametrize("n", [25, 50, 100, 300])
+    def test_gem_dimethyl_chain_takes_linear_nodes(self, n, monkeypatch):
+        nodes = []
+        smallest = smiles._CanonicalSearch.smallest
+
+        def counting(self, *args):
+            nodes.append(1)
+            return smallest(self, *args)
+
+        monkeypatch.setattr(smiles._CanonicalSearch, "smallest", counting)
+        canonicalize("C" + "C(C)(C)" * n + "O")
+        assert len(nodes) <= 2 * n + 10
+
+    def test_canonical_strings_pinned(self, fig2_bundle):
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        texts = sorted({
+            e["smiles"]
+            for r in golden["reactions"]
+            for e in r["reactants"] + r["products"] + r["conditions"]
+            if e.get("smiles")
+        })
+        forms = [canonicalize(s) for s in MOLECULES + list(STRESS.values()) + texts]
+        assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == (
+            "9ca9745e5dada604762b504097de8b231fae3d3705156a9c62912d8d3bf2da8b"
+        )
+
+
+class TestNodeBudget:
+    def test_exhausted_budget_logs_one_warning_per_call(self, monkeypatch, caplog):
+        monkeypatch.setattr(smiles, "CANONICAL_NODE_BUDGET", 2)
+        with caplog.at_level(logging.WARNING, logger="rxnscope.smiles"):
+            canonicalize(STRESS["tetra-tert-butylmethane"] + "." + STRESS["cis-inositol"])
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "2-node budget" in caplog.records[0].getMessage()
+
+    def test_default_budget_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="rxnscope.smiles"):
+            for s in STRESS.values():
+                canonicalize(s)
+        assert caplog.records == []
 
 
 def test_automorphism_count_does_not_blow_up():
