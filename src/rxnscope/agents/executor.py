@@ -35,10 +35,10 @@ from ..reaction import (
 )
 from ..rgroup import substitute_placeholders
 from ..smiles import SmilesParseError, parse_scope, parse_smiles
-from ..chemops import FormulaError, parse_condensed_formula
+from ..chemops import AbbreviationTable, FormulaError, parse_condensed_formula
 from .backend import ScriptedBackend
-from .bundle import Bundle, DescriptorError, InputDescriptor
-from .planner import Plan, review_plan
+from .bundle import Bundle, DescriptorError, InputDescriptor, check_shape
+from .planner import TOKEN_CORRECTION_ANSWER, Plan, review_plan
 from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
 
@@ -129,7 +129,7 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
             except GraphError as exc:
                 raise _StepFailure(f"template graph {i}: {exc}") from None
             if formulas:
-                g = substitute_placeholders(g, formulas, run.ctx.table, run.ctx.aliases)
+                g = substitute_placeholders(g, formulas, registry=run.ctx.aliases)
             smi = run.invoke("graph2smiles", {"graph": graph_to_json(g)})["smiles"]
             out.append(smi)
         return out
@@ -222,7 +222,8 @@ def _step_text_rgroup(run: _Run) -> dict:
         raise _StepFailure("text_rgroup needs a parsed template")
     template = run.memory["template"]
     rows = run.invoke("table_parser", {})["rows"]
-    vocabulary = run.ctx.table.tokens()
+    table = AbbreviationTable.default()
+    vocabulary = table.tokens()
     reactant_graphs = [parse_smiles(s) for s in template["reactants"]]
     product_graphs = [parse_smiles(s) for s in template["products"]]
 
@@ -230,13 +231,14 @@ def _step_text_rgroup(run: _Run) -> dict:
         if token in vocabulary:
             return token
         try:
-            parse_condensed_formula(token, run.ctx.table)
+            parse_condensed_formula(token, table)
             return token
         except FormulaError:
             pass
         answer = run.backend.respond(
             "token_correction", {"token": token, "vocabulary": vocabulary}
         )
+        check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
         return answer.get("token", token)
 
     variant_reactions: list[dict] = []
@@ -253,9 +255,7 @@ def _step_text_rgroup(run: _Run) -> dict:
         def instantiate(graphs: list) -> list[str]:
             out = []
             for g in graphs:
-                spliced = substitute_placeholders(
-                    g, values, run.ctx.table, run.ctx.aliases
-                )
+                spliced = substitute_placeholders(g, values, table, run.ctx.aliases)
                 smi = run.invoke(
                     "graph2smiles", {"graph": graph_to_json(main_component(spliced))}
                 )["smiles"]

@@ -67,8 +67,9 @@ MODALITY_IO = {
 }
 
 
-# The planner's answer, in ``bundle.check_shape`` terms.
+# The backend's answers, in ``bundle.check_shape`` terms.
 PLANNER_ANSWER = {"action": str, "steps": [str], "message": str}
+TOKEN_CORRECTION_ANSWER = {"action": str, "token": str}
 
 
 def build_steps(kinds: list[str]) -> tuple[PlanStep, ...]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from ..chemops import AbbreviationTable, AliasRegistry
+from ..chemops import AliasRegistry
 from ..molgraph import RxnscopeError, graph_from_json
 from ..reaction import (
-    ConditionLexicon,
     TableParseError,
     classify_condition,
     condition_from_json,
@@ -42,10 +41,14 @@ class DetectionError(RxnscopeError, ValueError):
 
 @dataclass
 class RunContext:
+    """What one run owns: its bundle and the aliases of its unknown tokens.
+
+    The packaged abbreviation table and condition lexicon are shared by
+    every run (``AbbreviationTable.default()``, ``ConditionLexicon.default()``).
+    """
+
     bundle: Optional[Bundle]
-    table: AbbreviationTable = field(default_factory=AbbreviationTable.default)
     aliases: AliasRegistry = field(default_factory=AliasRegistry)
-    lexicon: ConditionLexicon = field(default_factory=ConditionLexicon.default)
 
     def require_bundle(self) -> Bundle:
         if self.bundle is None:
@@ -142,7 +145,7 @@ def _tool_graph2smiles(ctx: RunContext, request: dict) -> dict:
     except (KeyError, ValueError) as exc:
         raise ToolError(f"bad graph payload: {exc}") from None
     try:
-        return {"smiles": write_smiles(expand_abbreviations(g, ctx.table, ctx.aliases))}
+        return {"smiles": write_smiles(expand_abbreviations(g, registry=ctx.aliases))}
     except RxnscopeError as exc:
         raise ToolError(f"cannot write graph: {exc}") from None
 
@@ -168,7 +171,7 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
         try:
             graph = parse_smiles(variant["smiles"])
             bindings = extract_rgroup_fragments(product_template, graph)
-            reactants = reconstruct_reactants(template, bindings, ctx.table, ctx.aliases)
+            reactants = reconstruct_reactants(template, bindings, registry=ctx.aliases)
         except RxnscopeError:
             skipped.append(label if label is not None else variant.get("smiles", "?"))
             continue
@@ -198,12 +201,12 @@ def _tool_condition_interpreter(ctx: RunContext, request: dict) -> dict:
             out.append(item)
         return out
 
-    shared = attach(classify_condition(text, ctx.lexicon)) if text else []
+    shared = attach(classify_condition(text)) if text else []
     per_variant: dict[str, list[dict]] = {}
     for label, notes in sorted(request.get("variant_annotations", {}).items()):
         items = []
         for note in notes:
-            items.extend(attach(classify_condition(note, ctx.lexicon)))
+            items.extend(attach(classify_condition(note)))
         if items:
             per_variant[label] = [condition_to_json(i) for i in items]
     for label, raw_items in sorted(request.get("direct_items", {}).items()):

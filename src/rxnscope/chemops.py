@@ -14,8 +14,8 @@ import json
 import math
 import re
 from dataclasses import replace
+from functools import cache
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Optional
 
 from .molgraph import (
@@ -30,7 +30,7 @@ from .molgraph import (
     connected_components,
     ring_bonds,
 )
-from .smiles import VALENCES, implicit_h_count, parse_smiles
+from .smiles import VALENCES, implicit_h_count, is_valid, parse_smiles
 
 HALOGENS = ("F", "Cl", "Br", "I")
 
@@ -74,12 +74,9 @@ class AbbreviationTable:
             self._fragments[token] = _fragment_from_marked_smiles(token, smi)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "AbbreviationTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
-    @classmethod
+    @cache
     def default(cls) -> "AbbreviationTable":
+        """The packaged table, built on first use and shared by every caller."""
         text = resources.files("rxnscope.data").joinpath("abbreviations.json").read_text()
         return cls(json.loads(text))
 
@@ -293,17 +290,21 @@ def parse_condensed_formula(
     Handles substituted-phenyl patterns ("4-BrC6H4", "3,5-(CF3)2C6H3"),
     plain phenyl ("C6H5") and linear chains ("CF3", "NO2", "SO2Me", "OMe",
     "MeO").
-    Raises :class:`FormulaError` for anything else.
+    Raises :class:`FormulaError` for anything else, and for a reading that
+    is not a valid molecule once bonded at its attachment to one carbon
+    ("OC2H5" would be an O carrying two carbons and five hydrogens).
     """
     token = text.strip()
     if not token:
         raise FormulaError("empty formula")
     if token == "C6H5":
         return _fragment_from_marked_smiles("C6H5", "*c1ccccc1")
-    phenyl = _phenyl_pattern(token, table)
-    if phenyl is not None:
-        return phenyl
-    return _parse_linear(token, table)
+    fragment = _phenyl_pattern(token, table) or _parse_linear(token, table)
+    atoms, bonds = [AtomToken(kind="element", text="C")], []
+    bonds.append(Bond(a=0, b=fragment.graft_onto(atoms, bonds)))
+    if not is_valid(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))):
+        raise FormulaError(f"condensed formula {text!r} reads as an invalid group")
+    return fragment
 
 
 def expand_abbreviation(

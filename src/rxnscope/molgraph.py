@@ -2,16 +2,21 @@
 
 Atoms are typed tokens rather than plain element symbols: a graph coming out
 of a drawing can contain real elements, R-group placeholders ("[R1]", "[Ar]"),
-shorthand abbreviations ("Ts", "OMe") and opaque wildcards.  The graph layer
-enforces structural sanity only; valence rules live in :mod:`rxnscope.smiles`
-so that partially-specified drawings remain representable.
+shorthand abbreviations ("Ts", "OMe") and opaque wildcards.
 
-A graph is the one owner of its neighbour lists: :meth:`MolecularGraph.adjacency`
-and the pair index behind :meth:`MolecularGraph.bond_between` are computed
-once per graph instance, on first use, and are read-only (tuples and a
-private dict).  A graph made by ``dataclasses.replace`` builds its own.
-``provenance`` is a read-only copy of the mapping given, so one graph can
-be shared by every caller that parsed the same text.
+Every graph that exists is structurally sound, because the constructors
+check it: an atom has no negative H count and no isotope below 1, and a
+bond joins two different atoms of its graph, at most one bond per pair.
+That holds for graphs made by ``dataclasses.replace`` too, which runs the
+same checks, so no caller validates a graph it was handed.  Valence rules
+are not structural and live in :mod:`rxnscope.smiles`, so that
+partially-specified drawings remain representable.
+
+A graph is the one owner of its neighbour lists: the pair index behind
+:meth:`MolecularGraph.bond_index` is built with the checks, and
+:meth:`MolecularGraph.adjacency` once per graph instance, on first use;
+both are read-only (tuples and a private dict), so one graph can be
+shared by every caller that parsed the same text.
 
 Stereo bookkeeping is written once, here: :meth:`Bond.away` and
 :meth:`Bond.with_away` orient cis/trans marks, :func:`chain_cis_trans`
@@ -27,9 +32,8 @@ membership is :func:`ring_bonds`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
 ATOM_KINDS = ("element", "placeholder", "abbreviation", "wildcard")
@@ -93,6 +97,7 @@ class AtomToken:
     label for placeholders ("[R1]"), the bare shorthand for abbreviations
     ("Ts") and "*" for wildcards.  ``chiral_order`` fixes the neighbor order
     that the ``chiral`` tag refers to; ``-1`` marks the implicit-H slot.
+    ``explicit_h`` is at least 0 and ``isotope`` at least 1 when given.
     """
 
     kind: str
@@ -115,6 +120,10 @@ class AtomToken:
                 raise GraphError(f"placeholder label out of grammar: {self.text!r}")
         if self.chiral is not None and self.chiral not in ("@", "@@"):
             raise GraphError(f"bad chiral tag {self.chiral!r}")
+        if self.explicit_h is not None and self.explicit_h < 0:
+            raise GraphError(f"negative-h: explicit_h={self.explicit_h}")
+        if self.isotope is not None and self.isotope <= 0:
+            raise GraphError(f"bad-isotope: isotope={self.isotope}")
 
     @property
     def label(self) -> str:
@@ -214,45 +223,48 @@ def _pair(i: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class MolecularGraph:
-    """Immutable molecular graph with optional label, role and provenance.
+    """Immutable, structurally sound molecular graph with optional label and role.
 
-    ``provenance`` is stored as a read-only view of a copy of the mapping
-    passed in; assigning to one of its keys raises ``TypeError``.
+    Construction raises :class:`GraphError`, naming the rule and the bond
+    index, when a bond has an endpoint out of range ("dangling-bond"),
+    joins an atom to itself ("self-loop") or joins a pair that an earlier
+    bond already joins ("duplicate-bond").  So a pair of atoms has at most
+    one bond, and :meth:`bond_index` names it.
     """
 
     atoms: tuple[AtomToken, ...] = ()
     bonds: tuple[Bond, ...] = ()
     label: Optional[str] = None
     role: str = "unknown"
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise GraphError(f"unknown role {self.role!r}")
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "bonds", tuple(self.bonds))
-        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+        n = len(self.atoms)
+        positions: dict[tuple[int, int], int] = {}
+        for pos, bond in enumerate(self.bonds):
+            lo, hi = (bond.a, bond.b) if bond.a <= bond.b else (bond.b, bond.a)
+            if lo < 0 or hi >= n:
+                raise GraphError(f"dangling-bond at bond {pos}: endpoint out of range 0..{n - 1}")
+            if lo == hi:
+                raise GraphError(f"self-loop at bond {pos}: atom {lo} bonded to itself")
+            first = positions.setdefault((lo, hi), pos)
+            if first != pos:
+                raise GraphError(f"duplicate-bond at bond {pos}: same pair as bond {first}")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.atoms)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
-        n = len(self.atoms)
-        adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+        adj: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
         for bond in self.bonds:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise GraphError(f"bond {bond.a}-{bond.b} has an endpoint out of range")
             adj[bond.a].append((bond.b, bond))
             adj[bond.b].append((bond.a, bond))
         return tuple(map(tuple, adj))
-
-    @cached_property
-    def _bond_positions(self) -> dict[tuple[int, int], int]:
-        positions: dict[tuple[int, int], int] = {}
-        for pos, bond in enumerate(self.bonds):
-            positions.setdefault(_pair(bond.a, bond.b), pos)
-        return positions
 
     def adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
         """Per atom, its ``(mate, bond)`` pairs in bond order; shared and read-only."""
@@ -262,53 +274,15 @@ class MolecularGraph:
         return [other for other, _ in self._adjacency[idx]]
 
     def bond_index(self, i: int, j: int) -> Optional[int]:
-        """Position in ``bonds`` of the first bond joining ``i`` and ``j``."""
-        return self._bond_positions.get(_pair(i, j))
+        """Position in ``bonds`` of the bond joining ``i`` and ``j``, or None."""
+        return self._positions.get(_pair(i, j))
 
     def bond_between(self, i: int, j: int) -> Optional[Bond]:
-        pos = self._bond_positions.get(_pair(i, j))
+        pos = self._positions.get(_pair(i, j))
         return None if pos is None else self.bonds[pos]
 
     def placeholder_indices(self) -> list[int]:
         return [i for i, atom in enumerate(self.atoms) if atom.kind == "placeholder"]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One structural rule violation, pointing at the offending index."""
-
-    rule: str
-    detail: str
-    atom: Optional[int] = None
-    bond: Optional[int] = None
-
-    def __str__(self) -> str:
-        where = f"atom {self.atom}" if self.atom is not None else f"bond {self.bond}"
-        return f"{self.rule} at {where}: {self.detail}"
-
-
-def validate_graph(g: MolecularGraph) -> list[Violation]:
-    """Collect structural violations; an empty list means the graph is sound."""
-    violations: list[Violation] = []
-    n = len(g.atoms)
-    for bidx, bond in enumerate(g.bonds):
-        if not (0 <= bond.a < n) or not (0 <= bond.b < n):
-            violations.append(
-                Violation("dangling-bond", f"endpoint out of range 0..{n - 1}", bond=bidx)
-            )
-            continue
-        if bond.a == bond.b:
-            violations.append(Violation("self-loop", f"atom {bond.a} bonded to itself", bond=bidx))
-            continue
-        first = g.bond_index(bond.a, bond.b)
-        if first != bidx:
-            violations.append(Violation("duplicate-bond", f"same pair as bond {first}", bond=bidx))
-    for aidx, atom in enumerate(g.atoms):
-        if atom.explicit_h is not None and atom.explicit_h < 0:
-            violations.append(Violation("negative-h", f"explicit_h={atom.explicit_h}", atom=aidx))
-        if atom.isotope is not None and atom.isotope <= 0:
-            violations.append(Violation("bad-isotope", f"isotope={atom.isotope}", atom=aidx))
-    return violations
 
 
 def connected_components(g: MolecularGraph) -> list[list[int]]:
@@ -337,8 +311,7 @@ def ring_bonds(g: MolecularGraph, keep: Callable[[Bond], bool] = lambda bond: Tr
     """Positions in ``g.bonds`` of the kept bonds that lie on a cycle of kept bonds.
 
     Linear time: one depth-first search finds the bridges (Tarjan, 1974)
-    and every other kept bond lies on a cycle.  Bonds joining the same
-    pair count as one bond.
+    and every other kept bond lies on a cycle.
     """
     adj = [[mate for mate, bond in row if keep(bond)] for row in g.adjacency()]
     disc: dict[int, int] = {}  # atom -> discovery time
@@ -373,7 +346,7 @@ def ring_bonds(g: MolecularGraph, keep: Callable[[Bond], bool] = lambda bond: Tr
 
 
 def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> MolecularGraph:
-    """Induced subgraph over ``indices``; records old indices in provenance."""
+    """Induced subgraph over ``indices``, in ascending order of old index."""
     index_list = sorted(set(indices))
     index_map = {old: new for new, old in enumerate(index_list)}
     atoms = [g.atoms[old] for old in index_list]
@@ -384,12 +357,7 @@ def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> Molecula
         for bond in g.bonds
         if bond.a in index_map and bond.b in index_map
     ]
-    fields = {
-        "label": g.label,
-        "role": g.role,
-        "provenance": {"index_map": tuple(index_list)},
-    }
-    fields.update(overrides)
+    fields = {"label": g.label, "role": g.role, **overrides}
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds), **fields)
 
 
@@ -443,11 +411,10 @@ class Fragment:
     @classmethod
     def cut(cls, g: MolecularGraph, atoms: Iterable[int], attachment: int) -> "Fragment":
         """The induced subgraph of ``g`` over ``atoms``, attached at ``attachment``."""
-        graph = subgraph(g, atoms, label=None, role="unknown")
-        kept = graph.provenance["index_map"]
+        kept = sorted(set(atoms))
         if attachment not in kept:
             raise GraphError(f"attachment atom {attachment} not among fragment atoms")
-        return cls(graph, kept.index(attachment))
+        return cls(subgraph(g, kept, label=None, role="unknown"), kept.index(attachment))
 
     def graft_onto(self, atoms: list[AtomToken], bonds: list[Bond]) -> int:
         """Append this fragment to ``atoms`` and ``bonds``; return where it attaches.
@@ -663,9 +630,6 @@ def graph_from_json(data: Mapping) -> MolecularGraph:
         label=data.get("label"),
         role=data.get("role", "unknown"),
     )
-    bad = validate_graph(g)
-    if bad:
-        raise GraphError(f"graph JSON failed validation: {bad[0]}")
     # Chirality parsed from symbols refers to the codec's fixed convention.
     adj = g.adjacency()
     atoms = list(g.atoms)

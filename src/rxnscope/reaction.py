@@ -6,8 +6,8 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Optional
 
 from .molgraph import MolecularGraph, RxnscopeError, is_placeholder_label
@@ -112,13 +112,9 @@ class ConditionLexicon:
         self._reagents = {name.lower() for name in reagents}
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ConditionLexicon":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(raw.get("solvents", {}), raw.get("reagents", []))
-
-    @classmethod
+    @cache
     def default(cls) -> "ConditionLexicon":
+        """The packaged lexicon, built on first use and shared by every caller."""
         text = (
             resources.files("rxnscope.data")
             .joinpath("condition_lexicon.json")

@@ -19,7 +19,6 @@ from .molgraph import (
     MolecularGraph,
     main_component,
     renumber_chiral,
-    validate_graph,
 )
 from .smiles import canonicalize, parse_smiles, write_smiles
 from .substructure import scaffold_align
@@ -92,8 +91,6 @@ def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> Mol
 
     bonds = []
     for bond in g.bonds:
-        if bond.a not in new_index or bond.b not in new_index:
-            raise GraphError(f"bond {bond.a}-{bond.b} has an endpoint out of range")
         ends = [end for end in (bond.a, bond.b) if end in fragments]
         if ends:
             b = min(ends)
@@ -103,9 +100,7 @@ def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> Mol
             bond = replace(bond, a=new_index[bond.a], b=new_index[bond.b])
         bonds.append(bond)
     bonds += grafted
-    if len({frozenset((b.a, b.b)) for b in bonds}) != len(bonds):
-        raise GraphError("splice would create a duplicate bond")
-    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds), provenance={})
+    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
 def substitute_placeholders(
@@ -119,8 +114,10 @@ def substitute_placeholders(
     Placeholders whose label has no binding stay in place. Bindings may
     be ready-made fragments or abbreviation tokens; token expansion never
     fails (unknown tokens become aliased wildcards).  Tokens expand from
-    the highest atom index down, which fixes the order of alias numbers.
+    the highest atom index down, which fixes the order of alias numbers;
+    without a ``registry`` the call numbers its aliases in one of its own.
     """
+    registry = registry if registry is not None else AliasRegistry()
     fragments = {}
     for at in reversed(g.placeholder_indices()):
         label = g.atoms[at].label
@@ -129,11 +126,7 @@ def substitute_placeholders(
             if not isinstance(value, Fragment):
                 value = expand_abbreviation(value, table, registry)
             fragments[at] = value
-    out = splice_fragment(g, fragments)
-    violations = validate_graph(out)
-    if violations:
-        raise GraphError(f"substitution produced an invalid graph: {violations[0]}")
-    return out
+    return splice_fragment(g, fragments)
 
 
 def expand_abbreviations(
@@ -141,7 +134,11 @@ def expand_abbreviations(
     table: Optional[AbbreviationTable] = None,
     registry: Optional[AliasRegistry] = None,
 ) -> MolecularGraph:
-    """Replace every abbreviation atom with its expanded fragment."""
+    """Replace every abbreviation atom with its expanded fragment.
+
+    Without a ``registry`` the call numbers its aliases in one of its own.
+    """
+    registry = registry if registry is not None else AliasRegistry()
     targets = reversed([i for i, atom in enumerate(g.atoms) if atom.kind == "abbreviation"])
     fragments = {at: expand_abbreviation(g.atoms[at].text, table, registry) for at in targets}
     return splice_fragment(g, fragments)
@@ -180,7 +177,8 @@ def reconstruct_reactants(
     """Instantiate every reactant template and write isomeric SMILES.
 
     Raises :class:`MissingBindingError` when the assignment does not
-    cover all reactant-side placeholder labels.
+    cover all reactant-side placeholder labels.  Without a ``registry``
+    the call numbers its aliases in one of its own.
     """
     needed: set[str] = set()
     for g in template.reactant_templates:
@@ -189,6 +187,7 @@ def reconstruct_reactants(
     missing = sorted(needed - set(assignment))
     if missing:
         raise MissingBindingError(missing)
+    registry = registry if registry is not None else AliasRegistry()
     out: list[str] = []
     for g in template.reactant_templates:
         spliced = substitute_placeholders(g, assignment, table, registry)

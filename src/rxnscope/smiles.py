@@ -125,6 +125,8 @@ class _Parser:
         if m:
             sym = m.group("sym")
             iso = int(m.group("iso")) if m.group("iso") else None
+            if iso == 0:
+                raise self.error("isotope 0", start)
             chi = m.group("chi")
             h = m.group("h")
             explicit_h = (int(h[1:]) if len(h) > 1 else 1) if h else 0
@@ -847,10 +849,10 @@ def _twin_classes(g: MolecularGraph, keys: list[tuple]) -> list[int]:
 
     False twins are equal atoms with the same ``(neighbour, bond order)``
     pairs, which leaves no bond between them, so swapping two of them maps
-    the graph onto itself and fixes every other atom. ``keys`` read a
-    missing isotope or H count as 0 or -1, which the writer tells apart,
-    so both are compared as given. An atom whose swap could move a stereo
-    mark has no twin: one with a chiral tag, next to one, or on a
+    the graph onto itself and fixes every other atom. ``keys`` tell a
+    missing isotope or H count from a given one, because no atom carries
+    isotope 0 or a negative H count. An atom whose swap could move a
+    stereo mark has no twin: one with a chiral tag, next to one, or on a
     direction-marked bond.
     """
     adj = g.adjacency()
@@ -864,10 +866,9 @@ def _twin_classes(g: MolecularGraph, keys: list[tuple]) -> list[int]:
             alone.update((bond.a, bond.b))
     first: dict[tuple, int] = {}
     twin = []
-    for i, atom in enumerate(g.atoms):
+    for i, key in enumerate(keys):
         pairs = tuple(sorted((m, b.order) for m, b in adj[i]))
-        key = (keys[i], atom.isotope, atom.explicit_h, pairs)
-        twin.append(i if i in alone else first.setdefault(key, i))
+        twin.append(i if i in alone else first.setdefault((key, pairs), i))
     return twin
 
 
@@ -1098,7 +1099,7 @@ def canonicalize(s: Union[str, MolecularGraph]) -> str:
     budget = [CANONICAL_NODE_BUDGET]
     pieces = []
     for comp in connected_components(g):
-        sub = subgraph(g, comp, label=None, role="unknown", provenance={})
+        sub = subgraph(g, comp, label=None, role="unknown")
         search = _CanonicalSearch(sub, budget)
         pieces.append(search.smallest(_refine(search.mates, search.keys), []))
     text = ".".join(sorted(pieces))

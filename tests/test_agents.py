@@ -310,6 +310,57 @@ class TestPlannerAnswers:
         plan = plan_extraction(descriptor("plain_text_only"), _Answering(answer))
         assert [s.agent for s in plan.steps] == answer["steps"]
 
+
+class _CorrectingWith(ScriptedBackend):
+    """The scripted backend, except that a token correction answers ``answer``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def respond(self, role, context, tool_result=None):
+        if role == "token_correction":
+            return self.answer
+        return super().respond(role, context, tool_result)
+
+
+# Malformed token_correction answers fail the text_rgroup step with the
+# backend error in the trace, never an AttributeError.
+HOSTILE_TOKEN_ANSWERS = {
+    "none": (None, "token_correction answer: expected an object"),
+    "integer": (5, "token_correction answer: expected an object"),
+    "list": ([], "token_correction answer: expected an object"),
+    "integer-token": ({"token": 5}, "token_correction answer.token: expected a string"),
+    "null-token": ({"token": None}, "token_correction answer.token: expected a string"),
+}
+
+
+class TestTokenCorrectionAnswers:
+    @pytest.fixture
+    def table_bundle(self, fig2_bundle, tmp_path):
+        """fig2 read as a text table whose Ar cell "Pj" is a misspelt "Ph"."""
+        for path in fig2_bundle.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        modalities = ["reaction_template_image", "text_table", "text_description"]
+        (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
+        (tmp_path / "table.txt").write_text("entry\tR\tAr\tproduct\n1\tMe\tPj\t3a\n")
+        return Bundle.load(tmp_path).descriptor
+
+    def run(self, d, answer):
+        return execute_plan(plan_extraction(d, BACKEND), d, backend=_CorrectingWith(answer))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TOKEN_ANSWERS))
+    def test_malformed_answer_fails_the_step(self, case, table_bundle):
+        answer, message = HOSTILE_TOKEN_ANSWERS[case]
+        trace = self.run(table_bundle, answer).trace
+        verdicts = [e for e in trace if e["type"] == "observer" and e["step"] == "text_rgroup"]
+        assert verdicts and all(v["reasons"] == [message] for v in verdicts)
+        assert {"type": "step_failed", "step": "text_rgroup"} in trace
+
+    def test_well_formed_answer_is_used(self, table_bundle):
+        result = self.run(table_bundle, {"action": "correct", "token": "Ph"})
+        assert result.digest["assignments"]["3a"] == {"Ar": "Ph", "R": "Me"}
+
+
 class TestObserveStep:
     def test_smiles_must_parse(self):
         ok, reasons = observe_step("molecular_recognition", {

@@ -13,9 +13,10 @@ from rxnscope.chemops import (
     parse_condensed_formula,
     perceive_stereo,
 )
-from rxnscope.molgraph import AtomToken, Bond, MolecularGraph, validate_graph
+from rxnscope.molgraph import AtomToken, Bond, MolecularGraph
+from rxnscope.reaction import ConditionLexicon
 from rxnscope.rgroup import substitute_placeholders
-from rxnscope.smiles import canonicalize, parse_smiles, write_smiles
+from rxnscope.smiles import canonicalize, is_valid, parse_smiles, write_smiles
 
 from oracles import (
     double_bond_geometry,
@@ -33,6 +34,13 @@ def plug(template: str, **assignment) -> str:
     return canonicalize(write_smiles(g, isomeric=True))
 
 
+def on_carbon(fragment) -> MolecularGraph:
+    """``fragment`` bonded at its attachment to one carbon."""
+    atoms, bonds = [AtomToken(kind="element", text="C")], []
+    bonds.append(Bond(a=0, b=fragment.graft_onto(atoms, bonds)))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
+
+
 class TestAbbreviationTable:
     def test_seed_tokens_present(self):
         table = AbbreviationTable.default()
@@ -43,8 +51,12 @@ class TestAbbreviationTable:
         table = AbbreviationTable.default()
         for token in table.tokens():
             frag = table.get(token)
-            assert validate_graph(frag.graph) == [], token
+            assert is_valid(on_carbon(frag)), token
             assert 0 <= frag.attachment < len(frag.graph.atoms), token
+
+    def test_packaged_tables_are_built_once(self):
+        assert AbbreviationTable.default() is AbbreviationTable.default()
+        assert ConditionLexicon.default() is ConditionLexicon.default()
 
     def test_fragments_are_cloned_per_call(self):
         table = AbbreviationTable.default()
@@ -88,7 +100,8 @@ class TestExpandAbbreviation:
     def test_total_over_arbitrary_tokens(self, token):
         frag = expand_abbreviation(token, AbbreviationTable.default(), AliasRegistry())
         assert frag.graph.atoms
-        assert validate_graph(frag.graph) == []
+        wildcard = frag.graph.atoms[frag.attachment].kind == "wildcard"
+        assert wildcard or is_valid(on_carbon(frag)), token
 
 
 class TestCondensedFormula:
@@ -137,6 +150,27 @@ class TestCondensedFormula:
     def test_rejects_non_formula(self, bad):
         with pytest.raises(FormulaError):
             parse_condensed_formula(bad)
+
+    @pytest.mark.parametrize("formula", ["OC2H5", "OC6H4", "MeOC6H4"])
+    def test_over_valent_reading_falls_back_to_the_wildcard(self, formula):
+        # Read as counts of atoms on the backbone O, these would give an O
+        # carrying two to seven carbons.
+        with pytest.raises(FormulaError):
+            parse_condensed_formula(formula)
+        assert plug("[R]C", R=formula) == "C[100*]"
+
+    @pytest.mark.parametrize(
+        "formula,expected",
+        [
+            ("4-MeOC6H4", "Cc1ccc(cc1)OC"),
+            ("SO2Me", "CS(C)(=O)=O"),
+            ("NO2", "C[N+]([O-])=O"),
+            ("CF3", "CC(F)(F)F"),
+            ("CH2OMe", "C[CH2]OC"),
+        ],
+    )
+    def test_valid_readings_are_kept(self, formula, expected):
+        assert plug("[R]C", R=formula) == expected
 
 
 def drawing_trans_butene() -> MolecularGraph:

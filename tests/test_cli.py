@@ -75,6 +75,16 @@ class TestSubstitute:
         assert code == 1
         assert "LABEL=GROUP" in out["error"]
 
+    @pytest.mark.parametrize(
+        "assign,result",
+        [("R1=Zzq,R2=Qqz", "[101*]CC[100*]"), ("R1=Zzq,R2=Zzq", "[100*]CC[100*]")],
+    )
+    def test_unknown_tokens_alias_apart(self, capsys, assign, result):
+        # Distinct unknown tokens get distinct isotopes; a repeated one keeps its own.
+        code, out = run(capsys, "substitute", "--template", "[R1]CC[R2]", "--assign", assign)
+        assert code == 0
+        assert out["result"] == canonicalize(result)
+
 
 class TestReconstruct:
     def test_acyl_template(self, capsys, tmp_path):

@@ -19,7 +19,6 @@ from rxnscope.molgraph import (
     permutation_parity,
     ring_bonds,
     subgraph,
-    validate_graph,
 )
 from rxnscope.smiles import parse_smiles, write_smiles, canonicalize
 
@@ -111,27 +110,57 @@ class TestRingBonds:
         assert len(ring_bonds(g)) == 4
 
 
-class TestValidateGraph:
-    def test_single_atom_clean(self):
-        g = MolecularGraph(atoms=(carbon(),))
-        assert validate_graph(g) == []
+# Each case breaks one structural rule at atom or bond 1 of two carbons
+# joined by bond 0: the fields atom 1 takes, and the bonds as pairs.
+MALFORMED = {
+    "dangling-bond": ({}, [(0, 1), (1, 2)]),
+    "self-loop": ({}, [(0, 1), (1, 1)]),
+    "duplicate-bond": ({}, [(0, 1), (1, 0)]),
+    "negative-h": ({"explicit_h": -1}, [(0, 1)]),
+    "bad-isotope": ({"isotope": 0}, [(0, 1)]),
+}
+JSON_KEYS = {"explicit_h": "h", "isotope": "isotope"}
 
-    def test_self_loop(self):
-        g = MolecularGraph(atoms=(carbon(),), bonds=(Bond(a=0, b=0),))
-        rules = [v.rule for v in validate_graph(g)]
-        assert rules == ["self-loop"]
 
-    def test_duplicate_pair(self):
-        g = MolecularGraph(
-            atoms=(carbon(), carbon()),
-            bonds=(Bond(a=0, b=1), Bond(a=1, b=0, order="double")),
-        )
-        rules = [v.rule for v in validate_graph(g)]
-        assert rules == ["duplicate-bond"]
+class TestMalformedGraphs:
+    """A malformed graph cannot be built, however it is built."""
 
-    def test_out_of_range_endpoint(self):
-        g = MolecularGraph(atoms=(carbon(),), bonds=(Bond(a=0, b=4),))
-        assert [v.rule for v in validate_graph(g)] == ["dangling-bond"]
+    @staticmethod
+    def where(rule):
+        # An atom is checked on its own, so only the codec knows its index.
+        return rule if MALFORMED[rule][0] else f"{rule} at bond 1"
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_constructor_rejects(self, rule):
+        atom, pairs = MALFORMED[rule]
+        with pytest.raises(GraphError, match=self.where(rule)):
+            MolecularGraph(
+                atoms=(carbon(), carbon(**atom)),
+                bonds=tuple(Bond(a=a, b=b) for a, b in pairs),
+            )
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_replace_rejects(self, rule):
+        g = MolecularGraph(atoms=(carbon(), carbon()), bonds=(Bond(a=0, b=1),))
+        atom, pairs = MALFORMED[rule]
+        with pytest.raises(GraphError, match=self.where(rule)):
+            replace(
+                g,
+                atoms=(g.atoms[0], replace(g.atoms[1], **atom)),
+                bonds=tuple(Bond(a=a, b=b) for a, b in pairs),
+            )
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_graph_json_rejects(self, rule):
+        atom, pairs = MALFORMED[rule]
+        fields = {JSON_KEYS[key]: value for key, value in atom.items()}
+        data = {
+            "atoms": [{"symbol": "C"}, {"symbol": "C", **fields}],
+            "bonds": [{"a": a, "b": b} for a, b in pairs],
+        }
+        where = rf"atoms\[1\]: {rule}" if atom else f"{rule} at bond 1"
+        with pytest.raises(GraphError, match=where):
+            graph_from_json(data)
 
 
 def _scan_bond(g: MolecularGraph, i: int, j: int):
@@ -161,8 +190,12 @@ class TestIndexedAdjacency:
     @given(random_graphs, st.booleans())
     def test_agrees_with_bond_scan_first_bond_wins(self, g, duplicate):
         if duplicate:
-            first = g.bonds[len(g.bonds) // 2]
-            g = replace(g, bonds=g.bonds + (Bond(a=first.b, b=first.a, order="triple"),))
+            # A second bond on a pair cannot be built; the error names the first.
+            pos = len(g.bonds) // 2
+            first = g.bonds[pos]
+            message = f"duplicate-bond at bond {len(g.bonds)}: same pair as bond {pos}"
+            with pytest.raises(GraphError, match=message):
+                replace(g, bonds=g.bonds + (Bond(a=first.b, b=first.a, order="triple"),))
         _assert_matches_bond_scan(g)
 
     @given(random_graphs)
@@ -185,9 +218,8 @@ class TestIndexedAdjacency:
         _assert_matches_bond_scan(h)
 
     def test_out_of_range_endpoint_is_a_graph_error(self):
-        g = MolecularGraph(atoms=(carbon(),), bonds=(Bond(a=0, b=-1),))
-        with pytest.raises(GraphError):
-            g.adjacency()
+        with pytest.raises(GraphError, match="dangling-bond at bond 0"):
+            MolecularGraph(atoms=(carbon(),), bonds=(Bond(a=0, b=-1),))
 
 
 class TestComponents:
@@ -203,9 +235,8 @@ class TestComponents:
         assert all(a.aromatic for a in main.atoms)
 
     def test_tie_breaks_to_lowest_original_index(self):
-        g = parse_smiles("C.C")
-        main = main_component(g)
-        assert list(main.provenance["index_map"]) == [0]
+        assert [a.text for a in main_component(parse_smiles("C.N")).atoms] == ["C"]
+        assert [a.text for a in main_component(parse_smiles("N.C")).atoms] == ["N"]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
@@ -218,12 +249,11 @@ class TestComponents:
 
 class TestSubgraph:
     def test_induced_bonds_only(self):
-        g = parse_smiles("CCCC")
-        sub = subgraph(g, [0, 1, 3])
-        assert len(sub.atoms) == 3
+        g = parse_smiles("CCNO")
+        sub = subgraph(g, [3, 0, 1])
+        assert [a.text for a in sub.atoms] == ["C", "C", "O"]
         # Bond 2-3 drops because atom 2 is missing; 0-1 survives.
-        assert len(sub.bonds) == 1
-        assert list(sub.provenance["index_map"]) == [0, 1, 3]
+        assert [(b.a, b.b) for b in sub.bonds] == [(0, 1)]
 
     def test_chiral_order_remapped_or_cleared(self):
         g = parse_smiles("N[C@@H](C)O")
@@ -237,7 +267,7 @@ class TestSubgraph:
     def test_fragment_attachment_round_trip(self):
         g = parse_smiles("CCc1ccccc1")
         frag = Fragment.cut(g, [1, 0], 1)
-        assert frag.attachment == list(frag.graph.provenance["index_map"]).index(1)
+        assert frag.attachment == 1
         phenyl = Fragment.cut(g, range(2, 8), 2)
         assert (phenyl.attachment, write_smiles(phenyl.graph)) == (0, "c1ccccc1")
         # Grafting the phenyl back onto the ethyl rebuilds the molecule.
@@ -263,15 +293,6 @@ class TestSubgraph:
         )
         assert all(atom.coords is None for atom in atoms)
         assert [(b.a, b.b) for b in bonds[1:]] == [(2, 3), (3, 4), (3, 5)]
-
-    def test_provenance_is_a_read_only_copy(self):
-        sub = subgraph(parse_smiles("CCCC"), [0, 1])
-        with pytest.raises(TypeError):
-            sub.provenance["index_map"] = (3,)
-        source = {"attachment": 0}
-        g = MolecularGraph(provenance=source)
-        source["attachment"] = 1
-        assert g.provenance["attachment"] == 0
 
 
 class TestParity:

@@ -97,6 +97,20 @@ class TestSubstitute:
         assert out == canonicalize("F[C@H](Cl)C")
         assert out != canonicalize("F[C@@H](Cl)C")
 
+    def test_one_alias_registry_per_call(self):
+        g = parse_smiles("[R1]CC[R2]")
+        out = substitute_placeholders(g, {"R1": "Zzq", "R2": "Qqz"})
+        assert sorted(a.isotope for a in out.atoms if a.kind == "wildcard") == [100, 101]
+        out = substitute_placeholders(g, {"R1": "Zzq", "R2": "Zzq"})
+        assert [a.isotope for a in out.atoms if a.kind == "wildcard"] == [100, 100]
+        template = ReactionTemplate((g, parse_smiles("[R2]C[R1]")), (g,))
+        # Tokens alias from the highest atom index down: Qqz first.
+        reactants = reconstruct_reactants(template, {"R1": "Zzq", "R2": "Qqz"})
+        assert [canonicalize(s) for s in reactants] == [
+            canonicalize("[101*]CC[100*]"),
+            canonicalize("[100*]C[101*]"),
+        ]
+
     def test_multiple_occurrences_all_replaced(self):
         g = parse_smiles("[R1]C(=O)[R1]")
         out = substitute_placeholders(g, {"R1": "Me"})

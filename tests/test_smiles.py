@@ -147,6 +147,15 @@ class TestParse:
         assert err.value.offset == offset
         assert f"(offset {offset})" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["[0CH4]", "C[0*]"])
+    def test_isotope_zero_is_rejected_at_its_bracket(self, text):
+        # An atom may not carry isotope 0, so the parser reports it with
+        # the bracket's offset rather than letting a GraphError escape.
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles(text)
+        assert err.value.offset == text.index("[")
+        assert not is_valid(text)
+
 
 class TestWrite:
     def test_round_trip_benzene(self):
@@ -334,7 +343,7 @@ TWINS = {
     "twins on a tagged quaternary centre": "C[C@](C)(F)Cl",
     "twins on a marked double-bond end": "F/C=C(/C)C",
     "twins beside a marked double bond": "CC(C)/C=C/C(C)C",
-    "isotope 0 is no twin of none": "[CH3]C([0CH3])O",
+    "given isotope or H count is no twin of none": "[CH3]C([13CH3])(C)O",
 }
 
 # The exhaustive search takes seconds on B27, which two tests check.
