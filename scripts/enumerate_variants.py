@@ -37,7 +37,7 @@ def main(argv=None) -> int:
 
     for row in parse_rgroup_table(text):
         spliced = substitute_placeholders(template, dict(row.values), table)
-        smiles = canonicalize(write_smiles(spliced, isomeric=True))
+        smiles = canonicalize(write_smiles(spliced))
         print(json.dumps({
             "entry": row.entry,
             "assignment": dict(row.values),

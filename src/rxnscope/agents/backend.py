@@ -1,9 +1,10 @@
 """Reasoning backends: a deterministic rule table and a remote HTTP client.
 
-Every decision point in the pipeline goes through ``respond(role,
-context, tool_result)``. The scripted backend answers from fixed rules
-so runs are reproducible; the remote backend forwards the same payload
-to a configured HTTP endpoint and is never used in tests.
+Two decision points in the pipeline go through ``respond(role,
+context)``: the ``planner`` role picks the plan, and ``token_correction``
+mends a table token nothing can read. The scripted backend answers from
+fixed rules so runs are reproducible; the remote backend forwards the
+same payload to a configured HTTP endpoint and is never used in tests.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import json
 import os
 import urllib.request
-from typing import Any, Optional
+from typing import Optional
 
 from ..molgraph import RxnscopeError
 
-DEFAULT_TEMPERATURE = 0.1
+# What the remote backend sends with every request.
+TEMPERATURE = 0.1
+TIMEOUT_S = 60.0
 
 
 class BackendError(RxnscopeError, RuntimeError):
@@ -90,11 +93,7 @@ def edit_distance(a: str, b: str) -> int:
 class ScriptedBackend:
     """Rule-table reasoning; same inputs always give the same answer."""
 
-    name = "scripted"
-
-    def respond(
-        self, role: str, context: dict, tool_result: Any = None
-    ) -> dict:
+    def respond(self, role: str, context: dict) -> dict:
         if role == "planner":
             modalities = frozenset(context.get("modalities", []))
             steps = PLAN_TABLE.get(modalities)
@@ -115,9 +114,7 @@ class ScriptedBackend:
             if candidates:
                 return {"action": "correct", "token": candidates[0]}
             return {"action": "keep", "token": token}
-        if role == "review":
-            return {"action": "retry"}
-        return {"action": "proceed"}
+        raise BackendError(f"no rule for role {role!r}")
 
 
 class RemoteBackend:
@@ -127,35 +124,26 @@ class RemoteBackend:
     RXNSCOPE_REMOTE_TOKEN / RXNSCOPE_REMOTE_MODEL environment variables.
     """
 
-    name = "remote"
-
     def __init__(
         self,
         url: Optional[str] = None,
         token: Optional[str] = None,
         model: Optional[str] = None,
-        temperature: float = DEFAULT_TEMPERATURE,
-        timeout: float = 60.0,
     ):
         self.url = url or os.environ.get("RXNSCOPE_REMOTE_URL")
         self.token = token or os.environ.get("RXNSCOPE_REMOTE_TOKEN")
         self.model = model or os.environ.get("RXNSCOPE_REMOTE_MODEL", "")
-        self.temperature = temperature
-        self.timeout = timeout
         if not self.url:
             raise BackendError(
                 "remote backend needs a URL (RXNSCOPE_REMOTE_URL or --url)"
             )
 
-    def respond(
-        self, role: str, context: dict, tool_result: Any = None
-    ) -> dict:
+    def respond(self, role: str, context: dict) -> dict:
         payload = {
             "role": role,
             "context": context,
-            "tool_result": tool_result,
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
         }
         data = json.dumps(payload).encode()
         req = urllib.request.Request(
@@ -164,7 +152,7 @@ class RemoteBackend:
         if self.token:
             req.add_header("Authorization", f"Bearer {self.token}")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=TIMEOUT_S) as resp:
                 body = resp.read()
         except OSError as exc:
             raise BackendError(f"remote backend request failed: {exc}") from None

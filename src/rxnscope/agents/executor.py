@@ -3,11 +3,11 @@
 Each agent kind is a step function that calls its tools through the run
 and stores its results in the run's memory, a dict keyed by the output
 names the planner declares. After every attempt the observer checks the
-output; a failed check or a failing tool triggers a backend-reviewed
-retry of the whole step. That step loop is the only retry layer: a tool
-is called once per step attempt, so a permanently failing tool is called
-``retry_budget`` times. Steps whose inputs come from a failed step are
-skipped (degraded) rather than crashing the run.
+output; a failed check or a failing tool retries the whole step. That
+step loop is the only retry layer: a tool is called once per step
+attempt, so a permanently failing tool is called ``RETRY_BUDGET`` times.
+Steps whose inputs come from a failed step are skipped (degraded) rather
+than crashing the run.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
 
 log = logging.getLogger(__name__)
+
+# Attempts per step, the first one included.
+RETRY_BUDGET = 2
 
 
 class ExecutionError(RxnscopeError, RuntimeError):
@@ -239,7 +242,9 @@ def _step_text_rgroup(run: _Run) -> dict:
             "token_correction", {"token": token, "vocabulary": vocabulary}
         )
         check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
-        return answer.get("token", token)
+        if "token" not in answer:
+            raise _StepFailure("token_correction answer.token: missing")
+        return answer["token"]
 
     variant_reactions: list[dict] = []
     assignments: dict[Any, dict] = {}
@@ -474,7 +479,6 @@ def execute_plan(
     descriptor: InputDescriptor,
     registry: Optional[ToolRegistry] = None,
     backend=None,
-    retry_budget: int = 2,
 ) -> ExtractionResult:
     """Run an approved plan over the descriptor's bundle.
 
@@ -512,8 +516,7 @@ def execute_plan(
                     continue
                 fn = STEP_FUNCS[step.agent]
                 run.current_step = step.agent
-                passed = False
-                for attempt in range(1, retry_budget + 1):
+                for attempt in range(1, RETRY_BUDGET + 1):
                     run.attempt = attempt
                     try:
                         ok, reasons = observe_step(step.agent, fn(run))
@@ -529,10 +532,8 @@ def execute_plan(
                         }
                     )
                     if ok:
-                        passed = True
                         break
-                    backend.respond("review", {"agent": step.agent, "reasons": reasons})
-                if not passed:
+                else:
                     if index == 0:
                         raise ExecutionError(
                             f"first step {step.agent!r} failed past the retry budget",

@@ -27,7 +27,6 @@ class PlanStep:
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[PlanStep, ...]
-    revision: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def plan_extraction(descriptor: InputDescriptor, backend) -> Plan:
         raise PlanningError(response.get("message", "planner refused"))
     if response.get("action") != "plan" or "steps" not in response:
         raise PlanningError(f"unusable planner response: {response!r}")
-    plan = Plan(steps=build_steps(list(response["steps"])), revision=0)
+    plan = Plan(steps=build_steps(list(response["steps"])))
     issues = review_plan(plan, descriptor)
     if issues:
         raise PlanningError(

@@ -69,7 +69,6 @@ class AbbreviationTable:
 
     def __init__(self, entries: Mapping[str, str]):
         self._fragments: dict[str, Fragment] = {}
-        self._sources = dict(entries)
         for token, smi in entries.items():
             self._fragments[token] = _fragment_from_marked_smiles(token, smi)
 
@@ -94,12 +93,13 @@ class AliasRegistry:
     """Document-scoped isotope aliases for tokens nothing can expand.
 
     The same unknown token always maps to the same wildcard isotope within
-    one registry, so repeated occurrences stay identifiable.
+    one registry, so repeated occurrences stay identifiable. Isotopes are
+    handed out from 100 on.
     """
 
-    def __init__(self, start: int = 100):
+    def __init__(self):
         self._aliases: dict[str, int] = {}
-        self._next = start
+        self._next = 100
 
     def alias_for(self, token: str) -> int:
         if token not in self._aliases:

@@ -73,7 +73,7 @@ def _cmd_substitute(args) -> int:
     assignment = _parse_assignment(args.assign)
     g = parse_smiles(args.template)
     out = substitute_placeholders(g, assignment)
-    smi = canonicalize(write_smiles(main_component(out), isomeric=True))
+    smi = canonicalize(write_smiles(main_component(out)))
     _emit({"template": args.template, "assignment": assignment, "result": smi})
     return 0
 

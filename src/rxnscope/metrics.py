@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .molgraph import MolecularGraph, RxnscopeError
 from .reaction import MoleculeEntry, ReactionRecord
@@ -62,7 +62,6 @@ class MatchCounts:
     correct: int
     predicted: int
     gold: int
-    mode: str
 
     def __post_init__(self) -> None:
         if self.correct > min(self.predicted, self.gold):
@@ -227,10 +226,7 @@ def _match(
         golds = unpaired.get(_reaction_key(record, mode, molecules))
         if golds:
             pairing.append((i, golds.popleft()))
-    counts = MatchCounts(
-        correct=len(pairing), predicted=len(pred), gold=len(gold), mode=mode
-    )
-    return counts, pairing
+    return MatchCounts(len(pairing), len(pred), len(gold)), pairing
 
 
 def match_reactions(
@@ -246,20 +242,10 @@ def match_reactions(
     return _match(pred, gold, mode, _Molecules())
 
 
-def prf(
-    counts: Union[MatchCounts, int],
-    predicted: Optional[int] = None,
-    gold: Optional[int] = None,
-) -> tuple[float, float, float]:
+def prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
     """Precision, recall, F1 from counts; zero-denominator cases give 0."""
-    if isinstance(counts, MatchCounts):
-        correct, n_pred, n_gold = counts.correct, counts.predicted, counts.gold
-    else:
-        if predicted is None or gold is None:
-            raise ValueError("prf needs (correct, predicted, gold)")
-        correct, n_pred, n_gold = counts, predicted, gold
-    precision = correct / n_pred if n_pred else 0.0
-    recall = correct / n_gold if n_gold else 0.0
+    precision = correct / predicted if predicted else 0.0
+    recall = correct / gold if gold else 0.0
     f1 = (
         2 * precision * recall / (precision + recall)
         if precision + recall
@@ -372,7 +358,7 @@ def evaluate(
     report: dict = {}
     for mode in ("soft", "hard"):
         counts, _ = _match(pred, gold, mode, molecules)
-        p, r, f1 = prf(counts)
+        p, r, f1 = prf(counts.correct, counts.predicted, counts.gold)
         report[mode] = {
             "precision": p,
             "recall": r,

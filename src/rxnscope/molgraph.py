@@ -452,7 +452,7 @@ def permutation_parity(src: Iterable[int], dst: Iterable[int]) -> int:
     return swaps % 2
 
 
-def _normalized_chiral_order(atom: AtomToken, idx: int, adj_mates: list[int]) -> tuple[int, ...]:
+def _normalized_chiral_order(atom: AtomToken, adj_mates: list[int]) -> tuple[int, ...]:
     order = sorted(adj_mates)
     if atom.explicit_h == 1 and len(order) < 4:
         order.append(-1)
@@ -473,7 +473,7 @@ def normalize_chiral_orders(g: MolecularGraph) -> MolecularGraph:
         if atom.chiral_order is None:
             atoms[idx] = replace(atom, chiral=None)
             continue
-        target = _normalized_chiral_order(atom, idx, [m for m, _ in adj[idx]])
+        target = _normalized_chiral_order(atom, [m for m, _ in adj[idx]])
         if sorted(target) != sorted(atom.chiral_order):
             atoms[idx] = replace(atom, chiral=None, chiral_order=None)
             continue
@@ -635,6 +635,6 @@ def graph_from_json(data: Mapping) -> MolecularGraph:
     atoms = list(g.atoms)
     for idx, atom in enumerate(atoms):
         if atom.chiral is not None:
-            order = _normalized_chiral_order(atom, idx, [m for m, _ in adj[idx]])
+            order = _normalized_chiral_order(atom, [m for m, _ in adj[idx]])
             atoms[idx] = replace(atom, chiral_order=order)
     return replace(g, atoms=tuple(atoms))

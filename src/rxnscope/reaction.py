@@ -178,16 +178,14 @@ def _classify_part(part: str, lexicon: ConditionLexicon) -> list[ConditionItem]:
     return [ConditionItem(role="add_info", text=text)]
 
 
-def classify_condition(
-    text: str, lexicon: Optional[ConditionLexicon] = None
-) -> list[ConditionItem]:
+def classify_condition(text: str) -> list[ConditionItem]:
     """Split a condition string and assign a role to every piece.
 
     Total: unrecognized pieces land in add_info rather than being
     dropped. A piece naming several labeled reagents ("10 mol% B17 or
     B27") yields one item per label, sharing the verbatim text.
     """
-    lexicon = lexicon if lexicon is not None else ConditionLexicon.default()
+    lexicon = ConditionLexicon.default()
     items: list[ConditionItem] = []
     for part in re.split(r"[,;]", text):
         if part.strip():

@@ -56,14 +56,6 @@ class ReactionTemplate:
             sides.append(tuple(parse_smiles(s) for s in texts))
         return cls(*sides)
 
-    @property
-    def placeholder_labels(self) -> frozenset[str]:
-        labels: set[str] = set()
-        for g in self.reactant_templates + self.product_templates:
-            for i in g.placeholder_indices():
-                labels.add(g.atoms[i].label)
-        return frozenset(labels)
-
 
 def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> MolecularGraph:
     """Replace each atom ``at`` of ``g`` with ``fragments[at]``, in one pass.
@@ -191,5 +183,5 @@ def reconstruct_reactants(
     out: list[str] = []
     for g in template.reactant_templates:
         spliced = substitute_placeholders(g, assignment, table, registry)
-        out.append(write_smiles(main_component(spliced), isomeric=True))
+        out.append(write_smiles(main_component(spliced)))
     return out

@@ -94,7 +94,6 @@ class _Parser:
         self.pos = start
         self.atoms: list[_AtomRec] = []
         self.bonds: list[Bond] = []
-        self.bond_pairs: set[tuple[int, int]] = set()
         self.ring_open: dict[int, tuple[int, Optional[str], Optional[str], int]] = {}
 
     def error(self, message: str, offset: Optional[int] = None) -> SmilesParseError:
@@ -179,20 +178,7 @@ class _Parser:
 
     # -- bond bookkeeping --------------------------------------------------
 
-    def _add_bond(
-        self,
-        a: int,
-        b: int,
-        order: Optional[str],
-        direction: Optional[str],
-        offset: int,
-    ) -> None:
-        if a == b:
-            raise self.error("ring bond to the same atom", offset)
-        pair = (a, b) if a < b else (b, a)
-        if pair in self.bond_pairs:
-            raise self.error("duplicate bond", offset)
-        self.bond_pairs.add(pair)
+    def _add_bond(self, a: int, b: int, order: Optional[str], direction: Optional[str]) -> None:
         if order is None:
             both_aromatic = self.atoms[a].token.aromatic and self.atoms[b].token.aromatic
             order = "aromatic" if both_aromatic else "single"
@@ -211,7 +197,13 @@ class _Parser:
         if closing_dir is not None and p_dir is not None and closing_dir != p_dir:
             raise self.error(f"ring {number} closed with conflicting direction", offset)
         final_dir = p_dir if p_dir is not None else closing_dir
-        self._add_bond(partner, atom, final_order, final_dir, offset)
+        # Only a ring closure can repeat a pair: the closing atom's slots
+        # already name every atom it is bonded to.
+        if partner == atom:
+            raise self.error("ring bond to the same atom", offset)
+        if partner in self.atoms[atom].slots:
+            raise self.error("duplicate bond", offset)
+        self._add_bond(partner, atom, final_order, final_dir)
         opener = self.atoms[partner]
         for i, slot in enumerate(opener.slots):
             if slot == ("ring", number):
@@ -248,7 +240,7 @@ class _Parser:
                 self.atoms.append(rec)
                 if prev is not None:
                     order, direction = take_pending()
-                    self._add_bond(prev, idx, order, direction, offset)
+                    self._add_bond(prev, idx, order, direction)
                     self.atoms[prev].slots.append(idx)
                     rec.slots.append(prev)
                 elif pending_order is not None or pending_dir is not None:
@@ -581,7 +573,6 @@ def _bond_text(
     bond: Bond,
     src: int,
     emit_dirs: set[tuple[int, int]],
-    isomeric: bool,
 ) -> str:
     if bond.order == "double":
         return "="
@@ -590,7 +581,7 @@ def _bond_text(
     both_aromatic = g.atoms[bond.a].aromatic and g.atoms[bond.b].aromatic
     if bond.order == "aromatic":
         return "" if both_aromatic else ":"
-    if isomeric and bond.direction is not None and (bond.a, bond.b) in emit_dirs:
+    if bond.direction is not None and (bond.a, bond.b) in emit_dirs:
         return "/" if bond.away(src) == "up" else "\\"
     if both_aromatic:
         return "-"
@@ -599,7 +590,6 @@ def _bond_text(
 
 def write_smiles(
     g: MolecularGraph,
-    isomeric: bool = True,
     ranks: Optional[list[int]] = None,
     emitted: Optional[list[int]] = None,
 ) -> str:
@@ -613,7 +603,7 @@ def write_smiles(
         raise GraphError("cannot write an empty graph")
     order = ranks if ranks is not None else list(range(len(g.atoms)))
     adj = [sorted(mates, key=lambda pair: order[pair[0]]) for mates in g.adjacency()]
-    emit_dirs = _emittable_directions(g) if isomeric else set()
+    emit_dirs = _emittable_directions(g)
 
     visited: set[int] = set()
     ring_partner_at: dict[int, list[tuple[int, Bond]]] = {}
@@ -698,14 +688,14 @@ def write_smiles(
                     else:
                         next_digit += 1
                     open_digits[key] = digit
-                mark = _bond_text(g, bond, cur, emit_dirs, isomeric)
+                mark = _bond_text(g, bond, cur, emit_dirs)
                 closure_parts.append(mark + (str(digit) if digit < 10 else f"%{digit:02d}"))
                 out_slots.append(mate)
             children = tree_children[cur]
             for mate, bond in children:
                 out_slots.append(mate)
             tag = None
-            if isomeric and atom.chiral is not None and atom.chiral_order is not None:
+            if atom.chiral is not None and atom.chiral_order is not None:
                 if sorted(out_slots) == sorted(atom.chiral_order):
                     parity = permutation_parity(atom.chiral_order, out_slots)
                     tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
@@ -716,7 +706,7 @@ def write_smiles(
             last = len(children) - 1
             for i in range(last, -1, -1):
                 mate, bond = children[i]
-                bond_str = _bond_text(g, bond, cur, emit_dirs, isomeric)
+                bond_str = _bond_text(g, bond, cur, emit_dirs)
                 if i == last:
                     stack += [(mate, cur), bond_str]
                 else:
@@ -909,7 +899,7 @@ class _CanonicalSearch:
     def leaf(self, ranks: list[int], path: list[int]) -> str:
         emitted: list[int] = []
         final = _assign_directions(self.g, ranks)
-        text = write_smiles(final, isomeric=True, ranks=ranks, emitted=emitted)
+        text = write_smiles(final, ranks=ranks, emitted=emitted)
         if self.first is None:
             self.first = (text, emitted, path)
             return text

@@ -1,12 +1,21 @@
 import hashlib
+import io
 import json
+import urllib.request
 
 import pytest
 
 from rxnscope.agents import InputDescriptor, DescriptorError
-from rxnscope.agents.backend import PLAN_TABLE, ScriptedBackend, edit_distance
+from rxnscope.agents.backend import (
+    PLAN_TABLE,
+    BackendError,
+    RemoteBackend,
+    ScriptedBackend,
+    edit_distance,
+)
 from rxnscope.agents.bundle import MODALITIES, Bundle
 from rxnscope.agents.executor import (
+    RETRY_BUDGET,
     STEP_FUNCS,
     ExecutionError,
     execute_plan,
@@ -157,17 +166,17 @@ class TestScriptedBackend:
 
     def test_token_correction_table_hit(self):
         ctx = {"token": "Ph", "vocabulary": self.VOCAB}
-        out = BACKEND.respond("token_correction", ctx, None)
+        out = BACKEND.respond("token_correction", ctx)
         assert out == {"action": "keep", "token": "Ph"}
 
     def test_token_correction_edit_distance_one(self):
         ctx = {"token": "iP1", "vocabulary": self.VOCAB}
-        out = BACKEND.respond("token_correction", ctx, None)
+        out = BACKEND.respond("token_correction", ctx)
         assert out == {"action": "correct", "token": "iPr"}
 
     def test_token_correction_gives_up_cleanly(self):
         ctx = {"token": "Qqqq", "vocabulary": self.VOCAB}
-        out = BACKEND.respond("token_correction", ctx, None)
+        out = BACKEND.respond("token_correction", ctx)
         assert out == {"action": "keep", "token": "Qqqq"}
 
     def test_edit_distance(self):
@@ -176,8 +185,51 @@ class TestScriptedBackend:
         assert edit_distance("same", "same") == 0
 
     def test_planner_unknown_set_reports_error_action(self):
-        out = BACKEND.respond("planner", {"modalities": ["structure_table"]}, None)
+        out = BACKEND.respond("planner", {"modalities": ["structure_table"]})
         assert out["action"] == "error"
+
+    @pytest.mark.parametrize("role", ["review", "proceed", ""])
+    def test_unknown_role_is_a_backend_error(self, role):
+        with pytest.raises(BackendError):
+            ScriptedBackend().respond(role, {})
+
+
+class TestRemoteBackend:
+    """The HTTP client, with ``urlopen`` replaced so no request leaves."""
+
+    def respond(self, monkeypatch, body: bytes):
+        sent = {}
+
+        def urlopen(req, timeout):
+            sent.update(
+                payload=json.loads(req.data),
+                timeout=timeout,
+                auth=req.get_header("Authorization"),
+            )
+            return io.BytesIO(body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        backend = RemoteBackend(url="http://localhost/rxnscope", token="t0k", model="m1")
+        return backend.respond("token_correction", {"token": "Pj"}), sent
+
+    def test_request_sends_fixed_temperature_and_timeout(self, monkeypatch):
+        out, sent = self.respond(monkeypatch, b'{"action": "correct", "token": "Ph"}')
+        assert out == {"action": "correct", "token": "Ph"}
+        assert sent == {
+            "payload": {
+                "role": "token_correction",
+                "context": {"token": "Pj"},
+                "model": "m1",
+                "temperature": 0.1,
+            },
+            "timeout": 60.0,
+            "auth": "Bearer t0k",
+        }
+
+    @pytest.mark.parametrize("body", [b"not json", b"[1]", b'{"token": "Ph"}'])
+    def test_unusable_response_is_a_backend_error(self, monkeypatch, body):
+        with pytest.raises(BackendError):
+            self.respond(monkeypatch, body)
 
 
 CANONICAL_PLANS = {
@@ -228,7 +280,7 @@ class TestPlanner:
     def test_missing_final_step_flagged(self):
         d = descriptor("reaction_template_image", "structure_table", "text_description")
         plan = plan_extraction(d, BACKEND)
-        truncated = Plan(steps=plan.steps[:-1], revision=plan.revision)
+        truncated = Plan(steps=plan.steps[:-1])
         issues = review_plan(truncated, d)
         assert any(i.kind == "omission" for i in issues)
 
@@ -273,7 +325,7 @@ class _Answering:
     def __init__(self, answer):
         self.answer = answer
 
-    def respond(self, role, context, tool_result=None):
+    def respond(self, role, context):
         return self.answer
 
 
@@ -317,10 +369,10 @@ class _CorrectingWith(ScriptedBackend):
     def __init__(self, answer):
         self.answer = answer
 
-    def respond(self, role, context, tool_result=None):
+    def respond(self, role, context):
         if role == "token_correction":
             return self.answer
-        return super().respond(role, context, tool_result)
+        return super().respond(role, context)
 
 
 # Malformed token_correction answers fail the text_rgroup step with the
@@ -331,6 +383,8 @@ HOSTILE_TOKEN_ANSWERS = {
     "list": ([], "token_correction answer: expected an object"),
     "integer-token": ({"token": 5}, "token_correction answer.token: expected a string"),
     "null-token": ({"token": None}, "token_correction answer.token: expected a string"),
+    "empty": ({}, "token_correction answer.token: missing"),
+    "no-token": ({"action": "correct"}, "token_correction answer.token: missing"),
 }
 
 
@@ -520,7 +574,7 @@ class TestExecutor:
             return real_ocr(ctx, request)
 
         registry.register("ocr", flaky_ocr)
-        result = execute_plan(plan, d, registry=registry, retry_budget=2)
+        result = execute_plan(plan, d, registry=registry)
         ocr_entries = [
             t for t in result.trace if t.get("type") == "tool" and t["tool"] == "ocr"
         ]
@@ -540,12 +594,12 @@ class TestExecutor:
             raise ToolError("detector offline")
 
         registry.register("mol_detector", broken)
-        result = execute_plan(plan, d, registry=registry, retry_budget=3)
-        assert calls["n"] == 3
+        result = execute_plan(plan, d, registry=registry)
+        assert calls["n"] == RETRY_BUDGET == 2
         errors = [
             t for t in result.trace if t.get("type") == "tool" and t["tool"] == "mol_detector"
         ]
-        assert [t["attempt"] for t in errors] == [1, 2, 3]
+        assert [t["attempt"] for t in errors] == [1, 2]
         assert all(t["status"] == "error" for t in errors)
 
     def test_first_step_hard_failure_raises_with_trace(self, fig2_setup):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +31,7 @@ from oracles import (
 def plug(template: str, **assignment) -> str:
     """Substitute tokens into a template and return the canonical result."""
     g = substitute_placeholders(parse_smiles(template), assignment)
-    return canonicalize(write_smiles(g, isomeric=True))
+    return canonicalize(write_smiles(g))
 
 
 def on_carbon(fragment) -> MolecularGraph:
@@ -58,9 +58,18 @@ class TestAbbreviationTable:
         assert AbbreviationTable.default() is AbbreviationTable.default()
         assert ConditionLexicon.default() is ConditionLexicon.default()
 
-    def test_fragments_are_cloned_per_call(self):
+    def test_fragment_is_shared_and_a_splice_leaves_it_unchanged(self):
         table = AbbreviationTable.default()
-        assert table.get("Ph") is not table.get("Ph") or table.get("Ph").graph is not None
+        ph = table.get("Ph")
+        assert table.get("Ph") is ph
+        before = (ph.attachment, ph.graph.atoms, ph.graph.bonds)
+        assert plug("[R1]CC(=O)[R2]", R1="Ph", R2="Ph") == canonicalize(
+            "c1ccccc1CC(=O)c1ccccc1"
+        )
+        assert table.get("Ph") is ph
+        assert (ph.attachment, ph.graph.atoms, ph.graph.bonds) == before
+        with pytest.raises(FrozenInstanceError):
+            ph.attachment = 1
 
 
 class TestExpandAbbreviation:
@@ -129,7 +138,7 @@ class TestCondensedFormula:
     )
     def test_table_group_keeps_its_chiral_tag(self, formula, expected):
         frag = parse_condensed_formula(formula, AbbreviationTable({"Foo": "*C[C@H](F)Cl"}))
-        got = canonicalize(write_smiles(frag.graph, isomeric=True))
+        got = canonicalize(write_smiles(frag.graph))
         assert got == canonicalize(expected)
         assert got != canonicalize(expected.replace("@", "@@"))
 
@@ -215,7 +224,7 @@ class TestPerceiveStereo:
 
     def test_trans_butene_marks(self):
         out, _ = perceive_stereo(drawing_trans_butene())
-        s = canonicalize(write_smiles(out, isomeric=True))
+        s = canonicalize(write_smiles(out))
         assert s == canonicalize("C/C=C/C")
         assert s != canonicalize("C/C=C\\C")
 
@@ -226,7 +235,7 @@ class TestPerceiveStereo:
         # substituents give no side evidence and stay unmarked).
         atoms[3] = replace(atoms[3], coords=(2.2, -0.9))
         out, _ = perceive_stereo(MolecularGraph(atoms=tuple(atoms), bonds=g.bonds))
-        assert canonicalize(write_smiles(out, isomeric=True)) == canonicalize("C/C=C\\C")
+        assert canonicalize(write_smiles(out)) == canonicalize("C/C=C\\C")
 
     def test_conjugated_diene_chains_marks(self):
         out, warns = perceive_stereo(drawing_hexadiene())

@@ -183,13 +183,9 @@ class TestPrf:
         assert prf(0, 5, 0) == (0.0, 0.0, 0.0)
         assert prf(0, 0, 0) == (0.0, 0.0, 0.0)
 
-    def test_accepts_match_counts(self):
-        counts = MatchCounts(correct=1, predicted=2, gold=2, mode="soft")
-        assert prf(counts) == prf(1, 2, 2)
-
     def test_correct_bounded(self):
         with pytest.raises(ValueError):
-            MatchCounts(correct=3, predicted=2, gold=5, mode="soft")
+            MatchCounts(correct=3, predicted=2, gold=5)
 
 
 def reaction(rid, reactants, products, conditions=()):
@@ -319,7 +315,7 @@ def _standalone_report(pred, gold):
     report = {}
     for mode in ("soft", "hard"):
         counts, _ = match_reactions(pred, gold, mode)
-        p, r, f1 = prf(counts)
+        p, r, f1 = prf(counts.correct, counts.predicted, counts.gold)
         report[mode] = {
             "precision": p,
             "recall": r,

@@ -7,7 +7,6 @@ from rxnscope.reaction import (
     ROLES,
     CodecError,
     ConditionItem,
-    ConditionLexicon,
     MoleculeEntry,
     ReactionRecord,
     TableParseError,
@@ -20,11 +19,9 @@ from rxnscope.reaction import (
 )
 from rxnscope.smiles import canonicalize, parse_smiles
 
-LEX = ConditionLexicon.default()
-
 
 def one(text: str) -> ConditionItem:
-    items = classify_condition(text, LEX)
+    items = classify_condition(text)
     assert len(items) == 1, items
     return items[0]
 
@@ -56,7 +53,7 @@ class TestClassifyCondition:
         assert item.text == "10 mol% Cs2CO3"
 
     def test_reagent_alternatives_fan_out(self):
-        items = classify_condition("10 mol% B17 or B27", LEX)
+        items = classify_condition("10 mol% B17 or B27")
         assert [i.role for i in items] == ["reagent", "reagent"]
         assert [i.label for i in items] == ["B17", "B27"]
         assert items[0].text == items[1].text == "10 mol% B17 or B27"
@@ -70,7 +67,7 @@ class TestClassifyCondition:
             assert one(text).role == "time", text
 
     def test_comma_split_keeps_order(self):
-        items = classify_condition("PhMe, rt, 24 h, 38 - 78%", LEX)
+        items = classify_condition("PhMe, rt, 24 h, 38 - 78%")
         assert [i.role for i in items] == ["solvent", "temperature", "time", "yield"]
 
     def test_unclassified_residue_is_add_info(self):
@@ -78,13 +75,13 @@ class TestClassifyCondition:
 
     @given(st.text(max_size=40))
     def test_total_and_closed_enum(self, text):
-        for item in classify_condition(text, LEX):
+        for item in classify_condition(text):
             assert item.role in ROLES
             assert item.text
 
     def test_deterministic(self):
         text = "10 mol% B17 or B27, PhMe, rt, 24 h, 38 - 78%"
-        assert classify_condition(text, LEX) == classify_condition(text, LEX)
+        assert classify_condition(text) == classify_condition(text)
 
 
 def record(rid: str, product_label: str) -> ReactionRecord:
@@ -98,8 +95,8 @@ def record(rid: str, product_label: str) -> ReactionRecord:
 
 class TestAlignConditions:
     def test_variant_items_attach_by_product_label(self):
-        shared = classify_condition("PhMe, rt", LEX)
-        per_variant = {"3a": classify_condition("71%", LEX)}
+        shared = classify_condition("PhMe, rt")
+        per_variant = {"3a": classify_condition("71%")}
         records, residues = align_conditions(
             shared, per_variant, [record("1_1", "3a"), record("2_1", "3b")]
         )
@@ -113,20 +110,20 @@ class TestAlignConditions:
 
     def test_unknown_label_goes_to_residue(self):
         records, residues = align_conditions(
-            [], {"9z": classify_condition("71%", LEX)}, [record("1_1", "3a")]
+            [], {"9z": classify_condition("71%")}, [record("1_1", "3a")]
         )
         assert records[0].conditions == ()
         assert [(r.role, r.text) for r in residues] == [("yield", "71%")]
 
     def test_no_duplicate_items(self):
-        shared = classify_condition("rt", LEX)
-        per_variant = {"3a": classify_condition("rt", LEX)}
+        shared = classify_condition("rt")
+        per_variant = {"3a": classify_condition("rt")}
         records, _ = align_conditions(shared, per_variant, [record("1_1", "3a")])
         identities = [c.identity for c in records[0].conditions]
         assert len(identities) == len(set(identities))
 
     def test_empty_per_variant(self):
-        shared = classify_condition("PhMe", LEX)
+        shared = classify_condition("PhMe")
         records, residues = align_conditions(shared, {}, [record("1_1", "3a")])
         assert list(records[0].conditions) == shared
         assert residues == []

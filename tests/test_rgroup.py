@@ -32,7 +32,7 @@ POOL = ["Me", "Et", "Ph", "OMe", "Cl", "CF3", "iPr", "CN", "Br", "nPr"]
 
 
 def graph_smiles(g) -> str:
-    return canonicalize(write_smiles(g, isomeric=True))
+    return canonicalize(write_smiles(g))
 
 
 class TestSplice:
@@ -52,7 +52,7 @@ class TestSplice:
             b for b in out.bonds if b.direction is not None and b.a not in new_ends
         ]
         assert redirected == []
-        assert canonicalize(write_smiles(out, isomeric=False)) == canonicalize("CCC=CC")
+        assert canonicalize(write_smiles(out)) == canonicalize("CCC=CC")
 
     def test_nothing_to_splice_returns_the_graph_itself(self):
         g = parse_smiles("[R1]CO")
@@ -141,7 +141,7 @@ def substitution_digest() -> str:
             assignment = {label: rng.choice(DIGEST_POOL) for label in labels}
             out = substitute_placeholders(g, assignment, TABLE, AliasRegistry())
             digest.update(json.dumps(graph_to_json(out), sort_keys=True).encode())
-            digest.update(write_smiles(out, isomeric=True).encode())
+            digest.update(write_smiles(out).encode())
     return digest.hexdigest()
 
 
@@ -207,8 +207,10 @@ class TestReconstruct:
             reconstruct_reactants(t, {"Ar": "Ph"})
         assert err.value.labels == ["R"]
 
-    def test_placeholder_label_set(self):
-        assert self.template().placeholder_labels == frozenset({"Ar", "R"})
+    def test_missing_binding_lists_every_label(self):
+        with pytest.raises(MissingBindingError) as err:
+            reconstruct_reactants(self.template(), {})
+        assert err.value.labels == ["Ar", "R"]
 
     def test_empty_template_rejected(self):
         with pytest.raises(GraphError):
@@ -228,7 +230,7 @@ class TestInverseProperty:
             )
             assignment = {lab: rng.choice(POOL) for lab in labels}
             variant = substitute_placeholders(template, assignment, TABLE)
-            variant_s = write_smiles(variant, isomeric=True)
+            variant_s = write_smiles(variant)
             bindings = extract_rgroup_fragments(template, parse_smiles(variant_s))
             rebuilt = substitute_placeholders(template, bindings)
             assert graph_smiles(rebuilt) == canonicalize(variant_s), (

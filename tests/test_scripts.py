@@ -51,6 +51,12 @@ def test_enumerate_variants_splices_each_row(tmp_path):
     ]
 
 
+def test_substructure_benchmark_agrees_with_brute_force(tmp_path):
+    out = run_script("benchmark_substructure.py", "--trials", "3", "--sizes", "6", "8", cwd=tmp_path)
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("6", "0"), ("8", "0")]
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

@@ -147,6 +147,24 @@ class TestParse:
         assert err.value.offset == offset
         assert f"(offset {offset})" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("C1C1", "duplicate bond (offset 3)"),
+            ("C12CC12", "duplicate bond (offset 6)"),
+            ("C%10C%10", "duplicate bond (offset 5)"),
+            ("C11", "ring bond to the same atom (offset 2)"),
+        ],
+    )
+    def test_ring_closure_on_a_bonded_pair_is_rejected_at_its_digit(self, bad, message):
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles(bad)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("good,bonds", [("C1.C1", 1), ("C12C3CC1C23", 7), ("C1CC=1", 3)])
+    def test_ring_closure_on_a_new_pair_is_kept(self, good, bonds):
+        assert len(parse_smiles(good).bonds) == bonds
+
     @pytest.mark.parametrize("text", ["[0CH4]", "C[0*]"])
     def test_isotope_zero_is_rejected_at_its_bracket(self, text):
         # An atom may not carry isotope 0, so the parser reports it with
@@ -173,11 +191,6 @@ class TestWrite:
     def test_wildcard_isotope_alias(self):
         g = parse_smiles("[13*]")
         assert write_smiles(g) == "[13*]"
-
-    def test_non_isomeric_strips_marks(self):
-        g = parse_smiles("N[C@@H](C)O")
-        assert "@" not in write_smiles(g, isomeric=False)
-        assert "@" in write_smiles(g, isomeric=True)
 
 
 class TestLongChains:
@@ -221,7 +234,7 @@ class TestCanonicalize:
 
     def test_corpus_round_trip_fixpoint(self):
         for s in MOLECULES:
-            assert canonicalize(write_smiles(parse_smiles(s), isomeric=True)) == canonicalize(s), s
+            assert canonicalize(write_smiles(parse_smiles(s))) == canonicalize(s), s
 
     @given(st.sampled_from(MOLECULES), st.integers(0, 2**32 - 1))
     def test_renumbering_invariance(self, s, seed):
@@ -229,7 +242,7 @@ class TestCanonicalize:
         perm = list(range(len(g.atoms)))
         random.Random(seed).shuffle(perm)
         c = canonicalize(s)
-        assert canonicalize(write_smiles(renumbered(g, perm), isomeric=True)) == c
+        assert canonicalize(write_smiles(renumbered(g, perm))) == c
         assert canonicalize(renumbered(g, perm)) == c
 
     def test_components_sorted(self):
