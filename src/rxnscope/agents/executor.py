@@ -12,7 +12,6 @@ than crashing the run.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
@@ -30,7 +29,7 @@ from ..reaction import (
     align_conditions,
     condition_from_json,
     condition_to_json,
-    record_to_json,
+    encode_records,
     validate_record,
 )
 from ..rgroup import substitute_placeholders
@@ -230,21 +229,32 @@ def _step_text_rgroup(run: _Run) -> dict:
     reactant_graphs = [parse_smiles(s) for s in template["reactants"]]
     product_graphs = [parse_smiles(s) for s in template["products"]]
 
-    def resolve_token(token: str) -> str:
+    def readable(token: str) -> bool:
         if token in vocabulary:
-            return token
+            return True
         try:
             parse_condensed_formula(token, table)
-            return token
+            return True
         except FormulaError:
-            pass
+            return False
+
+    def resolve_token(token: str) -> str:
+        if readable(token):
+            return token
         answer = run.backend.respond(
             "token_correction", {"token": token, "vocabulary": vocabulary}
         )
         check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
         if "token" not in answer:
             raise _StepFailure("token_correction answer.token: missing")
-        return answer["token"]
+        if readable(answer["token"]):
+            return answer["token"]
+        log.warning(
+            "table cell %r: token_correction answer %r is no known token or formula;"
+            " the cell is kept and becomes a wildcard",
+            token, answer["token"],
+        )
+        return token
 
     variant_reactions: list[dict] = []
     assignments: dict[Any, dict] = {}
@@ -412,20 +422,8 @@ def _step_data_structure(run: _Run) -> dict:
         for issue in validate_record(rec):
             problems.append(f"{rec.reaction_id}: {issue}")
 
-    document: dict = {
-        "Text description": m.get("text_description", ""),
-        "reactions": [record_to_json(r) for r in records],
-    }
-    if not records and "molecules" in m:
-        entries = []
-        for mol in m["molecules"]:
-            entry = {"smiles": mol["smiles"]}
-            if mol.get("label"):
-                entry["label"] = mol["label"]
-            entries.append(entry)
-        document["molecules"] = entries
-    doc_json = json.dumps(document, indent=2, ensure_ascii=False)
-    m.update(records=records, document=doc_json)
+    document = encode_records(records, m.get("text_description", ""), m.get("molecules"))
+    m.update(records=records, document=document)
     return {"smiles": [], "record_problems": problems}
 
 

@@ -8,7 +8,7 @@ matters only for self-consistency, and a golden test pins its bits.
 Record molecules arrive parsed (``MoleculeEntry.graph``), so scoring
 records parses nothing; ``evaluate`` shares one memo across its sections,
 so each distinct SMILES text is canonicalized, fingerprinted and checked
-once per call. Only ``similarity_report``, which takes texts, parses.
+once per call.
 
 The path hash is FNV-1a, extended by one step text at a time through a
 table instead of a loop over the step's bytes. Split the state as
@@ -27,11 +27,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .molgraph import MolecularGraph, RxnscopeError
 from .reaction import MoleculeEntry, ReactionRecord
-from .smiles import SmilesParseError, canonicalize, is_valid, parse_smiles
+from .smiles import canonicalize, is_valid
 
 FP_WIDTH = 2048
 MAX_PATH_BONDS = 7
@@ -51,10 +51,6 @@ class FingerprintError(RxnscopeError, ValueError):
 @dataclass(frozen=True)
 class Fingerprint:
     bits: int
-    width: int = FP_WIDTH
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
 
 
 @dataclass(frozen=True)
@@ -143,8 +139,6 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    if a.width != b.width:
-        raise FingerprintError(f"width mismatch: {a.width} vs {b.width}")
     union = (a.bits | b.bits).bit_count()
     if union == 0:
         return 1.0
@@ -212,8 +206,8 @@ def _match(
     mode: str,
     molecules: _Molecules,
 ) -> tuple[MatchCounts, list[tuple[int, int]]]:
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"unknown match mode {mode!r}")
+    """One-to-one pairing of equal reactions; ``"soft"`` ignores conditions,
+    ``"hard"`` compares them."""
     # Only equal keys can pair, so a maximum matching pairs min(#pred,
     # #gold) records per key; each prediction takes the first unpaired
     # gold record with its key.
@@ -227,19 +221,6 @@ def _match(
         if golds:
             pairing.append((i, golds.popleft()))
     return MatchCounts(len(pairing), len(pred), len(gold)), pairing
-
-
-def match_reactions(
-    pred: Sequence[ReactionRecord],
-    gold: Sequence[ReactionRecord],
-    mode: str = "soft",
-) -> tuple[MatchCounts, list[tuple[int, int]]]:
-    """One-to-one pairing of equal reactions; soft ignores conditions.
-
-    Records are keyed by the canonical forms of their molecules. Among
-    records with equal keys, the pairing follows index order.
-    """
-    return _match(pred, gold, mode, _Molecules())
 
 
 def prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -260,9 +241,14 @@ def prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
 
 
 def _similarity(
-    pred_fps: Sequence[Optional[Fingerprint]], gold_fps: Sequence[Fingerprint]
+    pred_fps: Sequence[Fingerprint], gold_fps: Sequence[Fingerprint]
 ) -> tuple[float, float]:
-    """Greedy pairing over fingerprints; a None prediction takes no gold."""
+    """Greedy gold-to-prediction pairing; returns (avg Tanimoto, Tani@1.0).
+
+    Each gold molecule takes the most similar unused prediction; gold
+    left without a partner scores 0. Tani@1.0 counts pairs whose
+    fingerprints are identical.
+    """
     if not gold_fps:
         return 0.0, 0.0
     used: set[int] = set()
@@ -272,7 +258,7 @@ def _similarity(
         best_idx = None
         best_sim = -1.0
         for i, pfp in enumerate(pred_fps):
-            if i in used or pfp is None:
+            if i in used:
                 continue
             sim = tanimoto(gfp, pfp)
             if sim > best_sim:
@@ -286,26 +272,6 @@ def _similarity(
             exact += 1
     n = len(gold_fps)
     return total / n, exact / n
-
-
-def similarity_report(
-    pred_smiles: Sequence[str], gold_smiles: Sequence[str]
-) -> tuple[float, float]:
-    """Greedy gold-to-prediction pairing; returns (avg Tanimoto, Tani@1.0).
-
-    Each gold molecule takes the most similar unused prediction; gold
-    left without a partner scores 0. Tani@1.0 counts pairs whose
-    fingerprints are identical. A gold text that does not parse or holds
-    a placeholder raises; such a prediction counts as no prediction.
-    """
-    gold_fps = [fingerprint(parse_smiles(s)) for s in gold_smiles]
-    pred_fps: list[Optional[Fingerprint]] = []
-    for s in pred_smiles:
-        try:
-            pred_fps.append(fingerprint(parse_smiles(s)))
-        except (SmilesParseError, FingerprintError):
-            pred_fps.append(None)
-    return _similarity(pred_fps, gold_fps)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +302,6 @@ def _valid_rate(
         else 0.0
     )
     return precision, recall, f1
-
-
-def valid_rate(
-    pred: Sequence[ReactionRecord], gold: Sequence[ReactionRecord]
-) -> tuple[float, float, float]:
-    return _valid_rate(pred, gold, _Molecules())
 
 
 def evaluate(

@@ -313,12 +313,26 @@ def record_to_json(record: ReactionRecord) -> dict:
 
 
 def encode_records(
-    records: Iterable[ReactionRecord], text_description: str = ""
+    records: Iterable[ReactionRecord],
+    text_description: str,
+    molecules: Optional[list[dict]],
 ) -> str:
-    doc = {
+    """The output document.
+
+    ``molecules`` is the run's recognized molecule list, or ``None`` when
+    the run did no recognition. With no records the document lists it
+    instead, each text as written, since a failed recognition step can
+    leave texts that do not parse; an empty label is not written.
+    """
+    doc: dict = {
         "Text description": text_description,
         "reactions": [record_to_json(r) for r in records],
     }
+    if not doc["reactions"] and molecules is not None:
+        doc["molecules"] = [
+            {"smiles": m["smiles"], "label": m["label"]} if m.get("label") else {"smiles": m["smiles"]}
+            for m in molecules
+        ]
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
 

@@ -50,24 +50,6 @@ def bonds_compatible(pattern: MolecularGraph, pbond: Bond, tbond: Bond) -> bool:
     return lenient and {pbond.order, tbond.order} == {"single", "aromatic"}
 
 
-def verify_mapping(
-    pattern: MolecularGraph, target: MolecularGraph, mapping: dict[int, int]
-) -> bool:
-    """Re-check a mapping edge by edge; used as an independent guard."""
-    if len(mapping) != len(pattern.atoms):
-        return False
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    for p, t in mapping.items():
-        if not atoms_compatible(pattern.atoms[p], target.atoms[t]):
-            return False
-    for pbond in pattern.bonds:
-        tbond = target.bond_between(mapping[pbond.a], mapping[pbond.b])
-        if tbond is None or not bonds_compatible(pattern, pbond, tbond):
-            return False
-    return True
-
-
 def find_matches(
     pattern: MolecularGraph,
     target: MolecularGraph,

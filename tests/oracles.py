@@ -63,6 +63,21 @@ def brute_force_matches(
     return out
 
 
+def verify_mapping(
+    pattern: MolecularGraph, target: MolecularGraph, mapping: dict[int, int]
+) -> bool:
+    """Re-check one mapping atom by atom and bond by bond."""
+    if len(mapping) != len(pattern.atoms) or len(set(mapping.values())) != len(mapping):
+        return False
+    if not all(_atom_ok(pattern.atoms[p], target.atoms[t]) for p, t in mapping.items()):
+        return False
+    for pbond in pattern.bonds:
+        tbond = target.bond_between(mapping[pbond.a], mapping[pbond.b])
+        if tbond is None or not _bond_ok(pattern, pbond, tbond):
+            return False
+    return True
+
+
 # --- exhaustive canonical search ------------------------------------------
 
 def _dense(keys: list) -> list[int]:

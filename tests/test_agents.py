@@ -414,6 +414,23 @@ class TestTokenCorrectionAnswers:
         result = self.run(table_bundle, {"action": "correct", "token": "Ph"})
         assert result.digest["assignments"]["3a"] == {"Ar": "Ph", "R": "Me"}
 
+    def test_made_up_answer_keeps_the_cell_and_is_logged(self, table_bundle):
+        result = self.run(table_bundle, {"action": "correct", "token": "Zz9"})
+        verdicts = [
+            e["passed"] for e in result.trace if e["type"] == "observer" and e["step"] == "text_rgroup"
+        ]
+        assert verdicts == [True]
+        assert result.digest["assignments"]["3a"]["Ar"] == "Pj"
+        logs = [e for e in result.trace if e["type"] == "log" and "Zz9" in e["message"]]
+        assert logs == [
+            {
+                "type": "log",
+                "level": "WARNING",
+                "message": "table cell 'Pj': token_correction answer 'Zz9' is no known"
+                " token or formula; the cell is kept and becomes a wildcard",
+            }
+        ]
+
 
 class TestObserveStep:
     def test_smiles_must_parse(self):
@@ -662,3 +679,46 @@ class TestExecutor:
         }
         # The template-level record survives even without the variants.
         assert len(result.records) >= 1
+
+
+class TestMoleculesOnlyDocument:
+    """A run with no records writes the molecules it recognized instead."""
+
+    @pytest.fixture
+    def clone(self, fig2_bundle, tmp_path):
+        for path in fig2_bundle.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        return tmp_path
+
+    def test_fig2_molecules_document_is_pinned(self, clone):
+        (clone / "descriptor.json").write_text(json.dumps({"modalities": ["molecule_image_only"]}))
+        d = Bundle.load(clone).descriptor
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        assert json.loads(result.document)["reactions"] == []
+        assert hashlib.sha256(result.document.encode()).hexdigest() == (
+            "a303e48ef4cee50b647bb46bb948a7c31d04422ff31666271d0607deee9a5d81"
+        )
+
+    def test_texts_are_listed_as_recognized(self, fig2_bundle, clone):
+        # An empty or absent label writes no "label" key, and a text that
+        # does not parse is still listed although its step failed. The
+        # canonical plans run recognition first, where a failure ends the
+        # run; this approved plan runs it second, so the run goes on.
+        modalities = ["molecule_image_only", "text_description"]
+        (clone / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
+        molecules = json.loads((fig2_bundle / "molecules.json").read_text())
+        del molecules[0]["label"]
+        molecules[1]["label"] = ""
+        molecules[2] = {"label": "3", "smiles": "C1CC"}
+        (clone / "molecules.json").write_text(json.dumps(molecules))
+        d = Bundle.load(clone).descriptor
+        plan = Plan(steps=build_steps(["text_extraction", "molecular_recognition", "data_structure"]))
+        result = execute_plan(plan, d)
+        assert {"type": "step_failed", "step": "molecular_recognition"} in result.trace
+        listed = json.loads(result.document)["molecules"]
+        assert listed[:3] == [
+            {"smiles": "[Ar]C([R])=O"},
+            {"smiles": "Cc1ccc(S(=O)(=O)N2OC2[Ar2])cc1"},
+            {"smiles": "C1CC", "label": "3"},
+        ]
+        assert len(listed) == 11

@@ -236,18 +236,18 @@ records_strategy = st.lists(
 class TestCodec:
     def test_round_trip_minimal(self):
         rec = record("1_1", "3a")
-        back, text = decode_records(encode_records([rec], "scheme 1"))
+        back, text = decode_records(encode_records([rec], "scheme 1", None))
         assert back == [rec]
         assert text == "scheme 1"
 
     @given(records_strategy, st.text(max_size=30))
     def test_round_trip_random(self, records, description):
-        back, text = decode_records(encode_records(records, description))
+        back, text = decode_records(encode_records(records, description, None))
         assert back == records
         assert text == description
 
     def test_exact_key_names(self):
-        doc = json.loads(encode_records([record("1_1", "3a")], "d"))
+        doc = json.loads(encode_records([record("1_1", "3a")], "d", None))
         assert set(doc) == {"Text description", "reactions"}
         rec = doc["reactions"][0]
         assert list(rec) == [
@@ -285,7 +285,7 @@ class TestCodec:
 
     def test_duplicate_reaction_ids_rejected(self):
         rec = record("1_1", "3a")
-        text = encode_records([rec, rec])
+        text = encode_records([rec, rec], "", None)
         with pytest.raises(CodecError):
             decode_records(text)
 

@@ -44,14 +44,18 @@ class TestSplice:
 
     def test_redirected_bond_drops_depiction_marks(self):
         g = parse_smiles("[R1]/C=C/C")
-        out = splice_fragment(g, {0: TABLE.get("Et")})
+        (placeholder,) = g.placeholder_indices()
+        ((alkene_c, drawn),) = g.adjacency()[placeholder]
+        assert drawn.direction is not None
+        out = splice_fragment(g, {placeholder: TABLE.get("Et")})
+        # Kept atoms come first, in order, and the fragment follows them.
+        kept = [i for i in range(len(g.atoms)) if i != placeholder]
+        carbon = kept.index(alkene_c)
+        assert out.atoms[carbon] == g.atoms[alkene_c]
+        joins = [b for b in out.bonds if carbon in (b.a, b.b) and max(b.a, b.b) >= len(kept)]
         # The spliced-in bond cannot keep a direction mark: the geometry
         # claim belonged to the placeholder drawing, not the fragment.
-        new_ends = {i for i, a in enumerate(out.atoms)}
-        redirected = [
-            b for b in out.bonds if b.direction is not None and b.a not in new_ends
-        ]
-        assert redirected == []
+        assert [(b.wedge, b.direction) for b in joins] == [("none", None)]
         assert canonicalize(write_smiles(out)) == canonicalize("CCC=CC")
 
     def test_nothing_to_splice_returns_the_graph_itself(self):

@@ -12,10 +12,9 @@ from rxnscope.substructure import (
     bonds_compatible,
     find_matches,
     scaffold_align,
-    verify_mapping,
 )
 
-from oracles import brute_force_matches, random_molecular_graph, random_pattern
+from oracles import brute_force_matches, random_molecular_graph, random_pattern, verify_mapping
 
 
 def sort_key(mapping: dict[int, int]):

@@ -1,0 +1,89 @@
+"""The public surface of ``src/`` is what the package and its scripts run.
+
+A public module-level function, or a public method of a public class,
+that nothing in ``src/`` or ``scripts/`` names outside its own
+definition is code only tests call. It must go, or be listed in an
+``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCES = sorted((REPO / "src" / "rxnscope").rglob("*.py"))
+SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
+
+# Public but not yet called, each for a stated reason.
+UNCALLED = {
+    # ROADMAP item 9 wires stereo perception into the pipeline.
+    ("chemops", "perceive_stereo"),
+}
+
+
+def _module_name(path: Path) -> str:
+    rel = path.relative_to(REPO / "src" / "rxnscope").with_suffix("")
+    return ".".join(rel.parts)
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of each public function and public class method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        yield item.name, item
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every Name, Attribute and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+            if node.asname:
+                yield node.asname, node.lineno
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unreferenced_names() -> set[tuple[str, str]]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + SCRIPTS}
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    exported = set().union(*(_exported(trees[path]) for path in SOURCES))
+    out = set()
+    for path in SOURCES:
+        for name, node in _definitions(trees[path]):
+            if name in exported:
+                continue
+            used = any(
+                ref == name
+                and not (other == path and node.lineno <= line <= node.end_lineno)
+                for other, found in refs.items()
+                for ref, line in found
+            )
+            if not used:
+                out.add((_module_name(path), name))
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    assert unreferenced_names() - UNCALLED == set()
+
+
+def test_named_exceptions_are_still_uncalled():
+    assert UNCALLED <= unreferenced_names()
