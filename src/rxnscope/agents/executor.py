@@ -16,13 +16,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from ..molgraph import (
-    GraphError,
-    RxnscopeError,
-    graph_from_json,
-    graph_to_json,
-    main_component,
-)
+from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json, main_component
 from ..reaction import (
     MoleculeEntry,
     ReactionRecord,
@@ -81,6 +75,13 @@ class _TraceLogHandler(logging.Handler):
         )
 
 
+def _summary(payload: dict) -> dict:
+    return {
+        key: {"atoms": len(v.atoms), "bonds": len(v.bonds)} if isinstance(v, MolecularGraph) else v
+        for key, v in payload.items()
+    }
+
+
 class _Run:
     def __init__(
         self,
@@ -97,19 +98,19 @@ class _Run:
         self.attempt = 1
 
     def invoke(self, tool: str, request: dict) -> dict:
-        """Call ``tool`` once and trace it.
+        """Call ``tool`` once and trace it, each graph as its atom and bond counts.
 
         A ``ToolError``, or a ``DescriptorError`` from a faulty sidecar,
         fails the step attempt.
         """
-        entry = {"type": "tool", "step": self.current_step, "tool": tool, "request": request}
+        entry = {"type": "tool", "step": self.current_step, "tool": tool, "request": _summary(request)}
         try:
             response = self.registry.invoke(tool, self.ctx, request)
         except (ToolError, DescriptorError) as exc:
             entry.update(response=None, status="error", attempt=self.attempt, error=str(exc))
             self.trace.append(entry)
             raise _StepFailure(f"tool {tool!r} failed: {exc}") from None
-        entry.update(response=response, status="ok", attempt=self.attempt)
+        entry.update(response=_summary(response), status="ok", attempt=self.attempt)
         self.trace.append(entry)
         return response
 
@@ -132,7 +133,7 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
                 raise _StepFailure(f"template graph {i}: {exc}") from None
             if formulas:
                 g = substitute_placeholders(g, formulas, registry=run.ctx.aliases)
-            smi = run.invoke("graph2smiles", {"graph": graph_to_json(g)})["smiles"]
+            smi = run.invoke("graph2smiles", {"graph": g})["smiles"]
             out.append(smi)
         return out
 
@@ -166,8 +167,8 @@ def _step_molecular_recognition(run: _Run) -> dict:
     for i, entry in enumerate(raw):
         if "graph" in entry:
             try:
-                smi = run.invoke("graph2smiles", {"graph": entry["graph"]})["smiles"]
-            except _StepFailure as exc:
+                smi = run.invoke("graph2smiles", {"graph": graph_from_json(entry["graph"])})["smiles"]
+            except (GraphError, _StepFailure) as exc:
                 raise _StepFailure(f"molecules.json[{i}].graph: {exc}") from None
         else:
             smi = entry["smiles"]
@@ -271,10 +272,7 @@ def _step_text_rgroup(run: _Run) -> dict:
             out = []
             for g in graphs:
                 spliced = substitute_placeholders(g, values, table, run.ctx.aliases)
-                smi = run.invoke(
-                    "graph2smiles", {"graph": graph_to_json(main_component(spliced))}
-                )["smiles"]
-                out.append(smi)
+                out.append(run.invoke("graph2smiles", {"graph": main_component(spliced)})["smiles"])
             return out
 
         reactants = instantiate(reactant_graphs)

@@ -6,7 +6,8 @@ checked once, against ``bundle.SIDECARS``; a faulty sidecar raises
 ``DescriptorError``, which fails the step that read it. Conversion tools
 (graph-to-SMILES, reactant reconstruction, table parsing, condition
 interpretation) run the real implementations from the chemistry modules.
-Both sides speak the same JSON request/response protocol.
+Tools run in-process, so a graph crosses as a checked, immutable
+``MolecularGraph``; JSON stays at the file edges (sidecars, document).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..chemops import AliasRegistry
-from ..molgraph import RxnscopeError, graph_from_json
+from ..molgraph import MolecularGraph, RxnscopeError
 from ..reaction import (
     TableParseError,
     classify_condition,
@@ -140,10 +141,9 @@ def _tool_rxn_extractor(ctx: RunContext, request: dict) -> dict:
 
 
 def _tool_graph2smiles(ctx: RunContext, request: dict) -> dict:
-    try:
-        g = graph_from_json(request["graph"])
-    except (KeyError, ValueError) as exc:
-        raise ToolError(f"bad graph payload: {exc}") from None
+    g = request.get("graph")
+    if not isinstance(g, MolecularGraph):
+        raise ToolError(f"bad graph payload: expected a MolecularGraph, got {type(g).__name__}")
     try:
         return {"smiles": write_smiles(expand_abbreviations(g, registry=ctx.aliases))}
     except RxnscopeError as exc:

@@ -346,8 +346,19 @@ def ring_bonds(g: MolecularGraph, keep: Callable[[Bond], bool] = lambda bond: Tr
 
 
 def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> MolecularGraph:
-    """Induced subgraph over ``indices``, in ascending order of old index."""
-    index_list = sorted(set(indices))
+    """Induced subgraph over ``indices``, in ascending order of old index.
+
+    An index that is no atom of ``g`` is a :class:`GraphError`. Indices naming
+    every atom, with label and role kept, give ``g`` itself, not a copy.
+    """
+    index_list = list(indices)
+    for i in index_list:
+        if type(i) is not int or not 0 <= i < len(g.atoms):
+            raise GraphError(f"subgraph index {i!r} is not an atom of a {len(g.atoms)}-atom graph")
+    index_list = sorted(set(index_list))
+    fields = {"label": g.label, "role": g.role, **overrides}
+    if len(index_list) == len(g.atoms) and (fields["label"], fields["role"]) == (g.label, g.role):
+        return g
     index_map = {old: new for new, old in enumerate(index_list)}
     atoms = [g.atoms[old] for old in index_list]
     # Only atoms that carry a chiral order pay for the renumbering call.
@@ -357,7 +368,6 @@ def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> Molecula
         for bond in g.bonds
         if bond.a in index_map and bond.b in index_map
     ]
-    fields = {"label": g.label, "role": g.role, **overrides}
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds), **fields)
 
 
@@ -378,7 +388,8 @@ def renumber_chiral(atom: AtomToken, new_index: Callable[[int], Optional[int]]) 
 def main_component(g: MolecularGraph) -> MolecularGraph:
     """Largest component by heavy-atom count; ties break on lowest atom index.
 
-    Raises :class:`GraphError` on an empty graph.
+    A one-component ``g`` is returned itself, not copied. Raises
+    :class:`GraphError` on an empty graph.
     """
     if not g.atoms:
         raise GraphError("empty graph has no main component")

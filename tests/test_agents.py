@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import random
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
@@ -32,12 +34,18 @@ from rxnscope.agents.planner import (
 )
 from rxnscope.agents.tools import (
     DetectionError,
+    RunContext,
     ToolError,
     decode_detection_sequence,
     default_registry,
 )
+from rxnscope.chemops import AbbreviationTable, AliasRegistry
+from rxnscope.molgraph import atom_token_from_symbol, graph_from_json, graph_to_json, main_component
 from rxnscope.reaction import decode_records
-from rxnscope.smiles import parse_smiles
+from rxnscope.rgroup import expand_abbreviations, substitute_placeholders
+from rxnscope.smiles import parse_smiles, write_smiles
+
+from corpus import MOLECULES
 
 BACKEND = ScriptedBackend()
 
@@ -155,10 +163,77 @@ class TestRegistry:
             assert tools <= names, agent
 
     def test_unknown_tool(self):
-        from rxnscope.agents.tools import RunContext
-
         with pytest.raises(ToolError):
             default_registry().invoke("teleport", RunContext(bundle=None), {})
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"graph": graph_to_json(parse_smiles("CCO"))},
+            {"graph": None},
+            {"graph": "CCO"},
+            {},
+        ],
+        ids=["graph-json", "none", "smiles-text", "missing"],
+    )
+    def test_graph2smiles_takes_only_graph_values(self, request_):
+        with pytest.raises(ToolError, match="bad graph payload: expected a MolecularGraph"):
+            default_registry().invoke("graph2smiles", RunContext(bundle=None), request_)
+
+
+def _written(g) -> str:
+    """What ``graph2smiles`` writes for ``g`` in a run of its own."""
+    return default_registry().invoke("graph2smiles", RunContext(bundle=None), {"graph": g})["smiles"]
+
+
+def _round_tripped(g) -> str:
+    """What ``graph2smiles`` wrote when graphs crossed it as graph JSON."""
+    g = graph_from_json(graph_to_json(g))
+    return write_smiles(expand_abbreviations(g, registry=AliasRegistry()))
+
+
+class TestGraphValueOracle:
+    """Passing a graph value writes what the old graph JSON round trip wrote."""
+
+    def test_fig2_sidecar_graphs(self, fig2_bundle):
+        template = json.loads((fig2_bundle / "template.json").read_text())
+        molecules = json.loads((fig2_bundle / "molecules.json").read_text())
+        graphs = [graph_from_json(m["graph"]) for m in molecules if "graph" in m]
+        for payload in template["reactant_templates"] + template["product_templates"]:
+            g = graph_from_json(payload)
+            graphs += [g, substitute_placeholders(g, template["rgroup_formulas"], registry=AliasRegistry())]
+        assert len(graphs) == 11 + 2 * 3
+        for g in graphs:
+            assert _written(g) == _round_tripped(g)
+
+    def test_fig2_templates_spliced_with_table_tokens(self, fig2_bundle):
+        template = json.loads((fig2_bundle / "template.json").read_text())
+        graphs = [
+            graph_from_json(p)
+            for p in template["reactant_templates"] + template["product_templates"]
+        ]
+        table = AbbreviationTable.default()
+        tokens = table.tokens() + ["Pj", "Zz9", "2-ClC6H4"]
+        rng = random.Random(17)
+        assignments = [(t, t) for t in tokens]
+        assignments += [(rng.choice(tokens), rng.choice(tokens)) for _ in range(300)]
+        for first, second in assignments:
+            for g in graphs:
+                labels = sorted({g.atoms[i].label for i in g.placeholder_indices()})
+                values = {label: (first, second)[k % 2] for k, label in enumerate(labels)}
+                spliced = main_component(substitute_placeholders(g, values, table, AliasRegistry()))
+                # As a drawing's graph JSON has it: each placeholder drawn as its token.
+                drawn = replace(g, atoms=tuple(
+                    atom_token_from_symbol(values[a.label]) if a.kind == "placeholder" else a
+                    for a in g.atoms
+                ))
+                for h in (spliced, drawn):
+                    assert _written(h) == _round_tripped(h), values
+
+    @pytest.mark.parametrize("smiles", MOLECULES)
+    def test_corpus(self, smiles):
+        g = parse_smiles(smiles)
+        assert _written(g) == _round_tripped(g)
 
 
 class TestScriptedBackend:
@@ -498,13 +573,24 @@ class TestExecutor:
         assert a.document == b.document
         assert a.trace == b.trace
 
+    def test_fig2_trace_summarises_graphs(self, fig2_setup):
+        d, plan = fig2_setup
+        trace = execute_plan(plan, d).trace
+        json.dumps(list(trace))
+        requests = [e["request"] for e in trace if e.get("tool") == "graph2smiles"]
+        assert len(requests) == 14
+        for request in requests:
+            assert list(request) == ["graph"]
+            assert sorted(request["graph"]) == ["atoms", "bonds"]
+            assert all(type(n) is int and n > 0 for n in request["graph"].values())
+
     def test_fig2_trace_is_pinned(self, fig2_setup):
         # Serialized as ``rxnscope extract --trace`` writes it.
         d, plan = fig2_setup
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
-            "bac883b0db01a3bdf0f6f73c974387d644fc457953f3b5808a2ceac0e9a00de6"
+            "478a745015e101dd0e90d33fac63b3780d94d146a15f06adcf579548d172b86e"
         )
 
     def test_tools_match_their_step(self, fig2_setup):

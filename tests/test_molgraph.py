@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -225,7 +226,7 @@ class TestIndexedAdjacency:
 class TestComponents:
     def test_single_component_identity(self):
         g = parse_smiles("CCO")
-        assert main_component(g) is not g  # re-compacted copy
+        assert main_component(g) is g  # one component: no copy
         assert canonicalize(write_smiles(main_component(g))) == canonicalize("CCO")
 
     def test_most_heavy_atoms_wins(self):
@@ -248,6 +249,35 @@ class TestComponents:
 
 
 class TestSubgraph:
+    @pytest.mark.parametrize(
+        "indices, bad",
+        [
+            ([-1, 0], "-1"),  # not read as the last atom
+            ([0, 1, 5], "5"),  # three indices, but not 0..2
+            ([0, 1, 3], "3"),
+            ([0, "a"], "'a'"),
+            ([0, 1.0], "1.0"),
+            ([True, 0], "True"),
+            ([None], "None"),
+        ],
+    )
+    def test_hostile_index_is_a_graph_error(self, indices, bad):
+        with pytest.raises(GraphError, match=rf"subgraph index {re.escape(bad)} is not an atom of a 3-atom graph"):
+            subgraph(parse_smiles("CCO"), indices)
+
+    def test_full_index_list_returns_the_graph(self):
+        g = parse_smiles("N[C@@H](C)O")
+        assert subgraph(g, [3, 1, 0, 2, 1, 3]) is g
+        assert subgraph(g, range(4), label=None, role="unknown") is g
+        assert subgraph(MolecularGraph(), []) == MolecularGraph()
+
+    def test_full_index_list_with_new_label_is_a_copy(self):
+        g = parse_smiles("N[C@@H](C)O")
+        relabelled = subgraph(g, [3, 1, 0, 2, 1], label="x")
+        assert relabelled is not g
+        assert relabelled == replace(g, label="x")
+        assert subgraph(g, range(4), role="product") == replace(g, role="product")
+
     def test_induced_bonds_only(self):
         g = parse_smiles("CCNO")
         sub = subgraph(g, [3, 0, 1])
