@@ -5,8 +5,12 @@ Generates random molecular graphs and patterns at several target sizes,
 checks that the matcher returns exactly the oracle's matches in the
 oracle's lexicographic order, and reports per-size timing. Brute force is
 factorial in target size, so the oracle column is only populated up to
---oracle-max atoms. Exits 1 if any list differs, so it can serve as a
-check:
+--oracle-max atoms. Then aligns the fig2 product template onto every
+fig2 ``molecules.json`` graph, reports milliseconds per ``find_matches``
+and ``scaffold_align`` call (min of repeats) and ``atoms_compatible``
+calls per ``find_matches`` call, and checks each alignment against
+``reference_scaffold_align``, which scores every embedding. Exits 1 if
+any list or alignment differs, so it can serve as a check:
 
     python3 scripts/benchmark_substructure.py --trials 50
 """
@@ -14,6 +18,8 @@ check:
 from __future__ import annotations
 
 import argparse
+import json
+import logging
 import random
 import sys
 import time
@@ -22,9 +28,75 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from oracles import brute_force_matches, random_molecular_graph, random_pattern
+from oracles import (
+    brute_force_matches,
+    random_molecular_graph,
+    random_pattern,
+    reference_scaffold_align,
+)
 
-from rxnscope.substructure import find_matches
+from rxnscope import substructure
+from rxnscope.molgraph import graph_from_json
+from rxnscope.substructure import MatchError, find_matches, scaffold_align
+
+FIG2 = ROOT / "fixtures" / "fig2"
+FIG2_REPEATS = 20
+
+
+def _best_ms_per_call(call, args: list, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for arg in args:
+            call(arg)
+        best = min(best, time.perf_counter() - start)
+    return 1000 * best / len(args)
+
+
+def _outcome(align, template, variant):
+    try:
+        return align(template, variant)[:2]
+    except MatchError:
+        return None
+
+
+def fig2_alignment() -> bool:
+    """Print the fig2 alignment case; True when every alignment agrees."""
+    spec = json.loads((FIG2 / "template.json").read_text())
+    template = graph_from_json(spec["product_templates"][0])
+    variants = [
+        graph_from_json(entry["graph"])
+        for entry in json.loads((FIG2 / "molecules.json").read_text())
+    ]
+    aligned = [v for v in variants if find_matches(template, v)]
+    match_ms = _best_ms_per_call(lambda v: find_matches(template, v), variants, FIG2_REPEATS)
+    align_ms = _best_ms_per_call(lambda v: scaffold_align(template, v), aligned, FIG2_REPEATS)
+
+    real = substructure.atoms_compatible
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    substructure.atoms_compatible = counted
+    try:
+        for variant in variants:
+            find_matches(template, variant)
+    finally:
+        substructure.atoms_compatible = real
+
+    mismatches = sum(
+        _outcome(scaffold_align, template, v) != _outcome(reference_scaffold_align, template, v)
+        for v in variants
+    )
+    print(f"\nfig2 product template on {len(variants)} molecules.json graphs ({len(aligned)} align)")
+    print(f"{'find_matches (ms/call)':>28} {match_ms:>8.3f}")
+    print(f"{'scaffold_align (ms/call)':>28} {align_ms:>8.3f}")
+    print(f"{'atoms_compatible per match':>28} {calls / len(variants):>8.1f}")
+    print(f"{'oracle mismatches':>28} {mismatches:>8}")
+    return mismatches == 0
 
 
 def main(argv=None) -> int:
@@ -59,8 +131,12 @@ def main(argv=None) -> int:
             )
             failed = failed or mismatches > 0
         print(f"{size:>6} {matcher_ms:>14.1f} {oracle_ms:>13.1f} {mismatches:>11}")
+    if not fig2_alignment():
+        failed = True
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
+    # One fig2 variant aligns ambiguously, which logs a warning per call.
+    logging.disable(logging.WARNING)
     sys.exit(main())

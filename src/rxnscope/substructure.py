@@ -1,13 +1,20 @@
 """Subgraph matching and template/variant scaffold alignment.
 
-The matcher is a backtracking search over pattern atoms in index order.
-As in VF2 (Cordella et al., 2004), a pattern atom bonded to an atom
-already mapped takes its candidates from the sorted neighbours of that
-atom's image rather than from the whole target; an atom with no earlier
-neighbour tries every target atom. Candidates are tried in ascending
-order, so the result order is lexicographic by mapped target tuple and
-therefore reproducible. Placeholder atoms in the pattern match any
-single target atom; bonds touching them are order-lenient.
+The matcher is a backtracking search, kept on an explicit stack, that
+places pattern atoms in an order fixed once per call. As in VF2++
+(Juttner & Madarasi, 2018), the order starts where the target offers
+fewest choices: in each component, the inner (degree >= 2) atom that is
+no joker and has the fewest target atoms of its label, ties to the
+higher degree, then the lower index. Inner atoms follow breadth-first,
+then terminal atoms, jokers last, so symmetric branches of a template
+(swapped sulfonyl oxygens, two placeholders on one carbon) part only in
+the last placements. As in VF2 (Cordella et al., 2004), an atom bonded
+to one already placed takes its candidates from the neighbours of that
+atom's image; an atom with none (a root) takes the target atoms of its
+label, or every atom for a joker. Results are collected and sorted once,
+so they come out lexicographic by mapped target tuple whatever the
+placement order. Placeholder atoms in the pattern match any single
+target atom; bonds touching them are order-lenient.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from .molgraph import AtomToken, Bond, GraphError, MolecularGraph, RxnscopeError
+from .molgraph import AtomToken, Bond, GraphError, MolecularGraph, RxnscopeError, connected_components
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +57,13 @@ def bonds_compatible(pattern: MolecularGraph, pbond: Bond, tbond: Bond) -> bool:
     return lenient and {pbond.order, tbond.order} == {"single", "aromatic"}
 
 
+def _label_key(atom: AtomToken) -> tuple:
+    """What ``atoms_compatible`` compares for a pattern atom that is no joker."""
+    if atom.kind == "element":
+        return atom.kind, atom.text, atom.charge, atom.aromatic
+    return atom.kind, atom.text
+
+
 def find_matches(
     pattern: MolecularGraph,
     target: MolecularGraph,
@@ -60,10 +74,11 @@ def find_matches(
     Results are ordered by the tuple (mapping[0], mapping[1], ...) and
     truncated at ``limit`` when given; a ``limit`` of 0 or less gives no
     results. Extra target bonds between mapped atoms are allowed; only
-    pattern bonds constrain the search. Pattern atoms are placed in index
-    order; one with an earlier pattern neighbour is tried only on the
-    target neighbours of that neighbour's image, in ascending order, which
-    prunes the search without changing the result order.
+    pattern bonds constrain the search. Pattern atoms are placed inner
+    atoms first, from the rarest one in each component, then terminal
+    atoms, jokers last (see the module docstring); every result is
+    collected and sorted once, so ``limit`` cuts a prefix of the full
+    sorted list.
     """
     if not pattern.atoms:
         raise GraphError("empty pattern")
@@ -72,17 +87,54 @@ def find_matches(
     n = len(pattern.atoms)
     target_adj = target.adjacency()
     pattern_adj = pattern.adjacency()
-    # Pattern bonds from atom i to already-placed atoms j < i.
-    back_edges = [[b for mate, b in pattern_adj[p] if mate < p] for p in range(n)]
-    # The image of p must be bonded to the image of any earlier neighbour,
-    # so the first one's sorted target neighbours hold every candidate.
-    anchors = [back[0].other(p) if back else None for p, back in enumerate(back_edges)]
-    target_mates = [sorted({mate for mate, _ in row}) for row in target_adj]
     every_atom = range(len(target.atoms))
+    by_label: dict[tuple, list[int]] = {}
+    for t, atom in enumerate(target.atoms):
+        by_label.setdefault(_label_key(atom), []).append(t)
+    # The target atoms an unanchored pattern atom can take.
+    pools = [
+        every_atom if _is_joker(atom) else by_label.get(_label_key(atom), [])
+        for atom in pattern.atoms
+    ]
 
-    results: list[dict[int, int]] = []
-    assigned: list[int] = []
-    used: set[int] = set()
+    def rarity(p: int) -> tuple:
+        return _is_joker(pattern.atoms[p]), len(pools[p]), -len(pattern_adj[p]), p
+
+    order: list[int] = []
+    placed = [False] * n
+    for comp in connected_components(pattern):
+        inner = [p for p in comp if len(pattern_adj[p]) >= 2]
+        root = min(inner or comp, key=rarity)
+        head = len(order)
+        placed[root] = True
+        order.append(root)
+        # Inner atoms induce a connected subgraph, so this reaches them all.
+        while head < len(order):
+            p = order[head]
+            head += 1
+            for mate in sorted(mate for mate, _ in pattern_adj[p]):
+                if not placed[mate] and len(pattern_adj[mate]) >= 2:
+                    placed[mate] = True
+                    order.append(mate)
+    terminals = [p for p in range(n) if not placed[p]]
+    order += sorted(terminals, key=lambda p: (_is_joker(pattern.atoms[p]), p))
+
+    position = {p: k for k, p in enumerate(order)}
+    # Pattern bonds from each atom to atoms placed before it.
+    back_edges = [
+        [b for mate, b in pattern_adj[p] if position[mate] < position[p]] for p in range(n)
+    ]
+    # The image of p must be bonded to the image of any earlier neighbour,
+    # so the first-placed one's target neighbours hold every candidate.
+    anchors = [
+        min((b.other(p) for b in back), key=position.__getitem__) if back else None
+        for p, back in enumerate(back_edges)
+    ]
+    target_mates = [[mate for mate, _ in row] for row in target_adj]
+
+    def candidates(p: int):
+        anchor = anchors[p]
+        return iter(pools[p] if anchor is None else target_mates[image[anchor]])
 
     def feasible(p: int, t: int) -> bool:
         if not atoms_compatible(pattern.atoms[p], target.atoms[t]):
@@ -90,33 +142,37 @@ def find_matches(
         if len(pattern_adj[p]) > len(target_adj[t]):
             return False
         for pbond in back_edges[p]:
-            other = pbond.other(p)
-            tbond = target.bond_between(assigned[other], t)
+            tbond = target.bond_between(image[pbond.other(p)], t)
             if tbond is None or not bonds_compatible(pattern, pbond, tbond):
                 return False
         return True
 
-    def search(p: int) -> bool:
-        if p == n:
-            results.append({i: assigned[i] for i in range(n)})
-            return limit is not None and len(results) >= limit
-        anchor = anchors[p]
-        candidates = every_atom if anchor is None else target_mates[assigned[anchor]]
-        for t in candidates:
-            if t in used:
-                continue
-            if feasible(p, t):
-                assigned.append(t)
-                used.add(t)
-                done = search(p + 1)
-                used.remove(t)
-                assigned.pop()
-                if done:
-                    return True
-        return False
-
-    search(0)
-    return results
+    # Depth-first search with an explicit stack of candidate iterators, one
+    # per placed atom, so pattern size is not bounded by the recursion limit.
+    results: list[tuple[int, ...]] = []
+    image = [-1] * n
+    used = [False] * len(target.atoms)
+    pending = [candidates(order[0])]
+    while pending:
+        depth = len(pending) - 1
+        p = order[depth]
+        if image[p] >= 0:
+            used[image[p]] = False
+            image[p] = -1
+        for t in pending[-1]:
+            if not used[t] and feasible(p, t):
+                break
+        else:
+            pending.pop()
+            continue
+        image[p] = t
+        used[t] = True
+        if depth + 1 < n:
+            pending.append(candidates(order[depth + 1]))
+        else:
+            results.append(tuple(image))
+    results.sort()
+    return [dict(enumerate(r)) for r in results[:limit]]
 
 
 def _placeholder_aromatic_score(
@@ -178,12 +234,21 @@ def scaffold_align(
     if not matches:
         raise MatchError("template does not match variant structure")
 
+    # A score depends only on where the placeholders land and on which
+    # atoms the scaffold covers, so scaffold automorphisms that agree on
+    # both (a flipped tosyl ring, swapped sulfonyl oxygens) share one.
+    scored: dict[tuple, tuple[int, int]] = {}
+
     def score(m: dict[int, int]) -> tuple[int, int]:
-        frags = _fragment_atoms(template, variant, m, placeholders)
-        covered = {t for p, t in m.items() if template.atoms[p].kind != "placeholder"}
-        for atoms in frags.values():
-            covered.update(atoms)
-        return len(covered), _placeholder_aromatic_score(template, variant, m)
+        # The mapping is injective, so with the placeholder images fixed its
+        # image set fixes the scaffold's.
+        key = (tuple(m[p] for p in placeholders), frozenset(m.values()))
+        if key not in scored:
+            covered = {t for p, t in m.items() if template.atoms[p].kind != "placeholder"}
+            for atoms in _fragment_atoms(template, variant, m, placeholders).values():
+                covered.update(atoms)
+            scored[key] = len(covered), _placeholder_aromatic_score(template, variant, m)
+        return scored[key]
 
     scores = [score(m) for m in matches]
     best = max(scores)

@@ -21,6 +21,7 @@ from rxnscope.molgraph import (
     renumber_chiral,
     subgraph,
 )
+from rxnscope.substructure import MatchError, find_matches
 
 
 # --- exhaustive subgraph matching -----------------------------------------
@@ -76,6 +77,55 @@ def verify_mapping(
         if tbond is None or not _bond_ok(pattern, pbond, tbond):
             return False
     return True
+
+
+def reference_scaffold_align(
+    template: MolecularGraph, variant: MolecularGraph
+) -> tuple[dict[int, int], dict[int, list[int]], int]:
+    """``scaffold_align`` by scoring every embedding ``find_matches`` returns.
+
+    Returns the chosen mapping, its fragments and the number of ambiguity
+    warnings the alignment logs (0 or 1). Raises ``MatchError`` where
+    ``scaffold_align`` must.
+    """
+    placeholders = template.placeholder_indices()
+    matches = find_matches(template, variant) if placeholders else []
+    if not matches:
+        raise MatchError("no placeholder or no embedding")
+
+    def fragments(m):
+        scaffold = {t for p, t in m.items() if template.atoms[p].kind != "placeholder"}
+        out = {}
+        for p in placeholders:
+            seen = {m[p]}
+            frontier = [m[p]]
+            while frontier:
+                for mate in variant.neighbors(frontier.pop()):
+                    if mate not in scaffold and mate not in seen:
+                        seen.add(mate)
+                        frontier.append(mate)
+            out[p] = sorted(seen)
+        return out, scaffold
+
+    def score(m):
+        frags, covered = fragments(m)
+        for atoms in frags.values():
+            covered |= set(atoms)
+        aromatic = sum(
+            template.atoms[p].label.startswith("Ar") and variant.atoms[m[p]].aromatic
+            for p in placeholders
+        )
+        return len(covered), aromatic
+
+    scores = [score(m) for m in matches]
+    contenders = [m for m, s in zip(matches, scores) if s == max(scores)]
+    placements = {tuple(m[p] for p in placeholders) for m in contenders}
+    mapping = contenders[0]
+    frags, _ = fragments(mapping)
+    claimed = [t for atoms in frags.values() for t in atoms]
+    if len(claimed) != len(set(claimed)):
+        raise MatchError("substituent regions overlap")
+    return mapping, frags, int(len(placements) > 1)
 
 
 # --- exhaustive canonical search ------------------------------------------

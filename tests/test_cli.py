@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -241,9 +242,9 @@ def _write(path, content) -> str:
     return str(path)
 
 
-def _reconstruct(spec):
+def _reconstruct(spec, variant="CCO"):
     return lambda tmp, fig2: [
-        "reconstruct", "--template", _write(tmp / "t.json", spec), "--variant", "CCO",
+        "reconstruct", "--template", _write(tmp / "t.json", spec), "--variant", variant,
     ]
 
 
@@ -432,6 +433,18 @@ class TestHostileInput:
         code, out = run(capsys, *make_argv(tmp_path, fig2_bundle))
         assert code == 1
         assert out["error"].startswith(f"{error_type}: ")
+
+    def test_template_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # The matcher places one atom per search level; its rare root (N)
+        # keeps this search linear, so it finishes well inside the bound.
+        chain = "C" * 1100
+        spec = {"reactants": ["[R]N" + chain + "Br"], "products": ["[R]N" + chain]}
+        start = time.perf_counter()
+        code, out = run(capsys, *_reconstruct(spec, "CN" + chain)(tmp_path, None))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out["bindings"] == {"R": "C"}
+        assert [canonicalize(s) for s in out["reactants"]] == [canonicalize("CN" + chain + "Br")]
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_MOLECULES))
     def test_mistyped_molecules_fail_recognition(self, case, capsys, tmp_path, fig2_bundle):

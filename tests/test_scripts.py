@@ -53,8 +53,10 @@ def test_enumerate_variants_splices_each_row(tmp_path):
 
 def test_substructure_benchmark_agrees_with_brute_force(tmp_path):
     out = run_script("benchmark_substructure.py", "--trials", "3", "--sizes", "6", "8", cwd=tmp_path)
-    rows = [line.split() for line in out.splitlines()[1:]]
+    table, fig2 = out.split("\n\n")
+    rows = [line.split() for line in table.splitlines()[1:]]
     assert [(row[0], row[-1]) for row in rows] == [("6", "0"), ("8", "0")]
+    assert fig2.splitlines()[-1].split() == ["oracle", "mismatches", "0"]
 
 
 def _bench_pairs():

@@ -1,11 +1,27 @@
+import functools
+import hashlib
 import importlib.util
+import json
+import logging
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from rxnscope.molgraph import AtomToken, Bond, GraphError, MolecularGraph, subgraph
-from rxnscope.smiles import parse_smiles
+from rxnscope import substructure
+from rxnscope.chemops import AbbreviationTable, AliasRegistry
+from rxnscope.molgraph import (
+    AtomToken,
+    Bond,
+    GraphError,
+    MolecularGraph,
+    graph_from_json,
+    subgraph,
+)
+from rxnscope.rgroup import extract_rgroup_fragments, substitute_placeholders
+from rxnscope.smiles import parse_smiles, write_smiles
 from rxnscope.substructure import (
     MatchError,
     atoms_compatible,
@@ -14,7 +30,18 @@ from rxnscope.substructure import (
     scaffold_align,
 )
 
-from oracles import brute_force_matches, random_molecular_graph, random_pattern, verify_mapping
+from oracles import (
+    brute_force_matches,
+    random_molecular_graph,
+    random_pattern,
+    reference_scaffold_align,
+    verify_mapping,
+)
+from test_rgroup import DIGEST_POOL, DIGEST_SCAFFOLDS
+
+REPO = Path(__file__).resolve().parents[1]
+FIG2 = REPO / "fixtures" / "fig2"
+TABLE = AbbreviationTable.default()
 
 
 def sort_key(mapping: dict[int, int]):
@@ -141,6 +168,34 @@ class TestFindMatches:
             for limit in (1, 2, 3):
                 assert find_matches(pattern, target, limit=limit) == want[:limit]
 
+    def test_joker_heavy_patterns_equal_brute_force(self):
+        # Jokers inside the pattern, lone atoms and two-atom components
+        # take the placement order's fallbacks: a joker root, an unanchored
+        # terminal atom.
+        rng = random.Random(29)
+        for case in range(160):
+            target = random_molecular_graph(rng, 7)
+            pattern = random_pattern(rng, 4)
+            atoms = tuple(
+                AtomToken(kind="placeholder", text="[R]") if rng.random() < 0.5 else atom
+                for atom in pattern.atoms
+            )
+            pattern = MolecularGraph(atoms=atoms, bonds=pattern.bonds)
+            if case % 3 == 1:
+                lone = rng.choice([AtomToken(kind="placeholder", text="[R]"), atoms[0]])
+                pattern = disjoint_union(pattern, MolecularGraph(atoms=(lone,)))
+            elif case % 3 == 2:
+                pattern = disjoint_union(pattern, random_pattern(rng, 2))
+            want = sorted(brute_force_matches(pattern, target), key=sort_key)
+            assert find_matches(pattern, target) == want
+            assert find_matches(pattern, target, limit=2) == want[:2]
+
+    def test_pattern_longer_than_the_recursion_limit(self):
+        chain = "C" * sys.getrecursionlimit()
+        pattern = parse_smiles("[R]N" + chain)
+        target = parse_smiles("CN" + chain)
+        assert find_matches(pattern, target) == [{i: i for i in range(len(target.atoms))}]
+
 
 class TestScaffoldAlign:
     def test_minimal_substitution(self):
@@ -236,3 +291,141 @@ def test_benchmark_script_agrees_with_oracle(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main(["--trials", "5", "--sizes", "6", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "(7 align)" in out
+    assert "oracle mismatches" in out
+    assert "scaffold_align (ms/call)" in out
+
+
+# --- the fig2 product template against fig2, seeded and digest variants ----
+
+def fig2_product_template() -> MolecularGraph:
+    spec = json.loads((FIG2 / "template.json").read_text())
+    return graph_from_json(spec["product_templates"][0])
+
+
+def fig2_variants() -> list[MolecularGraph]:
+    entries = json.loads((FIG2 / "molecules.json").read_text())
+    return [graph_from_json(entry["graph"]) for entry in entries]
+
+
+def respliced(template, assignment, registry=None) -> MolecularGraph:
+    """The substituted template as a variant arrives: written and parsed."""
+    return parse_smiles(write_smiles(substitute_placeholders(template, assignment, TABLE, registry)))
+
+
+@functools.cache
+def alignment_cases() -> dict[str, list[tuple[MolecularGraph, MolecularGraph]]]:
+    template = fig2_product_template()
+    labels = sorted({template.atoms[i].label for i in template.placeholder_indices()})
+    rng = random.Random(18)
+    seeded = [
+        (template, respliced(template, {label: rng.choice(TABLE.tokens()) for label in labels}))
+        for _ in range(320)
+    ]
+    digest_scaffolds = []
+    for scaffold in DIGEST_SCAFFOLDS:
+        g = parse_smiles(scaffold)
+        labels = sorted({g.atoms[i].label for i in g.placeholder_indices()})
+        for _ in range(6):
+            assignment = {label: rng.choice(DIGEST_POOL) for label in labels}
+            digest_scaffolds.append((g, respliced(g, assignment, AliasRegistry())))
+    return {
+        "fig2": [(template, variant) for variant in fig2_variants()],
+        "seeded": seeded,
+        "digest_scaffolds": digest_scaffolds,
+    }
+
+
+def aligned(template, variant, caplog):
+    """``scaffold_align``'s mapping, fragments and ambiguity warnings, or None."""
+    caplog.clear()
+    try:
+        mapping, fragments = scaffold_align(template, variant)
+    except MatchError:
+        return None
+    warnings = sum("ambiguous scaffold alignment" in r.getMessage() for r in caplog.records)
+    return mapping, fragments, warnings
+
+
+def reference_aligned(template, variant):
+    try:
+        return reference_scaffold_align(template, variant)
+    except MatchError:
+        return None
+
+
+class TestAlignmentOracle:
+    @pytest.mark.parametrize("family", ["fig2", "seeded", "digest_scaffolds"])
+    def test_equals_scoring_every_embedding(self, family, caplog):
+        cases = alignment_cases()[family]
+        outcomes = []
+        with caplog.at_level(logging.WARNING, logger="rxnscope.substructure"):
+            for template, variant in cases:
+                got = aligned(template, variant, caplog)
+                assert got == reference_aligned(template, variant), write_smiles(variant)
+                outcomes.append(got)
+        matched = [o for o in outcomes if o is not None]
+        # Every family aligns most of its cases, and some ambiguously.
+        assert len(matched) >= len(cases) // 2
+        assert any(warnings for _, _, warnings in matched)
+
+    def test_alignment_digest_is_pinned(self):
+        assert alignment_digest() == (
+            "600253ec2ff5163a70aaa505f0e7864148bae35e4ad920e9faa745c027b85ed8"
+        )
+
+
+def alignment_digest() -> str:
+    """SHA-256 over every case's mapping and written bindings."""
+    digest = hashlib.sha256()
+    for family in ("fig2", "seeded", "digest_scaffolds"):
+        for template, variant in alignment_cases()[family]:
+            try:
+                mapping, _ = scaffold_align(template, variant)
+                bindings = extract_rgroup_fragments(template, variant)
+            except MatchError as exc:
+                digest.update(f"MatchError: {exc}".encode())
+                continue
+            digest.update(json.dumps(sorted(mapping.items())).encode())
+            written = {label: write_smiles(f.graph) for label, f in sorted(bindings.items())}
+            digest.update(json.dumps(written).encode())
+    return digest.hexdigest()
+
+
+# ``atoms_compatible`` calls per ``find_matches`` call of the fig2 product
+# template on a fig2 variant: 78 or fewer with the rarest inner atom as
+# root, 371-425 when the ``[Ar]`` joker at index 0 roots the search.
+FIG2_COMPATIBILITY_BOUND = 120
+
+
+def test_fig2_alignment_work_is_bounded(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(substructure, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(substructure, name, wrapper)
+
+    counted("atoms_compatible")
+    counted("_fragment_atoms")
+    template = fig2_product_template()
+    placeholders = template.placeholder_indices()
+    aligned_variants = 0
+    for variant in fig2_variants():
+        calls.clear()
+        matches = find_matches(template, variant)
+        assert calls["atoms_compatible"] <= FIG2_COMPATIBILITY_BOUND
+        if not matches:
+            continue
+        placements = {(tuple(m[p] for p in placeholders), frozenset(m.values())) for m in matches}
+        assert len(placements) < len(matches)
+        calls.clear()
+        scaffold_align(template, variant)
+        assert calls["_fragment_atoms"] == len(placements) + 1
+        aligned_variants += 1
+    assert aligned_variants == 7
