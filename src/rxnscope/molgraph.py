@@ -310,39 +310,43 @@ def connected_components(g: MolecularGraph) -> list[list[int]]:
 def ring_bonds(g: MolecularGraph, keep: Callable[[Bond], bool] = lambda bond: True) -> set[int]:
     """Positions in ``g.bonds`` of the kept bonds that lie on a cycle of kept bonds.
 
-    Linear time: one depth-first search finds the bridges (Tarjan, 1974)
-    and every other kept bond lies on a cycle.
+    ``keep`` is called once per bond.  One depth-first search over the kept
+    bonds, rooted only at atoms that have one, finds the bridges (Tarjan,
+    1974); every other kept bond lies on a cycle.  So the time is linear
+    in the bonds, and atoms with no kept bond cost nothing.
     """
-    adj = [[mate for mate, bond in row if keep(bond)] for row in g.adjacency()]
+    kept = [pos for pos, bond in enumerate(g.bonds) if keep(bond)]
+    adj: dict[int, list[tuple[int, int]]] = {}  # atom -> (mate, bond position) pairs
+    for pos in kept:
+        bond = g.bonds[pos]
+        adj.setdefault(bond.a, []).append((bond.b, pos))
+        adj.setdefault(bond.b, []).append((bond.a, pos))
     disc: dict[int, int] = {}  # atom -> discovery time
     low: dict[int, int] = {}  # atom -> earliest discovery time reachable below it
-    bridges: set[tuple[int, int]] = set()
-    for root, row in enumerate(adj):
-        if not row or root in disc:
+    bridges: set[int] = set()
+    for root, row in adj.items():
+        if root in disc:
             continue
         disc[root] = low[root] = len(disc)
-        stack = [(root, -1, iter(row))]
+        stack = [(root, -1, iter(row))]  # (atom, bond it was reached by, its pairs)
         while stack:
-            cur, parent, mates = stack[-1]
-            for mate in mates:
-                if mate == parent:
+            cur, via, mates = stack[-1]
+            for mate, pos in mates:
+                if pos == via:
                     continue
                 if mate not in disc:
                     disc[mate] = low[mate] = len(disc)
-                    stack.append((mate, cur, iter(adj[mate])))
+                    stack.append((mate, pos, iter(adj[mate])))
                     break
                 low[cur] = min(low[cur], disc[mate])
             else:
                 stack.pop()
-                if parent >= 0:
+                if via >= 0:
+                    parent = stack[-1][0]
                     low[parent] = min(low[parent], low[cur])
                     if low[cur] > disc[parent]:
-                        bridges.add(_pair(parent, cur))
-    return {
-        pos
-        for pos, bond in enumerate(g.bonds)
-        if keep(bond) and _pair(bond.a, bond.b) not in bridges
-    }
+                        bridges.add(via)
+    return set(kept) - bridges
 
 
 def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> MolecularGraph:

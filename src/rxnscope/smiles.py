@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import replace
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .molgraph import (
     AROMATIC_SYMBOLS,
@@ -320,39 +320,50 @@ class _Parser:
 def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     """Upgrade qualifying Kekulé 6-rings to aromatic form.
 
-    A ring qualifies when all six atoms are C/N/O/S elements and the ring
-    bonds alternate single/double (or are already all aromatic).  All rings
-    are judged against the original bond orders, then upgraded at once.
-    Only atoms and bonds not yet in aromatic form are replaced, and ``g``
-    itself comes back when there are none, as for every ring the writer
-    emits.
+    A 6-atom set qualifies when all its atoms are C/N/O/S elements and the
+    bonds of its first 6-cycle, depth first from its lowest atom in
+    adjacency order, alternate single/double (or are already all
+    aromatic).  All sets are judged against the original bond orders, then
+    upgraded at once.  Only atoms and bonds not yet in aromatic form are
+    replaced, and ``g`` itself comes back when there are none, as for every
+    ring the writer emits.
+
+    The search starts only from seed bonds: a bond between two C/N/O/S
+    elements that is double, or aromatic with a direction mark or an end
+    not flagged aromatic.  That is exact, because an alternating cycle has
+    three double bonds and an all-aromatic cycle changes only at an
+    unflagged atom or a marked bond; so every set that changes has a seed
+    on its deciding cycle, and a graph without seeds comes back at once.
     """
     adj = g.adjacency()
-    rings: dict[frozenset[int], list[int]] = {}
+    ring_atom = [a.kind == "element" and a.text in ("C", "N", "O", "S") for a in g.atoms]
 
-    def extend(path: list[int]) -> None:
+    def cycles(path: list[int], allowed: Callable[[int], bool]) -> Iterator[list[int]]:
         last = path[-1]
         if len(path) == 6:
-            key = frozenset(path)
-            if key not in rings and path[0] in (mate for mate, _ in adj[last]):
-                rings[key] = [g.bond_index(path[k], path[(k + 1) % 6]) for k in range(6)]
+            if g.bond_index(last, path[0]) is not None:
+                yield path
             return
         for mate, _ in adj[last]:
-            if mate in path or mate < path[0]:
-                continue
-            extend(path + [mate])
+            if allowed(mate) and mate not in path:
+                yield from cycles(path + [mate], allowed)
 
-    for start in range(len(g.atoms)):
-        extend([start])
-
+    # The atom sets of the 6-cycles through each seed bond.
+    atom_sets = {
+        frozenset(path)
+        for b in g.bonds
+        if ring_atom[b.a] and ring_atom[b.b] and (
+            b.order == "double"
+            or b.order == "aromatic"
+            and (b.direction is not None or not (g.atoms[b.a].aromatic and g.atoms[b.b].aromatic))
+        )
+        for path in cycles([b.a, b.b], ring_atom.__getitem__)
+    }
     upgrade_atoms: set[int] = set()
     upgrade_bonds: set[int] = set()
-    for members, walk_bonds in rings.items():
-        if not all(
-            g.atoms[i].kind == "element" and g.atoms[i].text in ("C", "N", "O", "S")
-            for i in members
-        ):
-            continue
+    for members in atom_sets:
+        path = next(cycles([min(members)], members.__contains__))
+        walk_bonds = [g.bond_index(path[k], path[(k + 1) % 6]) for k in range(6)]
         orders = [g.bonds[b].order for b in walk_bonds]
         if all(o == "aromatic" for o in orders):
             qualified = True

@@ -20,7 +20,6 @@ target atom; bonds touching them are order-lenient.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 from .molgraph import AtomToken, Bond, GraphError, MolecularGraph, RxnscopeError, connected_components
 
@@ -64,26 +63,17 @@ def _label_key(atom: AtomToken) -> tuple:
     return atom.kind, atom.text
 
 
-def find_matches(
-    pattern: MolecularGraph,
-    target: MolecularGraph,
-    limit: Optional[int] = None,
-) -> list[dict[int, int]]:
+def find_matches(pattern: MolecularGraph, target: MolecularGraph) -> list[dict[int, int]]:
     """All injective pattern-to-target mappings preserving atoms and bonds.
 
-    Results are ordered by the tuple (mapping[0], mapping[1], ...) and
-    truncated at ``limit`` when given; a ``limit`` of 0 or less gives no
-    results. Extra target bonds between mapped atoms are allowed; only
-    pattern bonds constrain the search. Pattern atoms are placed inner
-    atoms first, from the rarest one in each component, then terminal
-    atoms, jokers last (see the module docstring); every result is
-    collected and sorted once, so ``limit`` cuts a prefix of the full
-    sorted list.
+    Results are ordered by the tuple (mapping[0], mapping[1], ...). Extra
+    target bonds between mapped atoms are allowed; only pattern bonds
+    constrain the search. Pattern atoms are placed inner atoms first, from
+    the rarest one in each component, then terminal atoms, jokers last (see
+    the module docstring); every result is collected and sorted once.
     """
     if not pattern.atoms:
         raise GraphError("empty pattern")
-    if limit is not None and limit <= 0:
-        return []
     n = len(pattern.atoms)
     target_adj = target.adjacency()
     pattern_adj = pattern.adjacency()
@@ -172,7 +162,7 @@ def find_matches(
         else:
             results.append(tuple(image))
     results.sort()
-    return [dict(enumerate(r)) for r in results[:limit]]
+    return [dict(enumerate(r)) for r in results]
 
 
 def _placeholder_aromatic_score(

@@ -458,3 +458,136 @@ def double_bond_geometry(g: MolecularGraph) -> list[tuple[int, int, int, int, bo
             continue
         facts.append((bond.a, refs[0], bond.b, refs[1], bool((sides[0] > 0) == (sides[1] > 0))))
     return facts
+
+
+# --- aromaticity perception ------------------------------------------------
+
+def reference_perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
+    """Upgrade qualifying Kekulé 6-rings to aromatic form, walking every
+    simple 6-atom path from every atom.
+
+    A ring qualifies when all six atoms are C/N/O/S elements and the ring
+    bonds alternate single/double (or are already all aromatic).  All rings
+    are judged against the original bond orders, then upgraded at once.
+    Only atoms and bonds not yet in aromatic form are replaced, and ``g``
+    itself comes back when there are none, as for every ring the writer
+    emits.
+    """
+    adj = g.adjacency()
+    rings: dict[frozenset[int], list[int]] = {}
+
+    def extend(path: list[int]) -> None:
+        last = path[-1]
+        if len(path) == 6:
+            key = frozenset(path)
+            if key not in rings and path[0] in (mate for mate, _ in adj[last]):
+                rings[key] = [g.bond_index(path[k], path[(k + 1) % 6]) for k in range(6)]
+            return
+        for mate, _ in adj[last]:
+            if mate in path or mate < path[0]:
+                continue
+            extend(path + [mate])
+
+    for start in range(len(g.atoms)):
+        extend([start])
+
+    upgrade_atoms: set[int] = set()
+    upgrade_bonds: set[int] = set()
+    for members, walk_bonds in rings.items():
+        if not all(
+            g.atoms[i].kind == "element" and g.atoms[i].text in ("C", "N", "O", "S")
+            for i in members
+        ):
+            continue
+        orders = [g.bonds[b].order for b in walk_bonds]
+        if all(o == "aromatic" for o in orders):
+            qualified = True
+        else:
+            qualified = all(
+                {orders[i], orders[(i + 1) % 6]} == {"single", "double"} for i in range(6)
+            )
+        if qualified:
+            upgrade_atoms.update(i for i in members if not g.atoms[i].aromatic)
+            upgrade_bonds.update(
+                b for b in walk_bonds
+                if g.bonds[b].order != "aromatic" or g.bonds[b].direction is not None
+            )
+
+    if not upgrade_atoms and not upgrade_bonds:
+        return g
+    atoms = [replace(a, aromatic=True) if i in upgrade_atoms else a for i, a in enumerate(g.atoms)]
+    bonds = [
+        replace(b, order="aromatic", direction=None) if i in upgrade_bonds else b
+        for i, b in enumerate(g.bonds)
+    ]
+    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
+
+
+
+def unperceived_graph(text: str) -> MolecularGraph:
+    """The graph of a SMILES text as written, before aromaticity perception."""
+    stripped = text.rstrip()
+    recs, bonds = smiles._Parser(stripped, len(stripped) - len(stripped.lstrip())).parse()
+    return MolecularGraph(atoms=tuple(rec.token for rec in recs), bonds=tuple(bonds))
+
+
+def random_ring_graph(rng: random.Random, max_rings: int = 3) -> MolecularGraph:
+    """Rings, mostly of six atoms, planted Kekulé, aromatic or mixed, with chains.
+
+    A ring may share a bond with an earlier ring (a fused system) or hang
+    off one. An aromatic ring leaves some atoms unflagged, as ``C1:C:...``
+    does; some single and aromatic bonds carry direction marks; a few
+    atoms are P, Cl or placeholders; a chord sometimes gives one atom set
+    two 6-cycles.
+    """
+    atoms: list[AtomToken] = []
+    bonds: dict[frozenset, Bond] = {}
+
+    def add_atom() -> int:
+        roll = rng.random()
+        if roll < 0.9:
+            atoms.append(AtomToken(kind="element", text=rng.choice("CCCCNOS")))
+        elif roll < 0.96:
+            atoms.append(AtomToken(kind="element", text=rng.choice(["P", "Cl"])))
+        else:
+            atoms.append(AtomToken(kind="placeholder", text="[R1]"))
+        return len(atoms) - 1
+
+    def add_bond(i: int, j: int, order: str) -> None:
+        if i != j and frozenset((i, j)) not in bonds:
+            marked = order in ("single", "aromatic") and rng.random() < 0.08
+            direction = rng.choice(["up", "down"]) if marked else None
+            bonds[frozenset((i, j))] = Bond(a=i, b=j, order=order, direction=direction)
+
+    rings: list[list[int]] = []
+    for _ in range(rng.randint(1, max_rings)):
+        size = rng.choice([6, 6, 6, 6, 5, 7])
+        if rings and rng.random() < 0.6:
+            prev = rng.choice(rings)
+            k = rng.randrange(len(prev))
+            members = [prev[(k + 1) % len(prev)], prev[k]] + [add_atom() for _ in range(size - 2)]
+        else:
+            members = [add_atom() for _ in range(size)]
+            if rings:
+                add_bond(rng.choice(rng.choice(rings)), members[0], "single")
+        style = rng.choice(["kekule", "kekule", "aromatic", "aromatic", "mixed"])
+        phase = rng.randrange(2)
+        for k in range(size):
+            if style == "kekule":
+                order = "double" if (k + phase) % 2 else "single"
+            elif style == "aromatic":
+                order = "aromatic"
+            else:
+                order = rng.choice(["single", "double", "aromatic", "triple"])
+            add_bond(members[k], members[(k + 1) % size], order)
+        if style == "aromatic":
+            for i in members:
+                if atoms[i].kind == "element" and rng.random() < 0.85:
+                    atoms[i] = replace(atoms[i], aromatic=True)
+        rings.append(members)
+    for _ in range(rng.randint(0, 3)):
+        add_bond(rng.randrange(len(atoms)), add_atom(), rng.choice(["single", "double", "aromatic"]))
+    if rng.random() < 0.25:
+        i, j = rng.sample(range(len(atoms)), 2)
+        add_bond(i, j, rng.choice(["single", "double", "aromatic"]))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds.values()))

@@ -59,6 +59,14 @@ def test_substructure_benchmark_agrees_with_brute_force(tmp_path):
     assert fig2.splitlines()[-1].split() == ["oracle", "mismatches", "0"]
 
 
+def test_parse_benchmark_agrees_with_the_perception_oracle(tmp_path):
+    out = run_script("benchmark_parse.py", "--repeats", "1", "--graphs", "20", cwd=tmp_path)
+    table, seeded = out.split("\n\n")
+    rows = [line.split() for line in table.splitlines()[1:]]
+    assert [(row[0], row[1], row[-1]) for row in rows] == [("golden.json", "18", "0"), ("molecules.json", "11", "0")]
+    assert seeded.split()[-1] == "0"
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

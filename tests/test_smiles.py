@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import random
+import time
 from functools import lru_cache
 from itertools import permutations
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from rxnscope import smiles
 from rxnscope.metrics import evaluate
+from rxnscope.molgraph import AtomToken, Bond, MolecularGraph
 from rxnscope.smiles import (
     SmilesParseError,
     _assign_directions,
@@ -22,7 +24,15 @@ from rxnscope.smiles import (
 )
 
 from corpus import MOLECULES
-from oracles import exhaustive_canonical, fixpoint_ranks, random_molecular_graph, renumbered
+from oracles import (
+    exhaustive_canonical,
+    fixpoint_ranks,
+    random_molecular_graph,
+    random_ring_graph,
+    reference_perceive_aromaticity,
+    renumbered,
+    unperceived_graph,
+)
 
 # Symmetric and stereo molecules: ties the canonical search must break.
 STRESS = {
@@ -139,6 +149,7 @@ class TestParse:
             ("CC(c)C", 3),  # aromatic atom 2 lies on no aromatic ring
             ("c1ccccc1ccc1ccccc1", 8),  # atoms 6-7 join two rings, lie on neither
             ("F/C=C(/F)/F", 4),  # conflicting direction marks at atom 2
+            ("C1=CC=CC=C1c", 11),  # the ring is upgraded; aromatic atom 6 is on none
         ],
     )
     def test_post_parse_check_reports_atom_offset(self, bad, offset):
@@ -146,6 +157,18 @@ class TestParse:
             parse_smiles(bad)
         assert err.value.offset == offset
         assert f"(offset {offset})" in str(err.value)
+
+    def test_post_parse_check_passes_rings_and_the_bond_between_them(self):
+        # The aromatic bond joining two rings is a bridge, on no ring, but
+        # both its atoms lie on aromatic rings.
+        biphenyl = parse_smiles("c1ccccc1c1ccccc1")
+        assert all(a.aromatic for a in biphenyl.atoms)
+        assert all(b.order == "aromatic" for b in biphenyl.bonds)
+        # Five aromatic bonds and a single closure: no ring qualifies.
+        text = "C1:C:C:C:C:C1"
+        g = parse_smiles(text)
+        assert g == unperceived_graph(text)
+        assert not any(a.aromatic for a in g.atoms)
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -173,6 +196,56 @@ class TestParse:
             parse_smiles(text)
         assert err.value.offset == text.index("[")
         assert not is_valid(text)
+
+
+class TestAromaticPerception:
+    """Perception searches from seed bonds only; the 6-path walk is the oracle."""
+
+    @staticmethod
+    def assert_same_as_oracle(g):
+        got = smiles._perceive_aromaticity(g)
+        assert got == reference_perceive_aromaticity(g)
+        return got
+
+    def test_corpus_equals_oracle(self):
+        kekule = ["C1=CC=CC=C1", "C1=CC2=CC=CC=C2C=C1", "C1:C:C:C:C:C:1"]
+        texts = MOLECULES + ["C1:C:C:C:C:C1"] + kekule
+        graphs = [unperceived_graph(t) for t in texts]
+        changed = [t for t, g in zip(texts, graphs) if self.assert_same_as_oracle(g) is not g]
+        assert changed == kekule
+
+    def test_seeded_ring_graphs_equal_oracle(self):
+        rng = random.Random(41)
+        graphs = [random_ring_graph(rng) for _ in range(400)]
+        changed = sum(self.assert_same_as_oracle(g) is not g for g in graphs)
+        assert 100 <= changed <= 300
+        marked = [g for g in graphs if any(b.direction and b.order == "aromatic" for b in g.bonds)]
+        assert len(marked) >= 50
+
+    @pytest.mark.parametrize("chords_first", [False, True])
+    def test_atom_set_with_two_six_cycles_is_judged_by_the_first(self, chords_first):
+        # Hexagon 0-1-2-3-4-5 with chords 0-3 and 1-4: the atom set also
+        # carries the cycle 0-3-2-1-4-5, and only that one alternates. The
+        # walk from atom 0 meets the hexagon first unless the chords come
+        # first in bond order.
+        ring = [Bond(0, 1), Bond(1, 2, "double"), Bond(2, 3), Bond(3, 4), Bond(4, 5, "double"), Bond(5, 0)]
+        chords = [Bond(0, 3, "double"), Bond(1, 4)]
+        bonds = chords + ring if chords_first else ring + chords
+        g = MolecularGraph(atoms=(AtomToken(kind="element", text="C"),) * 6, bonds=tuple(bonds))
+        got = self.assert_same_as_oracle(g)
+        assert (got is not g) == chords_first
+
+    def test_polyphenyl_within_time_bound(self):
+        # 6,006 atoms and 3,003 double bonds to search from. The parse
+        # takes about 0.2 s of CPU on a 2-vCPU machine; the bound leaves
+        # room for a slower one, not for a pass over the whole graph per
+        # seed (about 7 s there).
+        text = "C1=CC=C(C=C1)" + "C2=CC=C(C=C2)" * 1000
+        start = time.process_time()
+        g = parse_smiles(text)
+        assert time.process_time() - start < 2.0
+        assert len(g.atoms) == 6006
+        assert all(a.aromatic for a in g.atoms)
 
 
 class TestWrite:

@@ -117,14 +117,10 @@ class TestFindMatches:
             assert target.atoms[carbonyl_c].text == "C"
             assert target.bond_between(carbonyl_c, m[3]).order == "double"
 
-    def test_results_ordered_and_truncated(self):
+    def test_results_ordered(self):
         g = parse_smiles("c1ccccc1")
-        all_matches = find_matches(g, g)
-        keys = [sort_key(m) for m in all_matches]
+        keys = [sort_key(m) for m in find_matches(g, g)]
         assert keys == sorted(keys)
-        assert find_matches(g, g, limit=5) == all_matches[:5]
-        assert find_matches(g, g, limit=0) == []
-        assert find_matches(g, g, limit=-1) == []
 
     def test_no_match_is_empty(self):
         assert find_matches(parse_smiles("N"), parse_smiles("CCO")) == []
@@ -153,7 +149,7 @@ class TestFindMatches:
     def test_order_equals_brute_force_on_any_atom_order(self):
         # Shuffled and two-component patterns place atoms with no earlier
         # neighbour mid-search; the list itself, unsorted, must come out in
-        # lexicographic order, and every limit must cut a prefix of it.
+        # lexicographic order.
         rng = random.Random(23)
         for case in range(240):
             target = random_molecular_graph(rng, 8)
@@ -165,8 +161,6 @@ class TestFindMatches:
             pattern = renumbered(pattern, order)
             want = sorted(brute_force_matches(pattern, target), key=sort_key)
             assert find_matches(pattern, target) == want
-            for limit in (1, 2, 3):
-                assert find_matches(pattern, target, limit=limit) == want[:limit]
 
     def test_joker_heavy_patterns_equal_brute_force(self):
         # Jokers inside the pattern, lone atoms and two-atom components
@@ -188,7 +182,6 @@ class TestFindMatches:
                 pattern = disjoint_union(pattern, random_pattern(rng, 2))
             want = sorted(brute_force_matches(pattern, target), key=sort_key)
             assert find_matches(pattern, target) == want
-            assert find_matches(pattern, target, limit=2) == want[:2]
 
     def test_pattern_longer_than_the_recursion_limit(self):
         chain = "C" * sys.getrecursionlimit()
