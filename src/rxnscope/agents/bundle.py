@@ -61,8 +61,8 @@ class InputDescriptor:
 # type, or a tuple of them, matching any one. ``[s]`` is a list whose items
 # match ``s``. ``{key: s, ...}`` is an object whose listed keys, where
 # present, match their shapes; ``{str: s}`` is an object whose every value
-# matches ``s``. A graph is a plain ``dict``: its shape belongs to
-# ``molgraph.graph_from_json``.
+# matches ``s``. A graph is a plain ``dict`` here: the tool that reads it
+# decodes it with ``molgraph.graph_from_json``.
 SIDECARS: dict[str, tuple[Any, Optional[str]]] = {
     "descriptor.json": ({"modalities": [str]}, None),
     "template.json": (
@@ -108,7 +108,9 @@ def check_shape(value: Any, shape: Any, where: str, error: type[Exception]) -> N
             check_shape(item, sub, f"{where}.{key}", error)
     else:
         kinds = shape if isinstance(shape, tuple) else (shape,)
-        if not any(value is None if k is None else isinstance(value, k) for k in kinds):
+        matched = any(value is None if k is None else isinstance(value, k) for k in kinds)
+        # No shape holds a bool, which would otherwise pass as an int.
+        if isinstance(value, bool) or not matched:
             raise error(f"{where}: expected " + " or ".join(_KIND_NAMES[k] for k in kinds))
 
 

@@ -16,14 +16,16 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json, main_component
+from ..molgraph import MolecularGraph, RxnscopeError, main_component
 from ..reaction import (
+    ConditionItem,
     MoleculeEntry,
     ReactionRecord,
+    RGroupTableRow,
     align_conditions,
-    condition_from_json,
     condition_to_json,
     encode_records,
+    table_row_to_json,
     validate_record,
 )
 from ..rgroup import substitute_placeholders
@@ -75,11 +77,22 @@ class _TraceLogHandler(logging.Handler):
         )
 
 
-def _summary(payload: dict) -> dict:
-    return {
-        key: {"atoms": len(v.atoms), "bonds": len(v.bonds)} if isinstance(v, MolecularGraph) else v
-        for key, v in payload.items()
-    }
+def _summary(value: Any) -> Any:
+    """``value`` as trace JSON: a graph as its atom and bond counts.
+
+    The one place a run turns tool values into JSON.
+    """
+    if isinstance(value, MolecularGraph):
+        return {"atoms": len(value.atoms), "bonds": len(value.bonds)}
+    if isinstance(value, ConditionItem):
+        return condition_to_json(value)
+    if isinstance(value, RGroupTableRow):
+        return table_row_to_json(value)
+    if isinstance(value, dict):
+        return {key: _summary(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_summary(v) for v in value]
+    return value
 
 
 class _Run:
@@ -124,13 +137,9 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
     resp = run.invoke("rxn_img_parser", {})
     formulas = dict(resp.get("rgroup_formulas", {}))
 
-    def to_smiles(graph_payloads: list) -> list[str]:
+    def to_smiles(graphs: list[MolecularGraph]) -> list[str]:
         out = []
-        for i, payload in enumerate(graph_payloads):
-            try:
-                g = graph_from_json(payload)
-            except GraphError as exc:
-                raise _StepFailure(f"template graph {i}: {exc}") from None
+        for g in graphs:
             if formulas:
                 g = substitute_placeholders(g, formulas, registry=run.ctx.aliases)
             smi = run.invoke("graph2smiles", {"graph": g})["smiles"]
@@ -161,15 +170,12 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
 
 def _step_molecular_recognition(run: _Run) -> dict:
     boxes = run.invoke("mol_detector", {})["boxes"]
-    raw = run.invoke("image2graph", {"expected": len(boxes)})["molecules"]
+    raw = run.invoke("image2graph", {})["molecules"]
     molecules: list[dict] = []
     emitted: list[str] = []
-    for i, entry in enumerate(raw):
+    for entry in raw:
         if "graph" in entry:
-            try:
-                smi = run.invoke("graph2smiles", {"graph": graph_from_json(entry["graph"])})["smiles"]
-            except (GraphError, _StepFailure) as exc:
-                raise _StepFailure(f"molecules.json[{i}].graph: {exc}") from None
+            smi = run.invoke("graph2smiles", {"graph": entry["graph"]})["smiles"]
         else:
             smi = entry["smiles"]
         molecules.append(
@@ -259,13 +265,11 @@ def _step_text_rgroup(run: _Run) -> dict:
 
     variant_reactions: list[dict] = []
     assignments: dict[Any, dict] = {}
-    variant_conditions: dict[str, list[dict]] = {}
+    variant_conditions: dict[str, list[ConditionItem]] = {}
     emitted: list[str] = []
     for row in rows:
-        values = {
-            label: resolve_token(cell) for label, cell in sorted(row["values"].items())
-        }
-        metadata = row.get("metadata", {})
+        values = {label: resolve_token(cell) for label, cell in sorted(row.values.items())}
+        metadata = row.metadata
         label = metadata.get("product")
 
         def instantiate(graphs: list) -> list[str]:
@@ -286,12 +290,12 @@ def _step_text_rgroup(run: _Run) -> dict:
                 "bindings": values,
             }
         )
-        assignments[label if label is not None else row["entry"]] = values
+        assignments[label if label is not None else row.entry] = values
         if label:
             items = []
             for key, role in (("time", "time"), ("temp", "temperature"), ("temperature", "temperature"), ("yield", "yield")):
                 if key in metadata:
-                    items.append({"role": role, "text": str(metadata[key])})
+                    items.append(ConditionItem(role=role, text=metadata[key]))
             if items:
                 variant_conditions[label] = items
     run.memory.update(
@@ -326,9 +330,9 @@ def _step_condition_interpretation(run: _Run) -> dict:
         request["direct_items"] = run.memory["variant_conditions"]
     resp = run.invoke("condition_interpreter", request)
     run.memory["conditions"] = resp
-    emitted = [item["smiles"] for item in resp.get("shared", []) if "smiles" in item]
+    emitted = [item.smiles for item in resp.get("shared", []) if item.smiles is not None]
     for items in resp.get("per_variant", {}).values():
-        emitted.extend(item["smiles"] for item in items if "smiles" in item)
+        emitted.extend(item.smiles for item in items if item.smiles is not None)
     return {"smiles": emitted}
 
 
@@ -347,20 +351,11 @@ def _step_text_extraction(run: _Run) -> dict:
 def _step_data_structure(run: _Run) -> dict:
     m = run.memory
     template = m.get("template", {})
-    conditions = m.get("conditions", {"shared": [], "per_variant": {}})
+    conditions = m.get("conditions", {})
     variant_reactions = m.get("variant_reactions", [])
 
-    shared_items = [
-        condition_from_json(d, f"conditions.shared[{i}]")
-        for i, d in enumerate(conditions.get("shared", []))
-    ]
-    per_variant_items = {
-        label: [
-            condition_from_json(d, f"conditions.per_variant[{label}][{i}]")
-            for i, d in enumerate(items)
-        ]
-        for label, items in sorted(conditions.get("per_variant", {}).items())
-    }
+    shared_items = conditions.get("shared", [])
+    per_variant_items = dict(sorted(conditions.get("per_variant", {}).items()))
 
     records: list[ReactionRecord] = []
     if template.get("products"):
@@ -413,7 +408,7 @@ def _step_data_structure(run: _Run) -> dict:
                 info.extend(info_map.get(label, []))
             records.append(replace(rec, additional_info=tuple(info)))
         if residues:
-            m["condition_residues"] = [condition_to_json(it) for it in residues]
+            m["condition_residues"] = residues
 
     problems: list[str] = []
     for rec in records:

@@ -1,13 +1,14 @@
 """Tool registry: fixture-backed recognition stubs plus real converters.
 
-Recognition tools (detector, image parsers, OCR, NER) answer with bundle
-sidecar files as ``Bundle.read`` returns them, so each file's shape is
-checked once, against ``bundle.SIDECARS``; a faulty sidecar raises
-``DescriptorError``, which fails the step that read it. Conversion tools
-(graph-to-SMILES, reactant reconstruction, table parsing, condition
-interpretation) run the real implementations from the chemistry modules.
-Tools run in-process, so a graph crosses as a checked, immutable
-``MolecularGraph``; JSON stays at the file edges (sidecars, document).
+Tools run in-process and answer with values. Recognition tools (detector,
+image parsers, OCR, NER) read bundle sidecar files through ``Bundle.read``,
+which checks each file against ``bundle.SIDECARS``, and decode the graphs
+they hold into ``MolecularGraph`` values; a faulty sidecar or graph fails
+the step that read it with an error naming the file and field. Conversion
+tools (graph-to-SMILES, reactant reconstruction, table parsing, condition
+interpretation) run the real implementations from the chemistry modules
+and answer with graphs, ``RGroupTableRow``s and ``ConditionItem``s. JSON
+stays at the file edges: the sidecars, the CLI and the document.
 """
 
 from __future__ import annotations
@@ -16,15 +17,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..chemops import AliasRegistry
-from ..molgraph import MolecularGraph, RxnscopeError
-from ..reaction import (
-    TableParseError,
-    classify_condition,
-    condition_from_json,
-    condition_to_json,
-    parse_rgroup_table,
-    table_row_to_json,
-)
+from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json
+from ..reaction import ConditionItem, TableParseError, classify_condition, parse_rgroup_table
 from ..rgroup import ReactionTemplate, expand_abbreviations, extract_rgroup_fragments, reconstruct_reactants
 from ..smiles import parse_smiles, write_smiles
 from .bundle import Bundle
@@ -83,7 +77,7 @@ def decode_detection_sequence(tokens: list) -> list[dict]:
         x1, y1, x2, y2 = tokens[i : i + 4]
         kind = tokens[i + 4]
         for off, value in enumerate((x1, y1, x2, y2)):
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:  # a bool is no coordinate
                 raise DetectionError(i + off, f"bad coordinate {value!r}")
         if x1 >= x2:
             raise DetectionError(i, f"inverted corners: x1={x1} >= x2={x2}")
@@ -105,16 +99,30 @@ def _tool_mol_detector(ctx: RunContext, request: dict) -> dict:
         raise ToolError(f"boxes.json: {exc}") from None
 
 
+def _decode_graph(data: dict, where: str) -> MolecularGraph:
+    """The sidecar graph ``data`` at ``where`` as a value."""
+    try:
+        return graph_from_json(data)
+    except GraphError as exc:
+        raise ToolError(f"{where}: {exc}") from None
+
+
 def _tool_image2graph(ctx: RunContext, request: dict) -> dict:
     molecules = ctx.require_bundle().read("molecules.json")
     for i, entry in enumerate(molecules):
-        if "graph" not in entry and "smiles" not in entry:
+        if "graph" in entry:
+            entry["graph"] = _decode_graph(entry["graph"], f"molecules.json[{i}].graph")
+        elif "smiles" not in entry:
             raise ToolError(f'molecules.json[{i}]: expected a "graph" or a "smiles"')
     return {"molecules": molecules}
 
 
 def _tool_rxn_img_parser(ctx: RunContext, request: dict) -> dict:
-    return ctx.require_bundle().read("template.json")
+    template = ctx.require_bundle().read("template.json")
+    for key in ("reactant_templates", "product_templates"):
+        for i, data in enumerate(template.get(key, [])):
+            template[key][i] = _decode_graph(data, f"template.json.{key}[{i}]")
+    return template
 
 
 def _tool_ocr(ctx: RunContext, request: dict) -> dict:
@@ -155,7 +163,7 @@ def _tool_table_parser(ctx: RunContext, request: dict) -> dict:
         rows = parse_rgroup_table(ctx.require_bundle().read("table.txt"))
     except TableParseError as exc:
         raise ToolError(f"table.txt: {exc}") from None
-    return {"rows": [table_row_to_json(r) for r in rows]}
+    return {"rows": rows}
 
 
 def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
@@ -202,23 +210,16 @@ def _tool_condition_interpreter(ctx: RunContext, request: dict) -> dict:
         return out
 
     shared = attach(classify_condition(text)) if text else []
-    per_variant: dict[str, list[dict]] = {}
+    per_variant: dict[str, list[ConditionItem]] = {}
     for label, notes in sorted(request.get("variant_annotations", {}).items()):
         items = []
         for note in notes:
             items.extend(attach(classify_condition(note)))
         if items:
-            per_variant[label] = [condition_to_json(i) for i in items]
-    for label, raw_items in sorted(request.get("direct_items", {}).items()):
-        parsed = [
-            condition_to_json(condition_from_json(d, f"direct_items[{label}]"))
-            for d in raw_items
-        ]
-        per_variant.setdefault(label, []).extend(parsed)
-    return {
-        "shared": [condition_to_json(i) for i in shared],
-        "per_variant": per_variant,
-    }
+            per_variant[label] = items
+    for label, items in sorted(request.get("direct_items", {}).items()):
+        per_variant.setdefault(label, []).extend(items)
+    return {"shared": shared, "per_variant": per_variant}
 
 
 def default_registry() -> ToolRegistry:

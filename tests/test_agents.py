@@ -114,6 +114,8 @@ class TestBundleRead:
             ("ner.json", "{}", "ner.json: expected a list"),
             ("template.json", '{"rgroup_formulas": {"Ar2": 5}}', "template.json.rgroup_formulas.Ar2"),
             ("molecules.json", '[{"label": 3}]', "molecules.json[0].label: expected a string or null"),
+            # bool subclasses int, but a JSON true is no integer.
+            ("boxes.json", '[true, 0, 5, 5, "MOL"]', "boxes.json[0]: expected an integer or a string"),
         ],
     )
     def test_faulty_sidecar(self, tmp_path, name, content, message):
@@ -154,6 +156,10 @@ class TestDetectionCodec:
     def test_negative_coordinate(self):
         with pytest.raises(DetectionError):
             decode_detection_sequence([-1, 0, 5, 5, "MOL"])
+
+    def test_bool_coordinate(self):
+        with pytest.raises(DetectionError, match="token 1: bad coordinate False"):
+            decode_detection_sequence([0, False, 5, 5, "MOL"])
 
 
 class TestRegistry:
@@ -584,13 +590,27 @@ class TestExecutor:
             assert sorted(request["graph"]) == ["atoms", "bonds"]
             assert all(type(n) is int and n > 0 for n in request["graph"].values())
 
+        def graphs(value) -> int:
+            # No entry holds graph JSON: an "atoms" key holds a count.
+            if isinstance(value, dict):
+                if "atoms" in value:
+                    assert type(value["atoms"]) is int, value
+                return ("atoms" in value) + sum(graphs(v) for v in value.values())
+            if isinstance(value, list):
+                return sum(graphs(v) for v in value)
+            return 0
+
+        counts = {e.get("tool"): graphs(e) for e in trace}
+        assert counts["image2graph"] == 11
+        assert counts["rxn_img_parser"] == 3
+
     def test_fig2_trace_is_pinned(self, fig2_setup):
         # Serialized as ``rxnscope extract --trace`` writes it.
         d, plan = fig2_setup
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
-            "478a745015e101dd0e90d33fac63b3780d94d146a15f06adcf579548d172b86e"
+            "fa29892b9f34188bee4aaa1f91b576ba387c317100dd29b528d13f17c6911e2d"
         )
 
     def test_tools_match_their_step(self, fig2_setup):

@@ -426,6 +426,16 @@ def _sweep_copy(name, content):
     return argv
 
 
+def _failed_reasons(trace_path) -> list[str]:
+    """The reasons of every failed observer verdict in a written trace."""
+    return [
+        reason
+        for e in json.loads(trace_path.read_text())
+        if e["type"] == "observer" and not e["passed"]
+        for reason in e["reasons"]
+    ]
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_domain_error_exit_1(self, case, capsys, tmp_path, fig2_bundle):
@@ -465,13 +475,17 @@ class TestHostileInput:
             "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
         ]
         assert run(capsys, *argv)[0] == 0
-        reasons = [
-            reason
-            for e in json.loads(trace_path.read_text())
-            if e["type"] == "observer" and not e["passed"]
-            for reason in e["reasons"]
-        ]
-        assert reasons and all(r.startswith("molecules.json[0].graph: ") for r in reasons)
+        reasons = _failed_reasons(trace_path)
+        prefix = "tool 'image2graph' failed: molecules.json[0].graph: "
+        assert reasons and all(r.startswith(prefix) for r in reasons)
+
+    def test_faulty_template_graph_is_named(self, capsys, tmp_path, fig2_bundle):
+        make_argv, _ = HOSTILE["template-mistyped-graph-object"]
+        trace_path = tmp_path / "trace.json"
+        assert run(capsys, *make_argv(tmp_path, fig2_bundle), "--trace", str(trace_path))[0] == 1
+        reasons = _failed_reasons(trace_path)
+        prefix = "tool 'rxn_img_parser' failed: template.json.reactant_templates[0]: "
+        assert reasons and all(r.startswith(prefix) for r in reasons)
 
     def test_failed_run_writes_its_trace(self, capsys, tmp_path, fig2_bundle):
         trace_path = tmp_path / "trace.json"
