@@ -1,18 +1,17 @@
-"""Stepwise plan execution: tools, observation, retry, assembly.
+"""Stepwise plan execution: tools, observation, assembly.
 
 Each agent kind is a step function that calls its tools through the run
 and stores its results in the run's memory, a dict keyed by the output
-names the planner declares. After every attempt the observer checks the
-output; a failed check or a failing tool retries the whole step. That
-step loop is the only retry layer: a tool is called once per step
-attempt, so a permanently failing tool is called ``RETRY_BUDGET`` times.
-Steps whose inputs come from a failed step are skipped (degraded) rather
-than crashing the run.
+names the planner declares. Each step runs once, and the observer checks
+its output. A step whose check fails, or whose tool fails, marks its
+declared outputs failed, and every later step that consumes one of them
+is skipped (degraded). The run fails only when it wrote no document.
 """
 
 from __future__ import annotations
 
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -31,16 +30,13 @@ from ..reaction import (
 from ..rgroup import substitute_placeholders
 from ..smiles import SmilesParseError, parse_scope, parse_smiles
 from ..chemops import AbbreviationTable, FormulaError, parse_condensed_formula
-from .backend import ScriptedBackend
+from .backend import BackendError, ScriptedBackend
 from .bundle import Bundle, DescriptorError, InputDescriptor, check_shape
 from .planner import TOKEN_CORRECTION_ANSWER, Plan, review_plan
 from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
 
 log = logging.getLogger(__name__)
-
-# Attempts per step, the first one included.
-RETRY_BUDGET = 2
 
 
 class ExecutionError(RxnscopeError, RuntimeError):
@@ -62,19 +58,32 @@ class ExtractionResult:
     digest: dict = field(default_factory=dict)
 
 
+# The trace of the run in progress in this context (thread or task).
+_run_trace: ContextVar[Optional[list]] = ContextVar("_run_trace", default=None)
+
+
 class _TraceLogHandler(logging.Handler):
-    def __init__(self, sink: list):
-        super().__init__(level=logging.WARNING)
-        self._sink = sink
+    """Appends each warning under ``rxnscope`` to the current run's trace.
+
+    Outside a run, with no handler configured, a warning goes where it
+    would go without this handler: to ``logging.lastResort`` (stderr).
+    """
 
     def emit(self, record: logging.LogRecord) -> None:
-        self._sink.append(
-            {
-                "type": "log",
-                "level": record.levelname,
-                "message": record.getMessage(),
-            }
-        )
+        trace = _run_trace.get()
+        if trace is not None:
+            trace.append(
+                {
+                    "type": "log",
+                    "level": record.levelname,
+                    "message": record.getMessage(),
+                }
+            )
+        elif logging.lastResort is not None and not logging.root.handlers:
+            logging.lastResort.handle(record)
+
+
+logging.getLogger("rxnscope").addHandler(_TraceLogHandler(logging.WARNING))
 
 
 def _summary(value: Any) -> Any:
@@ -108,22 +117,21 @@ class _Run:
         self.memory: dict[str, Any] = {}
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
-        self.attempt = 1
 
     def invoke(self, tool: str, request: dict) -> dict:
         """Call ``tool`` once and trace it, each graph as its atom and bond counts.
 
         A ``ToolError``, or a ``DescriptorError`` from a faulty sidecar,
-        fails the step attempt.
+        fails the step.
         """
         entry = {"type": "tool", "step": self.current_step, "tool": tool, "request": _summary(request)}
         try:
             response = self.registry.invoke(tool, self.ctx, request)
         except (ToolError, DescriptorError) as exc:
-            entry.update(response=None, status="error", attempt=self.attempt, error=str(exc))
+            entry.update(response=None, status="error", error=str(exc))
             self.trace.append(entry)
             raise _StepFailure(f"tool {tool!r} failed: {exc}") from None
-        entry.update(response=_summary(response), status="ok", attempt=self.attempt)
+        entry.update(response=_summary(response), status="ok")
         self.trace.append(entry)
         return response
 
@@ -195,8 +203,6 @@ def _step_molecular_recognition(run: _Run) -> dict:
 
 
 def _step_structure_rgroup(run: _Run) -> dict:
-    if "template" not in run.memory or "molecules" not in run.memory:
-        raise _StepFailure("structure_rgroup needs a template and recognized molecules")
     template, molecules = run.memory["template"], run.memory["molecules"]
     variants = []
     for m in molecules:
@@ -227,8 +233,6 @@ def _step_structure_rgroup(run: _Run) -> dict:
 
 
 def _step_text_rgroup(run: _Run) -> dict:
-    if "template" not in run.memory:
-        raise _StepFailure("text_rgroup needs a parsed template")
     template = run.memory["template"]
     rows = run.invoke("table_parser", {})["rows"]
     table = AbbreviationTable.default()
@@ -248,9 +252,12 @@ def _step_text_rgroup(run: _Run) -> dict:
     def resolve_token(token: str) -> str:
         if readable(token):
             return token
-        answer = run.backend.respond(
-            "token_correction", {"token": token, "vocabulary": vocabulary}
-        )
+        try:
+            answer = run.backend.respond(
+                "token_correction", {"token": token, "vocabulary": vocabulary}
+            )
+        except BackendError as exc:
+            raise _StepFailure(str(exc)) from None
         check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
         if "token" not in answer:
             raise _StepFailure("token_correction answer.token: missing")
@@ -350,6 +357,8 @@ def _step_text_extraction(run: _Run) -> dict:
 
 def _step_data_structure(run: _Run) -> dict:
     m = run.memory
+    if not m.keys() & {"template", "molecules", "text_description"}:
+        raise _StepFailure("nothing to structure")
     template = m.get("template", {})
     conditions = m.get("conditions", {})
     variant_reactions = m.get("variant_reactions", [])
@@ -492,12 +501,10 @@ def execute_plan(
             else None
         )
         run = _Run(bundle, registry, backend)
-        handler = _TraceLogHandler(run.trace)
-        pkg_logger = logging.getLogger("rxnscope")
-        pkg_logger.addHandler(handler)
+        token = _run_trace.set(run.trace)
         try:
             failed_outputs: set[str] = set()
-            for index, step in enumerate(plan.steps):
+            for step in plan.steps:
                 missing = [i for i in step.inputs if i in failed_outputs]
                 if missing:
                     run.trace.append(
@@ -505,41 +512,31 @@ def execute_plan(
                     )
                     failed_outputs.update(step.outputs)
                     continue
-                fn = STEP_FUNCS[step.agent]
                 run.current_step = step.agent
-                for attempt in range(1, RETRY_BUDGET + 1):
-                    run.attempt = attempt
-                    try:
-                        ok, reasons = observe_step(step.agent, fn(run))
-                    except _StepFailure as exc:
-                        ok, reasons = False, [str(exc)]
-                    run.trace.append(
-                        {
-                            "type": "observer",
-                            "step": step.agent,
-                            "attempt": attempt,
-                            "passed": ok,
-                            "reasons": reasons,
-                        }
-                    )
-                    if ok:
-                        break
-                else:
-                    if index == 0:
-                        raise ExecutionError(
-                            f"first step {step.agent!r} failed past the retry budget",
-                            tuple(run.trace),
-                        )
+                try:
+                    ok, reasons = observe_step(step.agent, STEP_FUNCS[step.agent](run))
+                except _StepFailure as exc:
+                    ok, reasons = False, [str(exc)]
+                run.trace.append(
+                    {"type": "observer", "step": step.agent, "passed": ok, "reasons": reasons}
+                )
+                if not ok:
                     run.trace.append({"type": "step_failed", "step": step.agent})
                     failed_outputs.update(step.outputs)
         finally:
-            pkg_logger.removeHandler(handler)
+            _run_trace.reset(token)
 
         m = run.memory
+        if "document" not in m:
+            failed = [e["step"] for e in run.trace if e["type"] == "step_failed"]
+            raise ExecutionError(
+                f"the run wrote no document; failed steps: {', '.join(failed)}",
+                tuple(run.trace),
+            )
         return ExtractionResult(
             records=tuple(m.get("records", ())),
             text_annotations=tuple(m.get("text_annotations", ())),
             trace=tuple(run.trace),
-            document=m.get("document", ""),
+            document=m["document"],
             digest=dict(m),
         )

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import logging
 import random
+import threading
 import urllib.request
 from dataclasses import replace
 
@@ -17,7 +19,6 @@ from rxnscope.agents.backend import (
 )
 from rxnscope.agents.bundle import MODALITIES, Bundle
 from rxnscope.agents.executor import (
-    RETRY_BUDGET,
     STEP_FUNCS,
     ExecutionError,
     execute_plan,
@@ -445,20 +446,30 @@ class TestPlannerAnswers:
 
 
 class _CorrectingWith(ScriptedBackend):
-    """The scripted backend, except that a token correction answers ``answer``."""
+    """The scripted backend, except that a token correction answers ``answer``.
+
+    An ``answer`` that is an exception is raised instead.
+    """
 
     def __init__(self, answer):
         self.answer = answer
 
     def respond(self, role, context):
         if role == "token_correction":
+            if isinstance(self.answer, Exception):
+                raise self.answer
             return self.answer
         return super().respond(role, context)
 
 
-# Malformed token_correction answers fail the text_rgroup step with the
-# backend error in the trace, never an AttributeError.
+# Malformed token_correction answers, and a backend that fails to answer,
+# fail the text_rgroup step with the backend error in the trace, never an
+# AttributeError or an error that escapes the run.
 HOSTILE_TOKEN_ANSWERS = {
+    "backend-error": (
+        BackendError("remote backend request failed: timed out"),
+        "remote backend request failed: timed out",
+    ),
     "none": (None, "token_correction answer: expected an object"),
     "integer": (5, "token_correction answer: expected an object"),
     "list": ([], "token_correction answer: expected an object"),
@@ -488,7 +499,7 @@ class TestTokenCorrectionAnswers:
         answer, message = HOSTILE_TOKEN_ANSWERS[case]
         trace = self.run(table_bundle, answer).trace
         verdicts = [e for e in trace if e["type"] == "observer" and e["step"] == "text_rgroup"]
-        assert verdicts and all(v["reasons"] == [message] for v in verdicts)
+        assert [v["reasons"] for v in verdicts] == [[message]]
         assert {"type": "step_failed", "step": "text_rgroup"} in trace
 
     def test_well_formed_answer_is_used(self, table_bundle):
@@ -610,6 +621,26 @@ class TestExecutor:
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
+            "b135982a312cb2b9f54f1f0bfe7cdc6ebd8b1c2ff512c0d5e034053bb72d33c2"
+        )
+
+    def test_fig2_trace_lost_only_its_attempt_keys(self, fig2_setup):
+        # Tool and observer entries once held an attempt number, 1 on every
+        # fig2 entry; put back, it gives the trace pinned before, byte for byte.
+        d, plan = fig2_setup
+        after = {"tool": "status", "observer": "step"}
+
+        def with_attempt(entry):
+            out = {}
+            for key, value in entry.items():
+                out[key] = value
+                if key == after.get(entry["type"]):
+                    out["attempt"] = 1
+            return out
+
+        trace = [with_attempt(e) for e in execute_plan(plan, d).trace]
+        written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
             "fa29892b9f34188bee4aaa1f91b576ba387c317100dd29b528d13f17c6911e2d"
         )
 
@@ -684,29 +715,6 @@ class TestExecutor:
         ]
         assert "[100*]" in result.digest["template"]["products"][0]
 
-    def test_flaky_tool_retries_then_succeeds(self, fig2_setup):
-        d, plan = fig2_setup
-        registry = default_registry()
-        real_ocr = registry._tools["ocr"]
-        calls = {"n": 0}
-
-        def flaky_ocr(ctx, request):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise ToolError("transient glitch")
-            return real_ocr(ctx, request)
-
-        registry.register("ocr", flaky_ocr)
-        result = execute_plan(plan, d, registry=registry)
-        ocr_entries = [
-            t for t in result.trace if t.get("type") == "tool" and t["tool"] == "ocr"
-        ]
-        assert ocr_entries[0]["status"] == "error"
-        assert ocr_entries[0]["attempt"] == 1
-        assert ocr_entries[1]["status"] == "ok"
-        assert ocr_entries[1]["attempt"] == 2
-        assert len(result.records) == 7
-
     def test_failing_tool_called_once_per_step_attempt(self, fig2_setup):
         d, plan = fig2_setup
         registry = default_registry()
@@ -718,24 +726,33 @@ class TestExecutor:
 
         registry.register("mol_detector", broken)
         result = execute_plan(plan, d, registry=registry)
-        assert calls["n"] == RETRY_BUDGET == 2
+        assert calls["n"] == 1
         errors = [
             t for t in result.trace if t.get("type") == "tool" and t["tool"] == "mol_detector"
         ]
-        assert [t["attempt"] for t in errors] == [1, 2]
-        assert all(t["status"] == "error" for t in errors)
+        assert [t["status"] for t in errors] == ["error"]
 
-    def test_first_step_hard_failure_raises_with_trace(self, fig2_setup):
-        d, plan = fig2_setup
+    def test_first_step_hard_failure_raises_with_trace(self, fig2_bundle):
+        # Recognition is the only step that feeds data_structure here, so
+        # its failure leaves nothing to structure and no document.
+        d = descriptor("molecule_image_only", path=str(fig2_bundle))
         registry = default_registry()
 
         def broken(ctx, request):
             raise ToolError("camera unplugged")
 
-        registry.register("rxn_img_parser", broken)
+        registry.register("mol_detector", broken)
         with pytest.raises(ExecutionError) as err:
-            execute_plan(plan, d, registry=registry)
-        assert any(t.get("status") == "error" for t in err.value.trace)
+            execute_plan(plan_extraction(d, BACKEND), d, registry=registry)
+        assert str(err.value) == (
+            "the run wrote no document; failed steps: molecular_recognition, data_structure"
+        )
+        assert [t["status"] for t in err.value.trace if t["type"] == "tool"] == ["error"]
+        verdicts = [(t["step"], t["reasons"]) for t in err.value.trace if t["type"] == "observer"]
+        assert verdicts == [
+            ("molecular_recognition", ["tool 'mol_detector' failed: camera unplugged"]),
+            ("data_structure", ["nothing to structure"]),
+        ]
 
     def test_run_is_one_parse_scope_closed_on_return(self, fig2_setup):
         d, plan = fig2_setup
@@ -751,8 +768,8 @@ class TestExecutor:
         assert shared == [True]
         assert parse_smiles("CCO") is not parse_smiles("CCO")
 
-    def test_parse_scope_closed_when_the_run_raises(self, fig2_setup):
-        d, plan = fig2_setup
+    def test_parse_scope_closed_when_the_run_raises(self, fig2_bundle):
+        d = descriptor("molecule_image_only", path=str(fig2_bundle))
         registry = default_registry()
         shared = []
 
@@ -760,9 +777,9 @@ class TestExecutor:
             shared.append(parse_smiles("CCO") is parse_smiles("CCO"))
             raise ToolError("camera unplugged")
 
-        registry.register("rxn_img_parser", broken)
+        registry.register("mol_detector", broken)
         with pytest.raises(ExecutionError):
-            execute_plan(plan, d, registry=registry)
+            execute_plan(plan_extraction(d, BACKEND), d, registry=registry)
         assert shared and all(shared)
         assert parse_smiles("CCO") is not parse_smiles("CCO")
 
@@ -786,6 +803,100 @@ class TestExecutor:
         # The template-level record survives even without the variants.
         assert len(result.records) >= 1
 
+    def test_trace_holds_only_its_own_runs_warnings(self, fig2_setup):
+        # Run B logs two warnings while run A waits inside its ner tool.
+        d, plan = fig2_setup
+        a_in_ner, b_done = threading.Event(), threading.Event()
+        registry_a, registry_b = default_registry(), default_registry()
+        real_ner, real_ocr = registry_a._tools["ner"], registry_b._tools["ocr"]
+
+        def waiting_ner(ctx, request):
+            a_in_ner.set()
+            b_done.wait(timeout=60)
+            return real_ner(ctx, request)
+
+        def logging_ocr(ctx, request):
+            a_in_ner.wait(timeout=60)
+            logging.getLogger("rxnscope.agents.tools").warning("ocr read %s", request["source"])
+            return real_ocr(ctx, request)
+
+        registry_a.register("ner", waiting_ner)
+        registry_b.register("ocr", logging_ocr)
+        results = {}
+
+        def run_a():
+            results["a"] = execute_plan(plan, d, registry=registry_a)
+
+        def run_b():
+            try:
+                results["b"] = execute_plan(plan, d, registry=registry_b)
+            finally:
+                b_done.set()
+
+        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert a_in_ner.is_set()
+
+        def logs(result):
+            return [e["message"] for e in result.trace if e["type"] == "log"]
+
+        assert logs(results["a"]) == []
+        assert logs(results["b"]) == ["ocr read conditions", "ocr read description"]
+
+
+# The first step of each canonical plan, and the sidecar its first tool reads.
+FIRST_STEP_SIDECAR = {
+    "reaction_template_parsing": "template.json",
+    "molecular_recognition": "boxes.json",
+    "text_extraction": "text.txt",
+}
+
+# What a run writes when its plan's first step fails, per modality set:
+# the document's reaction count, its listed molecule count (None: it lists
+# none) and whether it holds text; None when the run writes no document.
+FIRST_STEP_FAILED = {
+    ("reaction_template_image", "structure_table", "text_description"): (0, 11, True),
+    ("reaction_template_image", "structure_table"): (0, 11, False),
+    ("reaction_template_image", "text_description", "text_table"): (0, None, True),
+    ("reaction_template_image", "text_table"): None,
+    ("molecule_image_only",): None,
+    ("molecule_image_only", "text_description"): (0, None, True),
+    ("plain_text_only",): None,
+}
+
+
+class TestFailedFirstStep:
+    """A failed step fails its outputs wherever it stands in the plan."""
+
+    @pytest.mark.parametrize("shape", sorted(tuple(sorted(m)) for m in PLAN_TABLE), ids="+".join)
+    def test_every_plan_shape(self, shape, fig2_bundle, tmp_path):
+        for path in fig2_bundle.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": list(shape)}))
+        (tmp_path / "table.txt").write_text("entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n")
+        d = Bundle.load(tmp_path).descriptor
+        plan = plan_extraction(d, BACKEND)
+        first = plan.steps[0].agent
+        (tmp_path / FIRST_STEP_SIDECAR[first]).write_bytes(b"\xff")
+        expected = FIRST_STEP_FAILED[shape]
+        if expected is None:
+            with pytest.raises(ExecutionError) as err:
+                execute_plan(plan, d)
+            assert str(err.value).startswith("the run wrote no document; failed steps: ")
+            trace = err.value.trace
+        else:
+            result = execute_plan(plan, d)
+            doc = json.loads(result.document)
+            listed = doc.get("molecules")
+            count = None if listed is None else len(listed)
+            assert (len(doc["reactions"]), count, bool(doc["Text description"])) == expected
+            trace = result.trace
+        assert [e["step"] for e in trace if e["type"] == "step_failed"][0] == first
+
 
 class TestMoleculesOnlyDocument:
     """A run with no records writes the molecules it recognized instead."""
@@ -807,9 +918,7 @@ class TestMoleculesOnlyDocument:
 
     def test_texts_are_listed_as_recognized(self, fig2_bundle, clone):
         # An empty or absent label writes no "label" key, and a text that
-        # does not parse is still listed although its step failed. The
-        # canonical plans run recognition first, where a failure ends the
-        # run; this approved plan runs it second, so the run goes on.
+        # does not parse is still listed although its step failed.
         modalities = ["molecule_image_only", "text_description"]
         (clone / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
         molecules = json.loads((fig2_bundle / "molecules.json").read_text())
@@ -828,3 +937,16 @@ class TestMoleculesOnlyDocument:
             {"smiles": "C1CC", "label": "3"},
         ]
         assert len(listed) == 11
+
+    def test_failed_recognition_under_the_canonical_plan(self, fig2_bundle, clone):
+        # Recognition is the plan's first step; its failure keeps the texts.
+        (clone / "descriptor.json").write_text(json.dumps({"modalities": ["molecule_image_only"]}))
+        molecules = json.loads((fig2_bundle / "molecules.json").read_text())
+        molecules[2] = {"label": "3", "smiles": "C1CC"}
+        (clone / "molecules.json").write_text(json.dumps(molecules))
+        d = Bundle.load(clone).descriptor
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        assert {"type": "step_failed", "step": "molecular_recognition"} in result.trace
+        listed = json.loads(result.document)["molecules"]
+        assert len(listed) == 11
+        assert listed[2] == {"smiles": "C1CC", "label": "3"}

@@ -282,27 +282,6 @@ HOSTILE = {
     "descriptor-list": (_descriptor([]), "DescriptorError"),
     "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
     "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
-    # Mistyped template.json fields fail step 0, which ends the run.
-    "template-null-reactants": (
-        _fig2_with("template.json", lambda t: {**t, "reactant_templates": None}),
-        "ExecutionError",
-    ),
-    "template-list-formulas": (
-        _fig2_with("template.json", lambda t: {**t, "rgroup_formulas": ["Ar2"]}),
-        "ExecutionError",
-    ),
-    "template-integer-condition-text": (
-        _fig2_with("template.json", lambda t: {**t, "condition_text": 7}),
-        "ExecutionError",
-    ),
-    "template-integer-graph": (
-        _fig2_with("template.json", lambda t: {**t, "reactant_templates": [5]}),
-        "ExecutionError",
-    ),
-    "template-mistyped-graph-object": (
-        _fig2_with("template.json", lambda t: {**t, "reactant_templates": [{"atoms": 5}]}),
-        "ExecutionError",
-    ),
     "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
     "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
     "evaluate-not-utf8": (
@@ -327,8 +306,30 @@ HOSTILE = {
 }
 
 
-# A mistyped sidecar read by a later step fails that step: the run
-# degrades and still writes a document.
+# A mistyped sidecar fails the step that reads it: the run degrades and
+# still writes a document.
+HOSTILE_TEMPLATES = {
+    "template-null-reactants": (
+        _fig2_with("template.json", lambda t: {**t, "reactant_templates": None}),
+        "reaction_template_parsing",
+    ),
+    "template-list-formulas": (
+        _fig2_with("template.json", lambda t: {**t, "rgroup_formulas": ["Ar2"]}),
+        "reaction_template_parsing",
+    ),
+    "template-integer-condition-text": (
+        _fig2_with("template.json", lambda t: {**t, "condition_text": 7}),
+        "reaction_template_parsing",
+    ),
+    "template-integer-graph": (
+        _fig2_with("template.json", lambda t: {**t, "reactant_templates": [5]}),
+        "reaction_template_parsing",
+    ),
+    "template-mistyped-graph-object": (
+        _fig2_with("template.json", lambda t: {**t, "reactant_templates": [{"atoms": 5}]}),
+        "reaction_template_parsing",
+    ),
+}
 HOSTILE_MOLECULES = {
     "molecules-non-object-entry": (
         _fig2_with("molecules.json", lambda m: [5] + m[1:]),
@@ -426,11 +427,21 @@ def _sweep_copy(name, content):
     return argv
 
 
-def _failed_reasons(trace_path) -> list[str]:
-    """The reasons of every failed observer verdict in a written trace."""
+def _extract_traced(make_argv, capsys, tmp_path, fig2) -> tuple[int, list[dict]]:
+    """The exit code and the written trace of ``extract`` on ``make_argv``'s bundle."""
+    trace_path = tmp_path / "trace.json"
+    argv = make_argv(tmp_path, fig2) + [
+        "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
+    ]
+    code, _ = run(capsys, *argv)
+    return code, json.loads(trace_path.read_text())
+
+
+def _failed_reasons(trace) -> list[str]:
+    """The reasons of every failed observer verdict in a trace."""
     return [
         reason
-        for e in json.loads(trace_path.read_text())
+        for e in trace
         if e["type"] == "observer" and not e["passed"]
         for reason in e["reasons"]
     ]
@@ -459,43 +470,44 @@ class TestHostileInput:
     @pytest.mark.parametrize("case", sorted(HOSTILE_MOLECULES))
     def test_mistyped_molecules_fail_recognition(self, case, capsys, tmp_path, fig2_bundle):
         make_argv, step = HOSTILE_MOLECULES[case]
-        trace_path = tmp_path / "trace.json"
-        argv = make_argv(tmp_path, fig2_bundle) + [
-            "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
-        ]
-        code, _ = run(capsys, *argv)
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
         assert code == 0
-        trace = json.loads(trace_path.read_text())
+        assert {"type": "step_failed", "step": step} in trace
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TEMPLATES))
+    def test_mistyped_template_fails_parsing(self, case, capsys, tmp_path, fig2_bundle):
+        make_argv, step = HOSTILE_TEMPLATES[case]
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
+        assert code == 0
         assert {"type": "step_failed", "step": step} in trace
 
     def test_faulty_molecule_graph_is_named(self, capsys, tmp_path, fig2_bundle):
         make_argv, _ = HOSTILE_MOLECULES["molecules-mistyped-graph-object"]
-        trace_path = tmp_path / "trace.json"
-        argv = make_argv(tmp_path, fig2_bundle) + [
-            "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path),
-        ]
-        assert run(capsys, *argv)[0] == 0
-        reasons = _failed_reasons(trace_path)
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
+        assert code == 0
+        reasons = _failed_reasons(trace)
         prefix = "tool 'image2graph' failed: molecules.json[0].graph: "
         assert reasons and all(r.startswith(prefix) for r in reasons)
 
     def test_faulty_template_graph_is_named(self, capsys, tmp_path, fig2_bundle):
-        make_argv, _ = HOSTILE["template-mistyped-graph-object"]
-        trace_path = tmp_path / "trace.json"
-        assert run(capsys, *make_argv(tmp_path, fig2_bundle), "--trace", str(trace_path))[0] == 1
-        reasons = _failed_reasons(trace_path)
+        make_argv, _ = HOSTILE_TEMPLATES["template-mistyped-graph-object"]
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
+        assert code == 0
+        reasons = _failed_reasons(trace)
         prefix = "tool 'rxn_img_parser' failed: template.json.reactant_templates[0]: "
         assert reasons and all(r.startswith(prefix) for r in reasons)
 
     def test_failed_run_writes_its_trace(self, capsys, tmp_path, fig2_bundle):
+        # Recognition feeds the only document of a molecule_image_only run.
         trace_path = tmp_path / "trace.json"
-        argv = _fig2_with("template.json", lambda t: "{")(tmp_path, fig2_bundle)
+        argv = _fig2_with("boxes.json", lambda b: b"\xff")(tmp_path, fig2_bundle)
+        _write(tmp_path / "bundle" / "descriptor.json", {"modalities": ["molecule_image_only"]})
         code, out = run(capsys, *argv, "--trace", str(trace_path))
         assert code == 1
-        assert out["error"].startswith("ExecutionError: ")
+        assert out["error"].startswith("ExecutionError: the run wrote no document")
         trace = json.loads(trace_path.read_text())
         errors = [e["error"] for e in trace if e["type"] == "tool" and e["status"] == "error"]
-        assert errors and all(e.startswith("template.json") for e in errors)
+        assert errors and all(e.startswith("boxes.json") for e in errors)
 
     def test_sweep_covers_every_sidecar(self):
         assert set(SIDECAR_READERS) == set(SIDECARS)
@@ -524,10 +536,6 @@ class TestHostileInput:
         if step is None:
             assert code == 1
             assert out["error"].startswith(f"DescriptorError: {name}")
-        elif step == "reaction_template_parsing":
-            # Step 0 fails, which ends the run.
-            assert code == 1
-            assert out["error"].startswith("ExecutionError: ")
         else:
             assert code == 0
             trace = json.loads(trace_path.read_text())
@@ -556,9 +564,7 @@ class TestHostileInput:
             e for e in json.loads(trace_path.read_text())
             if e["type"] == "tool" and e["tool"] == "rxn_extractor"
         ]
-        assert [(e["attempt"], e["status"], e["response"]) for e in calls] == [
-            (1, "error", None), (2, "error", None),
-        ]
+        assert [(e["status"], e["response"]) for e in calls] == [("error", None)]
         assert all("rxn.json is not valid JSON" in e["error"] for e in calls)
 
     def test_empty_graph_fails_one_step(self, capsys, tmp_path, fig2_bundle):
@@ -571,11 +577,9 @@ class TestHostileInput:
         assert code == 0
         trace = json.loads(trace_path.read_text())
         verdicts = [
-            (e["attempt"], e["passed"])
-            for e in trace
-            if e["type"] == "observer" and e["step"] == "molecular_recognition"
+            e["passed"] for e in trace if e["type"] == "observer" and e["step"] == "molecular_recognition"
         ]
-        assert verdicts == [(1, False), (2, False)]
+        assert verdicts == [False]
         assert {"type": "step_failed", "step": "molecular_recognition"} in trace
         assert [e for e in trace if e["type"] == "degraded"] == [
             {"type": "degraded", "step": "structure_rgroup", "missing": ["molecules"]},
@@ -591,6 +595,26 @@ class TestHostileInput:
         monkeypatch.setattr("rxnscope.cli.canonicalize", bug)
         with pytest.raises(ValueError, match="a bug"):
             main(["canonicalize", "CCO"])
+
+    def test_warning_outside_a_run_reaches_stderr(self, tmp_path):
+        # The run-trace handler on the rxnscope logger leaves a warning
+        # logged outside any run to Python's last-resort handler.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        spec = _write(tmp_path / "t.json", {"reactants": ["[R]C(=O)OC[R]"], "products": ["[R]C(=O)OC[R]"]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "rxnscope.cli", "reconstruct",
+             "--template", spec, "--variant", "c1ccccc1C(=O)OCC1CCCCC1"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b"placeholder R extracted twice with different fragments; keeping first\n"
 
     def test_closed_stdout_exits_without_traceback(self):
         import os
