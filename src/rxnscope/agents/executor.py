@@ -1,18 +1,21 @@
 """Stepwise plan execution: tools, observation, assembly.
 
 Each agent kind is a step function that calls its tools through the run
-and stores its results in the run's memory, a dict keyed by the output
-names the planner declares. Each step runs once, and the observer checks
-its output. A step whose check fails, or whose tool fails, marks its
-declared outputs failed, and every later step that consumes one of them
-is skipped (degraded). The run fails only when it wrote no document.
+and stores its results in the run's memory, a dict that holds exactly the
+plan's data flow: a step writes only the outputs ``planner.AGENT_IO``
+declares for it, and every key it writes is read by a later step or by
+``execute_plan``. Each step runs once, and the observer checks its
+output. A step whose check fails, or whose tool fails, marks its
+declared outputs failed; every later step that consumes one of them is
+skipped (degraded), and no record is built from them. The run fails only
+when it wrote no document.
 """
 
 from __future__ import annotations
 
 import logging
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from ..molgraph import MolecularGraph, RxnscopeError, main_component
@@ -55,7 +58,6 @@ class ExtractionResult:
     text_annotations: tuple[str, ...]
     trace: tuple[dict, ...]
     document: str
-    digest: dict = field(default_factory=dict)
 
 
 # The trace of the run in progress in this context (thread or task).
@@ -115,6 +117,7 @@ class _Run:
         self.registry = registry
         self.backend = backend
         self.memory: dict[str, Any] = {}
+        self.failed: set[str] = set()
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
 
@@ -168,11 +171,7 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
         "reactant_labels": list(resp.get("reactant_labels", [])),
         "product_labels": list(resp.get("product_labels", [])),
     }
-    run.memory.update(
-        template=template,
-        condition_text=resp.get("condition_text", ""),
-        rgroup_formulas=formulas,
-    )
+    run.memory.update(template=template, condition_text=resp.get("condition_text", ""))
     return {"smiles": reactants + products}
 
 
@@ -194,7 +193,7 @@ def _step_molecular_recognition(run: _Run) -> dict:
             }
         )
         emitted.append(smi)
-    run.memory.update(boxes=boxes, molecules=molecules)
+    run.memory["molecules"] = molecules
     return {
         "smiles": emitted,
         "molecule_count": len(molecules),
@@ -202,17 +201,21 @@ def _step_molecular_recognition(run: _Run) -> dict:
     }
 
 
+def _is_concrete(smiles: str) -> bool:
+    """Whether ``smiles`` parses to a molecule with no placeholder atom."""
+    try:
+        return not parse_smiles(smiles).placeholder_indices()
+    except SmilesParseError:
+        return False
+
+
 def _step_structure_rgroup(run: _Run) -> dict:
-    template, molecules = run.memory["template"], run.memory["molecules"]
-    variants = []
-    for m in molecules:
-        try:
-            g = parse_smiles(m["smiles"])
-        except SmilesParseError:
-            continue
-        if g.placeholder_indices():
-            continue
-        variants.append({"smiles": m["smiles"], "label": m.get("label")})
+    template = run.memory["template"]
+    variants = [
+        {"smiles": m["smiles"], "label": m.get("label")}
+        for m in run.memory["molecules"]
+        if _is_concrete(m["smiles"])
+    ]
     resp = run.invoke(
         "smiles_reconstructor",
         {
@@ -223,13 +226,8 @@ def _step_structure_rgroup(run: _Run) -> dict:
             "variants": variants,
         },
     )
-    variant_reactions = resp["variant_reactions"]
-    run.memory.update(
-        variant_reactions=variant_reactions,
-        assignments={vr["label"]: vr["bindings"] for vr in variant_reactions},
-    )
-    reconstructed = [s for vr in variant_reactions for s in vr["reactants"]]
-    return {"smiles": list(reconstructed), "reconstructed": reconstructed}
+    run.memory["variant_reactions"] = resp["variant_reactions"]
+    return {"smiles": [s for vr in resp["variant_reactions"] for s in vr["reactants"]]}
 
 
 def _step_text_rgroup(run: _Run) -> dict:
@@ -271,7 +269,6 @@ def _step_text_rgroup(run: _Run) -> dict:
         return token
 
     variant_reactions: list[dict] = []
-    assignments: dict[Any, dict] = {}
     variant_conditions: dict[str, list[ConditionItem]] = {}
     emitted: list[str] = []
     for row in rows:
@@ -294,10 +291,8 @@ def _step_text_rgroup(run: _Run) -> dict:
                 "label": label,
                 "reactants": reactants,
                 "product": products[0] if products else None,
-                "bindings": values,
             }
         )
-        assignments[label if label is not None else row.entry] = values
         if label:
             items = []
             for key, role in (("time", "time"), ("temp", "temperature"), ("temperature", "temperature"), ("yield", "yield")):
@@ -305,16 +300,11 @@ def _step_text_rgroup(run: _Run) -> dict:
                     items.append(ConditionItem(role=role, text=metadata[key]))
             if items:
                 variant_conditions[label] = items
-    run.memory.update(
-        variant_reactions=variant_reactions,
-        assignments=assignments,
-        variant_conditions=variant_conditions,
-    )
-    return {"smiles": emitted, "reconstructed": emitted}
+    run.memory.update(variant_reactions=variant_reactions, variant_conditions=variant_conditions)
+    return {"smiles": emitted}
 
 
 def _step_condition_interpretation(run: _Run) -> dict:
-    text = run.invoke("ocr", {"source": "conditions"})["text"]
     variant_annotations: dict[str, list[str]] = {}
     molecule_smiles: dict[str, str] = {}
     for m in run.memory.get("molecules", []):
@@ -323,13 +313,10 @@ def _step_condition_interpretation(run: _Run) -> dict:
             continue
         if m.get("annotations"):
             variant_annotations[label] = list(m["annotations"])
-        try:
-            if not parse_smiles(m["smiles"]).placeholder_indices():
-                molecule_smiles[label] = m["smiles"]
-        except SmilesParseError:
-            pass
+        if _is_concrete(m["smiles"]):
+            molecule_smiles[label] = m["smiles"]
     request: dict = {
-        "text": text,
+        "text": run.memory["condition_text"],
         "variant_annotations": variant_annotations,
         "molecule_smiles": molecule_smiles,
     }
@@ -344,19 +331,17 @@ def _step_condition_interpretation(run: _Run) -> dict:
 
 
 def _step_text_extraction(run: _Run) -> dict:
-    text = run.invoke("ocr", {"source": "description"})["text"]
-    entities = run.invoke("ner", {})["entities"]
+    text = run.invoke("ocr", {})["text"]
+    run.invoke("ner", {})
     annotations = run.invoke("rxn_extractor", {}).get("annotations", [])
-    run.memory.update(
-        text_description=text,
-        entities=entities,
-        text_annotations=list(annotations),
-    )
+    run.memory.update(text_description=text, text_annotations=list(annotations))
     return {"smiles": []}
 
 
 def _step_data_structure(run: _Run) -> dict:
-    m = run.memory
+    # No record is built from a failed step's outputs. The recognized
+    # molecules are listed even when recognition failed (``encode_records``).
+    m = {key: v for key, v in run.memory.items() if key not in run.failed or key == "molecules"}
     if not m.keys() & {"template", "molecules", "text_description"}:
         raise _StepFailure("nothing to structure")
     template = m.get("template", {})
@@ -410,14 +395,12 @@ def _step_data_structure(run: _Run) -> dict:
         # The shared yield entry summarizes the whole scope (a range); the
         # per-variant yield supersedes it on concrete records.
         shared_for_variants = [it for it in shared_items if it.role != "yield"]
-        aligned, residues = align_conditions(shared_for_variants, pv_conditions, base)
+        aligned, _ = align_conditions(shared_for_variants, pv_conditions, base)
         for rec in aligned:
             info: list[str] = []
             for label in rec.product_labels():
                 info.extend(info_map.get(label, []))
             records.append(replace(rec, additional_info=tuple(info)))
-        if residues:
-            m["condition_residues"] = residues
 
     problems: list[str] = []
     for rec in records:
@@ -425,7 +408,7 @@ def _step_data_structure(run: _Run) -> dict:
             problems.append(f"{rec.reaction_id}: {issue}")
 
     document = encode_records(records, m.get("text_description", ""), m.get("molecules"))
-    m.update(records=records, document=document)
+    run.memory.update(records=records, document=document)
     return {"smiles": [], "record_problems": problems}
 
 
@@ -444,31 +427,23 @@ def observe_step(kind: str, output: dict) -> tuple[bool, list[str]]:
     """Check a step's output; returns (passed, reasons).
 
     Texts are parsed through ``parse_smiles``, so inside ``execute_plan``'s
-    parse scope a text the step already parsed, or that appears under both
-    ``smiles`` and ``reconstructed``, is not parsed again.
+    parse scope a text the step already parsed is not parsed again. An
+    R-group step's texts must hold no placeholder.
     """
-
-    def parse(smi) -> Any:
+    reasons = []
+    for smi in output.get("smiles", []):
         try:
-            return parse_smiles(smi)
+            g = parse_smiles(smi)
         except SmilesParseError as exc:
-            return exc
-
-    reasons = [
-        f"unparseable SMILES {smi!r}: {g}"
-        for smi in output.get("smiles", [])
-        if isinstance(g := parse(smi), SmilesParseError)
-    ]
+            reasons.append(f"unparseable SMILES {smi!r}: {exc}")
+            continue
+        if kind in ("structure_rgroup", "text_rgroup") and g.placeholder_indices():
+            reasons.append(f"placeholder residue in reconstruction {smi!r}")
     if kind == "molecular_recognition":
         expected = output.get("box_count")
         got = output.get("molecule_count")
         if expected is not None and got != expected:
             reasons.append(f"{got} molecules for {expected} detected regions")
-    if kind in ("structure_rgroup", "text_rgroup"):
-        for smi in output.get("reconstructed", []):
-            g = parse(smi)
-            if not isinstance(g, SmilesParseError) and g.placeholder_indices():
-                reasons.append(f"placeholder residue in reconstruction {smi!r}")
     if kind == "data_structure":
         reasons.extend(output.get("record_problems", []))
     return (not reasons, reasons)
@@ -503,14 +478,13 @@ def execute_plan(
         run = _Run(bundle, registry, backend)
         token = _run_trace.set(run.trace)
         try:
-            failed_outputs: set[str] = set()
             for step in plan.steps:
-                missing = [i for i in step.inputs if i in failed_outputs]
+                missing = [i for i in step.inputs if i in run.failed]
                 if missing:
                     run.trace.append(
                         {"type": "degraded", "step": step.agent, "missing": missing}
                     )
-                    failed_outputs.update(step.outputs)
+                    run.failed.update(step.outputs)
                     continue
                 run.current_step = step.agent
                 try:
@@ -522,7 +496,7 @@ def execute_plan(
                 )
                 if not ok:
                     run.trace.append({"type": "step_failed", "step": step.agent})
-                    failed_outputs.update(step.outputs)
+                    run.failed.update(step.outputs)
         finally:
             _run_trace.reset(token)
 
@@ -538,5 +512,4 @@ def execute_plan(
             text_annotations=tuple(m.get("text_annotations", ())),
             trace=tuple(run.trace),
             document=m["document"],
-            digest=dict(m),
         )

@@ -40,14 +40,11 @@ class Issue:
 AGENT_IO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "reaction_template_parsing": (
         ("bundle:template_image",),
-        ("template", "condition_text", "rgroup_formulas"),
+        ("template", "condition_text"),
     ),
-    "molecular_recognition": (("bundle:page_image",), ("molecules", "boxes")),
-    "structure_rgroup": (("template", "molecules"), ("assignments", "variant_reactions")),
-    "text_rgroup": (
-        ("template", "bundle:table_text"),
-        ("assignments", "variant_reactions", "variant_conditions"),
-    ),
+    "molecular_recognition": (("bundle:page_image",), ("molecules",)),
+    "structure_rgroup": (("template", "molecules"), ("variant_reactions",)),
+    "text_rgroup": (("template", "bundle:table_text"), ("variant_reactions", "variant_conditions")),
     "condition_interpretation": (("condition_text",), ("conditions",)),
     "text_extraction": (("bundle:text",), ("text_description", "text_annotations")),
     "data_structure": ((), ("document",)),

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from ..chemops import AliasRegistry
 from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json
 from ..reaction import ConditionItem, TableParseError, classify_condition, parse_rgroup_table
-from ..rgroup import ReactionTemplate, expand_abbreviations, extract_rgroup_fragments, reconstruct_reactants
+from ..rgroup import ReactionTemplate, expand_abbreviations, reconstruct_variant
 from ..smiles import parse_smiles, write_smiles
 from .bundle import Bundle
 
@@ -126,13 +126,7 @@ def _tool_rxn_img_parser(ctx: RunContext, request: dict) -> dict:
 
 
 def _tool_ocr(ctx: RunContext, request: dict) -> dict:
-    bundle = ctx.require_bundle()
-    source = request.get("source", "description")
-    if source == "conditions":
-        return {"text": bundle.read("template.json").get("condition_text", "")}
-    if source == "description":
-        return {"text": bundle.read("text.txt").strip()}
-    raise ToolError(f"unknown ocr source {source!r}")
+    return {"text": ctx.require_bundle().read("text.txt").strip()}
 
 
 def _tool_ner(ctx: RunContext, request: dict) -> dict:
@@ -171,15 +165,12 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
         template = ReactionTemplate.from_smiles(request.get("template"))
     except RxnscopeError as exc:
         raise ToolError(f"bad template payload: {exc}") from None
-    product_template = template.product_templates[0]
     variant_reactions: list[dict] = []
     skipped: list[str] = []
     for variant in request.get("variants", []):
         label = variant.get("label")
         try:
-            graph = parse_smiles(variant["smiles"])
-            bindings = extract_rgroup_fragments(product_template, graph)
-            reactants = reconstruct_reactants(template, bindings, registry=ctx.aliases)
+            reactants, bindings = reconstruct_variant(template, parse_smiles(variant["smiles"]), ctx.aliases)
         except RxnscopeError:
             skipped.append(label if label is not None else variant.get("smiles", "?"))
             continue
@@ -188,10 +179,7 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
                 "label": label,
                 "reactants": reactants,
                 "product": variant["smiles"],
-                "bindings": {
-                    name: write_smiles(frag.graph)
-                    for name, frag in sorted(bindings.items())
-                },
+                "bindings": bindings,
             }
         )
     return {"variant_reactions": variant_reactions, "skipped": skipped}

@@ -31,12 +31,7 @@ from .reaction import (
     parse_rgroup_table,
     table_row_to_json,
 )
-from .rgroup import (
-    ReactionTemplate,
-    extract_rgroup_fragments,
-    reconstruct_reactants,
-    substitute_placeholders,
-)
+from .rgroup import ReactionTemplate, reconstruct_variant, substitute_placeholders
 from .smiles import canonicalize, is_valid, parse_smiles, write_smiles
 
 
@@ -84,18 +79,8 @@ def _cmd_reconstruct(args) -> int:
     except json.JSONDecodeError as exc:
         raise RxnscopeError(f"{args.template} is not valid JSON: {exc}") from None
     template = ReactionTemplate.from_smiles(spec)
-    variant = parse_smiles(args.variant)
-    bindings = extract_rgroup_fragments(template.product_templates[0], variant)
-    reactants = reconstruct_reactants(template, bindings)
-    _emit(
-        {
-            "variant": args.variant,
-            "bindings": {
-                label: write_smiles(frag.graph) for label, frag in sorted(bindings.items())
-            },
-            "reactants": reactants,
-        }
-    )
+    reactants, bindings = reconstruct_variant(template, parse_smiles(args.variant))
+    _emit({"variant": args.variant, "bindings": bindings, "reactants": reactants})
     return 0
 
 

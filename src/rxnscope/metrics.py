@@ -227,11 +227,12 @@ def prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
     """Precision, recall, F1 from counts; zero-denominator cases give 0."""
     precision = correct / predicted if predicted else 0.0
     recall = correct / gold if gold else 0.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0
-    )
+    return _with_f1(precision, recall)
+
+
+def _with_f1(precision: float, recall: float) -> tuple[float, float, float]:
+    """``precision``, ``recall`` and their harmonic mean (0 when both are 0)."""
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
@@ -296,12 +297,7 @@ def _valid_rate(
         recall = min(1.0, n_valid / n_gold)
     else:
         recall = 1.0 if n_valid else 0.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0
-    )
-    return precision, recall, f1
+    return _with_f1(precision, recall)
 
 
 def evaluate(

@@ -185,3 +185,18 @@ def reconstruct_reactants(
         spliced = substitute_placeholders(g, assignment, table, registry)
         out.append(write_smiles(main_component(spliced)))
     return out
+
+
+def reconstruct_variant(
+    template: ReactionTemplate,
+    variant: MolecularGraph,
+    registry: Optional[AliasRegistry] = None,
+) -> tuple[list[str], dict[str, str]]:
+    """The reactants that give ``variant`` by ``template``, and its bindings.
+
+    The bindings are read off the first product template and written as
+    SMILES, sorted by label.
+    """
+    bindings = extract_rgroup_fragments(template.product_templates[0], variant)
+    reactants = reconstruct_reactants(template, bindings, registry=registry)
+    return reactants, {label: write_smiles(frag.graph) for label, frag in sorted(bindings.items())}

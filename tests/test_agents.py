@@ -55,7 +55,7 @@ AGENT_TOOLS = {
     "molecular_recognition": {"mol_detector", "image2graph", "graph2smiles"},
     "structure_rgroup": {"smiles_reconstructor"},
     "text_rgroup": {"table_parser", "graph2smiles"},
-    "condition_interpretation": {"ocr", "condition_interpreter"},
+    "condition_interpretation": {"condition_interpreter"},
     "text_extraction": {"ocr", "ner", "rxn_extractor"},
     "data_structure": set(),
 }
@@ -503,8 +503,12 @@ class TestTokenCorrectionAnswers:
         assert {"type": "step_failed", "step": "text_rgroup"} in trace
 
     def test_well_formed_answer_is_used(self, table_bundle):
+        # The corrected bundle reads as if the right token had been written.
         result = self.run(table_bundle, {"action": "correct", "token": "Ph"})
-        assert result.digest["assignments"]["3a"] == {"Ar": "Ph", "R": "Me"}
+        (table_bundle.bundle_path / "table.txt").write_text("entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n")
+        written = execute_plan(plan_extraction(table_bundle, BACKEND), table_bundle)
+        assert result.document == written.document
+        assert [r.reaction_id for r in result.records] == ["0_1", "1_1"]
 
     def test_made_up_answer_keeps_the_cell_and_is_logged(self, table_bundle):
         result = self.run(table_bundle, {"action": "correct", "token": "Zz9"})
@@ -512,7 +516,7 @@ class TestTokenCorrectionAnswers:
             e["passed"] for e in result.trace if e["type"] == "observer" and e["step"] == "text_rgroup"
         ]
         assert verdicts == [True]
-        assert result.digest["assignments"]["3a"]["Ar"] == "Pj"
+        assert result.records[1].reactants[0].smiles == "C(=O)(C)[100*]"
         logs = [e for e in result.trace if e["type"] == "log" and "Zz9" in e["message"]]
         assert logs == [
             {
@@ -552,11 +556,33 @@ class TestObserveStep:
         assert any("not a string" in r for r in reasons)
 
     def test_placeholder_residue_fails_reconstruction(self):
-        ok, reasons = observe_step(
-            "structure_rgroup", {"smiles": [], "reconstructed": ["[R]CC"]}
-        )
-        assert not ok
-        assert any("placeholder" in r for r in reasons)
+        for kind in ("structure_rgroup", "text_rgroup"):
+            ok, reasons = observe_step(kind, {"smiles": ["CC", "[R]CC"]})
+            assert not ok
+            assert reasons == ["placeholder residue in reconstruction '[R]CC'"]
+        assert observe_step("reaction_template_parsing", {"smiles": ["[R]CC"]}) == (True, [])
+
+
+def _with_conditions_ocr(trace) -> list[dict]:
+    """``trace`` with the ``ocr`` entry that once read the condition text
+    before each ``condition_interpreter`` call, and ``ocr``'s old source key."""
+    out = []
+    for entry in trace:
+        if entry.get("tool") == "condition_interpreter":
+            out.append(
+                {
+                    "type": "tool",
+                    "step": entry["step"],
+                    "tool": "ocr",
+                    "request": {"source": "conditions"},
+                    "response": {"text": entry["request"]["text"]},
+                    "status": "ok",
+                }
+            )
+        elif entry.get("tool") == "ocr":
+            entry = {**entry, "request": {"source": "description"}}
+        out.append(entry)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -621,6 +647,17 @@ class TestExecutor:
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
+            "f3e0e6f80b297c2ec62ba81bb2148b87fcf274fca3c35918f766fcf8b578f5bf"
+        )
+
+    def test_fig2_trace_lost_only_its_conditions_ocr(self, fig2_setup):
+        # The condition step once read its text again through an ``ocr``
+        # call, and ``ocr`` took a source; put back, they give the trace
+        # pinned before, byte for byte.
+        d, plan = fig2_setup
+        trace = _with_conditions_ocr(execute_plan(plan, d).trace)
+        written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
             "b135982a312cb2b9f54f1f0bfe7cdc6ebd8b1c2ff512c0d5e034053bb72d33c2"
         )
 
@@ -638,11 +675,40 @@ class TestExecutor:
                     out["attempt"] = 1
             return out
 
-        trace = [with_attempt(e) for e in execute_plan(plan, d).trace]
+        trace = [with_attempt(e) for e in _with_conditions_ocr(execute_plan(plan, d).trace)]
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
             "fa29892b9f34188bee4aaa1f91b576ba387c317100dd29b528d13f17c6911e2d"
         )
+
+    def test_fig2_run_reads_each_sidecar_once(self, fig2_setup, monkeypatch):
+        d, plan = fig2_setup
+        reads = []
+        real_read = Bundle.read
+
+        def spy(bundle, name):
+            reads.append(name)
+            return real_read(bundle, name)
+
+        monkeypatch.setattr(Bundle, "read", spy)
+        execute_plan(plan, d)
+        assert sorted(reads) == [
+            "boxes.json", "molecules.json", "ner.json", "rxn.json", "template.json", "text.txt",
+        ]
+
+    def test_failed_step_outputs_make_no_records(self, fig2_bundle, tmp_path):
+        # Row 2 leaves R unfilled, so text_rgroup fails its check; only the
+        # template record is written, not one holding the residue.
+        for path in fig2_bundle.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        modalities = ["reaction_template_image", "text_table", "text_description"]
+        (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
+        (tmp_path / "table.txt").write_text("entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n2\t-\tPh\t3b\n")
+        d = Bundle.load(tmp_path).descriptor
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        assert {"type": "step_failed", "step": "text_rgroup"} in result.trace
+        assert [r.reaction_id for r in result.records] == ["0_1"]
+        assert [r["reaction_id"] for r in json.loads(result.document)["reactions"]] == ["0_1"]
 
     def test_tools_match_their_step(self, fig2_setup):
         d, plan = fig2_setup
@@ -658,11 +724,15 @@ class TestExecutor:
         assert [v["step"] for v in verdicts] == [s.agent for s in plan.steps]
         assert all(v["passed"] for v in verdicts)
 
-    def test_digest_covers_pipeline_products(self, fig2_setup):
+    def test_records_cover_pipeline_products(self, fig2_setup):
+        # The template record, then one per reconstructed variant, each with
+        # the shared conditions and its own.
         d, plan = fig2_setup
-        result = execute_plan(plan, d)
-        for key in ["template", "molecules", "assignments", "conditions", "records"]:
-            assert key in result.digest, key
+        records = execute_plan(plan, d).records
+        assert [r.reaction_id for r in records] == ["0_1"] + [f"{i}_1" for i in range(1, 7)]
+        assert records[0].reactants[0].smiles == "[Ar]C([R])=O"
+        assert all(r.conditions for r in records)
+        assert all(r.additional_info for r in records[1:])
 
     def test_unapproved_plan_rejected(self, fig2_setup):
         d, plan = fig2_setup
@@ -713,7 +783,7 @@ class TestExecutor:
                 " it became a wildcard",
             }
         ]
-        assert "[100*]" in result.digest["template"]["products"][0]
+        assert "[100*]" in result.records[0].products[0].smiles
 
     def test_failing_tool_called_once_per_step_attempt(self, fig2_setup):
         d, plan = fig2_setup
@@ -804,24 +874,26 @@ class TestExecutor:
         assert len(result.records) >= 1
 
     def test_trace_holds_only_its_own_runs_warnings(self, fig2_setup):
-        # Run B logs two warnings while run A waits inside its ner tool.
+        # Run B logs a warning per graph written while run A waits inside
+        # its ner tool.
         d, plan = fig2_setup
         a_in_ner, b_done = threading.Event(), threading.Event()
         registry_a, registry_b = default_registry(), default_registry()
-        real_ner, real_ocr = registry_a._tools["ner"], registry_b._tools["ocr"]
+        real_ner, real_graph2smiles = registry_a._tools["ner"], registry_b._tools["graph2smiles"]
 
         def waiting_ner(ctx, request):
             a_in_ner.set()
             b_done.wait(timeout=60)
             return real_ner(ctx, request)
 
-        def logging_ocr(ctx, request):
+        def logging_graph2smiles(ctx, request):
             a_in_ner.wait(timeout=60)
-            logging.getLogger("rxnscope.agents.tools").warning("ocr read %s", request["source"])
-            return real_ocr(ctx, request)
+            response = real_graph2smiles(ctx, request)
+            logging.getLogger("rxnscope.agents.tools").warning("wrote %s", response["smiles"])
+            return response
 
         registry_a.register("ner", waiting_ner)
-        registry_b.register("ocr", logging_ocr)
+        registry_b.register("graph2smiles", logging_graph2smiles)
         results = {}
 
         def run_a():
@@ -844,8 +916,10 @@ class TestExecutor:
         def logs(result):
             return [e["message"] for e in result.trace if e["type"] == "log"]
 
+        written = [e["response"]["smiles"] for e in results["b"].trace if e.get("tool") == "graph2smiles"]
         assert logs(results["a"]) == []
-        assert logs(results["b"]) == ["ocr read conditions", "ocr read description"]
+        assert logs(results["b"]) == [f"wrote {smiles}" for smiles in written]
+        assert len(written) == 14
 
 
 # The first step of each canonical plan, and the sidecar its first tool reads.

@@ -329,6 +329,15 @@ HOSTILE_TEMPLATES = {
         _fig2_with("template.json", lambda t: {**t, "reactant_templates": [{"atoms": 5}]}),
         "reaction_template_parsing",
     ),
+    # A graph that decodes but writes a text that does not parse: the step
+    # fails its check, and no record is built from the template it wrote.
+    "template-aromatic-atom-outside-ring": (
+        _fig2_with(
+            "template.json",
+            lambda t: {**t, "reactant_templates": [{"atoms": [{"symbol": "c"}], "bonds": []}]},
+        ),
+        "reaction_template_parsing",
+    ),
 }
 HOSTILE_MOLECULES = {
     "molecules-non-object-entry": (
