@@ -30,9 +30,9 @@ from ..reaction import (
     table_row_to_json,
     validate_record,
 )
-from ..rgroup import substitute_placeholders
+from ..rgroup import Binding, substitute_placeholders
 from ..smiles import SmilesParseError, parse_scope, parse_smiles
-from ..chemops import AbbreviationTable, FormulaError, parse_condensed_formula
+from ..chemops import AbbreviationTable
 from .backend import BackendError, ScriptedBackend
 from .bundle import Bundle, DescriptorError, InputDescriptor, check_shape
 from .planner import TOKEN_CORRECTION_ANSWER, Plan, review_plan
@@ -146,13 +146,17 @@ class _Run:
 
 def _step_reaction_template_parsing(run: _Run) -> dict:
     resp = run.invoke("rxn_img_parser", {})
-    formulas = dict(resp.get("rgroup_formulas", {}))
+    formulas = resp.get("rgroup_formulas", {})
+    # Each formula is read once. One that reads as nothing stays a string,
+    # which ``substitute_placeholders`` turns into an alias wildcard.
+    table = AbbreviationTable.default()
+    bindings = {label: table.read(text) or text for label, text in formulas.items()}
 
     def to_smiles(graphs: list[MolecularGraph]) -> list[str]:
         out = []
         for g in graphs:
-            if formulas:
-                g = substitute_placeholders(g, formulas, registry=run.ctx.aliases)
+            if bindings:
+                g = substitute_placeholders(g, bindings, registry=run.ctx.aliases)
             smi = run.invoke("graph2smiles", {"graph": g})["smiles"]
             out.append(smi)
         return out
@@ -238,18 +242,16 @@ def _step_text_rgroup(run: _Run) -> dict:
     reactant_graphs = [parse_smiles(s) for s in template["reactants"]]
     product_graphs = [parse_smiles(s) for s in template["products"]]
 
-    def readable(token: str) -> bool:
-        if token in vocabulary:
-            return True
-        try:
-            parse_condensed_formula(token, table)
-            return True
-        except FormulaError:
-            return False
+    def read_cell(token: str) -> Binding:
+        """The cell's fragment, or the token itself if nothing reads it.
 
-    def resolve_token(token: str) -> str:
-        if readable(token):
-            return token
+        A token that reads as nothing goes to the backend once; its answer
+        is read the same way. A token left as a string becomes an alias
+        wildcard when ``substitute_placeholders`` splices it.
+        """
+        fragment = table.read(token)
+        if fragment is not None:
+            return fragment
         try:
             answer = run.backend.respond(
                 "token_correction", {"token": token, "vocabulary": vocabulary}
@@ -259,8 +261,9 @@ def _step_text_rgroup(run: _Run) -> dict:
         check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
         if "token" not in answer:
             raise _StepFailure("token_correction answer.token: missing")
-        if readable(answer["token"]):
-            return answer["token"]
+        fragment = table.read(answer["token"])
+        if fragment is not None:
+            return fragment
         log.warning(
             "table cell %r: token_correction answer %r is no known token or formula;"
             " the cell is kept and becomes a wildcard",
@@ -272,7 +275,7 @@ def _step_text_rgroup(run: _Run) -> dict:
     variant_conditions: dict[str, list[ConditionItem]] = {}
     emitted: list[str] = []
     for row in rows:
-        values = {label: resolve_token(cell) for label, cell in sorted(row.values.items())}
+        values = {label: read_cell(cell) for label, cell in sorted(row.values.items())}
         metadata = row.metadata
         label = metadata.get("product")
 
@@ -395,7 +398,7 @@ def _step_data_structure(run: _Run) -> dict:
         # The shared yield entry summarizes the whole scope (a range); the
         # per-variant yield supersedes it on concrete records.
         shared_for_variants = [it for it in shared_items if it.role != "yield"]
-        aligned, _ = align_conditions(shared_for_variants, pv_conditions, base)
+        aligned = align_conditions(shared_for_variants, pv_conditions, base)
         for rec in aligned:
             info: list[str] = []
             for label in rec.product_labels():

@@ -52,6 +52,11 @@ AGENT_IO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 AGENT_KINDS = tuple(AGENT_IO)
 
+# Inputs a kind also consumes when an earlier step of the plan produces them.
+OPTIONAL_INPUTS: dict[str, tuple[str, ...]] = {
+    "condition_interpretation": ("molecules", "variant_conditions"),
+}
+
 # Each modality's bundle input, and the agent that must appear to consume it.
 MODALITY_IO = {
     "reaction_template_image": ("bundle:template_image", "reaction_template_parsing"),
@@ -70,11 +75,12 @@ TOKEN_CORRECTION_ANSWER = {"action": str, "token": str}
 
 def build_steps(kinds: list[str]) -> tuple[PlanStep, ...]:
     steps: list[PlanStep] = []
+    produced: set[str] = set()
     for kind in kinds:
         inputs, outputs = AGENT_IO.get(kind, ((), ()))
-        if kind == "condition_interpretation" and "molecular_recognition" in kinds:
-            inputs += ("molecules",)
+        inputs += tuple(i for i in OPTIONAL_INPUTS.get(kind, ()) if i in produced)
         steps.append(PlanStep(agent=kind, inputs=inputs, outputs=outputs))
+        produced.update(outputs)
     return tuple(steps)
 
 

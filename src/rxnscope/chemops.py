@@ -79,11 +79,22 @@ class AbbreviationTable:
         text = resources.files("rxnscope.data").joinpath("abbreviations.json").read_text()
         return cls(json.loads(text))
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._fragments
-
     def get(self, token: str) -> Optional[Fragment]:
         return self._fragments.get(token)
+
+    def read(self, token: str) -> Optional[Fragment]:
+        """The fragment ``token`` reads as, or None if it reads as nothing.
+
+        The table row comes first, then the condensed formula read against
+        this table.
+        """
+        hit = self._fragments.get(token)
+        if hit is not None:
+            return hit
+        try:
+            return parse_condensed_formula(token, self)
+        except FormulaError:
+            return None
 
     def tokens(self) -> list[str]:
         return sorted(self._fragments)
@@ -312,19 +323,15 @@ def expand_abbreviation(
     table: Optional[AbbreviationTable] = None,
     registry: Optional[AliasRegistry] = None,
 ) -> Fragment:
-    """Total expansion: table hit, then condensed formula, then wildcard.
+    """Total expansion: what :meth:`AbbreviationTable.read` reads, else a wildcard.
 
     The wildcard fallback never fails; it produces a single wildcard atom
     whose isotope aliases the unknown token via ``registry``.
     """
     table = table if table is not None else AbbreviationTable.default()
-    hit = table.get(token)
-    if hit is not None:
-        return hit
-    try:
-        return parse_condensed_formula(token, table)
-    except FormulaError:
-        pass
+    fragment = table.read(token)
+    if fragment is not None:
+        return fragment
     registry = registry if registry is not None else AliasRegistry()
     alias = registry.alias_for(token)
     atom = AtomToken(kind="wildcard", text="*", isotope=alias)

@@ -39,14 +39,6 @@ from typing import Callable, Iterable, Mapping, Optional
 ATOM_KINDS = ("element", "placeholder", "abbreviation", "wildcard")
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
 WEDGES = ("none", "solid", "dashed")
-ROLES = (
-    "reactant",
-    "product",
-    "reactant_template",
-    "product_template",
-    "condition",
-    "unknown",
-)
 
 # Placeholder labels follow drawing conventions: an R/Ar/X stem with an
 # optional numeric suffix.  A broader letters-then-digits rule would swallow
@@ -223,7 +215,7 @@ def _pair(i: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class MolecularGraph:
-    """Immutable, structurally sound molecular graph with optional label and role.
+    """Immutable, structurally sound molecular graph: atoms and bonds.
 
     Construction raises :class:`GraphError`, naming the rule and the bond
     index, when a bond has an endpoint out of range ("dangling-bond"),
@@ -234,12 +226,8 @@ class MolecularGraph:
 
     atoms: tuple[AtomToken, ...] = ()
     bonds: tuple[Bond, ...] = ()
-    label: Optional[str] = None
-    role: str = "unknown"
 
     def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise GraphError(f"unknown role {self.role!r}")
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "bonds", tuple(self.bonds))
         n = len(self.atoms)
@@ -254,9 +242,6 @@ class MolecularGraph:
             if first != pos:
                 raise GraphError(f"duplicate-bond at bond {pos}: same pair as bond {first}")
         object.__setattr__(self, "_positions", positions)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
@@ -349,19 +334,18 @@ def ring_bonds(g: MolecularGraph, keep: Callable[[Bond], bool] = lambda bond: Tr
     return set(kept) - bridges
 
 
-def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> MolecularGraph:
+def subgraph(g: MolecularGraph, indices: Iterable[int]) -> MolecularGraph:
     """Induced subgraph over ``indices``, in ascending order of old index.
 
     An index that is no atom of ``g`` is a :class:`GraphError`. Indices naming
-    every atom, with label and role kept, give ``g`` itself, not a copy.
+    every atom give ``g`` itself, not a copy.
     """
     index_list = list(indices)
     for i in index_list:
         if type(i) is not int or not 0 <= i < len(g.atoms):
             raise GraphError(f"subgraph index {i!r} is not an atom of a {len(g.atoms)}-atom graph")
     index_list = sorted(set(index_list))
-    fields = {"label": g.label, "role": g.role, **overrides}
-    if len(index_list) == len(g.atoms) and (fields["label"], fields["role"]) == (g.label, g.role):
+    if len(index_list) == len(g.atoms):
         return g
     index_map = {old: new for new, old in enumerate(index_list)}
     atoms = [g.atoms[old] for old in index_list]
@@ -372,7 +356,7 @@ def subgraph(g: MolecularGraph, indices: Iterable[int], **overrides) -> Molecula
         for bond in g.bonds
         if bond.a in index_map and bond.b in index_map
     ]
-    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds), **fields)
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
 def renumber_chiral(atom: AtomToken, new_index: Callable[[int], Optional[int]]) -> AtomToken:
@@ -429,7 +413,7 @@ class Fragment:
         kept = sorted(set(atoms))
         if attachment not in kept:
             raise GraphError(f"attachment atom {attachment} not among fragment atoms")
-        return cls(subgraph(g, kept, label=None, role="unknown"), kept.index(attachment))
+        return cls(subgraph(g, kept), kept.index(attachment))
 
     def graft_onto(self, atoms: list[AtomToken], bonds: list[Bond]) -> int:
         """Append this fragment to ``atoms`` and ``bonds``; return where it attaches.
@@ -503,9 +487,9 @@ def normalize_chiral_orders(g: MolecularGraph) -> MolecularGraph:
 # ---------------------------------------------------------------------------
 # Graph JSON codec.  The wire form mirrors optical-recognition tool output:
 # {"atoms": [{"symbol": ..., "charge": ..., "h": ..., "isotope": ..., "x": ...,
-#   "y": ...}], "bonds": [{"a": ..., "b": ..., "order": ..., "wedge": ...}],
-#  "label": ..., "role": ...}
+#   "y": ...}], "bonds": [{"a": ..., "b": ..., "order": ..., "wedge": ...}]}
 # Chirality rides inside the symbol text ("[C@@]"), aromaticity as lowercase.
+# Other keys, such as the "label" and "role" of older files, are ignored.
 # ---------------------------------------------------------------------------
 
 _BRACKET_CHIRAL = re.compile(r"^([A-Z][a-z]?|[a-z]{1,2})(@{1,2})?$")
@@ -587,7 +571,7 @@ def graph_to_json(g: MolecularGraph) -> dict:
         if bond.direction is not None:
             entry["dir"] = bond.direction
         bonds.append(entry)
-    return {"atoms": atoms, "bonds": bonds, "label": g.label, "role": g.role}
+    return {"atoms": atoms, "bonds": bonds}
 
 
 def _json_int(value: object, name: str, optional: bool = False) -> Optional[int]:
@@ -639,12 +623,7 @@ def graph_from_json(data: Mapping) -> MolecularGraph:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bonds[{i}]: {exc}") from exc
-    g = MolecularGraph(
-        atoms=tuple(atoms),
-        bonds=tuple(bonds),
-        label=data.get("label"),
-        role=data.get("role", "unknown"),
-    )
+    g = MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
     # Chirality parsed from symbols refers to the codec's fixed convention.
     adj = g.adjacency()
     atoms = list(g.atoms)

@@ -197,11 +197,10 @@ def align_conditions(
     shared: list[ConditionItem],
     per_variant: dict[str, list[ConditionItem]],
     records: list[ReactionRecord],
-) -> tuple[list[ReactionRecord], list[ConditionItem]]:
+) -> list[ReactionRecord]:
     """Attach shared plus label-matched variant conditions to each record.
 
-    Returns the updated records and a residue list holding variant items
-    whose label matched no record's product labels.
+    A variant label that matches no record's product labels is logged.
     """
     out: list[ReactionRecord] = []
     matched_labels: set[str] = set()
@@ -219,11 +218,9 @@ def align_conditions(
             seen.add(item.identity())
             deduped.append(item)
         out.append(replace(record, conditions=tuple(deduped)))
-    residues: list[ConditionItem] = []
     for label in sorted(set(per_variant) - matched_labels):
         log.warning("condition annotation for %r matches no reaction record", label)
-        residues.extend(per_variant[label])
-    return out, residues
+    return out
 
 
 # ---------------------------------------------------------------------------

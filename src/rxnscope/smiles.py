@@ -1100,7 +1100,7 @@ def canonicalize(s: Union[str, MolecularGraph]) -> str:
     budget = [CANONICAL_NODE_BUDGET]
     pieces = []
     for comp in connected_components(g):
-        sub = subgraph(g, comp, label=None, role="unknown")
+        sub = subgraph(g, comp)
         search = _CanonicalSearch(sub, budget)
         pieces.append(search.smallest(_refine(search.mates, search.keys), []))
     text = ".".join(sorted(pieces))

@@ -173,7 +173,7 @@ def exhaustive_canonical(s: str | MolecularGraph) -> str:
     g = smiles._fold_explicit_hydrogens(g)
     pieces = []
     for comp in connected_components(g):
-        sub = subgraph(g, comp, label=None, role="unknown")
+        sub = subgraph(g, comp)
         pieces.append(_smallest_leaf(sub, fixpoint_ranks(sub, smiles._initial_keys(sub))))
     return ".".join(sorted(pieces))
 

@@ -5,6 +5,7 @@ import logging
 import random
 import threading
 import urllib.request
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -40,6 +41,7 @@ from rxnscope.agents.tools import (
     decode_detection_sequence,
     default_registry,
 )
+from rxnscope import chemops
 from rxnscope.chemops import AbbreviationTable, AliasRegistry
 from rxnscope.molgraph import atom_token_from_symbol, graph_from_json, graph_to_json, main_component
 from rxnscope.reaction import decode_records
@@ -59,6 +61,16 @@ AGENT_TOOLS = {
     "text_extraction": {"ocr", "ner", "rxn_extractor"},
     "data_structure": set(),
 }
+
+
+def _text_table_copy(fig2_bundle, tmp_path, table: str) -> InputDescriptor:
+    """fig2 read as a text table holding ``table``."""
+    for path in fig2_bundle.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    modalities = ["reaction_template_image", "text_table", "text_description"]
+    (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
+    (tmp_path / "table.txt").write_text(table)
+    return Bundle.load(tmp_path).descriptor
 
 
 def descriptor(*modalities: str, path=None) -> InputDescriptor:
@@ -484,12 +496,7 @@ class TestTokenCorrectionAnswers:
     @pytest.fixture
     def table_bundle(self, fig2_bundle, tmp_path):
         """fig2 read as a text table whose Ar cell "Pj" is a misspelt "Ph"."""
-        for path in fig2_bundle.iterdir():
-            (tmp_path / path.name).write_bytes(path.read_bytes())
-        modalities = ["reaction_template_image", "text_table", "text_description"]
-        (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
-        (tmp_path / "table.txt").write_text("entry\tR\tAr\tproduct\n1\tMe\tPj\t3a\n")
-        return Bundle.load(tmp_path).descriptor
+        return _text_table_copy(fig2_bundle, tmp_path, "entry\tR\tAr\tproduct\n1\tMe\tPj\t3a\n")
 
     def run(self, d, answer):
         return execute_plan(plan_extraction(d, BACKEND), d, backend=_CorrectingWith(answer))
@@ -699,14 +706,15 @@ class TestExecutor:
     def test_failed_step_outputs_make_no_records(self, fig2_bundle, tmp_path):
         # Row 2 leaves R unfilled, so text_rgroup fails its check; only the
         # template record is written, not one holding the residue.
-        for path in fig2_bundle.iterdir():
-            (tmp_path / path.name).write_bytes(path.read_bytes())
-        modalities = ["reaction_template_image", "text_table", "text_description"]
-        (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
-        (tmp_path / "table.txt").write_text("entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n2\t-\tPh\t3b\n")
-        d = Bundle.load(tmp_path).descriptor
+        table = "entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n2\t-\tPh\t3b\n"
+        d = _text_table_copy(fig2_bundle, tmp_path, table)
         result = execute_plan(plan_extraction(d, BACKEND), d)
         assert {"type": "step_failed", "step": "text_rgroup"} in result.trace
+        # The per-row conditions are an output of the failed step too.
+        degraded = {
+            "type": "degraded", "step": "condition_interpretation", "missing": ["variant_conditions"],
+        }
+        assert degraded in result.trace
         assert [r.reaction_id for r in result.records] == ["0_1"]
         assert [r["reaction_id"] for r in json.loads(result.document)["reactions"]] == ["0_1"]
 
@@ -920,6 +928,48 @@ class TestExecutor:
         assert logs(results["a"]) == []
         assert logs(results["b"]) == [f"wrote {smiles}" for smiles in written]
         assert len(written) == 14
+
+
+class TestTextTableScope:
+    def test_document_digest_is_pinned(self, fig2_bundle, tmp_path):
+        # A table token (Ph), a formula (4-BrC6H4), a typo the scripted
+        # backend corrects (Pj) and a token nothing reads (Qq7, in two
+        # rows, one alias), with time and yield cells.
+        table = (
+            "entry\tR\tAr\tproduct\ttime\tyield\n"
+            "1\tMe\tPh\t3a\t24 h\t71%\n"
+            "2\tEt\t4-BrC6H4\t3b\t12 h\t78%\n"
+            "3\tMe\tPj\t3c\t24 h\t60%\n"
+            "4\tEt\tQq7\t3d\t36 h\t52%\n"
+            "5\tMe\tQq7\t3e\t24 h\t61%\n"
+        )
+        d = _text_table_copy(fig2_bundle, tmp_path, table)
+        document = execute_plan(plan_extraction(d, BACKEND), d).document
+        assert hashlib.sha256(document.encode()).hexdigest() == (
+            "d99f06c978e904f22f9f1baac029bdb9c6b59be11a6b17794fb3f66901c85d10"
+        )
+
+    def test_each_cell_and_template_formula_is_read_once(self, fig2_bundle, tmp_path, monkeypatch):
+        # Ar and Ar2 each stand in a reactant and the product template, but
+        # a cell or formula is read once, and so is a misspelt cell's answer.
+        reads = []
+        read = chemops.parse_condensed_formula
+
+        def spy(text, table=None):
+            reads.append(text)
+            return read(text, table)
+
+        monkeypatch.setattr(chemops, "parse_condensed_formula", spy)
+        table = (
+            "entry\tR\tAr\tproduct\n"
+            "1\tMe\t4-BrC6H4\t3a\n"
+            "2\tEt\t4-BrC6H4\t3b\n"
+            "3\tMe\tPj\t3c\n"
+        )
+        d = _text_table_copy(fig2_bundle, tmp_path, table)
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        assert len(result.records) == 4
+        assert Counter(reads) == {"2-ClC6H4": 1, "4-BrC6H4": 2, "Pj": 1}
 
 
 # The first step of each canonical plan, and the sidecar its first tool reads.

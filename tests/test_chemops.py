@@ -71,6 +71,14 @@ class TestAbbreviationTable:
         with pytest.raises(FrozenInstanceError):
             ph.attachment = 1
 
+    def test_read_is_row_then_formula_then_none(self):
+        table = AbbreviationTable.default()
+        assert table.read("Ph") is table.get("Ph")
+        formula = table.read("4-BrC6H4")
+        assert canonicalize(formula.graph) == canonicalize(parse_condensed_formula("4-BrC6H4").graph)
+        assert table.read("Qq7") is None
+        assert table.read("((((") is None
+
 
 class TestExpandAbbreviation:
     def test_ph_into_acyl_template(self):

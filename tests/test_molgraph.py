@@ -1,6 +1,6 @@
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -268,15 +268,7 @@ class TestSubgraph:
     def test_full_index_list_returns_the_graph(self):
         g = parse_smiles("N[C@@H](C)O")
         assert subgraph(g, [3, 1, 0, 2, 1, 3]) is g
-        assert subgraph(g, range(4), label=None, role="unknown") is g
         assert subgraph(MolecularGraph(), []) == MolecularGraph()
-
-    def test_full_index_list_with_new_label_is_a_copy(self):
-        g = parse_smiles("N[C@@H](C)O")
-        relabelled = subgraph(g, [3, 1, 0, 2, 1], label="x")
-        assert relabelled is not g
-        assert relabelled == replace(g, label="x")
-        assert subgraph(g, range(4), role="product") == replace(g, role="product")
 
     def test_induced_bonds_only(self):
         g = parse_smiles("CCNO")
@@ -408,12 +400,20 @@ class TestJsonCodec:
                 carbon(isotope=13),
             ),
             bonds=(Bond(a=0, b=1, wedge="dashed"),),
-            label="3a",
-            role="product",
         )
-        back = graph_from_json(graph_to_json(g))
+        data = graph_to_json(g)
+        assert sorted(data) == ["atoms", "bonds"]
+        back = graph_from_json(data)
         assert back == g
         assert back.atoms[0].coords == (0.5, -1.0)
+
+    def test_label_and_role_of_older_files_are_ignored(self):
+        data = graph_to_json(parse_smiles("[R1]C(=O)O"))
+        older = dict(data, label=3, role="bogus")
+        assert graph_from_json(older) == graph_from_json(data)
+
+    def test_graph_fields_are_atoms_and_bonds(self):
+        assert [f.name for f in fields(MolecularGraph)] == ["atoms", "bonds"]
 
 
 class TestErrorFamily:

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,7 +98,7 @@ class TestAlignConditions:
     def test_variant_items_attach_by_product_label(self):
         shared = classify_condition("PhMe, rt")
         per_variant = {"3a": classify_condition("71%")}
-        records, residues = align_conditions(
+        records = align_conditions(
             shared, per_variant, [record("1_1", "3a"), record("2_1", "3b")]
         )
         assert [c.role for c in records[0].conditions] == [
@@ -106,27 +107,28 @@ class TestAlignConditions:
             "yield",
         ]
         assert [c.role for c in records[1].conditions] == ["solvent", "temperature"]
-        assert residues == []
 
-    def test_unknown_label_goes_to_residue(self):
-        records, residues = align_conditions(
-            [], {"9z": classify_condition("71%")}, [record("1_1", "3a")]
-        )
+    def test_unknown_label_is_logged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="rxnscope.reaction"):
+            records = align_conditions(
+                [], {"9z": classify_condition("71%")}, [record("1_1", "3a")]
+            )
         assert records[0].conditions == ()
-        assert [(r.role, r.text) for r in residues] == [("yield", "71%")]
+        assert caplog.messages == ["condition annotation for '9z' matches no reaction record"]
 
     def test_no_duplicate_items(self):
         shared = classify_condition("rt")
         per_variant = {"3a": classify_condition("rt")}
-        records, _ = align_conditions(shared, per_variant, [record("1_1", "3a")])
+        records = align_conditions(shared, per_variant, [record("1_1", "3a")])
         identities = [c.identity for c in records[0].conditions]
         assert len(identities) == len(set(identities))
 
-    def test_empty_per_variant(self):
+    def test_empty_per_variant(self, caplog):
         shared = classify_condition("PhMe")
-        records, residues = align_conditions(shared, {}, [record("1_1", "3a")])
+        with caplog.at_level(logging.WARNING, logger="rxnscope.reaction"):
+            records = align_conditions(shared, {}, [record("1_1", "3a")])
         assert list(records[0].conditions) == shared
-        assert residues == []
+        assert caplog.messages == []
 
 
 FIG_TABLE = """entry\tR1\tR2\tR3\tR4\ttime\tproduct\tyield

@@ -151,7 +151,7 @@ def substitution_digest() -> str:
 
 def test_substitution_digest_is_pinned():
     assert substitution_digest() == (
-        "143863bc644408a28e7487c82f71d0608d174f1797693f1dea9f03af43453295"
+        "15d03de94e5431c8a18fae6c3d544938c2f52ea9102b2234093ba9a2edcdfe05"
     )
 
 
