@@ -14,11 +14,14 @@ import os
 import urllib.request
 from typing import Optional
 
+from ..jsonshape import Required, read_json
 from ..molgraph import RxnscopeError
 
 # What the remote backend sends with every request.
 TEMPERATURE = 0.1
 TIMEOUT_S = 60.0
+# What every remote answer holds; each role's reader checks the rest.
+REMOTE_ANSWER = {Required("action"): str}
 
 
 class BackendError(RxnscopeError, RuntimeError):
@@ -108,8 +111,11 @@ class ScriptedBackend:
             vocabulary = context.get("vocabulary", [])
             if token in vocabulary:
                 return {"action": "keep", "token": token}
+            # Lengths that differ by more than one are more than one edit apart.
             candidates = sorted(
-                v for v in vocabulary if edit_distance(token, v) == 1
+                v
+                for v in vocabulary
+                if abs(len(v) - len(token)) <= 1 and edit_distance(token, v) == 1
             )
             if candidates:
                 return {"action": "correct", "token": candidates[0]}
@@ -153,13 +159,9 @@ class RemoteBackend:
             req.add_header("Authorization", f"Bearer {self.token}")
         try:
             with urllib.request.urlopen(req, timeout=TIMEOUT_S) as resp:
-                body = resp.read()
+                text = resp.read().decode("utf-8")
         except OSError as exc:
             raise BackendError(f"remote backend request failed: {exc}") from None
-        try:
-            out = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"remote backend sent invalid JSON: {exc}") from None
-        if not isinstance(out, dict) or "action" not in out:
-            raise BackendError("remote backend response lacks an 'action' field")
-        return out
+        except UnicodeDecodeError as exc:
+            raise BackendError(f"remote backend answer is not UTF-8 text: {exc}") from None
+        return read_json(text, REMOTE_ANSWER, "remote backend answer", BackendError)

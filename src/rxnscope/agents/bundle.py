@@ -7,11 +7,11 @@ as, and ``Bundle.read`` is the one reader that checks them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from ..jsonshape import read_json
 from ..molgraph import RxnscopeError
 
 MODALITIES = frozenset(
@@ -55,14 +55,10 @@ class InputDescriptor:
             raise DescriptorError("plain_text_only must be the sole modality")
 
 
-# Each sidecar's shape and the text an absent file reads as (None: the
-# file is required); a missing key reads as the default its reader gives.
-# A shape is a type (str, int, dict, list) or None (JSON null), matched by
-# type, or a tuple of them, matching any one. ``[s]`` is a list whose items
-# match ``s``. ``{key: s, ...}`` is an object whose listed keys, where
-# present, match their shapes; ``{str: s}`` is an object whose every value
-# matches ``s``. A graph is a plain ``dict`` here: the tool that reads it
-# decodes it with ``molgraph.graph_from_json``.
+# Each sidecar's shape (``jsonshape`` terms) and the text an absent file
+# reads as (None: the file is required); a missing key reads as the
+# default its reader gives. A graph is a plain ``dict`` here: the tool
+# that reads it decodes it with ``molgraph.graph_from_json``.
 SIDECARS: dict[str, tuple[Any, Optional[str]]] = {
     "descriptor.json": ({"modalities": [str]}, None),
     "template.json": (
@@ -86,32 +82,6 @@ SIDECARS: dict[str, tuple[Any, Optional[str]]] = {
     "text.txt": (str, ""),
     "table.txt": (str, None),
 }
-
-_KIND_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list", None: "null"}
-
-
-def check_shape(value: Any, shape: Any, where: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming the first place where ``value`` leaves ``shape``."""
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            raise error(f"{where}: expected a list")
-        for i, item in enumerate(value):
-            check_shape(item, shape[0], f"{where}[{i}]", error)
-    elif isinstance(shape, dict):
-        if not isinstance(value, dict):
-            raise error(f"{where}: expected an object")
-        if str in shape:
-            fields = [(key, item, shape[str]) for key, item in value.items()]
-        else:
-            fields = [(key, value[key], sub) for key, sub in shape.items() if key in value]
-        for key, item, sub in fields:
-            check_shape(item, sub, f"{where}.{key}", error)
-    else:
-        kinds = shape if isinstance(shape, tuple) else (shape,)
-        matched = any(value is None if k is None else isinstance(value, k) for k in kinds)
-        # No shape holds a bool, which would otherwise pass as an int.
-        if isinstance(value, bool) or not matched:
-            raise error(f"{where}: expected " + " or ".join(_KIND_NAMES[k] for k in kinds))
 
 
 class Bundle:
@@ -144,11 +114,6 @@ class Bundle:
             raise DescriptorError(f"{name} is not UTF-8 text: {exc}") from None
         except OSError as exc:
             raise DescriptorError(f"{name} cannot be read: {exc.strerror}") from None
-        value = text
         if name.endswith(".json"):
-            try:
-                value = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise DescriptorError(f"{name} is not valid JSON: {exc}") from None
-        check_shape(value, shape, name, DescriptorError)
-        return value
+            return read_json(text, shape, name, DescriptorError)
+        return text

@@ -16,8 +16,10 @@ from __future__ import annotations
 import logging
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Any, Callable, Optional
 
+from ..jsonshape import check_shape
 from ..molgraph import MolecularGraph, RxnscopeError, main_component
 from ..reaction import (
     ConditionItem,
@@ -34,7 +36,7 @@ from ..rgroup import Binding, substitute_placeholders
 from ..smiles import SmilesParseError, parse_scope, parse_smiles
 from ..chemops import AbbreviationTable
 from .backend import BackendError, ScriptedBackend
-from .bundle import Bundle, DescriptorError, InputDescriptor, check_shape
+from .bundle import Bundle, DescriptorError, InputDescriptor
 from .planner import TOKEN_CORRECTION_ANSWER, Plan, review_plan
 from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
@@ -242,12 +244,14 @@ def _step_text_rgroup(run: _Run) -> dict:
     reactant_graphs = [parse_smiles(s) for s in template["reactants"]]
     product_graphs = [parse_smiles(s) for s in template["products"]]
 
+    @cache
     def read_cell(token: str) -> Binding:
         """The cell's fragment, or the token itself if nothing reads it.
 
-        A token that reads as nothing goes to the backend once; its answer
-        is read the same way. A token left as a string becomes an alias
-        wildcard when ``substitute_placeholders`` splices it.
+        Each distinct token is read once per step. A token that reads as
+        nothing goes to the backend once; its answer is read the same way.
+        A token left as a string becomes an alias wildcard when
+        ``substitute_placeholders`` splices it.
         """
         fragment = table.read(token)
         if fragment is not None:
@@ -259,8 +263,6 @@ def _step_text_rgroup(run: _Run) -> dict:
         except BackendError as exc:
             raise _StepFailure(str(exc)) from None
         check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
-        if "token" not in answer:
-            raise _StepFailure("token_correction answer.token: missing")
         fragment = table.read(answer["token"])
         if fragment is not None:
             return fragment

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..jsonshape import Required, check_shape
 from ..molgraph import RxnscopeError
-from .bundle import InputDescriptor, check_shape
+from .bundle import InputDescriptor
 
 
 class PlanningError(RxnscopeError, ValueError):
@@ -68,9 +69,9 @@ MODALITY_IO = {
 }
 
 
-# The backend's answers, in ``bundle.check_shape`` terms.
+# The backend's answers, in ``jsonshape`` terms.
 PLANNER_ANSWER = {"action": str, "steps": [str], "message": str}
-TOKEN_CORRECTION_ANSWER = {"action": str, "token": str}
+TOKEN_CORRECTION_ANSWER = {"action": str, Required("token"): str}
 
 
 def build_steps(kinds: list[str]) -> tuple[PlanStep, ...]:

@@ -10,7 +10,6 @@ geometry.  Fragments, and how they are cut and grafted, belong to
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import replace
@@ -18,6 +17,7 @@ from functools import cache
 from importlib import resources
 from typing import Mapping, Optional
 
+from .jsonshape import read_json
 from .molgraph import (
     ELEMENTS,
     AtomToken,
@@ -77,7 +77,7 @@ class AbbreviationTable:
     def default(cls) -> "AbbreviationTable":
         """The packaged table, built on first use and shared by every caller."""
         text = resources.files("rxnscope.data").joinpath("abbreviations.json").read_text()
-        return cls(json.loads(text))
+        return cls(read_json(text, {str: str}, "abbreviations.json", GraphError))
 
     def get(self, token: str) -> Optional[Fragment]:
         return self._fragments.get(token)

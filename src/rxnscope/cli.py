@@ -23,7 +23,8 @@ from .agents import (
     plan_extraction,
 )
 from .metrics import evaluate
-from .molgraph import RxnscopeError, main_component
+from .jsonshape import read_json
+from .molgraph import GraphError, RxnscopeError, main_component
 from .reaction import (
     classify_condition,
     condition_to_json,
@@ -31,7 +32,7 @@ from .reaction import (
     parse_rgroup_table,
     table_row_to_json,
 )
-from .rgroup import ReactionTemplate, reconstruct_variant, substitute_placeholders
+from .rgroup import TEMPLATE_SPEC, ReactionTemplate, reconstruct_variant, substitute_placeholders
 from .smiles import canonicalize, is_valid, parse_smiles, write_smiles
 
 
@@ -74,10 +75,7 @@ def _cmd_substitute(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    try:
-        spec = json.loads(_read_text(args.template))
-    except json.JSONDecodeError as exc:
-        raise RxnscopeError(f"{args.template} is not valid JSON: {exc}") from None
+    spec = read_json(_read_text(args.template), TEMPLATE_SPEC, args.template, GraphError)
     template = ReactionTemplate.from_smiles(spec)
     reactants, bindings = reconstruct_variant(template, parse_smiles(args.variant))
     _emit({"variant": args.variant, "bindings": bindings, "reactants": reactants})

@@ -10,6 +10,7 @@ from functools import cache
 from importlib import resources
 from typing import Iterable, Optional
 
+from .jsonshape import Required, read_json
 from .molgraph import MolecularGraph, RxnscopeError, is_placeholder_label
 from .smiles import SmilesParseError, parse_scope, parse_smiles
 
@@ -19,9 +20,7 @@ ROLES = ("reagent", "solvent", "temperature", "time", "yield", "add_info")
 
 
 class CodecError(RxnscopeError, ValueError):
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+    pass
 
 
 class TableParseError(RxnscopeError, ValueError):
@@ -37,9 +36,9 @@ class ConditionItem:
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
-            raise ValueError(f"unknown condition role {self.role!r}")
+            raise CodecError(f"unknown condition role {self.role!r}")
         if not self.text:
-            raise ValueError("condition text must be non-empty")
+            raise CodecError("condition text must be non-empty")
         if self.smiles is not None:
             parse_smiles(self.smiles)
 
@@ -120,7 +119,8 @@ class ConditionLexicon:
             .joinpath("condition_lexicon.json")
             .read_text()
         )
-        raw = json.loads(text)
+        shape = {"solvents": {str: str}, "reagents": [str]}
+        raw = read_json(text, shape, "condition_lexicon.json", CodecError)
         return cls(raw.get("solvents", {}), raw.get("reagents", []))
 
     def solvent_smiles(self, name: str) -> Optional[str]:
@@ -333,94 +333,68 @@ def encode_records(
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise CodecError(path, f"missing required key {key!r}")
-    return obj[key]
+# A record document in ``jsonshape`` terms; a missing list reads as empty,
+# a missing description as "". A SMILES that does not parse, an unknown
+# role, an empty condition text and a repeated id are ``CodecError``s too.
+_MOLECULE = {Required("smiles"): str, "label": (str, None)}
+_CONDITION = {
+    Required("role"): str, Required("text"): str, "smiles": (str, None), "label": (str, None)
+}
+_RECORD = {
+    Required("reaction_id"): str, "reactants": [_MOLECULE], "conditions": [_CONDITION],
+    "products": [_MOLECULE], "additional_info": [str],
+}
+DOCUMENT = {"Text description": str, "reactions": [_RECORD]}
 
 
-def _molecule_from_json(obj, path: str) -> MoleculeEntry:
-    if not isinstance(obj, dict):
-        raise CodecError(path, "expected an object")
-    smiles = _require(obj, "smiles", path)
+def _molecule_from_json(obj: dict, path: str) -> MoleculeEntry:
     try:
-        return MoleculeEntry(smiles=smiles, label=obj.get("label"))
+        return MoleculeEntry(smiles=obj["smiles"], label=obj.get("label"))
     except SmilesParseError as exc:
-        raise CodecError(f"{path}.smiles", str(exc)) from None
+        raise CodecError(f"{path}.smiles: {exc}") from None
 
 
-def condition_from_json(obj, path: str) -> ConditionItem:
-    if not isinstance(obj, dict):
-        raise CodecError(path, "expected an object")
-    role = _require(obj, "role", path)
-    if role not in ROLES:
-        raise CodecError(f"{path}.role", f"unknown role {role!r}")
-    text = _require(obj, "text", path)
+def _condition_from_json(obj: dict, path: str) -> ConditionItem:
+    if obj["role"] not in ROLES:
+        raise CodecError(f"{path}.role: unknown role {obj['role']!r}")
     try:
         return ConditionItem(
-            role=role, text=text, smiles=obj.get("smiles"), label=obj.get("label")
+            role=obj["role"], text=obj["text"], smiles=obj.get("smiles"), label=obj.get("label")
         )
     except ValueError as exc:
-        raise CodecError(path, str(exc)) from None
+        raise CodecError(f"{path}: {exc}") from None
 
 
-def _list_field(obj: dict, key: str, path: str) -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise CodecError(f"{path}.{key}", "must be a list")
-    return value
+def _record_from_json(obj: dict, path: str) -> ReactionRecord:
+    def entries(key: str, read) -> tuple:
+        return tuple(read(e, f"{path}.{key}[{i}]") for i, e in enumerate(obj.get(key, [])))
 
-
-def record_from_json(obj, path: str = "reaction") -> ReactionRecord:
-    if not isinstance(obj, dict):
-        raise CodecError(path, "expected an object")
-    rid = _require(obj, "reaction_id", path)
-    reactants = tuple(
-        _molecule_from_json(e, f"{path}.reactants[{i}]")
-        for i, e in enumerate(_list_field(obj, "reactants", path))
-    )
-    conditions = tuple(
-        condition_from_json(c, f"{path}.conditions[{i}]")
-        for i, c in enumerate(_list_field(obj, "conditions", path))
-    )
-    products = tuple(
-        _molecule_from_json(e, f"{path}.products[{i}]")
-        for i, e in enumerate(_list_field(obj, "products", path))
-    )
-    info = tuple(str(x) for x in _list_field(obj, "additional_info", path))
     return ReactionRecord(
-        reaction_id=str(rid),
-        reactants=reactants,
-        conditions=conditions,
-        products=products,
-        additional_info=info,
+        reaction_id=obj["reaction_id"],
+        reactants=entries("reactants", _molecule_from_json),
+        conditions=entries("conditions", _condition_from_json),
+        products=entries("products", _molecule_from_json),
+        additional_info=tuple(obj.get("additional_info", [])),
     )
 
 
 def decode_records(text: str) -> tuple[list[ReactionRecord], str]:
-    """Records and text description of a record document.
+    """Records and text description of a ``DOCUMENT``.
 
     The records are built in one parse scope, so a molecule text repeated
     in the document is parsed once.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CodecError("$", f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CodecError("$", "top level must be an object")
-    raw = doc.get("reactions", [])
-    if not isinstance(raw, list):
-        raise CodecError("reactions", "must be a list")
+    doc = read_json(text, DOCUMENT, "document", CodecError)
     with parse_scope():
         records = [
-            record_from_json(obj, f"reactions[{i}]") for i, obj in enumerate(raw)
+            _record_from_json(obj, f"document.reactions[{i}]")
+            for i, obj in enumerate(doc.get("reactions", []))
         ]
     seen_ids: set[str] = set()
     for i, r in enumerate(records):
         if r.reaction_id in seen_ids:
             raise CodecError(
-                f"reactions[{i}].reaction_id", f"duplicate id {r.reaction_id!r}"
+                f"document.reactions[{i}].reaction_id: duplicate id {r.reaction_id!r}"
             )
         seen_ids.add(r.reaction_id)
-    return records, str(doc.get("Text description", ""))
+    return records, doc.get("Text description", "")

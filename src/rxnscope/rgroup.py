@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
+from .jsonshape import Required, check_shape
 from .molgraph import (
     Bond,
     Fragment,
@@ -34,6 +35,10 @@ class MissingBindingError(GraphError):
         super().__init__(f"no binding for placeholder label(s): {', '.join(labels)}")
 
 
+# A reaction template spec in ``jsonshape`` terms: the SMILES of each side.
+TEMPLATE_SPEC = {Required("reactants"): [str], Required("products"): [str]}
+
+
 @dataclass(frozen=True)
 class ReactionTemplate:
     reactant_templates: tuple[MolecularGraph, ...]
@@ -45,16 +50,9 @@ class ReactionTemplate:
 
     @classmethod
     def from_smiles(cls, spec) -> "ReactionTemplate":
-        """Parse a ``{"reactants": [...], "products": [...]}`` spec of SMILES."""
-        if not isinstance(spec, dict):
-            raise GraphError("a reaction template spec must be a JSON object")
-        sides = []
-        for key in ("reactants", "products"):
-            texts = spec.get(key)
-            if not isinstance(texts, list):
-                raise GraphError(f"template spec needs a list of SMILES under {key!r}")
-            sides.append(tuple(parse_smiles(s) for s in texts))
-        return cls(*sides)
+        """Parse a ``TEMPLATE_SPEC`` of SMILES."""
+        check_shape(spec, TEMPLATE_SPEC, "template spec", GraphError)
+        return cls(*(tuple(map(parse_smiles, spec[key])) for key in ("reactants", "products")))
 
 
 def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> MolecularGraph:

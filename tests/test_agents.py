@@ -4,11 +4,13 @@ import json
 import logging
 import random
 import threading
+import time
 import urllib.request
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rxnscope.agents import InputDescriptor, DescriptorError
 from rxnscope.agents.backend import (
@@ -123,6 +125,7 @@ class TestBundleRead:
         [
             ("ner.json", None, "ner.json cannot be read"),  # a directory
             ("rxn.json", "[" * 100_000, "rxn.json is not valid JSON"),
+            ("boxes.json", "[" + "1" * 5000 + "]", "boxes.json is not valid JSON"),
             ("ner.json", "null", "ner.json: expected a list"),
             ("ner.json", "{}", "ner.json: expected a list"),
             ("template.json", '{"rgroup_formulas": {"Ar2": 5}}', "template.json.rgroup_formulas.Ar2"),
@@ -199,6 +202,20 @@ class TestRegistry:
         with pytest.raises(ToolError, match="bad graph payload: expected a MolecularGraph"):
             default_registry().invoke("graph2smiles", RunContext(bundle=None), request_)
 
+    @pytest.mark.parametrize(
+        "template,message",
+        [
+            (None, "template spec: expected an object"),
+            ({"reactants": ["C"]}, "template spec.products: missing"),
+            ({"reactants": ["C"], "products": [5]}, "template spec.products[0]: expected a string"),
+        ],
+    )
+    def test_smiles_reconstructor_checks_its_template_spec(self, template, message):
+        request = {"template": template, "variants": []}
+        with pytest.raises(ToolError) as err:
+            default_registry().invoke("smiles_reconstructor", RunContext(bundle=None), request)
+        assert str(err.value) == f"bad template payload: {message}"
+
 
 def _written(g) -> str:
     """What ``graph2smiles`` writes for ``g`` in a run of its own."""
@@ -273,6 +290,27 @@ class TestScriptedBackend:
         out = BACKEND.respond("token_correction", ctx)
         assert out == {"action": "keep", "token": "Qqqq"}
 
+    def test_token_correction_time_is_bounded(self):
+        # A cell far longer than every vocabulary entry is no single edit
+        # from any of them, and is not compared with them.
+        token = "Q" * 50_000
+        start = time.process_time()
+        out = BACKEND.respond(
+            "token_correction", {"token": token, "vocabulary": AbbreviationTable.default().tokens()}
+        )
+        assert time.process_time() - start < 0.25
+        assert out == {"action": "keep", "token": token}
+
+    @given(st.text("abc", max_size=6), st.lists(st.text("abc", max_size=6), max_size=8))
+    def test_token_correction_equals_the_unfiltered_rule(self, token, vocabulary):
+        candidates = sorted(v for v in vocabulary if edit_distance(token, v) == 1)
+        if token in vocabulary or not candidates:
+            expected = {"action": "keep", "token": token}
+        else:
+            expected = {"action": "correct", "token": candidates[0]}
+        ctx = {"token": token, "vocabulary": vocabulary}
+        assert BACKEND.respond("token_correction", ctx) == expected
+
     def test_edit_distance(self):
         assert edit_distance("iP1", "iPr") == 1
         assert edit_distance("", "ab") == 2
@@ -320,7 +358,10 @@ class TestRemoteBackend:
             "auth": "Bearer t0k",
         }
 
-    @pytest.mark.parametrize("body", [b"not json", b"[1]", b'{"token": "Ph"}'])
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b"[1]", b'{"token": "Ph"}', b"[" * 100_000, b"\xff", b"1" * 5000],
+    )
     def test_unusable_response_is_a_backend_error(self, monkeypatch, body):
         with pytest.raises(BackendError):
             self.respond(monkeypatch, body)
@@ -951,7 +992,9 @@ class TestTextTableScope:
 
     def test_each_cell_and_template_formula_is_read_once(self, fig2_bundle, tmp_path, monkeypatch):
         # Ar and Ar2 each stand in a reactant and the product template, but
-        # a cell or formula is read once, and so is a misspelt cell's answer.
+        # a distinct cell or formula is read once per run, and so is a
+        # misspelt cell's answer: each unread token goes to the backend once
+        # and is logged once.
         reads = []
         read = chemops.parse_condensed_formula
 
@@ -959,17 +1002,34 @@ class TestTextTableScope:
             reads.append(text)
             return read(text, table)
 
+        class Asked(ScriptedBackend):
+            tokens = []
+
+            def respond(self, role, context):
+                if role == "token_correction":
+                    self.tokens.append(context["token"])
+                return super().respond(role, context)
+
         monkeypatch.setattr(chemops, "parse_condensed_formula", spy)
         table = (
             "entry\tR\tAr\tproduct\n"
             "1\tMe\t4-BrC6H4\t3a\n"
             "2\tEt\t4-BrC6H4\t3b\n"
             "3\tMe\tPj\t3c\n"
+            "4\tEt\tQq7\t3d\n"
+            "5\tMe\tQq7\t3e\n"
         )
         d = _text_table_copy(fig2_bundle, tmp_path, table)
-        result = execute_plan(plan_extraction(d, BACKEND), d)
-        assert len(result.records) == 4
-        assert Counter(reads) == {"2-ClC6H4": 1, "4-BrC6H4": 2, "Pj": 1}
+        backend = Asked()
+        result = execute_plan(plan_extraction(d, backend), d, backend=backend)
+        assert len(result.records) == 6
+        # Qq7 reads as nothing: it is read as a cell, again as the backend's
+        # unchanged answer, and once more for each of the four template
+        # graphs that its two rows splice it into.
+        assert Counter(reads) == {"2-ClC6H4": 1, "4-BrC6H4": 1, "Pj": 1, "Qq7": 6}
+        assert backend.tokens == ["Pj", "Qq7"]
+        warnings = [e for e in result.trace if e["type"] == "log" and "Qq7" in e["message"]]
+        assert len(warnings) == 1
 
 
 # The first step of each canonical plan, and the sidecar its first tool reads.

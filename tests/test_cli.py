@@ -1,10 +1,14 @@
+import copy
 import json
 import time
+from functools import reduce
 
 import pytest
 
 from rxnscope.agents.bundle import SIDECARS
 from rxnscope.cli import main
+from rxnscope.jsonshape import Required
+from rxnscope.reaction import DOCUMENT
 from rxnscope.smiles import canonicalize
 
 
@@ -248,6 +252,12 @@ def _reconstruct(spec, variant="CCO"):
     ]
 
 
+def _evaluate(pred):
+    return lambda tmp, fig2: [
+        "evaluate", "--pred", _write(tmp / "p.json", pred), "--gold", str(fig2 / "golden.json"),
+    ]
+
+
 def _descriptor(raw):
     def argv(tmp, fig2):
         _write(tmp / "bundle" / "descriptor.json", raw)
@@ -278,26 +288,26 @@ HOSTILE = {
     "reconstruct-empty-object": (_reconstruct({}), "GraphError"),
     "reconstruct-list": (_reconstruct([]), "GraphError"),
     "reconstruct-string-side": (_reconstruct({"reactants": "C", "products": ["C"]}), "GraphError"),
-    "reconstruct-not-json": (_reconstruct("{"), "RxnscopeError"),
+    "reconstruct-not-json": (_reconstruct("{"), "GraphError"),
     "descriptor-list": (_descriptor([]), "DescriptorError"),
     "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
     "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
     "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
     "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
-    "evaluate-not-utf8": (
-        lambda tmp, fig2: [
-            "evaluate", "--pred", _write(tmp / "p.json", b"\xff"),
-            "--gold", str(fig2 / "golden.json"),
-        ],
-        "RxnscopeError",
-    ),
+    "reconstruct-deeply-nested": (_reconstruct("[" * 100_000), "GraphError"),
+    "evaluate-not-utf8": (_evaluate(b"\xff"), "RxnscopeError"),
     "evaluate-non-list-reactants": (
-        lambda tmp, fig2: [
-            "evaluate",
-            "--pred", _write(tmp / "p.json", {"reactions": [{"reaction_id": "1", "reactants": 5}]}),
-            "--gold", str(fig2 / "golden.json"),
-        ],
+        _evaluate({"reactions": [{"reaction_id": "1", "reactants": 5}]}), "CodecError"
+    ),
+    "evaluate-deeply-nested": (_evaluate("[" * 100_000), "CodecError"),
+    "evaluate-huge-integer": (_evaluate('{"reactions": [' + "1" * 5000 + "]}"), "CodecError"),
+    "evaluate-integer-condition-text": (
+        _evaluate({"reactions": [{"reaction_id": "1", "conditions": [{"role": "reagent", "text": 5}]}]}),
         "CodecError",
+    ),
+    "evaluate-null-reaction-id": (_evaluate({"reactions": [{"reaction_id": None}]}), "CodecError"),
+    "evaluate-object-text-description": (
+        _evaluate({"Text description": {"text": "x"}, "reactions": []}), "CodecError"
     ),
     "assign-without-equals": (
         lambda tmp, fig2: ["substitute", "--template", "[R1]C", "--assign", "R1:Ph"],
@@ -410,6 +420,56 @@ SIDECAR_SWEEP = {
     if content is not None or absent is None
 }
 OPTIONAL_SIDECARS = sorted(name for name, (_, absent) in SIDECARS.items() if absent is not None)
+
+
+# The hostile-document sweep: a document of ``DOCUMENT``'s shape with
+# every listed key once holding a fault at its first nested leaf, and
+# every required key once removed.
+SWEEP_DOCUMENT = {
+    "Text description": "scheme 1",
+    "reactions": [
+        {
+            "reaction_id": "1_1",
+            "reactants": [{"smiles": "CC(=O)c1ccccc1", "label": "1a"}],
+            "conditions": [{"role": "solvent", "text": "EtOH", "smiles": "CCO", "label": "B1"}],
+            "products": [{"smiles": "CC(O)c1ccccc1", "label": "2a"}],
+            "additional_info": ["5:1 dr"],
+        }
+    ],
+}
+
+
+def _document_keys(shape, path=()):
+    """(path, shape, required) of every listed key of ``shape``, outermost first."""
+    if isinstance(shape, list):
+        yield from _document_keys(shape[0], path + (0,))
+    elif isinstance(shape, dict):
+        for key, sub in shape.items():
+            yield path + (key,), sub, isinstance(key, Required)
+            yield from _document_keys(sub, path + (key,))
+
+
+def _document_path(path) -> str:
+    return "document" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _document_with(path, content):
+    """``SWEEP_DOCUMENT`` with ``content`` at ``path``, or without the key if None."""
+    doc = copy.deepcopy(SWEEP_DOCUMENT)
+    parent = reduce(lambda value, key: value[key], path[:-1], doc)
+    if content is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = content
+    return doc
+
+
+DOCUMENT_SWEEP = {
+    f"{_document_path(path)}-{fault}": (_document_path(path), _document_with(path, content))
+    for path, shape, required in _document_keys(DOCUMENT)
+    for fault, content in (("nested-type", _nested_fault(shape)), ("missing", None))
+    if content is not None or required
+}
 
 
 def _sweep_copy(name, content):
@@ -551,6 +611,25 @@ class TestHostileInput:
             assert [e["step"] for e in trace if e["type"] == "step_failed"] == [step]
             errors = [e["error"] for e in trace if e["type"] == "tool" and e["status"] == "error"]
             assert errors and all(e.startswith(name) for e in errors), errors
+
+    def test_document_sweep_base_scores_clean(self, capsys, tmp_path):
+        doc = _write(tmp_path / "doc.json", SWEEP_DOCUMENT)
+        code, out = run(capsys, "evaluate", "--pred", doc, "--gold", doc)
+        assert code == 0
+        assert out["hard"]["f1"] == 1.0
+
+    def test_document_sweep_covers_every_key(self):
+        assert len(DOCUMENT_SWEEP) == 20
+        assert sum(case.endswith("-missing") for case in DOCUMENT_SWEEP) == 5
+
+    @pytest.mark.parametrize("case", sorted(DOCUMENT_SWEEP))
+    def test_faulty_document_is_a_codec_error(self, case, capsys, tmp_path, fig2_bundle):
+        where, doc = DOCUMENT_SWEEP[case]
+        code, out = run(capsys, *_evaluate(doc)(tmp_path, fig2_bundle))
+        assert code == 1
+        assert out["error"].startswith(f"CodecError: {where}")
+        if case.endswith("-missing"):
+            assert out["error"] == f"CodecError: {where}: missing"
 
     @pytest.mark.parametrize("name", OPTIONAL_SIDECARS)
     def test_absent_optional_sidecar_keeps_output(self, name, capsys, tmp_path, fig2_bundle):

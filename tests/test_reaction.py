@@ -285,6 +285,11 @@ class TestCodec:
             decode_records(bad)
         assert "reaction_id" in str(err.value)
 
+    @pytest.mark.parametrize("role,text", [("flavor", "sweet"), ("solvent", "")])
+    def test_condition_item_raises_a_codec_error(self, role, text):
+        with pytest.raises(CodecError):
+            ConditionItem(role=role, text=text)
+
     def test_duplicate_reaction_ids_rejected(self):
         rec = record("1_1", "3a")
         text = encode_records([rec, rec], "", None)
@@ -299,4 +304,4 @@ class TestCodec:
         obj = {"reaction_id": "1_1", field: value}
         with pytest.raises(CodecError) as err:
             decode_records(json.dumps({"reactions": [obj]}))
-        assert str(err.value) == f"reactions[0].{field}: must be a list"
+        assert str(err.value) == f"document.reactions[0].{field}: expected a list"

@@ -87,3 +87,19 @@ def test_every_public_name_has_a_caller():
 
 def test_named_exceptions_are_still_uncalled():
     assert UNCALLED <= unreferenced_names()
+
+
+def test_outside_json_is_decoded_in_one_place():
+    # ``jsonshape.read_json`` decodes every JSON text from outside and
+    # checks its shape; a second decoder would skip one or both.
+    calls = [
+        (_module_name(path), node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("load", "loads")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+    ]
+    assert [module for module, _ in calls] == ["jsonshape"]
