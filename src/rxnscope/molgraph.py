@@ -7,10 +7,12 @@ shorthand abbreviations ("Ts", "OMe") and opaque wildcards.
 Every graph that exists is structurally sound, because the constructors
 check it: an atom has no negative H count and no isotope below 1, and a
 bond joins two different atoms of its graph, at most one bond per pair.
-That holds for graphs made by ``dataclasses.replace`` too, which runs the
-same checks, so no caller validates a graph it was handed.  Valence rules
-are not structural and live in :mod:`rxnscope.smiles`, so that
-partially-specified drawings remain representable.
+A value is checked once, when it is built: the plain atoms of
+:data:`PLAIN_ATOMS` at import, and a renumbered bond by the constructor
+call in :meth:`Bond.moved`.  So no caller validates a graph it was
+handed.  Valence rules are not structural and live in
+:mod:`rxnscope.smiles`, so that partially-specified drawings remain
+representable.
 
 A graph is the one owner of its neighbour lists: the pair index behind
 :meth:`MolecularGraph.bond_index` is built with the checks, and
@@ -159,6 +161,10 @@ class Bond:
         if self.direction not in (None, "up", "down"):
             raise GraphError(f"bad direction mark {self.direction!r}")
 
+    def moved(self, a: int, b: int) -> "Bond":
+        """This bond, joining atoms ``a`` and ``b`` instead."""
+        return Bond(a, b, self.order, self.wedge, self.direction)
+
     def other(self, idx: int) -> int:
         if idx == self.a:
             return self.b
@@ -175,6 +181,15 @@ class Bond:
     def with_away(self, end: int, mark: str) -> "Bond":
         """This bond marked so that it reads ``mark`` from ``end`` outwards."""
         return replace(self, direction=mark if end == self.a else flip(mark))
+
+
+# The atoms SMILES writes without brackets, keyed by that text: the organic
+# subset, its aromatic forms and the wildcard.  No charge, H, isotope or coordinates.
+PLAIN_ATOMS: dict[str, AtomToken] = {
+    **{sym: AtomToken(kind="element", text=sym) for sym in "B C N O P S F Cl Br I".split()},
+    **{sym: AtomToken(kind="element", text=sym.upper(), aromatic=True) for sym in "bcnops"},
+    "*": AtomToken(kind="wildcard", text="*"),
+}
 
 
 def chain_cis_trans(bonds: list[Bond], facts: Iterable[tuple]) -> list[tuple]:
@@ -352,7 +367,7 @@ def subgraph(g: MolecularGraph, indices: Iterable[int]) -> MolecularGraph:
     # Only atoms that carry a chiral order pay for the renumbering call.
     atoms = [a if a.chiral_order is None else renumber_chiral(a, index_map.get) for a in atoms]
     bonds = [
-        replace(bond, a=index_map[bond.a], b=index_map[bond.b])
+        bond.moved(index_map[bond.a], index_map[bond.b])
         for bond in g.bonds
         if bond.a in index_map and bond.b in index_map
     ]
@@ -426,7 +441,7 @@ class Fragment:
             if atom.chiral_order is not None:
                 atom = renumber_chiral(atom, lambda ref: ref + offset)
             atoms.append(atom if atom.coords is None else replace(atom, coords=None))
-        bonds.extend(replace(b, a=b.a + offset, b=b.b + offset) for b in self.graph.bonds)
+        bonds.extend(b.moved(b.a + offset, b.b + offset) for b in self.graph.bonds)
         return offset + self.attachment
 
 
@@ -508,8 +523,10 @@ def atom_token_from_symbol(
     placeholders ("[R1]"), bracketed element+chirality ("[C@@]"), "*" for a
     wildcard, and falls back to an abbreviation token for anything else.
     """
-    base = dict(charge=charge, explicit_h=explicit_h, isotope=isotope, coords=coords)
     text = symbol.strip()
+    if text in PLAIN_ATOMS and charge == 0 and explicit_h is None and isotope is None and coords is None:
+        return PLAIN_ATOMS[text]
+    base = dict(charge=charge, explicit_h=explicit_h, isotope=isotope, coords=coords)
     if not text:
         raise GraphError("empty atom symbol")
     if text == "*":
@@ -623,12 +640,11 @@ def graph_from_json(data: Mapping) -> MolecularGraph:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bonds[{i}]: {exc}") from exc
-    g = MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
     # Chirality parsed from symbols refers to the codec's fixed convention.
-    adj = g.adjacency()
-    atoms = list(g.atoms)
-    for idx, atom in enumerate(atoms):
-        if atom.chiral is not None:
-            order = _normalized_chiral_order(atom, [m for m, _ in adj[idx]])
-            atoms[idx] = replace(atom, chiral_order=order)
-    return replace(g, atoms=tuple(atoms))
+    mates: dict[int, list[int]] = {i: [] for i, atom in enumerate(atoms) if atom.chiral is not None}
+    for bond in bonds if mates else ():
+        mates.get(bond.a, []).append(bond.b)
+        mates.get(bond.b, []).append(bond.a)
+    for i, row in mates.items():
+        atoms[i] = replace(atoms[i], chiral_order=_normalized_chiral_order(atoms[i], row))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))

@@ -8,7 +8,7 @@ the inverse direction (pulling fragments back out of product variants).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
@@ -85,12 +85,12 @@ def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> Mol
         if ends:
             b = min(ends)
             a = bond.other(b)
-            bond = replace(bond, a=new_index[a], b=new_index[b], wedge="none", direction=None)
+            bond = Bond(new_index[a], new_index[b], bond.order)
         else:
-            bond = replace(bond, a=new_index[bond.a], b=new_index[bond.b])
+            bond = bond.moved(new_index[bond.a], new_index[bond.b])
         bonds.append(bond)
     bonds += grafted
-    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
 def substitute_placeholders(

@@ -10,6 +10,7 @@ canonical-to-canonical rather than against strings from other toolkits.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import re
@@ -21,6 +22,7 @@ from typing import Callable, Iterator, Optional, Union
 from .molgraph import (
     AROMATIC_SYMBOLS,
     ELEMENTS,
+    PLAIN_ATOMS,
     AtomToken,
     Bond,
     GraphError,
@@ -37,9 +39,6 @@ from .molgraph import (
 )
 
 log = logging.getLogger(__name__)
-
-ORGANIC_SUBSET = frozenset(("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"))
-ORGANIC_AROMATIC = frozenset(("b", "c", "n", "o", "p", "s"))
 
 # Allowed valences per element, before charge adjustment.
 VALENCES: dict[str, tuple[int, ...]] = {
@@ -60,11 +59,11 @@ _BOND_CHAR_ORDERS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic
 _ORDER_VALUE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
 
 _BRACKET_RE = re.compile(
-    r"^(?P<iso>\d+)?"
+    r"^(?P<isotope>\d+)?"
     r"(?P<sym>[A-Z][a-z]?|[a-z]{1,2}|\*)"
     r"(?P<chi>@@|@)?"
-    r"(?P<h>H\d*)?"
-    r"(?P<chg>\+\d+|-\d+|\++|-+)?"
+    r"(?P<hcount>H\d*)?"
+    r"(?P<charge>\+\d+|-\d+|\++|-+)?"
     r"(?::\d+)?$"
 )
 
@@ -101,15 +100,13 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _parse_charge(self, raw: Optional[str]) -> int:
-        if not raw:
-            return 0
-        if raw[0] == "+":
-            return int(raw[1:]) if raw[1:].isdigit() else len(raw)
-        return -int(raw[1:]) if raw[1:].isdigit() else -len(raw)
+    def _number(self, m: re.Match, field: str, start: int, bare: int) -> int:
+        """The number bracket ``field`` gives: its digits, or ``bare`` without any."""
+        digits = m.group(field).lstrip("H+-")
+        try:
+            return int(digits) if digits else bare
+        except ValueError:  # more digits than ``int`` converts
+            raise self.error(f"{field} field too long", start + 1 + m.start(field)) from None
 
     def _bracket_atom(self) -> AtomToken:
         start = self.pos
@@ -123,13 +120,14 @@ class _Parser:
         m = _BRACKET_RE.match(inner)
         if m:
             sym = m.group("sym")
-            iso = int(m.group("iso")) if m.group("iso") else None
+            iso = self._number(m, "isotope", start, 0) if m.group("isotope") else None
             if iso == 0:
                 raise self.error("isotope 0", start)
             chi = m.group("chi")
-            h = m.group("h")
-            explicit_h = (int(h[1:]) if len(h) > 1 else 1) if h else 0
-            charge = self._parse_charge(m.group("chg"))
+            explicit_h = self._number(m, "hcount", start, 1) if m.group("hcount") else 0
+            signs = m.group("charge")
+            sign = -1 if signs and signs[0] == "-" else 1
+            charge = sign * self._number(m, "charge", start, len(signs)) if signs else 0
             if sym == "*":
                 return AtomToken(
                     kind="wildcard", text="*", charge=charge, isotope=iso, explicit_h=None
@@ -161,20 +159,11 @@ class _Parser:
 
     def _organic_atom(self) -> Optional[AtomToken]:
         two = self.text[self.pos : self.pos + 2]
-        if two in ("Cl", "Br"):
-            self.pos += 2
-            return AtomToken(kind="element", text=two)
-        ch = self._peek()
-        if ch in ORGANIC_SUBSET:
-            self.pos += 1
-            return AtomToken(kind="element", text=ch)
-        if ch in ORGANIC_AROMATIC:
-            self.pos += 1
-            return AtomToken(kind="element", text=ch.upper(), aromatic=True)
-        if ch == "*":
-            self.pos += 1
-            return AtomToken(kind="wildcard", text="*")
-        return None
+        symbol = two if two in ("Cl", "Br") else two[:1]
+        atom = PLAIN_ATOMS.get(symbol)
+        if atom is not None:
+            self.pos += len(symbol)
+        return atom
 
     # -- bond bookkeeping --------------------------------------------------
 
@@ -249,12 +238,12 @@ class _Parser:
                     rec.slots.append(-1)
                 prev = idx
                 continue
-            if ch.isdigit() or ch == "%":
+            if ch.isdecimal() or ch == "%":
                 if prev is None:
                     raise self.error("ring digit with no preceding atom", offset)
                 if ch == "%":
                     digits = text[self.pos + 1 : self.pos + 3]
-                    if len(digits) != 2 or not digits.isdigit():
+                    if len(digits) != 2 or not digits.isdecimal():
                         raise self.error("% must be followed by two digits", offset)
                     number = int(digits)
                     self.pos += 3
@@ -325,8 +314,8 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     adjacency order, alternate single/double (or are already all
     aromatic).  All sets are judged against the original bond orders, then
     upgraded at once.  Only atoms and bonds not yet in aromatic form are
-    replaced, and ``g`` itself comes back when there are none, as for every
-    ring the writer emits.
+    replaced, a plain atom by its aromatic :data:`PLAIN_ATOMS` value, and
+    ``g`` itself comes back when there are none, as for every ring written.
 
     The search starts only from seed bonds: a bond between two C/N/O/S
     elements that is double, or aromatic with a direction mark or an end
@@ -380,12 +369,16 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
 
     if not upgrade_atoms and not upgrade_bonds:
         return g
-    atoms = [replace(a, aromatic=True) if i in upgrade_atoms else a for i, a in enumerate(g.atoms)]
+    atoms = list(g.atoms)
+    for i in upgrade_atoms:
+        a = atoms[i]
+        atoms[i] = PLAIN_ATOMS[a.text.lower()] if a is PLAIN_ATOMS[a.text] else AtomToken(
+            a.kind, a.text, a.charge, a.explicit_h, a.isotope, a.coords, True, a.chiral, a.chiral_order
+        )
     bonds = [
-        replace(b, order="aromatic", direction=None) if i in upgrade_bonds else b
-        for i, b in enumerate(g.bonds)
+        Bond(b.a, b.b, "aromatic", b.wedge) if i in upgrade_bonds else b for i, b in enumerate(g.bonds)
     ]
-    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
 def _check_aromatic_rings(g: MolecularGraph, recs: list[_AtomRec]) -> None:
@@ -565,18 +558,9 @@ def _atom_text(atom: AtomToken, tag: Optional[str]) -> str:
         if atom.isotope is not None:
             return f"[{atom.isotope}*]"
         return "*"
-    need_bracket = (
-        tag is not None
-        or atom.charge != 0
-        or atom.isotope is not None
-        or atom.explicit_h is not None
-        or atom.text == "H"
-        or atom.text not in ORGANIC_SUBSET
-        or (atom.aromatic and atom.text.lower() not in ORGANIC_AROMATIC)
-    )
-    if not need_bracket:
-        return atom.text.lower() if atom.aromatic else atom.text
-    return _atom_bracket(atom, tag)
+    sym = atom.text.lower() if atom.aromatic else atom.text
+    plain = tag is None and atom.charge == 0 and atom.isotope is None and atom.explicit_h is None
+    return sym if plain and sym in PLAIN_ATOMS else _atom_bracket(atom, tag)
 
 
 def _bond_text(
@@ -606,65 +590,54 @@ def write_smiles(
 ) -> str:
     """Serialize a graph to SMILES; the output re-parses isomorphic to ``g``.
 
-    ``ranks`` fixes traversal order (used by the canonicalizer); without it,
-    atom index order is used. A list passed as ``emitted`` receives the atom
-    indices in the order their atoms are written.
+    ``ranks``, one distinct rank per atom, fixes traversal order (used by
+    the canonicalizer); without it, atom index order is used. A list
+    passed as ``emitted`` receives the atom indices in the order their
+    atoms are written. SMILES numbers ring bonds 1 to 99 (``%nn`` from
+    10 on), so a graph that needs more of them open at once is a
+    :class:`GraphError`.
     """
     if not g.atoms:
         raise GraphError("cannot write an empty graph")
-    order = ranks if ranks is not None else list(range(len(g.atoms)))
-    adj = [sorted(mates, key=lambda pair: order[pair[0]]) for mates in g.adjacency()]
+    n = len(g.atoms)
+    # Sorting ``(mate, bond)`` pairs never compares bonds: a graph has at
+    # most one bond per pair of atoms, so an atom's mates are unique.
+    by_rank = None if ranks is None else (lambda pair: ranks[pair[0]])
+    adj = [sorted(row, key=by_rank) for row in g.adjacency()]
     emit_dirs = _emittable_directions(g)
 
-    visited: set[int] = set()
-    ring_partner_at: dict[int, list[tuple[int, Bond]]] = {}
-
-    # First pass: find spanning-tree structure and ring-closure bonds per
-    # component in deterministic traversal order.
-    components = connected_components(g)
-    components.sort(key=lambda comp: min(order[i] for i in comp))
-    tree_children: list[list[tuple[int, Bond]]] = [[] for _ in g.atoms]
-    ring_bonds: list[Bond] = []
-    ring_pairs: set[frozenset[int]] = set()
+    # First pass: depth first, trying atoms in rank order; the first atom
+    # not yet reached roots its component. A bond to a reached atom above
+    # the parent on the current path closes a ring.
+    depth = [-1] * n
+    tree_children: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+    closures: dict[int, list[tuple[int, Bond]]] = {}
     roots: list[int] = []
-    for comp in components:
-        root = min(comp, key=lambda i: order[i])
+    for root in range(n) if ranks is None else sorted(range(n), key=ranks.__getitem__):
+        if depth[root] >= 0:
+            continue
         roots.append(root)
-        visited.add(root)
-        parent: dict[int, int] = {}
-        # Iterative DFS honoring neighbor order.
+        depth[root] = 0
         stack = [(root, iter(adj[root]))]
         while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for mate, bond in it:
-                if mate not in visited:
-                    visited.add(mate)
-                    parent[mate] = cur
+            cur, mates = stack[-1]
+            for mate, bond in mates:
+                if depth[mate] < 0:
+                    depth[mate] = depth[cur] + 1
                     tree_children[cur].append((mate, bond))
                     stack.append((mate, iter(adj[mate])))
-                    advanced = True
                     break
-                else:
-                    key = frozenset((cur, mate))
-                    if parent.get(cur) == mate or parent.get(mate) == cur:
-                        continue
-                    if key not in ring_pairs:
-                        ring_pairs.add(key)
-                        ring_bonds.append(bond)
-            if not advanced:
+                if depth[mate] < depth[cur] - 1:
+                    closures.setdefault(cur, []).append((mate, bond))
+                    closures.setdefault(mate, []).append((cur, bond))
+            else:
                 stack.pop()
-
-    for bond in ring_bonds:
-        ring_partner_at.setdefault(bond.a, []).append((bond.b, bond))
-        ring_partner_at.setdefault(bond.b, []).append((bond.a, bond))
 
     # Second pass: emit text, depth first from each root. The stack holds
     # atoms still to write, as (atom, atom it is reached from), and the
     # literal text that goes between them.
-    open_digits: dict[frozenset[int], int] = {}
-    free_digits: list[int] = []
-    next_digit = 1
+    open_digits: dict[Bond, int] = {}
+    free_digits: list[int] = []  # a heap: the lowest free digit is reused first
     out: list[str] = []
     for root in roots:
         if out:
@@ -678,35 +651,30 @@ def write_smiles(
             cur, from_atom = item
             if emitted is not None:
                 emitted.append(cur)
-            closures = sorted(ring_partner_at.get(cur, []), key=lambda c: order[c[0]])
-            out_slots: list[int] = []
-            if from_atom is not None:
-                out_slots.append(from_atom)
             atom = g.atoms[cur]
-            if atom.kind == "element" and atom.explicit_h == 1:
-                out_slots.append(-1)
+            ring = closures.get(cur, ())
+            if ring:
+                ring.sort(key=by_rank)
             closure_parts: list[str] = []
-            for mate, bond in closures:
-                key = frozenset((cur, mate))
-                if key in open_digits:
-                    digit = open_digits.pop(key)
-                    free_digits.append(digit)
+            for mate, bond in ring:
+                digit = open_digits.pop(bond, None)
+                if digit is not None:
+                    heapq.heappush(free_digits, digit)
                 else:
-                    # The lowest digit free again, else a new one.
-                    digit = min(free_digits, default=next_digit)
-                    if free_digits:
-                        free_digits.remove(digit)
-                    else:
-                        next_digit += 1
-                    open_digits[key] = digit
+                    # With no digit free, digits 1 to len(open_digits) are all open.
+                    digit = heapq.heappop(free_digits) if free_digits else len(open_digits) + 1
+                    if digit > 99:
+                        raise GraphError(f"{digit} ring bonds open at once; SMILES numbers only 1 to 99")
+                    open_digits[bond] = digit
                 mark = _bond_text(g, bond, cur, emit_dirs)
                 closure_parts.append(mark + (str(digit) if digit < 10 else f"%{digit:02d}"))
-                out_slots.append(mate)
             children = tree_children[cur]
-            for mate, bond in children:
-                out_slots.append(mate)
             tag = None
             if atom.chiral is not None and atom.chiral_order is not None:
+                out_slots = [] if from_atom is None else [from_atom]
+                if atom.kind == "element" and atom.explicit_h == 1:
+                    out_slots.append(-1)
+                out_slots += [mate for mate, _ in ring] + [mate for mate, _ in children]
                 if sorted(out_slots) == sorted(atom.chiral_order):
                     parity = permutation_parity(atom.chiral_order, out_slots)
                     tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
@@ -1070,11 +1038,11 @@ def _fold_explicit_hydrogens(g: MolecularGraph) -> MolecularGraph:
             atom = replace(atom, chiral=None, chiral_order=None)
         atoms.append(atom)
     bonds = [
-        replace(b, a=index_map[b.a], b=index_map[b.b])
+        b.moved(index_map[b.a], index_map[b.b])
         for b in g.bonds
         if b.a in index_map and b.b in index_map
     ]
-    return replace(g, atoms=tuple(atoms), bonds=tuple(bonds))
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
 def canonicalize(s: Union[str, MolecularGraph]) -> str:

@@ -7,6 +7,7 @@ obviously correct, which is the point.
 
 from dataclasses import replace
 from itertools import permutations
+from typing import Optional
 import random
 
 import numpy as np
@@ -15,12 +16,15 @@ from rxnscope import smiles
 from rxnscope.molgraph import (
     AtomToken,
     Bond,
+    GraphError,
     MolecularGraph,
     atom_token_from_symbol,
     connected_components,
+    permutation_parity,
     renumber_chiral,
     subgraph,
 )
+from rxnscope.smiles import _atom_bracket, _bond_text, _emittable_directions
 from rxnscope.substructure import MatchError, find_matches
 
 
@@ -254,6 +258,158 @@ def numpy_wedge_tag(g: MolecularGraph, center: int) -> str | None:
     if abs(vol) < 1e-9:
         return None
     return "@" if vol < 0 else "@@"
+
+
+# --- SMILES writer -----------------------------------------------------------
+
+ORGANIC_SUBSET = frozenset(("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"))
+ORGANIC_AROMATIC = frozenset(("b", "c", "n", "o", "p", "s"))
+
+
+def _atom_text(atom: AtomToken, tag: Optional[str]) -> str:
+    if atom.kind == "placeholder":
+        return atom.text
+    if atom.kind == "abbreviation":
+        return f"[{atom.text}]"
+    if atom.kind == "wildcard":
+        if atom.isotope is not None:
+            return f"[{atom.isotope}*]"
+        return "*"
+    need_bracket = (
+        tag is not None
+        or atom.charge != 0
+        or atom.isotope is not None
+        or atom.explicit_h is not None
+        or atom.text == "H"
+        or atom.text not in ORGANIC_SUBSET
+        or (atom.aromatic and atom.text.lower() not in ORGANIC_AROMATIC)
+    )
+    if not need_bracket:
+        return atom.text.lower() if atom.aromatic else atom.text
+    return _atom_bracket(atom, tag)
+
+
+def reference_write_smiles(
+    g: MolecularGraph,
+    ranks: Optional[list[int]] = None,
+    emitted: Optional[list[int]] = None,
+) -> str:
+    """``write_smiles`` as it was before its one-walk rewrite, kept verbatim:
+    components found and sorted first, and ring closures keyed by a
+    ``frozenset`` per visited edge. Digits past 99 come out as ``%100``."""
+    if not g.atoms:
+        raise GraphError("cannot write an empty graph")
+    order = ranks if ranks is not None else list(range(len(g.atoms)))
+    adj = [sorted(mates, key=lambda pair: order[pair[0]]) for mates in g.adjacency()]
+    emit_dirs = _emittable_directions(g)
+
+    visited: set[int] = set()
+    ring_partner_at: dict[int, list[tuple[int, Bond]]] = {}
+
+    # First pass: find spanning-tree structure and ring-closure bonds per
+    # component in deterministic traversal order.
+    components = connected_components(g)
+    components.sort(key=lambda comp: min(order[i] for i in comp))
+    tree_children: list[list[tuple[int, Bond]]] = [[] for _ in g.atoms]
+    ring_bonds: list[Bond] = []
+    ring_pairs: set[frozenset[int]] = set()
+    roots: list[int] = []
+    for comp in components:
+        root = min(comp, key=lambda i: order[i])
+        roots.append(root)
+        visited.add(root)
+        parent: dict[int, int] = {}
+        # Iterative DFS honoring neighbor order.
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            cur, it = stack[-1]
+            advanced = False
+            for mate, bond in it:
+                if mate not in visited:
+                    visited.add(mate)
+                    parent[mate] = cur
+                    tree_children[cur].append((mate, bond))
+                    stack.append((mate, iter(adj[mate])))
+                    advanced = True
+                    break
+                else:
+                    key = frozenset((cur, mate))
+                    if parent.get(cur) == mate or parent.get(mate) == cur:
+                        continue
+                    if key not in ring_pairs:
+                        ring_pairs.add(key)
+                        ring_bonds.append(bond)
+            if not advanced:
+                stack.pop()
+
+    for bond in ring_bonds:
+        ring_partner_at.setdefault(bond.a, []).append((bond.b, bond))
+        ring_partner_at.setdefault(bond.b, []).append((bond.a, bond))
+
+    # Second pass: emit text, depth first from each root. The stack holds
+    # atoms still to write, as (atom, atom it is reached from), and the
+    # literal text that goes between them.
+    open_digits: dict[frozenset[int], int] = {}
+    free_digits: list[int] = []
+    next_digit = 1
+    out: list[str] = []
+    for root in roots:
+        if out:
+            out.append(".")
+        stack: list = [(root, None)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            cur, from_atom = item
+            if emitted is not None:
+                emitted.append(cur)
+            closures = sorted(ring_partner_at.get(cur, []), key=lambda c: order[c[0]])
+            out_slots: list[int] = []
+            if from_atom is not None:
+                out_slots.append(from_atom)
+            atom = g.atoms[cur]
+            if atom.kind == "element" and atom.explicit_h == 1:
+                out_slots.append(-1)
+            closure_parts: list[str] = []
+            for mate, bond in closures:
+                key = frozenset((cur, mate))
+                if key in open_digits:
+                    digit = open_digits.pop(key)
+                    free_digits.append(digit)
+                else:
+                    # The lowest digit free again, else a new one.
+                    digit = min(free_digits, default=next_digit)
+                    if free_digits:
+                        free_digits.remove(digit)
+                    else:
+                        next_digit += 1
+                    open_digits[key] = digit
+                mark = _bond_text(g, bond, cur, emit_dirs)
+                closure_parts.append(mark + (str(digit) if digit < 10 else f"%{digit:02d}"))
+                out_slots.append(mate)
+            children = tree_children[cur]
+            for mate, bond in children:
+                out_slots.append(mate)
+            tag = None
+            if atom.chiral is not None and atom.chiral_order is not None:
+                if sorted(out_slots) == sorted(atom.chiral_order):
+                    parity = permutation_parity(atom.chiral_order, out_slots)
+                    tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
+            out.append(_atom_text(atom, tag))
+            out.extend(closure_parts)
+            # Every child but the last goes in a branch; pushed in reverse
+            # so the first child is written first.
+            last = len(children) - 1
+            for i in range(last, -1, -1):
+                mate, bond = children[i]
+                bond_str = _bond_text(g, bond, cur, emit_dirs)
+                if i == last:
+                    stack += [(mate, cur), bond_str]
+                else:
+                    stack += [")", (mate, cur), "(" + bond_str]
+    return "".join(out)
 
 
 # --- renumbering -------------------------------------------------------------

@@ -301,6 +301,10 @@ HOSTILE = {
     ),
     "evaluate-deeply-nested": (_evaluate("[" * 100_000), "CodecError"),
     "evaluate-huge-integer": (_evaluate('{"reactions": [' + "1" * 5000 + "]}"), "CodecError"),
+    "evaluate-huge-charge": (
+        _evaluate({"reactions": [{"reaction_id": "1", "products": [{"smiles": "[C+" + "9" * 5000 + "]"}]}]}),
+        "CodecError",
+    ),
     "evaluate-integer-condition-text": (
         _evaluate({"reactions": [{"reaction_id": "1", "conditions": [{"role": "reagent", "text": 5}]}]}),
         "CodecError",
@@ -349,6 +353,12 @@ HOSTILE_TEMPLATES = {
         "reaction_template_parsing",
     ),
 }
+# The complete graph on 21 atoms: its SMILES needs 100 ring-bond numbers
+# open at once, one more than the notation has.
+K21 = {
+    "atoms": [{"symbol": "C"}] * 21,
+    "bonds": [{"a": i, "b": j} for i in range(21) for j in range(i + 1, 21)],
+}
 HOSTILE_MOLECULES = {
     "molecules-non-object-entry": (
         _fig2_with("molecules.json", lambda m: [5] + m[1:]),
@@ -360,6 +370,10 @@ HOSTILE_MOLECULES = {
     ),
     "molecules-mistyped-graph-object": (
         _fig2_with("molecules.json", lambda m: [{**m[0], "graph": {"atoms": 5}}] + m[1:]),
+        "molecular_recognition",
+    ),
+    "molecules-ring-numbers-past-99": (
+        _fig2_with("molecules.json", lambda m: [{**m[0], "graph": K21}] + m[1:]),
         "molecular_recognition",
     ),
     "boxes-integer": (_fig2_with("boxes.json", lambda b: 5), "molecular_recognition"),
@@ -556,6 +570,14 @@ class TestHostileInput:
         assert code == 0
         reasons = _failed_reasons(trace)
         prefix = "tool 'image2graph' failed: molecules.json[0].graph: "
+        assert reasons and all(r.startswith(prefix) for r in reasons)
+
+    def test_unwritable_molecule_graph_fails_at_the_writer(self, capsys, tmp_path, fig2_bundle):
+        make_argv, _ = HOSTILE_MOLECULES["molecules-ring-numbers-past-99"]
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
+        assert code == 0
+        reasons = _failed_reasons(trace)
+        prefix = "tool 'graph2smiles' failed: cannot write graph: "
         assert reasons and all(r.startswith(prefix) for r in reasons)
 
     def test_faulty_template_graph_is_named(self, capsys, tmp_path, fig2_bundle):

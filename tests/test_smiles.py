@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -9,9 +10,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from rxnscope import smiles
+from rxnscope import molgraph, smiles
 from rxnscope.metrics import evaluate
-from rxnscope.molgraph import AtomToken, Bond, MolecularGraph
+from rxnscope.molgraph import PLAIN_ATOMS, AtomToken, Bond, GraphError, MolecularGraph, graph_from_json
 from rxnscope.smiles import (
     SmilesParseError,
     _assign_directions,
@@ -27,9 +28,11 @@ from corpus import MOLECULES
 from oracles import (
     exhaustive_canonical,
     fixpoint_ranks,
+    random_fingerprint_graph,
     random_molecular_graph,
     random_ring_graph,
     reference_perceive_aromaticity,
+    reference_write_smiles,
     renumbered,
     unperceived_graph,
 )
@@ -126,7 +129,8 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "C1CC", "C(", "C)", "[CH3", "Xx", "cC", "C=", "1CC"],
+        # A superscript two is a digit to ``str.isdigit`` but no decimal.
+        ["", "C1CC", "C(", "C)", "[CH3", "Xx", "cC", "C=", "1CC", "C²", "C%²³"],
     )
     def test_rejects(self, bad):
         with pytest.raises(SmilesParseError):
@@ -198,6 +202,23 @@ class TestParse:
         assert not is_valid(text)
 
 
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("[" + "1" * 5000 + "C]", 1),
+            ("C[CH" + "2" * 5000 + "]", 3),
+            ("[C+" + "9" * 5000 + "]", 2),
+        ],
+        ids=["isotope", "hcount", "charge"],
+    )
+    def test_number_field_past_int_conversion_is_rejected_at_the_field(self, text, offset):
+        # More digits than ``int`` converts would leak a bare ValueError.
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles(text)
+        assert err.value.offset == offset
+        assert not is_valid(text)
+
+
 class TestAromaticPerception:
     """Perception searches from seed bonds only; the 6-path walk is the oracle."""
 
@@ -247,6 +268,24 @@ class TestAromaticPerception:
         assert len(g.atoms) == 6006
         assert all(a.aromatic for a in g.atoms)
 
+    def test_polyphenyl_upgrades_by_lookup(self, monkeypatch):
+        # Perception maps each Kekule atom to its aromatic plain atom and
+        # builds each upgraded bond once; it rebuilds nothing through
+        # ``dataclasses.replace``, which checked each value a second time.
+        text = "C1=CC=C(C=C1)" + "C2=CC=C(C=C2)" * 1000
+        calls = []
+
+        def counted(obj, **changes):
+            calls.append(obj)
+            return dataclasses.replace(obj, **changes)
+
+        for module in (smiles, molgraph):
+            monkeypatch.setattr(module, "replace", counted)
+        g = parse_smiles(text)
+        monkeypatch.undo()
+        assert calls == []
+        assert g == reference_perceive_aromaticity(unperceived_graph(text))
+
 
 class TestWrite:
     def test_round_trip_benzene(self):
@@ -264,6 +303,43 @@ class TestWrite:
     def test_wildcard_isotope_alias(self):
         g = parse_smiles("[13*]")
         assert write_smiles(g) == "[13*]"
+
+
+    def test_writer_equals_its_reference(self, fig2_bundle):
+        # Text and write order match the writer as it was before its
+        # one-walk rewrite, in index order and under shuffled ranks; the
+        # fingerprint graphs add bracket atoms and second components.
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        fig2 = [m["smiles"] for r in golden["reactions"] for m in r["reactants"] + r["products"]]
+        rng = random.Random(25)
+        graphs = [parse_smiles(t) for t in MOLECULES + fig2]
+        graphs += [graph_from_json(e["graph"]) for e in json.loads((fig2_bundle / "molecules.json").read_text())]
+        graphs += [random_molecular_graph(rng) for _ in range(300)]
+        graphs += [random_fingerprint_graph(rng) for _ in range(100)]
+        for g in graphs:
+            ranks = list(range(len(g.atoms)))
+            rng.shuffle(ranks)
+            for order in (None, ranks):
+                got, want = [], []
+                assert write_smiles(g, order, got) == reference_write_smiles(g, order, want)
+                assert got == want
+
+    @staticmethod
+    def complete_graph(n: int) -> MolecularGraph:
+        bonds = tuple(Bond(i, j) for i in range(n) for j in range(i + 1, n))
+        return MolecularGraph(atoms=(PLAIN_ATOMS["C"],) * n, bonds=bonds)
+
+    def test_ring_bond_numbers_stop_at_99(self):
+        # K20 needs 99 ring-bond numbers open at once and round-trips. K21
+        # needs 100; "%100" would read as "%10" then "0".
+        k20 = self.complete_graph(20)
+        assert canonicalize(write_smiles(k20)) == canonicalize(k20)
+        assert "%99" in write_smiles(k20)
+        k21 = self.complete_graph(21)
+        with pytest.raises(GraphError, match="^100 ring bonds open at once"):
+            write_smiles(k21)
+        with pytest.raises(SmilesParseError, match="duplicate bond"):
+            parse_smiles(reference_write_smiles(k21))
 
 
 class TestLongChains:
