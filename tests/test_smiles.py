@@ -201,7 +201,6 @@ class TestParse:
         assert err.value.offset == text.index("[")
         assert not is_valid(text)
 
-
     @pytest.mark.parametrize(
         "text,offset",
         [
@@ -303,7 +302,6 @@ class TestWrite:
     def test_wildcard_isotope_alias(self):
         g = parse_smiles("[13*]")
         assert write_smiles(g) == "[13*]"
-
 
     def test_writer_equals_its_reference(self, fig2_bundle):
         # Text and write order match the writer as it was before its
