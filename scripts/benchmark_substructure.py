@@ -7,9 +7,16 @@ oracle's lexicographic order, and reports per-size timing. Brute force is
 factorial in target size, so the oracle column is only populated up to
 --oracle-max atoms. Then aligns the fig2 product template onto every
 fig2 ``molecules.json`` graph, reports milliseconds per ``find_matches``
-and ``scaffold_align`` call (min of repeats) and ``atoms_compatible``
-calls per ``find_matches`` call, and checks each alignment against
-``reference_scaffold_align``, which scores every embedding. Exits 1 if
+and ``scaffold_align`` call on the template prepared once, as a
+reconstructor call prepares it, and per preparation (min of repeats),
+``atoms_compatible`` calls per ``find_matches`` call and embeddings per
+call of each, and checks each alignment against
+``reference_scaffold_align``, which scores every embedding. Last come two templates with many symmetric groups:
+B27 from ``make_fig2_bundle.py`` with its N-methyl as ``[R]`` (10,368
+embeddings in B27) and a tris(3,5-bis-CF3-phenyl)methanol methyl ether
+with its methyl as ``[R]`` (2,239,488), each aligned onto its variant,
+with milliseconds per ``scaffold_align`` call on the template graph (so
+preparing the template is counted) and embeddings per call. Exits 1 if
 any list or alignment differs, so it can serve as a check:
 
     python3 scripts/benchmark_substructure.py --trials 50
@@ -18,6 +25,7 @@ any list or alignment differs, so it can serve as a check:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import logging
 import random
@@ -37,10 +45,13 @@ from oracles import (
 
 from rxnscope import substructure
 from rxnscope.molgraph import graph_from_json
-from rxnscope.substructure import MatchError, find_matches, scaffold_align
+from rxnscope.smiles import parse_smiles
+from rxnscope.substructure import MatchError, Pattern, find_matches, scaffold_align
 
 FIG2 = ROOT / "fixtures" / "fig2"
 FIG2_REPEATS = 20
+SYMMETRIC_REPEATS = 5
+BIS_CF3_PHENYL = "c1cc(C(F)(F)F)cc(C(F)(F)F)c1"
 
 
 def _best_ms_per_call(call, args: list, repeats: int) -> float:
@@ -51,6 +62,44 @@ def _best_ms_per_call(call, args: list, repeats: int) -> float:
             call(arg)
         best = min(best, time.perf_counter() - start)
     return 1000 * best / len(args)
+
+
+def _embeddings_per_call(call, args: list) -> float:
+    """Mean embeddings the matcher's searches return per ``call(arg)``."""
+    real = substructure._embeddings
+    found = 0
+
+    def counted(*search_args):
+        nonlocal found
+        out = real(*search_args)
+        found += len(out)
+        return out
+
+    substructure._embeddings = counted
+    try:
+        for arg in args:
+            call(arg)
+    finally:
+        substructure._embeddings = real
+    return found / len(args)
+
+
+def _catalyst(label: str) -> str:
+    spec = importlib.util.spec_from_file_location("make_fig2_bundle", ROOT / "scripts" / "make_fig2_bundle.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return dict(script.CATALYSTS)[label]
+
+
+def symmetric_templates() -> list[tuple[str, object, object]]:
+    """(name, template, variant) for the two templates with many symmetric groups."""
+    b27 = _catalyst("B27")
+    assert b27.endswith("N1C")
+    tris = f"OC({BIS_CF3_PHENYL})({BIS_CF3_PHENYL}){BIS_CF3_PHENYL}"
+    return [
+        ("B27-like", parse_smiles(b27[:-1] + "[R]"), parse_smiles(b27)),
+        ("tris-aryl", parse_smiles("[R]" + tris), parse_smiles("C" + tris)),
+    ]
 
 
 def _outcome(align, template, variant):
@@ -69,8 +118,10 @@ def fig2_alignment() -> bool:
         for entry in json.loads((FIG2 / "molecules.json").read_text())
     ]
     aligned = [v for v in variants if find_matches(template, v)]
-    match_ms = _best_ms_per_call(lambda v: find_matches(template, v), variants, FIG2_REPEATS)
-    align_ms = _best_ms_per_call(lambda v: scaffold_align(template, v), aligned, FIG2_REPEATS)
+    prepared = Pattern(template)
+    prepare_ms = _best_ms_per_call(lambda g: Pattern(g).symmetry, [template], FIG2_REPEATS)
+    match_ms = _best_ms_per_call(lambda v: find_matches(prepared, v), variants, FIG2_REPEATS)
+    align_ms = _best_ms_per_call(lambda v: scaffold_align(prepared, v), aligned, FIG2_REPEATS)
 
     real = substructure.atoms_compatible
     calls = 0
@@ -94,7 +145,17 @@ def fig2_alignment() -> bool:
     print(f"\nfig2 product template on {len(variants)} molecules.json graphs ({len(aligned)} align)")
     print(f"{'find_matches (ms/call)':>28} {match_ms:>8.3f}")
     print(f"{'scaffold_align (ms/call)':>28} {align_ms:>8.3f}")
+    print(f"{'template prepare (ms/call)':>28} {prepare_ms:>8.3f}")
     print(f"{'atoms_compatible per match':>28} {calls / len(variants):>8.1f}")
+    per_match = _embeddings_per_call(lambda v: find_matches(prepared, v), aligned)
+    per_align = _embeddings_per_call(lambda v: scaffold_align(prepared, v), aligned)
+    print(f"{'embeddings per match':>28} {per_match:>8.1f}")
+    print(f"{'embeddings per align':>28} {per_align:>8.1f}")
+    for name, symmetric, variant in symmetric_templates():
+        ms = _best_ms_per_call(lambda v: scaffold_align(symmetric, v), [variant], SYMMETRIC_REPEATS)
+        found = _embeddings_per_call(lambda v: scaffold_align(symmetric, v), [variant])
+        print(f"{name + ' (ms/align)':>28} {ms:>8.3f}")
+        print(f"{name + ' embeddings/align':>28} {found:>8.1f}")
     print(f"{'oracle mismatches':>28} {mismatches:>8}")
     return mismatches == 0
 

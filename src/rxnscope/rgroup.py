@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
@@ -22,7 +23,7 @@ from .molgraph import (
     renumber_chiral,
 )
 from .smiles import canonicalize, parse_smiles, write_smiles
-from .substructure import scaffold_align
+from .substructure import Pattern, scaffold_align
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +42,13 @@ TEMPLATE_SPEC = {Required("reactants"): [str], Required("products"): [str]}
 
 @dataclass(frozen=True)
 class ReactionTemplate:
+    """Reactant and product template graphs, and what every variant reuses.
+
+    The first product template prepared for alignment and the text of each
+    placeholder-free reactant template are built on first use and kept, so
+    a template read once serves all of its variants.
+    """
+
     reactant_templates: tuple[MolecularGraph, ...]
     product_templates: tuple[MolecularGraph, ...]
 
@@ -53,6 +61,19 @@ class ReactionTemplate:
         """Parse a ``TEMPLATE_SPEC`` of SMILES."""
         check_shape(spec, TEMPLATE_SPEC, "template spec", GraphError)
         return cls(*(tuple(map(parse_smiles, spec[key])) for key in ("reactants", "products")))
+
+    @cached_property
+    def product_pattern(self) -> Pattern:
+        """The first product template, prepared for :func:`scaffold_align`."""
+        return Pattern(self.product_templates[0])
+
+    @cached_property
+    def reactant_texts(self) -> tuple[Optional[str], ...]:
+        """Per reactant template, its text when no placeholder is in it, else None."""
+        return tuple(
+            None if g.placeholder_indices() else write_smiles(main_component(g))
+            for g in self.reactant_templates
+        )
 
 
 def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> MolecularGraph:
@@ -135,17 +156,19 @@ def expand_abbreviations(
 
 
 def extract_rgroup_fragments(
-    product_template: MolecularGraph, product_variant: MolecularGraph
+    product_template: Union[MolecularGraph, Pattern], product_variant: MolecularGraph
 ) -> dict[str, Fragment]:
     """Recover the fragment bound to each template placeholder.
 
-    Aligns the template onto the variant and cuts out, per placeholder,
-    the substituent subgraph hanging off its mapped atom.
+    Aligns the template (a graph or a prepared :class:`Pattern`) onto the
+    variant and cuts out, per placeholder, the substituent subgraph
+    hanging off its mapped atom.
     """
-    mapping, roots = scaffold_align(product_template, product_variant)
+    pattern = Pattern.of(product_template)
+    mapping, roots = scaffold_align(pattern, product_variant)
     bindings: dict[str, Fragment] = {}
     for p, root_atoms in roots.items():
-        label = product_template.atoms[p].label
+        label = pattern.graph.atoms[p].label
         fragment = Fragment.cut(product_variant, root_atoms, mapping[p])
         if label in bindings:
             if canonicalize(bindings[label].graph) != canonicalize(fragment.graph):
@@ -179,9 +202,11 @@ def reconstruct_reactants(
         raise MissingBindingError(missing)
     registry = registry if registry is not None else AliasRegistry()
     out: list[str] = []
-    for g in template.reactant_templates:
-        spliced = substitute_placeholders(g, assignment, table, registry)
-        out.append(write_smiles(main_component(spliced)))
+    for g, text in zip(template.reactant_templates, template.reactant_texts):
+        if text is None:
+            spliced = substitute_placeholders(g, assignment, table, registry)
+            text = write_smiles(main_component(spliced))
+        out.append(text)
     return out
 
 
@@ -195,6 +220,6 @@ def reconstruct_variant(
     The bindings are read off the first product template and written as
     SMILES, sorted by label.
     """
-    bindings = extract_rgroup_fragments(template.product_templates[0], variant)
+    bindings = extract_rgroup_fragments(template.product_pattern, variant)
     reactants = reconstruct_reactants(template, bindings, registry=registry)
     return reactants, {label: write_smiles(frag.graph) for label, frag in sorted(bindings.items())}

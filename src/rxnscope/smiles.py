@@ -17,7 +17,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .molgraph import (
     AROMATIC_SYMBOLS,
@@ -469,23 +469,18 @@ def _parse(text: str) -> MolecularGraph:
         raise SmilesParseError("empty SMILES string", 0)
     parser = _Parser(stripped, start)
     recs, bonds = parser.parse()
-    g = MolecularGraph(atoms=tuple(rec.token for rec in recs), bonds=tuple(bonds))
-    g = _perceive_aromaticity(g)
+    # Chiral neighbour orders are the appearance slots, every ring closed,
+    # resolved before the graph is built so that it is built once.
+    atoms = [rec.token for rec in recs]
+    for i, rec in enumerate(recs):
+        if rec.token.chiral is not None and len(rec.slots) < 3:
+            atoms[i] = replace(rec.token, chiral=None)
+        elif rec.token.chiral is not None:
+            atoms[i] = replace(rec.token, chiral_order=tuple(rec.slots))
+    g = _perceive_aromaticity(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)))
     _check_aromatic_rings(g, recs)
     _check_direction_consistency(g, recs)
-    if all(atom.chiral is None for atom in g.atoms):
-        return g
-    # Resolve chiral neighbor orders from appearance slots.
-    final_atoms: list[AtomToken] = []
-    for atom, rec in zip(g.atoms, recs):
-        if atom.chiral is not None:
-            slots = tuple(s for s in rec.slots if not isinstance(s, tuple))
-            if len(slots) < 3:
-                atom = replace(atom, chiral=None)
-            else:
-                atom = replace(atom, chiral_order=slots)
-        final_atoms.append(atom)
-    return replace(g, atoms=tuple(final_atoms))
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +550,7 @@ def _atom_text(atom: AtomToken, tag: Optional[str]) -> str:
     if atom.kind == "abbreviation":
         return f"[{atom.text}]"
     if atom.kind == "wildcard":
-        if atom.isotope is not None:
-            return f"[{atom.isotope}*]"
-        return "*"
+        return "*" if atom.charge == 0 and atom.isotope is None else _atom_bracket(atom, None)
     sym = atom.text.lower() if atom.aromatic else atom.text
     plain = tag is None and atom.charge == 0 and atom.isotope is None and atom.explicit_h is None
     return sym if plain and sym in PLAIN_ATOMS else _atom_bracket(atom, tag)
@@ -865,10 +858,10 @@ class _CanonicalSearch:
     candidate.
     """
 
-    def __init__(self, g: MolecularGraph, budget: list[int]):
+    def __init__(self, g: MolecularGraph, budget: list[int], keys: Optional[list[tuple]] = None):
         self.g = g
         self.budget = budget
-        self.keys = _initial_keys(g)
+        self.keys = _initial_keys(g) if keys is None else keys
         self.mates = _mate_pairs(g)
         self.twin = _twin_classes(g, self.keys)
         self.first: Optional[tuple[str, list[int], list[int]]] = None  # text, emitted, path
@@ -944,6 +937,41 @@ class _CanonicalSearch:
                 best = result
         assert best is not None
         return best
+
+
+def automorphism_generators(g: MolecularGraph, fixed: Iterable[int] = ()) -> list[list[int]]:
+    """Atom permutations that generate the automorphisms of ``g`` fixing ``fixed``.
+
+    An automorphism keeps every atom key and bond order. Per false-twin
+    class ``a1 < a2 < ...`` (:func:`_twin_classes`) the generators hold
+    ``(a1 a2)``, ``(a2 a3)``, ...; consecutive pairs keep the class's
+    symmetric group generated by those that fix its first atoms, which a
+    chain of stabilizers needs. The rest are the automorphisms that a
+    canonical search keeps when each atom of ``fixed`` has a key of its
+    own and the k-th atom of each twin class the mark k: composed with
+    twin swaps, every automorphism keeps those marks, and the search
+    never branches on a twin. The group itself is never listed: a
+    tris(3,5-bis-CF3-phenyl)methanol has 2,239,488 automorphisms.
+    """
+    keys = _initial_keys(g)
+    for i in fixed:
+        keys[i] += (1, i)
+    classes: dict[int, list[int]] = {}
+    for i, first in enumerate(_twin_classes(g, keys)):
+        classes.setdefault(first, []).append(i)
+    swaps = []
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        for k, i in enumerate(members):
+            keys[i] += (0, k)
+        for a, b in zip(members, members[1:]):
+            perm = list(range(len(g.atoms)))
+            perm[a], perm[b] = b, a
+            swaps.append(perm)
+    search = _CanonicalSearch(g, [CANONICAL_NODE_BUDGET], keys)
+    search.smallest(_refine(search.mates, keys), [])
+    return search.autos + swaps
 
 
 def _preserves_keys_and_bonds(g: MolecularGraph, keys: list[tuple], perm: list[int]) -> bool:

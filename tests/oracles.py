@@ -272,9 +272,7 @@ def _atom_text(atom: AtomToken, tag: Optional[str]) -> str:
     if atom.kind == "abbreviation":
         return f"[{atom.text}]"
     if atom.kind == "wildcard":
-        if atom.isotope is not None:
-            return f"[{atom.isotope}*]"
-        return "*"
+        return "*" if atom.charge == 0 and atom.isotope is None else _atom_bracket(atom, None)
     need_bracket = (
         tag is not None
         or atom.charge != 0

@@ -57,6 +57,12 @@ def test_substructure_benchmark_agrees_with_brute_force(tmp_path):
     rows = [line.split() for line in table.splitlines()[1:]]
     assert [(row[0], row[-1]) for row in rows] == [("6", "0"), ("8", "0")]
     assert fig2.splitlines()[-1].split() == ["oracle", "mismatches", "0"]
+    rows = {line.rsplit(None, 1)[0].strip(): line.split()[-1] for line in fig2.splitlines()[1:]}
+    # One embedding per template symmetry class: the tolyl flip and sulfonyl
+    # swap leave fig2 2 of 8; B27-like and tris-aryl templates keep 1.
+    assert (rows["embeddings per match"], rows["embeddings per align"]) == ("8.0", "2.0")
+    assert rows["B27-like embeddings/align"] == rows["tris-aryl embeddings/align"] == "1.0"
+    assert float(rows["B27-like (ms/align)"]) < 500 and float(rows["tris-aryl (ms/align)"]) < 500
 
 
 def test_parse_benchmark_agrees_with_the_perception_oracle(tmp_path):

@@ -80,6 +80,18 @@ class TestParseScope:
 
 
 class TestParse:
+    def test_chiral_parse_builds_one_graph(self, monkeypatch):
+        built = []
+        real = MolecularGraph.__post_init__
+        monkeypatch.setattr(MolecularGraph, "__post_init__", lambda g: built.append(g) or real(g))
+        g = smiles._parse("C[C@H](N)O")
+        assert len(built) == 1 and built[0] is g
+        assert (g.atoms[1].chiral, g.atoms[1].chiral_order) == ("@", (0, -1, 2, 3))
+        built.clear()
+        ring = smiles._parse("[C@@H]1(F)CC1")
+        assert len(built) == 1
+        assert (ring.atoms[0].chiral, ring.atoms[0].chiral_order) == ("@@", (-1, 3, 1, 2))
+
     def test_ethanol_shape(self):
         g = parse_smiles("CCO")
         assert len(g.atoms) == 3
@@ -302,6 +314,17 @@ class TestWrite:
     def test_wildcard_isotope_alias(self):
         g = parse_smiles("[13*]")
         assert write_smiles(g) == "[13*]"
+
+    @pytest.mark.parametrize("text", ["[*+]", "[*-2]", "[13*+]"])
+    def test_charged_wildcard_round_trips(self, text):
+        g = parse_smiles(text)
+        assert write_smiles(g) == text
+        assert parse_smiles(write_smiles(g)) == g
+        assert canonicalize(text) == text
+
+    def test_wildcard_charge_keeps_canonical_forms_apart(self):
+        forms = [canonicalize(t) for t in ("*", "[*+]", "[*-]", "[*-2]", "[13*]", "[13*+]", "C[*+]", "C*")]
+        assert len(set(forms)) == len(forms)
 
     def test_writer_equals_its_reference(self, fig2_bundle):
         # Text and write order match the writer as it was before its

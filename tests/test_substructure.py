@@ -5,6 +5,7 @@ import json
 import logging
 import random
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -307,6 +308,24 @@ def respliced(template, assignment, registry=None) -> MolecularGraph:
     return parse_smiles(write_smiles(substitute_placeholders(template, assignment, TABLE, registry)))
 
 
+# Scaffolds with symmetric groups: a 4-CF3-aryl, a tBu, a 3,5-bis-CF3-aryl,
+# a sulfonyl, two same-label placeholders, and pairs of CF3 and tBu groups.
+SYMMETRIC_TEMPLATES = [
+    "[R]c1ccc(C(F)(F)F)cc1",
+    "[Ar]C(=O)C(C)(C)C",
+    "[R]C(=O)c1cc(C(F)(F)F)cc(C(F)(F)F)c1",
+    "[R]S(=O)(=O)c1ccc(C)cc1",
+    "[R]c1ccc([R])cc1",
+    "[Ar]C(O)(C(F)(F)F)C(F)(F)F",
+    "CC(C)(C)c1cc([R])cc(C(C)(C)C)c1",
+]
+# Substituents that repeat the scaffolds' symmetric groups.
+SYMMETRIC_POOL = [
+    "Me", "Et", "iPr", "tBu", "CF3", "Ph", "Ts", "Ms", "OMe",
+    "4-CF3C6H4", "3,5-(CF3)2C6H3", "4-tBuC6H4", "4-MeC6H4", "C(CF3)3",
+]
+
+
 @functools.cache
 def alignment_cases() -> dict[str, list[tuple[MolecularGraph, MolecularGraph]]]:
     template = fig2_product_template()
@@ -323,10 +342,18 @@ def alignment_cases() -> dict[str, list[tuple[MolecularGraph, MolecularGraph]]]:
         for _ in range(6):
             assignment = {label: rng.choice(DIGEST_POOL) for label in labels}
             digest_scaffolds.append((g, respliced(g, assignment, AliasRegistry())))
+    symmetric = []
+    for scaffold in SYMMETRIC_TEMPLATES:
+        g = parse_smiles(scaffold)
+        labels = sorted({g.atoms[i].label for i in g.placeholder_indices()})
+        for _ in range(8):
+            assignment = {label: rng.choice(SYMMETRIC_POOL) for label in labels}
+            symmetric.append((g, respliced(g, assignment)))
     return {
         "fig2": [(template, variant) for variant in fig2_variants()],
         "seeded": seeded,
         "digest_scaffolds": digest_scaffolds,
+        "symmetric": symmetric,
     }
 
 
@@ -363,6 +390,28 @@ class TestAlignmentOracle:
         assert len(matched) >= len(cases) // 2
         assert any(warnings for _, _, warnings in matched)
 
+    def test_symmetric_family_equals_scoring_every_embedding(self, caplog, monkeypatch):
+        # One embedding per orbit of the template automorphisms that fix
+        # the placeholders: the orbits are free, so each holds as many
+        # embeddings as that group has elements.
+        enumerated = spy_embeddings(monkeypatch)
+        fewer = 0
+        with caplog.at_level(logging.WARNING, logger="rxnscope.substructure"):
+            for template, variant in alignment_cases()["symmetric"]:
+                want = reference_aligned(template, variant)
+                every = find_matches(template, variant)
+                placeholders = template.placeholder_indices()
+                group = [
+                    m for m in find_matches(template, template) if all(m[p] == p for p in placeholders)
+                ]
+                enumerated.clear()
+                got = aligned(template, variant, caplog)
+                assert got == want is not None, write_smiles(variant)
+                (count,) = enumerated
+                assert count * len(group) == len(every), write_smiles(variant)
+                fewer += count < len(every)
+        assert fewer == len(alignment_cases()["symmetric"])
+
     def test_alignment_digest_is_pinned(self):
         assert alignment_digest() == (
             "600253ec2ff5163a70aaa505f0e7864148bae35e4ad920e9faa745c027b85ed8"
@@ -392,6 +441,20 @@ def alignment_digest() -> str:
 FIG2_COMPATIBILITY_BOUND = 120
 
 
+def spy_embeddings(monkeypatch) -> list[int]:
+    """A list that receives the number of embeddings each search returns."""
+    counts: list[int] = []
+    real = substructure._embeddings
+
+    def counted(*args):
+        found = real(*args)
+        counts.append(len(found))
+        return found
+
+    monkeypatch.setattr(substructure, "_embeddings", counted)
+    return counts
+
+
 def test_fig2_alignment_work_is_bounded(monkeypatch):
     calls = Counter()
 
@@ -406,6 +469,7 @@ def test_fig2_alignment_work_is_bounded(monkeypatch):
 
     counted("atoms_compatible")
     counted("_fragment_atoms")
+    enumerated = spy_embeddings(monkeypatch)
     template = fig2_product_template()
     placeholders = template.placeholder_indices()
     aligned_variants = 0
@@ -416,9 +480,40 @@ def test_fig2_alignment_work_is_bounded(monkeypatch):
         if not matches:
             continue
         placements = {(tuple(m[p] for p in placeholders), frozenset(m.values())) for m in matches}
-        assert len(placements) < len(matches)
+        # The tolyl flip and the sulfonyl oxygen swap make 8 embeddings of
+        # 2 placements; the search keeps one embedding per placement.
+        assert (len(matches), len(placements)) == (8, 2)
         calls.clear()
+        enumerated.clear()
         scaffold_align(template, variant)
+        assert enumerated == [len(placements)]
         assert calls["_fragment_atoms"] == len(placements) + 1
         aligned_variants += 1
     assert aligned_variants == 7
+
+
+def b27_like() -> tuple[MolecularGraph, MolecularGraph]:
+    """The fig2 catalyst B27, and B27 with its N-methyl as a placeholder."""
+    path = REPO / "scripts" / "make_fig2_bundle.py"
+    spec = importlib.util.spec_from_file_location("make_fig2_bundle", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    b27 = dict(script.CATALYSTS)["B27"]
+    assert b27.endswith("N1C")
+    return parse_smiles(b27[:-1] + "[R]"), parse_smiles(b27)
+
+
+def test_b27_like_template_aligns_in_bounded_time(monkeypatch):
+    # Two 3,5-bis-CF3-phenyl groups give the template 10,368 embeddings in
+    # B27, all one orbit of its placeholder-fixing automorphisms.
+    template, variant = b27_like()
+    enumerated = spy_embeddings(monkeypatch)
+    start = time.process_time()
+    mapping, fragments = scaffold_align(template, variant)
+    assert time.process_time() - start < 0.5
+    assert enumerated == [1]
+    ((p, atoms),) = fragments.items()
+    assert template.atoms[p].label == "R"
+    assert [variant.atoms[t].text for t in atoms] == ["C"] and atoms == [mapping[p]]
+    # Every embedding scores alike, so the first of them all is the one kept.
+    assert mapping == find_matches(template, variant)[0]
