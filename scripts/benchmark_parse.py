@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark SMILES parsing and writing, and check both against their oracles.
 
-Prints microseconds per ``parse_smiles`` call (min of repeats, outside a
-parse scope, so every call parses afresh) on the fig2 ``golden.json``
+Prints microseconds per ``parse_smiles`` call (min of repeats; every
+call parses afresh) on the fig2 ``golden.json``
 texts and on the texts written from the fig2 ``molecules.json`` graphs;
 microseconds per ``graph_from_json`` call on those graphs and per
 ``write_smiles`` call on them (for ``golden.json``, on the parsed

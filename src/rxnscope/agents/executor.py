@@ -17,7 +17,7 @@ import logging
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from ..jsonshape import check_shape
 from ..molgraph import MolecularGraph, RxnscopeError, main_component
@@ -32,8 +32,8 @@ from ..reaction import (
     table_row_to_json,
     validate_record,
 )
-from ..rgroup import Binding, substitute_placeholders
-from ..smiles import SmilesParseError, parse_scope, parse_smiles
+from ..rgroup import Binding, bind_placeholders
+from ..smiles import SmilesParseError
 from ..chemops import AbbreviationTable
 from .backend import BackendError, ScriptedBackend
 from .bundle import Bundle, DescriptorError, InputDescriptor
@@ -90,17 +90,21 @@ class _TraceLogHandler(logging.Handler):
 logging.getLogger("rxnscope").addHandler(_TraceLogHandler(logging.WARNING))
 
 
-def _summary(value: Any) -> Any:
-    """``value`` as trace JSON: a graph as its atom and bond counts.
+# How a run writes each of its value types as JSON.
+_JSON_OF: dict[type, Callable[[Any], Any]] = {
+    MolecularGraph: lambda g: {"atoms": len(g.atoms), "bonds": len(g.bonds)},
+    MoleculeEntry: lambda e: e.smiles,
+    ConditionItem: condition_to_json,
+    RGroupTableRow: table_row_to_json,
+}
 
-    The one place a run turns tool values into JSON.
-    """
-    if isinstance(value, MolecularGraph):
-        return {"atoms": len(value.atoms), "bonds": len(value.bonds)}
-    if isinstance(value, ConditionItem):
-        return condition_to_json(value)
-    if isinstance(value, RGroupTableRow):
-        return table_row_to_json(value)
+
+def _summary(value: Any) -> Any:
+    """``value`` as JSON, a graph as its atom and bond counts: the one place
+    a run turns its values into JSON (the trace, a document's molecules)."""
+    json_of = _JSON_OF.get(type(value))
+    if json_of is not None:
+        return json_of(value)
     if isinstance(value, dict):
         return {key: _summary(v) for key, v in value.items()}
     if isinstance(value, list):
@@ -122,6 +126,10 @@ class _Run:
         self.failed: set[str] = set()
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
+        # The entry of each text the run made, so that a text made twice (a
+        # template's starting material is drawn too; a placeholder-free
+        # reactant is written for every variant) is parsed once.
+        self.entries: dict[str, MoleculeEntry] = {}
 
     def invoke(self, tool: str, request: dict) -> dict:
         """Call ``tool`` once and trace it, each graph as its atom and bond counts.
@@ -140,6 +148,20 @@ class _Run:
         self.trace.append(entry)
         return response
 
+    def entry(self, text: str, label: Optional[str] = None) -> Union[MoleculeEntry, str]:
+        """The entry of a text this run made, under ``label``; a text that
+        does not parse comes back as it is, for the observer to name."""
+        if text not in self.entries:
+            try:
+                self.entries[text] = MoleculeEntry(text, label)
+            except SmilesParseError:
+                return text
+        return self.entries[text].with_label(label)
+
+    def write(self, graph: MolecularGraph, label: Optional[str] = None):
+        """The entry of ``graph`` as the ``graph2smiles`` tool writes it."""
+        return self.entry(self.invoke("graph2smiles", {"graph": graph})["smiles"], label)
+
 
 # ---------------------------------------------------------------------------
 # Step functions
@@ -150,108 +172,88 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
     resp = run.invoke("rxn_img_parser", {})
     formulas = resp.get("rgroup_formulas", {})
     # Each formula is read once. One that reads as nothing stays a string,
-    # which ``substitute_placeholders`` turns into an alias wildcard.
+    # which ``bind_placeholders`` turns into an alias wildcard.
     table = AbbreviationTable.default()
     bindings = {label: table.read(text) or text for label, text in formulas.items()}
 
-    def to_smiles(graphs: list[MolecularGraph]) -> list[str]:
+    def entries(side: str) -> list:
+        labels = resp.get(f"{side}_labels", [])
         out = []
-        for g in graphs:
-            if bindings:
-                g = substitute_placeholders(g, bindings, registry=run.ctx.aliases)
-            smi = run.invoke("graph2smiles", {"graph": g})["smiles"]
-            out.append(smi)
+        for i, g in enumerate(resp.get(f"{side}_templates", [])):
+            g = bind_placeholders(g, bindings, run.ctx.aliases)
+            out.append(run.write(g, labels[i] if i < len(labels) else None))
         return out
 
-    reactants = to_smiles(resp.get("reactant_templates", []))
-    products = to_smiles(resp.get("product_templates", []))
+    reactants = entries("reactant")
+    products = entries("product")
     for label, formula in sorted(formulas.items()):
         if formula in run.ctx.aliases.items():
             log.warning(
                 "template formula %s = %r is no known token or formula; it became a wildcard",
                 label, formula,
             )
-    template = {
-        "reactants": reactants,
-        "products": products,
-        "reactant_labels": list(resp.get("reactant_labels", [])),
-        "product_labels": list(resp.get("product_labels", [])),
-    }
+    template = {"reactants": reactants, "products": products}
     run.memory.update(template=template, condition_text=resp.get("condition_text", ""))
     return {"smiles": reactants + products}
 
 
 def _step_molecular_recognition(run: _Run) -> dict:
     boxes = run.invoke("mol_detector", {})["boxes"]
-    raw = run.invoke("image2graph", {})["molecules"]
     molecules: list[dict] = []
-    emitted: list[str] = []
-    for entry in raw:
-        if "graph" in entry:
-            smi = run.invoke("graph2smiles", {"graph": entry["graph"]})["smiles"]
+    for drawn in run.invoke("image2graph", {})["molecules"]:
+        if "graph" in drawn:
+            text = run.invoke("graph2smiles", {"graph": drawn["graph"]})["smiles"]
         else:
-            smi = entry["smiles"]
+            text = drawn["smiles"]
         molecules.append(
-            {
-                "label": entry.get("label"),
-                "smiles": smi,
-                "annotations": list(entry.get("annotations", [])),
-            }
+            {"label": drawn.get("label"), "smiles": text, "annotations": list(drawn.get("annotations", []))}
         )
-        emitted.append(smi)
+    # The texts are parsed once the drawn graphs are dropped: parsing while
+    # they were held ran the collector a fifth more often, 4 % of the time
+    # of a structure_scope op.
+    for m in molecules:
+        m["smiles"] = run.entry(m["smiles"], m["label"])
     run.memory["molecules"] = molecules
     return {
-        "smiles": emitted,
+        "smiles": [m["smiles"] for m in molecules],
         "molecule_count": len(molecules),
         "box_count": len(boxes),
     }
 
 
-def _is_concrete(smiles: str) -> bool:
-    """Whether ``smiles`` parses to a molecule with no placeholder atom."""
-    try:
-        return not parse_smiles(smiles).placeholder_indices()
-    except SmilesParseError:
-        return False
-
-
 def _step_structure_rgroup(run: _Run) -> dict:
-    template = run.memory["template"]
     variants = [
-        {"smiles": m["smiles"], "label": m.get("label")}
+        {"smiles": m["smiles"], "label": m["label"]}
         for m in run.memory["molecules"]
-        if _is_concrete(m["smiles"])
+        if not m["smiles"].graph.placeholder_indices()
     ]
     resp = run.invoke(
-        "smiles_reconstructor",
-        {
-            "template": {
-                "reactants": template["reactants"],
-                "products": template["products"],
-            },
-            "variants": variants,
-        },
+        "smiles_reconstructor", {"template": run.memory["template"], "variants": variants}
     )
-    run.memory["variant_reactions"] = resp["variant_reactions"]
-    return {"smiles": [s for vr in resp["variant_reactions"] for s in vr["reactants"]]}
+    variant_reactions = [
+        {**vr, "reactants": [run.entry(text) for text in vr["reactants"]]}
+        for vr in resp["variant_reactions"]
+    ]
+    run.memory["variant_reactions"] = variant_reactions
+    return {"smiles": [e for vr in variant_reactions for e in vr["reactants"]]}
 
 
 def _step_text_rgroup(run: _Run) -> dict:
     template = run.memory["template"]
+    if not template["products"]:
+        raise _StepFailure("the template has no product")
     rows = run.invoke("table_parser", {})["rows"]
     table = AbbreviationTable.default()
     vocabulary = table.tokens()
-    reactant_graphs = [parse_smiles(s) for s in template["reactants"]]
-    product_graphs = [parse_smiles(s) for s in template["products"]]
 
     @cache
     def read_cell(token: str) -> Binding:
         """The cell's fragment, or the token itself if nothing reads it.
 
         Each distinct token is read once per step. A token that reads as
-        nothing goes to the backend once; its answer is read the same way.
-        A token left as a string becomes an alias wildcard when
-        ``substitute_placeholders`` splices it.
+        nothing goes to the backend once; an answer other than the token is
+        read the same way. A token left as a string becomes an alias
+        wildcard when ``bind_placeholders`` splices it.
         """
         fragment = table.read(token)
         if fragment is not None:
@@ -263,7 +265,7 @@ def _step_text_rgroup(run: _Run) -> dict:
         except BackendError as exc:
             raise _StepFailure(str(exc)) from None
         check_shape(answer, TOKEN_CORRECTION_ANSWER, "token_correction answer", _StepFailure)
-        fragment = table.read(answer["token"])
+        fragment = table.read(answer["token"]) if answer["token"] != token else None
         if fragment is not None:
             return fragment
         log.warning(
@@ -273,29 +275,27 @@ def _step_text_rgroup(run: _Run) -> dict:
         )
         return token
 
+    def instantiate(templates: list, values: dict, label: Optional[str] = None) -> list:
+        return [
+            run.write(main_component(bind_placeholders(t.graph, values, run.ctx.aliases)), label)
+            for t in templates
+        ]
+
     variant_reactions: list[dict] = []
     variant_conditions: dict[str, list[ConditionItem]] = {}
-    emitted: list[str] = []
+    emitted: list = []
     for row in rows:
         values = {label: read_cell(cell) for label, cell in sorted(row.values.items())}
         metadata = row.metadata
         label = metadata.get("product")
-
-        def instantiate(graphs: list) -> list[str]:
-            out = []
-            for g in graphs:
-                spliced = substitute_placeholders(g, values, table, run.ctx.aliases)
-                out.append(run.invoke("graph2smiles", {"graph": main_component(spliced)})["smiles"])
-            return out
-
-        reactants = instantiate(reactant_graphs)
-        products = instantiate(product_graphs)
+        reactants = instantiate(template["reactants"], values)
+        products = instantiate(template["products"], values, label)
         emitted.extend(reactants + products)
         variant_reactions.append(
             {
                 "label": label,
                 "reactants": reactants,
-                "product": products[0] if products else None,
+                "product": products[0],
             }
         )
         if label:
@@ -313,13 +313,13 @@ def _step_condition_interpretation(run: _Run) -> dict:
     variant_annotations: dict[str, list[str]] = {}
     molecule_smiles: dict[str, str] = {}
     for m in run.memory.get("molecules", []):
-        label = m.get("label")
+        label = m["label"]
         if not label:
             continue
-        if m.get("annotations"):
+        if m["annotations"]:
             variant_annotations[label] = list(m["annotations"])
-        if _is_concrete(m["smiles"]):
-            molecule_smiles[label] = m["smiles"]
+        if not m["smiles"].graph.placeholder_indices():
+            molecule_smiles[label] = m["smiles"].smiles
     request: dict = {
         "text": run.memory["condition_text"],
         "variant_annotations": variant_annotations,
@@ -327,12 +327,10 @@ def _step_condition_interpretation(run: _Run) -> dict:
     }
     if "variant_conditions" in run.memory:
         request["direct_items"] = run.memory["variant_conditions"]
-    resp = run.invoke("condition_interpreter", request)
-    run.memory["conditions"] = resp
-    emitted = [item.smiles for item in resp.get("shared", []) if item.smiles is not None]
-    for items in resp.get("per_variant", {}).values():
-        emitted.extend(item.smiles for item in items if item.smiles is not None)
-    return {"smiles": emitted}
+    # A condition's SMILES is a recognized molecule's, checked when it was
+    # recognized, or a packaged solvent's: there is nothing to check here.
+    run.memory["conditions"] = run.invoke("condition_interpreter", request)
+    return {"smiles": []}
 
 
 def _step_text_extraction(run: _Run) -> dict:
@@ -358,22 +356,12 @@ def _step_data_structure(run: _Run) -> dict:
 
     records: list[ReactionRecord] = []
     if template.get("products"):
-        r_labels = template.get("reactant_labels", [])
-        p_labels = template.get("product_labels", [])
-        reactants = tuple(
-            MoleculeEntry(smiles=s, label=r_labels[i] if i < len(r_labels) else None)
-            for i, s in enumerate(template["reactants"])
-        )
-        products = tuple(
-            MoleculeEntry(smiles=s, label=p_labels[i] if i < len(p_labels) else None)
-            for i, s in enumerate(template["products"])
-        )
         records.append(
             ReactionRecord(
                 reaction_id="0_1",
-                reactants=reactants,
+                reactants=tuple(template["reactants"]),
                 conditions=tuple(shared_items),
-                products=products,
+                products=tuple(template["products"]),
             )
         )
 
@@ -383,10 +371,8 @@ def _step_data_structure(run: _Run) -> dict:
             base.append(
                 ReactionRecord(
                     reaction_id=f"{i}_1",
-                    reactants=tuple(MoleculeEntry(smiles=s) for s in vr["reactants"]),
-                    products=(
-                        MoleculeEntry(smiles=vr["product"], label=vr.get("label")),
-                    ),
+                    reactants=tuple(vr["reactants"]),
+                    products=(vr["product"],),
                 )
             )
         pv_conditions = {
@@ -412,7 +398,9 @@ def _step_data_structure(run: _Run) -> dict:
         for issue in validate_record(rec):
             problems.append(f"{rec.reaction_id}: {issue}")
 
-    document = encode_records(records, m.get("text_description", ""), m.get("molecules"))
+    # Only a document with no records lists the molecules.
+    molecules = None if records else _summary(m.get("molecules"))
+    document = encode_records(records, m.get("text_description", ""), molecules)
     run.memory.update(records=records, document=document)
     return {"smiles": [], "record_problems": problems}
 
@@ -431,19 +419,19 @@ STEP_FUNCS: dict[str, Callable[[_Run], dict]] = {
 def observe_step(kind: str, output: dict) -> tuple[bool, list[str]]:
     """Check a step's output; returns (passed, reasons).
 
-    Texts are parsed through ``parse_smiles``, so inside ``execute_plan``'s
-    parse scope a text the step already parsed is not parsed again. An
-    R-group step's texts must hold no placeholder.
+    A step hands on its molecules as entries, already parsed; a text among
+    them (one that did not parse, or a direct caller's) is parsed here. An
+    R-group step's molecules must hold no placeholder.
     """
     reasons = []
-    for smi in output.get("smiles", []):
+    for item in output.get("smiles", []):
         try:
-            g = parse_smiles(smi)
+            entry = item if isinstance(item, MoleculeEntry) else MoleculeEntry(item)
         except SmilesParseError as exc:
-            reasons.append(f"unparseable SMILES {smi!r}: {exc}")
+            reasons.append(f"unparseable SMILES {item!r}: {exc}")
             continue
-        if kind in ("structure_rgroup", "text_rgroup") and g.placeholder_indices():
-            reasons.append(f"placeholder residue in reconstruction {smi!r}")
+        if kind in ("structure_rgroup", "text_rgroup") and entry.graph.placeholder_indices():
+            reasons.append(f"placeholder residue in reconstruction {entry.smiles!r}")
     if kind == "molecular_recognition":
         expected = output.get("box_count")
         got = output.get("molecule_count")
@@ -462,8 +450,9 @@ def execute_plan(
 ) -> ExtractionResult:
     """Run an approved plan over the descriptor's bundle.
 
-    The whole run is one parse scope: a SMILES text that parses is parsed
-    once, however many steps, checks and tools read it again.
+    Each molecule text is parsed once, when the run gets it (a written
+    graph, a sidecar text, a reconstructed reactant); steps, checks and
+    tools then read the entry's graph.
     """
     registry = registry if registry is not None else default_registry()
     backend = backend if backend is not None else ScriptedBackend()
@@ -474,47 +463,46 @@ def execute_plan(
             + "; ".join(f"{i.kind}: {i.detail}" for i in issues),
             trace=(),
         )
-    with parse_scope():
-        bundle = (
-            Bundle(descriptor.bundle_path, descriptor)
-            if descriptor.bundle_path is not None
-            else None
-        )
-        run = _Run(bundle, registry, backend)
-        token = _run_trace.set(run.trace)
-        try:
-            for step in plan.steps:
-                missing = [i for i in step.inputs if i in run.failed]
-                if missing:
-                    run.trace.append(
-                        {"type": "degraded", "step": step.agent, "missing": missing}
-                    )
-                    run.failed.update(step.outputs)
-                    continue
-                run.current_step = step.agent
-                try:
-                    ok, reasons = observe_step(step.agent, STEP_FUNCS[step.agent](run))
-                except _StepFailure as exc:
-                    ok, reasons = False, [str(exc)]
+    bundle = (
+        Bundle(descriptor.bundle_path, descriptor)
+        if descriptor.bundle_path is not None
+        else None
+    )
+    run = _Run(bundle, registry, backend)
+    token = _run_trace.set(run.trace)
+    try:
+        for step in plan.steps:
+            missing = [i for i in step.inputs if i in run.failed]
+            if missing:
                 run.trace.append(
-                    {"type": "observer", "step": step.agent, "passed": ok, "reasons": reasons}
+                    {"type": "degraded", "step": step.agent, "missing": missing}
                 )
-                if not ok:
-                    run.trace.append({"type": "step_failed", "step": step.agent})
-                    run.failed.update(step.outputs)
-        finally:
-            _run_trace.reset(token)
-
-        m = run.memory
-        if "document" not in m:
-            failed = [e["step"] for e in run.trace if e["type"] == "step_failed"]
-            raise ExecutionError(
-                f"the run wrote no document; failed steps: {', '.join(failed)}",
-                tuple(run.trace),
+                run.failed.update(step.outputs)
+                continue
+            run.current_step = step.agent
+            try:
+                ok, reasons = observe_step(step.agent, STEP_FUNCS[step.agent](run))
+            except _StepFailure as exc:
+                ok, reasons = False, [str(exc)]
+            run.trace.append(
+                {"type": "observer", "step": step.agent, "passed": ok, "reasons": reasons}
             )
-        return ExtractionResult(
-            records=tuple(m.get("records", ())),
-            text_annotations=tuple(m.get("text_annotations", ())),
-            trace=tuple(run.trace),
-            document=m["document"],
+            if not ok:
+                run.trace.append({"type": "step_failed", "step": step.agent})
+                run.failed.update(step.outputs)
+    finally:
+        _run_trace.reset(token)
+
+    m = run.memory
+    if "document" not in m:
+        failed = [e["step"] for e in run.trace if e["type"] == "step_failed"]
+        raise ExecutionError(
+            f"the run wrote no document; failed steps: {', '.join(failed)}",
+            tuple(run.trace),
         )
+    return ExtractionResult(
+        records=tuple(m.get("records", ())),
+        text_annotations=tuple(m.get("text_annotations", ())),
+        trace=tuple(run.trace),
+        document=m["document"],
+    )

@@ -7,8 +7,9 @@ they hold into ``MolecularGraph`` values; a faulty sidecar or graph fails
 the step that read it with an error naming the file and field. Conversion
 tools (graph-to-SMILES, reactant reconstruction, table parsing, condition
 interpretation) run the real implementations from the chemistry modules
-and answer with graphs, ``RGroupTableRow``s and ``ConditionItem``s. JSON
-stays at the file edges: the sidecars, the CLI and the document.
+and answer with texts, ``RGroupTableRow``s and ``ConditionItem``s; a
+run hands molecules to them as ``MoleculeEntry``s. JSON stays at the file
+edges: the sidecars, the CLI and the document.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..chemops import AliasRegistry
+from ..jsonshape import Required, check_shape
 from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json
-from ..reaction import ConditionItem, TableParseError, classify_condition, parse_rgroup_table
+from ..reaction import ConditionItem, MoleculeEntry, TableParseError, classify_condition, parse_rgroup_table
 from ..rgroup import ReactionTemplate, expand_abbreviations, reconstruct_variant
-from ..smiles import parse_smiles, write_smiles
+from ..smiles import write_smiles
 from .bundle import Bundle
 
 
@@ -160,19 +162,28 @@ def _tool_table_parser(ctx: RunContext, request: dict) -> dict:
     return {"rows": rows}
 
 
+# The reconstructor's request: the template's entries and the variants'.
+_TEMPLATE_ENTRIES = {Required("reactants"): [MoleculeEntry], Required("products"): [MoleculeEntry]}
+_VARIANTS = [{Required("smiles"): MoleculeEntry, "label": (str, None)}]
+
+
 def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
+    spec = request.get("template")
     try:
-        template = ReactionTemplate.from_smiles(request.get("template"))
+        check_shape(spec, _TEMPLATE_ENTRIES, "template spec", GraphError)
+        template = ReactionTemplate(*(tuple(e.graph for e in spec[k]) for k in ("reactants", "products")))
     except RxnscopeError as exc:
         raise ToolError(f"bad template payload: {exc}") from None
+    variants = request.get("variants", [])
+    check_shape(variants, _VARIANTS, "variants", ToolError)
     variant_reactions: list[dict] = []
     skipped: list[str] = []
-    for variant in request.get("variants", []):
+    for variant in variants:
         label = variant.get("label")
         try:
-            reactants, bindings = reconstruct_variant(template, parse_smiles(variant["smiles"]), ctx.aliases)
+            reactants, bindings = reconstruct_variant(template, variant["smiles"].graph, ctx.aliases)
         except RxnscopeError:
-            skipped.append(label if label is not None else variant.get("smiles", "?"))
+            skipped.append(label if label is not None else variant["smiles"].smiles)
             continue
         variant_reactions.append(
             {

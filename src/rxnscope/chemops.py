@@ -118,6 +118,11 @@ class AliasRegistry:
             self._next += 1
         return self._aliases[token]
 
+    def wildcard(self, token: str) -> Fragment:
+        """A wildcard atom standing for ``token``: its isotope is the alias."""
+        atom = AtomToken(kind="wildcard", text="*", isotope=self.alias_for(token))
+        return Fragment(graph=MolecularGraph(atoms=(atom,)), attachment=0)
+
     def items(self) -> dict[str, int]:
         return dict(self._aliases)
 
@@ -332,10 +337,7 @@ def expand_abbreviation(
     fragment = table.read(token)
     if fragment is not None:
         return fragment
-    registry = registry if registry is not None else AliasRegistry()
-    alias = registry.alias_for(token)
-    atom = AtomToken(kind="wildcard", text="*", isotope=alias)
-    return Fragment(graph=MolecularGraph(atoms=(atom,)), attachment=0)
+    return (registry if registry is not None else AliasRegistry()).wildcard(token)
 
 
 # ---------------------------------------------------------------------------

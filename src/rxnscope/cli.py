@@ -76,7 +76,7 @@ def _cmd_substitute(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     spec = read_json(_read_text(args.template), TEMPLATE_SPEC, args.template, GraphError)
-    template = ReactionTemplate.from_smiles(spec)
+    template = ReactionTemplate(*(tuple(map(parse_smiles, spec[k])) for k in ("reactants", "products")))
     reactants, bindings = reconstruct_variant(template, parse_smiles(args.variant))
     _emit({"variant": args.variant, "bindings": bindings, "reactants": reactants})
     return 0

@@ -5,10 +5,11 @@ renumbering between systems never costs a match. The fingerprint is a
 hashed-linear-path scheme that hashes each path once, from its canonical
 direction; all comparisons are internal, so the exact construction
 matters only for self-consistency, and a golden test pins its bits.
-Record molecules arrive parsed (``MoleculeEntry.graph``), so scoring
-records parses nothing; ``evaluate`` shares one memo across its sections,
-so each distinct SMILES text is canonicalized, fingerprinted and checked
-once per call.
+Record molecules arrive parsed: each ``MoleculeEntry`` holds the graph
+its text was parsed to once, when ``decode_records`` or the run that
+wrote it made the entry, so scoring records parses nothing. ``evaluate``
+shares one memo across its sections, so each distinct SMILES text is
+canonicalized, fingerprinted and checked once per call.
 
 The path hash is FNV-1a, extended by one step text at a time through a
 table instead of a loop over the step's bytes. Split the state as

@@ -10,9 +10,9 @@ from functools import cache
 from importlib import resources
 from typing import Iterable, Optional
 
-from .jsonshape import Required, read_json
+from .jsonshape import Closed, Required, read_json
 from .molgraph import MolecularGraph, RxnscopeError, is_placeholder_label
-from .smiles import SmilesParseError, parse_scope, parse_smiles
+from .smiles import SmilesParseError, parse_smiles
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +29,9 @@ class TableParseError(RxnscopeError, ValueError):
 
 @dataclass(frozen=True)
 class ConditionItem:
+    """A reaction condition. ``decode_records`` checks that ``smiles`` parses;
+    a run's is a packaged solvent's or a recognized molecule's text."""
+
     role: str
     text: str
     smiles: Optional[str] = None
@@ -39,8 +42,6 @@ class ConditionItem:
             raise CodecError(f"unknown condition role {self.role!r}")
         if not self.text:
             raise CodecError("condition text must be non-empty")
-        if self.smiles is not None:
-            parse_smiles(self.smiles)
 
     def identity(self) -> tuple[str, str, Optional[str]]:
         return (self.role, self.text, self.label)
@@ -48,10 +49,12 @@ class ConditionItem:
 
 @dataclass(frozen=True)
 class MoleculeEntry:
-    """A record molecule: its SMILES text, label and the graph parsed from it.
+    """A molecule: its SMILES text, label and the graph parsed from it.
 
-    ``graph`` is parsed once, when the entry is made, and stays out of
-    equality, hashing and repr, which the text already decides.
+    An entry is made where its text is made (a run's written or read
+    texts, a document's texts) and handed on from there, so ``graph`` is
+    parsed once, when the entry is made. It stays out of equality,
+    hashing and repr, which the text already decides.
     """
 
     smiles: str
@@ -60,6 +63,14 @@ class MoleculeEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "graph", parse_smiles(self.smiles))
+
+    def with_label(self, label: Optional[str]) -> "MoleculeEntry":
+        """This entry under ``label``; the graph is kept, not parsed again."""
+        if label == self.label:
+            return self
+        entry = object.__new__(type(self))
+        entry.__dict__.update(vars(self), label=label)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -334,62 +345,64 @@ def encode_records(
 
 
 # A record document in ``jsonshape`` terms; a missing list reads as empty,
-# a missing description as "". A SMILES that does not parse, an unknown
-# role, an empty condition text and a repeated id are ``CodecError``s too.
-_MOLECULE = {Required("smiles"): str, "label": (str, None)}
-_CONDITION = {
-    Required("role"): str, Required("text"): str, "smiles": (str, None), "label": (str, None)
-}
-_RECORD = {
+# a missing description as "", and a key no shape lists is a ``CodecError``.
+# ``molecules`` is the list a document with no records holds instead; its
+# texts are not read. A SMILES that does not parse, an unknown role, an
+# empty condition text and a repeated id are ``CodecError``s too.
+_MOLECULE = Closed({Required("smiles"): str, "label": (str, None)})
+_CONDITION = Closed(
+    {Required("role"): str, Required("text"): str, "smiles": (str, None), "label": (str, None)}
+)
+_RECORD = Closed({
     Required("reaction_id"): str, "reactants": [_MOLECULE], "conditions": [_CONDITION],
     "products": [_MOLECULE], "additional_info": [str],
-}
-DOCUMENT = {"Text description": str, "reactions": [_RECORD]}
-
-
-def _molecule_from_json(obj: dict, path: str) -> MoleculeEntry:
-    try:
-        return MoleculeEntry(smiles=obj["smiles"], label=obj.get("label"))
-    except SmilesParseError as exc:
-        raise CodecError(f"{path}.smiles: {exc}") from None
-
-
-def _condition_from_json(obj: dict, path: str) -> ConditionItem:
-    if obj["role"] not in ROLES:
-        raise CodecError(f"{path}.role: unknown role {obj['role']!r}")
-    try:
-        return ConditionItem(
-            role=obj["role"], text=obj["text"], smiles=obj.get("smiles"), label=obj.get("label")
-        )
-    except ValueError as exc:
-        raise CodecError(f"{path}: {exc}") from None
-
-
-def _record_from_json(obj: dict, path: str) -> ReactionRecord:
-    def entries(key: str, read) -> tuple:
-        return tuple(read(e, f"{path}.{key}[{i}]") for i, e in enumerate(obj.get(key, [])))
-
-    return ReactionRecord(
-        reaction_id=obj["reaction_id"],
-        reactants=entries("reactants", _molecule_from_json),
-        conditions=entries("conditions", _condition_from_json),
-        products=entries("products", _molecule_from_json),
-        additional_info=tuple(obj.get("additional_info", [])),
-    )
+})
+DOCUMENT = Closed({"Text description": str, "reactions": [_RECORD], "molecules": [_MOLECULE]})
 
 
 def decode_records(text: str) -> tuple[list[ReactionRecord], str]:
     """Records and text description of a ``DOCUMENT``.
 
-    The records are built in one parse scope, so a molecule text repeated
-    in the document is parsed once.
+    Each distinct molecule text of the document is parsed once, and its
+    entries share the graph.
     """
     doc = read_json(text, DOCUMENT, "document", CodecError)
-    with parse_scope():
-        records = [
-            _record_from_json(obj, f"document.reactions[{i}]")
-            for i, obj in enumerate(doc.get("reactions", []))
-        ]
+    parsed: dict[str, MoleculeEntry] = {}
+
+    def molecule(obj: dict, path: str) -> MoleculeEntry:
+        smiles, label = obj["smiles"], obj.get("label")
+        if smiles not in parsed:
+            try:
+                parsed[smiles] = MoleculeEntry(smiles, label)
+            except SmilesParseError as exc:
+                raise CodecError(f"{path}.smiles: {exc}") from None
+        return parsed[smiles].with_label(label)
+
+    def condition(obj: dict, path: str) -> ConditionItem:
+        if obj["role"] not in ROLES:
+            raise CodecError(f"{path}.role: unknown role {obj['role']!r}")
+        if obj.get("smiles") is not None:
+            molecule(obj, path)
+        try:
+            return ConditionItem(
+                role=obj["role"], text=obj["text"], smiles=obj.get("smiles"), label=obj.get("label")
+            )
+        except CodecError as exc:
+            raise CodecError(f"{path}: {exc}") from None
+
+    def record(obj: dict, path: str) -> ReactionRecord:
+        def entries(key: str, read) -> tuple:
+            return tuple(read(e, f"{path}.{key}[{i}]") for i, e in enumerate(obj.get(key, [])))
+
+        return ReactionRecord(
+            reaction_id=obj["reaction_id"],
+            reactants=entries("reactants", molecule),
+            conditions=entries("conditions", condition),
+            products=entries("products", molecule),
+            additional_info=tuple(obj.get("additional_info", [])),
+        )
+
+    records = [record(obj, f"document.reactions[{i}]") for i, obj in enumerate(doc.get("reactions", []))]
     seen_ids: set[str] = set()
     for i, r in enumerate(records):
         if r.reaction_id in seen_ids:

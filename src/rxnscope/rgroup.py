@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
-from .jsonshape import Required, check_shape
+from .jsonshape import Closed, Required
 from .molgraph import (
     Bond,
     Fragment,
@@ -22,7 +22,7 @@ from .molgraph import (
     main_component,
     renumber_chiral,
 )
-from .smiles import canonicalize, parse_smiles, write_smiles
+from .smiles import canonicalize, write_smiles
 from .substructure import Pattern, scaffold_align
 
 log = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ class MissingBindingError(GraphError):
 
 
 # A reaction template spec in ``jsonshape`` terms: the SMILES of each side.
-TEMPLATE_SPEC = {Required("reactants"): [str], Required("products"): [str]}
+TEMPLATE_SPEC = Closed({Required("reactants"): [str], Required("products"): [str]})
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,6 @@ class ReactionTemplate:
     def __post_init__(self) -> None:
         if not self.reactant_templates or not self.product_templates:
             raise GraphError("a reaction template needs reactants and products")
-
-    @classmethod
-    def from_smiles(cls, spec) -> "ReactionTemplate":
-        """Parse a ``TEMPLATE_SPEC`` of SMILES."""
-        check_shape(spec, TEMPLATE_SPEC, "template spec", GraphError)
-        return cls(*(tuple(map(parse_smiles, spec[key])) for key in ("reactants", "products")))
 
     @cached_property
     def product_pattern(self) -> Pattern:
@@ -114,30 +108,42 @@ def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> Mol
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
+def bind_placeholders(
+    g: MolecularGraph,
+    bindings: Mapping[str, Binding],
+    registry: Optional[AliasRegistry] = None,
+) -> MolecularGraph:
+    """Splice each bound placeholder atom, reading nothing.
+
+    A fragment is spliced as it is; a token is one its caller could not
+    read, and becomes its aliased wildcard. Placeholders whose label has
+    no binding stay in place. Tokens alias from the highest atom index
+    down, which fixes the order of alias numbers; without a ``registry``
+    the call numbers its aliases in one of its own.
+    """
+    registry = registry if registry is not None else AliasRegistry()
+    fragments = {}
+    for at in reversed(g.placeholder_indices()):
+        value = bindings.get(g.atoms[at].label)
+        if value is not None:
+            fragments[at] = value if isinstance(value, Fragment) else registry.wildcard(value)
+    return splice_fragment(g, fragments)
+
+
 def substitute_placeholders(
     g: MolecularGraph,
     assignment: Mapping[str, Binding],
     table: Optional[AbbreviationTable] = None,
     registry: Optional[AliasRegistry] = None,
 ) -> MolecularGraph:
-    """Splice bound fragments into every matching placeholder atom.
-
-    Placeholders whose label has no binding stay in place. Bindings may
-    be ready-made fragments or abbreviation tokens; token expansion never
-    fails (unknown tokens become aliased wildcards).  Tokens expand from
-    the highest atom index down, which fixes the order of alias numbers;
-    without a ``registry`` the call numbers its aliases in one of its own.
-    """
-    registry = registry if registry is not None else AliasRegistry()
-    fragments = {}
-    for at in reversed(g.placeholder_indices()):
-        label = g.atoms[at].label
-        if label in assignment:
-            value = assignment[label]
-            if not isinstance(value, Fragment):
-                value = expand_abbreviation(value, table, registry)
-            fragments[at] = value
-    return splice_fragment(g, fragments)
+    """:func:`bind_placeholders` with each abbreviation token of
+    ``assignment`` read first; one that reads as nothing stays a token."""
+    table = table if table is not None else AbbreviationTable.default()
+    bindings = {
+        label: value if isinstance(value, Fragment) else table.read(value) or value
+        for label, value in assignment.items()
+    }
+    return bind_placeholders(g, bindings, registry)
 
 
 def expand_abbreviations(

@@ -14,8 +14,6 @@ import heapq
 import logging
 import math
 import re
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -414,50 +412,16 @@ def _check_direction_consistency(g: MolecularGraph, recs: list[_AtomRec]) -> Non
                 )
 
 
-# Graphs parsed inside the current parse scope, keyed by exact input text;
-# None outside a scope.
-_scope_graphs: ContextVar[Optional[dict[str, MolecularGraph]]] = ContextVar(
-    "rxnscope_scope_graphs", default=None
-)
-
-
-@contextmanager
-def parse_scope() -> Iterator[None]:
-    """Within the block, :func:`parse_smiles` parses each distinct text once.
-
-    The memo lives exactly as long as the block and belongs to the current
-    context (thread or task); a nested scope starts empty and the outer one
-    resumes when it ends. ``execute_plan`` runs inside one, because a
-    pipeline re-reads the SMILES texts it wrote, and so does
-    ``decode_records``, because a document repeats molecule texts.
-    """
-    token = _scope_graphs.set({})
-    try:
-        yield
-    finally:
-        _scope_graphs.reset(token)
-
-
 def parse_smiles(text: str) -> MolecularGraph:
     """Parse a SMILES string into a :class:`MolecularGraph`.
 
     Unknown bracket tokens become placeholder or abbreviation atoms rather
     than failing; genuine syntax errors raise :class:`SmilesParseError`
     carrying the byte offset.
-
-    Inside a :func:`parse_scope`, a text parsed before returns the same
-    graph object (graphs are immutable); a failure is not kept, so it is
-    raised afresh each time.
     """
     if not isinstance(text, str):
         raise SmilesParseError("input is not a string", 0)
-    memo = _scope_graphs.get()
-    g = memo.get(text) if memo is not None else None
-    if g is None:
-        g = _parse(text)
-        if memo is not None:
-            memo[text] = g
-    return g
+    return _parse(text)
 
 
 def _parse(text: str) -> MolecularGraph:

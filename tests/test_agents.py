@@ -43,10 +43,10 @@ from rxnscope.agents.tools import (
     decode_detection_sequence,
     default_registry,
 )
-from rxnscope import chemops
+from rxnscope import chemops, smiles
 from rxnscope.chemops import AbbreviationTable, AliasRegistry
 from rxnscope.molgraph import atom_token_from_symbol, graph_from_json, graph_to_json, main_component
-from rxnscope.reaction import decode_records
+from rxnscope.reaction import MoleculeEntry, decode_records
 from rxnscope.rgroup import expand_abbreviations, substitute_placeholders
 from rxnscope.smiles import parse_smiles, write_smiles
 
@@ -206,8 +206,11 @@ class TestRegistry:
         "template,message",
         [
             (None, "template spec: expected an object"),
-            ({"reactants": ["C"]}, "template spec.products: missing"),
-            ({"reactants": ["C"], "products": [5]}, "template spec.products[0]: expected a string"),
+            ({"reactants": [MoleculeEntry("C")]}, "template spec.products: missing"),
+            (
+                {"reactants": [MoleculeEntry("C")], "products": [5]},
+                "template spec.products[0]: expected a MoleculeEntry",
+            ),
         ],
     )
     def test_smiles_reconstructor_checks_its_template_spec(self, template, message):
@@ -215,6 +218,12 @@ class TestRegistry:
         with pytest.raises(ToolError) as err:
             default_registry().invoke("smiles_reconstructor", RunContext(bundle=None), request)
         assert str(err.value) == f"bad template payload: {message}"
+
+    def test_smiles_reconstructor_checks_its_variants(self):
+        template = {"reactants": [MoleculeEntry("[R]C")], "products": [MoleculeEntry("[R]CO")]}
+        request = {"template": template, "variants": [{"smiles": "CCO"}]}
+        with pytest.raises(ToolError, match=r"^variants\[0\]\.smiles: expected a MoleculeEntry$"):
+            default_registry().invoke("smiles_reconstructor", RunContext(bundle=None), request)
 
 
 def _written(g) -> str:
@@ -610,6 +619,14 @@ class TestObserveStep:
             assert reasons == ["placeholder residue in reconstruction '[R]CC'"]
         assert observe_step("reaction_template_parsing", {"smiles": ["[R]CC"]}) == (True, [])
 
+    def test_entries_are_checked_without_a_parse(self, monkeypatch):
+        entries = [MoleculeEntry("CC"), MoleculeEntry("[R]CC")]
+        parsed = []
+        monkeypatch.setattr(smiles, "_parse", parsed.append)
+        ok, reasons = observe_step("text_rgroup", {"smiles": entries})
+        assert (ok, reasons) == (False, ["placeholder residue in reconstruction '[R]CC'"])
+        assert parsed == []
+
 
 def _with_conditions_ocr(trace) -> list[dict]:
     """``trace`` with the ``ocr`` entry that once read the condition text
@@ -759,6 +776,15 @@ class TestExecutor:
         assert [r.reaction_id for r in result.records] == ["0_1"]
         assert [r["reaction_id"] for r in json.loads(result.document)["reactions"]] == ["0_1"]
 
+    def test_template_without_products_fails_text_rgroup(self, fig2_bundle, tmp_path):
+        d = _text_table_copy(fig2_bundle, tmp_path, "entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n")
+        template = json.loads((tmp_path / "template.json").read_text())
+        (tmp_path / "template.json").write_text(json.dumps({**template, "product_templates": []}))
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        verdicts = [(e["step"], e["reasons"]) for e in result.trace if e["type"] == "observer"]
+        assert ("text_rgroup", ["the template has no product"]) in verdicts
+        assert json.loads(result.document)["reactions"] == []
+
     def test_tools_match_their_step(self, fig2_setup):
         d, plan = fig2_setup
         result = execute_plan(plan, d)
@@ -872,35 +898,6 @@ class TestExecutor:
             ("molecular_recognition", ["tool 'mol_detector' failed: camera unplugged"]),
             ("data_structure", ["nothing to structure"]),
         ]
-
-    def test_run_is_one_parse_scope_closed_on_return(self, fig2_setup):
-        d, plan = fig2_setup
-        registry = default_registry()
-        shared = []
-
-        def ner(ctx, request):
-            shared.append(parse_smiles("CCO") is parse_smiles("CCO"))
-            return {"entities": []}
-
-        registry.register("ner", ner)
-        execute_plan(plan, d, registry=registry)
-        assert shared == [True]
-        assert parse_smiles("CCO") is not parse_smiles("CCO")
-
-    def test_parse_scope_closed_when_the_run_raises(self, fig2_bundle):
-        d = descriptor("molecule_image_only", path=str(fig2_bundle))
-        registry = default_registry()
-        shared = []
-
-        def broken(ctx, request):
-            shared.append(parse_smiles("CCO") is parse_smiles("CCO"))
-            raise ToolError("camera unplugged")
-
-        registry.register("mol_detector", broken)
-        with pytest.raises(ExecutionError):
-            execute_plan(plan_extraction(d, BACKEND), d, registry=registry)
-        assert shared and all(shared)
-        assert parse_smiles("CCO") is not parse_smiles("CCO")
 
     def test_later_step_failure_degrades_dependents(self, fig2_setup):
         d, plan = fig2_setup
@@ -1023,13 +1020,73 @@ class TestTextTableScope:
         backend = Asked()
         result = execute_plan(plan_extraction(d, backend), d, backend=backend)
         assert len(result.records) == 6
-        # Qq7 reads as nothing: it is read as a cell, again as the backend's
-        # unchanged answer, and once more for each of the four template
-        # graphs that its two rows splice it into.
-        assert Counter(reads) == {"2-ClC6H4": 1, "4-BrC6H4": 1, "Pj": 1, "Qq7": 6}
+        # Qq7 reads as nothing: it is read once, as a cell. The backend
+        # answers it unchanged, and the four template graphs its two rows
+        # splice it into take its alias without reading it again.
+        assert Counter(reads) == {"2-ClC6H4": 1, "4-BrC6H4": 1, "Pj": 1, "Qq7": 1}
         assert backend.tokens == ["Pj", "Qq7"]
         warnings = [e for e in result.trace if e["type"] == "log" and "Qq7" in e["message"]]
         assert len(warnings) == 1
+
+
+class TestMoleculeEntries:
+    """A run parses each molecule text once, where it makes the text, and
+    hands the entry on; ``parse_smiles`` itself keeps nothing."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch) -> list:
+        texts = []
+        real = smiles._parse
+        monkeypatch.setattr(smiles, "_parse", lambda text: texts.append(text) or real(text))
+        return texts
+
+    @pytest.fixture
+    def text_table(self, fig2_bundle, tmp_path):
+        table = "entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\n2\tEt\t4-BrC6H4\t3b\n3\tMe\tQq7\t3c\n"
+        d = _text_table_copy(fig2_bundle, tmp_path, table)
+        return d, plan_extraction(d, BACKEND)
+
+    def test_fig2_run_parses_each_text_once(self, fig2_setup, parsed):
+        # The placeholder-free reactant (the template's second) is in every
+        # variant record, and it is parsed once.
+        d, plan = fig2_setup
+        records = execute_plan(plan, d).records
+        assert len(parsed) == len(set(parsed)) <= 20
+        fixed = records[0].reactants[1].smiles
+        assert [fixed in (e.smiles for e in r.reactants) for r in records[1:]] == [True] * 6
+        assert fixed in parsed
+
+    def test_table_run_parses_a_reactant_written_per_row_once(self, text_table, parsed):
+        # ``graph2smiles`` writes the placeholder-free reactant for every row.
+        d, plan = text_table
+        result = execute_plan(plan, d)
+        written = Counter(e["response"]["smiles"] for e in result.trace if e.get("tool") == "graph2smiles")
+        fixed = result.records[0].reactants[1].smiles
+        assert written[fixed] == 1 + 3
+        assert len(parsed) == len(set(parsed))
+        assert fixed in parsed
+
+    @pytest.mark.parametrize("bundle", ["fig2", "text-table"])
+    def test_record_graphs_are_their_texts_parsed(self, bundle, fig2_setup, text_table):
+        d, plan = fig2_setup if bundle == "fig2" else text_table
+        records = execute_plan(plan, d).records
+        entries = [e for r in records for e in r.reactants + r.products]
+        assert len(entries) > len(records)
+        for entry in entries:
+            assert entry.graph == parse_smiles(entry.smiles), entry
+
+    def test_parse_smiles_keeps_nothing_during_a_run(self, fig2_setup):
+        d, plan = fig2_setup
+        registry = default_registry()
+        kept = []
+
+        def ner(ctx, request):
+            kept.append(parse_smiles("CCO") is parse_smiles("CCO"))
+            return {"entities": []}
+
+        registry.register("ner", ner)
+        execute_plan(plan, d, registry=registry)
+        assert kept == [False]
 
 
 # The first step of each canonical plan, and the sidecar its first tool reads.

@@ -289,6 +289,9 @@ HOSTILE = {
     "reconstruct-list": (_reconstruct([]), "GraphError"),
     "reconstruct-string-side": (_reconstruct({"reactants": "C", "products": ["C"]}), "GraphError"),
     "reconstruct-not-json": (_reconstruct("{"), "GraphError"),
+    "reconstruct-unlisted-key": (
+        _reconstruct({"reactants": ["C"], "products": ["C"], "product": ["C"]}), "GraphError"
+    ),
     "descriptor-list": (_descriptor([]), "DescriptorError"),
     "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
     "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
@@ -376,6 +379,10 @@ HOSTILE_MOLECULES = {
         _fig2_with("molecules.json", lambda m: [{**m[0], "graph": K21}] + m[1:]),
         "molecular_recognition",
     ),
+    "molecules-unparseable-smiles": (
+        _fig2_with("molecules.json", lambda m: m[:2] + [{"label": "3", "smiles": "C1CC"}] + m[3:]),
+        "molecular_recognition",
+    ),
     "boxes-integer": (_fig2_with("boxes.json", lambda b: 5), "molecular_recognition"),
     "rxn-list": (_fig2_with("rxn.json", lambda r: []), "text_extraction"),
     "rxn-string": (_fig2_with("rxn.json", lambda r: json.dumps("x")), "text_extraction"),
@@ -437,8 +444,8 @@ OPTIONAL_SIDECARS = sorted(name for name, (_, absent) in SIDECARS.items() if abs
 
 
 # The hostile-document sweep: a document of ``DOCUMENT``'s shape with
-# every listed key once holding a fault at its first nested leaf, and
-# every required key once removed.
+# every listed key once holding a fault at its first nested leaf, every
+# required key once removed, and every ``products`` key renamed.
 SWEEP_DOCUMENT = {
     "Text description": "scheme 1",
     "reactions": [
@@ -450,6 +457,7 @@ SWEEP_DOCUMENT = {
             "additional_info": ["5:1 dr"],
         }
     ],
+    "molecules": [{"smiles": "CCO", "label": "B1"}],
 }
 
 
@@ -484,6 +492,16 @@ DOCUMENT_SWEEP = {
     for fault, content in (("nested-type", _nested_fault(shape)), ("missing", None))
     if content is not None or required
 }
+DOCUMENT_SWEEP["document.reactions[0].products-renamed"] = (
+    "document.reactions[0].product",
+    {
+        **SWEEP_DOCUMENT,
+        "reactions": [
+            {"product" if key == "products" else key: value for key, value in r.items()}
+            for r in SWEEP_DOCUMENT["reactions"]
+        ],
+    },
+)
 
 
 def _sweep_copy(name, content):
@@ -580,6 +598,22 @@ class TestHostileInput:
         prefix = "tool 'graph2smiles' failed: cannot write graph: "
         assert reasons and all(r.startswith(prefix) for r in reasons)
 
+    def test_unparseable_molecule_text_is_named_and_listed(self, capsys, tmp_path, fig2_bundle):
+        # The observer names the text, and a run that makes no records
+        # still lists it as it was read.
+        make_argv, _ = HOSTILE_MOLECULES["molecules-unparseable-smiles"]
+        doc_path, trace_path = tmp_path / "doc.json", tmp_path / "trace.json"
+        argv = make_argv(tmp_path, fig2_bundle) + ["--out", str(doc_path), "--trace", str(trace_path)]
+        _write(tmp_path / "bundle" / "descriptor.json", {"modalities": ["molecule_image_only"]})
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        reasons = _failed_reasons(json.loads(trace_path.read_text()))
+        assert len(reasons) == 1
+        assert reasons[0].startswith("unparseable SMILES 'C1CC': ")
+        listed = json.loads(doc_path.read_text())["molecules"]
+        assert listed[2] == {"smiles": "C1CC", "label": "3"}
+        assert len(listed) == 11
+
     def test_faulty_template_graph_is_named(self, capsys, tmp_path, fig2_bundle):
         make_argv, _ = HOSTILE_TEMPLATES["template-mistyped-graph-object"]
         code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
@@ -641,8 +675,8 @@ class TestHostileInput:
         assert out["hard"]["f1"] == 1.0
 
     def test_document_sweep_covers_every_key(self):
-        assert len(DOCUMENT_SWEEP) == 20
-        assert sum(case.endswith("-missing") for case in DOCUMENT_SWEEP) == 5
+        assert len(DOCUMENT_SWEEP) == 25
+        assert sum(case.endswith("-missing") for case in DOCUMENT_SWEEP) == 6
 
     @pytest.mark.parametrize("case", sorted(DOCUMENT_SWEEP))
     def test_faulty_document_is_a_codec_error(self, case, capsys, tmp_path, fig2_bundle):
@@ -652,6 +686,8 @@ class TestHostileInput:
         assert out["error"].startswith(f"CodecError: {where}")
         if case.endswith("-missing"):
             assert out["error"] == f"CodecError: {where}: missing"
+        if case.endswith("-renamed"):
+            assert out["error"] == f"CodecError: {where}: unexpected"
 
     @pytest.mark.parametrize("name", OPTIONAL_SIDECARS)
     def test_absent_optional_sidecar_keeps_output(self, name, capsys, tmp_path, fig2_bundle):

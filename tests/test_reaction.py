@@ -1,5 +1,6 @@
 import json
 import logging
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from rxnscope.reaction import (
     ROLES,
     CodecError,
     ConditionItem,
+    ConditionLexicon,
     MoleculeEntry,
     ReactionRecord,
     TableParseError,
@@ -32,6 +34,16 @@ class TestClassifyCondition:
         item = one("PhMe")
         assert item.role == "solvent"
         assert canonicalize(item.smiles) == canonicalize("Cc1ccccc1")
+
+    def test_every_packaged_solvent_parses(self):
+        # A condition item takes its SMILES as given; the packaged ones are checked here.
+        lexicon = ConditionLexicon.default()
+        names = json.loads(
+            resources.files("rxnscope.data").joinpath("condition_lexicon.json").read_text()
+        )["solvents"]
+        assert len(names) > 10
+        for name in names:
+            parse_smiles(lexicon.solvent_smiles(name))
 
     def test_room_temperature(self):
         assert one("rt").role == "temperature"
@@ -177,6 +189,14 @@ class TestMoleculeEntry:
         assert a.graph == parse_smiles("CCO")
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "MoleculeEntry(smiles='CCO', label='1')"
+
+    def test_relabelled_entry_keeps_its_graph(self, monkeypatch):
+        a = MoleculeEntry(smiles="CCO", label="1")
+        monkeypatch.setattr(MoleculeEntry, "__post_init__", lambda e: pytest.fail("parsed again"))
+        b = a.with_label("2")
+        assert (b.smiles, b.label, b.graph) == ("CCO", "2", a.graph)
+        assert b.graph is a.graph and a.label == "1"
+        assert a.with_label("1") is a
 
 
 class TestValidateRecord:

@@ -19,7 +19,6 @@ from rxnscope.smiles import (
     canonicalize,
     implicit_h_count,
     is_valid,
-    parse_scope,
     parse_smiles,
     write_smiles,
 )
@@ -51,32 +50,6 @@ STRESS = {
     "inositol, mixed B": "O[C@H]1[C@H](O)[C@H](O)[C@@H](O)[C@H](O)[C@H]1O",
     "F/C=C/C=C/F": "F/C=C/C=C/F",
 }
-
-
-class TestParseScope:
-    def test_repeat_returns_the_kept_graph_equal_to_a_fresh_parse(self):
-        with parse_scope():
-            kept = [parse_smiles(s) for s in MOLECULES]
-            assert all(parse_smiles(s) is g for s, g in zip(MOLECULES, kept))
-        assert kept == [parse_smiles(s) for s in MOLECULES]
-
-    def test_each_text_parsed_once_and_failures_not_kept(self, monkeypatch):
-        parsed = []
-        real = smiles._parse
-        monkeypatch.setattr(smiles, "_parse", lambda text: parsed.append(text) or real(text))
-        with parse_scope():
-            for _ in range(2):
-                parse_smiles("CCO")
-                with pytest.raises(SmilesParseError):
-                    parse_smiles("C(")
-        assert parsed == ["CCO", "C(", "C("]
-
-    def test_no_memo_outside_a_scope(self):
-        assert parse_smiles("CCO") is not parse_smiles("CCO")
-        with parse_scope():
-            pass
-        evaluate([], [])
-        assert parse_smiles("CCO") is not parse_smiles("CCO")
 
 
 class TestParse:
