@@ -9,7 +9,11 @@ Record molecules arrive parsed: each ``MoleculeEntry`` holds the graph
 its text was parsed to once, when ``decode_records`` or the run that
 wrote it made the entry, so scoring records parses nothing. ``evaluate``
 shares one memo across its sections, so each distinct SMILES text is
-canonicalized, fingerprinted and checked once per call.
+fingerprinted and checked at most once per call. It is canonicalized
+only when another distinct text of the call shares its
+``smiles.identity_key`` (bond count and atom texts), and then once:
+keys are equal whenever canonical forms are, so a text alone with its
+key can equal no other molecule and is compared as itself.
 
 The path hash is FNV-1a, extended by one step text at a time through a
 table instead of a loop over the step's bytes. Split the state as
@@ -25,14 +29,14 @@ holds pure functions of bytes and no molecule data.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .molgraph import MolecularGraph, RxnscopeError
 from .reaction import MoleculeEntry, ReactionRecord
-from .smiles import canonicalize, is_valid
+from .smiles import canonicalize, identity_key, is_valid
 
 FP_WIDTH = 2048
 MAX_PATH_BONDS = 7
@@ -154,14 +158,22 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 class _Molecules:
     """Per-call memo of what scoring computes from record molecules.
 
-    One dict keyed by (kind, SMILES text) holds each entry's canonical
-    form, fingerprint and validity, computed from ``entry.graph`` at most
-    once and only when asked. One instance lives for one scoring call, so
-    nothing accumulates across calls.
+    Built from the entries of both documents of one scoring call, it
+    groups their distinct texts by :func:`~rxnscope.smiles.identity_key`.
+    Molecules with unequal keys are never the same, so a text whose key no
+    other text of the call shares stands for itself, and only texts that
+    share a key are canonicalized. One dict keyed by (kind, SMILES text)
+    holds each entry's canonical form, fingerprint and validity, computed
+    from ``entry.graph`` at most once and only when asked. One instance
+    lives for one scoring call, so nothing accumulates across calls.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, entries: Iterable[MoleculeEntry]) -> None:
         self._memo: dict[tuple[str, str], object] = {}
+        graphs = {e.smiles: e.graph for e in entries}
+        self._keys = {text: identity_key(g) for text, g in graphs.items()}
+        counts = Counter(self._keys.values())
+        self._shared = {key for key, n in counts.items() if n > 1}
 
     def _get(self, kind: str, entry: MoleculeEntry, compute):
         key = (kind, entry.smiles)
@@ -169,8 +181,14 @@ class _Molecules:
             self._memo[key] = compute(entry.graph)
         return self._memo[key]
 
-    def canonical(self, entry: MoleculeEntry) -> str:
-        return self._get("canonical", entry, canonicalize)
+    def identity(self, entry: MoleculeEntry) -> tuple:
+        """Equal for two entries of the call exactly when their canonical
+        forms are: ``(key, text)`` for a text alone with its key, else
+        ``(key, canonical form)``."""
+        key = self._keys[entry.smiles]
+        if key in self._shared:
+            return key, self._get("canonical", entry, canonicalize)
+        return key, entry.smiles
 
     def fingerprint(self, entry: MoleculeEntry) -> Fingerprint:
         return self._get("fingerprint", entry, fingerprint)
@@ -189,10 +207,10 @@ def _normalized_text(text: str) -> str:
 
 
 def _reaction_key(record: ReactionRecord, mode: str, molecules: _Molecules):
-    def canon(entries):
-        return tuple(sorted(molecules.canonical(e) for e in entries))
+    def identities(entries):
+        return tuple(sorted(molecules.identity(e) for e in entries))
 
-    key = (canon(record.reactants), canon(record.products))
+    key = (identities(record.reactants), identities(record.products))
     if mode == "hard":
         conds = tuple(
             sorted((c.role, _normalized_text(c.text)) for c in record.conditions)
@@ -309,9 +327,12 @@ def evaluate(
     Placeholder-bearing template molecules are excluded from the
     similarity section (fingerprints are undefined for them) but still
     participate in reaction matching. Every section reads the graphs the
-    records hold, so the call parses nothing.
+    records hold, so the call parses nothing. Reactions match on their
+    molecules' canonical forms, but a molecule is canonicalized only when
+    another distinct text of the call shares its identity key; every other
+    text can equal no other and is compared as itself.
     """
-    molecules = _Molecules()
+    molecules = _Molecules(_record_molecules(pred) + _record_molecules(gold))
     report: dict = {}
     for mode in ("soft", "hard"):
         counts, _ = _match(pred, gold, mode, molecules)

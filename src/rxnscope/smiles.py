@@ -1072,6 +1072,23 @@ def canonicalize(s: Union[str, MolecularGraph]) -> str:
     return text
 
 
+def identity_key(g: MolecularGraph) -> tuple[int, tuple[str, ...]]:
+    """Bond count and sorted, case-folded atom texts, with explicit H folded.
+
+    For graphs as :func:`parse_smiles` builds them, equal
+    :func:`canonicalize` strings imply equal keys: the canonical text
+    writes each atom of the H-folded graph exactly once as its text
+    (lower-cased when aromatic) and each bond exactly once. So two
+    molecules with unequal keys are different without a canonical search.
+    The key is coarse on purpose: charge, isotope, H count and
+    aromaticity stay out of it, so Kekulé and aromatic forms of a ring, or
+    ``[CH3]C`` and ``CC``, share a key whether canonical forms merge them
+    or not.
+    """
+    g = _fold_explicit_hydrogens(g)
+    return len(g.bonds), tuple(sorted(atom.text.lower() for atom in g.atoms))
+
+
 # ---------------------------------------------------------------------------
 # Validity
 # ---------------------------------------------------------------------------

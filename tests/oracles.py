@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from rxnscope import smiles
+from rxnscope import metrics, smiles
 from rxnscope.molgraph import (
     AtomToken,
     Bond,
@@ -228,6 +228,61 @@ def reference_fingerprint(g: MolecularGraph, width: int = 2048, max_bonds: int =
         smaller = min(text(path), text(path[::-1]))
         bits |= 1 << (fnv1a(smaller.encode()) % width)
     return bits
+
+
+# --- evaluate with every molecule canonicalized ----------------------------
+
+def reference_evaluate(pred, gold) -> dict:
+    """The ``evaluate`` report with every molecule canonicalized.
+
+    Reactions pair one to one on their sorted canonical reactant and
+    product forms (hard mode adds the sorted roles and whitespace-folded,
+    lower-cased condition texts); each prediction takes the first unpaired
+    gold record with its key. Similarity scores the placeholder-free
+    fingerprints with ``metrics._similarity``; validity counts
+    ``is_valid`` over the predicted molecules.
+    """
+
+    def molecules(records):
+        return [e for r in records for e in r.reactants + r.products]
+
+    def key(record, mode):
+        def canon(entries):
+            return tuple(sorted(smiles.canonicalize(e.graph) for e in entries))
+
+        k = (canon(record.reactants), canon(record.products))
+        if mode == "hard":
+            k += (tuple(sorted((c.role, " ".join(c.text.lower().split())) for c in record.conditions)),)
+        return k
+
+    report: dict = {}
+    for mode in ("soft", "hard"):
+        unpaired: dict = {}
+        for j, record in enumerate(gold):
+            unpaired.setdefault(key(record, mode), []).append(j)
+        correct = 0
+        for record in pred:
+            golds = unpaired.get(key(record, mode))
+            if golds:
+                golds.pop(0)
+                correct += 1
+        p, r, f1 = metrics.prf(correct, len(pred), len(gold))
+        report[mode] = {
+            "precision": p, "recall": r, "f1": f1,
+            "correct": correct, "predicted": len(pred), "gold": len(gold),
+        }
+
+    def fingerprints(records):
+        return [metrics.fingerprint(e.graph) for e in molecules(records) if not e.graph.placeholder_indices()]
+
+    report["avg_tanimoto"], report["tani_at_1"] = metrics._similarity(fingerprints(pred), fingerprints(gold))
+    n_pred, n_gold = len(molecules(pred)), len(molecules(gold))
+    n_valid = sum(smiles.is_valid(e.graph) for e in molecules(pred))
+    precision = n_valid / n_pred if n_pred else 0.0
+    recall = min(1.0, n_valid / n_gold) if n_gold else (1.0 if n_valid else 0.0)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    report["valid_rate"] = {"precision": precision, "recall": recall, "f1": f1}
+    return report
 
 
 # --- wedge perception via numpy --------------------------------------------

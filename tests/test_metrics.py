@@ -23,10 +23,15 @@ from rxnscope.reaction import (
     ReactionRecord,
     decode_records,
 )
-from rxnscope.smiles import parse_smiles
+from rxnscope.smiles import parse_smiles, write_smiles
 
 from corpus import MOLECULES
-from oracles import random_fingerprint_graph, reference_fingerprint, renumbered
+from oracles import (
+    random_fingerprint_graph,
+    reference_evaluate,
+    reference_fingerprint,
+    renumbered,
+)
 
 
 def bits(*positions: int) -> Fingerprint:
@@ -190,9 +195,14 @@ def reaction(rid, reactants, products, conditions=()):
     )
 
 
+def scoring_memo(pred, gold):
+    """The memo ``evaluate`` builds from the molecules of both documents."""
+    return metrics._Molecules(metrics._record_molecules([*pred, *gold]))
+
+
 def match_reactions(pred, gold, mode="soft"):
     """The matching section of ``evaluate``, run alone."""
-    return metrics._match(pred, gold, mode, metrics._Molecules())
+    return metrics._match(pred, gold, mode, scoring_memo(pred, gold))
 
 
 def similarity_report(pred_smiles, gold_smiles):
@@ -204,7 +214,7 @@ def similarity_report(pred_smiles, gold_smiles):
 
 def valid_rate(pred, gold):
     """The validity section of ``evaluate``, run alone."""
-    return metrics._valid_rate(pred, gold, metrics._Molecules())
+    return metrics._valid_rate(pred, gold, scoring_memo(pred, gold))
 
 
 GOLD = [
@@ -259,6 +269,44 @@ class TestMatchReactions:
         assert counts.correct == 1500
         assert pairing == [(i, i) for i in range(1500)]
         assert elapsed < 1.0
+
+    @pytest.fixture
+    def canonical_calls(self, monkeypatch):
+        calls = []
+        real = metrics.canonicalize
+        monkeypatch.setattr(metrics, "canonicalize", lambda g: calls.append(g) or real(g))
+        return calls
+
+    # Seed 4 makes the valence-violating ketone C(=O)(C)(C)(C)c1ccccc1
+    # from the methyl ketone, which shares its key with the propyl ketone
+    # C(=O)(CCC)c1ccccc1: both are canonicalized, once each.
+    @pytest.mark.parametrize("seed, calls", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 2)])
+    def test_texts_alone_with_their_key_are_not_canonicalized(
+        self, fig2_bundle, canonical_calls, seed, calls
+    ):
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        gold, _ = decode_records(json.dumps(golden))
+        pred, _ = decode_records(json.dumps(_perturb(random.Random(seed), golden, 1)))
+        report = evaluate(pred, gold)
+        assert (report["soft"]["correct"], report["hard"]["correct"]) == (4, 3)
+        assert len(canonical_calls) == calls
+
+    def test_isomers_sharing_a_key_are_canonicalized(self, canonical_calls):
+        gold = [reaction("1", ["CCCC(=O)c1ccccc1"], ["CCCC(C)(O)c1ccccc1"])]
+        pred = [reaction("1", ["CC(C)C(=O)c1ccccc1"], ["CCCC(C)(O)c1ccccc1"])]
+        counts, _ = match_reactions(pred, gold)
+        assert counts.correct == 0
+        assert len(canonical_calls) == 2
+
+    def test_rewritten_gold_molecule_is_canonicalized_and_matches(self, canonical_calls):
+        product = "CC[C@]1(c2ccccc2)O[C@H](c2ccccc2Cl)N(S(=O)(=O)c2ccc(C)cc2)C1=O"
+        rewritten = rank_shuffled(product, random.Random(5))
+        assert rewritten != product
+        gold = [reaction("1", ["CCC(=O)c1ccccc1"], [product])]
+        pred = [reaction("1", ["CCC(=O)c1ccccc1"], [rewritten])]
+        counts, _ = match_reactions(pred, gold)
+        assert counts.correct == 1
+        assert len(canonical_calls) == 2
 
     def test_molecule_entry_rejects_unparseable(self):
         # The record type itself guards the gold-side precondition.
@@ -343,19 +391,6 @@ def _standalone_report(pred, gold):
     return report
 
 
-def _perturbed(golden: dict) -> dict:
-    doc = copy.deepcopy(golden)
-    reactions = doc["reactions"]
-    time_item = next(c for c in reactions[3]["conditions"] if c["role"] == "time")
-    time_item["text"] += " (sealed tube)"  # soft hit, hard miss
-    product = reactions[4]["products"][0]
-    product["smiles"] = "C" + product["smiles"]  # one more carbon on R
-    ketone = reactions[5]["reactants"][0]
-    ketone["smiles"] = ketone["smiles"].replace("C(=O)", "C(=O)(C)(C)", 1)  # bad valence
-    del reactions[2]
-    return doc
-
-
 class TestEvaluateSharedMemo:
     @pytest.mark.parametrize(
         "perturb, soft_correct, hard_correct",
@@ -366,12 +401,139 @@ class TestEvaluateSharedMemo:
     ):
         text = (fig2_bundle / "golden.json").read_text()
         gold, _ = decode_records(text)
-        pred_doc = _perturbed(json.loads(text)) if perturb else json.loads(text)
+        pred_doc = _perturb(random.Random(0), json.loads(text), 1) if perturb else json.loads(text)
         pred, _ = decode_records(json.dumps(pred_doc))
         report = evaluate(pred, gold)
         assert report == _standalone_report(pred, gold)
         assert report["soft"]["correct"] == soft_correct
         assert report["hard"]["correct"] == hard_correct
+
+
+def rank_shuffled(text: str, rng: random.Random) -> str:
+    """``text`` written again by ``write_smiles`` under shuffled ranks."""
+    g = parse_smiles(text)
+    ranks = list(range(len(g.atoms)))
+    rng.shuffle(ranks)
+    return write_smiles(g, ranks)
+
+
+def _perturb(rng: random.Random, gold: dict, first_variant: int) -> dict:
+    """The pred document of the ``scope_evaluate`` benchmark workload.
+
+    A copy of the benchmark's perturbation, so that these tests do not
+    import the benchmark: of the records from ``first_variant`` on, one
+    is dropped, one gets a changed condition text (soft hit, hard miss),
+    one a product with one more carbon (both miss) and one a
+    valence-violating reactant (both miss).
+    """
+    reactions = json.loads(json.dumps(gold["reactions"]))
+    variant_idx = list(range(first_variant, len(reactions)))
+    drop, cond, swap, invalid = rng.sample(variant_idx, 4)
+    time_item = next(c for c in reactions[cond]["conditions"] if c["role"] == "time")
+    time_item["text"] += " (sealed tube)"
+    reactions[swap]["products"][0]["smiles"] = "C" + reactions[swap]["products"][0]["smiles"]
+    ketone = reactions[invalid]["reactants"][0]
+    ketone["smiles"] = ketone["smiles"].replace("C(=O)", "C(=O)(C)(C)", 1)
+    pred_reactions = [r for k, r in enumerate(reactions) if k != drop]
+    return {"Text description": gold["Text description"], "reactions": pred_reactions}
+
+
+# Gold records beside fig2's: a propyl ketone and its alcohol, a
+# two-component text, and pyrrole and naphthalene written aromatic.
+EXTRA_GOLD = [
+    ("k_1", ["CCCC(=O)c1ccccc1", "CC.O"], ["CCCC(O)c1ccccc1"]),
+    ("w_1", ["CC.O"], ["CCO"]),
+    ("p_1", ["c1cc[nH]c1", "CC(=O)Cl"], ["CC(=O)c1ccc[nH]1"]),
+    ("n_1", ["c1ccc2ccccc2c1", "CCl"], ["Cc1ccc2ccccc2c1"]),
+]
+
+# Texts a prediction may write for a gold text. Each shares the gold
+# text's identity key: the same molecule written with explicit [H] atoms
+# or its components in another order, a constitutional isomer, or a
+# Kekule form whose canonical string still differs from the aromatic one.
+REWRITES = {
+    "CCCC(=O)c1ccccc1": ["CC(C)C(=O)c1ccccc1", "[H]C([H])([H])CCC(=O)c1ccccc1"],
+    "CCCC(O)c1ccccc1": ["CC(C)C(O)c1ccccc1", "CCCC(O[H])c1ccccc1"],
+    "C(=O)(CCC)c1ccccc1": ["C(=O)(C(C)C)c1ccccc1"],
+    "C(=O)(CCC)c1ccc(Br)cc1": ["CC(C)C(=O)c1ccc(Br)cc1"],
+    "CC.O": ["O.CC", "[H]O[H].CC"],
+    "CCO": ["[H]OCC", "OCC"],
+    "c1cc[nH]c1": ["N1C=CC=C1", "[nH]1cccc1"],
+    "CC(=O)c1ccc[nH]1": ["CC(=O)C1=CC=CN1"],
+    "c1ccc2ccccc2c1": ["C1=CC=C2C=CC=CC2=C1"],
+    "Cc1ccc2ccccc2c1": ["CC1=CC2=CC=CC=C2C=C1"],
+}
+
+PRED_CASES = ["ranks", "rewrites", "duplicates", "perturb", "mixed"]
+
+
+def _gold_document(fig2_bundle) -> dict:
+    doc = json.loads((fig2_bundle / "golden.json").read_text())
+    for rid, reactants, products in EXTRA_GOLD:
+        doc["reactions"].append({
+            "reaction_id": rid,
+            "reactants": [{"smiles": s} for s in reactants],
+            "conditions": [{"role": "time", "text": "24 h"}],
+            "products": [{"smiles": s} for s in products],
+        })
+    return doc
+
+
+def _pred_document(gold: dict, rng: random.Random, case: str) -> dict:
+    """A pred document of one shape (``case``), or of all mixed at random.
+
+    ``ranks`` rewrites every text under shuffled ranks (the template
+    record's placeholder texts too); ``rewrites`` takes a ``REWRITES``
+    text for each gold text that has some; ``duplicates`` repeats three
+    records; ``perturb`` applies the benchmark's four perturbations.
+    """
+    doc = copy.deepcopy(gold)
+    mixed = case == "mixed"
+    molecules = [m for r in doc["reactions"] for m in r["reactants"] + r["products"]]
+    if case == "rewrites" or mixed:
+        for m in molecules:
+            if m["smiles"] in REWRITES and (not mixed or rng.random() < 0.5):
+                m["smiles"] = rng.choice(REWRITES[m["smiles"]])
+    if case == "ranks" or mixed:
+        for m in molecules:
+            if not mixed or rng.random() < 0.3:
+                m["smiles"] = rank_shuffled(m["smiles"], rng)
+    if case == "duplicates" or mixed:
+        for record in rng.sample(doc["reactions"], 3):
+            doc["reactions"].append(dict(copy.deepcopy(record), reaction_id=record["reaction_id"] + "_again"))
+    if case == "perturb" or mixed:
+        doc = _perturb(rng, doc, 1)
+    return doc
+
+
+class TestEvaluateAgainstReference:
+    """``evaluate`` reports exactly what canonicalizing every molecule gives."""
+
+    @pytest.mark.parametrize("case", PRED_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_is_byte_identical(self, fig2_bundle, case, seed):
+        gold_doc = _gold_document(fig2_bundle)
+        gold, _ = decode_records(json.dumps(gold_doc))
+        pred, _ = decode_records(json.dumps(_pred_document(gold_doc, random.Random(seed), case)))
+        for a, b in ((pred, gold), (gold, pred)):
+            assert json.dumps(evaluate(a, b)) == json.dumps(reference_evaluate(a, b))
+
+    def test_rewrites_share_their_gold_key(self):
+        for text, rewrites in REWRITES.items():
+            for other in rewrites:
+                assert smiles.identity_key(parse_smiles(other)) == smiles.identity_key(parse_smiles(text))
+
+    def test_cases_reach_both_outcomes_of_a_shared_key(self, fig2_bundle):
+        # Over the seeded documents, a prediction sharing a gold key both
+        # matches (a rewritten text) and misses (an isomer).
+        gold_doc = _gold_document(fig2_bundle)
+        gold, _ = decode_records(json.dumps(gold_doc))
+        soft = {}
+        for case in ("ranks", "rewrites"):
+            pred, _ = decode_records(json.dumps(_pred_document(gold_doc, random.Random(0), case)))
+            soft[case] = evaluate(pred, gold)["soft"]["correct"]
+        assert soft["ranks"] == len(gold)
+        assert soft["rewrites"] < len(gold)
 
 
 class TestParseOnce:

@@ -117,3 +117,13 @@ def test_bench_pairs_summary_of_canned_lines():
         "peak_rss_mb": {"wins": 2, "pairs": 4},
     }
     assert block["runs"] == {"parent": parent, "change": change}
+
+
+def test_evaluate_benchmark_scores_its_document_perfectly(tmp_path):
+    out = run_script("benchmark_evaluate.py", "--sizes", "250", "--repeats", "1", cwd=tmp_path)
+    header, row, verdict = out.splitlines()
+    assert header.split()[0] == "records" and verdict == "self-comparison perfect"
+    records, eval_med, eval_min, sim_med, sim_min, canonicalized = row.split()
+    assert records == "250" and eval_med == eval_min and sim_med == sim_min
+    # 250 product texts and 50 ketone texts: each is canonicalized at most once.
+    assert int(canonicalized) <= 300

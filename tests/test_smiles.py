@@ -17,6 +17,7 @@ from rxnscope.smiles import (
     SmilesParseError,
     _assign_directions,
     canonicalize,
+    identity_key,
     implicit_h_count,
     is_valid,
     parse_smiles,
@@ -390,6 +391,38 @@ class TestCanonicalize:
 
     def test_components_sorted(self):
         assert canonicalize("O.C") == canonicalize("C.O")
+
+
+class TestIdentityKey:
+    def test_equal_canonical_forms_have_equal_keys(self):
+        # One table over the corpus and five rank-shuffled rewrites of each
+        # text: every canonical class holds one key.
+        rng = random.Random(28)
+        texts = set()
+        for s in MOLECULES:
+            g = parse_smiles(s)
+            texts.add(s)
+            for _ in range(5):
+                ranks = list(range(len(g.atoms)))
+                rng.shuffle(ranks)
+                texts.add(write_smiles(g, ranks))
+        keys_by_form: dict[str, set] = {}
+        for text in texts:
+            keys_by_form.setdefault(canonicalize(text), set()).add(identity_key(parse_smiles(text)))
+        assert (len(texts), len(keys_by_form)) == (197, 52)
+        assert {form: keys for form, keys in keys_by_form.items() if len(keys) > 1} == {}
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("C1=CC=CC=C1", "c1ccccc1"), ("N1C=CC=C1", "[nH]1cccc1"), ("[CH3]C", "CC"), ("C[OH]", "CO")],
+    )
+    def test_forms_canonical_identity_may_merge_share_a_key(self, a, b):
+        assert identity_key(parse_smiles(a)) == identity_key(parse_smiles(b))
+
+    def test_explicit_hydrogens_are_folded(self):
+        assert identity_key(parse_smiles("[H]OC([H])([H])C")) == identity_key(parse_smiles("OCC")) == (
+            2, ("c", "c", "o"),
+        )
 
 
 class TestStereoForms:
