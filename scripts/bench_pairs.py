@@ -9,7 +9,11 @@ WORKLOAD:SEED:PAIRS`` adds one block to ``BENCH_<label>.json``, which
 keeps the final JSON line of every run, each side's median, min and
 quartiles per end-to-end metric, and in how many pairs the change was
 better. Blocks already in the file are kept, so cases can be run in
-separate invocations. The file is rewritten after every pair.
+separate invocations. The file is rewritten after every pair. Before the
+first pair, ``compileall`` byte-compiles ``src/`` and ``perfbench/`` of
+both trees, so that neither side compiles the package from source at
+each launch (as the fresh export otherwise would where
+``PYTHONDONTWRITEBYTECODE`` is set) and neither reads stale bytecode.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --label fingerprint_tables \\
         --case scope_evaluate:77:10 --case table_scope:77:4 --seconds 30
@@ -18,6 +22,7 @@ separate invocations. The file is rewritten after every pair.
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -119,6 +124,14 @@ def export_revision(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def compile_tree(tree: Path) -> None:
+    """Byte-compile the code a benchmark run imports from ``tree``, in place,
+    whatever bytecode it holds already."""
+    for part in ("src", "perfbench"):
+        if not compileall.compile_dir(tree / part, force=True, quiet=1):
+            raise SystemExit(f"cannot byte-compile {tree / part}")
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
@@ -167,6 +180,8 @@ def main(argv=None) -> int:
     parent_tree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         export_revision(args.parent, parent_tree)
+        for tree in (parent_tree, ROOT):
+            compile_tree(tree)
         for workload, seed, pairs in cases:
             runs: dict[str, list] = {"parent": [], "change": []}
             for pair in range(1, pairs + 1):

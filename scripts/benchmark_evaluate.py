@@ -10,10 +10,13 @@ every size mixes all of them. The documents are rich in isomers
 text shares its ``smiles.identity_key`` with another and is
 canonicalized. Per size the script prints seconds per
 ``evaluate`` call on the decoded document against itself and per
-``metrics._similarity`` call on its fingerprints, each as median and min
-over repeats, and the number of ``canonicalize`` calls one ``evaluate``
-makes. It exits 1 when a self-comparison is not perfect (soft and hard
-F1, Tani@1.0), so it can serve as a check:
+``metrics._similarity`` call on its fingerprints, milliseconds per
+``fingerprint`` call over the document's distinct molecules, each as
+median and min over repeats, the number of ``canonicalize`` calls one
+``evaluate`` makes, and the first 16 hex digits of a SHA-256 over every
+distinct molecule's text and fingerprint bits, so two revisions whose
+bits differ print different digests. It exits 1 when a self-comparison
+is not perfect (soft and hard F1, Tani@1.0), so it can serve as a check:
 
     python3 scripts/benchmark_evaluate.py --sizes 250 500 1000 2000 --repeats 3
 """
@@ -21,6 +24,7 @@ F1, Tani@1.0), so it can serve as a check:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import statistics
@@ -71,6 +75,11 @@ def _seconds(call, repeats: int) -> tuple[float, float]:
     return statistics.median(times), min(times)
 
 
+def _fingerprint_digest(graphs: dict) -> str:
+    rows = [[text, metrics.fingerprint(g).bits] for text, g in sorted(graphs.items())]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
 def _canonicalize_calls(records) -> int:
     real = metrics.canonicalize
     calls = 0
@@ -95,17 +104,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     print(f"{'records':>8} {'evaluate_med_s':>15} {'evaluate_min_s':>15} "
-          f"{'similarity_med_s':>17} {'similarity_min_s':>17} {'canonicalize':>13}")
+          f"{'similarity_med_s':>17} {'similarity_min_s':>17} {'fp_med_ms':>10} {'fp_min_ms':>10} "
+          f"{'canonicalize':>13} {'fp_digest':>16}")
     ok = True
     for n in args.sizes:
         records, _ = decode_records(document(n))
         report = metrics.evaluate(records, records)
         ok &= report["soft"]["f1"] == report["hard"]["f1"] == report["tani_at_1"] == 1.0
-        fps = [metrics.fingerprint(e.graph) for e in metrics._record_molecules(records)]
+        entries = metrics._record_molecules(records)
+        fps = [metrics.fingerprint(e.graph) for e in entries]
+        graphs = {e.smiles: e.graph for e in entries}
         eval_med, eval_min = _seconds(lambda: metrics.evaluate(records, records), args.repeats)
         sim_med, sim_min = _seconds(lambda: metrics._similarity(fps, fps), args.repeats)
+        fp_med, fp_min = _seconds(lambda: [metrics.fingerprint(g) for g in graphs.values()], args.repeats)
+        per_fp = 1000 / len(graphs)
         print(f"{n:>8} {eval_med:>15.3f} {eval_min:>15.3f} {sim_med:>17.3f} {sim_min:>17.3f} "
-              f"{_canonicalize_calls(records):>13}")
+              f"{fp_med * per_fp:>10.3f} {fp_min * per_fp:>10.3f} "
+              f"{_canonicalize_calls(records):>13} {_fingerprint_digest(graphs):>16}")
     print(f"self-comparison {'perfect' if ok else 'NOT perfect'}")
     return 0 if ok else 1
 

@@ -15,20 +15,21 @@ only when another distinct text of the call shares its
 keys are equal whenever canonical forms are, so a text alone with its
 key can equal no other molecule and is compared as itself.
 
-The path hash is FNV-1a, extended by one step text at a time through a
-table instead of a loop over the step's bytes. Split the state as
-``h = H + l`` with ``l = h & 0xFF``. XOR with a byte changes only the low
-8 bits, and a multiple of 256 times the prime is still a multiple of
-256, so the XORs only ever act on the part grown from ``l``: for a text
-``s`` of ``k`` bytes, ``fnv1a(s, H + l) == H * P**k + fnv1a(s, l)`` mod
-2**64. Hence ``fnv1a(s, h) == (h * P**k + C_s[h & 0xFF]) mod 2**64``
-with ``C_s[l] = fnv1a(s, l) - l * P**k``. ``_step_table`` builds
-``(P**k, C_s)`` once per distinct text, in a cache of fixed size that
-holds pure functions of bytes and no molecule data.
+The path hash is FNV-1a, and the walk carries only ``h mod FP_WIDTH``.
+``FP_WIDTH`` is 2**11, which divides 2**64, and an FNV-1a step maps the
+state's residue mod 2**11 to a residue that depends on nothing else: XOR
+with a byte touches only the low 8 bits, and a product's low 11 bits are
+those of the product of its factors' low 11 bits. So the bit a text sets,
+``fnv1a(text) % FP_WIDTH``, follows from the residue alone, and extending
+the text by one step is one lookup in that step's ``FP_WIDTH``-entry
+transition table. ``_step_table`` builds one table per distinct step
+text, in a cache of fixed size that holds pure functions of bytes and no
+molecule data.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,9 +44,8 @@ MAX_PATH_BONDS = 7
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
-# Distinct step texts whose tables are kept; each table is 256 ints
-# (about 11 KB), so the cache holds at most about 1.4 MB.
+# Distinct step texts whose tables are kept; each table is FP_WIDTH
+# 16-bit entries (4 KB), so the cache holds at most about 512 KB.
 _STEP_TABLES = 128
 
 
@@ -73,16 +73,19 @@ def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
     """FNV-1a over ``data``, continuing from state ``h``, byte by byte."""
     for byte in data:
         h ^= byte
-        h = (h * _FNV_PRIME) & _U64
+        h = (h * _FNV_PRIME) % (1 << 64)
     return h
 
 
 @lru_cache(maxsize=_STEP_TABLES)
-def _step_table(data: bytes) -> tuple[int, tuple[int, ...]]:
-    """``(mult, C)`` with ``_fnv1a(data, h) == (h * mult + C[h & 0xFF]) & _U64``
-    for every 64-bit ``h`` (see the module docstring)."""
-    mult = pow(_FNV_PRIME, len(data), 1 << 64)
-    return mult, tuple((_fnv1a(data, low) - low * mult) & _U64 for low in range(256))
+def _step_table(data: bytes) -> array:
+    """``T`` with ``T[h % FP_WIDTH] == _fnv1a(data, h) % FP_WIDTH`` for every
+    64-bit ``h`` (see the module docstring). Filled from 256 hashes of
+    ``data``: ``_fnv1a(data, h) - h * P**len(data)`` depends only on
+    ``h & 0xFF``, since the XORs touch only the low 8 bits."""
+    mult = pow(_FNV_PRIME, len(data), FP_WIDTH)
+    low = [(_fnv1a(data, b) - b * mult) % FP_WIDTH for b in range(256)]
+    return array("H", [(h * mult + low[h & 0xFF]) % FP_WIDTH for h in range(FP_WIDTH)])
 
 
 def _atom_descriptor(g: MolecularGraph, idx: int) -> str:
@@ -94,16 +97,14 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
     """Hash every simple linear path of 0..7 bonds into a 2048-bit set.
 
     A path's text joins its atom descriptors and bond orders with ".".
-    Each path contributes one bit, the FNV-1a hash of the lexicographically
-    smaller of its two traversal texts, which makes the fingerprint
-    independent of atom numbering. The walk carries the hash of the text
-    so far and extends it by each new bond and atom, so each path is
-    hashed once; a path with bonds is walked from both ends, and only the
-    walk whose text is the smaller one sets the bit. Each extension is one
-    multiply, one add and one mask through the step text's table: this
-    equals FNV-1a over the step's bytes because XOR touches only the low
-    8 bits of the state, and those bits of a product depend only on the
-    low 8 bits of its factors.
+    Each path contributes one bit, ``fnv1a(text) % FP_WIDTH`` of the
+    lexicographically smaller of its two traversal texts, which makes the
+    fingerprint independent of atom numbering. The walk carries the text
+    so far and that bit position, the FNV-1a state mod 2**11, which is all
+    of the state the bit reads and all that its next step needs; each new
+    bond and atom is one lookup in the step text's table. A path with
+    bonds is walked from both ends, and only the walk whose text is the
+    smaller one sets the bit.
     """
     for atom in g.atoms:
         if atom.kind == "placeholder":
@@ -112,35 +113,32 @@ def fingerprint(g: MolecularGraph) -> Fingerprint:
             )
     adj = g.adjacency()
     descriptors = [_atom_descriptor(g, i) for i in range(len(g.atoms))]
-    # Per atom: (mate, text appended going forward, its step table's
-    # multiplier and constants, text prepended to the reverse traversal).
+    # Per atom: (mate, text appended going forward, its step table, text
+    # prepended to the reverse traversal).
     steps = []
     for i in range(len(g.atoms)):
         out = []
         for mate, bond in adj[i]:
             ahead = f".{bond.order}.{descriptors[mate]}"
-            mult, table = _step_table(ahead.encode())
-            out.append((mate, ahead, mult, table, f"{descriptors[mate]}.{bond.order}."))
+            out.append((mate, ahead, _step_table(ahead.encode()), f"{descriptors[mate]}.{bond.order}."))
         steps.append(out)
-    bits = 0
-    path: list[int] = []
+    found: set[int] = set()
+    on_path = [False] * len(g.atoms)
 
-    def walk(cur: int, text: str, back: str, h: int) -> None:
-        nonlocal bits
+    def walk(cur: int, text: str, back: str, h: int, bonds: int) -> None:
         if text <= back:
-            bits |= 1 << (h % FP_WIDTH)
-        if len(path) == MAX_PATH_BONDS:
+            found.add(h)
+        if bonds == MAX_PATH_BONDS:
             return
-        path.append(cur)
-        for mate, ahead, mult, table, behind in steps[cur]:
-            if mate not in path:
-                walk(mate, text + ahead, behind + back, (h * mult + table[h & 0xFF]) & _U64)
-        path.pop()
+        on_path[cur] = True
+        for mate, ahead, table, behind in steps[cur]:
+            if not on_path[mate]:
+                walk(mate, text + ahead, behind + back, table[h], bonds + 1)
+        on_path[cur] = False
 
     for start, text in enumerate(descriptors):
-        mult, table = _step_table(text.encode())
-        walk(start, text, text, (_FNV_OFFSET * mult + table[_FNV_OFFSET & 0xFF]) & _U64)
-    return Fingerprint(bits=bits)
+        walk(start, text, text, _step_table(text.encode())[_FNV_OFFSET % FP_WIDTH], 0)
+    return Fingerprint(bits=sum(1 << position for position in found))
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

@@ -17,6 +17,7 @@ from rxnscope.metrics import (
     prf,
     tanimoto,
 )
+from rxnscope.molgraph import AtomToken, MolecularGraph
 from rxnscope.reaction import (
     ConditionItem,
     MoleculeEntry,
@@ -106,8 +107,14 @@ SYMMETRIC_SCOPE = [
 ]
 
 
+# Abbreviation texts that hold "." or "|", and whose descriptors are
+# prefixes of one another's or of a whole path's text ("C|0|0.single.C").
+AWKWARD_TEXTS = ["a.b", "a", "a.b.c", "C|0|0!", "C|0|0.single.C", "C|0|0", "C|0", "C|0|0.single"]
+
+
 class TestStepTables:
-    """The table step is FNV-1a, so the bits equal the brute-force oracle's."""
+    """The table step is FNV-1a mod FP_WIDTH, so the bits equal the
+    brute-force oracle's."""
 
     def test_corpus_and_fig2_match_oracle(self, fig2_bundle):
         golden = json.loads((fig2_bundle / "golden.json").read_text())
@@ -128,9 +135,35 @@ class TestStepTables:
             assert fingerprint(g).bits == reference_fingerprint(g)
 
     @given(st.binary(max_size=64), st.integers(0, 2**64 - 1))
-    def test_table_step_is_fnv1a(self, data, h):
-        mult, table = metrics._step_table(data)
-        assert (h * mult + table[h & 0xFF]) & (2**64 - 1) == metrics._fnv1a(data, h)
+    def test_table_step_is_fnv1a_mod_width(self, data, h):
+        # The bit reads h % FP_WIDTH, and that residue after a step depends
+        # only on the residue before it.
+        table = metrics._step_table(data)
+        assert len(table) == metrics.FP_WIDTH
+        assert table[h % metrics.FP_WIDTH] == metrics._fnv1a(data, h) % metrics.FP_WIDTH
+
+    def test_width_is_a_power_of_two_that_fits_the_table(self):
+        # A power of two divides 2**64, so the residue is closed under the
+        # FNV-1a step; 16-bit table entries hold residues below 2**16.
+        width = metrics.FP_WIDTH
+        assert width & (width - 1) == 0 and 256 <= width <= 2**16
+
+    def test_awkward_abbreviation_texts_match_oracle(self):
+        # Texts holding the descriptor's own separators, and descriptors
+        # that are prefixes of others ("C|0|0" of "C|0|0!|0|0"), so that
+        # comparing two end descriptors does not settle ``text <= back``.
+        pool = [AtomToken(kind="abbreviation", text=t) for t in AWKWARD_TEXTS] + [
+            AtomToken(kind="element", text="C"),
+            AtomToken(kind="element", text="C", aromatic=True),
+            AtomToken(kind="element", text="C", charge=-1),
+        ]
+        descriptors = [metrics._atom_descriptor(MolecularGraph(atoms=(a,)), 0) for a in pool]
+        assert any(a != b and b.startswith(a) for a in descriptors for b in descriptors)
+        rng = random.Random(20261020)
+        for _ in range(200):
+            shape = random_fingerprint_graph(rng, max_atoms=10)
+            g = MolecularGraph(atoms=tuple(rng.choice(pool) for _ in shape.atoms), bonds=shape.bonds)
+            assert fingerprint(g).bits == reference_fingerprint(g), [a.text for a in g.atoms]
 
     def test_cache_stays_bounded(self):
         # 144 atoms with distinct (element, charge): more distinct step

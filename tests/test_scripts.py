@@ -119,11 +119,31 @@ def test_bench_pairs_summary_of_canned_lines():
     assert block["runs"] == {"parent": parent, "change": change}
 
 
+def test_bench_pairs_compile_tree_refreshes_bytecode(tmp_path):
+    compile_tree = _bench_pairs().compile_tree
+    sources = [tmp_path / "src" / "pkg" / "mod.py", tmp_path / "perfbench" / "work.py"]
+    for source in sources:
+        source.parent.mkdir(parents=True)
+        source.write_text("VALUE = 1\n")
+    stale = importlib.util.cache_from_source(str(sources[0]))
+    compile_tree(tmp_path)
+    first = Path(stale).read_bytes()
+    sources[0].write_text("VALUE = 22\n")
+    compile_tree(tmp_path)
+    for source in sources:
+        assert Path(importlib.util.cache_from_source(str(source))).is_file()
+    # A changed source is compiled again, not read from its old bytecode.
+    assert Path(stale).read_bytes() != first
+
+
 def test_evaluate_benchmark_scores_its_document_perfectly(tmp_path):
     out = run_script("benchmark_evaluate.py", "--sizes", "250", "--repeats", "1", cwd=tmp_path)
     header, row, verdict = out.splitlines()
     assert header.split()[0] == "records" and verdict == "self-comparison perfect"
-    records, eval_med, eval_min, sim_med, sim_min, canonicalized = row.split()
-    assert records == "250" and eval_med == eval_min and sim_med == sim_min
+    records, eval_med, eval_min, sim_med, sim_min, fp_med, fp_min, canonicalized, digest = row.split()
+    assert records == "250" and eval_med == eval_min and sim_med == sim_min and fp_med == fp_min
+    assert float(fp_med) > 0
     # 250 product texts and 50 ketone texts: each is canonicalized at most once.
     assert int(canonicalized) <= 300
+    # The bits of all 300 distinct molecules, pinned like test_pinned_corpus_digest.
+    assert digest == "11aa1c80778a9388"
