@@ -16,7 +16,9 @@ median and min over repeats, the number of ``canonicalize`` calls one
 ``evaluate`` makes, and the first 16 hex digits of a SHA-256 over every
 distinct molecule's text and fingerprint bits, so two revisions whose
 bits differ print different digests. It exits 1 when a self-comparison
-is not perfect (soft and hard F1, Tani@1.0), so it can serve as a check:
+is not perfect (soft and hard F1, Tani@1.0), so it can serve as a check.
+Times are CPU time of this process (``time.process_time``), which other
+processes' load moves little:
 
     python3 scripts/benchmark_evaluate.py --sizes 250 500 1000 2000 --repeats 3
 """
@@ -69,9 +71,9 @@ def document(n: int) -> str:
 def _seconds(call, repeats: int) -> tuple[float, float]:
     times = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         call()
-        times.append(time.perf_counter() - start)
+        times.append(time.process_time() - start)
     return statistics.median(times), min(times)
 
 

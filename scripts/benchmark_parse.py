@@ -12,7 +12,8 @@ the walk over every simple 6-atom path. Then counts the differences of
 perception from its oracle, and of the writer's text and write order
 from ``reference_write_smiles`` in index order and under shuffled
 ranks, on those graphs and on seeded ring graphs, and exits 1 on any
-difference, so it can serve as a check:
+difference, so it can serve as a check. Times are CPU time of this
+process (``time.process_time``), which other processes' load moves little:
 
     python3 scripts/benchmark_parse.py --graphs 300
 """
@@ -69,10 +70,10 @@ def fig2_texts() -> dict[str, list[str]]:
 def _best_us_per_call(call, args: list, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         for arg in args:
             call(arg)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return 1e6 * best / len(args)
 
 

@@ -17,7 +17,9 @@ embeddings in B27) and a tris(3,5-bis-CF3-phenyl)methanol methyl ether
 with its methyl as ``[R]`` (2,239,488), each aligned onto its variant,
 with milliseconds per ``scaffold_align`` call on the template graph (so
 preparing the template is counted) and embeddings per call. Exits 1 if
-any list or alignment differs, so it can serve as a check:
+any list or alignment differs, so it can serve as a check. Times are CPU
+time of this process (``time.process_time``), which other processes' load
+moves little:
 
     python3 scripts/benchmark_substructure.py --trials 50
 """
@@ -57,10 +59,10 @@ BIS_CF3_PHENYL = "c1cc(C(F)(F)F)cc(C(F)(F)F)c1"
 def _best_ms_per_call(call, args: list, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         for arg in args:
             call(arg)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return 1000 * best / len(args)
 
 
@@ -176,16 +178,16 @@ def main(argv=None) -> int:
             (random_pattern(rng, 4), random_molecular_graph(rng, size))
             for _ in range(args.trials)
         ]
-        start = time.perf_counter()
+        start = time.process_time()
         results = [find_matches(p, t) for p, t in cases]
-        matcher_ms = 1000 * (time.perf_counter() - start)
+        matcher_ms = 1000 * (time.process_time() - start)
 
         oracle_ms = float("nan")
         mismatches = "-"
         if size <= args.oracle_max:
-            start = time.perf_counter()
+            start = time.process_time()
             reference = [brute_force_matches(p, t) for p, t in cases]
-            oracle_ms = 1000 * (time.perf_counter() - start)
+            oracle_ms = 1000 * (time.process_time() - start)
             key = lambda m: tuple(m[i] for i in range(len(m)))
             mismatches = sum(
                 got != sorted(want, key=key) for got, want in zip(results, reference)

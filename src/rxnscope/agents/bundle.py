@@ -77,8 +77,6 @@ SIDECARS: dict[str, tuple[Any, Optional[str]]] = {
         None,
     ),
     "boxes.json": ([(int, str)], None),
-    "ner.json": ([{"text": str, "type": str}], "[]"),
-    "rxn.json": ({"annotations": [str]}, '{"annotations": []}'),
     "text.txt": (str, ""),
     "table.txt": (str, None),
 }
@@ -100,9 +98,12 @@ class Bundle:
     def read(self, name: str) -> Any:
         """Sidecar ``name`` as ``SIDECARS`` states it: JSON decoded, text as is.
 
-        Raises ``DescriptorError`` naming the file when it is required and
-        absent, unreadable, not UTF-8, not JSON or not of its shape.
+        Raises ``DescriptorError`` naming the file when it is not a sidecar,
+        required and absent, unreadable, not UTF-8, not JSON or not of its
+        shape.
         """
+        if name not in SIDECARS:
+            raise DescriptorError(f"{name}: no such bundle sidecar")
         shape, absent = SIDECARS[name]
         try:
             text = (self.root / name).read_text(encoding="utf-8")

@@ -57,7 +57,6 @@ class _StepFailure(RuntimeError):
 @dataclass(frozen=True)
 class ExtractionResult:
     records: tuple[ReactionRecord, ...]
-    text_annotations: tuple[str, ...]
     trace: tuple[dict, ...]
     document: str
 
@@ -334,10 +333,7 @@ def _step_condition_interpretation(run: _Run) -> dict:
 
 
 def _step_text_extraction(run: _Run) -> dict:
-    text = run.invoke("ocr", {})["text"]
-    run.invoke("ner", {})
-    annotations = run.invoke("rxn_extractor", {}).get("annotations", [])
-    run.memory.update(text_description=text, text_annotations=list(annotations))
+    run.memory["text_description"] = run.invoke("ocr", {})["text"]
     return {"smiles": []}
 
 
@@ -502,7 +498,6 @@ def execute_plan(
         )
     return ExtractionResult(
         records=tuple(m.get("records", ())),
-        text_annotations=tuple(m.get("text_annotations", ())),
         trace=tuple(run.trace),
         document=m["document"],
     )

@@ -47,7 +47,7 @@ AGENT_IO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "structure_rgroup": (("template", "molecules"), ("variant_reactions",)),
     "text_rgroup": (("template", "bundle:table_text"), ("variant_reactions", "variant_conditions")),
     "condition_interpretation": (("condition_text",), ("conditions",)),
-    "text_extraction": (("bundle:text",), ("text_description", "text_annotations")),
+    "text_extraction": (("bundle:text",), ("text_description",)),
     "data_structure": ((), ("document",)),
 }
 

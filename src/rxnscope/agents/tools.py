@@ -1,7 +1,7 @@
 """Tool registry: fixture-backed recognition stubs plus real converters.
 
 Tools run in-process and answer with values. Recognition tools (detector,
-image parsers, OCR, NER) read bundle sidecar files through ``Bundle.read``,
+image parsers, OCR) read bundle sidecar files through ``Bundle.read``,
 which checks each file against ``bundle.SIDECARS``, and decode the graphs
 they hold into ``MolecularGraph`` values; a faulty sidecar or graph fails
 the step that read it with an error naming the file and field. Conversion
@@ -131,14 +131,6 @@ def _tool_ocr(ctx: RunContext, request: dict) -> dict:
     return {"text": ctx.require_bundle().read("text.txt").strip()}
 
 
-def _tool_ner(ctx: RunContext, request: dict) -> dict:
-    return {"entities": ctx.require_bundle().read("ner.json")}
-
-
-def _tool_rxn_extractor(ctx: RunContext, request: dict) -> dict:
-    return ctx.require_bundle().read("rxn.json")
-
-
 # ---------------------------------------------------------------------------
 # Real converters
 # ---------------------------------------------------------------------------
@@ -227,8 +219,6 @@ def default_registry() -> ToolRegistry:
     registry.register("image2graph", _tool_image2graph)
     registry.register("rxn_img_parser", _tool_rxn_img_parser)
     registry.register("ocr", _tool_ocr)
-    registry.register("ner", _tool_ner)
-    registry.register("rxn_extractor", _tool_rxn_extractor)
     registry.register("graph2smiles", _tool_graph2smiles)
     registry.register("table_parser", _tool_table_parser)
     registry.register("smiles_reconstructor", _tool_smiles_reconstructor)

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import io
 import json
 import logging
@@ -8,6 +10,7 @@ import time
 import urllib.request
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,13 +26,16 @@ from rxnscope.agents.backend import (
 from rxnscope.agents.bundle import MODALITIES, Bundle
 from rxnscope.agents.executor import (
     STEP_FUNCS,
+    _step_data_structure,
     ExecutionError,
     execute_plan,
     observe_step,
 )
 from rxnscope.agents.planner import (
+    AGENT_IO,
     AGENT_KINDS,
     MODALITY_IO,
+    OPTIONAL_INPUTS,
     Plan,
     PlanningError,
     build_steps,
@@ -60,7 +66,7 @@ AGENT_TOOLS = {
     "structure_rgroup": {"smiles_reconstructor"},
     "text_rgroup": {"table_parser", "graph2smiles"},
     "condition_interpretation": {"condition_interpreter"},
-    "text_extraction": {"ocr", "ner", "rxn_extractor"},
+    "text_extraction": {"ocr"},
     "data_structure": set(),
 }
 
@@ -91,6 +97,25 @@ class TestAgentKinds:
 
     def test_every_modality_has_a_planner_row(self):
         assert set(MODALITY_IO) == MODALITIES
+
+    def test_every_output_is_read(self):
+        # An output is read when a step takes it as an input, or when the
+        # document step reads it from memory: a key of its ``m.get`` calls
+        # or of its key set.
+        read = {i for inputs, _ in AGENT_IO.values() for i in inputs}
+        read.update(i for inputs in OPTIONAL_INPUTS.values() for i in inputs)
+        for node in ast.walk(ast.parse(inspect.getsource(_step_data_structure))):
+            if isinstance(node, ast.Set):
+                read.update(key.value for key in node.elts)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and ast.unparse(node.func.value) == "m"
+            ):
+                read.add(node.args[0].value)
+        outputs = {o for _, outs in AGENT_IO.values() for o in outs} - {"document"}
+        assert sorted(outputs - read) == []
 
 
 class TestInputDescriptor:
@@ -123,15 +148,19 @@ class TestBundleRead:
     @pytest.mark.parametrize(
         "name, content, message",
         [
-            ("ner.json", None, "ner.json cannot be read"),  # a directory
-            ("rxn.json", "[" * 100_000, "rxn.json is not valid JSON"),
+            ("molecules.json", None, "molecules.json cannot be read"),  # a directory
+            ("template.json", "[" * 100_000, "template.json is not valid JSON"),
             ("boxes.json", "[" + "1" * 5000 + "]", "boxes.json is not valid JSON"),
-            ("ner.json", "null", "ner.json: expected a list"),
-            ("ner.json", "{}", "ner.json: expected a list"),
+            ("boxes.json", "null", "boxes.json: expected a list"),
+            ("boxes.json", "{}", "boxes.json: expected a list"),
             ("template.json", '{"rgroup_formulas": {"Ar2": 5}}', "template.json.rgroup_formulas.Ar2"),
             ("molecules.json", '[{"label": 3}]', "molecules.json[0].label: expected a string or null"),
             # bool subclasses int, but a JSON true is no integer.
             ("boxes.json", '[true, 0, 5, 5, "MOL"]', "boxes.json[0]: expected an integer or a string"),
+            # fig2 holds ner.json and rxn.json, but no tool reads them.
+            ("foo.json", "{}", "foo.json: no such bundle sidecar"),
+            ("ner.json", "[]", "ner.json: no such bundle sidecar"),
+            ("rxn.json", '{"annotations": []}', "rxn.json: no such bundle sidecar"),
         ],
     )
     def test_faulty_sidecar(self, tmp_path, name, content, message):
@@ -145,8 +174,6 @@ class TestBundleRead:
 
     def test_absent_optional_sidecar_reads_as_its_default(self, tmp_path):
         bundle = Bundle(tmp_path, None)
-        assert bundle.read("ner.json") == []
-        assert bundle.read("rxn.json") == {"annotations": []}
         assert bundle.read("text.txt") == ""
         with pytest.raises(DescriptorError, match="table.txt is missing"):
             bundle.read("table.txt")
@@ -628,6 +655,27 @@ class TestObserveStep:
         assert parsed == []
 
 
+def _with_text_tool_calls(trace, bundle_path) -> list[dict]:
+    """``trace`` with the ``ner`` and ``rxn_extractor`` entries that once
+    followed the text step's ``ocr`` entry, answered from the bundle's
+    ``ner.json`` and ``rxn.json``."""
+    root = Path(bundle_path)
+    answers = {
+        "ner": {"entities": json.loads((root / "ner.json").read_text())},
+        "rxn_extractor": json.loads((root / "rxn.json").read_text()),
+    }
+    out = []
+    for entry in trace:
+        out.append(entry)
+        if entry.get("tool") == "ocr":
+            out += [
+                {"type": "tool", "step": entry["step"], "tool": tool, "request": {},
+                 "response": response, "status": "ok"}
+                for tool, response in answers.items()
+            ]
+    return out
+
+
 def _with_conditions_ocr(trace) -> list[dict]:
     """``trace`` with the ``ocr`` entry that once read the condition text
     before each ``condition_interpreter`` call, and ``ocr``'s old source key."""
@@ -712,6 +760,17 @@ class TestExecutor:
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
+            "39bce86f5fe4203cfc0fc0b63178846aada5a1119750a91239010975b39ba32d"
+        )
+
+    def test_fig2_trace_lost_only_its_text_tool_calls(self, fig2_setup):
+        # The text step once also called ``ner`` and ``rxn_extractor``, whose
+        # answers reached no document; put back, they give the trace pinned
+        # before, byte for byte.
+        d, plan = fig2_setup
+        trace = _with_text_tool_calls(execute_plan(plan, d).trace, d.bundle_path)
+        written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
             "f3e0e6f80b297c2ec62ba81bb2148b87fcf274fca3c35918f766fcf8b578f5bf"
         )
 
@@ -720,7 +779,8 @@ class TestExecutor:
         # call, and ``ocr`` took a source; put back, they give the trace
         # pinned before, byte for byte.
         d, plan = fig2_setup
-        trace = _with_conditions_ocr(execute_plan(plan, d).trace)
+        trace = _with_text_tool_calls(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_conditions_ocr(trace)
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
             "b135982a312cb2b9f54f1f0bfe7cdc6ebd8b1c2ff512c0d5e034053bb72d33c2"
@@ -740,7 +800,9 @@ class TestExecutor:
                     out["attempt"] = 1
             return out
 
-        trace = [with_attempt(e) for e in _with_conditions_ocr(execute_plan(plan, d).trace)]
+        trace = _with_text_tool_calls(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_conditions_ocr(trace)
+        trace = [with_attempt(e) for e in trace]
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
             "fa29892b9f34188bee4aaa1f91b576ba387c317100dd29b528d13f17c6911e2d"
@@ -758,7 +820,7 @@ class TestExecutor:
         monkeypatch.setattr(Bundle, "read", spy)
         execute_plan(plan, d)
         assert sorted(reads) == [
-            "boxes.json", "molecules.json", "ner.json", "rxn.json", "template.json", "text.txt",
+            "boxes.json", "molecules.json", "template.json", "text.txt",
         ]
 
     def test_failed_step_outputs_make_no_records(self, fig2_bundle, tmp_path):
@@ -832,7 +894,6 @@ class TestExecutor:
         )
         plan = plan_extraction(d, BACKEND)
         result = execute_plan(plan, d)
-        assert result.text_annotations == ()
         assert len(result.records) == 7
         doc = json.loads(result.document)
         assert doc["Text description"] == ""
@@ -921,24 +982,24 @@ class TestExecutor:
 
     def test_trace_holds_only_its_own_runs_warnings(self, fig2_setup):
         # Run B logs a warning per graph written while run A waits inside
-        # its ner tool.
+        # its ocr tool.
         d, plan = fig2_setup
-        a_in_ner, b_done = threading.Event(), threading.Event()
+        a_in_ocr, b_done = threading.Event(), threading.Event()
         registry_a, registry_b = default_registry(), default_registry()
-        real_ner, real_graph2smiles = registry_a._tools["ner"], registry_b._tools["graph2smiles"]
+        real_ocr, real_graph2smiles = registry_a._tools["ocr"], registry_b._tools["graph2smiles"]
 
-        def waiting_ner(ctx, request):
-            a_in_ner.set()
+        def waiting_ocr(ctx, request):
+            a_in_ocr.set()
             b_done.wait(timeout=60)
-            return real_ner(ctx, request)
+            return real_ocr(ctx, request)
 
         def logging_graph2smiles(ctx, request):
-            a_in_ner.wait(timeout=60)
+            a_in_ocr.wait(timeout=60)
             response = real_graph2smiles(ctx, request)
             logging.getLogger("rxnscope.agents.tools").warning("wrote %s", response["smiles"])
             return response
 
-        registry_a.register("ner", waiting_ner)
+        registry_a.register("ocr", waiting_ocr)
         registry_b.register("graph2smiles", logging_graph2smiles)
         results = {}
 
@@ -957,7 +1018,7 @@ class TestExecutor:
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert a_in_ner.is_set()
+        assert a_in_ocr.is_set()
 
         def logs(result):
             return [e["message"] for e in result.trace if e["type"] == "log"]
@@ -1080,11 +1141,11 @@ class TestMoleculeEntries:
         registry = default_registry()
         kept = []
 
-        def ner(ctx, request):
+        def ocr(ctx, request):
             kept.append(parse_smiles("CCO") is parse_smiles("CCO"))
-            return {"entities": []}
+            return {"text": ""}
 
-        registry.register("ner", ner)
+        registry.register("ocr", ocr)
         execute_plan(plan, d, registry=registry)
         assert kept == [False]
 

@@ -384,15 +384,26 @@ HOSTILE_MOLECULES = {
         "molecular_recognition",
     ),
     "boxes-integer": (_fig2_with("boxes.json", lambda b: 5), "molecular_recognition"),
-    "rxn-list": (_fig2_with("rxn.json", lambda r: []), "text_extraction"),
-    "rxn-string": (_fig2_with("rxn.json", lambda r: json.dumps("x")), "text_extraction"),
-    "rxn-integer-annotations": (
-        _fig2_with("rxn.json", lambda r: {"annotations": 5}),
-        "text_extraction",
-    ),
     # A sidecar that is not JSON, or not UTF-8, fails its step the same way.
-    "rxn-not-json": (_fig2_with("rxn.json", lambda r: "{"), "text_extraction"),
     "boxes-not-json": (_fig2_with("boxes.json", lambda b: b"\xff["), "molecular_recognition"),
+}
+
+# Fixture files that no step reads (None: absent). Whatever they hold, a
+# fig2 copy writes its golden document, text description included.
+DIRECTORY = object()
+UNREAD_SIDECARS = {
+    "rxn-list": ("rxn.json", []),
+    "rxn-string": ("rxn.json", json.dumps("x")),
+    "rxn-integer-annotations": ("rxn.json", {"annotations": 5}),
+    "rxn-not-json": ("rxn.json", "{"),
+    "rxn-not-utf8": ("rxn.json", b"\xff"),
+    "rxn-absent": ("rxn.json", None),
+    "ner-directory": ("ner.json", DIRECTORY),
+    "ner-null": ("ner.json", "null"),
+    "ner-empty-object": ("ner.json", {}),
+    "ner-not-json": ("ner.json", "{"),
+    "ner-not-utf8": ("ner.json", b"\xff"),
+    "ner-absent": ("ner.json", None),
 }
 
 
@@ -406,8 +417,6 @@ SIDECAR_READERS = {
     "template.json": "reaction_template_parsing",
     "molecules.json": "molecular_recognition",
     "boxes.json": "molecular_recognition",
-    "ner.json": "text_extraction",
-    "rxn.json": "text_extraction",
     "text.txt": "text_extraction",
     "table.txt": "text_rgroup",
 }
@@ -636,9 +645,9 @@ class TestHostileInput:
 
     def test_sweep_covers_every_sidecar(self):
         assert set(SIDECAR_READERS) == set(SIDECARS)
-        assert OPTIONAL_SIDECARS == ["ner.json", "rxn.json", "text.txt"]
+        assert OPTIONAL_SIDECARS == ["text.txt"]
 
-    @pytest.mark.parametrize("name", ["ner.json", "table.txt"])
+    @pytest.mark.parametrize("name", ["text.txt", "table.txt"])
     def test_sweep_bundles_run_clean(self, name, capsys, tmp_path, fig2_bundle):
         # Unfaulted, the fig2 copy and its text-table variant pass every step.
         content = SWEEP_TABLE if name == "table.txt" else (fig2_bundle / name).read_bytes()
@@ -703,15 +712,38 @@ class TestHostileInput:
 
     def test_unreadable_sidecar_traced_like_tool_error(self, capsys, tmp_path, fig2_bundle):
         trace_path = tmp_path / "trace.json"
-        argv = _fig2_with("rxn.json", lambda r: "{")(tmp_path, fig2_bundle)
+        argv = _fig2_with("boxes.json", lambda b: "{")(tmp_path, fig2_bundle)
         code, _ = run(capsys, *argv, "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path))
         assert code == 0
         calls = [
             e for e in json.loads(trace_path.read_text())
-            if e["type"] == "tool" and e["tool"] == "rxn_extractor"
+            if e["type"] == "tool" and e["tool"] == "mol_detector"
         ]
         assert [(e["status"], e["response"]) for e in calls] == [("error", None)]
-        assert all("rxn.json is not valid JSON" in e["error"] for e in calls)
+        assert all("boxes.json is not valid JSON" in e["error"] for e in calls)
+
+    @pytest.mark.parametrize("case", sorted(UNREAD_SIDECARS))
+    def test_unread_sidecar_keeps_the_golden_document(self, case, capsys, tmp_path, fig2_bundle):
+        name, content = UNREAD_SIDECARS[case]
+        clone = tmp_path / "bundle"
+        clone.mkdir()
+        for path in fig2_bundle.iterdir():
+            if path.name != name:
+                (clone / path.name).write_bytes(path.read_bytes())
+        if content is DIRECTORY:
+            (clone / name).mkdir()
+        elif content is not None:
+            _write(clone / name, content)
+        doc_path, trace_path = tmp_path / "doc.json", tmp_path / "trace.json"
+        code, _ = run(
+            capsys, "extract", "--bundle", str(clone), "--out", str(doc_path), "--trace", str(trace_path)
+        )
+        assert code == 0
+        trace = json.loads(trace_path.read_text())
+        assert not [e for e in trace if e["type"] in ("step_failed", "degraded")]
+        doc = json.loads(doc_path.read_text())
+        assert doc["Text description"]
+        assert doc == json.loads((fig2_bundle / "golden.json").read_text())
 
     def test_empty_graph_fails_one_step(self, capsys, tmp_path, fig2_bundle):
         # An unwritable molecule graph fails recognition; the run goes on.
