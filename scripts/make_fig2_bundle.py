@@ -5,7 +5,9 @@ Writes descriptor.json, template.json, molecules.json, boxes.json,
 text.txt, ner.json and rxn.json into the target directory, then runs the
 scripted pipeline once and freezes its document as golden.json. No run
 reads ner.json (named entities) or rxn.json (text reactions) until they
-get a document field and a scorer (ROADMAP item 8); they are fixture data.
+get a document field and a scorer (ROADMAP item 8), nor boxes.json (one
+detection box per molecule): molecules.json already holds the recognized
+molecules. The three are fixture data.
 """
 
 from __future__ import annotations

@@ -4,20 +4,12 @@ from .backend import BackendError, RemoteBackend, ScriptedBackend
 from .bundle import Bundle, DescriptorError, InputDescriptor, MODALITIES
 from .executor import ExecutionError, ExtractionResult, execute_plan, observe_step
 from .planner import Issue, Plan, PlanStep, PlanningError, plan_extraction, review_plan
-from .tools import (
-    DetectionError,
-    RunContext,
-    ToolError,
-    ToolRegistry,
-    decode_detection_sequence,
-    default_registry,
-)
+from .tools import RunContext, ToolError, ToolRegistry, default_registry
 
 __all__ = [
     "BackendError",
     "Bundle",
     "DescriptorError",
-    "DetectionError",
     "ExecutionError",
     "ExtractionResult",
     "InputDescriptor",
@@ -31,7 +23,6 @@ __all__ = [
     "ScriptedBackend",
     "ToolError",
     "ToolRegistry",
-    "decode_detection_sequence",
     "default_registry",
     "execute_plan",
     "observe_step",

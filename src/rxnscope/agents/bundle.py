@@ -76,7 +76,6 @@ SIDECARS: dict[str, tuple[Any, Optional[str]]] = {
         [{"graph": dict, "smiles": str, "label": (str, None), "annotations": [str]}],
         None,
     ),
-    "boxes.json": ([(int, str)], None),
     "text.txt": (str, ""),
     "table.txt": (str, None),
 }

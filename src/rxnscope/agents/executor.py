@@ -197,7 +197,6 @@ def _step_reaction_template_parsing(run: _Run) -> dict:
 
 
 def _step_molecular_recognition(run: _Run) -> dict:
-    boxes = run.invoke("mol_detector", {})["boxes"]
     molecules: list[dict] = []
     for drawn in run.invoke("image2graph", {})["molecules"]:
         if "graph" in drawn:
@@ -213,11 +212,7 @@ def _step_molecular_recognition(run: _Run) -> dict:
     for m in molecules:
         m["smiles"] = run.entry(m["smiles"], m["label"])
     run.memory["molecules"] = molecules
-    return {
-        "smiles": [m["smiles"] for m in molecules],
-        "molecule_count": len(molecules),
-        "box_count": len(boxes),
-    }
+    return {"smiles": [m["smiles"] for m in molecules]}
 
 
 def _step_structure_rgroup(run: _Run) -> dict:
@@ -428,11 +423,6 @@ def observe_step(kind: str, output: dict) -> tuple[bool, list[str]]:
             continue
         if kind in ("structure_rgroup", "text_rgroup") and entry.graph.placeholder_indices():
             reasons.append(f"placeholder residue in reconstruction {entry.smiles!r}")
-    if kind == "molecular_recognition":
-        expected = output.get("box_count")
-        got = output.get("molecule_count")
-        if expected is not None and got != expected:
-            reasons.append(f"{got} molecules for {expected} detected regions")
     if kind == "data_structure":
         reasons.extend(output.get("record_problems", []))
     return (not reasons, reasons)

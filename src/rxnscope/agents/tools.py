@@ -1,7 +1,7 @@
 """Tool registry: fixture-backed recognition stubs plus real converters.
 
-Tools run in-process and answer with values. Recognition tools (detector,
-image parsers, OCR) read bundle sidecar files through ``Bundle.read``,
+Tools run in-process and answer with values. Recognition tools (image
+parsers, OCR) read bundle sidecar files through ``Bundle.read``,
 which checks each file against ``bundle.SIDECARS``, and decode the graphs
 they hold into ``MolecularGraph`` values; a faulty sidecar or graph fails
 the step that read it with an error naming the file and field. Conversion
@@ -28,12 +28,6 @@ from .bundle import Bundle
 
 class ToolError(RxnscopeError, RuntimeError):
     pass
-
-
-class DetectionError(RxnscopeError, ValueError):
-    def __init__(self, offset: int, message: str):
-        self.offset = offset
-        super().__init__(f"token {offset}: {message}")
 
 
 @dataclass
@@ -70,35 +64,9 @@ class ToolRegistry:
         return fn(ctx, request)
 
 
-def decode_detection_sequence(tokens: list) -> list[dict]:
-    """Turn a flat [x1,y1,x2,y2,kind, ...] token stream into boxes."""
-    if len(tokens) % 5 != 0:
-        raise DetectionError(len(tokens), "token count is not a multiple of 5")
-    boxes: list[dict] = []
-    for i in range(0, len(tokens), 5):
-        x1, y1, x2, y2 = tokens[i : i + 4]
-        kind = tokens[i + 4]
-        for off, value in enumerate((x1, y1, x2, y2)):
-            if type(value) is not int or value < 0:  # a bool is no coordinate
-                raise DetectionError(i + off, f"bad coordinate {value!r}")
-        if x1 >= x2:
-            raise DetectionError(i, f"inverted corners: x1={x1} >= x2={x2}")
-        if y1 >= y2:
-            raise DetectionError(i + 1, f"inverted corners: y1={y1} >= y2={y2}")
-        boxes.append({"x1": x1, "y1": y1, "x2": x2, "y2": y2, "kind": str(kind)})
-    return boxes
-
-
 # ---------------------------------------------------------------------------
 # Fixture-backed recognition stubs
 # ---------------------------------------------------------------------------
-
-
-def _tool_mol_detector(ctx: RunContext, request: dict) -> dict:
-    try:
-        return {"boxes": decode_detection_sequence(ctx.require_bundle().read("boxes.json"))}
-    except DetectionError as exc:
-        raise ToolError(f"boxes.json: {exc}") from None
 
 
 def _decode_graph(data: dict, where: str) -> MolecularGraph:
@@ -215,7 +183,6 @@ def _tool_condition_interpreter(ctx: RunContext, request: dict) -> dict:
 
 def default_registry() -> ToolRegistry:
     registry = ToolRegistry()
-    registry.register("mol_detector", _tool_mol_detector)
     registry.register("image2graph", _tool_image2graph)
     registry.register("rxn_img_parser", _tool_rxn_img_parser)
     registry.register("ocr", _tool_ocr)

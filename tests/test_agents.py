@@ -42,14 +42,9 @@ from rxnscope.agents.planner import (
     plan_extraction,
     review_plan,
 )
-from rxnscope.agents.tools import (
-    DetectionError,
-    RunContext,
-    ToolError,
-    decode_detection_sequence,
-    default_registry,
-)
+from rxnscope.agents.tools import RunContext, ToolError, default_registry
 from rxnscope import chemops, smiles
+from rxnscope.jsonshape import check_shape
 from rxnscope.chemops import AbbreviationTable, AliasRegistry
 from rxnscope.molgraph import atom_token_from_symbol, graph_from_json, graph_to_json, main_component
 from rxnscope.reaction import MoleculeEntry, decode_records
@@ -62,7 +57,7 @@ BACKEND = ScriptedBackend()
 
 AGENT_TOOLS = {
     "reaction_template_parsing": {"rxn_img_parser", "image2graph", "graph2smiles"},
-    "molecular_recognition": {"mol_detector", "image2graph", "graph2smiles"},
+    "molecular_recognition": {"image2graph", "graph2smiles"},
     "structure_rgroup": {"smiles_reconstructor"},
     "text_rgroup": {"table_parser", "graph2smiles"},
     "condition_interpretation": {"condition_interpreter"},
@@ -79,6 +74,17 @@ def _text_table_copy(fig2_bundle, tmp_path, table: str) -> InputDescriptor:
     (tmp_path / "descriptor.json").write_text(json.dumps({"modalities": modalities}))
     (tmp_path / "table.txt").write_text(table)
     return Bundle.load(tmp_path).descriptor
+
+
+def _own_returns(fn: ast.FunctionDef):
+    """The return statements of ``fn`` itself, not of a function it defines."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def descriptor(*modalities: str, path=None) -> InputDescriptor:
@@ -117,6 +123,19 @@ class TestAgentKinds:
         outputs = {o for _, outs in AGENT_IO.values() for o in outs} - {"document"}
         assert sorted(outputs - read) == []
 
+    def test_steps_tell_the_observer_only_what_it_checks(self):
+        # A step's answer goes to ``observe_step`` alone, which checks the
+        # molecules and the document step's record problems: any other key
+        # would carry a tool answer that nothing uses.
+        for kind, fn in STEP_FUNCS.items():
+            allowed = {"smiles", "record_problems"} if kind == "data_structure" else {"smiles"}
+            returns = list(_own_returns(ast.parse(inspect.getsource(fn)).body[0]))
+            assert returns, kind
+            for node in returns:
+                assert isinstance(node.value, ast.Dict), (kind, ast.unparse(node))
+                keys = [key.value if isinstance(key, ast.Constant) else None for key in node.value.keys]
+                assert set(keys) <= allowed, (kind, ast.unparse(node))
+
 
 class TestInputDescriptor:
     def test_known_modalities(self):
@@ -150,15 +169,14 @@ class TestBundleRead:
         [
             ("molecules.json", None, "molecules.json cannot be read"),  # a directory
             ("template.json", "[" * 100_000, "template.json is not valid JSON"),
-            ("boxes.json", "[" + "1" * 5000 + "]", "boxes.json is not valid JSON"),
-            ("boxes.json", "null", "boxes.json: expected a list"),
-            ("boxes.json", "{}", "boxes.json: expected a list"),
+            ("molecules.json", "[" + "1" * 5000 + "]", "molecules.json is not valid JSON"),
+            ("molecules.json", "null", "molecules.json: expected a list"),
+            ("molecules.json", "{}", "molecules.json: expected a list"),
             ("template.json", '{"rgroup_formulas": {"Ar2": 5}}', "template.json.rgroup_formulas.Ar2"),
             ("molecules.json", '[{"label": 3}]', "molecules.json[0].label: expected a string or null"),
-            # bool subclasses int, but a JSON true is no integer.
-            ("boxes.json", '[true, 0, 5, 5, "MOL"]', "boxes.json[0]: expected an integer or a string"),
-            # fig2 holds ner.json and rxn.json, but no tool reads them.
+            # fig2 holds boxes.json, ner.json and rxn.json, but no tool reads them.
             ("foo.json", "{}", "foo.json: no such bundle sidecar"),
+            ("boxes.json", "[]", "boxes.json: no such bundle sidecar"),
             ("ner.json", "[]", "ner.json: no such bundle sidecar"),
             ("rxn.json", '{"annotations": []}', "rxn.json: no such bundle sidecar"),
         ],
@@ -178,31 +196,12 @@ class TestBundleRead:
         with pytest.raises(DescriptorError, match="table.txt is missing"):
             bundle.read("table.txt")
 
-class TestDetectionCodec:
-    def test_single_box(self):
-        boxes = decode_detection_sequence([10, 20, 110, 220, "MOL"])
-        assert boxes == [{"x1": 10, "y1": 20, "x2": 110, "y2": 220, "kind": "MOL"}]
-
-    def test_empty(self):
-        assert decode_detection_sequence([]) == []
-
-    def test_bad_length(self):
-        with pytest.raises(DetectionError) as err:
-            decode_detection_sequence([1, 2, 3])
-        assert "multiple of 5" in str(err.value)
-
-    def test_inverted_corners_name_offset(self):
-        with pytest.raises(DetectionError) as err:
-            decode_detection_sequence([10, 20, 5, 220, "MOL"])
-        assert "0" in str(err.value)
-
-    def test_negative_coordinate(self):
-        with pytest.raises(DetectionError):
-            decode_detection_sequence([-1, 0, 5, 5, "MOL"])
-
-    def test_bool_coordinate(self):
-        with pytest.raises(DetectionError, match="token 1: bad coordinate False"):
-            decode_detection_sequence([0, False, 5, 5, "MOL"])
+    def test_a_bool_is_no_integer(self):
+        # bool subclasses int, but a JSON true is no integer.
+        check_shape(5, int, "n", DescriptorError)
+        for value in (True, False):
+            with pytest.raises(DescriptorError, match="^n: expected an integer$"):
+                check_shape(value, int, "n", DescriptorError)
 
 
 class TestRegistry:
@@ -614,28 +613,14 @@ class TestTokenCorrectionAnswers:
 
 class TestObserveStep:
     def test_smiles_must_parse(self):
-        ok, reasons = observe_step("molecular_recognition", {
-            "smiles": ["CCO"], "molecule_count": 1, "box_count": 1,
-        })
+        ok, reasons = observe_step("molecular_recognition", {"smiles": ["CCO"]})
         assert ok and reasons == []
-        bad, reasons = observe_step("molecular_recognition", {
-            "smiles": ["C1CC"], "molecule_count": 1, "box_count": 1,
-        })
+        bad, reasons = observe_step("molecular_recognition", {"smiles": ["C1CC"]})
         assert not bad
         assert any("C1CC" in r for r in reasons)
 
-    def test_box_count_mismatch(self):
-        ok, reasons = observe_step(
-            "molecular_recognition",
-            {"smiles": [], "molecule_count": 2, "box_count": 3},
-        )
-        assert not ok
-
     def test_unhashable_smiles_payload_is_a_reason(self):
-        ok, reasons = observe_step(
-            "molecular_recognition",
-            {"smiles": [["C"]], "molecule_count": 1, "box_count": 1},
-        )
+        ok, reasons = observe_step("molecular_recognition", {"smiles": [["C"]]})
         assert not ok
         assert any("not a string" in r for r in reasons)
 
@@ -653,6 +638,26 @@ class TestObserveStep:
         ok, reasons = observe_step("text_rgroup", {"smiles": entries})
         assert (ok, reasons) == (False, ["placeholder residue in reconstruction '[R]CC'"])
         assert parsed == []
+
+
+def _with_detector_call(trace, bundle_path) -> list[dict]:
+    """``trace`` with the ``mol_detector`` entry that once came before the
+    recognition step's ``image2graph`` entry, its boxes read from the
+    bundle's ``boxes.json`` (five tokens a box: x1, y1, x2, y2, kind)."""
+    tokens = json.loads((Path(bundle_path) / "boxes.json").read_text())
+    boxes = [
+        {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "kind": str(kind)}
+        for x1, y1, x2, y2, kind in zip(*[iter(tokens)] * 5)
+    ]
+    out = []
+    for entry in trace:
+        if entry.get("tool") == "image2graph":
+            out.append(
+                {"type": "tool", "step": entry["step"], "tool": "mol_detector", "request": {},
+                 "response": {"boxes": boxes}, "status": "ok"}
+            )
+        out.append(entry)
+    return out
 
 
 def _with_text_tool_calls(trace, bundle_path) -> list[dict]:
@@ -760,6 +765,17 @@ class TestExecutor:
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
+            "ceaa441953129f309e66faef05c4bd39d42cc7d5804767aecfe678fde78b370a"
+        )
+
+    def test_fig2_trace_lost_only_its_detector_call(self, fig2_setup):
+        # Recognition once also called ``mol_detector``, whose box count the
+        # observer only compared with the molecule count; put back, it gives
+        # the trace pinned before, byte for byte.
+        d, plan = fig2_setup
+        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
             "39bce86f5fe4203cfc0fc0b63178846aada5a1119750a91239010975b39ba32d"
         )
 
@@ -768,7 +784,8 @@ class TestExecutor:
         # answers reached no document; put back, they give the trace pinned
         # before, byte for byte.
         d, plan = fig2_setup
-        trace = _with_text_tool_calls(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_text_tool_calls(trace, d.bundle_path)
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
             "f3e0e6f80b297c2ec62ba81bb2148b87fcf274fca3c35918f766fcf8b578f5bf"
@@ -779,7 +796,8 @@ class TestExecutor:
         # call, and ``ocr`` took a source; put back, they give the trace
         # pinned before, byte for byte.
         d, plan = fig2_setup
-        trace = _with_text_tool_calls(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_text_tool_calls(trace, d.bundle_path)
         trace = _with_conditions_ocr(trace)
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
@@ -800,7 +818,8 @@ class TestExecutor:
                     out["attempt"] = 1
             return out
 
-        trace = _with_text_tool_calls(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_text_tool_calls(trace, d.bundle_path)
         trace = _with_conditions_ocr(trace)
         trace = [with_attempt(e) for e in trace]
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
@@ -820,7 +839,7 @@ class TestExecutor:
         monkeypatch.setattr(Bundle, "read", spy)
         execute_plan(plan, d)
         assert sorted(reads) == [
-            "boxes.json", "molecules.json", "template.json", "text.txt",
+            "molecules.json", "template.json", "text.txt",
         ]
 
     def test_failed_step_outputs_make_no_records(self, fig2_bundle, tmp_path):
@@ -928,13 +947,13 @@ class TestExecutor:
 
         def broken(ctx, request):
             calls["n"] += 1
-            raise ToolError("detector offline")
+            raise ToolError("recognizer offline")
 
-        registry.register("mol_detector", broken)
+        registry.register("image2graph", broken)
         result = execute_plan(plan, d, registry=registry)
         assert calls["n"] == 1
         errors = [
-            t for t in result.trace if t.get("type") == "tool" and t["tool"] == "mol_detector"
+            t for t in result.trace if t.get("type") == "tool" and t["tool"] == "image2graph"
         ]
         assert [t["status"] for t in errors] == ["error"]
 
@@ -947,7 +966,7 @@ class TestExecutor:
         def broken(ctx, request):
             raise ToolError("camera unplugged")
 
-        registry.register("mol_detector", broken)
+        registry.register("image2graph", broken)
         with pytest.raises(ExecutionError) as err:
             execute_plan(plan_extraction(d, BACKEND), d, registry=registry)
         assert str(err.value) == (
@@ -956,7 +975,7 @@ class TestExecutor:
         assert [t["status"] for t in err.value.trace if t["type"] == "tool"] == ["error"]
         verdicts = [(t["step"], t["reasons"]) for t in err.value.trace if t["type"] == "observer"]
         assert verdicts == [
-            ("molecular_recognition", ["tool 'mol_detector' failed: camera unplugged"]),
+            ("molecular_recognition", ["tool 'image2graph' failed: camera unplugged"]),
             ("data_structure", ["nothing to structure"]),
         ]
 
@@ -965,14 +984,14 @@ class TestExecutor:
         registry = default_registry()
 
         def broken(ctx, request):
-            raise ToolError("detector offline")
+            raise ToolError("recognizer offline")
 
-        registry.register("mol_detector", broken)
+        registry.register("image2graph", broken)
         result = execute_plan(plan, d, registry=registry)
         failed = [t for t in result.trace if t.get("type") == "step_failed"]
         degraded = [t for t in result.trace if t.get("type") == "degraded"]
         assert [t["step"] for t in failed] == ["molecular_recognition"]
-        # Downstream consumers of the detector's outputs are skipped, not run.
+        # Downstream consumers of recognition's outputs are skipped, not run.
         assert {t["step"] for t in degraded} == {
             "structure_rgroup",
             "condition_interpretation",
@@ -1153,7 +1172,7 @@ class TestMoleculeEntries:
 # The first step of each canonical plan, and the sidecar its first tool reads.
 FIRST_STEP_SIDECAR = {
     "reaction_template_parsing": "template.json",
-    "molecular_recognition": "boxes.json",
+    "molecular_recognition": "molecules.json",
     "text_extraction": "text.txt",
 }
 

@@ -383,9 +383,9 @@ HOSTILE_MOLECULES = {
         _fig2_with("molecules.json", lambda m: m[:2] + [{"label": "3", "smiles": "C1CC"}] + m[3:]),
         "molecular_recognition",
     ),
-    "boxes-integer": (_fig2_with("boxes.json", lambda b: 5), "molecular_recognition"),
+    "molecules-integer": (_fig2_with("molecules.json", lambda m: 5), "molecular_recognition"),
     # A sidecar that is not JSON, or not UTF-8, fails its step the same way.
-    "boxes-not-json": (_fig2_with("boxes.json", lambda b: b"\xff["), "molecular_recognition"),
+    "molecules-not-json": (_fig2_with("molecules.json", lambda m: b"\xff["), "molecular_recognition"),
 }
 
 # Fixture files that no step reads (None: absent). Whatever they hold, a
@@ -404,6 +404,13 @@ UNREAD_SIDECARS = {
     "ner-not-json": ("ner.json", "{"),
     "ner-not-utf8": ("ner.json", b"\xff"),
     "ner-absent": ("ner.json", None),
+    "boxes-not-json": ("boxes.json", "{"),
+    "boxes-integer": ("boxes.json", 5),
+    "boxes-not-utf8": ("boxes.json", b"\xff"),
+    "boxes-directory": ("boxes.json", DIRECTORY),
+    "boxes-absent": ("boxes.json", None),
+    # Ten well-formed boxes for fig2's 11 molecules.
+    "boxes-one-short": ("boxes.json", [10, 10, 110, 110, "MOL"] * 10),
 }
 
 
@@ -416,7 +423,6 @@ SIDECAR_READERS = {
     "descriptor.json": None,
     "template.json": "reaction_template_parsing",
     "molecules.json": "molecular_recognition",
-    "boxes.json": "molecular_recognition",
     "text.txt": "text_extraction",
     "table.txt": "text_rgroup",
 }
@@ -634,14 +640,14 @@ class TestHostileInput:
     def test_failed_run_writes_its_trace(self, capsys, tmp_path, fig2_bundle):
         # Recognition feeds the only document of a molecule_image_only run.
         trace_path = tmp_path / "trace.json"
-        argv = _fig2_with("boxes.json", lambda b: b"\xff")(tmp_path, fig2_bundle)
+        argv = _fig2_with("molecules.json", lambda m: b"\xff")(tmp_path, fig2_bundle)
         _write(tmp_path / "bundle" / "descriptor.json", {"modalities": ["molecule_image_only"]})
         code, out = run(capsys, *argv, "--trace", str(trace_path))
         assert code == 1
         assert out["error"].startswith("ExecutionError: the run wrote no document")
         trace = json.loads(trace_path.read_text())
         errors = [e["error"] for e in trace if e["type"] == "tool" and e["status"] == "error"]
-        assert errors and all(e.startswith("boxes.json") for e in errors)
+        assert errors and all(e.startswith("molecules.json") for e in errors)
 
     def test_sweep_covers_every_sidecar(self):
         assert set(SIDECAR_READERS) == set(SIDECARS)
@@ -712,15 +718,15 @@ class TestHostileInput:
 
     def test_unreadable_sidecar_traced_like_tool_error(self, capsys, tmp_path, fig2_bundle):
         trace_path = tmp_path / "trace.json"
-        argv = _fig2_with("boxes.json", lambda b: "{")(tmp_path, fig2_bundle)
+        argv = _fig2_with("molecules.json", lambda m: "{")(tmp_path, fig2_bundle)
         code, _ = run(capsys, *argv, "--out", str(tmp_path / "doc.json"), "--trace", str(trace_path))
         assert code == 0
         calls = [
             e for e in json.loads(trace_path.read_text())
-            if e["type"] == "tool" and e["tool"] == "mol_detector"
+            if e["type"] == "tool" and e["tool"] == "image2graph"
         ]
         assert [(e["status"], e["response"]) for e in calls] == [("error", None)]
-        assert all("boxes.json is not valid JSON" in e["error"] for e in calls)
+        assert all("molecules.json is not valid JSON" in e["error"] for e in calls)
 
     @pytest.mark.parametrize("case", sorted(UNREAD_SIDECARS))
     def test_unread_sidecar_keeps_the_golden_document(self, case, capsys, tmp_path, fig2_bundle):
