@@ -203,6 +203,14 @@ class TestBundleRead:
             with pytest.raises(DescriptorError, match="^n: expected an integer$"):
                 check_shape(value, int, "n", DescriptorError)
 
+    def test_a_bool_is_no_integer_in_a_union(self):
+        # A shape that takes an integer or a string still refuses a bool,
+        # and names every kind it takes.
+        for value in (5, "MOL"):
+            check_shape(value, (int, str), "n", DescriptorError)
+        with pytest.raises(DescriptorError, match="^n: expected an integer or a string$"):
+            check_shape(True, (int, str), "n", DescriptorError)
+
 
 class TestRegistry:
     def test_default_tools(self):

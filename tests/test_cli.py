@@ -543,6 +543,21 @@ def _sweep_copy(name, content):
     return argv
 
 
+def _unread_copy(clone, fig2, faults):
+    """``clone``, a copy of ``fig2`` whose every file named in ``faults``
+    holds its content there (``DIRECTORY``: a directory; None: absent)."""
+    clone.mkdir()
+    for path in fig2.iterdir():
+        if path.name not in faults:
+            (clone / path.name).write_bytes(path.read_bytes())
+    for name, content in faults.items():
+        if content is DIRECTORY:
+            (clone / name).mkdir()
+        elif content is not None:
+            _write(clone / name, content)
+    return clone
+
+
 def _extract_traced(make_argv, capsys, tmp_path, fig2) -> tuple[int, list[dict]]:
     """The exit code and the written trace of ``extract`` on ``make_argv``'s bundle."""
     trace_path = tmp_path / "trace.json"
@@ -730,16 +745,7 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("case", sorted(UNREAD_SIDECARS))
     def test_unread_sidecar_keeps_the_golden_document(self, case, capsys, tmp_path, fig2_bundle):
-        name, content = UNREAD_SIDECARS[case]
-        clone = tmp_path / "bundle"
-        clone.mkdir()
-        for path in fig2_bundle.iterdir():
-            if path.name != name:
-                (clone / path.name).write_bytes(path.read_bytes())
-        if content is DIRECTORY:
-            (clone / name).mkdir()
-        elif content is not None:
-            _write(clone / name, content)
+        clone = _unread_copy(tmp_path / "bundle", fig2_bundle, dict([UNREAD_SIDECARS[case]]))
         doc_path, trace_path = tmp_path / "doc.json", tmp_path / "trace.json"
         code, _ = run(
             capsys, "extract", "--bundle", str(clone), "--out", str(doc_path), "--trace", str(trace_path)
@@ -750,6 +756,22 @@ class TestHostileInput:
         doc = json.loads(doc_path.read_text())
         assert doc["Text description"]
         assert doc == json.loads((fig2_bundle / "golden.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(c for c in UNREAD_SIDECARS if c.startswith("boxes-")))
+    def test_unread_boxes_keep_the_molecule_list(self, case, capsys, tmp_path, fig2_bundle):
+        # In a molecule_image_only run recognition is the first step, so a
+        # failure there would leave no document at all.
+        modalities = {"descriptor.json": {"modalities": ["molecule_image_only"]}}
+        docs = []
+        for faults in (dict([UNREAD_SIDECARS[case]], **modalities), modalities):
+            clone = _unread_copy(tmp_path / f"bundle{len(docs)}", fig2_bundle, faults)
+            doc_path = tmp_path / f"doc{len(docs)}.json"
+            code, _ = run(capsys, "extract", "--bundle", str(clone), "--out", str(doc_path))
+            assert code == 0
+            docs.append(json.loads(doc_path.read_text()))
+        faulted, clean = docs
+        assert len(clean["molecules"]) == 11
+        assert faulted == clean
 
     def test_empty_graph_fails_one_step(self, capsys, tmp_path, fig2_bundle):
         # An unwritable molecule graph fails recognition; the run goes on.
