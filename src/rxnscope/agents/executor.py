@@ -4,7 +4,10 @@ Each agent kind is a step function that calls its tools through the run
 and stores its results in the run's memory, a dict that holds exactly the
 plan's data flow: a step writes only the outputs ``planner.AGENT_IO``
 declares for it, and every key it writes is read by a later step or by
-``execute_plan``. Each step runs once, and the observer checks its
+``execute_plan``. Molecules travel as ``MoleculeEntry`` values: a run
+parses only the texts it reads from outside (sidecar ``smiles`` fields),
+and a text a tool writes from a graph comes with the graph that text
+reads back as. Each step runs once, and the observer checks its
 output. A step whose check fails, or whose tool fails, marks its
 declared outputs failed; every later step that consumes one of them is
 skipped (degraded), and no record is built from them. The run fails only
@@ -127,7 +130,7 @@ class _Run:
         self.current_step: Optional[str] = None
         # The entry of each text the run made, so that a text made twice (a
         # template's starting material is drawn too; a placeholder-free
-        # reactant is written for every variant) is parsed once.
+        # reactant is written for every variant) is read back once.
         self.entries: dict[str, MoleculeEntry] = {}
 
     def invoke(self, tool: str, request: dict) -> dict:
@@ -147,15 +150,24 @@ class _Run:
         self.trace.append(entry)
         return response
 
-    def entry(self, text: str, label: Optional[str] = None) -> Union[MoleculeEntry, str]:
-        """The entry of a text this run made, under ``label``; a text that
-        does not parse comes back as it is, for the observer to name."""
-        if text not in self.entries:
+    def entry(self, item: Union[MoleculeEntry, str], label: Optional[str] = None) -> Union[MoleculeEntry, str]:
+        """The entry of a molecule this run made, under ``label``.
+
+        The first time the run meets a text, a text is parsed and a
+        written entry's graph settled; after that, the entry held for the
+        text is handed on. A text that does not read back comes back as
+        it is, for the observer to name.
+        """
+        text = item if isinstance(item, str) else item.smiles
+        held = self.entries.get(text)
+        if held is None:
             try:
-                self.entries[text] = MoleculeEntry(text, label)
+                held = MoleculeEntry(text) if isinstance(item, str) else item
+                held.graph  # settles a written entry
             except SmilesParseError:
                 return text
-        return self.entries[text].with_label(label)
+            self.entries[text] = held
+        return held.with_label(label)
 
     def write(self, graph: MolecularGraph, label: Optional[str] = None):
         """The entry of ``graph`` as the ``graph2smiles`` tool writes it."""
@@ -200,15 +212,15 @@ def _step_molecular_recognition(run: _Run) -> dict:
     molecules: list[dict] = []
     for drawn in run.invoke("image2graph", {})["molecules"]:
         if "graph" in drawn:
-            text = run.invoke("graph2smiles", {"graph": drawn["graph"]})["smiles"]
+            smiles = run.invoke("graph2smiles", {"graph": drawn["graph"]})["smiles"]
         else:
-            text = drawn["smiles"]
+            smiles = drawn["smiles"]
         molecules.append(
-            {"label": drawn.get("label"), "smiles": text, "annotations": list(drawn.get("annotations", []))}
+            {"label": drawn.get("label"), "smiles": smiles, "annotations": list(drawn.get("annotations", []))}
         )
-    # The texts are parsed once the drawn graphs are dropped: parsing while
-    # they were held ran the collector a fifth more often, 4 % of the time
-    # of a structure_scope op.
+    # The written graphs are settled, and the sidecar texts parsed, once
+    # the drawn graphs are dropped: parsing while they were held ran the
+    # collector a fifth more often, 4 % of the time of a structure_scope op.
     for m in molecules:
         m["smiles"] = run.entry(m["smiles"], m["label"])
     run.memory["molecules"] = molecules
@@ -225,7 +237,7 @@ def _step_structure_rgroup(run: _Run) -> dict:
         "smiles_reconstructor", {"template": run.memory["template"], "variants": variants}
     )
     variant_reactions = [
-        {**vr, "reactants": [run.entry(text) for text in vr["reactants"]]}
+        {**vr, "reactants": [run.entry(e) for e in vr["reactants"]]}
         for vr in resp["variant_reactions"]
     ]
     run.memory["variant_reactions"] = variant_reactions
@@ -410,9 +422,10 @@ STEP_FUNCS: dict[str, Callable[[_Run], dict]] = {
 def observe_step(kind: str, output: dict) -> tuple[bool, list[str]]:
     """Check a step's output; returns (passed, reasons).
 
-    A step hands on its molecules as entries, already parsed; a text among
-    them (one that did not parse, or a direct caller's) is parsed here. An
-    R-group step's molecules must hold no placeholder.
+    A step hands on its molecules as entries, already read; a text among
+    them (one that did not read back, or a direct caller's) is parsed here,
+    and named with the parse's error. An R-group step's molecules must hold
+    no placeholder.
     """
     reasons = []
     for item in output.get("smiles", []):
@@ -436,9 +449,11 @@ def execute_plan(
 ) -> ExtractionResult:
     """Run an approved plan over the descriptor's bundle.
 
-    Each molecule text is parsed once, when the run gets it (a written
-    graph, a sidecar text, a reconstructed reactant); steps, checks and
-    tools then read the entry's graph.
+    Each molecule gets its graph once, when the run first meets its text:
+    a sidecar text is parsed, and a written graph (``graph2smiles``, a
+    reconstructed reactant) comes with the graph its text reads back as,
+    which is settled, not parsed. Steps, checks and tools then read the
+    entry's graph.
     """
     registry = registry if registry is not None else default_registry()
     backend = backend if backend is not None else ScriptedBackend()

@@ -183,7 +183,7 @@ def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[F
         atoms = [AtomToken(kind="element", text="C", aromatic=True) for _ in range(6)]
         bonds = [Bond(a=i, b=(i + 1) % 6, order="aromatic") for i in range(6)]
         for k in locants:
-            bonds.append(Bond(a=k - 1, b=group.graft_onto(atoms, bonds)))
+            bonds.append(Bond(a=k - 1, b=group.graft_onto(atoms, bonds, k - 1)))
         return Fragment(graph=MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)), attachment=0)
     return None
 
@@ -213,7 +213,7 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
     def graft(token: str, count: int) -> None:
         frag = _group_fragment(token, table)
         for _ in range(count):
-            bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds)))
+            bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds, backbone)))
 
     pos = 0
     backbone: Optional[int] = None
@@ -317,7 +317,7 @@ def parse_condensed_formula(
         return _fragment_from_marked_smiles("C6H5", "*c1ccccc1")
     fragment = _phenyl_pattern(token, table) or _parse_linear(token, table)
     atoms, bonds = [AtomToken(kind="element", text="C")], []
-    bonds.append(Bond(a=0, b=fragment.graft_onto(atoms, bonds)))
+    bonds.append(Bond(a=0, b=fragment.graft_onto(atoms, bonds, 0)))
     if not is_valid(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))):
         raise FormulaError(f"condensed formula {text!r} reads as an invalid group")
     return fragment

@@ -5,9 +5,9 @@ renumbering between systems never costs a match. The fingerprint is a
 hashed-linear-path scheme that hashes each path once, from its canonical
 direction; all comparisons are internal, so the exact construction
 matters only for self-consistency, and a golden test pins its bits.
-Record molecules arrive parsed: each ``MoleculeEntry`` holds the graph
-its text was parsed to once, when ``decode_records`` or the run that
-wrote it made the entry, so scoring records parses nothing. ``evaluate``
+Record molecules arrive read: each ``MoleculeEntry`` holds the graph of
+its text, parsed once by ``decode_records`` or built by the writer of the
+run that made the entry, so scoring records parses nothing. ``evaluate``
 shares one memo across its sections, so each distinct SMILES text is
 fingerprinted and checked at most once per call. It is canonicalized
 only when another distinct text of the call shares its

@@ -27,8 +27,9 @@ carries a chiral neighbour order through any atom renumbering.
 
 So is fragment surgery: a :class:`Fragment` (a graph plus its attachment
 atom) has one :meth:`~Fragment.cut` and one :meth:`~Fragment.graft_onto`,
-used by the abbreviation table, the formula reader and the splice.  Ring
-membership is :func:`ring_bonds`.
+used by the abbreviation table, the formula reader and the splice; a
+chiral attachment atom keeps the slot of the atom it was cut from, for
+the atom it is grafted onto.  Ring membership is :func:`ring_bonds`.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ class AtomToken:
     ``text`` holds the element symbol for elements ("C", "Cl"), the bracketed
     label for placeholders ("[R1]"), the bare shorthand for abbreviations
     ("Ts") and "*" for wildcards.  ``chiral_order`` fixes the neighbor order
-    that the ``chiral`` tag refers to; ``-1`` marks the implicit-H slot.
+    that the ``chiral`` tag refers to; ``-1`` marks the implicit-H slot,
+    and :data:`GRAFT_SLOT`, in a fragment's attachment atom, the atom the
+    fragment will be grafted onto.
     ``explicit_h`` is at least 0 and ``isotope`` at least 1 when given.
     """
 
@@ -130,6 +133,11 @@ class AtomToken:
     def is_heavy(self) -> bool:
         """Heavy means: any non-element token, or an element other than H."""
         return self.kind != "element" or self.text != "H"
+
+
+# The chiral-order slot of the neighbour a fragment was cut from
+# (:meth:`Fragment.cut`), which :meth:`Fragment.graft_onto` fills.
+GRAFT_SLOT = -2
 
 
 def flip(mark: str) -> str:
@@ -382,7 +390,7 @@ def renumber_chiral(atom: AtomToken, new_index: Callable[[int], Optional[int]]) 
     """
     if atom.chiral_order is None:
         return atom
-    order = tuple(-1 if ref < 0 else new_index(ref) for ref in atom.chiral_order)
+    order = tuple(-1 if ref == -1 else new_index(ref) for ref in atom.chiral_order)
     if None in order:
         return replace(atom, chiral=None, chiral_order=None)
     return replace(atom, chiral_order=order)
@@ -424,22 +432,40 @@ class Fragment:
 
     @classmethod
     def cut(cls, g: MolecularGraph, atoms: Iterable[int], attachment: int) -> "Fragment":
-        """The induced subgraph of ``g`` over ``atoms``, attached at ``attachment``."""
+        """The induced subgraph of ``g`` over ``atoms``, attached at ``attachment``.
+
+        When the attachment atom has one neighbour left out, that neighbour
+        keeps its slot in the atom's chiral order as :data:`GRAFT_SLOT`.
+        """
         kept = sorted(set(atoms))
         if attachment not in kept:
             raise GraphError(f"attachment atom {attachment} not among fragment atoms")
-        return cls(subgraph(g, kept), kept.index(attachment))
+        sub = subgraph(g, kept)
+        at = kept.index(attachment)
+        atom = g.atoms[attachment]
+        if atom.chiral_order is not None:
+            index = {old: new for new, old in enumerate(kept)}
+            left_out = [ref for ref in atom.chiral_order if ref >= 0 and ref not in index]
+            if len(left_out) == 1:
+                index[left_out[0]] = GRAFT_SLOT
+                sub_atoms = list(sub.atoms)
+                sub_atoms[at] = renumber_chiral(atom, index.get)
+                sub = MolecularGraph(atoms=tuple(sub_atoms), bonds=sub.bonds)
+        return cls(sub, at)
 
-    def graft_onto(self, atoms: list[AtomToken], bonds: list[Bond]) -> int:
+    def graft_onto(self, atoms: list[AtomToken], bonds: list[Bond], onto: Optional[int] = None) -> int:
         """Append this fragment to ``atoms`` and ``bonds``; return where it attaches.
 
-        The copies drop their coordinates, which belong to another drawing,
-        and keep their chiral orders, renumbered to the new positions.
+        ``onto`` is the atom the caller bonds the attachment to, which
+        fills a :data:`GRAFT_SLOT`; without it, a chiral order holding that
+        slot loses its tag. The copies drop their coordinates, which belong
+        to another drawing, and keep their chiral orders, renumbered to the
+        new positions.
         """
         offset = len(atoms)
         for atom in self.graph.atoms:
             if atom.chiral_order is not None:
-                atom = renumber_chiral(atom, lambda ref: ref + offset)
+                atom = renumber_chiral(atom, lambda ref: onto if ref == GRAFT_SLOT else ref + offset)
             atoms.append(atom if atom.coords is None else replace(atom, coords=None))
         bonds.extend(b.moved(b.a + offset, b.b + offset) for b in self.graph.bonds)
         return offset + self.attachment

@@ -6,13 +6,13 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable, Optional
 
 from .jsonshape import Closed, Required, read_json
 from .molgraph import MolecularGraph, RxnscopeError, is_placeholder_label
-from .smiles import SmilesParseError, parse_smiles
+from .smiles import SmilesParseError, parse_smiles, settle_written, write_smiles_graph
 
 log = logging.getLogger(__name__)
 
@@ -49,23 +49,38 @@ class ConditionItem:
 
 @dataclass(frozen=True)
 class MoleculeEntry:
-    """A molecule: its SMILES text, label and the graph parsed from it.
+    """A molecule: its SMILES text, label and the graph the text reads as.
 
-    An entry is made where its text is made (a run's written or read
-    texts, a document's texts) and handed on from there, so ``graph`` is
-    parsed once, when the entry is made. It stays out of equality,
-    hashing and repr, which the text already decides.
+    An entry is made where its text is made and handed on from there, so
+    its graph is built once. An entry of a text from outside (a sidecar's,
+    a document's) parses it when it is made. An entry the writer makes of
+    a graph (:meth:`written`) parses nothing: it holds the graph the
+    writer built while it wrote the text, and settles it on the first read
+    of ``graph``, which raises :class:`SmilesParseError` where parsing the
+    text would. The graph stays out of equality, hashing and repr, which
+    the text already decides.
     """
 
     smiles: str
     label: Optional[str] = None
-    graph: MolecularGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "graph", parse_smiles(self.smiles))
+        self.__dict__["graph"] = parse_smiles(self.smiles)
+
+    @classmethod
+    def written(cls, g: MolecularGraph, label: Optional[str] = None) -> "MoleculeEntry":
+        """The entry of ``g`` as :func:`write_smiles` writes it."""
+        text, unsettled = write_smiles_graph(g)
+        entry = object.__new__(cls)
+        entry.__dict__.update(smiles=text, label=label, _unsettled=unsettled)
+        return entry
+
+    @cached_property
+    def graph(self) -> MolecularGraph:
+        return settle_written(self.smiles, self.__dict__.pop("_unsettled", None))
 
     def with_label(self, label: Optional[str]) -> "MoleculeEntry":
-        """This entry under ``label``; the graph is kept, not parsed again."""
+        """This entry under ``label``; the graph is kept, not built again."""
         if label == self.label:
             return self
         entry = object.__new__(type(self))

@@ -8,9 +8,9 @@ the inverse direction (pulling fragments back out of product variants).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
 from .jsonshape import Closed, Required
@@ -44,13 +44,15 @@ TEMPLATE_SPEC = Closed({Required("reactants"): [str], Required("products"): [str
 class ReactionTemplate:
     """Reactant and product template graphs, and what every variant reuses.
 
-    The first product template prepared for alignment and the text of each
-    placeholder-free reactant template are built on first use and kept, so
-    a template read once serves all of its variants.
+    ``write`` is how reconstructed reactants are written: as SMILES texts
+    unless given. The first product template prepared for alignment and
+    each placeholder-free reactant template as written are built on first
+    use and kept, so a template read once serves all of its variants.
     """
 
     reactant_templates: tuple[MolecularGraph, ...]
     product_templates: tuple[MolecularGraph, ...]
+    write: Callable[[MolecularGraph], Any] = field(default=write_smiles, compare=False)
 
     def __post_init__(self) -> None:
         if not self.reactant_templates or not self.product_templates:
@@ -62,10 +64,11 @@ class ReactionTemplate:
         return Pattern(self.product_templates[0])
 
     @cached_property
-    def reactant_texts(self) -> tuple[Optional[str], ...]:
-        """Per reactant template, its text when no placeholder is in it, else None."""
+    def fixed_reactants(self) -> tuple[Any, ...]:
+        """Per reactant template, its main component as written when no
+        placeholder is in it, else None."""
         return tuple(
-            None if g.placeholder_indices() else write_smiles(main_component(g))
+            None if g.placeholder_indices() else self.write(main_component(g))
             for g in self.reactant_templates
         )
 
@@ -78,7 +81,11 @@ def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> Mol
     fragment's attachment, written (other end, attachment) with the lower
     replaced atom as "attachment" when both ends were replaced; it loses
     its wedge and direction marks, whose geometry belonged to the replaced
-    atom.  Nothing to replace returns ``g`` itself.
+    atom.  A replaced atom with one neighbour grafts its fragment onto it,
+    which fills the :data:`~rxnscope.molgraph.GRAFT_SLOT` of a chiral
+    attachment; one with more, or whose one neighbour is a lower replaced
+    atom, leaves the slot empty and the attachment loses its tag.
+    Nothing to replace returns ``g`` itself.
     """
     if not fragments:
         return g
@@ -88,8 +95,11 @@ def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> Mol
     new_index = {old: new for new, old in enumerate(kept)}
     atoms = [g.atoms[i] for i in kept]
     grafted: list[Bond] = []
+    adj = g.adjacency()
     for at in sorted(fragments, reverse=True):
-        new_index[at] = fragments[at].graft_onto(atoms, grafted)
+        # The one atom a fragment is bonded to, when it is known by now.
+        onto = new_index.get(adj[at][0][0]) if len(adj[at]) == 1 else None
+        new_index[at] = fragments[at].graft_onto(atoms, grafted, onto)
     for pos, atom in enumerate(atoms[: len(kept)]):
         if atom.chiral_order is not None:
             atoms[pos] = renumber_chiral(atom, new_index.get)
@@ -192,8 +202,8 @@ def reconstruct_reactants(
     assignment: Mapping[str, Binding],
     table: Optional[AbbreviationTable] = None,
     registry: Optional[AliasRegistry] = None,
-) -> list[str]:
-    """Instantiate every reactant template and write isomeric SMILES.
+) -> list:
+    """Instantiate every reactant template and write it by ``template.write``.
 
     Raises :class:`MissingBindingError` when the assignment does not
     cover all reactant-side placeholder labels.  Without a ``registry``
@@ -207,12 +217,12 @@ def reconstruct_reactants(
     if missing:
         raise MissingBindingError(missing)
     registry = registry if registry is not None else AliasRegistry()
-    out: list[str] = []
-    for g, text in zip(template.reactant_templates, template.reactant_texts):
-        if text is None:
+    out: list = []
+    for g, written in zip(template.reactant_templates, template.fixed_reactants):
+        if written is None:
             spliced = substitute_placeholders(g, assignment, table, registry)
-            text = write_smiles(main_component(spliced))
-        out.append(text)
+            written = template.write(main_component(spliced))
+        out.append(written)
     return out
 
 
@@ -220,11 +230,11 @@ def reconstruct_variant(
     template: ReactionTemplate,
     variant: MolecularGraph,
     registry: Optional[AliasRegistry] = None,
-) -> tuple[list[str], dict[str, str]]:
+) -> tuple[list, dict[str, str]]:
     """The reactants that give ``variant`` by ``template``, and its bindings.
 
-    The bindings are read off the first product template and written as
-    SMILES, sorted by label.
+    The reactants are written by ``template.write``. The bindings are read
+    off the first product template and written as SMILES, sorted by label.
     """
     bindings = extract_rgroup_fragments(template.product_pattern, variant)
     reactants = reconstruct_reactants(template, bindings, registry=registry)

@@ -85,6 +85,60 @@ class _AtomRec:
         self.slots: list = []
 
 
+def _bracket_number(m: re.Match, field: str, start: int, bare: int) -> int:
+    """The number bracket ``field`` gives: its digits, or ``bare`` without any."""
+    digits = m.group(field).lstrip("H+-")
+    try:
+        return int(digits) if digits else bare
+    except ValueError:  # more digits than ``int`` converts
+        raise SmilesParseError(f"{field} field too long", start + 1 + m.start(field)) from None
+
+
+def _bracket_token(inner: str, start: int) -> AtomToken:
+    """The atom of the bracket text ``inner``, whose ``[`` is at ``start``."""
+    if not inner:
+        raise SmilesParseError("empty bracket atom", start)
+    m = _BRACKET_RE.match(inner)
+    if m:
+        sym = m.group("sym")
+        iso = _bracket_number(m, "isotope", start, 0) if m.group("isotope") else None
+        if iso == 0:
+            raise SmilesParseError("isotope 0", start)
+        chi = m.group("chi")
+        explicit_h = _bracket_number(m, "hcount", start, 1) if m.group("hcount") else 0
+        signs = m.group("charge")
+        sign = -1 if signs and signs[0] == "-" else 1
+        charge = sign * _bracket_number(m, "charge", start, len(signs)) if signs else 0
+        if sym == "*":
+            return AtomToken(
+                kind="wildcard", text="*", charge=charge, isotope=iso, explicit_h=None
+            )
+        if sym in ELEMENTS:
+            return AtomToken(
+                kind="element",
+                text=sym,
+                charge=charge,
+                explicit_h=explicit_h,
+                isotope=iso,
+                chiral=chi,
+            )
+        if sym in AROMATIC_SYMBOLS and sym.capitalize() in ELEMENTS:
+            return AtomToken(
+                kind="element",
+                text=sym.capitalize(),
+                charge=charge,
+                explicit_h=explicit_h,
+                isotope=iso,
+                aromatic=True,
+                chiral=chi,
+            )
+    # Unknown bracket content: placeholder when it fits the label
+    # grammar, otherwise an opaque abbreviation.  Never a hard error.
+    if is_placeholder_label(inner):
+        return AtomToken(kind="placeholder", text=f"[{inner}]")
+    return AtomToken(kind="abbreviation", text=inner)
+
+
 class _Parser:
     def __init__(self, text: str, start: int = 0):
         self.text = text
@@ -97,63 +151,6 @@ class _Parser:
         return SmilesParseError(message, self.pos if offset is None else offset)
 
     # -- token helpers ----------------------------------------------------
-
-    def _number(self, m: re.Match, field: str, start: int, bare: int) -> int:
-        """The number bracket ``field`` gives: its digits, or ``bare`` without any."""
-        digits = m.group(field).lstrip("H+-")
-        try:
-            return int(digits) if digits else bare
-        except ValueError:  # more digits than ``int`` converts
-            raise self.error(f"{field} field too long", start + 1 + m.start(field)) from None
-
-    def _bracket_atom(self) -> AtomToken:
-        start = self.pos
-        end = self.text.find("]", start)
-        if end < 0:
-            raise self.error("unclosed bracket atom", start)
-        inner = self.text[start + 1 : end]
-        self.pos = end + 1
-        if not inner:
-            raise self.error("empty bracket atom", start)
-        m = _BRACKET_RE.match(inner)
-        if m:
-            sym = m.group("sym")
-            iso = self._number(m, "isotope", start, 0) if m.group("isotope") else None
-            if iso == 0:
-                raise self.error("isotope 0", start)
-            chi = m.group("chi")
-            explicit_h = self._number(m, "hcount", start, 1) if m.group("hcount") else 0
-            signs = m.group("charge")
-            sign = -1 if signs and signs[0] == "-" else 1
-            charge = sign * self._number(m, "charge", start, len(signs)) if signs else 0
-            if sym == "*":
-                return AtomToken(
-                    kind="wildcard", text="*", charge=charge, isotope=iso, explicit_h=None
-                )
-            if sym in ELEMENTS:
-                return AtomToken(
-                    kind="element",
-                    text=sym,
-                    charge=charge,
-                    explicit_h=explicit_h,
-                    isotope=iso,
-                    chiral=chi,
-                )
-            if sym in AROMATIC_SYMBOLS and sym.capitalize() in ELEMENTS:
-                return AtomToken(
-                    kind="element",
-                    text=sym.capitalize(),
-                    charge=charge,
-                    explicit_h=explicit_h,
-                    isotope=iso,
-                    aromatic=True,
-                    chiral=chi,
-                )
-        # Unknown bracket content: placeholder when it fits the label
-        # grammar, otherwise an opaque abbreviation.  Never a hard error.
-        if is_placeholder_label(inner):
-            return AtomToken(kind="placeholder", text=f"[{inner}]")
-        return AtomToken(kind="abbreviation", text=inner)
 
     def _organic_atom(self) -> Optional[AtomToken]:
         two = self.text[self.pos : self.pos + 2]
@@ -218,7 +215,11 @@ class _Parser:
             ch = text[self.pos]
             offset = self.pos
             if ch == "[":
-                token = self._bracket_atom()
+                end = text.find("]", offset)
+                if end < 0:
+                    raise self.error("unclosed bracket atom", offset)
+                token = _bracket_token(text[offset + 1 : end], offset)
+                self.pos = end + 1
             else:
                 token = self._organic_atom()
             if token is not None:
@@ -379,7 +380,16 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def _check_aromatic_rings(g: MolecularGraph, recs: list[_AtomRec]) -> None:
+class _Unsettled(Exception):
+    """A check of :func:`_settle` failed at atom ``atom``; its caller knows
+    where in the text that atom starts."""
+
+    def __init__(self, message: str, atom: int):
+        super().__init__(message)
+        self.atom = atom
+
+
+def _check_aromatic_rings(g: MolecularGraph) -> None:
     flagged = {i for i, a in enumerate(g.atoms) if a.aromatic}
     if not flagged:
         return
@@ -391,12 +401,10 @@ def _check_aromatic_rings(g: MolecularGraph, recs: list[_AtomRec]) -> None:
     dead = flagged - {end for pos in cycle for end in (g.bonds[pos].a, g.bonds[pos].b)}
     if dead:
         atom = min(dead)
-        raise SmilesParseError(
-            f"aromatic atom {atom} is not part of an aromatic ring", recs[atom].offset
-        )
+        raise _Unsettled(f"aromatic atom {atom} is not part of an aromatic ring", atom)
 
 
-def _check_direction_consistency(g: MolecularGraph, recs: list[_AtomRec]) -> None:
+def _check_direction_consistency(g: MolecularGraph) -> None:
     adj = g.adjacency()
     for bond in g.bonds:
         if bond.order != "double":
@@ -407,9 +415,22 @@ def _check_direction_consistency(g: MolecularGraph, recs: list[_AtomRec]) -> Non
             ]
             # Read outwards from the double-bond end, two marks must disagree.
             if len(marked) == 2 and len({b.away(end) for b in marked}) == 1:
-                raise SmilesParseError(
-                    f"conflicting direction marks at atom {end}", recs[end].offset
-                )
+                raise _Unsettled(f"conflicting direction marks at atom {end}", end)
+
+
+def _settle(g: MolecularGraph) -> MolecularGraph:
+    """The graph a parse ends with, from the graph its tokens read as.
+
+    Qualifying Kekulé rings are perceived aromatic; then every aromatic
+    atom must lie on an aromatic ring, and no double bond may have two
+    direction marks that agree at one end. A failed check raises
+    :class:`_Unsettled`. The parser settles what it reads, and
+    :func:`settle_written` what the writer builds.
+    """
+    g = _perceive_aromaticity(g)
+    _check_aromatic_rings(g)
+    _check_direction_consistency(g)
+    return g
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -441,10 +462,10 @@ def _parse(text: str) -> MolecularGraph:
             atoms[i] = replace(rec.token, chiral=None)
         elif rec.token.chiral is not None:
             atoms[i] = replace(rec.token, chiral_order=tuple(rec.slots))
-    g = _perceive_aromaticity(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)))
-    _check_aromatic_rings(g, recs)
-    _check_direction_consistency(g, recs)
-    return g
+    try:
+        return _settle(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)))
+    except _Unsettled as exc:
+        raise SmilesParseError(str(exc), recs[exc.atom].offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +561,30 @@ def _bond_text(
     return ""
 
 
+def _read_bond(mark: str, a: int, b: int, tokens: list[AtomToken]) -> Bond:
+    """The bond the parser makes of ``mark`` written from atom ``a`` to
+    atom ``b``, the two read as ``tokens[a]`` and ``tokens[b]``."""
+    if mark in ("/", "\\"):
+        return Bond(a, b, "single", direction="up" if mark == "/" else "down")
+    order = _BOND_CHAR_ORDERS.get(mark)
+    if order is None:
+        order = "aromatic" if tokens[a].aromatic and tokens[b].aromatic else "single"
+    return Bond(a, b, order)
+
+
+def _read_atom(text: str) -> Optional[AtomToken]:
+    """The atom the parser reads the written atom ``text`` as, or None if
+    it does not read as one atom (an abbreviation whose text is empty or
+    holds ``]``)."""
+    token = PLAIN_ATOMS.get(text)
+    if token is not None or "]" in text[1:-1]:
+        return token
+    try:
+        return _bracket_token(text[1:-1], 0)
+    except SmilesParseError:
+        return None
+
+
 def write_smiles(
     g: MolecularGraph,
     ranks: Optional[list[int]] = None,
@@ -554,6 +599,28 @@ def write_smiles(
     10 on), so a graph that needs more of them open at once is a
     :class:`GraphError`.
     """
+    return _write(g, ranks, emitted, False)[0]
+
+
+def write_smiles_graph(g: MolecularGraph) -> tuple[str, Optional[MolecularGraph]]:
+    """``write_smiles(g)``, and the graph the parser reads that text as,
+    built in the same walk, not yet settled (:func:`settle_written`).
+
+    That graph's atoms are in text order, each the token the parser's atom
+    reader makes of the atom text just written; its bonds are in the
+    order the text makes them, a ring bond at its closing digit; its
+    chiral orders are the written neighbour slots. It is None when an
+    atom's text does not read back as one atom.
+    """
+    return _write(g, None, None, True)
+
+
+def _write(
+    g: MolecularGraph,
+    ranks: Optional[list[int]],
+    emitted: Optional[list[int]],
+    build: bool,
+) -> tuple[str, Optional[MolecularGraph]]:
     if not g.atoms:
         raise GraphError("cannot write an empty graph")
     n = len(g.atoms)
@@ -591,40 +658,34 @@ def write_smiles(
                 stack.pop()
 
     # Second pass: emit text, depth first from each root. The stack holds
-    # atoms still to write, as (atom, atom it is reached from), and the
-    # literal text that goes between them.
+    # atoms still to write, as (atom, atom it is reached from, bond text
+    # before it), and the branch parentheses between them. With ``build``,
+    # the atoms are read back as they are written: ``tokens`` and
+    # ``bonds`` grow in text order, ``at`` maps an atom to its place in
+    # it, and ``tagged`` holds the written slots of each chiral tag.
     open_digits: dict[Bond, int] = {}
     free_digits: list[int] = []  # a heap: the lowest free digit is reused first
     out: list[str] = []
+    tokens: Optional[list[AtomToken]] = [] if build else None
+    bonds: list[Bond] = []
+    at = [0] * n
+    tagged: list[tuple[int, list[int]]] = []
     for root in roots:
         if out:
             out.append(".")
-        stack: list = [(root, None)]
+        stack: list = [(root, None, "")]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 out.append(item)
                 continue
-            cur, from_atom = item
+            cur, from_atom, mark = item
             if emitted is not None:
                 emitted.append(cur)
             atom = g.atoms[cur]
             ring = closures.get(cur, ())
             if ring:
                 ring.sort(key=by_rank)
-            closure_parts: list[str] = []
-            for mate, bond in ring:
-                digit = open_digits.pop(bond, None)
-                if digit is not None:
-                    heapq.heappush(free_digits, digit)
-                else:
-                    # With no digit free, digits 1 to len(open_digits) are all open.
-                    digit = heapq.heappop(free_digits) if free_digits else len(open_digits) + 1
-                    if digit > 99:
-                        raise GraphError(f"{digit} ring bonds open at once; SMILES numbers only 1 to 99")
-                    open_digits[bond] = digit
-                mark = _bond_text(g, bond, cur, emit_dirs)
-                closure_parts.append(mark + (str(digit) if digit < 10 else f"%{digit:02d}"))
             children = tree_children[cur]
             tag = None
             if atom.chiral is not None and atom.chiral_order is not None:
@@ -635,8 +696,36 @@ def write_smiles(
                 if sorted(out_slots) == sorted(atom.chiral_order):
                     parity = permutation_parity(atom.chiral_order, out_slots)
                     tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
-            out.append(_atom_text(atom, tag))
-            out.extend(closure_parts)
+            text = _atom_text(atom, tag)
+            if mark:
+                out.append(mark)
+            out.append(text)
+            if tokens is not None:
+                token = _read_atom(text)
+                if token is None:
+                    tokens = None
+                else:
+                    here = at[cur] = len(tokens)
+                    tokens.append(token)
+                    if from_atom is not None:
+                        bonds.append(_read_bond(mark, at[from_atom], here, tokens))
+                    if tag is not None:
+                        tagged.append((here, out_slots))
+            for mate, bond in ring:
+                digit = open_digits.pop(bond, None)
+                if digit is not None:
+                    heapq.heappush(free_digits, digit)
+                    if tokens is not None:
+                        # Read at the opening digit, as the parser does.
+                        opened = _bond_text(g, bond, mate, emit_dirs)
+                        bonds.append(_read_bond(opened, at[mate], at[cur], tokens))
+                else:
+                    # With no digit free, digits 1 to len(open_digits) are all open.
+                    digit = heapq.heappop(free_digits) if free_digits else len(open_digits) + 1
+                    if digit > 99:
+                        raise GraphError(f"{digit} ring bonds open at once; SMILES numbers only 1 to 99")
+                    open_digits[bond] = digit
+                out.append(_bond_text(g, bond, cur, emit_dirs) + (str(digit) if digit < 10 else f"%{digit:02d}"))
             # Every child but the last goes in a branch; pushed in reverse
             # so the first child is written first.
             last = len(children) - 1
@@ -644,10 +733,36 @@ def write_smiles(
                 mate, bond = children[i]
                 bond_str = _bond_text(g, bond, cur, emit_dirs)
                 if i == last:
-                    stack += [(mate, cur), bond_str]
+                    stack.append((mate, cur, bond_str))
                 else:
-                    stack += [")", (mate, cur), "(" + bond_str]
-    return "".join(out)
+                    stack += [")", (mate, cur, bond_str), "("]
+    text = "".join(out)
+    if tokens is None:
+        return text, None
+    # As the parser does, a tag with fewer than three slots is dropped.
+    for here, slots in tagged:
+        token = tokens[here]
+        if token.chiral is not None and len(slots) < 3:
+            tokens[here] = replace(token, chiral=None)
+        elif token.chiral is not None:
+            tokens[here] = replace(token, chiral_order=tuple(s if s < 0 else at[s] for s in slots))
+    return text, MolecularGraph(atoms=tuple(tokens), bonds=tuple(bonds))
+
+
+def settle_written(text: str, graph: Optional[MolecularGraph]) -> MolecularGraph:
+    """``parse_smiles(text)``, for a ``text`` that :func:`write_smiles_graph`
+    wrote with ``graph``, without reading the text.
+
+    ``graph`` is settled as a parse settles what it reads. Only where the
+    writer built no graph, or it does not settle, is the text parsed, so
+    that the error raised is the parse's, offset included.
+    """
+    if graph is not None:
+        try:
+            return _settle(graph)
+        except _Unsettled:
+            pass
+    return _parse(text)
 
 
 # ---------------------------------------------------------------------------

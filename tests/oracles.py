@@ -465,6 +465,11 @@ def reference_write_smiles(
     return "".join(out)
 
 
+def read_back(g: MolecularGraph) -> MolecularGraph:
+    """The graph the text ``write_smiles`` writes for ``g`` parses to."""
+    return smiles.parse_smiles(smiles.write_smiles(g))
+
+
 # --- renumbering -------------------------------------------------------------
 
 def renumbered(g: MolecularGraph, perm: list[int]) -> MolecularGraph:

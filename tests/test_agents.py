@@ -262,7 +262,7 @@ class TestRegistry:
 
 def _written(g) -> str:
     """What ``graph2smiles`` writes for ``g`` in a run of its own."""
-    return default_registry().invoke("graph2smiles", RunContext(bundle=None), {"graph": g})["smiles"]
+    return default_registry().invoke("graph2smiles", RunContext(bundle=None), {"graph": g})["smiles"].smiles
 
 
 def _round_tripped(g) -> str:
@@ -1023,7 +1023,7 @@ class TestExecutor:
         def logging_graph2smiles(ctx, request):
             a_in_ocr.wait(timeout=60)
             response = real_graph2smiles(ctx, request)
-            logging.getLogger("rxnscope.agents.tools").warning("wrote %s", response["smiles"])
+            logging.getLogger("rxnscope.agents.tools").warning("wrote %s", response["smiles"].smiles)
             return response
 
         registry_a.register("ocr", waiting_ocr)
@@ -1117,16 +1117,36 @@ class TestTextTableScope:
         assert len(warnings) == 1
 
 
+def _written_texts(trace) -> list[str]:
+    """Every molecule text a run's tools wrote from a graph, in trace order."""
+    texts = []
+    for e in trace:
+        if e.get("tool") == "graph2smiles" and e["status"] == "ok":
+            texts.append(e["response"]["smiles"])
+        elif e.get("tool") == "smiles_reconstructor" and e["status"] == "ok":
+            texts += [t for vr in e["response"]["variant_reactions"] for t in vr["reactants"]]
+    return texts
+
+
 class TestMoleculeEntries:
-    """A run parses each molecule text once, where it makes the text, and
-    hands the entry on; ``parse_smiles`` itself keeps nothing."""
+    """A run parses only the texts it reads from outside. A text it writes
+    comes with the graph the writer built while writing it, which the run
+    settles once per text and hands on; ``parse_smiles`` keeps nothing."""
 
     @pytest.fixture
     def parsed(self, monkeypatch) -> list:
+        AbbreviationTable.default()  # a process reads its packaged table once
         texts = []
         real = smiles._parse
         monkeypatch.setattr(smiles, "_parse", lambda text: texts.append(text) or real(text))
         return texts
+
+    @pytest.fixture
+    def settled(self, monkeypatch) -> list:
+        graphs = []
+        real = smiles._settle
+        monkeypatch.setattr(smiles, "_settle", lambda g: graphs.append(g) or real(g))
+        return graphs
 
     @pytest.fixture
     def text_table(self, fig2_bundle, tmp_path):
@@ -1134,25 +1154,42 @@ class TestMoleculeEntries:
         d = _text_table_copy(fig2_bundle, tmp_path, table)
         return d, plan_extraction(d, BACKEND)
 
-    def test_fig2_run_parses_each_text_once(self, fig2_setup, parsed):
-        # The placeholder-free reactant (the template's second) is in every
-        # variant record, and it is parsed once.
+    def test_fig2_run_parses_nothing(self, fig2_setup, parsed, settled):
+        # Every molecule of fig2 is a drawn graph, written by ``graph2smiles``
+        # or reconstructed; the placeholder-free reactant (the template's
+        # second) is in every variant record, and it is settled once.
         d, plan = fig2_setup
-        records = execute_plan(plan, d).records
-        assert len(parsed) == len(set(parsed)) <= 20
-        fixed = records[0].reactants[1].smiles
-        assert [fixed in (e.smiles for e in r.reactants) for r in records[1:]] == [True] * 6
-        assert fixed in parsed
+        result = execute_plan(plan, d)
+        assert parsed == []
+        written = _written_texts(result.trace)
+        assert len(written) == 14 + 2 * 6
+        assert len(settled) == len(set(written)) < len(written)
+        fixed = result.records[0].reactants[1].smiles
+        assert [fixed in (e.smiles for e in r.reactants) for r in result.records[1:]] == [True] * 6
 
-    def test_table_run_parses_a_reactant_written_per_row_once(self, text_table, parsed):
+    def test_sidecar_texts_are_parsed(self, fig2_bundle, tmp_path, parsed):
+        # A sidecar ``smiles`` field is the one molecule text a structure
+        # run reads from outside; one that does not parse fails recognition.
+        for path in fig2_bundle.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        molecules = json.loads((fig2_bundle / "molecules.json").read_text())
+        molecules[2] = {"label": "3", "smiles": "C1CC"}
+        (tmp_path / "molecules.json").write_text(json.dumps(molecules))
+        d = Bundle.load(tmp_path).descriptor
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        # The run parses it once, and the observer once more to name it.
+        assert parsed == ["C1CC", "C1CC"]
+        assert {"type": "step_failed", "step": "molecular_recognition"} in result.trace
+
+    def test_table_run_settles_a_reactant_written_per_row_once(self, text_table, parsed, settled):
         # ``graph2smiles`` writes the placeholder-free reactant for every row.
         d, plan = text_table
         result = execute_plan(plan, d)
-        written = Counter(e["response"]["smiles"] for e in result.trace if e.get("tool") == "graph2smiles")
+        written = _written_texts(result.trace)
         fixed = result.records[0].reactants[1].smiles
-        assert written[fixed] == 1 + 3
-        assert len(parsed) == len(set(parsed))
-        assert fixed in parsed
+        assert Counter(written)[fixed] == 1 + 3
+        assert parsed == []
+        assert len(settled) == len(set(written))
 
     @pytest.mark.parametrize("bundle", ["fig2", "text-table"])
     def test_record_graphs_are_their_texts_parsed(self, bundle, fig2_setup, text_table):

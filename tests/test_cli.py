@@ -362,7 +362,38 @@ K21 = {
     "atoms": [{"symbol": "C"}] * 21,
     "bonds": [{"a": i, "b": j} for i in range(21) for j in range(i + 1, 21)],
 }
+# Drawn graphs that write but do not read back, and the reason the
+# observer gives for the text each writes.
+AROMATIC_CHAIN = {
+    "atoms": [{"symbol": "c"}, {"symbol": "c"}, {"symbol": "O"}],
+    "bonds": [{"a": 0, "b": 1, "order": "aromatic"}, {"a": 1, "b": 2}],
+}
+AGREEING_MARKS = {
+    "atoms": [{"symbol": "C"}] * 6,
+    "bonds": [
+        {"a": 0, "b": 1, "dir": "up"},
+        {"a": 1, "b": 2, "order": "double"},
+        {"a": 1, "b": 3, "dir": "down"},
+        {"a": 2, "b": 4, "dir": "up"},
+    ],
+}
+UNREADABLE_WRITES = {
+    "molecules-aromatic-chain": (
+        "unparseable SMILES 'ccO': aromatic atom 0 is not part of an aromatic ring (offset 0)"
+    ),
+    "molecules-agreeing-direction-marks": (
+        "unparseable SMILES 'C/C(=C/C)\\\\C.C': conflicting direction marks at atom 1 (offset 2)"
+    ),
+}
 HOSTILE_MOLECULES = {
+    "molecules-aromatic-chain": (
+        _fig2_with("molecules.json", lambda m: [{**m[0], "graph": AROMATIC_CHAIN}] + m[1:]),
+        "molecular_recognition",
+    ),
+    "molecules-agreeing-direction-marks": (
+        _fig2_with("molecules.json", lambda m: [{**m[0], "graph": AGREEING_MARKS}] + m[1:]),
+        "molecular_recognition",
+    ),
     "molecules-non-object-entry": (
         _fig2_with("molecules.json", lambda m: [5] + m[1:]),
         "molecular_recognition",
@@ -627,6 +658,17 @@ class TestHostileInput:
         reasons = _failed_reasons(trace)
         prefix = "tool 'graph2smiles' failed: cannot write graph: "
         assert reasons and all(r.startswith(prefix) for r in reasons)
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_WRITES))
+    def test_unreadable_written_graph_is_named(self, case, capsys, tmp_path, fig2_bundle):
+        # The written text is named with the reason its parse gives.
+        make_argv, _ = HOSTILE_MOLECULES[case]
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
+        assert code == 0
+        verdicts = [e for e in trace if e["type"] == "observer" and e["step"] == "molecular_recognition"]
+        assert verdicts == [
+            {"type": "observer", "step": "molecular_recognition", "passed": False, "reasons": [UNREADABLE_WRITES[case]]}
+        ]
 
     def test_unparseable_molecule_text_is_named_and_listed(self, capsys, tmp_path, fig2_bundle):
         # The observer names the text, and a run that makes no records

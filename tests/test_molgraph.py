@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from rxnscope.molgraph import (
     AtomToken,
     Bond,
+    GRAFT_SLOT,
     Fragment,
     GraphError,
     MolecularGraph,
@@ -315,6 +316,25 @@ class TestSubgraph:
         )
         assert all(atom.coords is None for atom in atoms)
         assert [(b.a, b.b) for b in bonds[1:]] == [(2, 3), (3, 4), (3, 5)]
+
+
+    def test_cut_keeps_the_slot_of_the_atom_cut_from(self):
+        g = parse_smiles("*[C@H](F)Cl")
+        fragment = Fragment.cut(g, [1, 2, 3], 1)
+        centre = fragment.graph.atoms[0]
+        assert (centre.chiral, centre.chiral_order) == ("@", (GRAFT_SLOT, -1, 1, 2))
+        # Grafted onto atom 0, that atom fills the slot; onto nothing, the tag goes.
+        atoms, bonds = [carbon()], []
+        assert fragment.graft_onto(atoms, bonds, 0) == 1
+        assert (atoms[1].chiral, atoms[1].chiral_order) == ("@", (0, -1, 2, 3))
+        atoms = [carbon()]
+        fragment.graft_onto(atoms, [])
+        assert (atoms[1].chiral, atoms[1].chiral_order) == (None, None)
+
+    def test_cut_from_two_atoms_drops_the_tag(self):
+        g = parse_smiles("C[C@H](F)Cl")
+        fragment = Fragment.cut(g, [1, 2], 1)
+        assert fragment.graph.atoms[0].chiral is None
 
 
 class TestParity:

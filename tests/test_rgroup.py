@@ -101,6 +101,15 @@ class TestSubstitute:
         assert out == canonicalize("F[C@H](Cl)C")
         assert out != canonicalize("F[C@@H](Cl)C")
 
+    def test_chiral_attachment_keeps_its_sense(self):
+        # The grafted group's stereocentre is its attachment: the ring
+        # carbon takes the slot the table's ``*`` marker held.
+        table = AbbreviationTable({"Foo": "*[C@H](F)Cl"})
+        for scaffold in ("[R1]c1ccccc1", "c1ccccc1[R1]"):
+            out = graph_smiles(substitute_placeholders(parse_smiles(scaffold), {"R1": "Foo"}, table))
+            assert out == canonicalize("c1ccccc1[C@H](F)Cl")
+            assert out != canonicalize("c1ccccc1[C@@H](F)Cl")
+
     def test_one_alias_registry_per_call(self):
         g = parse_smiles("[R1]CC[R2]")
         out = substitute_placeholders(g, {"R1": "Zzq", "R2": "Qqz"})

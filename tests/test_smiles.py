@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import random
+import re
 import time
 from functools import lru_cache
 from itertools import permutations
@@ -21,7 +22,9 @@ from rxnscope.smiles import (
     implicit_h_count,
     is_valid,
     parse_smiles,
+    settle_written,
     write_smiles,
+    write_smiles_graph,
 )
 
 from corpus import MOLECULES
@@ -31,6 +34,7 @@ from oracles import (
     random_fingerprint_graph,
     random_molecular_graph,
     random_ring_graph,
+    read_back,
     reference_perceive_aromaticity,
     reference_write_smiles,
     renumbered,
@@ -335,6 +339,133 @@ class TestWrite:
             write_smiles(k21)
         with pytest.raises(SmilesParseError, match="duplicate bond"):
             parse_smiles(reference_write_smiles(k21))
+
+
+def _element(text: str, **kw) -> AtomToken:
+    return AtomToken(kind="element", text=text, **kw)
+
+
+def _chain(*atoms: AtomToken) -> MolecularGraph:
+    return MolecularGraph(atoms=atoms, bonds=tuple(Bond(i, i + 1) for i in range(len(atoms) - 1)))
+
+
+def _fig2_graphs(fig2) -> list[MolecularGraph]:
+    template = json.loads((fig2 / "template.json").read_text())
+    raw = [m["graph"] for m in json.loads((fig2 / "molecules.json").read_text())]
+    raw += template["reactant_templates"] + template["product_templates"]
+    return [graph_from_json(r) for r in raw]
+
+
+class TestWriterGraph:
+    """The graph ``write_smiles_graph`` builds, once settled, is the graph
+    its text parses to (``oracles.read_back``), atom for atom and bond for
+    bond; a graph that fails to settle fails with the parse's error."""
+
+    def check(self, g: MolecularGraph) -> None:
+        text, built = write_smiles_graph(g)
+        assert text == write_smiles(g)
+        assert built is not None, text
+        try:
+            want = read_back(g)
+        except SmilesParseError as exc:
+            with pytest.raises(smiles._Unsettled):
+                smiles._settle(built)
+            with pytest.raises(SmilesParseError, match=f"^{re.escape(str(exc))}$"):
+                settle_written(text, built)
+            return
+        got = smiles._settle(built)
+        assert (got.atoms, got.bonds) == (want.atoms, want.bonds), text
+        assert settle_written(text, built) == want
+
+    @pytest.mark.parametrize("text", MOLECULES)
+    def test_corpus(self, text):
+        self.check(parse_smiles(text))
+        # As written, before perception: Kekulé rings become aromatic.
+        self.check(unperceived_graph(text))
+
+    def test_fig2_graphs(self, fig2_bundle):
+        graphs = _fig2_graphs(fig2_bundle)
+        assert len(graphs) == 11 + 3
+        for g in graphs:
+            self.check(g)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "C1=CC=CC=C1",
+            "C1=CC2=CC=CC=C2C=C1",
+            "OC1=CC=C(C=C1)/C=C/C",
+            "C1=CC=CC=C1C1=CC=CN=C1",
+            "C1=CC=CC1",
+        ],
+    )
+    def test_kekule_rings(self, text):
+        # Perception changes the built graph, except on the 5-ring.
+        g = unperceived_graph(text)
+        built = write_smiles_graph(g)[1]
+        assert (smiles._settle(built) != built) == (text != "C1=CC=CC1")
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["C[C@H]1CC[C@@H](O)CC1", "[C@@H]12CCC[C@H]1CCC2", "N[C@]1(C)CCCC[C@@H]1F", "F[C@H]1CCCO1"],
+    )
+    def test_chiral_atoms_with_ring_slots(self, text):
+        g = parse_smiles(text)
+        rng = random.Random(text)
+        for _ in range(6):
+            perm = list(range(len(g.atoms)))
+            rng.shuffle(perm)
+            self.check(renumbered(g, perm))
+
+    def test_two_digit_ring_numbers(self):
+        n = 9
+        g = MolecularGraph(
+            atoms=(PLAIN_ATOMS["C"],) * n,
+            bonds=tuple(Bond(i, j) for i in range(n) for j in range(i + 1, n)),
+        )
+        assert "%1" in write_smiles(g)
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "atom, written",
+        [
+            (_element("N", charge=1), "[N+]"),
+            (_element("O", charge=-1), "[O-]"),
+            (_element("C", isotope=13), "[13C]"),
+            (_element("N", charge=2, isotope=15), "[15N+2]"),
+            (_element("H"), "[H]"),
+            (AtomToken(kind="wildcard", text="*", charge=-1), "[*-]"),
+            (AtomToken(kind="wildcard", text="*", charge=1, isotope=100), "[100*+]"),
+        ],
+    )
+    def test_bracket_atoms_with_no_h_count(self, atom, written):
+        # The text gives an H count of 0, which the built atom holds.
+        g = _chain(PLAIN_ATOMS["C"], atom, PLAIN_ATOMS["C"])
+        text, built = write_smiles_graph(g)
+        assert text == f"C{written}C"
+        if atom.kind == "element":
+            assert built.atoms[1].explicit_h == 0
+        self.check(g)
+
+    def test_seeded_ring_graphs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            self.check(random_ring_graph(rng))
+
+    def test_seeded_molecular_graphs(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            self.check(random_molecular_graph(rng))
+
+    def test_atom_text_that_reads_as_more_than_one_atom_builds_no_graph(self):
+        # An abbreviation holding "]" is written as text that reads as two
+        # atoms and a stray bracket; only the parse can say what it is.
+        g = _chain(PLAIN_ATOMS["C"], AtomToken(kind="abbreviation", text="a]b"))
+        text, built = write_smiles_graph(g)
+        assert (text, built) == ("C[a]b]", None)
+        with pytest.raises(SmilesParseError, match=r"^unexpected character '\]' \(offset 5\)$"):
+            settle_written(text, built)
 
 
 class TestLongChains:
