@@ -6,8 +6,10 @@ call parses afresh) on the fig2 ``golden.json``
 texts and on the texts written from the fig2 ``molecules.json`` graphs;
 microseconds per ``graph_from_json`` call on those graphs and per
 ``write_smiles`` call on them (for ``golden.json``, on the parsed
-texts); and microseconds per perception call on the texts as written,
-for ``_perceive_aromaticity`` and for ``reference_perceive_aromaticity``,
+texts); microseconds per ``Bond`` built from the fields of the bonds of
+those graphs, by keyword and by position (each including the call that
+unpacks the fields); and microseconds per perception call on the texts
+as written, for ``_perceive_aromaticity`` and for ``reference_perceive_aromaticity``,
 the walk over every simple 6-atom path. Then counts the differences of
 perception from its oracle, and of the writer's text and write order
 from ``reference_write_smiles`` in index order and under shuffled
@@ -44,7 +46,7 @@ from oracles import (
 )
 
 from rxnscope import smiles
-from rxnscope.molgraph import graph_from_json
+from rxnscope.molgraph import Bond, graph_from_json
 from rxnscope.reaction import MoleculeEntry
 
 FIG2 = ROOT / "fixtures" / "fig2"
@@ -160,6 +162,19 @@ def main(argv=None) -> int:
             f"{source:>16} {len(texts):>4} {parse_us:>11.1f} {decode:>12} {write_us:>11.1f}"
             f" {perceive_us:>14.1f} {oracle_us:>12.1f} {differences:>15} {write_differences:>12}"
         )
+
+    fields = [
+        {"a": b.a, "b": b.b, "order": b.order, "wedge": b.wedge, "direction": b.direction}
+        for g in map(graph_from_json, fig2_graph_json())
+        for b in g.bonds
+    ]
+    keyword_us = _best_us_per_call(lambda f: Bond(**f), fields, args.repeats)
+    positional = [tuple(f.values()) for f in fields]
+    positional_us = _best_us_per_call(lambda f: Bond(*f), positional, args.repeats)
+    print(
+        f"\n{'bonds':>16} {'n':>4} {'keyword (us)':>13} {'positional (us)':>16}"
+        f"\n{'molecules.json':>16} {len(fields):>4} {keyword_us:>13.2f} {positional_us:>16.2f}"
+    )
 
     graphs = fig2_graphs()
     parse_us = _best_us_per_call(read_back, graphs, args.repeats)

@@ -129,8 +129,8 @@ class _Run:
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
         # The entry of each text the run made, so that a text made twice (a
-        # template's starting material is drawn too; a placeholder-free
-        # reactant is written for every variant) is read back once.
+        # template's starting material is drawn too; the reconstructor hands
+        # every variant the placeholder-free reactant) is read back once.
         self.entries: dict[str, MoleculeEntry] = {}
 
     def invoke(self, tool: str, request: dict) -> dict:
@@ -281,11 +281,22 @@ def _step_text_rgroup(run: _Run) -> dict:
         )
         return token
 
+    # A template with no placeholder is the same molecule in every row: it
+    # is written once, where the first row meets it, and each row gets
+    # that entry under its own label.
+    fixed: dict[str, Any] = {}
+
     def instantiate(templates: list, values: dict, label: Optional[str] = None) -> list:
-        return [
-            run.write(main_component(bind_placeholders(t.graph, values, run.ctx.aliases)), label)
-            for t in templates
-        ]
+        out = []
+        for t in templates:
+            if t.graph.placeholder_indices():
+                bound = bind_placeholders(t.graph, values, run.ctx.aliases)
+                out.append(run.write(main_component(bound), label))
+                continue
+            if t.smiles not in fixed:
+                fixed[t.smiles] = run.write(main_component(t.graph))
+            out.append(run.entry(fixed[t.smiles], label))
+        return out
 
     variant_reactions: list[dict] = []
     variant_conditions: dict[str, list[ConditionItem]] = {}

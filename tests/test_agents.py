@@ -1181,15 +1181,30 @@ class TestMoleculeEntries:
         assert parsed == ["C1CC", "C1CC"]
         assert {"type": "step_failed", "step": "molecular_recognition"} in result.trace
 
-    def test_table_run_settles_a_reactant_written_per_row_once(self, text_table, parsed, settled):
-        # ``graph2smiles`` writes the placeholder-free reactant for every row.
+    def test_table_run_writes_a_placeholder_free_reactant_once_per_step(self, text_table, parsed, settled):
+        # ``graph2smiles`` writes the placeholder-free reactant when the
+        # template is parsed, then once in the table step for all 3 rows.
         d, plan = text_table
         result = execute_plan(plan, d)
         written = _written_texts(result.trace)
         fixed = result.records[0].reactants[1].smiles
-        assert Counter(written)[fixed] == 1 + 3
+        assert Counter(written)[fixed] == 1 + 1
+        assert [fixed in (e.smiles for e in r.reactants) for r in result.records[1:]] == [True] * 3
         assert parsed == []
         assert len(settled) == len(set(written))
+
+    def test_table_step_writes_only_templates_with_a_placeholder_per_row(self, text_table):
+        d, plan = text_table
+        trace = execute_plan(plan, d).trace
+
+        def written(step: str) -> list[str]:
+            return [e["response"]["smiles"] for e in trace if e.get("tool") == "graph2smiles" and e["step"] == step]
+
+        templates = [parse_smiles(text) for text in written("reaction_template_parsing")]
+        with_placeholder = sum(1 for g in templates if g.placeholder_indices())
+        assert 0 < with_placeholder < len(templates)
+        rows = 3
+        assert len(written("text_rgroup")) == rows * with_placeholder + (len(templates) - with_placeholder)
 
     @pytest.mark.parametrize("bundle", ["fig2", "text-table"])
     def test_record_graphs_are_their_texts_parsed(self, bundle, fig2_setup, text_table):

@@ -1,6 +1,6 @@
 import random
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +77,70 @@ class TestBond:
         assert b.other(7) == 3
         with pytest.raises(GraphError):
             b.other(5)
+
+    def test_positional_and_keyword_construction_agree(self):
+        bond = Bond(3, 2, "single", "dashed", "down")
+        assert bond == Bond(a=3, b=2, order="single", wedge="dashed", direction="down")
+        assert (bond.a, bond.b, bond.order, bond.wedge, bond.direction) == (3, 2, "single", "dashed", "down")
+        assert Bond(0, 1) == Bond(a=0, b=1) == Bond(0, 1, "single", "none", None)
+        assert Bond(0, 1, "double") == Bond(a=0, b=1, order="double")
+        assert [(f.name, f.default) for f in fields(Bond)][2:] == [
+            ("order", "single"), ("wedge", "none"), ("direction", None)
+        ]
+
+    def test_equal_however_built_and_hashed_alike(self):
+        plain = Bond(2, 5, "single", direction="up")
+        built = [
+            Bond(0, 1, direction="up").moved(2, 5),
+            Bond(2, 5).with_away(2, "up"),
+            Bond(2, 5, direction="up").with_away(5, "down"),
+            replace(Bond(2, 5, "double"), order="single", direction="up"),
+        ]
+        for bond in built:
+            assert bond == plain and hash(bond) == hash(plain)
+        assert len({plain, *built}) == 1
+        assert plain != Bond(5, 2, direction="up")
+        assert plain != Bond(2, 5, direction="down")
+        assert plain != (2, 5, "single", "none", "up")
+
+    def test_fields_cannot_be_assigned(self):
+        bond = Bond(0, 1)
+        with pytest.raises(FrozenInstanceError):
+            bond.order = "double"
+        with pytest.raises(FrozenInstanceError):
+            del bond.a
+        assert bond == Bond(0, 1)
+
+    def test_repr(self):
+        assert repr(Bond(0, 1)) == "Bond(a=0, b=1, order='single', wedge='none', direction=None)"
+        assert repr(Bond(3, 2, "single", "dashed", "down")) == (
+            "Bond(a=3, b=2, order='single', wedge='dashed', direction='down')"
+        )
+
+    @pytest.mark.parametrize(
+        "fields_, message",
+        [
+            ({"order": "quadruple"}, "unknown bond order 'quadruple'"),
+            ({"order": []}, "unknown bond order []"),
+            ({"wedge": "wavy"}, "unknown wedge kind 'wavy'"),
+            ({"wedge": {}}, "unknown wedge kind {}"),
+            ({"order": "double", "wedge": "solid"}, "wedges are only meaningful on single bonds"),
+            ({"direction": "sideways"}, "bad direction mark 'sideways'"),
+            ({"direction": []}, "bad direction mark []"),
+        ],
+    )
+    def test_a_bad_field_is_named_however_built(self, fields_, message):
+        # Unhashable values too: the field checks never hash a value.
+        with pytest.raises(GraphError) as built:
+            Bond(0, 1, **fields_)
+        with pytest.raises(GraphError) as replaced:
+            replace(Bond(0, 1), **fields_)
+        entry = {{"direction": "dir"}.get(key, key): value for key, value in fields_.items()}
+        with pytest.raises(GraphError) as decoded:
+            graph_from_json({"atoms": [{"symbol": "C"}, {"symbol": "C"}], "bonds": [{"a": 0, "b": 1, **entry}]})
+        assert (str(built.value), str(replaced.value), str(decoded.value)) == (
+            message, message, f"bonds[0]: {message}"
+        )
 
 
 def _on_cycle_by_deletion(g: MolecularGraph, pos: int) -> bool:
@@ -162,6 +226,40 @@ class TestMalformedGraphs:
         }
         where = rf"atoms\[1\]: {rule}" if atom else f"{rule} at bond 1"
         with pytest.raises(GraphError, match=where):
+            graph_from_json(data)
+
+
+# Bond endpoints that are no atom index, though some compare equal to one.
+NOT_AN_INDEX = {"bool": True, "float": 0.5, "integral-float": 1.0, "string": "1", "none": None, "list": [1]}
+
+
+class TestNonIntegerEndpoints:
+    """A bond endpoint whose type is not ``int``, a bool included, is
+    rejected however the bond is built."""
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    @pytest.mark.parametrize("kind", sorted(NOT_AN_INDEX))
+    def test_constructor_rejects(self, kind, end):
+        with pytest.raises(GraphError, match="non-integer-endpoint"):
+            MolecularGraph(
+                atoms=(carbon(), carbon(), carbon()),
+                bonds=(Bond(**{"a": 0, "b": 2, end: NOT_AN_INDEX[kind]}),),
+            )
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    @pytest.mark.parametrize("kind", sorted(NOT_AN_INDEX))
+    def test_replace_rejects(self, kind, end):
+        with pytest.raises(GraphError, match="non-integer-endpoint"):
+            replace(Bond(0, 2), **{end: NOT_AN_INDEX[kind]})
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    @pytest.mark.parametrize("kind", sorted(NOT_AN_INDEX))
+    def test_graph_json_rejects(self, kind, end):
+        data = {
+            "atoms": [{"symbol": "C"}] * 3,
+            "bonds": [{"a": 0, "b": 1}, {"a": 0, "b": 2, end: NOT_AN_INDEX[kind]}],
+        }
+        with pytest.raises(GraphError, match=r"bonds\[1\]: non-integer-endpoint"):
             graph_from_json(data)
 
 

@@ -70,12 +70,15 @@ def test_parse_benchmark_agrees_with_the_perception_oracle(tmp_path):
     # writer-graph rows count built graphs that settle to other than the
     # parse of their text.
     out = run_script("benchmark_parse.py", "--repeats", "1", "--graphs", "20", cwd=tmp_path)
-    table, graphs, seeded = out.split("\n\n")
+    table, bonds, graphs, seeded = out.split("\n\n")
     rows = [line.split() for line in table.splitlines()[1:]]
     assert [(row[0], row[1], row[-2:]) for row in rows] == [
         ("golden.json", "18", ["0", "0"]), ("molecules.json", "11", ["0", "0"])
     ]
     assert rows[0][3] == "-" and float(rows[1][3]) > 0  # graph_from_json runs on molecules.json
+    bond_row = bonds.splitlines()[1].split()  # keyword and positional Bond construction
+    assert bond_row[0] == "molecules.json" and int(bond_row[1]) > 0
+    assert float(bond_row[2]) > 0 and float(bond_row[3]) > 0
     fig2 = graphs.splitlines()[1].split()
     assert (fig2[:2], fig2[-1]) == (["fig2", "14"], "0")
     assert seeded.split()[-7:] == ["perception", "0,", "writer", "0,", "writer", "graph", "0"]
