@@ -23,7 +23,7 @@ from functools import cache
 from typing import Any, Callable, Optional, Union
 
 from ..jsonshape import check_shape
-from ..molgraph import MolecularGraph, RxnscopeError, main_component
+from ..molgraph import MolecularGraph, RxnscopeError
 from ..reaction import (
     ConditionItem,
     MoleculeEntry,
@@ -35,7 +35,7 @@ from ..reaction import (
     table_row_to_json,
     validate_record,
 )
-from ..rgroup import Binding, bind_placeholders
+from ..rgroup import Binding, ReactionTemplate, bind_placeholders
 from ..smiles import SmilesParseError
 from ..chemops import AbbreviationTable
 from .backend import BackendError, ScriptedBackend
@@ -281,22 +281,10 @@ def _step_text_rgroup(run: _Run) -> dict:
         )
         return token
 
-    # A template with no placeholder is the same molecule in every row: it
-    # is written once, where the first row meets it, and each row gets
-    # that entry under its own label.
-    fixed: dict[str, Any] = {}
-
-    def instantiate(templates: list, values: dict, label: Optional[str] = None) -> list:
-        out = []
-        for t in templates:
-            if t.graph.placeholder_indices():
-                bound = bind_placeholders(t.graph, values, run.ctx.aliases)
-                out.append(run.write(main_component(bound), label))
-                continue
-            if t.smiles not in fixed:
-                fixed[t.smiles] = run.write(main_component(t.graph))
-            out.append(run.entry(fixed[t.smiles], label))
-        return out
+    # Every row instantiates the same templates, each write a traced
+    # ``graph2smiles`` call; a template with no placeholder is written once.
+    sides = (tuple(e.graph for e in template[k]) for k in ("reactants", "products"))
+    templates = ReactionTemplate(*sides, write=run.write)
 
     variant_reactions: list[dict] = []
     variant_conditions: dict[str, list[ConditionItem]] = {}
@@ -305,8 +293,8 @@ def _step_text_rgroup(run: _Run) -> dict:
         values = {label: read_cell(cell) for label, cell in sorted(row.values.items())}
         metadata = row.metadata
         label = metadata.get("product")
-        reactants = instantiate(template["reactants"], values)
-        products = instantiate(template["products"], values, label)
+        reactants = templates.instantiate("reactants", values, run.ctx.aliases)
+        products = [run.entry(e, label) for e in templates.instantiate("products", values, run.ctx.aliases)]
         emitted.extend(reactants + products)
         variant_reactions.append(
             {

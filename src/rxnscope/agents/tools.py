@@ -135,6 +135,7 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
         check_shape(spec, _TEMPLATE_ENTRIES, "template spec", GraphError)
         sides = (tuple(e.graph for e in spec[k]) for k in ("reactants", "products"))
         template = ReactionTemplate(*sides, write=MoleculeEntry.written)
+        template.product_pattern  # prepared once, and both sides are there
     except RxnscopeError as exc:
         raise ToolError(f"bad template payload: {exc}") from None
     variants = request.get("variants", [])

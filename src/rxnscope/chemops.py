@@ -188,6 +188,10 @@ def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[F
     return None
 
 
+# How deep parenthesized groups may nest in a linear formula: each level
+# is read by a recursive call, so a deeper token is a FormulaError.
+MAX_FORMULA_NESTING = 16
+
 _LINEAR_TOKEN = re.compile(
     r"(?P<paren>\()|(?P<close>\))|(?P<count>\d+)|(?P<group>Me|Et|Pr|Bu)"
     r"|(?P<elem>Cl|Br|[BCNOSPFIH])"
@@ -241,6 +245,8 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
             while end < len(text) and depth:
                 if text[end] == "(":
                     depth += 1
+                    if depth > MAX_FORMULA_NESTING:
+                        raise FormulaError(f"{text!r} nests groups deeper than {MAX_FORMULA_NESTING}")
                 elif text[end] == ")":
                     depth -= 1
                 end += 1
@@ -321,23 +327,6 @@ def parse_condensed_formula(
     if not is_valid(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))):
         raise FormulaError(f"condensed formula {text!r} reads as an invalid group")
     return fragment
-
-
-def expand_abbreviation(
-    token: str,
-    table: Optional[AbbreviationTable] = None,
-    registry: Optional[AliasRegistry] = None,
-) -> Fragment:
-    """Total expansion: what :meth:`AbbreviationTable.read` reads, else a wildcard.
-
-    The wildcard fallback never fails; it produces a single wildcard atom
-    whose isotope aliases the unknown token via ``registry``.
-    """
-    table = table if table is not None else AbbreviationTable.default()
-    fragment = table.read(token)
-    if fragment is not None:
-        return fragment
-    return (registry if registry is not None else AliasRegistry()).wildcard(token)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ the atom it is grafted onto.  Ring membership is :func:`ring_bonds`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -206,6 +206,15 @@ class Bond:
     def with_away(self, end: int, mark: str) -> "Bond":
         """This bond marked so that it reads ``mark`` from ``end`` outwards."""
         return replace(self, direction=mark if end == self.a else flip(mark))
+
+
+def _refuse_assignment(self, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r} of a frozen {type(self).__name__}")
+
+
+# The generated frozen ones name the class ``slots=True`` replaced, and
+# raise ``TypeError`` for a name that is not a field.
+Bond.__setattr__ = Bond.__delattr__ = _refuse_assignment
 
 
 # The atoms SMILES writes without brackets, keyed by that text: the organic

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Union
 
-from .chemops import AbbreviationTable, AliasRegistry, expand_abbreviation
+from .chemops import AbbreviationTable, AliasRegistry
 from .jsonshape import Closed, Required
 from .molgraph import (
     Bond,
@@ -42,35 +42,41 @@ TEMPLATE_SPEC = Closed({Required("reactants"): [str], Required("products"): [str
 
 @dataclass(frozen=True)
 class ReactionTemplate:
-    """Reactant and product template graphs, and what every variant reuses.
+    """Reactant and product template graphs, and how they are instantiated.
 
-    ``write`` is how reconstructed reactants are written: as SMILES texts
+    ``write`` is how an instantiated template is written: as a SMILES text
     unless given. The first product template prepared for alignment and
-    each placeholder-free reactant template as written are built on first
-    use and kept, so a template read once serves all of its variants.
+    each placeholder-free template as written are built on first use and
+    kept, so a template read once serves all of its variants.
     """
 
     reactant_templates: tuple[MolecularGraph, ...]
     product_templates: tuple[MolecularGraph, ...]
     write: Callable[[MolecularGraph], Any] = field(default=write_smiles, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.reactant_templates or not self.product_templates:
-            raise GraphError("a reaction template needs reactants and products")
+    _written: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def product_pattern(self) -> Pattern:
-        """The first product template, prepared for :func:`scaffold_align`."""
+        """The first product template, prepared for :func:`scaffold_align`;
+        reconstruction needs a template with both sides."""
+        if not self.reactant_templates or not self.product_templates:
+            raise GraphError("a reaction template needs reactants and products")
         return Pattern(self.product_templates[0])
 
-    @cached_property
-    def fixed_reactants(self) -> tuple[Any, ...]:
-        """Per reactant template, its main component as written when no
-        placeholder is in it, else None."""
-        return tuple(
-            None if g.placeholder_indices() else self.write(main_component(g))
-            for g in self.reactant_templates
-        )
+    def instantiate(self, side: str, bindings: Mapping[str, Binding], registry: AliasRegistry) -> list:
+        """Each template of ``side`` ("reactants" or "products") with
+        ``bindings`` bound (:func:`bind_placeholders`), cut to its main
+        component and written by ``write``; one with no placeholder is
+        written the first time it is met, and handed out from then on."""
+        out = []
+        for i, g in enumerate(self.reactant_templates if side == "reactants" else self.product_templates):
+            if g.placeholder_indices():
+                out.append(self.write(main_component(bind_placeholders(g, bindings, registry))))
+                continue
+            if (side, i) not in self._written:
+                self._written[side, i] = self.write(main_component(g))
+            out.append(self._written[side, i])
+        return out
 
 
 def splice_fragment(g: MolecularGraph, fragments: Mapping[int, Fragment]) -> MolecularGraph:
@@ -156,18 +162,17 @@ def substitute_placeholders(
     return bind_placeholders(g, bindings, registry)
 
 
-def expand_abbreviations(
-    g: MolecularGraph,
-    table: Optional[AbbreviationTable] = None,
-    registry: Optional[AliasRegistry] = None,
-) -> MolecularGraph:
-    """Replace every abbreviation atom with its expanded fragment.
+def expand_abbreviations(g: MolecularGraph, registry: Optional[AliasRegistry] = None) -> MolecularGraph:
+    """Replace every abbreviation atom with the fragment its text reads as
+    (:meth:`AbbreviationTable.read`), or with its aliased wildcard.
 
     Without a ``registry`` the call numbers its aliases in one of its own.
     """
     registry = registry if registry is not None else AliasRegistry()
-    targets = reversed([i for i, atom in enumerate(g.atoms) if atom.kind == "abbreviation"])
-    fragments = {at: expand_abbreviation(g.atoms[at].text, table, registry) for at in targets}
+    fragments = {}
+    for at in reversed([i for i, atom in enumerate(g.atoms) if atom.kind == "abbreviation"]):
+        token = g.atoms[at].text
+        fragments[at] = AbbreviationTable.default().read(token) or registry.wildcard(token)
     return splice_fragment(g, fragments)
 
 
@@ -200,10 +205,10 @@ def extract_rgroup_fragments(
 def reconstruct_reactants(
     template: ReactionTemplate,
     assignment: Mapping[str, Binding],
-    table: Optional[AbbreviationTable] = None,
     registry: Optional[AliasRegistry] = None,
 ) -> list:
-    """Instantiate every reactant template and write it by ``template.write``.
+    """Every reactant template instantiated (:meth:`ReactionTemplate.instantiate`)
+    with ``assignment``; a token in it is bound unread, as its wildcard.
 
     Raises :class:`MissingBindingError` when the assignment does not
     cover all reactant-side placeholder labels.  Without a ``registry``
@@ -217,13 +222,7 @@ def reconstruct_reactants(
     if missing:
         raise MissingBindingError(missing)
     registry = registry if registry is not None else AliasRegistry()
-    out: list = []
-    for g, written in zip(template.reactant_templates, template.fixed_reactants):
-        if written is None:
-            spliced = substitute_placeholders(g, assignment, table, registry)
-            written = template.write(main_component(spliced))
-        out.append(written)
-    return out
+    return template.instantiate("reactants", assignment, registry)
 
 
 def reconstruct_variant(

@@ -1057,23 +1057,54 @@ class TestExecutor:
 
 
 class TestTextTableScope:
+    # A table token (Ph), a formula (4-BrC6H4), a typo the scripted
+    # backend corrects (Pj) and a token nothing reads (Qq7, in two rows,
+    # one alias), with time and yield cells.
+    PINNED_TABLE = (
+        "entry\tR\tAr\tproduct\ttime\tyield\n"
+        "1\tMe\tPh\t3a\t24 h\t71%\n"
+        "2\tEt\t4-BrC6H4\t3b\t12 h\t78%\n"
+        "3\tMe\tPj\t3c\t24 h\t60%\n"
+        "4\tEt\tQq7\t3d\t36 h\t52%\n"
+        "5\tMe\tQq7\t3e\t24 h\t61%\n"
+    )
+
     def test_document_digest_is_pinned(self, fig2_bundle, tmp_path):
-        # A table token (Ph), a formula (4-BrC6H4), a typo the scripted
-        # backend corrects (Pj) and a token nothing reads (Qq7, in two
-        # rows, one alias), with time and yield cells.
-        table = (
-            "entry\tR\tAr\tproduct\ttime\tyield\n"
-            "1\tMe\tPh\t3a\t24 h\t71%\n"
-            "2\tEt\t4-BrC6H4\t3b\t12 h\t78%\n"
-            "3\tMe\tPj\t3c\t24 h\t60%\n"
-            "4\tEt\tQq7\t3d\t36 h\t52%\n"
-            "5\tMe\tQq7\t3e\t24 h\t61%\n"
-        )
-        d = _text_table_copy(fig2_bundle, tmp_path, table)
+        d = _text_table_copy(fig2_bundle, tmp_path, self.PINNED_TABLE)
         document = execute_plan(plan_extraction(d, BACKEND), d).document
         assert hashlib.sha256(document.encode()).hexdigest() == (
             "d99f06c978e904f22f9f1baac029bdb9c6b59be11a6b17794fb3f66901c85d10"
         )
+
+    def test_trace_digest_is_pinned(self, fig2_bundle, tmp_path):
+        # Serialized as ``rxnscope extract --trace`` writes it.
+        d = _text_table_copy(fig2_bundle, tmp_path, self.PINNED_TABLE)
+        trace = execute_plan(plan_extraction(d, BACKEND), d).trace
+        written = json.dumps(list(trace), indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
+            "e269e2ece5b11f1a36563fb846ca659d7c9c350af76bdb576ac837c132bf5175"
+        )
+
+    def test_template_without_reactants_writes_records_without_reactants(self, fig2_bundle, tmp_path):
+        # The table step instantiates an empty reactant side as no
+        # reactants; the structuring observer names every such record.
+        rows = "entry\tR\tAr\tproduct\n" + "".join(f"{i}\tMe\tPh\t3{i}\n" for i in range(1, 25))
+        d = _text_table_copy(fig2_bundle, tmp_path, rows)
+        template = json.loads((tmp_path / "template.json").read_text())
+        edited = {**template, "reactant_templates": [], "reactant_labels": []}
+        (tmp_path / "template.json").write_text(json.dumps(edited))
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        assert hashlib.sha256(result.document.encode()).hexdigest() == (
+            "597da4e83f9ed42d5e7750f6e270c6d7c9ee28a6d78cdb75c316cb1d88a45922"
+        )
+        reactions = json.loads(result.document)["reactions"]
+        assert [len(r["reactants"]) for r in reactions] == [0] * 25
+        verdicts = {e["step"]: e for e in result.trace if e["type"] == "observer"}
+        assert verdicts["text_rgroup"]["passed"]
+        assert not verdicts["data_structure"]["passed"]
+        assert verdicts["data_structure"]["reasons"] == [
+            f"{i}_1: concrete record has no reactants" for i in range(1, 25)
+        ]
 
     def test_each_cell_and_template_formula_is_read_once(self, fig2_bundle, tmp_path, monkeypatch):
         # Ar and Ar2 each stand in a reactant and the product template, but

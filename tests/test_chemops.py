@@ -9,13 +9,12 @@ from rxnscope.chemops import (
     AliasRegistry,
     FormulaError,
     StereoPerceptionError,
-    expand_abbreviation,
     parse_condensed_formula,
     perceive_stereo,
 )
 from rxnscope.molgraph import AtomToken, Bond, MolecularGraph
 from rxnscope.reaction import ConditionLexicon
-from rxnscope.rgroup import substitute_placeholders
+from rxnscope.rgroup import expand_abbreviations, substitute_placeholders
 from rxnscope.smiles import canonicalize, is_valid, parse_smiles, write_smiles
 
 from oracles import (
@@ -39,6 +38,12 @@ def on_carbon(fragment) -> MolecularGraph:
     atoms, bonds = [AtomToken(kind="element", text="C")], []
     bonds.append(Bond(a=0, b=fragment.graft_onto(atoms, bonds)))
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
+
+
+def carbon_with(token: str) -> MolecularGraph:
+    """One carbon bonded to one abbreviation atom reading ``token``."""
+    atoms = (AtomToken(kind="element", text="C"), AtomToken(kind="abbreviation", text=token))
+    return MolecularGraph(atoms=atoms, bonds=(Bond(0, 1),))
 
 
 class TestAbbreviationTable:
@@ -99,26 +104,22 @@ class TestExpandAbbreviation:
 
     def test_unknown_token_becomes_aliased_wildcard(self):
         reg = AliasRegistry()
-        frag = expand_abbreviation("Zzq9", AbbreviationTable.default(), reg)
-        atom = frag.graph.atoms[frag.attachment]
-        assert atom.kind == "wildcard"
-        assert atom.isotope == 100
+        out = expand_abbreviations(carbon_with("Zzq9"), reg)
+        assert [(a.kind, a.isotope) for a in out.atoms] == [("element", None), ("wildcard", 100)]
         assert reg.items() == {"Zzq9": 100}
 
     def test_alias_stable_within_registry(self):
         reg = AliasRegistry()
-        a = expand_abbreviation("Qq1", None, reg)
-        b = expand_abbreviation("Qq2", None, reg)
-        c = expand_abbreviation("Qq1", None, reg)
-        assert a.graph.atoms[0].isotope == c.graph.atoms[0].isotope == 100
-        assert b.graph.atoms[0].isotope == 101
+        a, b, c = (expand_abbreviations(carbon_with(token), reg) for token in ("Qq1", "Qq2", "Qq1"))
+        assert a.atoms[1].isotope == c.atoms[1].isotope == 100
+        assert b.atoms[1].isotope == 101
 
     @given(st.text(min_size=1, max_size=10).filter(str.isprintable))
     def test_total_over_arbitrary_tokens(self, token):
-        frag = expand_abbreviation(token, AbbreviationTable.default(), AliasRegistry())
-        assert frag.graph.atoms
-        wildcard = frag.graph.atoms[frag.attachment].kind == "wildcard"
-        assert wildcard or is_valid(on_carbon(frag)), token
+        out = expand_abbreviations(carbon_with(token), AliasRegistry())
+        assert len(out.atoms) >= 2
+        wildcard = any(a.kind == "wildcard" and a.isotope == 100 for a in out.atoms)
+        assert wildcard or is_valid(out), token
 
 
 class TestCondensedFormula:

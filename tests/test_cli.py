@@ -323,6 +323,36 @@ HOSTILE = {
 }
 
 
+# A formula nested deeper than ``chemops.MAX_FORMULA_NESTING`` reads as
+# nothing; each one read once ran out of stack.
+DEEP_FORMULA = "C(" * 400 + "C" + ")" * 400
+
+
+def _text_table_fig2(table):
+    """Extract from a copy of fig2 read as a text table holding ``table``."""
+
+    def argv(tmp, fig2):
+        argv = _fig2_with("descriptor.json", lambda d: {"modalities": [
+            "reaction_template_image", "text_table", "text_description"
+        ]})(tmp, fig2)
+        _write(tmp / "bundle" / "table.txt", table)
+        return argv
+
+    return argv
+
+
+# A token that nothing reads: the command succeeds in bounded time, and
+# the token is an aliased wildcard (isotope 100).
+HOSTILE_TOKENS = {
+    "substitute-formula-nested-too-deep": lambda tmp, fig2: [
+        "substitute", "--template", "[R1]C", "--assign", f"R1={DEEP_FORMULA}",
+    ],
+    "extract-table-cell-nested-too-deep": _text_table_fig2(
+        f"entry\tR\tAr\tproduct\n1\tMe\t{DEEP_FORMULA}\t3a\n"
+    ),
+}
+
+
 # A mistyped sidecar fails the step that reads it: the run degrades and
 # still writes a document.
 HOSTILE_TEMPLATES = {
@@ -628,6 +658,14 @@ class TestHostileInput:
         assert code == 0
         assert out["bindings"] == {"R": "C"}
         assert [canonicalize(s) for s in out["reactants"]] == [canonicalize("CN" + chain + "Br")]
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TOKENS))
+    def test_unread_token_becomes_a_wildcard(self, case, capsys, tmp_path, fig2_bundle):
+        start = time.perf_counter()
+        code, out = run(capsys, *HOSTILE_TOKENS[case](tmp_path, fig2_bundle))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert "[100*]" in json.dumps(out)
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_MOLECULES))
     def test_mistyped_molecules_fail_recognition(self, case, capsys, tmp_path, fig2_bundle):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError, fields, replace
@@ -110,6 +112,22 @@ class TestBond:
         with pytest.raises(FrozenInstanceError):
             del bond.a
         assert bond == Bond(0, 1)
+
+    def test_other_names_cannot_be_assigned_either(self):
+        # Not a TypeError from the generated frozen ``__setattr__``, which
+        # names the class that ``slots=True`` replaced.
+        bond = Bond(0, 1)
+        with pytest.raises(FrozenInstanceError):
+            bond.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del bond.extra
+        assert bond == Bond(0, 1) and not hasattr(bond, "extra")
+
+    def test_copies_and_pickles_are_equal_bonds(self):
+        bond = Bond(3, 2, "single", "dashed", "down")
+        for twin in (copy.copy(bond), copy.deepcopy(bond), pickle.loads(pickle.dumps(bond))):
+            assert type(twin) is Bond and twin == bond and hash(twin) == hash(bond)
+        assert replace(bond, a=4) == Bond(4, 2, "single", "dashed", "down")
 
     def test_repr(self):
         assert repr(Bond(0, 1)) == "Bond(a=0, b=1, order='single', wedge='none', direction=None)"

@@ -12,6 +12,7 @@ from rxnscope.rgroup import (
     ReactionTemplate,
     extract_rgroup_fragments,
     reconstruct_reactants,
+    reconstruct_variant,
     splice_fragment,
     substitute_placeholders,
 )
@@ -226,8 +227,44 @@ class TestReconstruct:
         assert err.value.labels == ["Ar", "R"]
 
     def test_empty_template_rejected(self):
-        with pytest.raises(GraphError):
-            ReactionTemplate(reactant_templates=(), product_templates=())
+        # Reconstruction needs both sides; instantiating one side does not.
+        side = (parse_smiles("[R]CO"),)
+        for sides in [((), ()), ((), side), (side, ())]:
+            with pytest.raises(GraphError, match="needs reactants and products"):
+                reconstruct_variant(ReactionTemplate(*sides), parse_smiles("CCO"))
+        assert ReactionTemplate((), side).instantiate("reactants", {}, AliasRegistry()) == []
+
+
+class TestInstantiate:
+    def template(self, write) -> ReactionTemplate:
+        return ReactionTemplate(
+            (parse_smiles("[R]C=O"), parse_smiles("O.CC(=O)Cl")), (parse_smiles("[R]CO"),), write=write
+        )
+
+    def test_a_template_without_placeholder_is_written_once(self):
+        written = []
+
+        def write(g):
+            written.append(write_smiles(g))
+            return written[-1]
+
+        t = self.template(write)
+        registry = AliasRegistry()
+        first = t.instantiate("reactants", {"R": TABLE.get("Me")}, registry)
+        second = t.instantiate("reactants", {"R": TABLE.get("Et")}, registry)
+        # In template order, the fixed template where it is first met, cut
+        # to its main component; after that only the bound one is written.
+        assert written == [first[0], first[1], second[0]]
+        assert [canonicalize(s) for s in written] == [canonicalize(s) for s in ("CC=O", "CC(=O)Cl", "CCC=O")]
+        assert second[1] is first[1]
+
+    def test_tokens_are_bound_unread(self):
+        # A token is one its caller could not read: it becomes its wildcard,
+        # numbered in the caller's registry.
+        registry = AliasRegistry()
+        registry.alias_for("Qq1")
+        (product,) = self.template(write_smiles).instantiate("products", {"R": "Ph"}, registry)
+        assert canonicalize(product) == canonicalize("[101*]CO")
 
 
 class TestInverseProperty:

@@ -103,3 +103,18 @@ def test_outside_json_is_decoded_in_one_place():
         and node.func.value.id == "json"
     ]
     assert [module for module, _ in calls] == ["jsonshape"]
+
+
+def test_tokens_become_wildcards_in_one_module():
+    # ``rgroup`` turns each token that nothing reads into its aliased
+    # wildcard (``bind_placeholders``, ``expand_abbreviations``), so the
+    # wildcards a run makes are counted in one place.
+    calls = [
+        (_module_name(path), node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wildcard"
+    ]
+    assert calls and {module for module, _ in calls} == {"rgroup"}
