@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.request
 from typing import Optional
 
 from ..jsonshape import Required, read_json
@@ -145,6 +144,12 @@ class RemoteBackend:
             )
 
     def respond(self, role: str, context: dict) -> dict:
+        # Imported here, not with the module: urllib.request loads http.client,
+        # email, ssl and socket, which only a remote request uses, and every
+        # run would otherwise pay for them at start-up.
+        import http.client
+        import urllib.request
+
         payload = {
             "role": role,
             "context": context,
@@ -152,16 +157,17 @@ class RemoteBackend:
             "temperature": TEMPERATURE,
         }
         data = json.dumps(payload).encode()
-        req = urllib.request.Request(
-            self.url, data=data, headers={"Content-Type": "application/json"}
-        )
-        if self.token:
-            req.add_header("Authorization", f"Bearer {self.token}")
         try:
+            req = urllib.request.Request(
+                self.url, data=data, headers={"Content-Type": "application/json"}
+            )
+            if self.token:
+                req.add_header("Authorization", f"Bearer {self.token}")
             with urllib.request.urlopen(req, timeout=TIMEOUT_S) as resp:
                 text = resp.read().decode("utf-8")
-        except OSError as exc:
-            raise BackendError(f"remote backend request failed: {exc}") from None
+        # UnicodeDecodeError is a ValueError: it goes first to keep its message.
         except UnicodeDecodeError as exc:
             raise BackendError(f"remote backend answer is not UTF-8 text: {exc}") from None
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            raise BackendError(f"remote backend request to {self.url!r} failed: {exc}") from None
         return read_json(text, REMOTE_ANSWER, "remote backend answer", BackendError)

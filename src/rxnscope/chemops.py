@@ -196,6 +196,7 @@ _LINEAR_TOKEN = re.compile(
     r"(?P<paren>\()|(?P<close>\))|(?P<count>\d+)|(?P<group>Me|Et|Pr|Bu)"
     r"|(?P<elem>Cl|Br|[BCNOSPFIH])"
 )
+_COUNT = re.compile(r"\d+")
 
 
 def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
@@ -219,6 +220,14 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
         for _ in range(count):
             bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds, backbone)))
 
+    def read_count() -> int:
+        nonlocal pos
+        cm = _COUNT.match(text, pos)
+        if cm:
+            pos = cm.end()
+            return int(cm.group())
+        return 1
+
     pos = 0
     backbone: Optional[int] = None
     while pos < len(text):
@@ -226,14 +235,6 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
         if not m:
             raise FormulaError(f"cannot read condensed formula {text!r} at {pos}")
         pos = m.end()
-
-        def read_count() -> int:
-            nonlocal pos
-            cm = re.match(r"\d+", text[pos:])
-            if cm:
-                pos += cm.end()
-                return int(cm.group())
-            return 1
 
         if m.group("count"):
             raise FormulaError(f"unexpected count in {text!r}")

@@ -1,12 +1,15 @@
 import ast
 import hashlib
+import http.client
 import inspect
 import io
 import json
 import logging
 import random
+import re
 import threading
 import time
+import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import replace
@@ -408,6 +411,30 @@ class TestRemoteBackend:
     def test_unusable_response_is_a_backend_error(self, monkeypatch, body):
         with pytest.raises(BackendError):
             self.respond(monkeypatch, body)
+
+    @pytest.mark.parametrize(
+        "url, error",
+        [
+            # Refused before a request is built: ``urlopen`` is not reached.
+            ("not a url", None),
+            ("http://[::1", None),
+            ("http://local host/x", http.client.InvalidURL("URL can't contain control characters")),
+            ("http://localhost/rxnscope", http.client.BadStatusLine("HTTP/9.9 200")),
+            ("http://localhost/rxnscope", http.client.IncompleteRead(b'{"act')),
+            ("http://localhost/rxnscope", urllib.error.URLError("connection refused")),
+            ("http://localhost/rxnscope", TimeoutError("timed out")),
+        ],
+        ids=["no-scheme", "open-bracket", "space", "bad-status", "cut-short", "url-error", "timeout"],
+    )
+    def test_request_failure_is_a_backend_error_naming_the_url(self, monkeypatch, url, error):
+        def urlopen(req, timeout):
+            if error is None:
+                pytest.fail(f"a request to {url!r} was sent")
+            raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(BackendError, match=re.escape(f"request to {url!r} failed")):
+            RemoteBackend(url=url).respond("planner", {})
 
 
 CANONICAL_PLANS = {

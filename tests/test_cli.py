@@ -194,6 +194,15 @@ class TestExtract:
         assert code == 1
         assert "error" in out
 
+    def test_bad_remote_url_is_domain_error(self, capsys, monkeypatch, fig2_bundle):
+        monkeypatch.setenv("RXNSCOPE_REMOTE_URL", "not a url")
+        code, out = run(capsys, "extract", "--bundle", str(fig2_bundle), "--backend", "remote")
+        assert code == 1
+        assert out == {
+            "error": "BackendError: remote backend request to 'not a url' failed: "
+            "unknown url type: 'not a url'"
+        }
+
 
 class TestEvaluate:
     def test_self_comparison(self, capsys, fig2_bundle):

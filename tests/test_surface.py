@@ -7,6 +7,10 @@ definition is code only tests call. It must go, or be listed in an
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -118,3 +122,26 @@ def test_tokens_become_wildcards_in_one_module():
         and node.func.attr == "wildcard"
     ]
     assert calls and {module for module, _ in calls} == {"rgroup"}
+
+
+# Loaded only by ``RemoteBackend.respond``: a run that sends no request
+# must not pay for the HTTP stack at start-up.
+HTTP_STACK = ("urllib.request", "http.client", "ssl", "socket", "email.parser")
+
+
+def test_start_up_leaves_the_http_stack_unloaded():
+    # Compare before and after the import, so modules that ``site``
+    # preloads do not count.
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import rxnscope.cli, rxnscope.agents\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added = set(json.loads(out))
+    assert "rxnscope.cli" in added
+    assert added.isdisjoint(HTTP_STACK), sorted(added & set(HTTP_STACK))
