@@ -131,13 +131,14 @@ class AliasRegistry:
 # Condensed formulas
 # ---------------------------------------------------------------------------
 
-_PHENYL_PAREN = re.compile(
-    r"^(?P<loc>\d+(?:,\d+)*)-\((?P<grp>[^()]+)\)(?P<cnt>\d*)C6H(?P<h>\d)$"
+# A substituted phenyl: locants, a group in parentheses or a plain one up
+# to its last letter, the count of groups, and the ring. A plain group ends
+# in a letter, so no digit run splits two ways and matching is linear.
+_PHENYL = re.compile(
+    r"^(?P<loc>\d+(?:,\d+)*)-"
+    r"(?:\((?P<paren>[^()]+)\)|(?P<plain>[A-Za-z](?:[A-Za-z0-9]*[A-Za-z])?))"
+    r"(?P<cnt>\d*)C6H(?P<h>\d)$"
 )
-_PHENYL_PLAIN_COUNT = re.compile(
-    r"^(?P<loc>\d+(?:,\d+)*)-(?P<grp>[A-Za-z][A-Za-z0-9]*?)(?P<cnt>\d*)C6H(?P<h>\d)$"
-)
-_PHENYL_PLAIN = re.compile(r"^(?P<loc>\d+(?:,\d+)*)-(?P<grp>[A-Za-z][A-Za-z0-9]*)C6H(?P<h>\d)$")
 
 # Alkyl shorthands the linear grammar itself understands, so formulas like
 # "SO2Me" work even without a lookup table.
@@ -164,12 +165,17 @@ def _group_fragment(text: str, table: Optional[AbbreviationTable]) -> Fragment:
 
 
 def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[Fragment]:
-    for pattern in (_PHENYL_PAREN, _PHENYL_PLAIN_COUNT, _PHENYL_PLAIN):
-        m = pattern.match(text)
-        if not m:
-            continue
-        locants = [int(x) for x in m.group("loc").split(",")]
-        count = m.groupdict().get("cnt") or ""
+    m = _PHENYL.match(text)
+    if not m:
+        return None
+    # A plain group's trailing digits are read first as the count, then,
+    # where they are ASCII, as part of the group ("4-NO2C6H4").
+    cnt = m.group("cnt")
+    readings = [(m.group("paren") or m.group("plain"), cnt)]
+    if m.group("plain") and cnt and cnt.isascii():
+        readings.append((m.group("plain") + cnt, ""))
+    locants = [int(x) for x in m.group("loc").split(",")]
+    for grp, count in readings:
         if count and int(count) != len(locants):
             continue
         if len(set(locants)) != len(locants) or any(not 2 <= k <= 6 for k in locants):
@@ -177,7 +183,7 @@ def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[F
         if int(m.group("h")) != 6 - 1 - len(locants):
             continue
         try:
-            group = _group_fragment(m.group("grp"), table)
+            group = _group_fragment(grp, table)
         except FormulaError:
             continue
         atoms = [AtomToken(kind="element", text="C", aromatic=True) for _ in range(6)]

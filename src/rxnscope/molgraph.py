@@ -34,7 +34,6 @@ the atom it is grafted onto.  Ring membership is :func:`ring_bonds`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
@@ -61,6 +60,12 @@ ELEMENTS = frozenset(
 
 # Lowercase symbols allowed to carry an aromatic flag.
 AROMATIC_SYMBOLS = frozenset(("b", "c", "n", "o", "p", "s", "se", "as", "te"))
+
+# Each symbol that names an element, as (element symbol, aromatic flag).
+ELEMENT_SYMBOLS: dict[str, tuple[str, bool]] = {
+    **{sym: (sym, False) for sym in ELEMENTS},
+    **{sym: (sym.capitalize(), True) for sym in AROMATIC_SYMBOLS if sym.capitalize() in ELEMENTS},
+}
 
 
 class RxnscopeError(Exception):
@@ -559,7 +564,27 @@ def normalize_chiral_orders(g: MolecularGraph) -> MolecularGraph:
 # Other keys, such as the "label" and "role" of older files, are ignored.
 # ---------------------------------------------------------------------------
 
-_BRACKET_CHIRAL = re.compile(r"^([A-Z][a-z]?|[a-z]{1,2})(@{1,2})?$")
+
+def symbol_atom(
+    symbol: str,
+    charge: int = 0,
+    explicit_h: Optional[int] = None,
+    isotope: Optional[int] = None,
+    coords: Optional[tuple[float, float]] = None,
+    chiral: Optional[str] = None,
+) -> AtomToken:
+    """The atom ``symbol`` names: a symbol of :data:`ELEMENT_SYMBOLS` is an
+    element, aromatic if written lower-case, ``*`` a wildcard, an R-group
+    label a placeholder, and anything else an abbreviation. Only an
+    element takes the ``chiral`` tag."""
+    element = ELEMENT_SYMBOLS.get(symbol)
+    if element is not None:
+        return AtomToken("element", element[0], charge, explicit_h, isotope, coords, element[1], chiral)
+    if symbol == "*":
+        return AtomToken("wildcard", "*", charge, explicit_h, isotope, coords)
+    if is_placeholder_label(symbol):
+        return AtomToken("placeholder", f"[{symbol}]", charge, explicit_h, isotope, coords)
+    return AtomToken("abbreviation", symbol, charge, explicit_h, isotope, coords)
 
 
 def atom_token_from_symbol(
@@ -578,34 +603,15 @@ def atom_token_from_symbol(
     text = symbol.strip()
     if text in PLAIN_ATOMS and charge == 0 and explicit_h is None and isotope is None and coords is None:
         return PLAIN_ATOMS[text]
-    base = dict(charge=charge, explicit_h=explicit_h, isotope=isotope, coords=coords)
     if not text:
         raise GraphError("empty atom symbol")
-    if text == "*":
-        return AtomToken(kind="wildcard", text="*", **base)
-    inner = text[1:-1] if text.startswith("[") and text.endswith("]") else None
-    if inner is not None:
-        if is_placeholder_label(inner):
-            return AtomToken(kind="placeholder", text=f"[{inner}]", **base)
-        m = _BRACKET_CHIRAL.match(inner)
-        if m:
-            sym, chiral = m.group(1), m.group(2)
-            if sym in ELEMENTS:
-                return AtomToken(kind="element", text=sym, chiral=chiral, **base)
-            if sym.lower() in AROMATIC_SYMBOLS and sym.capitalize() in ELEMENTS:
-                return AtomToken(
-                    kind="element", text=sym.capitalize(), aromatic=True, chiral=chiral, **base
-                )
-        if inner == "*":
-            return AtomToken(kind="wildcard", text="*", **base)
-        return AtomToken(kind="abbreviation", text=inner, **base)
-    if text in ELEMENTS:
-        return AtomToken(kind="element", text=text, **base)
-    if text in AROMATIC_SYMBOLS and text.capitalize() in ELEMENTS:
-        return AtomToken(kind="element", text=text.capitalize(), aromatic=True, **base)
-    if is_placeholder_label(text):
-        return AtomToken(kind="placeholder", text=f"[{text}]", **base)
-    return AtomToken(kind="abbreviation", text=text, **base)
+    if text.startswith("[") and text.endswith("]"):
+        # Brackets may hold an element's chiral tag; else only the symbol.
+        text = text[1:-1]
+        bare = text.rstrip("@")
+        if bare in ELEMENT_SYMBOLS and text[len(bare):] in ("@", "@@"):
+            return symbol_atom(bare, charge, explicit_h, isotope, coords, text[len(bare):])
+    return symbol_atom(text, charge, explicit_h, isotope, coords)
 
 
 def atom_symbol(atom: AtomToken) -> str:

@@ -161,16 +161,21 @@ _LABEL_TOKEN = re.compile(r"^[A-Z][a-z]?\d+$")
 # Tokens shaped like labels that are really element formulas.
 _FORMULA_TOKENS = {"H2", "O2", "N2", "F2", "Cl2", "Br2", "I2", "S8", "P4"}
 
-_TEMP_VALUE = re.compile(r"(^|[\s(])-?\d+(\.\d+)?\s*°?\s*[CK]\b")
+# One blank run holds the degree sign: two optional blank runs around an
+# optional sign would split n blanks about n²/2 ways before failing.
+_TEMP_VALUE = re.compile(r"(^|[\s(])-?\d+(\.\d+)?\s*(?:°\s*)?[CK]\b")
 _TIME_VALUE = re.compile(r"\b\d+(\.\d+)?\s*(h|hr|hrs|min|mins|s|d|day|days)\b", re.I)
 _RATIO = re.compile(r"\b\d+(\.\d+)?\s*:\s*\d+(\.\d+)?\b")
 _MOL_PERCENT = re.compile(r"\bmol\s*%", re.I)
 _PERCENT_VALUE = re.compile(r"\d\s*%")
+_EE_DR = re.compile(r"\b(ee|dr|er|ratio)\b")
+_LABEL_SPLIT = re.compile(r"[\s,;/]+")
+_PART_SPLIT = re.compile(r"[,;]")
 
 
 def _extract_labels(text: str) -> list[str]:
     labels = []
-    for token in re.split(r"[\s,;/]+", text):
+    for token in _LABEL_SPLIT.split(text):
         token = token.strip("().")
         if _LABEL_TOKEN.match(token) and token not in _FORMULA_TOKENS:
             labels.append(token)
@@ -181,7 +186,7 @@ def _classify_part(part: str, lexicon: ConditionLexicon) -> list[ConditionItem]:
     text = part.strip()
     low = text.lower()
     has_mol_percent = bool(_MOL_PERCENT.search(text))
-    has_ee_dr = bool(re.search(r"\b(ee|dr|er|ratio)\b", low))
+    has_ee_dr = bool(_EE_DR.search(low))
 
     if _PERCENT_VALUE.search(text) and not has_ee_dr and not has_mol_percent:
         return [ConditionItem(role="yield", text=text)]
@@ -213,7 +218,7 @@ def classify_condition(text: str) -> list[ConditionItem]:
     """
     lexicon = ConditionLexicon.default()
     items: list[ConditionItem] = []
-    for part in re.split(r"[,;]", text):
+    for part in _PART_SPLIT.split(text):
         if part.strip():
             items.extend(_classify_part(part, lexicon))
     return items

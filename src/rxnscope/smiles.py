@@ -18,8 +18,7 @@ from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .molgraph import (
-    AROMATIC_SYMBOLS,
-    ELEMENTS,
+    ELEMENT_SYMBOLS,
     PLAIN_ATOMS,
     AtomToken,
     Bond,
@@ -29,11 +28,11 @@ from .molgraph import (
     chain_cis_trans,
     connected_components,
     flip,
-    is_placeholder_label,
     permutation_parity,
     renumber_chiral,
     ring_bonds,
     subgraph,
+    symbol_atom,
 )
 
 log = logging.getLogger(__name__)
@@ -53,7 +52,12 @@ VALENCES: dict[str, tuple[int, ...]] = {
     "I": (1,),
 }
 
-_BOND_CHAR_ORDERS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic"}
+# Each bond symbol as (order, cis/trans mark). "/" and "\" are single
+# bonds marked "up" and "down" from the atom written before them.
+_BOND_MARKS = {
+    "-": ("single", None), "=": ("double", None), "#": ("triple", None), ":": ("aromatic", None),
+    "/": ("single", "up"), "\\": ("single", "down"),
+}
 _ORDER_VALUE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
 
 _BRACKET_RE = re.compile(
@@ -113,30 +117,11 @@ def _bracket_token(inner: str, start: int) -> AtomToken:
             return AtomToken(
                 kind="wildcard", text="*", charge=charge, isotope=iso, explicit_h=None
             )
-        if sym in ELEMENTS:
-            return AtomToken(
-                kind="element",
-                text=sym,
-                charge=charge,
-                explicit_h=explicit_h,
-                isotope=iso,
-                chiral=chi,
-            )
-        if sym in AROMATIC_SYMBOLS and sym.capitalize() in ELEMENTS:
-            return AtomToken(
-                kind="element",
-                text=sym.capitalize(),
-                charge=charge,
-                explicit_h=explicit_h,
-                isotope=iso,
-                aromatic=True,
-                chiral=chi,
-            )
+        if sym in ELEMENT_SYMBOLS:
+            return symbol_atom(sym, charge, explicit_h, iso, None, chi)
     # Unknown bracket content: placeholder when it fits the label
     # grammar, otherwise an opaque abbreviation.  Never a hard error.
-    if is_placeholder_label(inner):
-        return AtomToken(kind="placeholder", text=f"[{inner}]")
-    return AtomToken(kind="abbreviation", text=inner)
+    return symbol_atom(inner)
 
 
 class _Parser:
@@ -256,18 +241,10 @@ class _Parser:
                     self.ring_open[number] = (prev, order, direction, offset)
                     self.atoms[prev].slots.append(("ring", number))
                 continue
-            if ch in _BOND_CHAR_ORDERS:
+            if ch in _BOND_MARKS:
                 if pending_order is not None:
                     raise self.error("two bond symbols in a row", offset)
-                pending_order = _BOND_CHAR_ORDERS[ch]
-                pending_offset = offset
-                self.pos += 1
-                continue
-            if ch in ("/", "\\"):
-                if pending_order is not None:
-                    raise self.error("two bond symbols in a row", offset)
-                pending_order = "single"
-                pending_dir = "up" if ch == "/" else "down"
+                pending_order, pending_dir = _BOND_MARKS[ch]
                 pending_offset = offset
                 self.pos += 1
                 continue
@@ -418,6 +395,15 @@ def _check_direction_consistency(g: MolecularGraph) -> None:
                 raise _Unsettled(f"conflicting direction marks at atom {end}", end)
 
 
+def _tagged(token: AtomToken, slots: list[int]) -> AtomToken:
+    """``token``, whose chiral tag was read with the neighbour ``slots``
+    in text order: a tag with fewer than three slots is dropped, and
+    otherwise the slots become its order."""
+    if len(slots) < 3:
+        return replace(token, chiral=None)
+    return replace(token, chiral_order=tuple(slots))
+
+
 def _settle(g: MolecularGraph) -> MolecularGraph:
     """The graph a parse ends with, from the graph its tokens read as.
 
@@ -456,12 +442,7 @@ def _parse(text: str) -> MolecularGraph:
     recs, bonds = parser.parse()
     # Chiral neighbour orders are the appearance slots, every ring closed,
     # resolved before the graph is built so that it is built once.
-    atoms = [rec.token for rec in recs]
-    for i, rec in enumerate(recs):
-        if rec.token.chiral is not None and len(rec.slots) < 3:
-            atoms[i] = replace(rec.token, chiral=None)
-        elif rec.token.chiral is not None:
-            atoms[i] = replace(rec.token, chiral_order=tuple(rec.slots))
+    atoms = [rec.token if rec.token.chiral is None else _tagged(rec.token, rec.slots) for rec in recs]
     try:
         return _settle(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)))
     except _Unsettled as exc:
@@ -564,12 +545,10 @@ def _bond_text(
 def _read_bond(mark: str, a: int, b: int, tokens: list[AtomToken]) -> Bond:
     """The bond the parser makes of ``mark`` written from atom ``a`` to
     atom ``b``, the two read as ``tokens[a]`` and ``tokens[b]``."""
-    if mark in ("/", "\\"):
-        return Bond(a, b, "single", direction="up" if mark == "/" else "down")
-    order = _BOND_CHAR_ORDERS.get(mark)
+    order, direction = _BOND_MARKS.get(mark, (None, None))
     if order is None:
         order = "aromatic" if tokens[a].aromatic and tokens[b].aromatic else "single"
-    return Bond(a, b, order)
+    return Bond(a, b, order, "none", direction)
 
 
 def _read_atom(text: str) -> Optional[AtomToken]:
@@ -739,13 +718,9 @@ def _write(
     text = "".join(out)
     if tokens is None:
         return text, None
-    # As the parser does, a tag with fewer than three slots is dropped.
     for here, slots in tagged:
-        token = tokens[here]
-        if token.chiral is not None and len(slots) < 3:
-            tokens[here] = replace(token, chiral=None)
-        elif token.chiral is not None:
-            tokens[here] = replace(token, chiral_order=tuple(s if s < 0 else at[s] for s in slots))
+        if tokens[here].chiral is not None:
+            tokens[here] = _tagged(tokens[here], [s if s < 0 else at[s] for s in slots])
     return text, MolecularGraph(atoms=tuple(tokens), bonds=tuple(bonds))
 
 

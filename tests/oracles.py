@@ -9,17 +9,23 @@ from dataclasses import replace
 from itertools import permutations
 from typing import Optional
 import random
+import re
 
 import numpy as np
 
-from rxnscope import metrics, smiles
+from rxnscope import chemops, metrics, smiles
 from rxnscope.molgraph import (
+    AROMATIC_SYMBOLS,
+    ELEMENTS,
+    PLAIN_ATOMS,
     AtomToken,
     Bond,
+    Fragment,
     GraphError,
     MolecularGraph,
     atom_token_from_symbol,
     connected_components,
+    is_placeholder_label,
     permutation_parity,
     renumber_chiral,
     subgraph,
@@ -805,3 +811,201 @@ def random_ring_graph(rng: random.Random, max_rings: int = 3) -> MolecularGraph:
         i, j = rng.sample(range(len(atoms)), 2)
         add_bond(i, j, rng.choice(["single", "double", "aromatic"]))
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds.values()))
+
+
+# --- molecule-text readings, each rule stated where it is used ------------
+# Each reader below states its element, aromatic, placeholder and
+# abbreviation choice (or its substituted-phenyl grammar) on its own; the
+# package reads all of them through one rule each. The regular
+# expressions here backtrack in quadratic time on long runs, so only short
+# texts go through them.
+
+TEMP_VALUE_TWO_BLANK_RUNS = re.compile(r"(^|[\s(])-?\d+(\.\d+)?\s*°?\s*[CK]\b")
+
+_BRACKET_CHIRAL = re.compile(r"^([A-Z][a-z]?|[a-z]{1,2})(@{1,2})?$")
+
+
+def reference_atom_token_from_symbol(
+    symbol: str,
+    charge: int = 0,
+    explicit_h: Optional[int] = None,
+    isotope: Optional[int] = None,
+    coords: Optional[tuple[float, float]] = None,
+) -> AtomToken:
+    """The atom a drawing symbol reads as, bracketed and bare symbols apart."""
+    text = symbol.strip()
+    if text in PLAIN_ATOMS and charge == 0 and explicit_h is None and isotope is None and coords is None:
+        return PLAIN_ATOMS[text]
+    base = dict(charge=charge, explicit_h=explicit_h, isotope=isotope, coords=coords)
+    if not text:
+        raise GraphError("empty atom symbol")
+    if text == "*":
+        return AtomToken(kind="wildcard", text="*", **base)
+    inner = text[1:-1] if text.startswith("[") and text.endswith("]") else None
+    if inner is not None:
+        if is_placeholder_label(inner):
+            return AtomToken(kind="placeholder", text=f"[{inner}]", **base)
+        m = _BRACKET_CHIRAL.match(inner)
+        if m:
+            sym, chiral = m.group(1), m.group(2)
+            if sym in ELEMENTS:
+                return AtomToken(kind="element", text=sym, chiral=chiral, **base)
+            if sym.lower() in AROMATIC_SYMBOLS and sym.capitalize() in ELEMENTS:
+                return AtomToken(
+                    kind="element", text=sym.capitalize(), aromatic=True, chiral=chiral, **base
+                )
+        if inner == "*":
+            return AtomToken(kind="wildcard", text="*", **base)
+        return AtomToken(kind="abbreviation", text=inner, **base)
+    if text in ELEMENTS:
+        return AtomToken(kind="element", text=text, **base)
+    if text in AROMATIC_SYMBOLS and text.capitalize() in ELEMENTS:
+        return AtomToken(kind="element", text=text.capitalize(), aromatic=True, **base)
+    if is_placeholder_label(text):
+        return AtomToken(kind="placeholder", text=f"[{text}]", **base)
+    return AtomToken(kind="abbreviation", text=text, **base)
+
+
+def reference_bracket_token(inner: str, start: int) -> AtomToken:
+    """The atom of the SMILES bracket text ``inner``, whose ``[`` is at ``start``."""
+    if not inner:
+        raise smiles.SmilesParseError("empty bracket atom", start)
+    m = smiles._BRACKET_RE.match(inner)
+    if m:
+        sym = m.group("sym")
+        iso = smiles._bracket_number(m, "isotope", start, 0) if m.group("isotope") else None
+        if iso == 0:
+            raise smiles.SmilesParseError("isotope 0", start)
+        chi = m.group("chi")
+        explicit_h = smiles._bracket_number(m, "hcount", start, 1) if m.group("hcount") else 0
+        signs = m.group("charge")
+        sign = -1 if signs and signs[0] == "-" else 1
+        charge = sign * smiles._bracket_number(m, "charge", start, len(signs)) if signs else 0
+        if sym == "*":
+            return AtomToken(kind="wildcard", text="*", charge=charge, isotope=iso, explicit_h=None)
+        if sym in ELEMENTS:
+            return AtomToken(
+                kind="element", text=sym, charge=charge, explicit_h=explicit_h, isotope=iso, chiral=chi
+            )
+        if sym in AROMATIC_SYMBOLS and sym.capitalize() in ELEMENTS:
+            return AtomToken(
+                kind="element",
+                text=sym.capitalize(),
+                charge=charge,
+                explicit_h=explicit_h,
+                isotope=iso,
+                aromatic=True,
+                chiral=chi,
+            )
+    if is_placeholder_label(inner):
+        return AtomToken(kind="placeholder", text=f"[{inner}]")
+    return AtomToken(kind="abbreviation", text=inner)
+
+
+# One grammar in three patterns, tried in this order.
+PHENYL_PAREN = re.compile(r"^(?P<loc>\d+(?:,\d+)*)-\((?P<grp>[^()]+)\)(?P<cnt>\d*)C6H(?P<h>\d)$")
+PHENYL_PLAIN_COUNT = re.compile(
+    r"^(?P<loc>\d+(?:,\d+)*)-(?P<grp>[A-Za-z][A-Za-z0-9]*?)(?P<cnt>\d*)C6H(?P<h>\d)$"
+)
+PHENYL_PLAIN = re.compile(r"^(?P<loc>\d+(?:,\d+)*)-(?P<grp>[A-Za-z][A-Za-z0-9]*)C6H(?P<h>\d)$")
+
+
+def reference_phenyl(text: str, table: Optional[chemops.AbbreviationTable]) -> Optional[Fragment]:
+    """The substituted phenyl ``text`` reads as, each pattern tried in turn."""
+    for pattern in (PHENYL_PAREN, PHENYL_PLAIN_COUNT, PHENYL_PLAIN):
+        m = pattern.match(text)
+        if not m:
+            continue
+        locants = [int(x) for x in m.group("loc").split(",")]
+        count = m.groupdict().get("cnt") or ""
+        if count and int(count) != len(locants):
+            continue
+        if len(set(locants)) != len(locants) or any(not 2 <= k <= 6 for k in locants):
+            continue
+        if int(m.group("h")) != 6 - 1 - len(locants):
+            continue
+        try:
+            group = chemops._group_fragment(m.group("grp"), table)
+        except chemops.FormulaError:
+            continue
+        atoms = [AtomToken(kind="element", text="C", aromatic=True) for _ in range(6)]
+        bonds = [Bond(a=i, b=(i + 1) % 6, order="aromatic") for i in range(6)]
+        for k in locants:
+            bonds.append(Bond(a=k - 1, b=group.graft_onto(atoms, bonds, k - 1)))
+        return Fragment(graph=MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)), attachment=0)
+    return None
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+# Pieces of atom symbols: elements, aromatic and non-element lower-case
+# letters, R-group labels, abbreviations, tags and stray characters.
+_SYMBOL_NAMES = [
+    "C", "c", "N", "n", "Cl", "Br", "se", "Se", "as", "Te", "Xe", "B", "b", "H", "Fe", "Rh",
+    "R", "R1", "R12", "Ar", "Ar2", "X", "X3", "Ts", "Ph", "Me", "Ac", "Pr", "Zz", "zz", "x",
+]
+_SYMBOL_PIECES = _SYMBOL_NAMES + ["*", "@", "@@", "[", "]", "+", "-", "2", "13", "H2", ":1", " ", "é", "٣"]
+
+
+def random_symbol(rng: random.Random) -> str:
+    """A drawing symbol: one to three pieces, sometimes in brackets."""
+    text = "".join(rng.choice(_SYMBOL_PIECES) for _ in range(rng.choice([1, 1, 1, 2, 2, 3])))
+    return f"[{text}]" if rng.random() < 0.5 else text
+
+
+def random_bracket_inner(rng: random.Random) -> str:
+    """The text of a SMILES bracket atom, mostly in the bracket grammar."""
+    if rng.random() < 0.3:
+        return random_symbol(rng).strip("[]").replace("]", "")
+    return "".join((
+        rng.choice(["", "", "", "13", "0", "2", "٣"]),
+        rng.choice(_SYMBOL_NAMES + ["*", ""]),
+        rng.choice(["", "", "@", "@@"]),
+        rng.choice(["", "", "H", "H2", "H0"]),
+        rng.choice(["", "", "+", "-", "++", "+2", "-3"]),
+        rng.choice(["", "", ":1"]),
+    ))
+
+
+# Substituted-phenyl tokens: locants, a group in or out of parentheses, a
+# count that may or may not match the locants, and the ring part.
+_PHENYL_GROUPS = [
+    "Me", "Cl", "Br", "F", "OMe", "CF3", "NO", "NO2", "SO2Me", "Et", "Ts", "Ph", "MeO",
+    "C6H", "C6H5", "CH2CH3", "OCH3", "Q", "tBu", "OH", "N", "CN", "CO2Me", "(Me)", "a1b",
+]
+
+
+def random_phenyl_token(rng: random.Random) -> str:
+    """Mostly with the ring's H count that the locants call for."""
+    loc = rng.choice(["2", "3", "4", "2,4", "3,5", "3,4", "2,4,6", "2,2", "7", "1", "02", "٣", "2,3,4,5"])
+    fits = str(4 - loc.count(","))
+    group = rng.choice(_PHENYL_GROUPS)
+    count = rng.choice(["", "", "1", "2", "3", "12", "٣", "2٣", str(1 + loc.count(","))])
+    body = f"({group}){count}" if rng.random() < 0.3 else group + count
+    ring = "C6H" + (fits if rng.random() < 0.7 else rng.choice("0123456789x٣"))
+    return f"{loc}-{body}{ring}" if rng.random() < 0.95 else f"{loc}{body}{ring}"
+
+
+_CONDITION_PIECES = [
+    "1", "-", "20", "0.5", " ", "  ", "\t", "°", "C", "K", "x", "(", ")", "rt", "h", "°C", " K",
+    "CK", "Kx", "é", "-78", ".", "_", "c",
+]
+
+
+def random_condition_text(rng: random.Random) -> str:
+    """Mostly a number, a gap of blanks and degree signs, and a unit."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_CONDITION_PIECES) for _ in range(rng.randint(1, 8)))
+    return "".join((
+        rng.choice(["", " ", "(", "x", "-", "1"]),
+        rng.choice(["20", "-78", "0.5", "1.", "12.5", "-", "0"]),
+        rng.choice(["", " ", "  ", "°", " °", "° ", " ° ", "°°", "\t°\t", " x", "\n"]),
+        rng.choice(["C", "K", "c", "CK", "Cx", "", "F", "C "]),
+        rng.choice(["", " ", ",", "x", "é", " rt", "_"]),
+    ))

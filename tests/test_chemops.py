@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from rxnscope.chemops import (
     AbbreviationTable,
+    _phenyl_pattern,
     AliasRegistry,
     FormulaError,
     StereoPerceptionError,
@@ -22,8 +23,11 @@ from oracles import (
     flip_wedges,
     mirror_drawing,
     numpy_wedge_tag,
+    outcome,
+    random_phenyl_token,
     random_polyene_drawing,
     random_wedge_drawing,
+    reference_phenyl,
 )
 
 
@@ -136,6 +140,20 @@ class TestCondensedFormula:
     def test_disubstituted_phenyl_pattern(self):
         got = plug("[Ar]C", Ar="3,5-(CF3)2C6H3")
         assert got == canonicalize("Cc1cc(C(F)(F)F)cc(C(F)(F)F)c1")
+
+    # Tokens whose two plain readings both succeed, so their order decides
+    # (dinitroso before nitro, cyano before a C-N chain), and a count too
+    # long for ``int``.
+    PHENYL_TOKENS = ["2,4-NO2C6H3", "4-OH1C6H4", "4-CN1C6H4", "4-NO2C6H4", "2-Me" + "1" * 5000 + "C6H4"]
+
+    def test_phenyl_tokens_read_as_the_reference_reads_them(self):
+        rng = random.Random(36)
+        tokens = self.PHENYL_TOKENS + [random_phenyl_token(rng) for _ in range(3000)]
+        for table in (None, AbbreviationTable.default()):
+            got = [outcome(_phenyl_pattern, token, table) for token in tokens]
+            want = [outcome(reference_phenyl, token, table) for token in tokens]
+            assert [t for t, a, b in zip(tokens, got, want) if a != b] == []
+            assert sum(g is not None for g in got) > 500
 
     @pytest.mark.parametrize(
         "formula,expected",

@@ -362,6 +362,17 @@ HOSTILE_TOKENS = {
 }
 
 
+# A long run of blanks or digits that a backtracking pattern could split
+# many ways: each command succeeds within a CPU-time bound that a
+# quadratic reading of 100,000 characters exceeds many times over.
+HOSTILE_RUNS = {
+    "conditions-blank-run": ["conditions", "--text", "1" + " " * 100_000 + "x"],
+    "substitute-phenyl-digit-run": [
+        "substitute", "--template", "[R1]C", "--assign", "R1=1-A" + "1" * 100_000 + "C6Hx",
+    ],
+}
+
+
 # A mistyped sidecar fails the step that reads it: the run degrades and
 # still writes a document.
 HOSTILE_TEMPLATES = {
@@ -675,6 +686,13 @@ class TestHostileInput:
         assert time.perf_counter() - start < 10
         assert code == 0
         assert "[100*]" in json.dumps(out)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_RUNS))
+    def test_long_run_is_read_in_linear_time(self, case, capsys):
+        start = time.process_time()
+        code, _ = run(capsys, *HOSTILE_RUNS[case])
+        assert time.process_time() - start < 1.0
+        assert code == 0
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_MOLECULES))
     def test_mistyped_molecules_fail_recognition(self, case, capsys, tmp_path, fig2_bundle):

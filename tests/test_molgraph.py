@@ -14,6 +14,7 @@ from rxnscope.molgraph import (
     Fragment,
     GraphError,
     MolecularGraph,
+    atom_token_from_symbol,
     connected_components,
     graph_from_json,
     graph_to_json,
@@ -26,7 +27,7 @@ from rxnscope.molgraph import (
 )
 from rxnscope.smiles import parse_smiles, write_smiles, canonicalize
 
-from oracles import random_molecular_graph
+from oracles import outcome, random_molecular_graph, random_symbol, reference_atom_token_from_symbol
 
 
 def carbon(**kw) -> AtomToken:
@@ -550,6 +551,24 @@ class TestJsonCodec:
 
     def test_graph_fields_are_atoms_and_bonds(self):
         assert [f.name for f in fields(MolecularGraph)] == ["atoms", "bonds"]
+
+    def test_symbols_read_as_the_reference_reads_them(self):
+        rng = random.Random(36)
+        kinds = set()
+        for _ in range(4000):
+            symbol = random_symbol(rng)
+            extra = {} if rng.random() < 0.5 else dict(
+                charge=rng.randint(-2, 2),
+                explicit_h=rng.choice([None, 0, 1, 3]),
+                isotope=rng.choice([None, 13]),
+                coords=rng.choice([None, (0.5, -1.0)]),
+            )
+            got = outcome(atom_token_from_symbol, symbol, **extra)
+            assert got == outcome(reference_atom_token_from_symbol, symbol, **extra), (symbol, extra)
+            if isinstance(got, AtomToken):
+                kinds.add((got.kind, got.aromatic, got.chiral is not None))
+        assert {k for k, _, _ in kinds} == {"element", "placeholder", "abbreviation", "wildcard"}
+        assert ("element", True, True) in kinds
 
 
 class TestErrorFamily:

@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 from importlib import resources
 
 import pytest
@@ -20,7 +21,10 @@ from rxnscope.reaction import (
     parse_rgroup_table,
     validate_record,
 )
+from rxnscope.reaction import _TEMP_VALUE
 from rxnscope.smiles import canonicalize, parse_smiles
+
+from oracles import TEMP_VALUE_TWO_BLANK_RUNS, random_condition_text
 
 
 def one(text: str) -> ConditionItem:
@@ -96,6 +100,16 @@ class TestClassifyCondition:
         text = "10 mol% B17 or B27, PhMe, rt, 24 h, 38 - 78%"
         assert classify_condition(text) == classify_condition(text)
 
+    def test_temperature_pattern_agrees_with_reference(self):
+        rng = random.Random(36)
+        texts = [random_condition_text(rng) for _ in range(5000)]
+
+        def matches(pattern, text):
+            return [(m.span(), m.groups()) for m in pattern.finditer(text)]
+
+        assert [t for t in texts if matches(_TEMP_VALUE, t) != matches(TEMP_VALUE_TWO_BLANK_RUNS, t)] == []
+        assert sum(bool(_TEMP_VALUE.search(t)) for t in texts) > 300
+
 
 def record(rid: str, product_label: str) -> ReactionRecord:
     return ReactionRecord(
@@ -132,7 +146,7 @@ class TestAlignConditions:
         shared = classify_condition("rt")
         per_variant = {"3a": classify_condition("rt")}
         records = align_conditions(shared, per_variant, [record("1_1", "3a")])
-        identities = [c.identity for c in records[0].conditions]
+        identities = [c.identity() for c in records[0].conditions]
         assert len(identities) == len(set(identities))
 
     def test_empty_per_variant(self, caplog):

@@ -34,7 +34,10 @@ from oracles import (
     random_fingerprint_graph,
     random_molecular_graph,
     random_ring_graph,
+    outcome,
+    random_bracket_inner,
     read_back,
+    reference_bracket_token,
     reference_perceive_aromaticity,
     reference_write_smiles,
     renumbered,
@@ -58,6 +61,18 @@ STRESS = {
 
 
 class TestParse:
+    def test_bracket_atoms_read_as_the_reference_reads_them(self, monkeypatch):
+        rng = random.Random(36)
+        inners = [random_bracket_inner(rng) for _ in range(1500)]
+        texts = [form.replace("?", inner) for inner in inners for form in ("[?]", "F[?](Cl)Br", "c1cc[?]cc1")]
+        got = [outcome(parse_smiles, text) for text in texts]
+        monkeypatch.setattr(smiles, "_bracket_token", reference_bracket_token)
+        want = [outcome(parse_smiles, text) for text in texts]
+        assert [text for text, a, b in zip(texts, got, want) if a != b] == []
+        atoms = [a for g in got if isinstance(g, MolecularGraph) for a in g.atoms]
+        assert {a.kind for a in atoms} == {"element", "placeholder", "abbreviation", "wildcard"}
+        assert any(a.chiral_order for a in atoms) and any(a.aromatic and a.isotope for a in atoms)
+
     def test_chiral_parse_builds_one_graph(self, monkeypatch):
         built = []
         real = MolecularGraph.__post_init__

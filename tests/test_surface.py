@@ -145,3 +145,23 @@ def test_start_up_leaves_the_http_stack_unloaded():
     added = set(json.loads(out))
     assert "rxnscope.cli" in added
     assert added.isdisjoint(HTTP_STACK), sorted(added & set(HTTP_STACK))
+
+
+def test_every_pattern_is_compiled_at_module_level():
+    # A pattern bound at module level is compiled once, and the linear-time
+    # harness (``tests/test_linear_time.py``) finds it there; a pattern
+    # passed to ``re.search`` and the like is neither.
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)}
+        calls += [
+            (_module_name(path), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and not (node.func.attr == "compile" and id(node) in bound)
+        ]
+    assert calls == []
