@@ -222,6 +222,57 @@ class TestParse:
         assert err.value.offset == offset
         assert not is_valid(text)
 
+    def test_pinned_outcome_digest(self, fig2_bundle):
+        # No oracle parser exists, so every outcome of the parser is
+        # pinned: the graph with every field, or the error with its offset,
+        # over the corpus, the fig2 texts and seeded mutations of them.
+        golden = json.loads((fig2_bundle / "golden.json").read_text())
+        fig2 = [e["smiles"] for r in golden["reactions"] for e in r["reactants"] + r["products"]]
+        texts = _mutations(list(MOLECULES) + list(STRESS.values()) + fig2 + _EDGES, 36, 3000)
+        rows = []
+        for text in texts:
+            got = outcome(parse_smiles, text)
+            rows.append(repr((got.atoms, got.bonds)) if isinstance(got, MolecularGraph) else repr(got))
+        assert sum(r.startswith("('SmilesParseError'") for r in rows) > 1000
+        assert sum(r.startswith("((AtomToken") for r in rows) > 1000
+        digest = hashlib.sha256("\n".join(texts + rows).encode()).hexdigest()
+        assert digest == "3648e0ddd73432a054c888bd7db424411d468afc44de087c92a562ee9f13a992"
+
+
+# Texts that reach the parser's rarer outcomes: conflicting ring bonds,
+# empty and zero-isotope brackets, stray dots, blanks and long fields.
+_EDGES = [
+    "C=1CC-1", "C=1CC=1", "C/1CC/1", "C/1CC\\1", "C1CC/1", "[]", "[0C]", "C.", ".C", "C..C", "C(C)(C)", "C((C))",
+    "C()C", "  C C ", "C%99CC%99", "C%00CC%00", "[C@@H](F)(Cl)Br", "[C@H]1CC1", "c1cc[nH]c1", "[13CH3-]", "[Fe+3]",
+    "[C+" + "9" * 5000 + "]", "C" * 300, "C(" * 40 + "C" + ")" * 40, "c1ccccc1/C=C/Cl",
+]
+
+# Pieces a mutation inserts: ring digits, ``%nn`` closures (and broken
+# ones), brackets, bond marks, dots and parentheses.
+_INSERTS = ["1", "2", "9", "%12", "%1", "%", "[", "]", "[C@@H]", "[R1]", "-", "=", "#", ":", "/", "\\", ".", "(", ")"]
+
+
+def _mutations(texts: list[str], seed: int, count: int) -> list[str]:
+    """``texts`` and ``count`` seeded mutants of them: each one to three
+    edits that delete, duplicate or swap characters, or insert a piece."""
+    rng = random.Random(seed)
+    out = list(texts)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.choice(["delete", "duplicate", "swap", "insert", "insert"])
+            if edit == "insert":
+                text = text[:k] + rng.choice(_INSERTS) + text[k:]
+            elif k < len(text) and edit == "delete":
+                text = text[:k] + text[k + 1 :]
+            elif k < len(text) and edit == "duplicate":
+                text = text[: k + 1] + text[k:]
+            elif k + 1 < len(text):
+                text = text[:k] + text[k + 1] + text[k] + text[k + 2 :]
+        out.append(text)
+    return out
+
 
 class TestAromaticPerception:
     """Perception searches from seed bonds only; the 6-path walk is the oracle."""
