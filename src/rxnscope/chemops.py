@@ -164,6 +164,15 @@ def _group_fragment(text: str, table: Optional[AbbreviationTable]) -> Fragment:
     return parse_condensed_formula(text, table)
 
 
+def _formula_number(digits: str, text: str) -> int:
+    """The number the digit run ``digits`` of formula ``text`` writes; a
+    run too long for ``int`` to convert reads as nothing."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormulaError(f"{text!r} holds a number of {len(digits)} digits") from None
+
+
 def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[Fragment]:
     m = _PHENYL.match(text)
     if not m:
@@ -174,9 +183,9 @@ def _phenyl_pattern(text: str, table: Optional[AbbreviationTable]) -> Optional[F
     readings = [(m.group("paren") or m.group("plain"), cnt)]
     if m.group("plain") and cnt and cnt.isascii():
         readings.append((m.group("plain") + cnt, ""))
-    locants = [int(x) for x in m.group("loc").split(",")]
+    locants = [_formula_number(x, text) for x in m.group("loc").split(",")]
     for grp, count in readings:
-        if count and int(count) != len(locants):
+        if count and _formula_number(count, text) != len(locants):
             continue
         if len(set(locants)) != len(locants) or any(not 2 <= k <= 6 for k in locants):
             continue
@@ -221,7 +230,17 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
         atoms.append(AtomToken(kind="element", text=symbol))
         return len(atoms) - 1
 
+    def check_fits(count: int) -> None:
+        # Each counted group, atom or hydrogen takes at least one valence
+        # of the backbone atom, so a count past its largest allowed
+        # valence leaves no valid reading; it fails before any graft.
+        atom = atoms[backbone]
+        valences = VALENCES.get(atom.text, ()) if atom.kind == "element" else ()
+        if count > max(valences, default=-atom.charge) + atom.charge:
+            raise FormulaError(f"{text!r}: atom {atom.text} cannot carry {count} groups")
+
     def graft(token: str, count: int) -> None:
+        check_fits(count)
         frag = _group_fragment(token, table)
         for _ in range(count):
             bonds.append(Bond(a=backbone, b=frag.graft_onto(atoms, bonds, backbone)))
@@ -231,7 +250,7 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
         cm = _COUNT.match(text, pos)
         if cm:
             pos = cm.end()
-            return int(cm.group())
+            return _formula_number(cm.group(), text)
         return 1
 
     pos = 0
@@ -281,6 +300,7 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
         if symbol == "H":
             if backbone is None:
                 raise FormulaError(f"{text!r} starts with hydrogen")
+            check_fits(count)
             explicit_h[backbone] = explicit_h.get(backbone, 0) + count
             continue
         if backbone is None:
@@ -290,6 +310,7 @@ def _parse_linear(text: str, table: Optional[AbbreviationTable]) -> Fragment:
             for token, n in leading:
                 graft(token, n)
             continue
+        check_fits(count)
         parent_symbol = atoms[backbone].text
         order = "double" if symbol == "O" and parent_symbol in ("N", "S") else "single"
         new_idx = None

@@ -58,6 +58,9 @@ _BOND_MARKS = {
     "-": ("single", None), "=": ("double", None), "#": ("triple", None), ":": ("aromatic", None),
     "/": ("single", "up"), "\\": ("single", "down"),
 }
+# The order of a bond written without a mark, indexed by whether both of
+# its atoms are aromatic.
+_UNMARKED_ORDER = ("single", "aromatic")
 _ORDER_VALUE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
 
 _BRACKET_RE = re.compile(
@@ -76,17 +79,6 @@ class SmilesParseError(RxnscopeError, ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class _AtomRec:
-    __slots__ = ("token", "offset", "slots")
-
-    def __init__(self, token: AtomToken, offset: int):
-        self.token = token
-        self.offset = offset  # where the atom's text starts
-        # Neighbor slots in order of appearance; entries are atom indices,
-        # -1 for the in-bracket H, or ("ring", n) until the ring closes.
-        self.slots: list = []
 
 
 def _bracket_number(m: re.Match, field: str, start: int, bare: int) -> int:
@@ -125,161 +117,168 @@ def _bracket_token(inner: str, start: int) -> AtomToken:
 
 
 class _Parser:
+    """The graph one SMILES text spells, unsettled (:func:`_settle`).
+
+    :meth:`parse` reads organic atoms and makes chain bonds in its own
+    loop, in local variables, so that the common tokens cost no call;
+    bracket atoms and ring closures call out. Per atom it keeps where its
+    text starts (``offsets``, for the errors of :func:`_settle`) and its
+    neighbour slots in order of appearance (``slots``): atom indices, -1
+    for the in-bracket H, or ``("ring", n)`` until ring ``n`` closes. A
+    chiral tag takes its atom's slots as its order once every ring is
+    closed, so the graph is built once.
+    """
+
     def __init__(self, text: str, start: int = 0):
         self.text = text
-        self.pos = start
-        self.atoms: list[_AtomRec] = []
+        self.start = start
+        self.tokens: list[AtomToken] = []
+        self.offsets: list[int] = []
+        self.slots: list[list] = []
         self.bonds: list[Bond] = []
+        # Ring number -> (opening atom, order, direction, digit offset).
         self.ring_open: dict[int, tuple[int, Optional[str], Optional[str], int]] = {}
-
-    def error(self, message: str, offset: Optional[int] = None) -> SmilesParseError:
-        return SmilesParseError(message, self.pos if offset is None else offset)
-
-    # -- token helpers ----------------------------------------------------
-
-    def _organic_atom(self) -> Optional[AtomToken]:
-        two = self.text[self.pos : self.pos + 2]
-        symbol = two if two in ("Cl", "Br") else two[:1]
-        atom = PLAIN_ATOMS.get(symbol)
-        if atom is not None:
-            self.pos += len(symbol)
-        return atom
-
-    # -- bond bookkeeping --------------------------------------------------
-
-    def _add_bond(self, a: int, b: int, order: Optional[str], direction: Optional[str]) -> None:
-        if order is None:
-            both_aromatic = self.atoms[a].token.aromatic and self.atoms[b].token.aromatic
-            order = "aromatic" if both_aromatic else "single"
-        self.bonds.append(Bond(a=a, b=b, order=order, direction=direction))
 
     def _close_ring(
         self, number: int, atom: int, order: Optional[str], direction: Optional[str], offset: int
     ) -> None:
         partner, p_order, p_dir, _ = self.ring_open.pop(number)
         if order is not None and p_order is not None and order != p_order:
-            raise self.error(f"ring {number} closed with conflicting bond order", offset)
+            raise SmilesParseError(f"ring {number} closed with conflicting bond order", offset)
         final_order = order if order is not None else p_order
+        if final_order is None:
+            final_order = _UNMARKED_ORDER[self.tokens[partner].aromatic and self.tokens[atom].aromatic]
         # Direction marks are stored oriented a->b (opener->closer).  A mark
         # written at the closing digit reads closer->opener, so flip it.
         closing_dir = None if direction is None else flip(direction)
         if closing_dir is not None and p_dir is not None and closing_dir != p_dir:
-            raise self.error(f"ring {number} closed with conflicting direction", offset)
+            raise SmilesParseError(f"ring {number} closed with conflicting direction", offset)
         final_dir = p_dir if p_dir is not None else closing_dir
         # Only a ring closure can repeat a pair: the closing atom's slots
         # already name every atom it is bonded to.
         if partner == atom:
-            raise self.error("ring bond to the same atom", offset)
-        if partner in self.atoms[atom].slots:
-            raise self.error("duplicate bond", offset)
-        self._add_bond(partner, atom, final_order, final_dir)
-        opener = self.atoms[partner]
-        for i, slot in enumerate(opener.slots):
-            if slot == ("ring", number):
-                opener.slots[i] = atom
-                break
-        self.atoms[atom].slots.append(partner)
+            raise SmilesParseError("ring bond to the same atom", offset)
+        if partner in self.slots[atom]:
+            raise SmilesParseError("duplicate bond", offset)
+        self.bonds.append(Bond(partner, atom, final_order, "none", final_dir))
+        opener = self.slots[partner]
+        opener[opener.index(("ring", number))] = atom
+        self.slots[atom].append(partner)
 
-    # -- main loop ---------------------------------------------------------
-
-    def parse(self) -> tuple[list[_AtomRec], list[Bond]]:
+    def parse(self) -> MolecularGraph:
         text = self.text
-        prev: Optional[int] = None
-        pending_order: Optional[str] = None
-        pending_dir: Optional[str] = None
+        end_of_text = len(text)
+        pos = self.start
+        tokens, offsets, slots, bonds = self.tokens, self.offsets, self.slots, self.bonds
+        ring_open = self.ring_open
+        plain = PLAIN_ATOMS
+        chiral: list[int] = []
+        prev = -1  # the atom the next chain bond starts at; -1 for none
+        prev_aromatic = False
+        pending: Optional[tuple[str, Optional[str]]] = None  # a bond mark's (order, direction)
         pending_offset = 0
-        branch_stack: list[int] = []
+        branch_stack: list[tuple[int, bool]] = []
 
-        def take_pending() -> tuple[Optional[str], Optional[str]]:
-            nonlocal pending_order, pending_dir
-            order, direction = pending_order, pending_dir
-            pending_order = pending_dir = None
-            return order, direction
-
-        while self.pos < len(text):
-            ch = text[self.pos]
-            offset = self.pos
-            if ch == "[":
-                end = text.find("]", offset)
-                if end < 0:
-                    raise self.error("unclosed bracket atom", offset)
-                token = _bracket_token(text[offset + 1 : end], offset)
-                self.pos = end + 1
-            else:
-                token = self._organic_atom()
+        while pos < end_of_text:
+            ch = text[pos]
+            offset = pos
+            token = plain.get(ch)
             if token is not None:
-                idx = len(self.atoms)
-                rec = _AtomRec(token, offset)
-                self.atoms.append(rec)
-                if prev is not None:
-                    order, direction = take_pending()
-                    self._add_bond(prev, idx, order, direction)
-                    self.atoms[prev].slots.append(idx)
-                    rec.slots.append(prev)
-                elif pending_order is not None or pending_dir is not None:
-                    raise self.error("bond symbol with no preceding atom", pending_offset)
-                if token.kind == "element" and token.explicit_h == 1:
-                    rec.slots.append(-1)
-                prev = idx
-                continue
-            if ch.isdecimal() or ch == "%":
-                if prev is None:
-                    raise self.error("ring digit with no preceding atom", offset)
+                pos += 1
+                if pos < end_of_text and (ch == "C" and text[pos] == "l" or ch == "B" and text[pos] == "r"):
+                    token = plain[text[offset : pos + 1]]
+                    pos += 1
+            elif ch == "[":
+                pos = text.find("]", offset) + 1
+                if not pos:
+                    raise SmilesParseError("unclosed bracket atom", offset)
+                token = _bracket_token(text[offset + 1 : pos - 1], offset)
+                if token.chiral is not None:
+                    chiral.append(len(tokens))
+            elif ch.isdecimal() or ch == "%":
+                if prev < 0:
+                    raise SmilesParseError("ring digit with no preceding atom", offset)
                 if ch == "%":
-                    digits = text[self.pos + 1 : self.pos + 3]
+                    digits = text[pos + 1 : pos + 3]
                     if len(digits) != 2 or not digits.isdecimal():
-                        raise self.error("% must be followed by two digits", offset)
+                        raise SmilesParseError("% must be followed by two digits", offset)
                     number = int(digits)
-                    self.pos += 3
+                    pos += 3
                 else:
                     number = int(ch)
-                    self.pos += 1
-                order, direction = take_pending()
-                if number in self.ring_open:
+                    pos += 1
+                order, direction = pending or (None, None)
+                pending = None
+                if number in ring_open:
                     self._close_ring(number, prev, order, direction, offset)
                 else:
-                    self.ring_open[number] = (prev, order, direction, offset)
-                    self.atoms[prev].slots.append(("ring", number))
+                    ring_open[number] = (prev, order, direction, offset)
+                    slots[prev].append(("ring", number))
                 continue
-            if ch in _BOND_MARKS:
-                if pending_order is not None:
-                    raise self.error("two bond symbols in a row", offset)
-                pending_order, pending_dir = _BOND_MARKS[ch]
+            elif ch in _BOND_MARKS:
+                if pending is not None:
+                    raise SmilesParseError("two bond symbols in a row", offset)
+                pending = _BOND_MARKS[ch]
                 pending_offset = offset
-                self.pos += 1
+                pos += 1
                 continue
-            if ch == "(":
-                if prev is None:
-                    raise self.error("branch with no preceding atom", offset)
-                branch_stack.append(prev)
-                self.pos += 1
+            elif ch == "(":
+                if prev < 0:
+                    raise SmilesParseError("branch with no preceding atom", offset)
+                branch_stack.append((prev, prev_aromatic))
+                pos += 1
                 continue
-            if ch == ")":
+            elif ch == ")":
                 if not branch_stack:
-                    raise self.error("unmatched closing parenthesis", offset)
-                if pending_order is not None:
-                    raise self.error("dangling bond symbol before ')'", pending_offset)
-                prev = branch_stack.pop()
-                self.pos += 1
+                    raise SmilesParseError("unmatched closing parenthesis", offset)
+                if pending is not None:
+                    raise SmilesParseError("dangling bond symbol before ')'", pending_offset)
+                prev, prev_aromatic = branch_stack.pop()
+                pos += 1
                 continue
-            if ch == ".":
+            elif ch == ".":
                 if branch_stack:
-                    raise self.error("component separator inside a branch", offset)
-                if pending_order is not None:
-                    raise self.error("bond symbol before component separator", pending_offset)
-                prev = None
-                self.pos += 1
+                    raise SmilesParseError("component separator inside a branch", offset)
+                if pending is not None:
+                    raise SmilesParseError("bond symbol before component separator", pending_offset)
+                prev = -1
+                pos += 1
                 continue
-            raise self.error(f"unexpected character {ch!r}", offset)
+            else:
+                raise SmilesParseError(f"unexpected character {ch!r}", offset)
+
+            # An atom: bonded to ``prev`` by the pending mark, if any.
+            idx = len(tokens)
+            tokens.append(token)
+            offsets.append(offset)
+            aromatic = token.aromatic
+            if prev >= 0:
+                if pending is None:
+                    bonds.append(Bond(prev, idx, _UNMARKED_ORDER[prev_aromatic and aromatic]))
+                else:
+                    bonds.append(Bond(prev, idx, pending[0], "none", pending[1]))
+                    pending = None
+                slots[prev].append(idx)
+                here = [prev]
+            elif pending is not None:
+                raise SmilesParseError("bond symbol with no preceding atom", pending_offset)
+            else:
+                here = []
+            if token.explicit_h == 1 and token.kind == "element":
+                here.append(-1)
+            slots.append(here)
+            prev, prev_aromatic = idx, aromatic
 
         if branch_stack:
-            raise self.error("unclosed branch", len(text) - 1)
-        if pending_order is not None:
-            raise self.error("dangling bond symbol", pending_offset)
-        if self.ring_open:
-            number, (_, _, _, offset) = next(iter(self.ring_open.items()))
-            raise self.error(f"unclosed ring bond {number}", offset)
-        return self.atoms, self.bonds
+            raise SmilesParseError("unclosed branch", end_of_text - 1)
+        if pending is not None:
+            raise SmilesParseError("dangling bond symbol", pending_offset)
+        if ring_open:
+            number, (_, _, _, offset) = next(iter(ring_open.items()))
+            raise SmilesParseError(f"unclosed ring bond {number}", offset)
+        for i in chiral:
+            tokens[i] = _tagged(tokens[i], slots[i])
+        return MolecularGraph(atoms=tuple(tokens), bonds=tuple(bonds))
 
 
 def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
@@ -439,14 +438,11 @@ def _parse(text: str) -> MolecularGraph:
     if start == len(stripped):
         raise SmilesParseError("empty SMILES string", 0)
     parser = _Parser(stripped, start)
-    recs, bonds = parser.parse()
-    # Chiral neighbour orders are the appearance slots, every ring closed,
-    # resolved before the graph is built so that it is built once.
-    atoms = [rec.token if rec.token.chiral is None else _tagged(rec.token, rec.slots) for rec in recs]
+    g = parser.parse()
     try:
-        return _settle(MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds)))
+        return _settle(g)
     except _Unsettled as exc:
-        raise SmilesParseError(str(exc), recs[exc.atom].offset) from None
+        raise SmilesParseError(str(exc), parser.offsets[exc.atom]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +541,10 @@ def _bond_text(
 def _read_bond(mark: str, a: int, b: int, tokens: list[AtomToken]) -> Bond:
     """The bond the parser makes of ``mark`` written from atom ``a`` to
     atom ``b``, the two read as ``tokens[a]`` and ``tokens[b]``."""
-    order, direction = _BOND_MARKS.get(mark, (None, None))
-    if order is None:
-        order = "aromatic" if tokens[a].aromatic and tokens[b].aromatic else "single"
-    return Bond(a, b, order, "none", direction)
+    if mark:
+        order, direction = _BOND_MARKS[mark]
+        return Bond(a, b, order, "none", direction)
+    return Bond(a, b, _UNMARKED_ORDER[tokens[a].aromatic and tokens[b].aromatic])
 
 
 def _read_atom(text: str) -> Optional[AtomToken]:

@@ -747,8 +747,7 @@ def reference_perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
 def unperceived_graph(text: str) -> MolecularGraph:
     """The graph of a SMILES text as written, before aromaticity perception."""
     stripped = text.rstrip()
-    recs, bonds = smiles._Parser(stripped, len(stripped) - len(stripped.lstrip())).parse()
-    return MolecularGraph(atoms=tuple(rec.token for rec in recs), bonds=tuple(bonds))
+    return smiles._Parser(stripped, len(stripped) - len(stripped.lstrip())).parse()
 
 
 def random_ring_graph(rng: random.Random, max_rings: int = 3) -> MolecularGraph:

@@ -359,6 +359,16 @@ HOSTILE_TOKENS = {
     "extract-table-cell-nested-too-deep": _text_table_fig2(
         f"entry\tR\tAr\tproduct\n1\tMe\t{DEEP_FORMULA}\t3a\n"
     ),
+    # Counts too long for ``int``, and one no backbone atom can carry.
+    "substitute-formula-count-too-long": lambda tmp, fig2: [
+        "substitute", "--template", "[R1]C", "--assign", "R1=C" + "1" * 5000,
+    ],
+    "substitute-phenyl-count-too-long": lambda tmp, fig2: [
+        "substitute", "--template", "[R1]C", "--assign", "R1=2-Me" + "1" * 5000 + "C6H4",
+    ],
+    "substitute-formula-count-too-large": lambda tmp, fig2: [
+        "substitute", "--template", "[R1]C", "--assign", "R1=CMe1000000000",
+    ],
 }
 
 

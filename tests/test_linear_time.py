@@ -7,7 +7,8 @@ character: a blank, a digit, a letter or one of the pattern's own literal
 characters, with the rest of the sample after the run or without it. A
 run that the pattern can split many ways costs about n² steps, so
 lengthening it 16 times makes a linear search about 16 times slower and a
-quadratic one about 256 times.
+quadratic one about 256 times. ``parse_smiles`` is timed the same way on
+texts that grow by one repeated unit.
 """
 
 import importlib
@@ -18,6 +19,7 @@ import time
 import pytest
 
 import rxnscope
+from rxnscope.smiles import parse_smiles
 
 try:
     from re import _constants as sre, _parser as sre_parse
@@ -180,3 +182,32 @@ def test_search_grows_linearly(name):
         if ratio >= MAX_RATIO:
             slow.append((before, run, after, round(ratio)))
     assert slow == []
+
+
+# SMILES texts of n characters, each lengthened by one repeated unit:
+# a chain, nested branches, ring digits closed and reused, ``%nn``
+# closures, bracket atoms and aromatic rings.
+SMILES_FAMILIES = {
+    "chain": lambda n: "C" * n,
+    "nested-branches": lambda n: "C(" * (n // 2) + "C" + ")" * (n // 2),
+    "reused-ring-digits": lambda n: "C1CC1" * (n // 5),
+    "percent-closures": lambda n: "C%12CC%12" * (n // 9),
+    "bracket-atoms": lambda n: "[13CH2]" * (n // 7),
+    "aromatic-rings": lambda n: "c1ccccc1" * (n // 8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SMILES_FAMILIES))
+def test_parse_smiles_grows_linearly(family):
+    make = SMILES_FAMILIES[family]
+
+    def best(n: int) -> float:
+        text = make(n)
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            parse_smiles(text)
+            times.append(time.process_time() - start)
+        return min(times)
+
+    assert best(GROWTH * N) / max(best(N), 1e-9) < MAX_RATIO

@@ -17,7 +17,7 @@ from rxnscope.metrics import (
     prf,
     tanimoto,
 )
-from rxnscope.molgraph import AtomToken, MolecularGraph
+from rxnscope.molgraph import AtomToken, Bond, MolecularGraph
 from rxnscope.reaction import (
     ConditionItem,
     MoleculeEntry,
@@ -33,6 +33,30 @@ from oracles import (
     reference_fingerprint,
     renumbered,
 )
+
+
+DISTINCT_ELEMENTS = ["C", "N", "O", "S", "P", "B", "F", "Cl", "Br", "I", "Si", "Se"]
+
+
+def distinct_atom_graph(kind: str, size: int, tail: str = "", tail_size: int = 0) -> MolecularGraph:
+    """A chain or ring of ``size`` atoms, each a different element, with a
+    chain of ``tail_size`` more hung on the ring's first atom."""
+    atoms = tuple(AtomToken(kind="element", text=t) for t in DISTINCT_ELEMENTS[: size + tail_size])
+    bonds = [Bond(a=i, b=i + 1) for i in range(size - 1)]
+    if kind == "ring":
+        bonds.append(Bond(a=size - 1, b=0))
+    if tail_size:
+        bonds += [Bond(a=size + i - 1 if i else 0, b=size + i) for i in range(tail_size)]
+    return MolecularGraph(atoms=atoms, bonds=tuple(bonds))
+
+
+def longest_simple_path(g: MolecularGraph) -> int:
+    """Bonds in the longest simple path of ``g``, by brute force."""
+
+    def deepest(cur: int, seen: frozenset) -> int:
+        return max((1 + deepest(m, seen | {m}) for m in g.neighbors(cur) if m not in seen), default=0)
+
+    return max(deepest(i, frozenset([i])) for i in range(len(g.atoms)))
 
 
 def bits(*positions: int) -> Fingerprint:
@@ -84,6 +108,30 @@ class TestFingerprint:
         assert len(rows) == 72
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "f4d8b9fbb667b8325e6fbbc0700323e7665bfbff32fa51510f2dd950c54bb872"
+
+    @pytest.mark.parametrize(
+        "shape, longest",
+        [
+            (("chain", 7), 6),
+            (("chain", 8), 7),
+            (("chain", 9), 8),
+            (("chain", 10), 9),
+            (("ring", 7), 6),
+            (("ring", 8), 7),
+            (("ring", 9), 8),
+            (("ring", 10), 9),
+            (("ring", 5, "tail", 3), 7),
+            (("ring", 6, "tail", 3), 8),
+        ],
+    )
+    def test_paths_around_the_last_level(self, shape, longest):
+        # Distinct elements give every path its own text, so a walk that
+        # stops one bond short of MAX_PATH_BONDS, or goes one bond past
+        # it, misses or adds bits on graphs whose longest simple path
+        # has 6 to 9 bonds.
+        g = distinct_atom_graph(*shape)
+        assert longest_simple_path(g) == longest
+        assert fingerprint(g).bits == reference_fingerprint(g)
 
     @given(st.sampled_from(MOLECULES), st.integers(0, 2**32 - 1))
     def test_renumbering_invariance(self, s, seed):
