@@ -174,10 +174,9 @@ class _Parser:
         plain = PLAIN_ATOMS
         chiral: list[int] = []
         prev = -1  # the atom the next chain bond starts at; -1 for none
-        prev_aromatic = False
         pending: Optional[tuple[str, Optional[str]]] = None  # a bond mark's (order, direction)
         pending_offset = 0
-        branch_stack: list[tuple[int, bool]] = []
+        branch_stack: list[int] = []
 
         while pos < end_of_text:
             ch = text[pos]
@@ -225,7 +224,7 @@ class _Parser:
             elif ch == "(":
                 if prev < 0:
                     raise SmilesParseError("branch with no preceding atom", offset)
-                branch_stack.append((prev, prev_aromatic))
+                branch_stack.append(prev)
                 pos += 1
                 continue
             elif ch == ")":
@@ -233,7 +232,7 @@ class _Parser:
                     raise SmilesParseError("unmatched closing parenthesis", offset)
                 if pending is not None:
                     raise SmilesParseError("dangling bond symbol before ')'", pending_offset)
-                prev, prev_aromatic = branch_stack.pop()
+                prev = branch_stack.pop()
                 pos += 1
                 continue
             elif ch == ".":
@@ -251,10 +250,9 @@ class _Parser:
             idx = len(tokens)
             tokens.append(token)
             offsets.append(offset)
-            aromatic = token.aromatic
             if prev >= 0:
                 if pending is None:
-                    bonds.append(Bond(prev, idx, _UNMARKED_ORDER[prev_aromatic and aromatic]))
+                    bonds.append(Bond(prev, idx, _UNMARKED_ORDER[tokens[prev].aromatic and token.aromatic]))
                 else:
                     bonds.append(Bond(prev, idx, pending[0], "none", pending[1]))
                     pending = None
@@ -267,7 +265,7 @@ class _Parser:
             if token.explicit_h == 1 and token.kind == "element":
                 here.append(-1)
             slots.append(here)
-            prev, prev_aromatic = idx, aromatic
+            prev = idx
 
         if branch_stack:
             raise SmilesParseError("unclosed branch", end_of_text - 1)

@@ -186,7 +186,7 @@ class TestCondensedFormula:
         "formula",
         ["C" + "1" * 5000, "2-Me" + "1" * 5000 + "C6H4", "CMe1000000000", "CH1000000000", "NCl1000000000"],
     )
-    def test_count_no_atom_takes_fails_before_any_graft(self, formula):
+    def test_count_no_atom_can_carry_reads_as_nothing(self, formula):
         # A digit run too long for ``int``, or a count past the backbone
         # atom's largest valence, is a FormulaError before anything is
         # grafted, so the token reads as nothing in bounded time.

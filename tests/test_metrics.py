@@ -38,15 +38,14 @@ from oracles import (
 DISTINCT_ELEMENTS = ["C", "N", "O", "S", "P", "B", "F", "Cl", "Br", "I", "Si", "Se"]
 
 
-def distinct_atom_graph(kind: str, size: int, tail: str = "", tail_size: int = 0) -> MolecularGraph:
+def distinct_atom_graph(kind: str, size: int, tail: int = 0) -> MolecularGraph:
     """A chain or ring of ``size`` atoms, each a different element, with a
-    chain of ``tail_size`` more hung on the ring's first atom."""
-    atoms = tuple(AtomToken(kind="element", text=t) for t in DISTINCT_ELEMENTS[: size + tail_size])
+    chain of ``tail`` more hung on its first atom."""
+    atoms = tuple(AtomToken(kind="element", text=t) for t in DISTINCT_ELEMENTS[: size + tail])
     bonds = [Bond(a=i, b=i + 1) for i in range(size - 1)]
     if kind == "ring":
         bonds.append(Bond(a=size - 1, b=0))
-    if tail_size:
-        bonds += [Bond(a=size + i - 1 if i else 0, b=size + i) for i in range(tail_size)]
+    bonds += [Bond(a=size + i - 1 if i else 0, b=size + i) for i in range(tail)]
     return MolecularGraph(atoms=atoms, bonds=tuple(bonds))
 
 
@@ -110,26 +109,26 @@ class TestFingerprint:
         assert digest == "f4d8b9fbb667b8325e6fbbc0700323e7665bfbff32fa51510f2dd950c54bb872"
 
     @pytest.mark.parametrize(
-        "shape, longest",
+        "kind, size, tail, longest",
         [
-            (("chain", 7), 6),
-            (("chain", 8), 7),
-            (("chain", 9), 8),
-            (("chain", 10), 9),
-            (("ring", 7), 6),
-            (("ring", 8), 7),
-            (("ring", 9), 8),
-            (("ring", 10), 9),
-            (("ring", 5, "tail", 3), 7),
-            (("ring", 6, "tail", 3), 8),
+            ("chain", 7, 0, 6),
+            ("chain", 8, 0, 7),
+            ("chain", 9, 0, 8),
+            ("chain", 10, 0, 9),
+            ("ring", 7, 0, 6),
+            ("ring", 8, 0, 7),
+            ("ring", 9, 0, 8),
+            ("ring", 10, 0, 9),
+            ("ring", 5, 3, 7),
+            ("ring", 6, 3, 8),
         ],
     )
-    def test_paths_around_the_last_level(self, shape, longest):
+    def test_paths_around_the_last_level(self, kind, size, tail, longest):
         # Distinct elements give every path its own text, so a walk that
         # stops one bond short of MAX_PATH_BONDS, or goes one bond past
         # it, misses or adds bits on graphs whose longest simple path
         # has 6 to 9 bonds.
-        g = distinct_atom_graph(*shape)
+        g = distinct_atom_graph(kind, size, tail)
         assert longest_simple_path(g) == longest
         assert fingerprint(g).bits == reference_fingerprint(g)
 
