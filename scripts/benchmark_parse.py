@@ -14,12 +14,10 @@ the walk over every simple 6-atom path. Then counts the differences of
 perception from its oracle, and of the writer's text and write order
 from ``reference_write_smiles`` in index order and under shuffled
 ranks, on those graphs and on seeded ring graphs. On the fig2
-``molecules.json`` and ``template.json`` graphs it also times a written
-entry (``MoleculeEntry.written``, its graph settled) against writing
-and parsing the text, and counts, there and on the seeded ring graphs,
-the graphs the writer builds that settle to other than their text's
-parse (``oracles.read_back``). It exits 1 on any difference, so it can
-serve as a check. Times are CPU time of this process
+``molecules.json`` and ``template.json`` graphs it also times writing
+and parsing the text (``oracles.read_back``), the path from a graph to
+a molecule entry. It exits 1 on any difference, so it can serve as a
+check. Times are CPU time of this process
 (``time.process_time``), which other processes' load moves little:
 
     python3 scripts/benchmark_parse.py --graphs 300
@@ -47,7 +45,6 @@ from oracles import (
 
 from rxnscope import smiles
 from rxnscope.molgraph import Bond, graph_from_json
-from rxnscope.reaction import MoleculeEntry
 
 FIG2 = ROOT / "fixtures" / "fig2"
 
@@ -111,24 +108,6 @@ def _writer_differences(graphs: list, rng: random.Random) -> int:
     return count
 
 
-def _settled_or_none(read):
-    try:
-        return read()
-    except (smiles.SmilesParseError, smiles._Unsettled):
-        return None
-
-
-def _writer_graph_differences(graphs: list) -> int:
-    """Graphs whose writer-built graph, settled, is not the parse of
-    their text; a graph whose text and built graph both fail agrees."""
-    count = 0
-    for g in graphs:
-        built = smiles.write_smiles_graph(g)[1]
-        got = None if built is None else _settled_or_none(lambda: smiles._settle(built))
-        count += got != _settled_or_none(lambda: read_back(g))
-    return count
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=20, help="timing repeats; the min is kept")
@@ -178,22 +157,18 @@ def main(argv=None) -> int:
 
     graphs = fig2_graphs()
     parse_us = _best_us_per_call(read_back, graphs, args.repeats)
-    entry_us = _best_us_per_call(lambda g: MoleculeEntry.written(g).graph, graphs, args.repeats)
-    graph_differences = _writer_graph_differences(graphs)
-    failed += graph_differences
     print(
-        f"\n{'graphs':>16} {'n':>4} {'write+parse (us)':>17} {'written entry (us)':>19} {'graph diffs':>12}"
-        f"\n{'fig2':>16} {len(graphs):>4} {parse_us:>17.1f} {entry_us:>19.1f} {graph_differences:>12}"
+        f"\n{'graphs':>16} {'n':>4} {'write+parse (us)':>17}"
+        f"\n{'fig2':>16} {len(graphs):>4} {parse_us:>17.1f}"
     )
 
     ring_graphs = [random_ring_graph(rng) for _ in range(args.graphs)]
     differences = _differences(ring_graphs)
     write_differences = _writer_differences(ring_graphs, rng)
-    graph_differences = _writer_graph_differences(ring_graphs)
-    failed += differences + write_differences + graph_differences
+    failed += differences + write_differences
     print(
         f"\nseeded ring graphs: {args.graphs}, differences from the oracles:"
-        f" perception {differences}, writer {write_differences}, writer graph {graph_differences}"
+        f" perception {differences}, writer {write_differences}"
     )
     return 1 if failed else 0
 

@@ -5,13 +5,12 @@ and stores its results in the run's memory, a dict that holds exactly the
 plan's data flow: a step writes only the outputs ``planner.AGENT_IO``
 declares for it, and every key it writes is read by a later step or by
 ``execute_plan``. Molecules travel as ``MoleculeEntry`` values: a run
-parses only the texts it reads from outside (sidecar ``smiles`` fields),
-and a text a tool writes from a graph comes with the graph that text
-reads back as. Each step runs once, and the observer checks its
-output. A step whose check fails, or whose tool fails, marks its
-declared outputs failed; every later step that consumes one of them is
-skipped (degraded), and no record is built from them. The run fails only
-when it wrote no document.
+parses each distinct text it meets once, whether read from outside
+(sidecar ``smiles`` fields) or written by a tool from a graph. Each step
+runs once, and the observer checks its output. A step whose check
+fails, or whose tool fails, marks its declared outputs failed; every
+later step that consumes one of them is skipped (degraded), and no
+record is built from them. The run fails only when it wrote no document.
 """
 
 from __future__ import annotations
@@ -128,9 +127,9 @@ class _Run:
         self.failed: set[str] = set()
         self.trace: list[dict] = []
         self.current_step: Optional[str] = None
-        # The entry of each text the run made, so that a text made twice (a
+        # The entry of each text the run met, so that a text met twice (a
         # template's starting material is drawn too; the reconstructor hands
-        # every variant the placeholder-free reactant) is read back once.
+        # every variant the placeholder-free reactant) is parsed once.
         self.entries: dict[str, MoleculeEntry] = {}
 
     def invoke(self, tool: str, request: dict) -> dict:
@@ -150,23 +149,19 @@ class _Run:
         self.trace.append(entry)
         return response
 
-    def entry(self, item: Union[MoleculeEntry, str], label: Optional[str] = None) -> Union[MoleculeEntry, str]:
-        """The entry of a molecule this run made, under ``label``.
+    def entry(self, text: str, label: Optional[str] = None) -> Union[MoleculeEntry, str]:
+        """The entry of a molecule text this run met, under ``label``.
 
-        The first time the run meets a text, a text is parsed and a
-        written entry's graph settled; after that, the entry held for the
-        text is handed on. A text that does not read back comes back as
-        it is, for the observer to name.
+        The first time the run meets a text it parses it; after that, the
+        entry held for the text is handed on. A text that does not parse
+        comes back as it is, for the observer to name.
         """
-        text = item if isinstance(item, str) else item.smiles
         held = self.entries.get(text)
         if held is None:
             try:
-                held = MoleculeEntry(text) if isinstance(item, str) else item
-                held.graph  # settles a written entry
+                held = self.entries[text] = MoleculeEntry(text)
             except SmilesParseError:
                 return text
-            self.entries[text] = held
         return held.with_label(label)
 
     def write(self, graph: MolecularGraph, label: Optional[str] = None):
@@ -218,8 +213,8 @@ def _step_molecular_recognition(run: _Run) -> dict:
         molecules.append(
             {"label": drawn.get("label"), "smiles": smiles, "annotations": list(drawn.get("annotations", []))}
         )
-    # The written graphs are settled, and the sidecar texts parsed, once
-    # the drawn graphs are dropped: parsing while they were held ran the
+    # The texts, written or read from the sidecar, are parsed once the
+    # drawn graphs are dropped: parsing while they were held ran the
     # collector a fifth more often, 4 % of the time of a structure_scope op.
     for m in molecules:
         m["smiles"] = run.entry(m["smiles"], m["label"])
@@ -281,10 +276,10 @@ def _step_text_rgroup(run: _Run) -> dict:
         )
         return token
 
-    # Every row instantiates the same templates, each write a traced
-    # ``graph2smiles`` call; a template with no placeholder is written once.
+    # Every row instantiates the same templates; a template with no
+    # placeholder is written once.
     sides = (tuple(e.graph for e in template[k]) for k in ("reactants", "products"))
-    templates = ReactionTemplate(*sides, write=run.write)
+    templates = ReactionTemplate(*sides)
 
     variant_reactions: list[dict] = []
     variant_conditions: dict[str, list[ConditionItem]] = {}
@@ -293,8 +288,8 @@ def _step_text_rgroup(run: _Run) -> dict:
         values = {label: read_cell(cell) for label, cell in sorted(row.values.items())}
         metadata = row.metadata
         label = metadata.get("product")
-        reactants = templates.instantiate("reactants", values, run.ctx.aliases)
-        products = [run.entry(e, label) for e in templates.instantiate("products", values, run.ctx.aliases)]
+        reactants = [run.entry(t) for t in templates.instantiate("reactants", values, run.ctx.aliases)]
+        products = [run.entry(t, label) for t in templates.instantiate("products", values, run.ctx.aliases)]
         emitted.extend(reactants + products)
         variant_reactions.append(
             {
@@ -421,8 +416,8 @@ STEP_FUNCS: dict[str, Callable[[_Run], dict]] = {
 def observe_step(kind: str, output: dict) -> tuple[bool, list[str]]:
     """Check a step's output; returns (passed, reasons).
 
-    A step hands on its molecules as entries, already read; a text among
-    them (one that did not read back, or a direct caller's) is parsed here,
+    A step hands on its molecules as entries, already parsed; a text among
+    them (one that did not parse, or a direct caller's) is parsed here,
     and named with the parse's error. An R-group step's molecules must hold
     no placeholder.
     """
@@ -448,11 +443,10 @@ def execute_plan(
 ) -> ExtractionResult:
     """Run an approved plan over the descriptor's bundle.
 
-    Each molecule gets its graph once, when the run first meets its text:
-    a sidecar text is parsed, and a written graph (``graph2smiles``, a
-    reconstructed reactant) comes with the graph its text reads back as,
-    which is settled, not parsed. Steps, checks and tools then read the
-    entry's graph.
+    Each molecule gets its graph once, when the run first meets its text,
+    a sidecar's or one written from a graph (``graph2smiles``, a
+    reconstructed or instantiated reactant): the text is parsed. Steps,
+    checks and tools then read the entry's graph.
     """
     registry = registry if registry is not None else default_registry()
     backend = backend if backend is not None else ScriptedBackend()

@@ -7,9 +7,8 @@ they hold into ``MolecularGraph`` values; a faulty sidecar or graph fails
 the step that read it with an error naming the file and field. Conversion
 tools (graph-to-SMILES, reactant reconstruction, table parsing, condition
 interpretation) run the real implementations from the chemistry modules.
-Graph-to-SMILES and reconstruction answer with ``MoleculeEntry`` values
-written from graphs (``MoleculeEntry.written``), which carry the graph
-their text reads back as, so nothing parses what a tool wrote; the others
+Graph-to-SMILES and reconstruction answer with the SMILES texts they
+write, which the run parses once each into ``MoleculeEntry``s; the others
 answer with ``RGroupTableRow``s and ``ConditionItem``s. A run hands
 molecules to the tools as ``MoleculeEntry``s. JSON stays at the file
 edges: the sidecars, the CLI and the document.
@@ -25,6 +24,7 @@ from ..jsonshape import Required, check_shape
 from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json
 from ..reaction import ConditionItem, MoleculeEntry, TableParseError, classify_condition, parse_rgroup_table
 from ..rgroup import ReactionTemplate, expand_abbreviations, reconstruct_variant
+from ..smiles import write_smiles
 from .bundle import Bundle
 
 
@@ -111,7 +111,7 @@ def _tool_graph2smiles(ctx: RunContext, request: dict) -> dict:
     if not isinstance(g, MolecularGraph):
         raise ToolError(f"bad graph payload: expected a MolecularGraph, got {type(g).__name__}")
     try:
-        return {"smiles": MoleculeEntry.written(expand_abbreviations(g, registry=ctx.aliases))}
+        return {"smiles": write_smiles(expand_abbreviations(g, registry=ctx.aliases))}
     except RxnscopeError as exc:
         raise ToolError(f"cannot write graph: {exc}") from None
 
@@ -134,7 +134,7 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
     try:
         check_shape(spec, _TEMPLATE_ENTRIES, "template spec", GraphError)
         sides = (tuple(e.graph for e in spec[k]) for k in ("reactants", "products"))
-        template = ReactionTemplate(*sides, write=MoleculeEntry.written)
+        template = ReactionTemplate(*sides)
         template.product_pattern  # prepared once, and both sides are there
     except RxnscopeError as exc:
         raise ToolError(f"bad template payload: {exc}") from None

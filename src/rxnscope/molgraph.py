@@ -682,7 +682,7 @@ def graph_from_json(data: Mapping) -> MolecularGraph:
                     coords=coords,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"atoms[{i}]: {exc}") from exc
     bonds = []
     for i, entry in enumerate(raw_bonds):

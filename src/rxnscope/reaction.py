@@ -6,13 +6,13 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from typing import Iterable, Optional
 
 from .jsonshape import Closed, Required, read_json
 from .molgraph import MolecularGraph, RxnscopeError, is_placeholder_label
-from .smiles import SmilesParseError, parse_smiles, settle_written, write_smiles_graph
+from .smiles import SmilesParseError, parse_smiles
 
 log = logging.getLogger(__name__)
 
@@ -51,33 +51,18 @@ class ConditionItem:
 class MoleculeEntry:
     """A molecule: its SMILES text, label and the graph the text reads as.
 
-    An entry is made where its text is made and handed on from there, so
-    its graph is built once. An entry of a text from outside (a sidecar's,
-    a document's) parses it when it is made. An entry the writer makes of
-    a graph (:meth:`written`) parses nothing: it holds the graph the
-    writer built while it wrote the text, and settles it on the first read
-    of ``graph``, which raises :class:`SmilesParseError` where parsing the
-    text would. The graph stays out of equality, hashing and repr, which
-    the text already decides.
+    The text is parsed when the entry is made, so an entry is made where
+    its text is first met and handed on from there. A molecule built from
+    a graph is the entry of its written text. The graph stays out of
+    equality, hashing and repr, which the text already decides.
     """
 
     smiles: str
     label: Optional[str] = None
+    graph: MolecularGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.__dict__["graph"] = parse_smiles(self.smiles)
-
-    @classmethod
-    def written(cls, g: MolecularGraph, label: Optional[str] = None) -> "MoleculeEntry":
-        """The entry of ``g`` as :func:`write_smiles` writes it."""
-        text, unsettled = write_smiles_graph(g)
-        entry = object.__new__(cls)
-        entry.__dict__.update(smiles=text, label=label, _unsettled=unsettled)
-        return entry
-
-    @cached_property
-    def graph(self) -> MolecularGraph:
-        return settle_written(self.smiles, self.__dict__.pop("_unsettled", None))
 
     def with_label(self, label: Optional[str]) -> "MoleculeEntry":
         """This entry under ``label``; the graph is kept, not built again."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .chemops import AbbreviationTable, AliasRegistry
 from .jsonshape import Closed, Required
@@ -44,15 +44,13 @@ TEMPLATE_SPEC = Closed({Required("reactants"): [str], Required("products"): [str
 class ReactionTemplate:
     """Reactant and product template graphs, and how they are instantiated.
 
-    ``write`` is how an instantiated template is written: as a SMILES text
-    unless given. The first product template prepared for alignment and
-    each placeholder-free template as written are built on first use and
-    kept, so a template read once serves all of its variants.
+    The first product template prepared for alignment and the SMILES text
+    of each placeholder-free template are built on first use and kept, so
+    a template read once serves all of its variants.
     """
 
     reactant_templates: tuple[MolecularGraph, ...]
     product_templates: tuple[MolecularGraph, ...]
-    write: Callable[[MolecularGraph], Any] = field(default=write_smiles, compare=False)
     _written: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -63,18 +61,18 @@ class ReactionTemplate:
             raise GraphError("a reaction template needs reactants and products")
         return Pattern(self.product_templates[0])
 
-    def instantiate(self, side: str, bindings: Mapping[str, Binding], registry: AliasRegistry) -> list:
+    def instantiate(self, side: str, bindings: Mapping[str, Binding], registry: AliasRegistry) -> list[str]:
         """Each template of ``side`` ("reactants" or "products") with
         ``bindings`` bound (:func:`bind_placeholders`), cut to its main
-        component and written by ``write``; one with no placeholder is
+        component and written as SMILES; one with no placeholder is
         written the first time it is met, and handed out from then on."""
         out = []
         for i, g in enumerate(self.reactant_templates if side == "reactants" else self.product_templates):
             if g.placeholder_indices():
-                out.append(self.write(main_component(bind_placeholders(g, bindings, registry))))
+                out.append(write_smiles(main_component(bind_placeholders(g, bindings, registry))))
                 continue
             if (side, i) not in self._written:
-                self._written[side, i] = self.write(main_component(g))
+                self._written[side, i] = write_smiles(main_component(g))
             out.append(self._written[side, i])
         return out
 
@@ -206,7 +204,7 @@ def reconstruct_reactants(
     template: ReactionTemplate,
     assignment: Mapping[str, Binding],
     registry: Optional[AliasRegistry] = None,
-) -> list:
+) -> list[str]:
     """Every reactant template instantiated (:meth:`ReactionTemplate.instantiate`)
     with ``assignment``; a token in it is bound unread, as its wildcard.
 
@@ -229,11 +227,12 @@ def reconstruct_variant(
     template: ReactionTemplate,
     variant: MolecularGraph,
     registry: Optional[AliasRegistry] = None,
-) -> tuple[list, dict[str, str]]:
+) -> tuple[list[str], dict[str, str]]:
     """The reactants that give ``variant`` by ``template``, and its bindings.
 
-    The reactants are written by ``template.write``. The bindings are read
-    off the first product template and written as SMILES, sorted by label.
+    The reactants are written as SMILES (:meth:`ReactionTemplate.instantiate`).
+    The bindings are read off the first product template and written as
+    SMILES, sorted by label.
     """
     bindings = extract_rgroup_fragments(template.product_pattern, variant)
     reactants = reconstruct_reactants(template, bindings, registry=registry)

@@ -117,12 +117,13 @@ def _bracket_token(inner: str, start: int) -> AtomToken:
 
 
 class _Parser:
-    """The graph one SMILES text spells, unsettled (:func:`_settle`).
+    """The graph one SMILES text spells, before the perception and checks
+    of :func:`_parse`.
 
     :meth:`parse` reads organic atoms and makes chain bonds in its own
     loop, in local variables, so that the common tokens cost no call;
     bracket atoms and ring closures call out. Per atom it keeps where its
-    text starts (``offsets``, for the errors of :func:`_settle`) and its
+    text starts (``offsets``, for the errors of those checks) and its
     neighbour slots in order of appearance (``slots``): atom indices, -1
     for the in-bracket H, or ``("ring", n)`` until ring ``n`` closes. A
     chiral tag takes its atom's slots as its order once every ring is
@@ -354,16 +355,7 @@ def _perceive_aromaticity(g: MolecularGraph) -> MolecularGraph:
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-class _Unsettled(Exception):
-    """A check of :func:`_settle` failed at atom ``atom``; its caller knows
-    where in the text that atom starts."""
-
-    def __init__(self, message: str, atom: int):
-        super().__init__(message)
-        self.atom = atom
-
-
-def _check_aromatic_rings(g: MolecularGraph) -> None:
+def _check_aromatic_rings(g: MolecularGraph, offsets: list[int]) -> None:
     flagged = {i for i, a in enumerate(g.atoms) if a.aromatic}
     if not flagged:
         return
@@ -375,10 +367,10 @@ def _check_aromatic_rings(g: MolecularGraph) -> None:
     dead = flagged - {end for pos in cycle for end in (g.bonds[pos].a, g.bonds[pos].b)}
     if dead:
         atom = min(dead)
-        raise _Unsettled(f"aromatic atom {atom} is not part of an aromatic ring", atom)
+        raise SmilesParseError(f"aromatic atom {atom} is not part of an aromatic ring", offsets[atom])
 
 
-def _check_direction_consistency(g: MolecularGraph) -> None:
+def _check_direction_consistency(g: MolecularGraph, offsets: list[int]) -> None:
     adj = g.adjacency()
     for bond in g.bonds:
         if bond.order != "double":
@@ -389,7 +381,7 @@ def _check_direction_consistency(g: MolecularGraph) -> None:
             ]
             # Read outwards from the double-bond end, two marks must disagree.
             if len(marked) == 2 and len({b.away(end) for b in marked}) == 1:
-                raise _Unsettled(f"conflicting direction marks at atom {end}", end)
+                raise SmilesParseError(f"conflicting direction marks at atom {end}", offsets[end])
 
 
 def _tagged(token: AtomToken, slots: list[int]) -> AtomToken:
@@ -399,21 +391,6 @@ def _tagged(token: AtomToken, slots: list[int]) -> AtomToken:
     if len(slots) < 3:
         return replace(token, chiral=None)
     return replace(token, chiral_order=tuple(slots))
-
-
-def _settle(g: MolecularGraph) -> MolecularGraph:
-    """The graph a parse ends with, from the graph its tokens read as.
-
-    Qualifying Kekulé rings are perceived aromatic; then every aromatic
-    atom must lie on an aromatic ring, and no double bond may have two
-    direction marks that agree at one end. A failed check raises
-    :class:`_Unsettled`. The parser settles what it reads, and
-    :func:`settle_written` what the writer builds.
-    """
-    g = _perceive_aromaticity(g)
-    _check_aromatic_rings(g)
-    _check_direction_consistency(g)
-    return g
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -436,11 +413,14 @@ def _parse(text: str) -> MolecularGraph:
     if start == len(stripped):
         raise SmilesParseError("empty SMILES string", 0)
     parser = _Parser(stripped, start)
-    g = parser.parse()
-    try:
-        return _settle(g)
-    except _Unsettled as exc:
-        raise SmilesParseError(str(exc), parser.offsets[exc.atom]) from None
+    # Qualifying Kekulé rings are perceived aromatic; then every aromatic
+    # atom must lie on an aromatic ring, and no double bond may have two
+    # direction marks that agree at one end. A check names the offset
+    # where its atom's text starts.
+    g = _perceive_aromaticity(parser.parse())
+    _check_aromatic_rings(g, parser.offsets)
+    _check_direction_consistency(g, parser.offsets)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -536,28 +516,6 @@ def _bond_text(
     return ""
 
 
-def _read_bond(mark: str, a: int, b: int, tokens: list[AtomToken]) -> Bond:
-    """The bond the parser makes of ``mark`` written from atom ``a`` to
-    atom ``b``, the two read as ``tokens[a]`` and ``tokens[b]``."""
-    if mark:
-        order, direction = _BOND_MARKS[mark]
-        return Bond(a, b, order, "none", direction)
-    return Bond(a, b, _UNMARKED_ORDER[tokens[a].aromatic and tokens[b].aromatic])
-
-
-def _read_atom(text: str) -> Optional[AtomToken]:
-    """The atom the parser reads the written atom ``text`` as, or None if
-    it does not read as one atom (an abbreviation whose text is empty or
-    holds ``]``)."""
-    token = PLAIN_ATOMS.get(text)
-    if token is not None or "]" in text[1:-1]:
-        return token
-    try:
-        return _bracket_token(text[1:-1], 0)
-    except SmilesParseError:
-        return None
-
-
 def write_smiles(
     g: MolecularGraph,
     ranks: Optional[list[int]] = None,
@@ -572,28 +530,6 @@ def write_smiles(
     10 on), so a graph that needs more of them open at once is a
     :class:`GraphError`.
     """
-    return _write(g, ranks, emitted, False)[0]
-
-
-def write_smiles_graph(g: MolecularGraph) -> tuple[str, Optional[MolecularGraph]]:
-    """``write_smiles(g)``, and the graph the parser reads that text as,
-    built in the same walk, not yet settled (:func:`settle_written`).
-
-    That graph's atoms are in text order, each the token the parser's atom
-    reader makes of the atom text just written; its bonds are in the
-    order the text makes them, a ring bond at its closing digit; its
-    chiral orders are the written neighbour slots. It is None when an
-    atom's text does not read back as one atom.
-    """
-    return _write(g, None, None, True)
-
-
-def _write(
-    g: MolecularGraph,
-    ranks: Optional[list[int]],
-    emitted: Optional[list[int]],
-    build: bool,
-) -> tuple[str, Optional[MolecularGraph]]:
     if not g.atoms:
         raise GraphError("cannot write an empty graph")
     n = len(g.atoms)
@@ -632,17 +568,10 @@ def _write(
 
     # Second pass: emit text, depth first from each root. The stack holds
     # atoms still to write, as (atom, atom it is reached from, bond text
-    # before it), and the branch parentheses between them. With ``build``,
-    # the atoms are read back as they are written: ``tokens`` and
-    # ``bonds`` grow in text order, ``at`` maps an atom to its place in
-    # it, and ``tagged`` holds the written slots of each chiral tag.
+    # before it), and the branch parentheses between them.
     open_digits: dict[Bond, int] = {}
     free_digits: list[int] = []  # a heap: the lowest free digit is reused first
     out: list[str] = []
-    tokens: Optional[list[AtomToken]] = [] if build else None
-    bonds: list[Bond] = []
-    at = [0] * n
-    tagged: list[tuple[int, list[int]]] = []
     for root in roots:
         if out:
             out.append(".")
@@ -669,29 +598,13 @@ def _write(
                 if sorted(out_slots) == sorted(atom.chiral_order):
                     parity = permutation_parity(atom.chiral_order, out_slots)
                     tag = atom.chiral if parity == 0 else ("@@" if atom.chiral == "@" else "@")
-            text = _atom_text(atom, tag)
             if mark:
                 out.append(mark)
-            out.append(text)
-            if tokens is not None:
-                token = _read_atom(text)
-                if token is None:
-                    tokens = None
-                else:
-                    here = at[cur] = len(tokens)
-                    tokens.append(token)
-                    if from_atom is not None:
-                        bonds.append(_read_bond(mark, at[from_atom], here, tokens))
-                    if tag is not None:
-                        tagged.append((here, out_slots))
+            out.append(_atom_text(atom, tag))
             for mate, bond in ring:
                 digit = open_digits.pop(bond, None)
                 if digit is not None:
                     heapq.heappush(free_digits, digit)
-                    if tokens is not None:
-                        # Read at the opening digit, as the parser does.
-                        opened = _bond_text(g, bond, mate, emit_dirs)
-                        bonds.append(_read_bond(opened, at[mate], at[cur], tokens))
                 else:
                     # With no digit free, digits 1 to len(open_digits) are all open.
                     digit = heapq.heappop(free_digits) if free_digits else len(open_digits) + 1
@@ -709,29 +622,7 @@ def _write(
                     stack.append((mate, cur, bond_str))
                 else:
                     stack += [")", (mate, cur, bond_str), "("]
-    text = "".join(out)
-    if tokens is None:
-        return text, None
-    for here, slots in tagged:
-        if tokens[here].chiral is not None:
-            tokens[here] = _tagged(tokens[here], [s if s < 0 else at[s] for s in slots])
-    return text, MolecularGraph(atoms=tuple(tokens), bonds=tuple(bonds))
-
-
-def settle_written(text: str, graph: Optional[MolecularGraph]) -> MolecularGraph:
-    """``parse_smiles(text)``, for a ``text`` that :func:`write_smiles_graph`
-    wrote with ``graph``, without reading the text.
-
-    ``graph`` is settled as a parse settles what it reads. Only where the
-    writer built no graph, or it does not settle, is the text parsed, so
-    that the error raised is the parse's, offset included.
-    """
-    if graph is not None:
-        try:
-            return _settle(graph)
-        except _Unsettled:
-            pass
-    return _parse(text)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

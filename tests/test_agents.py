@@ -46,11 +46,12 @@ from rxnscope.agents.planner import (
     review_plan,
 )
 from rxnscope.agents.tools import RunContext, ToolError, default_registry
-from rxnscope import chemops, smiles
+from rxnscope import chemops, rgroup, smiles
+from rxnscope.agents import tools
 from rxnscope.jsonshape import check_shape
 from rxnscope.chemops import AbbreviationTable, AliasRegistry
 from rxnscope.molgraph import atom_token_from_symbol, graph_from_json, graph_to_json, main_component
-from rxnscope.reaction import MoleculeEntry, decode_records
+from rxnscope.reaction import MoleculeEntry, decode_records, parse_rgroup_table
 from rxnscope.rgroup import expand_abbreviations, substitute_placeholders
 from rxnscope.smiles import parse_smiles, write_smiles
 
@@ -265,7 +266,7 @@ class TestRegistry:
 
 def _written(g) -> str:
     """What ``graph2smiles`` writes for ``g`` in a run of its own."""
-    return default_registry().invoke("graph2smiles", RunContext(bundle=None), {"graph": g})["smiles"].smiles
+    return default_registry().invoke("graph2smiles", RunContext(bundle=None), {"graph": g})["smiles"]
 
 
 def _round_tripped(g) -> str:
@@ -1050,7 +1051,7 @@ class TestExecutor:
         def logging_graph2smiles(ctx, request):
             a_in_ocr.wait(timeout=60)
             response = real_graph2smiles(ctx, request)
-            logging.getLogger("rxnscope.agents.tools").warning("wrote %s", response["smiles"].smiles)
+            logging.getLogger("rxnscope.agents.tools").warning("wrote %s", response["smiles"])
             return response
 
         registry_a.register("ocr", waiting_ocr)
@@ -1108,6 +1109,41 @@ class TestTextTableScope:
         d = _text_table_copy(fig2_bundle, tmp_path, self.PINNED_TABLE)
         trace = execute_plan(plan_extraction(d, BACKEND), d).trace
         written = json.dumps(list(trace), indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
+            "092f459e128dab9c6b12fba30733037daf9e9a5e442f0288a404949f6f4d26ed"
+        )
+
+    def test_trace_lost_only_its_instantiation_writes(self, fig2_bundle, tmp_path):
+        # The table step wrote each row's instantiated templates through a
+        # traced ``graph2smiles`` call, after the warnings the row's cells
+        # raised: the placeholder-free reactant in the first row only, then
+        # the product. Put back in row order, they give the old trace.
+        d = _text_table_copy(fig2_bundle, tmp_path, self.PINNED_TABLE)
+        result = execute_plan(plan_extraction(d, BACKEND), d)
+        trace = list(result.trace)
+        start = next(i for i, e in enumerate(trace) if e.get("tool") == "table_parser") + 1
+        end = trace.index({"type": "observer", "step": "text_rgroup", "passed": True, "reasons": []})
+        logs = trace[start:end]
+        assert [e["type"] for e in logs] == ["log"]
+        fixed = [not e.graph.placeholder_indices() for e in result.records[0].reactants]
+        rows = parse_rgroup_table(self.PINNED_TABLE)
+        restored = []
+        for k, (row, record) in enumerate(zip(rows, result.records[1:])):
+            restored += [
+                e for e in logs
+                if e not in restored and any(f"table cell {cell!r}" in e["message"] for cell in row.values.values())
+            ]
+            entries = [e for e, f in zip(record.reactants, fixed) if k == 0 or not f] + [record.products[0]]
+            restored += [
+                {
+                    "type": "tool", "step": "text_rgroup", "tool": "graph2smiles",
+                    "request": {"graph": {"atoms": len(e.graph.atoms), "bonds": len(e.graph.bonds)}},
+                    "response": {"smiles": e.smiles}, "status": "ok",
+                }
+                for e in entries
+            ]
+        trace[start:end] = restored
+        written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
             "e269e2ece5b11f1a36563fb846ca659d7c9c350af76bdb576ac837c132bf5175"
         )
@@ -1187,9 +1223,9 @@ def _written_texts(trace) -> list[str]:
 
 
 class TestMoleculeEntries:
-    """A run parses only the texts it reads from outside. A text it writes
-    comes with the graph the writer built while writing it, which the run
-    settles once per text and hands on; ``parse_smiles`` keeps nothing."""
+    """A run parses each distinct molecule text it meets once, whether it
+    read the text from outside or a tool wrote it from a graph, and hands
+    the entry on; ``parse_smiles`` keeps nothing."""
 
     @pytest.fixture
     def parsed(self, monkeypatch) -> list:
@@ -1200,11 +1236,17 @@ class TestMoleculeEntries:
         return texts
 
     @pytest.fixture
-    def settled(self, monkeypatch) -> list:
-        graphs = []
-        real = smiles._settle
-        monkeypatch.setattr(smiles, "_settle", lambda g: graphs.append(g) or real(g))
-        return graphs
+    def writes(self, monkeypatch) -> dict:
+        """The texts ``graph2smiles`` writes, and those ``ReactionTemplate``
+        writes when it instantiates a template."""
+        texts = {"graph2smiles": [], "instantiate": []}
+        for key, module in (("graph2smiles", tools), ("instantiate", rgroup)):
+            def write(g, real=module.write_smiles, out=texts[key]):
+                out.append(real(g))
+                return out[-1]
+
+            monkeypatch.setattr(module, "write_smiles", write)
+        return texts
 
     @pytest.fixture
     def text_table(self, fig2_bundle, tmp_path):
@@ -1212,22 +1254,30 @@ class TestMoleculeEntries:
         d = _text_table_copy(fig2_bundle, tmp_path, table)
         return d, plan_extraction(d, BACKEND)
 
-    def test_fig2_run_parses_nothing(self, fig2_setup, parsed, settled):
+    @pytest.mark.parametrize("bundle", ["fig2", "text-table"])
+    def test_a_run_parses_no_text_twice(self, bundle, fig2_setup, text_table, parsed):
+        d, plan = fig2_setup if bundle == "fig2" else text_table
+        parsed.clear()
+        execute_plan(plan, d)
+        assert parsed
+        assert len(parsed) == len(set(parsed))
+
+    def test_fig2_run_parses_its_written_texts(self, fig2_setup, parsed):
         # Every molecule of fig2 is a drawn graph, written by ``graph2smiles``
         # or reconstructed; the placeholder-free reactant (the template's
-        # second) is in every variant record, and it is settled once.
+        # second) is in every variant record, and it is parsed once.
         d, plan = fig2_setup
         result = execute_plan(plan, d)
-        assert parsed == []
         written = _written_texts(result.trace)
         assert len(written) == 14 + 2 * 6
-        assert len(settled) == len(set(written)) < len(written)
+        assert sorted(parsed) == sorted(set(written))
+        assert len(set(written)) < len(written)
         fixed = result.records[0].reactants[1].smiles
         assert [fixed in (e.smiles for e in r.reactants) for r in result.records[1:]] == [True] * 6
 
     def test_sidecar_texts_are_parsed(self, fig2_bundle, tmp_path, parsed):
-        # A sidecar ``smiles`` field is the one molecule text a structure
-        # run reads from outside; one that does not parse fails recognition.
+        # A sidecar ``smiles`` field is parsed as a written text is; one
+        # that does not parse fails recognition.
         for path in fig2_bundle.iterdir():
             (tmp_path / path.name).write_bytes(path.read_bytes())
         molecules = json.loads((fig2_bundle / "molecules.json").read_text())
@@ -1236,33 +1286,28 @@ class TestMoleculeEntries:
         d = Bundle.load(tmp_path).descriptor
         result = execute_plan(plan_extraction(d, BACKEND), d)
         # The run parses it once, and the observer once more to name it.
-        assert parsed == ["C1CC", "C1CC"]
+        assert Counter(parsed)["C1CC"] == 2
         assert {"type": "step_failed", "step": "molecular_recognition"} in result.trace
 
-    def test_table_run_writes_a_placeholder_free_reactant_once_per_step(self, text_table, parsed, settled):
+    def test_table_run_writes_a_placeholder_free_reactant_once_per_step(self, text_table, parsed, writes):
         # ``graph2smiles`` writes the placeholder-free reactant when the
-        # template is parsed, then once in the table step for all 3 rows.
+        # template is parsed, and the table step writes it once for all 3
+        # rows; both write the same text, which the run parses once.
         d, plan = text_table
         result = execute_plan(plan, d)
-        written = _written_texts(result.trace)
         fixed = result.records[0].reactants[1].smiles
-        assert Counter(written)[fixed] == 1 + 1
+        assert [Counter(texts)[fixed] for texts in writes.values()] == [1, 1]
         assert [fixed in (e.smiles for e in r.reactants) for r in result.records[1:]] == [True] * 3
-        assert parsed == []
-        assert len(settled) == len(set(written))
+        assert Counter(parsed)[fixed] == 1
 
-    def test_table_step_writes_only_templates_with_a_placeholder_per_row(self, text_table):
+    def test_table_step_writes_only_templates_with_a_placeholder_per_row(self, text_table, writes):
         d, plan = text_table
-        trace = execute_plan(plan, d).trace
-
-        def written(step: str) -> list[str]:
-            return [e["response"]["smiles"] for e in trace if e.get("tool") == "graph2smiles" and e["step"] == step]
-
-        templates = [parse_smiles(text) for text in written("reaction_template_parsing")]
+        execute_plan(plan, d)
+        templates = [parse_smiles(text) for text in writes["graph2smiles"]]
         with_placeholder = sum(1 for g in templates if g.placeholder_indices())
         assert 0 < with_placeholder < len(templates)
         rows = 3
-        assert len(written("text_rgroup")) == rows * with_placeholder + (len(templates) - with_placeholder)
+        assert len(writes["instantiate"]) == rows * with_placeholder + (len(templates) - with_placeholder)
 
     @pytest.mark.parametrize("bundle", ["fig2", "text-table"])
     def test_record_graphs_are_their_texts_parsed(self, bundle, fig2_setup, text_table):

@@ -383,6 +383,11 @@ HOSTILE_RUNS = {
 }
 
 
+def _far_first_atom(graph: dict) -> dict:
+    """``graph`` with its first atom at an x coordinate no float holds."""
+    return {**graph, "atoms": [{**graph["atoms"][0], "x": 10**400, "y": 0}] + graph["atoms"][1:]}
+
+
 # A mistyped sidecar fails the step that reads it: the run degrades and
 # still writes a document.
 HOSTILE_TEMPLATES = {
@@ -404,6 +409,13 @@ HOSTILE_TEMPLATES = {
     ),
     "template-mistyped-graph-object": (
         _fig2_with("template.json", lambda t: {**t, "reactant_templates": [{"atoms": 5}]}),
+        "reaction_template_parsing",
+    ),
+    "template-coordinate-past-float": (
+        _fig2_with(
+            "template.json",
+            lambda t: {**t, "reactant_templates": [_far_first_atom(t["reactant_templates"][0])]},
+        ),
         "reaction_template_parsing",
     ),
     # A graph that decodes but writes a text that does not parse: the step
@@ -472,6 +484,10 @@ HOSTILE_MOLECULES = {
     ),
     "molecules-unparseable-smiles": (
         _fig2_with("molecules.json", lambda m: m[:2] + [{"label": "3", "smiles": "C1CC"}] + m[3:]),
+        "molecular_recognition",
+    ),
+    "molecules-coordinate-past-float": (
+        _fig2_with("molecules.json", lambda m: [{**m[0], "graph": _far_first_atom(m[0]["graph"])}] + m[1:]),
         "molecular_recognition",
     ),
     "molecules-integer": (_fig2_with("molecules.json", lambda m: 5), "molecular_recognition"),

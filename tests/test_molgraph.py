@@ -530,6 +530,12 @@ class TestJsonCodec:
         with pytest.raises(GraphError):
             graph_from_json(data)
 
+    def test_coordinate_too_large_for_a_float_names_its_atom(self):
+        # A JSON integer of 401 digits reads, but no float holds it.
+        data = {"atoms": [{"symbol": "C"}, {"symbol": "C", "x": 10**400, "y": 0}]}
+        with pytest.raises(GraphError, match=r"^atoms\[1\]: int too large to convert to float$"):
+            graph_from_json(data)
+
     def test_placeholder_and_coords_survive(self):
         g = MolecularGraph(
             atoms=(

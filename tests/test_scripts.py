@@ -67,8 +67,7 @@ def test_substructure_benchmark_agrees_with_brute_force(tmp_path):
 
 def test_parse_benchmark_agrees_with_the_perception_oracle(tmp_path):
     # The last two columns count perception and writer differences; the
-    # writer-graph rows count built graphs that settle to other than the
-    # parse of their text.
+    # graph row times writing a fig2 graph and parsing its text.
     out = run_script("benchmark_parse.py", "--repeats", "1", "--graphs", "20", cwd=tmp_path)
     table, bonds, graphs, seeded = out.split("\n\n")
     rows = [line.split() for line in table.splitlines()[1:]]
@@ -80,8 +79,8 @@ def test_parse_benchmark_agrees_with_the_perception_oracle(tmp_path):
     assert bond_row[0] == "molecules.json" and int(bond_row[1]) > 0
     assert float(bond_row[2]) > 0 and float(bond_row[3]) > 0
     fig2 = graphs.splitlines()[1].split()
-    assert (fig2[:2], fig2[-1]) == (["fig2", "14"], "0")
-    assert seeded.split()[-7:] == ["perception", "0,", "writer", "0,", "writer", "graph", "0"]
+    assert fig2[:2] == ["fig2", "14"] and float(fig2[2]) > 0 and len(fig2) == 3
+    assert seeded.split()[-4:] == ["perception", "0,", "writer", "0"]
 
 
 def _bench_pairs():

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from rxnscope import molgraph, smiles
 from rxnscope.metrics import evaluate
+from rxnscope.reaction import MoleculeEntry
 from rxnscope.molgraph import PLAIN_ATOMS, AtomToken, Bond, GraphError, MolecularGraph, graph_from_json
 from rxnscope.smiles import (
     SmilesParseError,
@@ -22,9 +23,7 @@ from rxnscope.smiles import (
     implicit_h_count,
     is_valid,
     parse_smiles,
-    settle_written,
     write_smiles,
-    write_smiles_graph,
 )
 
 from corpus import MOLECULES
@@ -36,7 +35,6 @@ from oracles import (
     random_ring_graph,
     outcome,
     random_bracket_inner,
-    read_back,
     reference_bracket_token,
     reference_perceive_aromaticity,
     reference_write_smiles,
@@ -415,6 +413,13 @@ def _chain(*atoms: AtomToken) -> MolecularGraph:
     return MolecularGraph(atoms=atoms, bonds=tuple(Bond(i, i + 1) for i in range(len(atoms) - 1)))
 
 
+# The errors of the checks a parse makes of the graph a text spells.
+SETTLE_ERROR = re.compile(
+    r"(aromatic atom \d+ is not part of an aromatic ring|conflicting direction marks at atom \d+)"
+    r" \(offset \d+\)$"
+)
+
+
 def _fig2_graphs(fig2) -> list[MolecularGraph]:
     template = json.loads((fig2 / "template.json").read_text())
     raw = [m["graph"] for m in json.loads((fig2 / "molecules.json").read_text())]
@@ -423,25 +428,21 @@ def _fig2_graphs(fig2) -> list[MolecularGraph]:
 
 
 class TestWriterGraph:
-    """The graph ``write_smiles_graph`` builds, once settled, is the graph
-    its text parses to (``oracles.read_back``), atom for atom and bond for
-    bond; a graph that fails to settle fails with the parse's error."""
+    """A molecule built from a graph is the entry of its written text. That
+    text is the reference writer's (``oracles.reference_write_smiles``),
+    and it reads as the graph, perceived, up to atom order. A text that
+    does not read fails a check of the graph it spells, unless an atom's
+    text reads as more than one atom."""
 
     def check(self, g: MolecularGraph) -> None:
-        text, built = write_smiles_graph(g)
-        assert text == write_smiles(g)
-        assert built is not None, text
+        text = write_smiles(g)
+        assert text == reference_write_smiles(g)
         try:
-            want = read_back(g)
+            entry = MoleculeEntry(text)
         except SmilesParseError as exc:
-            with pytest.raises(smiles._Unsettled):
-                smiles._settle(built)
-            with pytest.raises(SmilesParseError, match=f"^{re.escape(str(exc))}$"):
-                settle_written(text, built)
+            assert SETTLE_ERROR.match(str(exc)), text
             return
-        got = smiles._settle(built)
-        assert (got.atoms, got.bonds) == (want.atoms, want.bonds), text
-        assert settle_written(text, built) == want
+        assert canonicalize(entry.graph) == canonicalize(smiles._perceive_aromaticity(g)), text
 
     @pytest.mark.parametrize("text", MOLECULES)
     def test_corpus(self, text):
@@ -466,10 +467,9 @@ class TestWriterGraph:
         ],
     )
     def test_kekule_rings(self, text):
-        # Perception changes the built graph, except on the 5-ring.
+        # Perception changes the graph, except on the 5-ring.
         g = unperceived_graph(text)
-        built = write_smiles_graph(g)[1]
-        assert (smiles._settle(built) != built) == (text != "C1=CC=CC1")
+        assert (MoleculeEntry(write_smiles(g)).graph != g) == (text != "C1=CC=CC1")
         self.check(g)
 
     @pytest.mark.parametrize(
@@ -506,12 +506,12 @@ class TestWriterGraph:
         ],
     )
     def test_bracket_atoms_with_no_h_count(self, atom, written):
-        # The text gives an H count of 0, which the built atom holds.
+        # The text gives an H count of 0, which the entry's atom holds.
         g = _chain(PLAIN_ATOMS["C"], atom, PLAIN_ATOMS["C"])
-        text, built = write_smiles_graph(g)
-        assert text == f"C{written}C"
+        entry = MoleculeEntry(write_smiles(g))
+        assert entry.smiles == f"C{written}C"
         if atom.kind == "element":
-            assert built.atoms[1].explicit_h == 0
+            assert entry.graph.atoms[1].explicit_h == 0
         self.check(g)
 
     def test_seeded_ring_graphs(self):
@@ -526,12 +526,12 @@ class TestWriterGraph:
 
     def test_atom_text_that_reads_as_more_than_one_atom_builds_no_graph(self):
         # An abbreviation holding "]" is written as text that reads as two
-        # atoms and a stray bracket; only the parse can say what it is.
+        # atoms and a stray bracket, so the graph makes no entry.
         g = _chain(PLAIN_ATOMS["C"], AtomToken(kind="abbreviation", text="a]b"))
-        text, built = write_smiles_graph(g)
-        assert (text, built) == ("C[a]b]", None)
+        text = write_smiles(g)
+        assert text == "C[a]b]"
         with pytest.raises(SmilesParseError, match=r"^unexpected character '\]' \(offset 5\)$"):
-            settle_written(text, built)
+            MoleculeEntry(text)
 
 
 class TestLongChains:
