@@ -232,7 +232,7 @@ def _step_structure_rgroup(run: _Run) -> dict:
         "smiles_reconstructor", {"template": run.memory["template"], "variants": variants}
     )
     variant_reactions = [
-        {**vr, "reactants": [run.entry(e) for e in vr["reactants"]]}
+        {"reactants": [run.entry(e) for e in vr["reactants"]], "product": vr["product"]}
         for vr in resp["variant_reactions"]
     ]
     run.memory["variant_reactions"] = variant_reactions
@@ -291,13 +291,7 @@ def _step_text_rgroup(run: _Run) -> dict:
         reactants = [run.entry(t) for t in templates.instantiate("reactants", values, run.ctx.aliases)]
         products = [run.entry(t, label) for t in templates.instantiate("products", values, run.ctx.aliases)]
         emitted.extend(reactants + products)
-        variant_reactions.append(
-            {
-                "label": label,
-                "reactants": reactants,
-                "product": products[0],
-            }
-        )
+        variant_reactions.append({"reactants": reactants, "product": products[0]})
         if label:
             items = []
             for key, role in (("time", "time"), ("temp", "temperature"), ("temperature", "temperature"), ("yield", "yield")):

@@ -8,8 +8,10 @@ the step that read it with an error naming the file and field. Conversion
 tools (graph-to-SMILES, reactant reconstruction, table parsing, condition
 interpretation) run the real implementations from the chemistry modules.
 Graph-to-SMILES and reconstruction answer with the SMILES texts they
-write, which the run parses once each into ``MoleculeEntry``s; the others
-answer with ``RGroupTableRow``s and ``ConditionItem``s. A run hands
+write, which the run parses once each into ``MoleculeEntry``s: the
+reconstructor answers each variant's label, reactant texts and product
+entry, and names the variants it skipped. The others answer with
+``RGroupTableRow``s and ``ConditionItem``s. A run hands
 molecules to the tools as ``MoleculeEntry``s. JSON stays at the file
 edges: the sidecars, the CLI and the document.
 """
@@ -23,7 +25,7 @@ from ..chemops import AliasRegistry
 from ..jsonshape import Required, check_shape
 from ..molgraph import GraphError, MolecularGraph, RxnscopeError, graph_from_json
 from ..reaction import ConditionItem, MoleculeEntry, TableParseError, classify_condition, parse_rgroup_table
-from ..rgroup import ReactionTemplate, expand_abbreviations, reconstruct_variant
+from ..rgroup import ReactionTemplate, expand_abbreviations, extract_rgroup_fragments, reconstruct_reactants
 from ..smiles import write_smiles
 from .bundle import Bundle
 
@@ -145,18 +147,12 @@ def _tool_smiles_reconstructor(ctx: RunContext, request: dict) -> dict:
     for variant in variants:
         label = variant.get("label")
         try:
-            reactants, bindings = reconstruct_variant(template, variant["smiles"].graph, ctx.aliases)
+            fragments = extract_rgroup_fragments(template.product_pattern, variant["smiles"].graph)
+            reactants = reconstruct_reactants(template, fragments, ctx.aliases)
         except RxnscopeError:
             skipped.append(label if label is not None else variant["smiles"].smiles)
             continue
-        variant_reactions.append(
-            {
-                "label": label,
-                "reactants": reactants,
-                "product": variant["smiles"],
-                "bindings": bindings,
-            }
-        )
+        variant_reactions.append({"label": label, "reactants": reactants, "product": variant["smiles"]})
     return {"variant_reactions": variant_reactions, "skipped": skipped}
 
 

@@ -32,7 +32,7 @@ from .reaction import (
     parse_rgroup_table,
     table_row_to_json,
 )
-from .rgroup import TEMPLATE_SPEC, ReactionTemplate, reconstruct_variant, substitute_placeholders
+from .rgroup import TEMPLATE_SPEC, ReactionTemplate, extract_rgroup_fragments, reconstruct_reactants, substitute_placeholders
 from .smiles import canonicalize, is_valid, parse_smiles, write_smiles
 
 
@@ -77,7 +77,9 @@ def _cmd_substitute(args) -> int:
 def _cmd_reconstruct(args) -> int:
     spec = read_json(_read_text(args.template), TEMPLATE_SPEC, args.template, GraphError)
     template = ReactionTemplate(*(tuple(map(parse_smiles, spec[k])) for k in ("reactants", "products")))
-    reactants, bindings = reconstruct_variant(template, parse_smiles(args.variant))
+    fragments = extract_rgroup_fragments(template.product_pattern, parse_smiles(args.variant))
+    reactants = reconstruct_reactants(template, fragments)
+    bindings = {label: write_smiles(f.graph) for label, f in sorted(fragments.items())}
     _emit({"variant": args.variant, "bindings": bindings, "reactants": reactants})
     return 0
 

@@ -6,8 +6,8 @@ hashed-linear-path scheme that hashes each path once, from its canonical
 direction; all comparisons are internal, so the exact construction
 matters only for self-consistency, and a golden test pins its bits.
 Record molecules arrive read: each ``MoleculeEntry`` holds the graph of
-its text, parsed once by ``decode_records`` or built by the writer of the
-run that made the entry, so scoring records parses nothing. ``evaluate``
+its text, parsed once by ``decode_records`` or by the run that made the
+entry, so scoring records parses nothing. ``evaluate``
 shares one memo across its sections, so each distinct SMILES text is
 fingerprinted and checked at most once per call. It is canonicalized
 only when another distinct text of the call shares its

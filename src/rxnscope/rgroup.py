@@ -3,6 +3,9 @@
 The splice operation is shared by every expansion path: R-group values
 from text tables, abbreviation atoms inside recognized structures, and
 the inverse direction (pulling fragments back out of product variants).
+A variant's reactants are :func:`reconstruct_reactants` over the
+fragments :func:`extract_rgroup_fragments` cuts from it; the fragments
+are written only by a caller that shows them.
 """
 
 from __future__ import annotations
@@ -222,18 +225,3 @@ def reconstruct_reactants(
     registry = registry if registry is not None else AliasRegistry()
     return template.instantiate("reactants", assignment, registry)
 
-
-def reconstruct_variant(
-    template: ReactionTemplate,
-    variant: MolecularGraph,
-    registry: Optional[AliasRegistry] = None,
-) -> tuple[list[str], dict[str, str]]:
-    """The reactants that give ``variant`` by ``template``, and its bindings.
-
-    The reactants are written as SMILES (:meth:`ReactionTemplate.instantiate`).
-    The bindings are read off the first product template and written as
-    SMILES, sorted by label.
-    """
-    bindings = extract_rgroup_fragments(template.product_pattern, variant)
-    reactants = reconstruct_reactants(template, bindings, registry=registry)
-    return reactants, {label: write_smiles(frag.graph) for label, frag in sorted(bindings.items())}

@@ -52,7 +52,7 @@ from rxnscope.jsonshape import check_shape
 from rxnscope.chemops import AbbreviationTable, AliasRegistry
 from rxnscope.molgraph import atom_token_from_symbol, graph_from_json, graph_to_json, main_component
 from rxnscope.reaction import MoleculeEntry, decode_records, parse_rgroup_table
-from rxnscope.rgroup import expand_abbreviations, substitute_placeholders
+from rxnscope.rgroup import ReactionTemplate, expand_abbreviations, extract_rgroup_fragments, substitute_placeholders
 from rxnscope.smiles import parse_smiles, write_smiles
 
 from corpus import MOLECULES
@@ -603,6 +603,19 @@ HOSTILE_TOKEN_ANSWERS = {
     "no-token": ({"action": "correct"}, "token_correction answer.token: missing"),
 }
 
+# Well-typed token_correction answers that name no token or formula the
+# table reads: the cell is kept, becomes a wildcard, and one warning is logged.
+UNREADABLE_TOKEN_ANSWERS = {
+    "empty": "",
+    "blank": "   ",
+    "label": "R1",
+    "bracketed-label": "[R1]",
+    "star": "*",
+    "smiles": "c1ccccc1",
+    "huge-count": "CMe1000000",
+    "nul": "Ph\x00",
+}
+
 
 class TestTokenCorrectionAnswers:
     @pytest.fixture
@@ -628,6 +641,19 @@ class TestTokenCorrectionAnswers:
         written = execute_plan(plan_extraction(table_bundle, BACKEND), table_bundle)
         assert result.document == written.document
         assert [r.reaction_id for r in result.records] == ["0_1", "1_1"]
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_TOKEN_ANSWERS))
+    def test_unreadable_answer_keeps_the_cell(self, case, table_bundle):
+        token = UNREADABLE_TOKEN_ANSWERS[case]
+        result = self.run(table_bundle, {"action": "correct", "token": token})
+        assert result.records[1].reactants[0].smiles == "C(=O)(C)[100*]"
+        logs = [e for e in result.trace if e["type"] == "log"]
+        assert [(e["level"], f"answer {token!r} is no known" in e["message"]) for e in logs] == [("WARNING", True)]
+
+    def test_formula_answer_is_read(self, table_bundle):
+        result = self.run(table_bundle, {"action": "correct", "token": "CF3"})
+        assert result.records[1].reactants[0].smiles == "C(=O)(C)C(F)(F)F"
+        assert [e for e in result.trace if e["type"] == "log"] == []
 
     def test_made_up_answer_keeps_the_cell_and_is_logged(self, table_bundle):
         result = self.run(table_bundle, {"action": "correct", "token": "Zz9"})
@@ -674,6 +700,25 @@ class TestObserveStep:
         ok, reasons = observe_step("text_rgroup", {"smiles": entries})
         assert (ok, reasons) == (False, ["placeholder residue in reconstruction '[R]CC'"])
         assert parsed == []
+
+
+def _with_bindings(trace) -> list[dict]:
+    """``trace`` with the ``bindings`` each ``smiles_reconstructor`` variant
+    once held after its ``product``: the text of every fragment cut from the
+    product by the traced template, sorted by label."""
+    out = []
+    for entry in trace:
+        if entry.get("tool") == "smiles_reconstructor" and entry["status"] == "ok":
+            spec = entry["request"]["template"]
+            template = ReactionTemplate(*(tuple(map(parse_smiles, spec[k])) for k in ("reactants", "products")))
+            variant_reactions = []
+            for vr in entry["response"]["variant_reactions"]:
+                fragments = extract_rgroup_fragments(template.product_pattern, parse_smiles(vr["product"]))
+                bindings = {label: write_smiles(f.graph) for label, f in sorted(fragments.items())}
+                variant_reactions.append({**vr, "bindings": bindings})
+            entry = {**entry, "response": {**entry["response"], "variant_reactions": variant_reactions}}
+        out.append(entry)
+    return out
 
 
 def _with_detector_call(trace, bundle_path) -> list[dict]:
@@ -801,6 +846,17 @@ class TestExecutor:
         result = execute_plan(plan, d)
         written = json.dumps(list(result.trace), indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
+            "5b18795b9af8a38251e002ad400f63e331b065c72360c91365b66a49067d4cd9"
+        )
+
+    def test_fig2_trace_lost_only_its_bindings(self, fig2_setup):
+        # Each reconstructor variant once also held the text of every
+        # fragment cut from its product, which no step read; put back, they
+        # give the trace pinned before, byte for byte.
+        d, plan = fig2_setup
+        trace = _with_bindings(execute_plan(plan, d).trace)
+        written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(written.encode()).hexdigest() == (
             "ceaa441953129f309e66faef05c4bd39d42cc7d5804767aecfe678fde78b370a"
         )
 
@@ -809,7 +865,7 @@ class TestExecutor:
         # observer only compared with the molecule count; put back, it gives
         # the trace pinned before, byte for byte.
         d, plan = fig2_setup
-        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(_with_bindings(execute_plan(plan, d).trace), d.bundle_path)
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
             "39bce86f5fe4203cfc0fc0b63178846aada5a1119750a91239010975b39ba32d"
@@ -820,7 +876,7 @@ class TestExecutor:
         # answers reached no document; put back, they give the trace pinned
         # before, byte for byte.
         d, plan = fig2_setup
-        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(_with_bindings(execute_plan(plan, d).trace), d.bundle_path)
         trace = _with_text_tool_calls(trace, d.bundle_path)
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(written.encode()).hexdigest() == (
@@ -832,7 +888,7 @@ class TestExecutor:
         # call, and ``ocr`` took a source; put back, they give the trace
         # pinned before, byte for byte.
         d, plan = fig2_setup
-        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(_with_bindings(execute_plan(plan, d).trace), d.bundle_path)
         trace = _with_text_tool_calls(trace, d.bundle_path)
         trace = _with_conditions_ocr(trace)
         written = json.dumps(trace, indent=2, ensure_ascii=False) + "\n"
@@ -854,7 +910,7 @@ class TestExecutor:
                     out["attempt"] = 1
             return out
 
-        trace = _with_detector_call(execute_plan(plan, d).trace, d.bundle_path)
+        trace = _with_detector_call(_with_bindings(execute_plan(plan, d).trace), d.bundle_path)
         trace = _with_text_tool_calls(trace, d.bundle_path)
         trace = _with_conditions_ocr(trace)
         trace = [with_attempt(e) for e in trace]
@@ -1288,6 +1344,19 @@ class TestMoleculeEntries:
         # The run parses it once, and the observer once more to name it.
         assert Counter(parsed)["C1CC"] == 2
         assert {"type": "step_failed", "step": "molecular_recognition"} in result.trace
+
+    def test_fig2_run_writes_no_binding_texts(self, fig2_setup, writes):
+        # 14 drawn graphs, then 6 variants of one placeholder reactant plus
+        # the placeholder-free one; the fragments cut from each product are
+        # not written, and a reconstructed variant is its reactants and product.
+        d, plan = fig2_setup
+        trace = execute_plan(plan, d).trace
+        assert [len(texts) for texts in writes.values()] == [14, 7]
+        variants = [
+            vr for e in trace if e.get("tool") == "smiles_reconstructor" for vr in e["response"]["variant_reactions"]
+        ]
+        assert len(variants) == 6
+        assert all(list(vr) == ["label", "reactants", "product"] for vr in variants)
 
     def test_table_run_writes_a_placeholder_free_reactant_once_per_step(self, text_table, parsed, writes):
         # ``graph2smiles`` writes the placeholder-free reactant when the

@@ -13,7 +13,6 @@ from rxnscope.rgroup import (
     ReactionTemplate,
     extract_rgroup_fragments,
     reconstruct_reactants,
-    reconstruct_variant,
     splice_fragment,
     substitute_placeholders,
 )
@@ -231,8 +230,9 @@ class TestReconstruct:
         # Reconstruction needs both sides; instantiating one side does not.
         side = (parse_smiles("[R]CO"),)
         for sides in [((), ()), ((), side), (side, ())]:
+            t = ReactionTemplate(*sides)
             with pytest.raises(GraphError, match="needs reactants and products"):
-                reconstruct_variant(ReactionTemplate(*sides), parse_smiles("CCO"))
+                reconstruct_reactants(t, extract_rgroup_fragments(t.product_pattern, parse_smiles("CCO")))
         assert ReactionTemplate((), side).instantiate("reactants", {}, AliasRegistry()) == []
 
 
