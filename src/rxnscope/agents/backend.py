@@ -140,7 +140,7 @@ class RemoteBackend:
         self.model = model or os.environ.get("RXNSCOPE_REMOTE_MODEL", "")
         if not self.url:
             raise BackendError(
-                "remote backend needs a URL (RXNSCOPE_REMOTE_URL or --url)"
+                "remote backend needs a URL (RXNSCOPE_REMOTE_URL or the url argument)"
             )
 
     def respond(self, role: str, context: dict) -> dict:

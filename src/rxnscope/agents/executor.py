@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, Optional, Union
 
@@ -343,7 +343,6 @@ def _step_data_structure(run: _Run) -> dict:
     variant_reactions = m.get("variant_reactions", [])
 
     shared_items = conditions.get("shared", [])
-    per_variant_items = dict(sorted(conditions.get("per_variant", {}).items()))
 
     records: list[ReactionRecord] = []
     if template.get("products"):
@@ -357,32 +356,11 @@ def _step_data_structure(run: _Run) -> dict:
         )
 
     if variant_reactions:
-        base: list[ReactionRecord] = []
-        for i, vr in enumerate(variant_reactions, start=1):
-            base.append(
-                ReactionRecord(
-                    reaction_id=f"{i}_1",
-                    reactants=tuple(vr["reactants"]),
-                    products=(vr["product"],),
-                )
-            )
-        pv_conditions = {
-            label: [it for it in items if it.role != "add_info"]
-            for label, items in per_variant_items.items()
-        }
-        info_map = {
-            label: [it.text for it in items if it.role == "add_info"]
-            for label, items in per_variant_items.items()
-        }
-        # The shared yield entry summarizes the whole scope (a range); the
-        # per-variant yield supersedes it on concrete records.
-        shared_for_variants = [it for it in shared_items if it.role != "yield"]
-        aligned = align_conditions(shared_for_variants, pv_conditions, base)
-        for rec in aligned:
-            info: list[str] = []
-            for label in rec.product_labels():
-                info.extend(info_map.get(label, []))
-            records.append(replace(rec, additional_info=tuple(info)))
+        variants = [
+            ReactionRecord(reaction_id=f"{i}_1", reactants=tuple(vr["reactants"]), products=(vr["product"],))
+            for i, vr in enumerate(variant_reactions, start=1)
+        ]
+        records.extend(align_conditions(shared_items, conditions.get("per_variant", {}), variants))
 
     problems: list[str] = []
     for rec in records:

@@ -392,7 +392,9 @@ def subgraph(g: MolecularGraph, indices: Iterable[int]) -> MolecularGraph:
     """Induced subgraph over ``indices``, in ascending order of old index.
 
     An index that is no atom of ``g`` is a :class:`GraphError`. Indices naming
-    every atom give ``g`` itself, not a copy.
+    every atom give ``g`` itself, not a copy.  Past ``g``'s shared
+    :meth:`~MolecularGraph.adjacency`, a call costs only what it keeps: the
+    kept atoms, their bonds, and sorting those bonds back into bond order.
     """
     index_list = list(indices)
     for i in index_list:
@@ -405,11 +407,13 @@ def subgraph(g: MolecularGraph, indices: Iterable[int]) -> MolecularGraph:
     atoms = [g.atoms[old] for old in index_list]
     # Only atoms that carry a chiral order pay for the renumbering call.
     atoms = [a if a.chiral_order is None else renumber_chiral(a, index_map.get) for a in atoms]
-    bonds = [
-        bond.moved(index_map[bond.a], index_map[bond.b])
-        for bond in g.bonds
-        if bond.a in index_map and bond.b in index_map
-    ]
+    # The pair index read directly: ``old < mate`` is already its key order.
+    adj, pair_index = g.adjacency(), g._positions
+    positions = sorted(
+        [pair_index[old, mate] for old in index_list for mate, _ in adj[old] if old < mate and mate in index_map]
+    )
+    bonds = [g.bonds[pos] for pos in positions]
+    bonds = [bond.moved(index_map[bond.a], index_map[bond.b]) for bond in bonds]
     return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
 
 

@@ -214,18 +214,26 @@ def align_conditions(
     per_variant: dict[str, list[ConditionItem]],
     records: list[ReactionRecord],
 ) -> list[ReactionRecord]:
-    """Attach shared plus label-matched variant conditions to each record.
+    """Attach the scope's conditions to each of its variant records.
 
-    A variant label that matches no record's product labels is logged.
+    A record gets the shared items, less the shared yield, then the items of
+    each variant label among its product labels; a label's ``add_info``
+    items become the record's ``additional_info`` instead. The shared yield
+    summarizes the whole scope (a range), and a per-variant yield supersedes
+    it. A variant label that matches no record's product labels is logged.
     """
+    shared = [item for item in shared if item.role != "yield"]
     out: list[ReactionRecord] = []
     matched_labels: set[str] = set()
     for record in records:
-        labels = set(record.product_labels())
+        labels = record.product_labels()
         items = list(shared)
-        for label in sorted(per_variant.keys() & labels):
+        for label in sorted(per_variant.keys() & set(labels)):
             matched_labels.add(label)
-            items.extend(per_variant[label])
+            items.extend(item for item in per_variant[label] if item.role != "add_info")
+        info = [
+            item.text for label in labels for item in per_variant.get(label, ()) if item.role == "add_info"
+        ]
         seen: set[tuple] = set()
         deduped = []
         for item in items:
@@ -233,7 +241,7 @@ def align_conditions(
                 continue
             seen.add(item.identity())
             deduped.append(item)
-        out.append(replace(record, conditions=tuple(deduped)))
+        out.append(replace(record, conditions=tuple(deduped), additional_info=tuple(info)))
     for label in sorted(set(per_variant) - matched_labels):
         log.warning("condition annotation for %r matches no reaction record", label)
     return out

@@ -14,6 +14,7 @@ import heapq
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -29,7 +30,6 @@ from .molgraph import (
     connected_components,
     flip,
     permutation_parity,
-    renumber_chiral,
     ring_bonds,
     subgraph,
     symbol_atom,
@@ -986,30 +986,22 @@ def _fold_explicit_hydrogens(g: MolecularGraph) -> MolecularGraph:
                 fold[idx] = mate
     if not fold:
         return g
-    keep = [i for i in range(len(g.atoms)) if i not in fold]
-    index_map = {old: new for new, old in enumerate(keep)}
-    atoms = []
-    for old in keep:
-        atom = g.atoms[old]
-        folded_here = [h for h, mate in fold.items() if mate == old]
-        if folded_here:
-            if atom.explicit_h is not None:
-                atom = replace(atom, explicit_h=atom.explicit_h + len(folded_here))
-            elif atom.chiral is not None:
-                atom = replace(atom, explicit_h=len(folded_here))
-        # A hydrogen folded into this atom becomes its implicit-H slot.
-        atom = renumber_chiral(
-            atom, lambda ref: -1 if fold.get(ref) == old else index_map.get(ref)
-        )
-        if atom.chiral_order is not None and atom.chiral_order.count(-1) > 1:
-            atom = replace(atom, chiral=None, chiral_order=None)
-        atoms.append(atom)
-    bonds = [
-        b.moved(index_map[b.a], index_map[b.b])
-        for b in g.bonds
-        if b.a in index_map and b.b in index_map
-    ]
-    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
+    atoms = list(g.atoms)
+    for host, count in Counter(fold.values()).items():
+        atom = atoms[host]
+        if atom.explicit_h is not None:
+            atom = replace(atom, explicit_h=atom.explicit_h + count)
+        elif atom.chiral is not None:
+            atom = replace(atom, explicit_h=count)
+        if atom.chiral_order is not None:
+            # A hydrogen folded into this atom becomes its implicit-H slot.
+            order = tuple(-1 if fold.get(ref) == host else ref for ref in atom.chiral_order)
+            if order.count(-1) > 1:
+                atom = replace(atom, chiral=None, chiral_order=None)
+            else:
+                atom = replace(atom, chiral_order=order)
+        atoms[host] = atom
+    return subgraph(MolecularGraph(atoms, g.bonds), [i for i in range(len(atoms)) if i not in fold])
 
 
 def canonicalize(s: Union[str, MolecularGraph]) -> str:

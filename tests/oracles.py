@@ -176,11 +176,73 @@ def _smallest_leaf(g: MolecularGraph, ranks: list[int]) -> str:
     )
 
 
+def reference_subgraph(g: MolecularGraph, indices) -> MolecularGraph:
+    """``molgraph.subgraph`` as it was first written: every bond of ``g`` is
+    tested for both ends kept."""
+    index_list = sorted(set(indices))
+    if len(index_list) == len(g.atoms):
+        return g
+    index_map = {old: new for new, old in enumerate(index_list)}
+    atoms = [renumber_chiral(g.atoms[old], index_map.get) for old in index_list]
+    bonds = [
+        bond.moved(index_map[bond.a], index_map[bond.b])
+        for bond in g.bonds
+        if bond.a in index_map and bond.b in index_map
+    ]
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
+
+
+def reference_fold_explicit_hydrogens(g: MolecularGraph) -> MolecularGraph:
+    """``smiles._fold_explicit_hydrogens`` by a hand-built renumbering: each
+    kept atom scans every folded hydrogen for its own."""
+    adj = g.adjacency()
+    fold: dict[int, int] = {}
+    for idx, atom in enumerate(g.atoms):
+        if (
+            atom.kind == "element"
+            and atom.text == "H"
+            and atom.charge == 0
+            and atom.isotope is None
+            and (atom.explicit_h in (None, 0))
+            and len(adj[idx]) == 1
+        ):
+            mate, bond = adj[idx][0]
+            mate_atom = g.atoms[mate]
+            if bond.order == "single" and mate_atom.kind == "element" and mate_atom.text != "H":
+                fold[idx] = mate
+    if not fold:
+        return g
+    keep = [i for i in range(len(g.atoms)) if i not in fold]
+    index_map = {old: new for new, old in enumerate(keep)}
+    atoms = []
+    for old in keep:
+        atom = g.atoms[old]
+        folded_here = [h for h, mate in fold.items() if mate == old]
+        if folded_here:
+            if atom.explicit_h is not None:
+                atom = replace(atom, explicit_h=atom.explicit_h + len(folded_here))
+            elif atom.chiral is not None:
+                atom = replace(atom, explicit_h=len(folded_here))
+        # A hydrogen folded into this atom becomes its implicit-H slot.
+        atom = renumber_chiral(
+            atom, lambda ref: -1 if fold.get(ref) == old else index_map.get(ref)
+        )
+        if atom.chiral_order is not None and atom.chiral_order.count(-1) > 1:
+            atom = replace(atom, chiral=None, chiral_order=None)
+        atoms.append(atom)
+    bonds = [
+        b.moved(index_map[b.a], index_map[b.b])
+        for b in g.bonds
+        if b.a in index_map and b.b in index_map
+    ]
+    return MolecularGraph(atoms=tuple(atoms), bonds=tuple(bonds))
+
+
 def exhaustive_canonical(s: str | MolecularGraph) -> str:
     """``canonicalize`` by the exhaustive search: the smallest string any
     leaf writes, per component, components sorted."""
     g = s if isinstance(s, MolecularGraph) else smiles.parse_smiles(s)
-    g = smiles._fold_explicit_hydrogens(g)
+    g = reference_fold_explicit_hydrogens(g)
     pieces = []
     for comp in connected_components(g):
         sub = subgraph(g, comp)

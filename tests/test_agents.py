@@ -552,6 +552,14 @@ HOSTILE_PLANNER_ANSWERS = {
         "planner answer.message: expected a string",
     ),
     "no-steps": ({"action": "plan"}, "unusable planner response"),
+    "plan-without-data-structure": (
+        {"action": "plan", "steps": ["text_extraction"]},
+        "backend produced a defective plan: omission: plan must end with a data_structure step",
+    ),
+    "plan-with-a-repeated-step": (
+        {"action": "plan", "steps": ["text_extraction", "text_extraction", "data_structure"]},
+        "backend produced a defective plan: redundancy: agent 'text_extraction' appears twice",
+    ),
 }
 
 

@@ -203,6 +203,14 @@ class TestExtract:
             "unknown url type: 'not a url'"
         }
 
+    def test_unset_remote_url_is_domain_error(self, capsys, monkeypatch, fig2_bundle):
+        monkeypatch.delenv("RXNSCOPE_REMOTE_URL", raising=False)
+        code, out = run(capsys, "extract", "--bundle", str(fig2_bundle), "--backend", "remote")
+        assert code == 1
+        assert out == {
+            "error": "BackendError: remote backend needs a URL (RXNSCOPE_REMOTE_URL or the url argument)"
+        }
+
 
 class TestEvaluate:
     def test_self_comparison(self, capsys, fig2_bundle):
@@ -304,6 +312,9 @@ HOSTILE = {
     "descriptor-list": (_descriptor([]), "DescriptorError"),
     "descriptor-nested-modality": (_descriptor({"modalities": [["x"]]}), "DescriptorError"),
     "descriptor-not-json": (_descriptor("{"), "DescriptorError"),
+    "descriptor-plain-text-with-another": (
+        _descriptor({"modalities": ["plain_text_only", "text_description"]}), "DescriptorError"
+    ),
     "table-entry-zero": (_table("entry\tR1\n0\tPh\n"), "TableParseError"),
     "table-not-utf8": (_table(b"entry\tR1\n1\t\xff\n"), "RxnscopeError"),
     "reconstruct-deeply-nested": (_reconstruct("[" * 100_000), "GraphError"),
@@ -319,6 +330,10 @@ HOSTILE = {
     ),
     "evaluate-integer-condition-text": (
         _evaluate({"reactions": [{"reaction_id": "1", "conditions": [{"role": "reagent", "text": 5}]}]}),
+        "CodecError",
+    ),
+    "evaluate-empty-condition-text": (
+        _evaluate({"reactions": [{"reaction_id": "1", "conditions": [{"role": "reagent", "text": ""}]}]}),
         "CodecError",
     ),
     "evaluate-null-reaction-id": (_evaluate({"reactions": [{"reaction_id": None}]}), "CodecError"),
@@ -491,8 +506,27 @@ HOSTILE_MOLECULES = {
         "molecular_recognition",
     ),
     "molecules-integer": (_fig2_with("molecules.json", lambda m: 5), "molecular_recognition"),
+    "molecules-entry-without-graph": (
+        _fig2_with("molecules.json", lambda m: [{"label": "x"}] + m[1:]),
+        "molecular_recognition",
+    ),
     # A sidecar that is not JSON, or not UTF-8, fails its step the same way.
     "molecules-not-json": (_fig2_with("molecules.json", lambda m: b"\xff["), "molecular_recognition"),
+}
+
+# Sidecar entries a tool refuses: the run goes on, and its trace names the
+# tool and the entry.
+TRACED_TOOL_ERRORS = {
+    "molecules-entry-without-graph": (
+        HOSTILE_MOLECULES["molecules-entry-without-graph"][0],
+        "image2graph",
+        'molecules.json[0]: expected a "graph" or a "smiles"',
+    ),
+    "table-row-longer-than-header": (
+        _text_table_fig2("entry\tR\tAr\tproduct\n1\tMe\tPh\t3a\t71%\n"),
+        "table_parser",
+        "table.txt: row 1 has 5 cells for 4 headers",
+    ),
 }
 
 # Fixture files that no step reads (None: absent). Whatever they hold, a
@@ -705,6 +739,31 @@ class TestHostileInput:
         assert out["bindings"] == {"R": "C"}
         assert [canonicalize(s) for s in out["reactants"]] == [canonicalize("CN" + chain + "Br")]
 
+    def test_explicit_hydrogen_chain_is_folded_in_linear_time(self, capsys):
+        # 48,002 atoms, two thirds of them hydrogens that fold before ranking.
+        start = time.process_time()
+        code, out = run(capsys, "canonicalize", "[H]" + "C([H])([H])" * 16000 + "[H]")
+        assert time.process_time() - start < 3
+        assert code == 0
+        assert out["canonical"] == "C" * 16000
+
+    def test_many_components_are_cut_apart_in_linear_time(self, capsys):
+        start = time.process_time()
+        code, out = run(capsys, "canonicalize", ".".join(["CO"] * 16000))
+        assert time.process_time() - start < 3
+        assert code == 0
+        assert out["canonical"] == ".".join(["CO"] * 16000)
+
+    def test_evaluate_folds_a_long_explicit_hydrogen_chain_in_linear_time(self, capsys, tmp_path, fig2_bundle):
+        # ``identity_key`` folds the hydrogens of every distinct text.
+        chain = "[H]" + "C([H])([H])" * 8000 + "[H]"
+        pred = {"reactions": [{"reaction_id": "1", "products": [{"smiles": chain}]}]}
+        start = time.process_time()
+        code, out = run(capsys, *_evaluate(pred)(tmp_path, fig2_bundle))
+        assert time.process_time() - start < 2.5
+        assert code == 0
+        assert out["soft"]["precision"] == 0.0
+
     @pytest.mark.parametrize("case", sorted(HOSTILE_TOKENS))
     def test_unread_token_becomes_a_wildcard(self, case, capsys, tmp_path, fig2_bundle):
         start = time.perf_counter()
@@ -741,6 +800,14 @@ class TestHostileInput:
         reasons = _failed_reasons(trace)
         prefix = "tool 'image2graph' failed: molecules.json[0].graph: "
         assert reasons and all(r.startswith(prefix) for r in reasons)
+
+    @pytest.mark.parametrize("case", sorted(TRACED_TOOL_ERRORS))
+    def test_refused_entry_is_named_in_the_trace(self, case, capsys, tmp_path, fig2_bundle):
+        make_argv, tool, error = TRACED_TOOL_ERRORS[case]
+        code, trace = _extract_traced(make_argv, capsys, tmp_path, fig2_bundle)
+        assert code == 0
+        errors = [(e["tool"], e["error"]) for e in trace if e["type"] == "tool" and e["status"] == "error"]
+        assert errors == [(tool, error)]
 
     def test_unwritable_molecule_graph_fails_at_the_writer(self, capsys, tmp_path, fig2_bundle):
         make_argv, _ = HOSTILE_MOLECULES["molecules-ring-numbers-past-99"]

@@ -149,6 +149,15 @@ class TestAlignConditions:
         identities = [c.identity() for c in records[0].conditions]
         assert len(identities) == len(set(identities))
 
+    def test_add_info_goes_to_additional_info_and_the_shared_yield_goes(self):
+        shared = classify_condition("PhMe, 60-90%")
+        per_variant = {"3a": classify_condition("71%, 5:1 dr")}
+        first, second = align_conditions(shared, per_variant, [record("1_1", "3a"), record("2_1", "3b")])
+        assert [(c.role, c.text) for c in first.conditions] == [("solvent", "PhMe"), ("yield", "71%")]
+        assert first.additional_info == ("5:1 dr",)
+        assert [(c.role, c.text) for c in second.conditions] == [("solvent", "PhMe")]
+        assert second.additional_info == ()
+
     def test_empty_per_variant(self, caplog):
         shared = classify_condition("PhMe")
         with caplog.at_level(logging.WARNING, logger="rxnscope.reaction"):

@@ -36,7 +36,9 @@ from oracles import (
     outcome,
     random_bracket_inner,
     reference_bracket_token,
+    reference_fold_explicit_hydrogens,
     reference_perceive_aromaticity,
+    reference_subgraph,
     reference_write_smiles,
     renumbered,
     unperceived_graph,
@@ -620,6 +622,49 @@ class TestIdentityKey:
         assert identity_key(parse_smiles("[H]OC([H])([H])C")) == identity_key(parse_smiles("OCC")) == (
             2, ("c", "c", "o"),
         )
+
+
+# Atom tokens with their ring-bond digits, after which a branch may stand.
+_ATOM_AND_RINGS = re.compile(r"(?:\[[^\]]*\]|Br|Cl|[BCNOPSFI*bcnops])(?:[-=#:/\\]?(?:\d|%\d\d))*")
+H_FOLD_EDGES = [
+    "[H][C@](F)(Cl)Br", "[H][C@@]([H])(F)Cl", "[2H]C[H]", "[H][H]", "[H+]", "[H]Cl", "*[H]", "[R1][H]",
+]
+
+
+def _with_explicit_hydrogens(rng: random.Random, text: str) -> str:
+    """``text`` with a ``([H])`` branch after some of its atoms."""
+    return _ATOM_AND_RINGS.sub(lambda m: m[0] + "([H])" * rng.choice([0, 0, 1, 2]), text)
+
+
+@lru_cache(maxsize=1)
+def _hydrogen_graphs() -> list[MolecularGraph]:
+    rng = random.Random(41)
+    texts = H_FOLD_EDGES + [
+        _with_explicit_hydrogens(rng, s) for s in MOLECULES + list(STRESS.values()) for _ in range(4)
+    ]
+    graphs = [outcome(parse_smiles, text) for text in texts]
+    return [g for g in graphs if isinstance(g, MolecularGraph)]
+
+
+class TestGraphSurgeryOracles:
+    """The H fold and ``subgraph`` against the hand-built renumbering each replaced."""
+
+    def test_fold_matches_the_reference(self):
+        graphs = _hydrogen_graphs()
+        assert len(graphs) > 200
+        folded = 0
+        for g in graphs:
+            got = smiles._fold_explicit_hydrogens(g)
+            assert got == reference_fold_explicit_hydrogens(g), write_smiles(g)
+            folded += got is not g
+        assert folded > 100
+
+    def test_subgraph_matches_the_reference(self):
+        rng = random.Random(41)
+        for g in _hydrogen_graphs():
+            for _ in range(4):
+                indices = [i for i in range(len(g.atoms)) if rng.random() < 0.6]
+                assert molgraph.subgraph(g, indices) == reference_subgraph(g, indices)
 
 
 class TestStereoForms:
